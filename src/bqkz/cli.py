@@ -32,7 +32,6 @@ from .integral_solver import (
     QuadratureError,
     SeparationError,
     SolverParams,
-    ftilde_residual,
     residual_report,
 )
 from . import suites as suite_mod
@@ -247,9 +246,7 @@ def _cycle_for(cfg: dict, lam: complex) -> CycleW:
 def _one_solution(cfg: dict, lam: complex) -> dict:
     params = _solver_params(cfg, lam)
     cycle = _cycle_for(cfg, lam)
-    report = residual_report(cycle, params)
-    report["ftilde_residual"] = ftilde_residual(cycle, params)
-    return report
+    return residual_report(cycle, params)
 
 
 def _solution_worst(entry: dict) -> float:
@@ -353,21 +350,6 @@ def cmd_solve(args) -> int:
     return 0 if worst <= tolerance else 1
 
 
-def _params_from_solution(entry: dict, cfg: dict) -> SolverParams:
-    sol = cfg["solve"]
-    return SolverParams(
-        n=entry["n"],
-        lam=complex(*entry["lambda"]),
-        c=complex(*entry["c"]),
-        k=complex(*entry["k"]),
-        y=tuple(complex(re, im) for re, im in entry["y"]),
-        panels_per_unit=float(sol["panels_per_unit"]),
-        max_refine=sol["max_refine"],
-        rtol=float(sol["rtol"]),
-        atol=float(sol["atol"]),
-    )
-
-
 def cmd_residuals(args) -> int:
     if args.infile is None and args.config is None:
         raise ConfigError("residuals needs --in <report> or --config <file>")
@@ -382,16 +364,16 @@ def cmd_residuals(args) -> int:
         try:
             cfg = prior["body"]["config"]
             entries = prior["body"]["solutions"]
+            _validate_config(cfg)
         except (KeyError, TypeError):
             raise ConfigError("input report lacks body.config / body.solutions")
         if not entries:
             raise ConfigError("input report has no solutions to recompute")
         ok = True
         for entry in entries:
-            params = _params_from_solution(entry, cfg)
+            params = _solver_params(cfg, complex(*entry["lambda"]))
             cycle = CycleW(tuple((d, complex(*cf)) for d, cf in entry["cycle"]))
             fresh = residual_report(cycle, params)
-            fresh["ftilde_residual"] = ftilde_residual(cycle, params)
             drift = max(
                 abs(fresh["qkz_residuals"][m] - entry["qkz_residuals"][m])
                 for m in entry["qkz_residuals"]

@@ -16,9 +16,15 @@ the contour cannot sit at height Im(k)/2.  The y entries are real at the
 user level but may acquire imaginary parts up to the separation bound when a
 solve is run at a singly shifted point.
 
-Pairings and panels are independent work units; evaluation here is serial
-with a fixed left-to-right accumulation order so results are reproducible
-bit for bit.
+Each quadrature pass evaluates the kernel, the cycle denominator and the
+2n weight functions over numpy arrays of nodes, in chunks of at most
+_CHUNK nodes summed in a fixed chunk order, so results are reproducible
+bit for bit.  The array kernel takes log Gamma modulo 2 pi i, which is
+sound because only exponentials of sums are used.  The scalar kernel
+(`integrand`, `_kernel_cycle`) stays as the route of the independent
+quadrature oracle and as the reference the array kernel is tested against.
+A residual report solves each distinct point once: the base point, the n
+shifted points and the lambda derivative.
 """
 
 from __future__ import annotations
@@ -31,10 +37,20 @@ from typing import Sequence
 import numpy as np
 
 from .rqkz import ModelParams, op_Q
-from .scalar_field import cpow, log_gamma
+from .scalar_field import (
+    cpow,
+    log1m_exp,
+    log1m_exp_array,
+    log_gamma,
+    log_gamma_array,
+)
 from .tensor_ops import Space, Vec
 
 TWO_PI_I = 2j * math.pi
+# The array kernel sets terms whose exponent has real part below this to
+# zero: e^-600 is far under any sum such a term enters, and every product
+# the pass forms from a larger term stays in the normal double range.
+_EXP_FLOOR = -600.0
 
 
 class SeparationError(ValueError):
@@ -289,23 +305,11 @@ def kernel_log_phi(t: complex, y: Sequence, params: SolverParams) -> complex:
     return out
 
 
-def kernel_phi(t: complex, y: Sequence, params: SolverParams) -> complex:
-    return cmath.exp(kernel_log_phi(t, y, params))
-
-
-def _log1m_exp(zeta: complex) -> complex:
-    """A logarithm of 1 - e^zeta, stable for large |Re zeta|; the branch is
-    irrelevant because only the exponential of sums is ever used."""
-    if zeta.real > 0:
-        return zeta + cmath.log(1 - cmath.exp(-zeta)) + 1j * math.pi
-    return cmath.log(1 - cmath.exp(zeta))
-
-
 def _log_cycle_denominator(t: complex, y: Sequence, c: complex) -> complex:
     out = 0
     for yp in y:
-        out += _log1m_exp(TWO_PI_I * (t - yp) / c)
-        out += _log1m_exp(TWO_PI_I * (t + yp) / c)
+        out += log1m_exp(TWO_PI_I * (t - yp) / c)
+        out += log1m_exp(TWO_PI_I * (t + yp) / c)
     return out
 
 
@@ -325,6 +329,47 @@ def _kernel_cycle(t: complex, y: Sequence, W: CycleW, params: SolverParams,
     if extra_weight:
         out *= (-TWO_PI_I * t / params.c) ** extra_weight
     return out
+
+
+def _kernel_cycle_array(t, y: Sequence, W: CycleW, params: SolverParams,
+                        extra_weight: int = 0):
+    """_kernel_cycle over an array of nodes t, with log Gamma and the cycle
+    denominator in array form.
+
+    Terms whose exponent has real part below _EXP_FLOOR are set to zero
+    instead of underflowing, as the scalar form would round them to zero.
+    """
+    c, k = params.c, params.k
+    base = -TWO_PI_I * params.lam * t / c
+    for yp in y:
+        base += log_gamma_array((t - yp - k) / (-c))
+        base += log_gamma_array((t + yp - k) / (-c))
+        base -= log_gamma_array((t - yp) / (-c))
+        base -= log_gamma_array((t + yp) / (-c))
+        base -= log1m_exp_array(TWO_PI_I * (t - yp) / c)
+        base -= log1m_exp_array(TWO_PI_I * (t + yp) / c)
+    logz = TWO_PI_I * t / c
+    out = 0
+    for d, cf in W.terms:
+        expo = base + d * logz
+        live = expo.real >= _EXP_FLOOR
+        expo = np.where(live, expo, _EXP_FLOOR)
+        out = out + cf * np.where(live, np.exp(expo), 0)
+    if extra_weight:
+        out = out * (-TWO_PI_I * t / c) ** extra_weight
+    return out
+
+
+def _weight_rows(t, y: Sequence, k: complex) -> list:
+    """g_1 .. g_2n over an array of nodes, as one running product of the
+    func_g factors."""
+    rows = []
+    ratio = 1
+    for center in tuple(y) + tuple(-v for v in reversed(tuple(y))):
+        den = t - center
+        rows.append(ratio / den)
+        ratio = ratio * (den - k) / den
+    return rows
 
 
 def integrand(j: int, W: CycleW, t: complex, params: SolverParams,
@@ -428,45 +473,50 @@ def build_contour(params: SolverParams, W: CycleW = None,
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Nodes per array evaluation; bounds the working arrays of a pass.
+_CHUNK = 4096
 
 
 def _sample_line(delta: float, trunc: float, panels: int):
-    """Gauss nodes and weights on the horizontal segment, fixed order."""
+    """Gauss nodes and weights on the horizontal segment, panel by panel."""
     edges = np.linspace(-trunc, trunc, panels + 1)
-    ts = []
-    ws = []
-    for i in range(panels):
-        a, b = edges[i], edges[i + 1]
-        mid, rad = (a + b) / 2, (b - a) / 2
-        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-            ts.append(complex(mid + rad * node, delta))
-            ws.append(rad * weight)
+    mid = (edges[:-1] + edges[1:]) / 2
+    rad = (edges[1:] - edges[:-1]) / 2
+    ts = (mid[:, None] + rad[:, None] * _GL_NODES).ravel() + 1j * delta
+    ws = (rad[:, None] * _GL_WEIGHTS).ravel()
     return ts, ws
+
+
+def _kernel_chunks(W: CycleW, params: SolverParams, y, trunc, panels,
+                   extra_weight=0):
+    """(nodes, weights, kernel-cycle values) chunk by chunk, in node order."""
+    ts, ws = _sample_line(params.delta, trunc, panels)
+    for lo in range(0, len(ts), _CHUNK):
+        t = ts[lo:lo + _CHUNK]
+        yield t, ws[lo:lo + _CHUNK], _kernel_cycle_array(
+            t, y, W, params, extra_weight=extra_weight
+        )
 
 
 def _pairing_pass(indices, W: CycleW, params: SolverParams, y, trunc,
                   panels, extra_weight=0):
-    ts, ws = _sample_line(params.delta, trunc, panels)
-    totals = [0j for _ in indices]
+    totals = np.zeros(len(indices), dtype=complex)
     scale = 0.0
-    for t, w in zip(ts, ws):
-        ker = _kernel_cycle(t, y, W, params, extra_weight=extra_weight)
-        scale += abs(ker) * abs(w)
-        for pos, j in enumerate(indices):
-            if j == 0:
-                totals[pos] += w * ker
-            else:
-                totals[pos] += w * ker * func_g(j, t, y, params.k)
-    return totals, scale
+    for t, w, ker in _kernel_chunks(W, params, y, trunc, panels,
+                                    extra_weight=extra_weight):
+        scale += float(np.sum(np.abs(ker) * np.abs(w)))
+        wk = w * ker
+        rows = _weight_rows(t, y, params.k)
+        totals += [np.sum(wk * rows[j - 1]) for j in indices]
+    return [complex(v) for v in totals], scale
 
 
 def _pair_many(indices, W: CycleW, params: SolverParams, y=None,
                extra_weight=0, contour: Contour = None):
-    """Refined pairings for several indices at once.
+    """Refined pairings against g_j for several indices j at once.
 
-    Index 0 stands for the bare kernel-cycle integrand (no weight
-    function); positive indices select g_j.  Doubles truncation and panel
-    density together until the estimates stabilize.
+    Doubles truncation and panel density together until the estimates
+    stabilize.
     """
     W.validate(params)
     yy = params.y if y is None else tuple(y)
@@ -535,25 +585,40 @@ def _vec_norm(vec: Vec) -> float:
     return max((abs(complex(v)) for v in vec.entries.values()), default=0.0)
 
 
+def _shifted_solutions(W: CycleW, params: SolverParams,
+                       contour: Contour) -> list:
+    """Solution vectors at y with its m-th entry stepped down by c, for
+    m = 1 .. n."""
+    out = []
+    for m in range(1, params.n + 1):
+        shifted_y = list(params.y)
+        shifted_y[m - 1] = shifted_y[m - 1] - params.c
+        out.append(solve_f(params.lam, tuple(shifted_y), W, params,
+                           contour=contour).vec)
+    return out
+
+
+def _qkz_from_vectors(params: SolverParams, base: Vec, shifted) -> dict:
+    """Relative difference-equation residual of the solution at each
+    shifted point against the transported base solution."""
+    model = params.model()
+    x = params.x_point()
+    norm = _vec_norm(base)
+    out = {}
+    for m, vec in enumerate(shifted, start=1):
+        transported = op_Q(m, x, params.y, model).apply(base)
+        out[m] = _vec_norm(vec - transported) / norm
+    return out
+
+
 def qkz_residuals(W: CycleW, params: SolverParams,
                   contour: Contour = None) -> dict:
     """Relative difference-equation residual for every shift direction."""
     if contour is None:
         contour = build_contour(params, W=W, include_shifted=True)
-    model = params.model()
-    x = params.x_point()
     base = solve_f(params.lam, params.y, W, params, contour=contour)
-    norm = _vec_norm(base.vec)
-    out = {}
-    for m in range(1, params.n + 1):
-        shifted_y = list(params.y)
-        shifted_y[m - 1] = shifted_y[m - 1] - params.c
-        shifted = solve_f(params.lam, tuple(shifted_y), W, params,
-                          contour=contour)
-        transported = op_Q(m, x, params.y, model).apply(base.vec)
-        diff = shifted.vec - transported
-        out[m] = _vec_norm(diff) / norm
-    return out
+    shifted = _shifted_solutions(W, params, contour)
+    return _qkz_from_vectors(params, base.vec, shifted)
 
 
 def dlambda_solution(W: CycleW, params: SolverParams,
@@ -570,49 +635,53 @@ def _check_differential_regime(params: SolverParams):
         )
 
 
-def ode_residual(W: CycleW, params: SolverParams,
-                 contour: Contour = None) -> float:
-    """Relative residual of the first-direction differential equation."""
+def _differential_residuals(params: SolverParams, base: Vec,
+                            deriv: Vec) -> tuple:
+    """Relative residuals of the first-direction differential equation and
+    of its gauge-transformed, parameter-free form, from the solution and
+    its lambda derivative.
+
+    The scalar prefactor (e^{2 pi i lam} - 1)^{k/c} of the gauge uses the
+    principal branch; any other branch differs by a lambda-independent
+    constant and solves the same equation.
+    """
     from .compat_ops import op_L
 
+    lbase = op_L(1, params.x_point(), params.y, params.model()).apply(base)
+    ex = params.big_e
+    norm = _vec_norm(base)
+    total = deriv.scale(params.c / TWO_PI_I)
+    total = total.add(lbase)
+    total = total.add(base.scale(params.k * ex / (ex - 1)))
+    ode = _vec_norm(total) / norm
+    s = cpow(ex - 1, params.k / params.c)
+    ds = params.k * ex * cpow(ex - 1, params.k / params.c - 1)
+    total = base.scale(ds)
+    total = total.add(deriv.scale(s * params.c / TWO_PI_I))
+    total = total.add(lbase.scale(s))
+    return ode, _vec_norm(total) / (abs(s) * norm)
+
+
+def _solve_differential(W: CycleW, params: SolverParams,
+                        contour: Contour = None) -> tuple:
     _check_differential_regime(params)
     if contour is None:
         contour = build_contour(params, W=W, include_shifted=False)
     base = solve_f(params.lam, params.y, W, params, contour=contour)
     deriv = dlambda_solution(W, params, contour=contour)
-    model = params.model()
-    lop = op_L(1, params.x_point(), params.y, model)
-    ex = params.big_e
-    total = deriv.vec.scale(params.c / TWO_PI_I)
-    total = total.add(lop.apply(base.vec))
-    total = total.add(base.vec.scale(params.k * ex / (ex - 1)))
-    return _vec_norm(total) / _vec_norm(base.vec)
+    return _differential_residuals(params, base.vec, deriv.vec)
+
+
+def ode_residual(W: CycleW, params: SolverParams,
+                 contour: Contour = None) -> float:
+    """Relative residual of the first-direction differential equation."""
+    return _solve_differential(W, params, contour)[0]
 
 
 def ftilde_residual(W: CycleW, params: SolverParams,
                     contour: Contour = None) -> float:
-    """Relative residual of the gauge-transformed, parameter-free equation.
-
-    The scalar prefactor (e^{2 pi i lam} - 1)^{k/c} uses the principal
-    branch; any other branch differs by a lambda-independent constant and
-    solves the same equation.
-    """
-    from .compat_ops import op_L
-
-    _check_differential_regime(params)
-    if contour is None:
-        contour = build_contour(params, W=W, include_shifted=False)
-    base = solve_f(params.lam, params.y, W, params, contour=contour)
-    deriv = dlambda_solution(W, params, contour=contour)
-    model = params.model()
-    lop = op_L(1, params.x_point(), params.y, model)
-    ex = params.big_e
-    s = cpow(ex - 1, params.k / params.c)
-    ds = params.k * ex * cpow(ex - 1, params.k / params.c - 1)
-    total = base.vec.scale(ds)
-    total = total.add(deriv.vec.scale(s * params.c / TWO_PI_I))
-    total = total.add(lop.apply(base.vec).scale(s))
-    return _vec_norm(total) / (abs(s) * _vec_norm(base.vec))
+    """Relative residual of the gauge-transformed, parameter-free equation."""
+    return _solve_differential(W, params, contour)[1]
 
 
 def vanishing_integral(W: CycleW, params: SolverParams,
@@ -631,14 +700,12 @@ def vanishing_integral(W: CycleW, params: SolverParams,
     prev = None
     for step in range(params.max_refine + 1):
         panels = max(4, int(math.ceil(2 * trunc * ppu)))
-        ts, ws = _sample_line(params.delta, trunc, panels)
         total = 0j
         scale = 0.0
-        for t, w in zip(ts, ws):
-            ker = _kernel_cycle(t, params.y, W, params)
+        for t, w, ker in _kernel_chunks(W, params, params.y, trunc, panels):
             val = ker * (1 - ex * prod_ratio_full(t, params.y, params.k))
-            total += w * val
-            scale += abs(w) * abs(ker)
+            total += complex(np.sum(w * val))
+            scale += float(np.sum(np.abs(w) * np.abs(ker)))
         if prev is not None and abs(total - prev) <= max(
             params.rtol * scale, params.atol
         ):
@@ -650,11 +717,19 @@ def vanishing_integral(W: CycleW, params: SolverParams,
 
 
 def residual_report(W: CycleW, params: SolverParams) -> dict:
-    """Machine-readable summary: coefficients, residuals, diagnostics."""
+    """Machine-readable summary: coefficients, residuals, diagnostics.
+
+    Solves each distinct point once (the base point, the n shifted points
+    and the lambda derivative) and derives the qKZ, ODE and gauge
+    residuals from those vectors.
+    """
+    _check_differential_regime(params)
     contour = build_contour(params, W=W, include_shifted=True)
     base = solve_f(params.lam, params.y, W, params, contour=contour)
-    qkz = qkz_residuals(W, params, contour=contour)
-    ode = ode_residual(W, params, contour=contour)
+    shifted = _shifted_solutions(W, params, contour)
+    deriv = dlambda_solution(W, params, contour=contour)
+    qkz = _qkz_from_vectors(params, base.vec, shifted)
+    ode, ftilde = _differential_residuals(params, base.vec, deriv.vec)
     report = {
         "n": params.n,
         "lambda": [params.lam.real, params.lam.imag],
@@ -665,6 +740,7 @@ def residual_report(W: CycleW, params: SolverParams) -> dict:
         "coefficients": [[v.real, v.imag] for v in base.coeffs],
         "qkz_residuals": {str(m): qkz[m] for m in sorted(qkz)},
         "ode_residual": ode,
+        "ftilde_residual": ftilde,
         "max_qkz_residual": max(qkz.values()),
         "contour": {
             "delta": contour.delta,

@@ -17,6 +17,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 try:
     from gmpy2 import mpq as Rational
 except ImportError:  # pragma: no cover
@@ -111,9 +113,10 @@ COMPLEX = _ComplexField()
 
 
 # Lanczos approximation of log Gamma, g = 607/128, 15 terms.  Valid for
-# Re z >= 0.5 with relative error near double-precision roundoff; the
-# recurrence log Gamma(z) = log Gamma(z+1) - log z extends it to the rest
-# of the plane on the standard branch (analytic off the cut (-inf, 0]).
+# Re z >= 0.5 with relative error near double-precision roundoff.  Left of
+# that line the scalar log_gamma steps z up by the recurrence
+# log Gamma(z) = log Gamma(z+1) - log z while Re z is near the origin, and
+# uses reflection further out; the array form always reflects.
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = (
     0.99999999999999709182,
@@ -133,15 +136,64 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+_LOG_HALF_I = complex(-math.log(2.0), 0.5 * math.pi)
+# The scalar log_gamma reflects below this real part; above it the shift
+# loop takes at most nine steps.
+_REFLECT_BELOW = -8.0
+# log1m_exp_array clamps Re zeta here before exponentiating: e^-60 lies
+# far under the rounding unit of 1 - e^zeta, so no digit changes, and
+# numpy's complex log cannot underflow on what is left.
+_LOG1M_FLOOR = -60.0
 
 
-def _lanczos_half_plane(z: complex) -> complex:
+def _lanczos_half_plane(z, log=cmath.log):
+    """log Gamma(z) for Re z >= 0.5; with log=np.log, z may be an array."""
     zm1 = z - 1.0
     s = _LANCZOS_C[0]
     for i in range(1, 15):
         s += _LANCZOS_C[i] / (zm1 + i)
     t = zm1 + _LANCZOS_G + 0.5
-    return (zm1 + 0.5) * cmath.log(t) - t + _LOG_SQRT_2PI + cmath.log(s)
+    return (zm1 + 0.5) * log(t) - t + _LOG_SQRT_2PI + log(s)
+
+
+def log1m_exp(zeta: complex) -> complex:
+    """A logarithm of 1 - e^zeta, stable for large |Re zeta|; the branch is
+    irrelevant because only the exponential of sums is ever used."""
+    if zeta.real > 0:
+        return zeta + cmath.log(1 - cmath.exp(-zeta)) + 1j * math.pi
+    return cmath.log(1 - cmath.exp(zeta))
+
+
+def _log_sin_pi(z: complex) -> complex:
+    """A logarithm of sin(pi z), valid modulo 2 pi i.
+
+    With m = round(Re z) and w = z - m, sin(pi z) = (-1)^m sin(pi w).
+    Near the real axis sin(pi w) is taken directly, which keeps full
+    relative accuracy next to a pole; far from it, as
+    (i/2) e^{-i pi w} (1 - e^{2 pi i w}), which cannot overflow.
+    """
+    m = round(z.real)
+    w = z - m
+    parity = 1j * math.pi * (m % 2)
+    if abs(w.imag) < 50.0:
+        return parity + cmath.log(cmath.sin(math.pi * w))
+    return parity + _LOG_HALF_I - 1j * math.pi * w + log1m_exp(2j * math.pi * w)
+
+
+def _principal_branch(value: complex, z: complex) -> complex:
+    """Move a logarithm of Gamma(z), known modulo 2 pi i, onto the principal
+    branch.
+
+    For Re z < 0 the principal log Gamma differs from Stirling's
+    (z - 1/2) Log z - z + log(2 pi)/2 by -log(1 - e^{+-2 pi i z}) plus
+    O(1/|z|), whose imaginary part stays within pi/2; rounding the
+    imaginary gap to whole turns of 2 pi therefore picks the branch (Hare,
+    "Computing the principal branch of log-Gamma", J. Algorithms 25, 1997).
+    """
+    stirling = ((z - 0.5) * cmath.log(z) - z + 1 / (12 * z)).imag
+    turns = round((stirling - value.imag) / (2 * math.pi))
+    return value + 2j * math.pi * turns
 
 
 def log_gamma(z) -> complex:
@@ -149,16 +201,52 @@ def log_gamma(z) -> complex:
 
     Standard branch: real on the positive real axis, analytic on the plane
     cut along (-inf, 0].  Non-positive integers are poles and raise
-    PoleError.
+    PoleError.  Each call costs O(1): far left of the origin it reflects,
+    log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z), and fixes the
+    branch from Stirling's imaginary part.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise PoleError("log_gamma pole at z = %r" % z.real)
+    if z.real < _REFLECT_BELOW:
+        value = _LOG_PI - _log_sin_pi(z) - _lanczos_half_plane(1 - z)
+        return _principal_branch(value, z)
     acc = 0j
     while z.real < 0.5:
         acc += cmath.log(z)
         z += 1.0
     return _lanczos_half_plane(z) - acc
+
+
+def log1m_exp_array(zeta):
+    """Array form of log1m_exp: the exponential is only ever taken of the
+    half with Re <= 0, so nothing overflows."""
+    flip = zeta.real > 0
+    near = np.where(flip, -zeta, zeta)
+    near = np.maximum(near.real, _LOG1M_FLOOR) + 1j * near.imag
+    return np.log(1 - np.exp(near)) + np.where(flip, zeta + 1j * math.pi, 0)
+
+
+def log_gamma_array(z):
+    """A logarithm of Gamma over a complex array, valid modulo 2 pi i.
+
+    Lanczos for Re z >= 0.5 and reflection below, with log sin(pi z) in the
+    log1m_exp_array form after reducing by round(Re z).  The branch is left
+    unfixed, which is sound wherever only exponentials of sums are used.
+    At distance d from a pole that form adds an absolute error of about
+    1e-17/d; the solver's contour keeps every argument at least its pole
+    gap over |c| away from the poles.
+    """
+    left = z.real < 0.5
+    out = _lanczos_half_plane(np.where(left, 1 - z, z), np.log)
+    if left.any():
+        zl = z[left]
+        m = np.round(zl.real)
+        w = zl - m
+        log_sin = (_LOG_HALF_I + 1j * math.pi * (m % 2) - 1j * math.pi * w
+                   + log1m_exp_array(2j * math.pi * w))
+        out[left] = _LOG_PI - log_sin - out[left]
+    return out
 
 
 def gamma(z) -> complex:

@@ -175,6 +175,31 @@ def test_residuals_recompute_matches(tmp_path, capsys):
     assert "DIFFERS" not in out
 
 
+def test_residuals_rebuilds_the_solve_params(tmp_path, capsys, monkeypatch):
+    """`residuals --in` rebuilds the exact SolverParams of the solve from the
+    stored config, half_dim included."""
+    seen = []
+
+    def recording_report(cycle, params):
+        seen.append(params)
+        return real_report(cycle, params)
+
+    real_report = cli.residual_report
+    monkeypatch.setattr(cli, "residual_report", recording_report)
+    cfg = {"model": {"n": 2, "half_dim": 3}, "solve": {"lambda_grid": [0.31]}}
+    path = write_json(tmp_path / "cfg.json", cfg)
+    json_path = tmp_path / "solve.json"
+    assert cli.main(
+        ["solve", "--config", path,
+         "--out-csv", str(tmp_path / "c.csv"), "--out-json", str(json_path)]
+    ) == 0
+    assert cli.main(["residuals", "--in", str(json_path)]) == 0
+    assert "DIFFERS" not in capsys.readouterr().out
+    assert len(seen) == 2
+    assert seen[0].half_dim == 3
+    assert seen[1] == seen[0]
+
+
 def test_residuals_from_config_inline(tmp_path, capsys):
     cfg = {"solve": {"lambda_grid": [0.25]}}
     path = write_json(tmp_path / "cfg.json", cfg)

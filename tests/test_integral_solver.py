@@ -9,12 +9,14 @@ the spectral parameter.
 import cmath
 import random
 
+import numpy as np
 import pytest
 
 from fractions import Fraction
 
 from bqkz.rqkz import ModelParams, ones, op_K, op_P, op_R, op_T
 from bqkz.tensor_ops import Space, Vec, embed_pair, embed_site
+import bqkz.integral_solver as solver
 from bqkz.integral_solver import (
     CycleW,
     DegreeError,
@@ -419,9 +421,91 @@ def test_residual_report_keys():
         "coefficients",
         "qkz_residuals",
         "ode_residual",
+        "ftilde_residual",
         "max_qkz_residual",
         "contour",
         "quadrature",
     }
     assert rep["max_qkz_residual"] <= 1e-7
+    assert rep["ftilde_residual"] <= 1e-7
     assert len(rep["coefficients"]) == 2
+
+
+def test_residual_report_solves_each_distinct_point_once(monkeypatch):
+    """n + 2 solves (base, n shifts, lambda derivative), and the same
+    residuals as the standalone functions."""
+    calls = []
+
+    def counting_solve_f(*args, **kwargs):
+        calls.append((complex(args[0]), tuple(args[1]), kwargs.get("extra_weight", 0)))
+        return real_solve_f(*args, **kwargs)
+
+    real_solve_f = solver.solve_f
+    for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
+        p = mkparams(n, lam, y)
+        W = CycleW.monomial(1)
+        calls.clear()
+        monkeypatch.setattr(solver, "solve_f", counting_solve_f)
+        rep = residual_report(W, p)
+        monkeypatch.setattr(solver, "solve_f", real_solve_f)
+        assert len(calls) == n + 2, calls
+        assert len(set(calls)) == n + 2, calls
+        qkz = qkz_residuals(W, p)
+        for m in range(1, n + 1):
+            assert abs(rep["qkz_residuals"][str(m)] - qkz[m]) <= 1e-12
+        assert abs(rep["ode_residual"] - ode_residual(W, p)) <= 1e-12
+        assert abs(rep["ftilde_residual"] - ftilde_residual(W, p)) <= 1e-12
+
+
+# ---------------------------------------------------------------- array pass
+
+
+def test_array_kernel_cycle_matches_scalar():
+    """The array kernel-cycle equals the scalar one along the contour out to
+    |Re t| = 240, where the log-Gamma arguments reach Re z of about -480,
+    far below the reflection line.  Nodes whose exponent drops below the
+    floor come back as exact zeros, where the scalar value is below any sum
+    it could enter.
+
+    The tolerance is 1e-12 relative, except at lambda = 0.885, whose kernel
+    decays slowly enough to stay above the floor beyond |Re t| = 200.
+    There the log terms reach 1e4, so each route rounds the sum to a few
+    1e-12 (both were within 4e-12 of a 40-digit mpmath evaluation), and the
+    tolerance is 1e-11.
+    """
+    cases = (
+        (1, 0.25, (0.3,), CycleW.monomial(1), 1e-12, 20.0),
+        (2, 0.31, (0.3, -0.2), CycleW(((1, 1.0), (2, 0.5j))), 1e-12, 20.0),
+        (1, 0.885, (0.3,), CycleW.monomial(1), 1e-11, 200.0),
+    )
+    for n, lam, y, W, tol, min_reach in cases:
+        p = mkparams(n, lam, y)
+        ts = np.linspace(-240.0, 240.0, 1201) + 1j * p.delta
+        for extra in (0, 1):
+            with np.errstate(all="raise"):
+                got = solver._kernel_cycle_array(ts, p.y, W, p, extra_weight=extra)
+            reach = 0.0
+            for t, g in zip(ts, got):
+                want = solver._kernel_cycle(complex(t), p.y, W, p, extra_weight=extra)
+                if g == 0:
+                    assert abs(want) < 1e-250, (n, lam, extra, t)
+                    continue
+                reach = max(reach, abs(t.real))
+                assert abs(g - want) <= tol * abs(want), (n, lam, extra, t)
+            assert reach >= min_reach, (n, lam, extra)
+
+
+def test_array_pass_raises_no_floating_point_flag():
+    """A solve that refines out to long tails, the residual reports and the
+    vanishing integral run clean under np.errstate(all="raise")."""
+    with np.errstate(all="raise"):
+        for n, lam, y in ((1, 0.885, (0.3,)), (2, 0.31, (0.3, -0.2))):
+            p = mkparams(n, lam, y)
+            W = CycleW.monomial(1)
+            rep = residual_report(W, p)
+            assert max(rep["max_qkz_residual"], rep["ode_residual"],
+                       rep["ftilde_residual"]) <= 1e-7, (n, lam)
+            if lam == 0.885:
+                assert rep["quadrature"]["refinements"] >= 2
+                value, scale = vanishing_integral(W, p)
+                assert abs(value) <= 1e-9 * scale

@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +23,7 @@ from bqkz.scalar_field import (
     inv,
     is_exact,
     log_gamma,
+    log_gamma_array,
     rat,
 )
 
@@ -134,6 +138,38 @@ def test_log_gamma_reflection():
         diff = (total - ref) / (2j * math.pi)
         nearest = round(diff.real)
         assert abs(diff - nearest) <= 1e-11 * max(1.0, abs(total)), z
+
+
+def test_log_gamma_far_left_is_principal_and_bounded():
+    """Far left of the origin log_gamma reflects and fixes the branch from
+    Stirling's imaginary part: the principal value, at O(1) cost per call."""
+    mpmath.mp.dps = 50
+    for re in (-1e3, -1e3 + 0.37, -1e6, -1e6 + 0.5):
+        for im in (1e-6, 0.5, -0.5, 3.0, -40.0, 200.0):
+            z = complex(re, im)
+            want = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+            got = log_gamma(z)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), z
+    start = time.perf_counter()
+    value = log_gamma(-1e9 + 0.5j)
+    assert time.perf_counter() - start < 0.1
+    want = complex(mpmath.loggamma(mpmath.mpc(-1e9, 0.5)))
+    assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_log_gamma_array_matches_scalar_modulo_branch():
+    """The array form agrees with log_gamma up to whole turns of 2 pi i, on
+    both sides of the reflection line and far below it, without raising a
+    floating-point flag."""
+    r = random.Random(11)
+    zs = [complex(r.uniform(-600, 600), r.uniform(-1000, 1000)) for _ in range(300)]
+    zs += [complex(r.uniform(-3, 3), r.uniform(0.2, 2)) for _ in range(100)]
+    with np.errstate(all="raise"):
+        got = log_gamma_array(np.array(zs))
+    for z, g in zip(zs, got):
+        want = log_gamma(z)
+        turns = (g - want) / (2j * math.pi)
+        assert abs(turns - round(turns.real)) * 2 * math.pi <= 1e-14 * max(1.0, abs(want)), z
 
 
 def test_gamma_positive_integers():
