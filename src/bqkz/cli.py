@@ -26,14 +26,7 @@ import time
 from . import __version__
 from .sampling import SamplingExhausted
 from .scalar_field import RATIONAL_BACKEND
-from .integral_solver import (
-    CycleW,
-    DegreeError,
-    QuadratureError,
-    SeparationError,
-    SolverParams,
-    residual_report,
-)
+from .integral_solver import CycleW, QuadratureError, SolverParams, residual_report
 from . import suites as suite_mod
 
 SCHEMA_VERSION = 1
@@ -57,6 +50,8 @@ _SOLVE_KEYS = {
     "tolerance",
 }
 _OUTPUT_KEYS = {"report", "csv"}
+# Keys `residuals --in` reads from each stored solution.
+_STORED_KEYS = ("lambda", "cycle", "qkz_residuals", "ode_residual")
 
 _DEFAULT_LAMBDA_GRID = (-0.7, -0.35, -0.1, 0.15, 0.4)
 _DEFAULT_Y = (0.3, -0.15, 0.2)
@@ -202,11 +197,24 @@ def _versions() -> dict:
     }
 
 
-def _write_report(report: dict, path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _write_report(path: str | None, cfg: dict, timing: dict, seed=None, suites=(),
+                  solutions=()):
+    """Write the versioned report; everything under "body" is deterministic."""
+    if path is None:
+        return
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "body": {
+            "config": cfg,
+            "seed": seed,
+            "versions": _versions(),
+            "suites": list(suites),
+            "solutions": list(solutions),
+        },
+        "timing": timing,
+    }
+    with open(path, "w") as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _default_y(n: int) -> list:
@@ -243,27 +251,41 @@ def _cycle_for(cfg: dict, lam: complex) -> CycleW:
     return CycleW(terms)
 
 
-def _one_solution(cfg: dict, lam: complex) -> dict:
-    params = _solver_params(cfg, lam)
-    cycle = _cycle_for(cfg, lam)
-    return residual_report(cycle, params)
+def _solve_grid(cfg: dict):
+    """Solve at every lambda of the grid, printing one residual line each;
+    returns (grid, solutions, timing)."""
+    grid = [_as_complex(v, "solve.lambda_grid entries") for v in cfg["solve"]["lambda_grid"]]
+    solutions = []
+    timing = {}
+    for lam in grid:
+        start = time.perf_counter()
+        entry = residual_report(_cycle_for(cfg, lam), _solver_params(cfg, lam))
+        timing["lambda=%r" % lam] = time.perf_counter() - start
+        solutions.append(entry)
+        print(
+            "lambda=%g%+gi max_qkz=%.3e ode=%.3e ftilde=%.3e"
+            % (lam.real, lam.imag, entry["max_qkz_residual"],
+               entry["ode_residual"], entry["ftilde_residual"])
+        )
+    return grid, solutions, timing
 
 
-def _solution_worst(entry: dict) -> float:
-    return max(entry["max_qkz_residual"], entry["ode_residual"], entry["ftilde_residual"])
+def _report_grid(cfg: dict, solutions: list, timing: dict) -> int:
+    """Write the grid's report, print its worst residual, and exit 0 iff that
+    is within the tolerance."""
+    _write_report(cfg["output"]["report"], cfg, timing, solutions=solutions)
+    tolerance = cfg["solve"]["tolerance"]
+    worst = max(
+        max(entry["max_qkz_residual"], entry["ode_residual"], entry["ftilde_residual"])
+        for entry in solutions
+    )
+    print("worst residual %.3e (tolerance %g)" % (worst, tolerance))
+    return 0 if worst <= tolerance else 1
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     if args.suite:
-        known = set(suite_mod.suite_names())
-        bad = sorted(set(args.suite) - known)
-        if bad:
-            raise ConfigError(
-                "unknown suite%s: %s (valid: %s)"
-                % ("s" if len(bad) > 1 else "", ", ".join(bad),
-                   ", ".join(sorted(known)))
-            )
         cfg["verify"]["suites"] = list(args.suite)
     if args.seed is not None:
         cfg["verify"]["seed"] = args.seed
@@ -287,18 +309,8 @@ def cmd_verify(args) -> int:
         )
         for note in result.notes:
             print("     defect: %s" % note)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "body": {
-            "config": cfg,
-            "seed": seed,
-            "versions": _versions(),
-            "suites": [r.body() for r in results],
-            "solutions": [],
-        },
-        "timing": timing,
-    }
-    _write_report(report, cfg["output"]["report"])
+    _write_report(cfg["output"]["report"], cfg, timing, seed=seed,
+                  suites=[r.body() for r in results])
     return 0 if all(r.exact_zero for r in results) else 1
 
 
@@ -311,114 +323,68 @@ def cmd_solve(args) -> int:
     if cfg["output"]["csv"] is None or cfg["output"]["report"] is None:
         raise ConfigError("solve needs --out-csv and --out-json (or output.csv/output.report)")
 
-    grid = [_as_complex(v, "solve.lambda_grid entries") for v in cfg["solve"]["lambda_grid"]]
-    solutions = []
-    timing = {}
-    for lam in grid:
-        start = time.perf_counter()
-        solutions.append(_one_solution(cfg, lam))
-        timing["lambda=%r" % lam] = time.perf_counter() - start
-
+    grid, solutions, timing = _solve_grid(cfg)
     with open(cfg["output"]["csv"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda_re", "lambda_im", "j", "coeff_re", "coeff_im"])
         for lam, entry in zip(grid, solutions):
             for j, (re, im) in enumerate(entry["coefficients"], start=1):
                 writer.writerow([lam.real, lam.imag, j, re, im])
+    return _report_grid(cfg, solutions, timing)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "body": {
-            "config": cfg,
-            "seed": None,
-            "versions": _versions(),
-            "suites": [],
-            "solutions": solutions,
-        },
-        "timing": timing,
-    }
-    _write_report(report, cfg["output"]["report"])
-    tolerance = cfg["solve"]["tolerance"]
-    worst = max(_solution_worst(entry) for entry in solutions)
-    for lam, entry in zip(grid, solutions):
-        print(
-            "lambda=%g%+gi max_qkz=%.3e ode=%.3e ftilde=%.3e"
-            % (lam.real, lam.imag, entry["max_qkz_residual"],
-               entry["ode_residual"], entry["ftilde_residual"])
+
+def _recheck(path: str) -> int:
+    """Recompute every solution stored in a solve report; exit 0 iff each
+    matches its stored residuals."""
+    try:
+        with open(path) as fh:
+            prior = json.load(fh)
+    except OSError as exc:
+        raise ConfigError("cannot read input report %s: %s" % (path, exc))
+    except json.JSONDecodeError as exc:
+        raise ConfigError("input report %s is not valid JSON: %s" % (path, exc))
+    try:
+        cfg = prior["body"]["config"]
+        entries = prior["body"]["solutions"]
+        _validate_config(cfg)
+    except (KeyError, TypeError):
+        raise ConfigError("input report lacks body.config / body.solutions")
+    if not entries:
+        raise ConfigError("input report has no solutions to recompute")
+    for entry in entries:
+        missing = [key for key in _STORED_KEYS if not isinstance(entry, dict) or key not in entry]
+        if missing:
+            raise ConfigError("stored solution lacks %s" % ", ".join(missing))
+    ok = True
+    for entry in entries:
+        params = _solver_params(cfg, complex(*entry["lambda"]))
+        cycle = CycleW(tuple((d, complex(*cf)) for d, cf in entry["cycle"]))
+        fresh = residual_report(cycle, params)
+        drift = max(
+            abs(fresh["qkz_residuals"][m] - entry["qkz_residuals"][m])
+            for m in entry["qkz_residuals"]
         )
-    print("worst residual %.3e (tolerance %g)" % (worst, tolerance))
-    return 0 if worst <= tolerance else 1
+        drift = max(drift, abs(fresh["ode_residual"] - entry["ode_residual"]))
+        if "ftilde_residual" in entry:
+            drift = max(drift, abs(fresh["ftilde_residual"] - entry["ftilde_residual"]))
+        matched = drift <= MATCH_TOLERANCE
+        ok = ok and matched
+        print(
+            "lambda=%g%+gi recompute drift %.3e %s"
+            % (params.lam.real, params.lam.imag, drift,
+               "matches" if matched else "DIFFERS")
+        )
+    return 0 if ok else 1
 
 
 def cmd_residuals(args) -> int:
     if args.infile is None and args.config is None:
         raise ConfigError("residuals needs --in <report> or --config <file>")
     if args.infile is not None:
-        try:
-            with open(args.infile) as fh:
-                prior = json.load(fh)
-        except OSError as exc:
-            raise ConfigError("cannot read input report %s: %s" % (args.infile, exc))
-        except json.JSONDecodeError as exc:
-            raise ConfigError("input report %s is not valid JSON: %s" % (args.infile, exc))
-        try:
-            cfg = prior["body"]["config"]
-            entries = prior["body"]["solutions"]
-            _validate_config(cfg)
-        except (KeyError, TypeError):
-            raise ConfigError("input report lacks body.config / body.solutions")
-        if not entries:
-            raise ConfigError("input report has no solutions to recompute")
-        ok = True
-        for entry in entries:
-            params = _solver_params(cfg, complex(*entry["lambda"]))
-            cycle = CycleW(tuple((d, complex(*cf)) for d, cf in entry["cycle"]))
-            fresh = residual_report(cycle, params)
-            drift = max(
-                abs(fresh["qkz_residuals"][m] - entry["qkz_residuals"][m])
-                for m in entry["qkz_residuals"]
-            )
-            drift = max(drift, abs(fresh["ode_residual"] - entry["ode_residual"]))
-            if "ftilde_residual" in entry:
-                drift = max(drift, abs(fresh["ftilde_residual"] - entry["ftilde_residual"]))
-            matched = drift <= MATCH_TOLERANCE
-            ok = ok and matched
-            print(
-                "lambda=%g%+gi recompute drift %.3e %s"
-                % (params.lam.real, params.lam.imag, drift,
-                   "matches" if matched else "DIFFERS")
-            )
-        return 0 if ok else 1
-
+        return _recheck(args.infile)
     cfg = load_config(args.config)
-    grid = [_as_complex(v, "solve.lambda_grid entries") for v in cfg["solve"]["lambda_grid"]]
-    tolerance = cfg["solve"]["tolerance"]
-    worst = 0.0
-    solutions = []
-    for lam in grid:
-        entry = _one_solution(cfg, lam)
-        solutions.append(entry)
-        worst = max(worst, _solution_worst(entry))
-        print(
-            "lambda=%g%+gi max_qkz=%.3e ode=%.3e ftilde=%.3e"
-            % (lam.real, lam.imag, entry["max_qkz_residual"],
-               entry["ode_residual"], entry["ftilde_residual"])
-        )
-    if cfg["output"]["report"] is not None:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "body": {
-                "config": cfg,
-                "seed": None,
-                "versions": _versions(),
-                "suites": [],
-                "solutions": solutions,
-            },
-            "timing": {},
-        }
-        _write_report(report, cfg["output"]["report"])
-    print("worst residual %.3e (tolerance %g)" % (worst, tolerance))
-    return 0 if worst <= tolerance else 1
+    _, solutions, timing = _solve_grid(cfg)
+    return _report_grid(cfg, solutions, timing)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,16 +426,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        DegreeError,
-        SeparationError,
-        QuadratureError,
-        SamplingExhausted,
-    ) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, QuadratureError, SamplingExhausted) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

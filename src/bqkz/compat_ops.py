@@ -31,7 +31,7 @@ from .rqkz import (
     q_split_descs,
     shift_y,
 )
-from .scalar_field import PoleError, div, inv, rat
+from .scalar_field import PoleError, div, inv
 from .tensor_ops import LinOp, Space, commutator, embed_pair, embed_site, site_tensor
 
 
@@ -260,8 +260,6 @@ def op_M_swapped(a: int, x: Sequence, params: ModelParams) -> LinOp:
 
 def m_conjugation_defect(a: int, x: Sequence, params: ModelParams) -> LinOp:
     """Slot-exchanged pair block minus the flip conjugate of the direct one."""
-    from .rqkz import op_P
-
     flip = op_P(params.space.half_dim)
     direct = op_M(a, x, params)
     return op_M_swapped(a, x, params) - flip @ direct @ flip
@@ -330,12 +328,8 @@ def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
         return out + pair_part.scale(params.k)
     xa = x[a - 1]
     pair_part = LinOp.zero(space)
-    if a < b:
-        d = div(xb, (xb - xa) ** 2)
-        pair_part = pair_part + (coll_X(b, a, space) + coll_X(a, b, space)).scale(d)
-    else:
-        d = div(xb, (xb - xa) ** 2)
-        pair_part = pair_part + (coll_X(b, a, space) + coll_X(a, b, space)).scale(d)
+    d = div(xb, (xb - xa) ** 2)
+    pair_part = pair_part + (coll_X(b, a, space) + coll_X(a, b, space)).scale(d)
     d = div(-xb, (xb * xa - 1) ** 2)
     pair_part = pair_part + (coll_Y(b, a, space) + coll_Z(b, a, space)).scale(d)
     return pair_part.scale(params.k)
@@ -366,86 +360,6 @@ def check_comm_IM(a: int, x, y1, y2, params: ModelParams) -> LinOp:
     rinv = op_R_k(y2 - y1, params.k, half)
     lhs = r @ (blocks + m12) @ rinv
     return lhs - (blocks + m21)
-
-
-def symmetric_part(a: int, x, y1, y2, params: ModelParams) -> LinOp:
-    """The swap-invariant bracketed part of the two-site block sum."""
-    half = params.space.half_dim
-    sp2 = Space(2, half)
-    x = tuple(x)
-    xa = x[a - 1]
-    ixa = inv(xa)
-    alpha, beta, k = params.alpha, params.beta, params.k
-
-    e_aa = _eu(half, a, False, a, False)
-    e_bb = _eu(half, a, True, a, True)
-    e_up = _eu(half, a, False, a, True)
-    e_dn = _eu(half, a, True, a, False)
-
-    s = LinOp.zero(sp2)
-    c_dn = div(2 * (alpha + beta * xa), xa * xa - 1)
-    c_up = div(2 * (alpha + beta * ixa), 1 - ixa * ixa)
-    for j in (1, 2):
-        s = s + embed_site(e_aa - e_bb, j, sp2).scale(y1)
-        s = s + embed_site(e_dn, j, sp2).scale(c_dn)
-        s = s + embed_site(e_up, j, sp2).scale(c_up)
-
-    lead = (
-        site_tensor(e_up, e_up).scale(xa)
-        + site_tensor(e_dn, e_dn).scale(ixa)
-        + (site_tensor(e_up, e_dn) + site_tensor(e_dn, e_up)).scale(ixa)
-    )
-    s = s + lead.scale(div(2 * k, xa - ixa))
-
-    for p in range(1, half + 1):
-        if p == a:
-            continue
-        xp = x[p - 1]
-        s = s + (pair_U(half, a, p) + pair_U(half, p, a)).scale(div(k * xp, xa - xp))
-        s = s + (pair_J(half, a, p) + pair_K(half, a, p)).scale(div(k, xa * xp - 1))
-
-    tail = LinOp.zero(sp2)
-    for p in range(1, half + 1):
-        if p == a:
-            continue
-        tail = tail + site_tensor(_eu(half, p, True, a, True), _eu(half, a, False, p, False))
-        tail = tail + site_tensor(_eu(half, a, False, p, False), _eu(half, p, True, a, True))
-        tail = tail + site_tensor(_eu(half, p, False, a, True), _eu(half, a, False, p, True))
-        tail = tail + site_tensor(_eu(half, a, False, p, True), _eu(half, p, False, a, True))
-    tail = tail - site_tensor(e_aa, e_aa) - site_tensor(e_bb, e_bb)
-    return s + tail.scale(k)
-
-
-def remainder_part(a: int, y1, y2, params: ModelParams) -> LinOp:
-    """What is left of the two-site block sum after the symmetric part."""
-    half = params.space.half_dim
-    sp2 = Space(2, half)
-    e_aa = _eu(half, a, False, a, False)
-    e_bb = _eu(half, a, True, a, True)
-    out = embed_site(e_aa - e_bb, 2, sp2).scale(y2 - y1)
-    acc = LinOp.zero(sp2)
-    ca = _code(half, a, False)
-    cabar = _code(half, a, True)
-    for p in range(2 * half):
-        acc = acc + site_tensor(site_unit(half, ca, p), site_unit(half, p, ca))
-        acc = acc + site_tensor(site_unit(half, p, cabar), site_unit(half, cabar, p))
-    return out + acc.scale(params.k)
-
-
-def remainder_image(a: int, y1, y2, params: ModelParams) -> LinOp:
-    """Exchange-conjugated remainder, transcribed from the closed form."""
-    half = params.space.half_dim
-    sp2 = Space(2, half)
-    e_aa = _eu(half, a, False, a, False)
-    e_bb = _eu(half, a, True, a, True)
-    out = embed_site(e_aa - e_bb, 2, sp2).scale(y2 - y1)
-    acc = LinOp.zero(sp2)
-    ca = _code(half, a, False)
-    cabar = _code(half, a, True)
-    for p in range(2 * half):
-        acc = acc + site_tensor(site_unit(half, p, ca), site_unit(half, ca, p))
-        acc = acc + site_tensor(site_unit(half, cabar, p), site_unit(half, p, cabar))
-    return out + acc.scale(params.k)
 
 
 def intertwining_defects(lam, k, half: int, l_code: int, m_code: int):
@@ -547,49 +461,6 @@ def op_dK_term(m: int, a: int, x, y, params: ModelParams) -> LinOp:
     if route1 != route2:
         raise RouteMismatch("derivative route and closed form disagree")
     return route2
-
-
-def proof_piece_two_expected(a: int, m: int, x, y, params: ModelParams) -> LinOp:
-    """Block form of the conjugated shifted operator: every site keeps its
-    argument except site m, which carries the shifted one; mixed two-site
-    blocks at site m sit in slot-(m,j) order."""
-    space = params.space
-    x = tuple(x)
-    xa = x[a - 1]
-    out = LinOp.zero(space)
-    for j, yj in enumerate(y, start=1):
-        arg = yj - params.c if j == m else yj
-        out = out + embed_site(op_I(a, xa, arg, params), j, space)
-    m2 = op_M(a, x, params)
-    for j in range(1, space.n + 1):
-        if j != m:
-            out = out + embed_pair(m2, m, j, space)
-    for i in range(1, space.n + 1):
-        for j in range(i + 1, space.n + 1):
-            if i != m and j != m:
-                out = out + embed_pair(m2, i, j, space)
-    return out
-
-
-def proof_piece_three_expected(a: int, m: int, x, y, params: ModelParams) -> LinOp:
-    """Negated block form of the conjugated unshifted operator, including the
-    one-site correction at site m."""
-    space = params.space
-    x = tuple(x)
-    xa = x[a - 1]
-    out = LinOp.zero(space)
-    for j, yj in enumerate(y, start=1):
-        out = out + embed_site(op_I(a, xa, yj, params), j, space)
-    m2 = op_M(a, x, params)
-    for j in range(1, space.n + 1):
-        if j != m:
-            out = out + embed_pair(m2, m, j, space)
-    for i in range(1, space.n + 1):
-        for j in range(i + 1, space.n + 1):
-            if i != m and j != m:
-                out = out + embed_pair(m2, i, j, space)
-    out = out + embed_site(_dk_correction(a, y[m - 1], x, params), m, space)
-    return -out
 
 
 def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rqkz import ModelParams, ones, op_K, op_P, op_Q_inv, op_T
+from .rqkz import ModelParams, ones, op_P, op_Q_inv, op_T
 from .scalar_field import PoleError, div, inv
 from .tensor_ops import LinOp, Space, Vec, embed_pair, embed_site
 
@@ -375,7 +375,7 @@ def check_L_restriction(a: int, x, y, params: ModelParams):
     Callers restrict to the orbit basis: all are generally nonzero on the
     full space.
     """
-    from .compat_ops import coll_X, coll_Y, coll_Z, op_A, op_B, op_Ebar, op_L
+    from .compat_ops import coll_X, coll_Y, coll_Z, op_A, op_Ebar, op_L
 
     space = params.space
     n = space.n

@@ -72,46 +72,6 @@ def close(a, b, rtol=1e-9, atol=1e-12) -> bool:
     return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
 
 
-class _RationalField:
-    name = "rational"
-    zero = Rational(0)
-    one = Rational(1)
-
-    @staticmethod
-    def from_int(i):
-        return Rational(i)
-
-    @staticmethod
-    def is_zero(v):
-        return v == 0
-
-    @staticmethod
-    def eq(u, v):
-        return u == v
-
-
-class _ComplexField:
-    name = "complex"
-    zero = 0j
-    one = 1 + 0j
-
-    @staticmethod
-    def from_int(i):
-        return complex(i)
-
-    @staticmethod
-    def is_zero(v):
-        return v == 0
-
-    @staticmethod
-    def eq(u, v):  # pragma: no cover - guarded below
-        raise TypeError("complex scalars compare through close(), not eq()")
-
-
-RATIONAL = _RationalField()
-COMPLEX = _ComplexField()
-
-
 # Lanczos approximation of log Gamma, g = 607/128, 15 terms.  Valid for
 # Re z >= 0.5 with relative error near double-precision roundoff.  Left of
 # that line the scalar log_gamma steps z up by the recurrence

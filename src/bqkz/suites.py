@@ -5,10 +5,18 @@ rational parameter point, evaluates every residual in the family, and
 passes only if all of them vanish identically.  Results are booleans, not
 small floats; there is no tolerance anywhere in this module.
 
+A suite is one row of a table: its anchor, the label of a size, its sizes,
+its default sample count, and a function that maps a size to the builder
+that `sample_point` calls.  The builder draws the point, runs the checks
+and returns (failing names, point); set-up that depends on the size alone
+stays outside it.  One runner loops over the sizes, draws the points and
+formats each failure note as "<size label> <name> point=<point>".  A route
+mismatch inside a check becomes a failure note, not an exception.
+
 Samples are independently seeded from the run seed and the pair
 (suite name, sample index), so a run is reproducible regardless of how
-many workers execute it.  Set BQKZ_THREADS to parallelize across samples;
-assembly order is fixed either way.
+many workers execute it.  Set BQKZ_THREADS to parallelize across samples
+(at most one worker per CPU); assembly order is fixed either way.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .tensor_ops import Space
 from .sampling import child_seed, make_rng, rand_rational, rand_tuple, sample_point
@@ -56,370 +65,269 @@ class SuiteResult:
         }
 
 
-def _rand_params(rng, space: Space) -> ModelParams:
-    return ModelParams.random(rng, space)
+class _SetupDefect(Exception):
+    """A check on the size alone failed, so no point is drawn for it."""
 
 
 def _rand_x(rng, count: int) -> tuple:
     return rand_tuple(rng, count, nonzero=True)
 
 
-def _sample_ybe(rng, sizes) -> list:
-    bad = []
-    for half in sizes:
-
-        def body(r):
-            k = rand_rational(r, nonzero=True)
-            l1, l2, l3 = rand_tuple(r, 3)
-            return rqkz.ybe_defect(k, l1, l2, l3, half).is_zero(), (k, l1, l2, l3)
-
-        ok, point = sample_point(rng, body)
-        if not ok:
-            bad.append("half=%d point=%r" % (half, point))
-    return bad
+def _failing(checks, states=None) -> list:
+    """Names of the (name, defect) pairs whose defect does not vanish, or
+    does not vanish on the orbit states when they are given."""
+    if states is None:
+        return [name for name, defect in checks if not defect.is_zero()]
+    return [name for name, defect in checks if not hecke_module.zero_on_orbit(defect, states)]
 
 
-def _sample_bybe(rng, sizes) -> list:
-    bad = []
-    for half in sizes:
-
-        def body(r):
-            k = rand_rational(r, nonzero=True)
-            beta = rand_rational(r, nonzero=True)
-            x = _rand_x(r, half)
-            l1, l2 = rand_tuple(r, 2)
-            return rqkz.bybe_defect(k, beta, x, l1, l2).is_zero(), (k, beta, x, l1, l2)
-
-        ok, point = sample_point(rng, body)
-        if not ok:
-            bad.append("half=%d point=%r" % (half, point))
-    return bad
+# Builders of the braid suites name no check: their notes read
+# "<size label> point=<point>".
 
 
-def _sample_unitarity(rng, sizes) -> list:
-    bad = []
-    for half in sizes:
+def _ybe(half):
+    def build(r):
+        k = rand_rational(r, nonzero=True)
+        l1, l2, l3 = rand_tuple(r, 3)
+        return _failing([("", rqkz.ybe_defect(k, l1, l2, l3, half))]), (k, l1, l2, l3)
 
-        def body(r):
-            k = rand_rational(r, nonzero=True)
-            beta = rand_rational(r, nonzero=True)
-            lam = rand_rational(r, nonzero=True)
-            x = _rand_x(r, half)
-            checks = {
-                "exchange-inverse": rqkz.r_unitarity_defect(k, lam, half),
-                "reflection-inverse": rqkz.k_unitarity_defect(lam, x, beta),
-                "swap-factor": rqkz.swap_factor_defect(k, lam, half),
-                "flip-factor": rqkz.flip_factor_defect(lam, x, beta),
-            }
-            return [nm for nm, d in checks.items() if not d.is_zero()], (k, beta, lam, x)
-
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("half=%d %s point=%r" % (half, nm, point))
-    return bad
+    return build
 
 
-def _sample_qkz_consistency(rng, sizes) -> list:
-    bad = []
-    for n, half in sizes:
+def _bybe(half):
+    def build(r):
+        k = rand_rational(r, nonzero=True)
+        beta = rand_rational(r, nonzero=True)
+        x = _rand_x(r, half)
+        l1, l2 = rand_tuple(r, 2)
+        return _failing([("", rqkz.bybe_defect(k, beta, x, l1, l2))]), (k, beta, x, l1, l2)
+
+    return build
+
+
+def _unitarity(half):
+    def build(r):
+        k = rand_rational(r, nonzero=True)
+        beta = rand_rational(r, nonzero=True)
+        lam = rand_rational(r, nonzero=True)
+        x = _rand_x(r, half)
+        checks = [
+            ("exchange-inverse", rqkz.r_unitarity_defect(k, lam, half)),
+            ("reflection-inverse", rqkz.k_unitarity_defect(lam, x, beta)),
+            ("swap-factor", rqkz.swap_factor_defect(k, lam, half)),
+            ("flip-factor", rqkz.flip_factor_defect(lam, x, beta)),
+        ]
+        return _failing(checks), (k, beta, lam, x)
+
+    return build
+
+
+def _model_suite(checks, draw_x=True, on_orbit=False):
+    """builder_for of a suite drawn at random model parameters, coordinates x
+    (when draw_x) and arguments y on Space(n, half); a size is (n, half), or
+    n for half = n.  checks(x, y, params) yields (name, defect) pairs, and
+    with on_orbit a defect need only vanish on the orbit states."""
+
+    def builder_for(size):
+        n, half = size if isinstance(size, tuple) else (size, size)
         space = Space(n, half)
+        states = tuple(hecke_module.orbit_states(space)) if on_orbit else None
 
-        def body(r):
-            params = _rand_params(r, space)
-            x = _rand_x(r, half)
+        def build(r):
+            params = ModelParams.random(r, space)
+            x = _rand_x(r, half) if draw_x else None
             y = rand_tuple(r, n)
-            out = []
-            for m in range(1, n + 1):
-                if not rqkz.q_split_defect(m, x, y, params).is_zero():
-                    out.append("split-%d" % m)
-                if not rqkz.q_inverse_defect(m, x, y, params).is_zero():
-                    out.append("inverse-%d" % m)
-                for l in range(1, n + 1):
-                    if l == m:
-                        continue
-                    if not rqkz.transport_consistency_defect(m, l, x, y, params).is_zero():
-                        out.append("pair-%d-%d" % (m, l))
-            return out, (x, y)
+            return _failing(checks(x, y, params), states), ((x, y) if draw_x else y)
 
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("n=%d half=%d %s point=%r" % (n, half, nm, point))
-    return bad
+        return build
+
+    return builder_for
 
 
-def _sample_lemma_aa(rng, sizes) -> list:
-    bad = []
-    for n, half in sizes:
-        space = Space(n, half)
-
-        def body(r):
-            params = _rand_params(r, space)
-            y = rand_tuple(r, n)
-            out = []
-            for a in range(1, half + 1):
-                for b in range(a + 1, half + 1):
-                    if not compat_ops.comm_AA_defect(a, b, y, params).is_zero():
-                        out.append("pair-%d-%d" % (a, b))
-            return out, y
-
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("n=%d half=%d %s point=%r" % (n, half, nm, point))
-    return bad
+def _qkz_consistency(x, y, params):
+    n = params.space.n
+    for m in range(1, n + 1):
+        yield "split-%d" % m, rqkz.q_split_defect(m, x, y, params)
+        yield "inverse-%d" % m, rqkz.q_inverse_defect(m, x, y, params)
+        # The (l, m) defect builds the same two factor chains as (m, l) with
+        # the sides swapped, so each unordered pair is checked once.
+        for l in range(m + 1, n + 1):
+            yield "pair-%d-%d" % (m, l), rqkz.transport_consistency_defect(m, l, x, y, params)
 
 
-def _sample_lemma_ll(rng, sizes) -> list:
-    bad = []
-    for n, half in sizes:
-        space = Space(n, half)
-
-        def body(r):
-            params = _rand_params(r, space)
-            x = _rand_x(r, half)
-            y = rand_tuple(r, n)
-            out = []
-            for a in range(1, half + 1):
-                if not compat_ops.block_assembly_defect(a, x, y, params).is_zero():
-                    out.append("assembly-%d" % a)
-                for b in range(a + 1, half + 1):
-                    if not compat_ops.comm_LL_defect(a, b, x, y, params).is_zero():
-                        out.append("pair-%d-%d" % (a, b))
-            return out, (x, y)
-
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("n=%d half=%d %s point=%r" % (n, half, nm, point))
-    return bad
+def _lemma_aa(x, y, params):
+    half = params.space.half_dim
+    for a in range(1, half + 1):
+        for b in range(a + 1, half + 1):
+            yield "pair-%d-%d" % (a, b), compat_ops.comm_AA_defect(a, b, y, params)
 
 
-def _sample_cross_derivative(rng, sizes) -> list:
-    bad = []
-    for n, half in sizes:
-        space = Space(n, half)
-
-        def body(r):
-            params = _rand_params(r, space)
-            x = _rand_x(r, half)
-            y = rand_tuple(r, n)
-            out = []
-            for a in range(1, half + 1):
-                for b in range(a + 1, half + 1):
-                    if not compat_ops.check_cross_derivative(a, b, x, y, params).is_zero():
-                        out.append("pair-%d-%d" % (a, b))
-            return out, (x, y)
-
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("n=%d half=%d %s point=%r" % (n, half, nm, point))
-    return bad
+def _lemma_ll(x, y, params):
+    half = params.space.half_dim
+    for a in range(1, half + 1):
+        yield "assembly-%d" % a, compat_ops.block_assembly_defect(a, x, y, params)
+        for b in range(a + 1, half + 1):
+            yield "pair-%d-%d" % (a, b), compat_ops.comm_LL_defect(a, b, x, y, params)
 
 
-def _sample_comm_im(rng, sizes) -> list:
-    bad = []
-    for half in sizes:
-        space = Space(2, half)
-
-        def body(r):
-            params = _rand_params(r, space)
-            x = _rand_x(r, half)
-            y1 = rand_rational(r)
-            y2 = rand_rational(r)
-            out = []
-            for a in range(1, half + 1):
-                if not compat_ops.check_comm_IM(a, x, y1, y2, params).is_zero():
-                    out.append("conjugation-%d" % a)
-                if not compat_ops.m_conjugation_defect(a, x, params).is_zero():
-                    out.append("slot-swap-%d" % a)
-            return out, (x, y1, y2)
-
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("half=%d %s point=%r" % (half, nm, point))
-    return bad
+def _cross_derivative(x, y, params):
+    half = params.space.half_dim
+    for a in range(1, half + 1):
+        for b in range(a + 1, half + 1):
+            yield "pair-%d-%d" % (a, b), compat_ops.check_cross_derivative(a, b, x, y, params)
 
 
-def _sample_compatibility(rng, sizes) -> list:
-    bad = []
-    for n, half in sizes:
-        space = Space(n, half)
-
-        def body(r):
-            params = _rand_params(r, space)
-            x = _rand_x(r, half)
-            y = rand_tuple(r, n)
-            out = []
-            for a in range(1, half + 1):
-                for m in range(1, n + 1):
-                    split, direct = compat_ops.check_compatibility(a, m, x, y, params)
-                    if not split.is_zero():
-                        out.append("split-%d-%d" % (a, m))
-                    if not direct.is_zero():
-                        out.append("direct-%d-%d" % (a, m))
-            return out, (x, y)
-
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("n=%d half=%d %s point=%r" % (n, half, nm, point))
-    return bad
+def _compatibility(x, y, params):
+    for a in range(1, params.space.half_dim + 1):
+        for m in range(1, params.space.n + 1):
+            split, direct = compat_ops.check_compatibility(a, m, x, y, params)
+            yield "split-%d-%d" % (a, m), split
+            yield "direct-%d-%d" % (a, m), direct
 
 
-def _sample_aha(rng, sizes) -> list:
-    bad = []
-    for n in sizes:
-        space = Space(n, n)
-        states = tuple(hecke_module.orbit_states(space))
-
-        def body(r):
-            params = _rand_params(r, space)
-            y = rand_tuple(r, n)
-            out = []
-            for name, defect in hecke_module.check_AHA_relations(y, params):
-                if not hecke_module.zero_on_orbit(defect, states):
-                    out.append(name)
-            return out, y
-
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("n=%d %s point=%r" % (n, nm, point))
-    return bad
+def _aha(x, y, params):
+    return hecke_module.check_AHA_relations(y, params)
 
 
-def _sample_phi_iso(rng, sizes) -> list:
-    bad = []
-    for n in sizes:
-        space = Space(n, n)
-        elements = list(hecke_module.all_elements(n))
-        images = set()
-        for w in elements:
-            vec = hecke_module.phi(w, space)
-            (state,) = vec.entries
-            images.add(state)
-        if len(images) != len(elements):
-            bad.append("n=%d images collide" % n)
-            continue
+def _l_restriction(x, y, params):
+    for a in range(1, params.space.n + 1):
+        for name, defect in hecke_module.check_L_restriction(a, x, y, params):
+            yield "%s-%d" % (name, a), defect
 
-        def body(r):
-            x = _rand_x(r, n)
-            word1 = [("s0" if g == 0 else g) for g in
-                     (r.randint(0, n) for _ in range(r.randint(0, 4)))]
-            word2 = [("s0" if g == 0 else g) for g in
-                     (r.randint(0, n) for _ in range(r.randint(0, 4)))]
-            out = []
-            lhs = hecke_module.rhoR_word(word1 + word2, x, space)
-            rhs = hecke_module.rhoR_word(word2, x, space) @ hecke_module.rhoR_word(
-                word1, x, space
+
+def _comm_im(half):
+    space = Space(2, half)
+
+    def build(r):
+        params = ModelParams.random(r, space)
+        x = _rand_x(r, half)
+        y1 = rand_rational(r)
+        y2 = rand_rational(r)
+        checks = []
+        for a in range(1, half + 1):
+            checks.append(("conjugation-%d" % a, compat_ops.check_comm_IM(a, x, y1, y2, params)))
+            checks.append(("slot-swap-%d" % a, compat_ops.m_conjugation_defect(a, x, params)))
+        return _failing(checks), (x, y1, y2)
+
+    return build
+
+
+def _phi_iso(n):
+    space = Space(n, n)
+    elements = list(hecke_module.all_elements(n))
+    images = set()
+    for w in elements:
+        vec = hecke_module.phi(w, space)
+        (state,) = vec.entries
+        images.add(state)
+    if len(images) != len(elements):
+        raise _SetupDefect("images collide")
+
+    def build(r):
+        x = _rand_x(r, n)
+        word1 = [("s0" if g == 0 else g) for g in
+                 (r.randint(0, n) for _ in range(r.randint(0, 4)))]
+        word2 = [("s0" if g == 0 else g) for g in
+                 (r.randint(0, n) for _ in range(r.randint(0, 4)))]
+        out = []
+        lhs = hecke_module.rhoR_word(word1 + word2, x, space)
+        rhs = hecke_module.rhoR_word(word2, x, space) @ hecke_module.rhoR_word(
+            word1, x, space
+        )
+        if not (lhs - rhs).is_zero():
+            out.append("reversal word=%r+%r" % (word1, word2))
+        w = hecke_module.SignedPerm.identity(n)
+        vec = hecke_module.phi(w, space)
+        for g in word1:
+            vec = hecke_module.rhoR_generator(g, x, space).apply(vec)
+            w = w * (
+                hecke_module.elem_r(1, n)
+                if g == "s0"
+                else hecke_module.SignedPerm.generator(n, g)
             )
-            if not (lhs - rhs).is_zero():
-                out.append("reversal word=%r+%r" % (word1, word2))
-            w = hecke_module.SignedPerm.identity(n)
-            vec = hecke_module.phi(w, space)
-            for g in word1:
-                vec = hecke_module.rhoR_generator(g, x, space).apply(vec)
-                w = w * (
-                    hecke_module.elem_r(1, n)
-                    if g == "s0"
-                    else hecke_module.SignedPerm.generator(n, g)
-                )
-            target_states = set(hecke_module.phi(w, space).entries)
-            if set(vec.entries) != target_states:
-                out.append("equivariance word=%r" % (word1,))
-            return out, (x, word1, word2)
+        target_states = set(hecke_module.phi(w, space).entries)
+        if set(vec.entries) != target_states:
+            out.append("equivariance word=%r" % (word1,))
+        return out, (x, word1, word2)
 
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("n=%d %s point=%r" % (n, nm, point))
-    return bad
+    return build
 
 
-def _sample_cbar_qinv(rng, sizes) -> list:
-    bad = []
-    for n in sizes:
-        space = Space(n, n)
+def _cbar_qinv(n):
+    space = Space(n, n)
 
-        def body(r):
-            params = _rand_params(r, space)
-            x = _rand_x(r, n)
-            y = rand_tuple(r, n)
-            out = []
-            for m, states in hecke_module.cbar_vs_inverse_transport_defects(x, y, params):
-                if states:
-                    out.append("site-%d" % m)
-                grouped = hecke_module.cbar_grouped(m, x, y, params)
-                if not (hecke_module.op_Cbar(m, x, y, params) - grouped).is_zero():
-                    out.append("grouped-%d" % m)
-            return out, (x, y)
+    def build(r):
+        params = ModelParams.random(r, space)
+        x = _rand_x(r, n)
+        y = rand_tuple(r, n)
+        out = []
+        for m, states in hecke_module.cbar_vs_inverse_transport_defects(x, y, params):
+            if states:
+                out.append("site-%d" % m)
+            grouped = hecke_module.cbar_grouped(m, x, y, params)
+            if not (hecke_module.op_Cbar(m, x, y, params) - grouped).is_zero():
+                out.append("grouped-%d" % m)
+        return out, (x, y)
 
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("n=%d %s point=%r" % (n, nm, point))
-    return bad
+    return build
 
 
-def _sample_l_restriction(rng, sizes) -> list:
-    bad = []
-    for n in sizes:
-        space = Space(n, n)
-        states = tuple(hecke_module.orbit_states(space))
+class _Suite(NamedTuple):
+    """One row of the suite table; label % size names a size in the notes."""
 
-        def body(r):
-            params = _rand_params(r, space)
-            x = _rand_x(r, n)
-            y = rand_tuple(r, n)
-            out = []
-            for a in range(1, n + 1):
-                for name, defect in hecke_module.check_L_restriction(a, x, y, params):
-                    if not hecke_module.zero_on_orbit(defect, states):
-                        out.append("%s-%d" % (name, a))
-            return out, (x, y)
-
-        names, point = sample_point(rng, body)
-        for nm in names:
-            bad.append("n=%d %s point=%r" % (n, nm, point))
-    return bad
+    anchor: str
+    label: str
+    sizes: tuple
+    samples: int
+    builder_for: Callable
 
 
+_HALF = "half=%d"
+_PAIR = "n=%d half=%d"
+_ORBIT = "n=%d"
 _HALF_SIZES = (1, 2, 3)
 _PAIR_SIZES = ((2, 2), (3, 2))
 
 _SUITES = {
-    "ybe": ("two-site exchange braid identity", _HALF_SIZES, 100, _sample_ybe),
-    "bybe": ("boundary reflection braid identity", _HALF_SIZES, 100, _sample_bybe),
-    "unitarity": ("exchange and reflection inverse identities", _HALF_SIZES, 100, _sample_unitarity),
-    "qkz-consistency": (
-        "transport family shift consistency",
-        ((2, 2), (3, 2), (2, 3)),
-        100,
-        _sample_qkz_consistency,
+    "ybe": _Suite("two-site exchange braid identity", _HALF, _HALF_SIZES, 100, _ybe),
+    "bybe": _Suite("boundary reflection braid identity", _HALF, _HALF_SIZES, 100, _bybe),
+    "unitarity": _Suite(
+        "exchange and reflection inverse identities", _HALF, _HALF_SIZES, 100, _unitarity
     ),
-    "lemma-AA": ("polynomial coefficient family commutes", _PAIR_SIZES, 100, _sample_lemma_aa),
-    "lemma-LL": ("matrix part family commutes", _PAIR_SIZES, 100, _sample_lemma_ll),
-    "cross-derivative": (
-        "coordinate part cross derivatives agree",
-        _PAIR_SIZES,
-        100,
-        _sample_cross_derivative,
+    "qkz-consistency": _Suite(
+        "transport family shift consistency", _PAIR, ((2, 2), (3, 2), (2, 3)), 100,
+        _model_suite(_qkz_consistency),
     ),
-    "comm-IM": (
-        "exchange conjugation of one-site plus pair blocks",
-        _HALF_SIZES,
-        100,
-        _sample_comm_im,
+    "lemma-AA": _Suite(
+        "polynomial coefficient family commutes", _PAIR, _PAIR_SIZES, 100,
+        _model_suite(_lemma_aa, draw_x=False),
     ),
-    "compatibility": (
-        "difference and differential operators are compatible",
-        ((1, 1), (2, 2), (3, 2), (2, 3)),
-        100,
-        _sample_compatibility,
+    "lemma-LL": _Suite(
+        "matrix part family commutes", _PAIR, _PAIR_SIZES, 100, _model_suite(_lemma_ll)
     ),
-    "aha-relations": ("degenerate cross relations on the orbit", (2, 3), 100, _sample_aha),
-    "phi-iso": ("group element to orbit vector isomorphism", (2, 3), 50, _sample_phi_iso),
-    "cbar-qinv": (
-        "degenerate product equals inverse transport on the orbit",
-        (2, 3),
-        50,
-        _sample_cbar_qinv,
+    "cross-derivative": _Suite(
+        "coordinate part cross derivatives agree", _PAIR, _PAIR_SIZES, 100,
+        _model_suite(_cross_derivative),
     ),
-    "l-restriction": ("pair-sum restriction identities on the orbit", (2, 3), 100, _sample_l_restriction),
+    "comm-IM": _Suite(
+        "exchange conjugation of one-site plus pair blocks", _HALF, _HALF_SIZES, 100, _comm_im
+    ),
+    "compatibility": _Suite(
+        "difference and differential operators are compatible", _PAIR,
+        ((1, 1), (2, 2), (3, 2), (2, 3)), 100, _model_suite(_compatibility),
+    ),
+    "aha-relations": _Suite(
+        "degenerate cross relations on the orbit", _ORBIT, (2, 3), 100,
+        _model_suite(_aha, draw_x=False, on_orbit=True),
+    ),
+    "phi-iso": _Suite("group element to orbit vector isomorphism", _ORBIT, (2, 3), 50, _phi_iso),
+    "cbar-qinv": _Suite(
+        "degenerate product equals inverse transport on the orbit", _ORBIT, (2, 3), 50, _cbar_qinv
+    ),
+    "l-restriction": _Suite(
+        "pair-sum restriction identities on the orbit", _ORBIT, (2, 3), 100,
+        _model_suite(_l_restriction, on_orbit=True),
+    ),
 }
 
 
@@ -428,41 +336,54 @@ def suite_names() -> tuple:
 
 
 def anchor_map() -> dict:
-    return {name: entry[0] for name, entry in _SUITES.items()}
+    return {name: suite.anchor for name, suite in _SUITES.items()}
 
 
-def default_samples(name: str) -> int:
-    return _SUITES[name][2]
+def _check_name(name: str):
+    if name not in _SUITES:
+        raise ValueError(
+            "unknown suite %r; valid names: %s" % (name, ", ".join(sorted(_SUITES)))
+        )
 
 
 def _run_one(task):
     """One seeded sample of one suite; returns (index, failure notes)."""
     name, seed, index, sizes = task
-    anchor, default_sizes, _, fn = _SUITES[name]
+    suite = _SUITES[name]
     rng = make_rng(child_seed(seed, "%s:%d" % (name, index)))
-    notes = fn(rng, sizes if sizes is not None else default_sizes)
+    notes = []
+    for size in sizes:
+        label = suite.label % size
+        try:
+            names, point = sample_point(rng, suite.builder_for(size))
+        except _SetupDefect as exc:
+            notes.append("%s %s" % (label, exc))
+            continue
+        except compat_ops.RouteMismatch as exc:
+            notes.append("%s route-mismatch: %s" % (label, exc))
+            continue
+        for nm in names:
+            notes.append("%s point=%r" % (" ".join(filter(None, (label, nm))), point))
     return index, notes
 
 
 def thread_count() -> int:
+    """Worker processes from BQKZ_THREADS, at least 1 and at most the CPU count."""
     raw = os.environ.get("BQKZ_THREADS", "1")
     try:
         value = int(raw)
     except ValueError:
         raise ValueError("BQKZ_THREADS must be an integer, got %r" % raw)
-    return max(1, value)
+    return max(1, min(value, os.cpu_count() or 1))
 
 
 def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None,
               executor=None) -> SuiteResult:
     """Run one suite; unknown names raise ValueError listing valid ones."""
-    if name not in _SUITES:
-        raise ValueError(
-            "unknown suite %r; valid names: %s" % (name, ", ".join(sorted(_SUITES)))
-        )
-    anchor, default_sizes, default_count, _ = _SUITES[name]
-    count = default_count if samples is None else samples
-    used_sizes = tuple(sizes) if sizes is not None else default_sizes
+    _check_name(name)
+    suite = _SUITES[name]
+    count = suite.samples if samples is None else samples
+    used_sizes = tuple(sizes) if sizes is not None else suite.sizes
     tasks = [(name, seed, idx, used_sizes) for idx in range(count)]
     if executor is None:
         results = [_run_one(t) for t in tasks]
@@ -478,7 +399,7 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None,
                 notes.extend(sample_notes[:2])
     return SuiteResult(
         name=name,
-        anchor=anchor,
+        anchor=suite.anchor,
         sizes=used_sizes,
         samples=count,
         failures=failures,
@@ -497,10 +418,7 @@ def run_suites(names=None, samples: int | None = None, seed: int = 0,
     """
     chosen = list(names) if names is not None else list(_SUITES)
     for nm in chosen:
-        if nm not in _SUITES:
-            raise ValueError(
-                "unknown suite %r; valid names: %s" % (nm, ", ".join(sorted(_SUITES)))
-            )
+        _check_name(nm)
     workers = thread_count() if threads is None else max(1, threads)
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

@@ -219,6 +219,19 @@ def test_residuals_rejects_malformed_report(tmp_path, capsys):
     assert "body.config" in capsys.readouterr().err
 
 
+def test_residuals_names_a_missing_stored_key(tmp_path, capsys):
+    report = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "body": {"config": default_config(), "solutions": [{"cycle": [[1, [1.0, 0.0]]]}]},
+    }
+    path = write_json(tmp_path / "partial.json", report)
+    assert cli.main(["residuals", "--in", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    for key in ("lambda", "qkz_residuals", "ode_residual"):
+        assert key in err
+
+
 # -------------------------------------------------------------- refinement
 
 

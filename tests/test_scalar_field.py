@@ -12,9 +12,7 @@ from hypothesis import given, strategies as st
 import mpmath
 
 from bqkz.scalar_field import (
-    COMPLEX,
     PoleError,
-    RATIONAL,
     RATIONAL_BACKEND,
     close,
     cpow,
@@ -86,14 +84,6 @@ def test_close_basics():
     assert close(1.0, 1.0 + 1e-13)
     assert not close(1.0, 1.1)
     assert close(0.0, 1e-13)
-
-
-def test_field_singletons():
-    assert RATIONAL.is_zero(rat(0))
-    assert RATIONAL.eq(rat(1, 2), rat(2, 4))
-    assert COMPLEX.is_zero(0j)
-    with pytest.raises(TypeError):
-        COMPLEX.eq(1j, 1j)
 
 
 _GRID = [
