@@ -31,6 +31,11 @@ from . import suites as suite_mod
 
 SCHEMA_VERSION = 1
 MATCH_TOLERANCE = 1e-12
+# Input bounds, checked before any work starts: the solver builds operators
+# over the whole space of dimension (2*half_dim)^n, and every refinement
+# multiplies the quadrature node count by 4.
+DIM_BUDGET = 256
+MAX_REFINE_CAP = 6
 
 
 class ConfigError(ValueError):
@@ -141,6 +146,14 @@ def _validate_config(cfg: dict):
         raise ConfigError("model.n must be a positive integer")
     if not isinstance(model["half_dim"], int) or model["half_dim"] < 1:
         raise ConfigError("model.half_dim must be a positive integer")
+    dim = 1
+    for _ in range(model["n"]):
+        dim *= 2 * model["half_dim"]
+        if dim > DIM_BUDGET:
+            raise ConfigError(
+                "model.n and model.half_dim give a space of dimension (2*half_dim)^n "
+                "above the budget of %d" % DIM_BUDGET
+            )
     _as_complex(model["c"], "model.c")
     _as_complex(model["k"], "model.k")
     if model["y"] is not None:
@@ -152,12 +165,10 @@ def _validate_config(cfg: dict):
             raise ConfigError("model.y must have model.n entries")
     ver = cfg["verify"]
     if ver["suites"] is not None:
-        known = set(suite_mod.suite_names())
-        if not isinstance(ver["suites"], list) or not set(ver["suites"]) <= known:
-            raise ConfigError(
-                "verify.suites must be a list drawn from: %s"
-                % ", ".join(sorted(known))
-            )
+        if not isinstance(ver["suites"], list):
+            raise ConfigError("verify.suites must be a list of suite names")
+        for name in ver["suites"]:
+            suite_mod.check_name(name)
     if ver["samples"] is not None and (
         not isinstance(ver["samples"], int) or ver["samples"] < 1
     ):
@@ -170,12 +181,7 @@ def _validate_config(cfg: dict):
     for v in sol["lambda_grid"]:
         _as_complex(v, "solve.lambda_grid entries")
     if sol["degrees"] is not None:
-        if not isinstance(sol["degrees"], list) or not sol["degrees"]:
-            raise ConfigError("solve.degrees must be a non-empty list")
-        for term in sol["degrees"]:
-            if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], int)):
-                raise ConfigError("solve.degrees entries must be [degree, coefficient]")
-            _as_complex(term[1], "solve.degrees coefficients")
+        _as_cycle(sol["degrees"], "solve.degrees")
     for field in ("rtol", "atol", "tolerance"):
         if not isinstance(sol[field], (int, float)) or sol[field] <= 0:
             raise ConfigError("solve.%s must be a positive number" % field)
@@ -183,6 +189,8 @@ def _validate_config(cfg: dict):
         raise ConfigError("solve.panels_per_unit must be a positive number")
     if not isinstance(sol["max_refine"], int) or sol["max_refine"] < 0:
         raise ConfigError("solve.max_refine must be a non-negative integer")
+    if sol["max_refine"] > MAX_REFINE_CAP:
+        raise ConfigError("solve.max_refine must be at most %d" % MAX_REFINE_CAP)
     for field in ("report", "csv"):
         if cfg["output"][field] is not None and not isinstance(cfg["output"][field], str):
             raise ConfigError("output.%s must be a path string" % field)
@@ -241,14 +249,21 @@ def _solver_params(cfg: dict, lam: complex) -> SolverParams:
     )
 
 
+def _as_cycle(terms, where: str) -> CycleW:
+    """Cycle from a list of [degree, coefficient] pairs."""
+    if not isinstance(terms, list) or not terms:
+        raise ConfigError("%s must be a non-empty list" % where)
+    for term in terms:
+        if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], int)):
+            raise ConfigError("%s entries must be [degree, coefficient]" % where)
+    return CycleW(tuple((d, _as_complex(cf, where + " coefficients")) for d, cf in terms))
+
+
 def _cycle_for(cfg: dict, lam: complex) -> CycleW:
     degrees = cfg["solve"]["degrees"]
     if degrees is None:
         return CycleW.monomial(math.floor(lam.real) + 1)
-    terms = tuple(
-        (d, _as_complex(cf, "solve.degrees coefficients")) for d, cf in degrees
-    )
-    return CycleW(terms)
+    return _as_cycle(degrees, "solve.degrees")
 
 
 def _solve_grid(cfg: dict):
@@ -351,14 +366,16 @@ def _recheck(path: str) -> int:
         raise ConfigError("input report lacks body.config / body.solutions")
     if not entries:
         raise ConfigError("input report has no solutions to recompute")
+    stored = []
     for entry in entries:
         missing = [key for key in _STORED_KEYS if not isinstance(entry, dict) or key not in entry]
         if missing:
             raise ConfigError("stored solution lacks %s" % ", ".join(missing))
+        lam = _as_complex(entry["lambda"], "stored solution lambda")
+        stored.append((entry, lam, _as_cycle(entry["cycle"], "stored solution cycle")))
     ok = True
-    for entry in entries:
-        params = _solver_params(cfg, complex(*entry["lambda"]))
-        cycle = CycleW(tuple((d, complex(*cf)) for d, cf in entry["cycle"]))
+    for entry, lam, cycle in stored:
+        params = _solver_params(cfg, lam)
         fresh = residual_report(cycle, params)
         drift = max(
             abs(fresh["qkz_residuals"][m] - entry["qkz_residuals"][m])

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .rqkz import (
     ModelParams,
-    compose_descs,
+    factor_ops,
     invert_descs,
     ones,
     op_dQ_dx,
@@ -32,7 +32,7 @@ from .rqkz import (
     shift_y,
 )
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import LinOp, Space, commutator, embed_pair, embed_site, site_tensor
+from .tensor_ops import LinOp, Space, commutator, embed_pair, embed_site, product, site_tensor
 
 
 class RouteMismatch(AssertionError):
@@ -262,7 +262,7 @@ def m_conjugation_defect(a: int, x: Sequence, params: ModelParams) -> LinOp:
     """Slot-exchanged pair block minus the flip conjugate of the direct one."""
     flip = op_P(params.space.half_dim)
     direct = op_M(a, x, params)
-    return op_M_swapped(a, x, params) - flip @ direct @ flip
+    return op_M_swapped(a, x, params) - product((flip, direct, flip))
 
 
 def op_L_from_blocks(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
@@ -358,7 +358,7 @@ def check_comm_IM(a: int, x, y1, y2, params: ModelParams) -> LinOp:
     m12 = embed_pair(m12, 1, 2, sp2)
     r = op_R_k(y1 - y2, params.k, half)
     rinv = op_R_k(y2 - y1, params.k, half)
-    lhs = r @ (blocks + m12) @ rinv
+    lhs = product((r, blocks + m12, rinv))
     return lhs - (blocks + m21)
 
 
@@ -388,7 +388,7 @@ def ad_ones_on_I_defect(a: int, lam, gamma, params: ModelParams) -> LinOp:
     half = params.space.half_dim
     kf = op_K(gamma, ones(half), params.alpha)
     kb = op_K(-gamma, ones(half), params.alpha)
-    return kf @ op_I(a, lam, gamma, params) @ kb - op_I(a, lam, -gamma, params)
+    return product((kf, op_I(a, lam, gamma, params), kb)) - op_I(a, lam, -gamma, params)
 
 
 def ad_reflection_on_M_defects(a: int, x, gamma, params: ModelParams):
@@ -401,7 +401,7 @@ def ad_reflection_on_M_defects(a: int, x, gamma, params: ModelParams):
     k2b = embed_site(op_K(-gamma, ones(half), params.alpha), 2, sp2)
     k1f = embed_site(op_K(gamma, x, params.beta), 1, sp2)
     k1b = embed_site(op_K(-gamma, x, params.beta), 1, sp2)
-    return (k2f @ m12 @ k2b - m12, k1f @ m12 @ k1b - m12)
+    return (product((k2f, m12, k2b)) - m12, product((k1f, m12, k1b)) - m12)
 
 
 def _dk_correction(a: int, gamma, x, params: ModelParams) -> LinOp:
@@ -427,7 +427,7 @@ def ad_coordinate_on_I_defect(a: int, gamma, x, params: ModelParams) -> LinOp:
     lamc = gamma - div(params.c, 2)
     kf = op_K(lamc, x, params.beta)
     kb = op_K(-lamc, x, params.beta)
-    lhs = kf @ op_I(a, xa, -gamma, params) @ kb
+    lhs = product((kf, op_I(a, xa, -gamma, params), kb))
     return lhs - op_I(a, xa, gamma, params) - _dk_correction(a, gamma, x, params)
 
 
@@ -470,9 +470,11 @@ def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:
     x = tuple(x)
     xa = x[a - 1]
     _, _, tail = q_split_descs(m, space.n)
-    fwd = compose_descs(tail, x, y, params)
-    bwd = compose_descs(invert_descs(tail), x, y, params)
-    lhs = fwd @ op_L(a, x, y, params) @ bwd
+    lhs = product(
+        factor_ops(tail, x, y, params)
+        + [op_L(a, x, y, params)]
+        + factor_ops(invert_descs(tail), x, y, params)
+    )
     expected = LinOp.zero(space)
     for j, yj in enumerate(y, start=1):
         arg = -yj if j == m else yj
@@ -500,16 +502,16 @@ def compat_three_term(a: int, m: int, x, y, params: ModelParams) -> LinOp:
     head, mid, tail = q_split_descs(m, space.n)
     piece1 = op_dK_term(m, a, x, y, params)
 
-    head_inv = compose_descs(invert_descs(head), x, y, params)
-    head_fwd = compose_descs(head, x, y, params)
     shifted = op_L(a, x, shift_y(y, m, params.c), params)
-    piece2 = head_inv @ shifted @ head_fwd
+    piece2 = product(
+        factor_ops(invert_descs(head), x, y, params) + [shifted] + factor_ops(head, x, y, params)
+    )
 
-    mid_fwd = compose_descs([mid], x, y, params)
-    mid_inv = compose_descs(invert_descs([mid]), x, y, params)
-    tail_fwd = compose_descs(tail, x, y, params)
-    tail_inv = compose_descs(invert_descs(tail), x, y, params)
-    piece3 = mid_fwd @ tail_fwd @ op_L(a, x, y, params) @ tail_inv @ mid_inv
+    piece3 = product(
+        factor_ops([mid] + tail, x, y, params)
+        + [op_L(a, x, y, params)]
+        + factor_ops(invert_descs([mid] + tail), x, y, params)
+    )
 
     return piece1 + piece2 - piece3
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .rqkz import ModelParams, ones, op_P, op_Q_inv, op_T
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import LinOp, Space, Vec, embed_pair, embed_site
+from .tensor_ops import LinOp, Space, Vec, embed_pair, embed_site, product
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,8 @@ def rhoR_generator(g, x: Sequence, space: Space) -> LinOp:
 def rhoR_word(word, x: Sequence, space: Space) -> LinOp:
     """Right-action image of a word: generator images composed in reversed
     order (anti-homomorphism)."""
-    out = LinOp.identity(space)
-    for g in word:
-        out = rhoR_generator(g, x, space).compose(out)
-    return out
+    images = [rhoR_generator(g, x, space) for g in reversed(word)]
+    return product(images or [LinOp.identity(space)])
 
 
 def eta_L_push(a: int, word: tuple, y: Sequence, params: ModelParams):
@@ -301,10 +299,8 @@ def _cbar_factor(desc, x, y, params: ModelParams) -> LinOp:
 def op_Cbar(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
     """Degenerate transport product for site m, built from right-action
     generator images."""
-    out = LinOp.identity(params.space)
-    for desc in reversed(cbar_factor_list(m, params.space.n)):
-        out = _cbar_factor(desc, x, y, params).compose(out)
-    return out
+    return product([_cbar_factor(desc, x, y, params)
+                    for desc in cbar_factor_list(m, params.space.n)])
 
 
 def p_m_scalar(m: int, y: Sequence, params: ModelParams):
@@ -347,13 +343,10 @@ def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp
     for j in range(1, m):
         factors.append(swap_factor(ym - y[j - 1] - params.c, j))
 
-    out = ident
-    for f in reversed(factors):
-        out = f.compose(out)
     p = p_m_scalar(m, y, params)
     if p == 0:
         raise PoleError("grouped-form scalar vanishes")
-    return out.scale(inv(p))
+    return product(factors).scale(inv(p))
 
 
 def cbar_vs_inverse_transport_defects(x, y, params: ModelParams):

@@ -133,10 +133,6 @@ class SolverParams:
             space=self.space,
         )
 
-    def extended_y(self) -> tuple:
-        """The 2n pole centers: y_1..y_n then -y_n..-y_1."""
-        return self.y + tuple(-v for v in reversed(self.y))
-
 
 @dataclass(frozen=True)
 class CycleW:
@@ -581,10 +577,6 @@ def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
     )
 
 
-def _vec_norm(vec: Vec) -> float:
-    return max((abs(complex(v)) for v in vec.entries.values()), default=0.0)
-
-
 def _shifted_solutions(W: CycleW, params: SolverParams,
                        contour: Contour) -> list:
     """Solution vectors at y with its m-th entry stepped down by c, for
@@ -603,11 +595,11 @@ def _qkz_from_vectors(params: SolverParams, base: Vec, shifted) -> dict:
     shifted point against the transported base solution."""
     model = params.model()
     x = params.x_point()
-    norm = _vec_norm(base)
+    norm = base.norm_max()
     out = {}
     for m, vec in enumerate(shifted, start=1):
         transported = op_Q(m, x, params.y, model).apply(base)
-        out[m] = _vec_norm(vec - transported) / norm
+        out[m] = (vec - transported).norm_max() / norm
     return out
 
 
@@ -649,17 +641,17 @@ def _differential_residuals(params: SolverParams, base: Vec,
 
     lbase = op_L(1, params.x_point(), params.y, params.model()).apply(base)
     ex = params.big_e
-    norm = _vec_norm(base)
+    norm = base.norm_max()
     total = deriv.scale(params.c / TWO_PI_I)
     total = total.add(lbase)
     total = total.add(base.scale(params.k * ex / (ex - 1)))
-    ode = _vec_norm(total) / norm
+    ode = total.norm_max() / norm
     s = cpow(ex - 1, params.k / params.c)
     ds = params.k * ex * cpow(ex - 1, params.k / params.c - 1)
     total = base.scale(ds)
     total = total.add(deriv.scale(s * params.c / TWO_PI_I))
     total = total.add(lbase.scale(s))
-    return ode, _vec_norm(total) / (abs(s) * norm)
+    return ode, total.norm_max() / (abs(s) * norm)
 
 
 def _solve_differential(W: CycleW, params: SolverParams,

@@ -9,11 +9,11 @@ with strength beta, one at the all-ones point with strength alpha); the
 family is consistent: shifting the l-th argument in the m-th operator and
 composing commutes with doing it the other way around.
 
-Products of factors are formed as chains: each exact factor is split into
-an integer matrix times one rational scale, the matrices are applied one
-after another to a starting matrix, and the scales multiply on their own.
-Two chains are compared by cross-multiplying their scales, so the exact
-checks never multiply two dense rational operators.
+Products of factors are formed by `tensor_ops.product` over the factor
+operators themselves: each check that multiplies transport operators passes
+the whole factor list to one product, which multiplies integer matrices and
+divides once, so the exact checks never multiply two dense rational
+operators and never round-trip through a rational partial product.
 
 Every factor checks its own denominator at build time, so a pole in any
 requested construction raises PoleError immediately with the offending
@@ -23,12 +23,11 @@ factor identified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 from typing import Sequence
 
 from .sampling import rand_rational
-from .scalar_field import PoleError, div, inv, is_exact, rat
-from .tensor_ops import LinOp, Space, embed_pair, embed_site
+from .scalar_field import PoleError, div, inv, rat
+from .tensor_ops import LinOp, Space, embed_pair, embed_site, product
 
 
 @dataclass(frozen=True)
@@ -52,42 +51,6 @@ class ModelParams:
             beta=rand_rational(rng, nonzero=True),
             space=space,
         )
-
-
-@dataclass(frozen=True)
-class XPoint:
-    """Reflection coordinates, one nonzero scalar per label index."""
-
-    x: tuple
-
-    def __post_init__(self):
-        if any(v == 0 for v in self.x):
-            raise PoleError("reflection coordinates must be nonzero")
-
-    def __iter__(self):
-        return iter(self.x)
-
-    def __len__(self):
-        return len(self.x)
-
-    def __getitem__(self, i):
-        return self.x[i]
-
-
-@dataclass(frozen=True)
-class YPoint:
-    """Lattice arguments, one scalar per tensor site."""
-
-    y: tuple
-
-    def __iter__(self):
-        return iter(self.y)
-
-    def __len__(self):
-        return len(self.y)
-
-    def __getitem__(self, i):
-        return self.y[i]
 
 
 def ones(count: int) -> tuple:
@@ -219,58 +182,17 @@ def invert_descs(descs):
     ]
 
 
-def _integer_form(op: LinOp):
-    """(M, s) with op == s * M, M an integer matrix whose entries share no
-    common factor and s rational.  A floating-point operator is (op, 1)."""
-    values = [v for col in op.cols.values() for v in col.values()]
-    if not values or not is_exact(values[0]):
-        return op, 1
-    den = lcm(*(v.denominator for v in values))
-    cols = {
-        c: {r: v.numerator * (den // v.denominator) for r, v in col.items()}
-        for c, col in op.cols.items()
-    }
-    g = gcd(*(v for col in cols.values() for v in col.values()))
-    if g != 1:
-        cols = {c: {r: v // g for r, v in col.items()} for c, col in cols.items()}
-    return LinOp(op.space, cols), rat(g, den)
-
-
-def factor_chain(descs, x, y, params: ModelParams, start=None):
-    """Integer form (M, s) of the descriptor product applied to start.
-
-    start is an integer form (the identity when omitted).  Each factor is
-    built by _factor_op, so its pole check runs as for any other product,
-    then split by _integer_form and applied from the left, the rightmost
-    descriptor first: M stays an integer matrix and s collects the scales.
-    """
-    mat, scale = (LinOp.identity(params.space), 1) if start is None else start
-    for desc in reversed(descs):
-        fmat, fscale = _integer_form(_factor_op(desc, x, y, params))
-        mat = fmat.compose(mat)
-        scale = scale * fscale
-    return mat, scale
-
-
-def chain_defect(lhs, rhs) -> LinOp:
-    """Difference of two integer forms as a rational operator.
-
-    Equality is decided over the integers by cross-multiplying the scales;
-    the rational difference is built only when it is nonzero.
-    """
-    (a, sa), (b, sb) = lhs, rhs
-    if a.scale(sa.numerator * sb.denominator) == b.scale(sb.numerator * sa.denominator):
-        return LinOp.zero(a.space)
-    return a.scale(sa) - b.scale(sb)
+def factor_ops(descs, x, y, params: ModelParams) -> list:
+    """The factor operators of a descriptor list, leftmost first; each one
+    runs its own pole check as it is built."""
+    return [_factor_op(desc, x, y, params) for desc in descs]
 
 
 def compose_descs(descs, x, y, params: ModelParams, start: LinOp | None = None) -> LinOp:
-    """Compose factor descriptors onto start (the identity when omitted),
-    leftmost descriptor applied last."""
-    mat, scale = factor_chain(
-        descs, x, y, params, None if start is None else _integer_form(start)
-    )
-    return mat.scale(scale)
+    """Product of the factor descriptors applied to start (the identity when
+    omitted), leftmost descriptor applied last."""
+    ops = factor_ops(descs, x, y, params) + ([] if start is None else [start])
+    return product(ops or [LinOp.identity(params.space)])
 
 
 def q_split_descs(m: int, n: int):
@@ -313,9 +235,9 @@ def op_dQ_dx(m: int, x: Sequence, y: Sequence, params: ModelParams, a: int) -> L
     head, mid, tail = q_split_descs(m, params.space.n)
     arg = _factor_arg(mid, y, params.c)
     dmid = embed_site(op_dK_dx(arg, x, params.beta, a), m, params.space)
-    left = compose_descs(head, x, y, params)
-    right = compose_descs(tail, x, y, params)
-    return left.compose(dmid).compose(right)
+    return product(
+        factor_ops(head, x, y, params) + [dmid] + factor_ops(tail, x, y, params)
+    )
 
 
 def shift_y(y: Sequence, m: int, c) -> tuple:
@@ -331,8 +253,8 @@ def ybe_defect(k, l1, l2, l3, half_dim: int) -> LinOp:
     def r(i, j, arg):
         return embed_pair(op_R_k(arg, k, half_dim), i, j, sp)
 
-    lhs = r(1, 2, l1 - l2) @ r(1, 3, l1 - l3) @ r(2, 3, l2 - l3)
-    rhs = r(2, 3, l2 - l3) @ r(1, 3, l1 - l3) @ r(1, 2, l1 - l2)
+    lhs = product((r(1, 2, l1 - l2), r(1, 3, l1 - l3), r(2, 3, l2 - l3)))
+    rhs = product((r(2, 3, l2 - l3), r(1, 3, l1 - l3), r(1, 2, l1 - l2)))
     return lhs - rhs
 
 
@@ -346,8 +268,8 @@ def bybe_defect(k, beta, x: Sequence, l1, l2) -> LinOp:
 
     k1 = embed_site(op_K(l1, x, beta), 1, sp)
     k2 = embed_site(op_K(l2, x, beta), 2, sp)
-    lhs = r(1, 2, l1 - l2) @ k1 @ r(2, 1, l1 + l2) @ k2
-    rhs = k2 @ r(2, 1, l1 + l2) @ k1 @ r(1, 2, l1 - l2)
+    lhs = product((r(1, 2, l1 - l2), k1, r(2, 1, l1 + l2), k2))
+    rhs = product((k2, r(2, 1, l1 + l2), k1, r(1, 2, l1 - l2)))
     return lhs - rhs
 
 
@@ -385,19 +307,18 @@ def transport_consistency_defect(m: int, l: int, x, y, params: ModelParams) -> L
     c = params.c
     qm = q_factor_list(m, params.space.n)
     ql = q_factor_list(l, params.space.n)
-    lhs = factor_chain(qm, x, shift_y(y, l, c), params, factor_chain(ql, x, y, params))
-    rhs = factor_chain(ql, x, shift_y(y, m, c), params, factor_chain(qm, x, y, params))
-    return chain_defect(lhs, rhs)
+    lhs = product(factor_ops(qm, x, shift_y(y, l, c), params) + factor_ops(ql, x, y, params))
+    rhs = product(factor_ops(ql, x, shift_y(y, m, c), params) + factor_ops(qm, x, y, params))
+    return lhs - rhs
 
 
 def q_split_defect(m: int, x, y, params: ModelParams) -> LinOp:
-    head, mid, tail = op_Q_split(m, x, y, params)
-    return head @ mid @ tail - op_Q(m, x, y, params)
+    return product(op_Q_split(m, x, y, params)) - op_Q(m, x, y, params)
 
 
 def q_inverse_defect(m: int, x, y, params: ModelParams) -> LinOp:
     """Inverse transport factors applied to the transport operator, minus
     the identity."""
     descs = q_factor_list(m, params.space.n)
-    prod = factor_chain(invert_descs(descs), x, y, params, factor_chain(descs, x, y, params))
-    return chain_defect(prod, (LinOp.identity(params.space), 1))
+    prod = product(factor_ops(invert_descs(descs), x, y, params) + factor_ops(descs, x, y, params))
+    return prod - LinOp.identity(params.space)

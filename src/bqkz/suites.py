@@ -35,6 +35,7 @@ from .rqkz import ModelParams
 __all__ = [
     "SuiteResult",
     "anchor_map",
+    "check_name",
     "run_suite",
     "run_suites",
     "suite_names",
@@ -339,8 +340,9 @@ def anchor_map() -> dict:
     return {name: suite.anchor for name, suite in _SUITES.items()}
 
 
-def _check_name(name: str):
-    if name not in _SUITES:
+def check_name(name):
+    """Reject anything but a suite name, listing the valid names."""
+    if not isinstance(name, str) or name not in _SUITES:
         raise ValueError(
             "unknown suite %r; valid names: %s" % (name, ", ".join(sorted(_SUITES)))
         )
@@ -380,7 +382,7 @@ def thread_count() -> int:
 def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None,
               executor=None) -> SuiteResult:
     """Run one suite; unknown names raise ValueError listing valid ones."""
-    _check_name(name)
+    check_name(name)
     suite = _SUITES[name]
     count = suite.samples if samples is None else samples
     used_sizes = tuple(sizes) if sizes is not None else suite.sizes
@@ -418,7 +420,7 @@ def run_suites(names=None, samples: int | None = None, seed: int = 0,
     """
     chosen = list(names) if names is not None else list(_SUITES)
     for nm in chosen:
-        _check_name(nm)
+        check_name(nm)
     workers = thread_count() if threads is None else max(1, threads)
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

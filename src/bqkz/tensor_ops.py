@@ -10,13 +10,19 @@ Operators are stored column-major as {col_state: {row_state: scalar}} with
 no explicitly stored zeros, generic over the scalar domain (exact rationals
 or complex floats; see fields).  Equality of operators over the rational
 domain is therefore structural equality of the maps.
+
+`LinOp.compose` is the raw multiply kernel: it multiplies whatever scalars
+it is given.  Exact products go through `@` or `product`, which clear each
+operand's denominators once, multiply integer matrices with `compose`, and
+divide by the product of the clearing factors once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .scalar_field import inv as _inv_scalar, is_exact
+from .scalar_field import inv as _inv_scalar, is_exact, rat
 
 
 @dataclass(frozen=True)
@@ -185,7 +191,8 @@ class LinOp:
         return Vec(vec.space, {r: w for r, w in out.items() if w != 0})
 
     def compose(self, other: "LinOp") -> "LinOp":
-        """self o other (apply other first)."""
+        """self o other (apply other first), entry by entry in the given
+        scalars; exact callers use `@` or `product` instead."""
         if self.space != other.space:
             raise ValueError("space mismatch in compose")
         out = {}
@@ -206,7 +213,7 @@ class LinOp:
         return LinOp(self.space, out)
 
     def __matmul__(self, other):
-        return self.compose(other)
+        return product((self, other))
 
     def add(self, other: "LinOp") -> "LinOp":
         if self.space != other.space:
@@ -229,7 +236,7 @@ class LinOp:
         return self.add(other)
 
     def __sub__(self, other):
-        return self.add(other.scale(-1))
+        return self.add(-other)
 
     def scale(self, a) -> "LinOp":
         if a == 0:
@@ -240,7 +247,9 @@ class LinOp:
         )
 
     def __neg__(self):
-        return self.scale(-1)
+        return LinOp(
+            self.space, {c: {r: -v for r, v in col.items()} for c, col in self.cols.items()}
+        )
 
     def max_abs(self) -> float:
         m = 0.0
@@ -277,8 +286,45 @@ class LinOp:
         return cls(space, cols)
 
 
+def _exact(op: LinOp) -> bool:
+    """Whether op lives in the exact domain (judged by one stored entry; a
+    zero operator counts as exact)."""
+    sample = next((v for col in op.cols.values() for v in col.values()), None)
+    return sample is None or is_exact(sample)
+
+
+def product(ops) -> LinOp:
+    """ops[0] o ops[1] o ... o ops[-1], the last operator applied first.
+
+    When every operand is exact, each is cleared of its denominators once,
+    the integer matrices are multiplied by `compose`, and the result is
+    divided by the product of the clearing factors at the end.  With any
+    floating-point operand the operands are folded by `compose` as given.
+    """
+    ops = list(ops)
+    scale = 1
+    if all(_exact(op) for op in ops):
+        cleared = []
+        for op in ops:
+            den = lcm(*(v.denominator for col in op.cols.values() for v in col.values()))
+            scale *= den
+            cleared.append(LinOp(op.space, {
+                c: {r: v.numerator * (den // v.denominator) for r, v in col.items()}
+                for c, col in op.cols.items()
+            }))
+        ops = cleared
+    out = ops[-1]
+    for op in reversed(ops[:-1]):
+        out = op.compose(out)
+    if scale == 1:
+        return out
+    return LinOp(
+        out.space, {c: {r: rat(v, scale) for r, v in col.items()} for c, col in out.cols.items()}
+    )
+
+
 def commutator(a: LinOp, b: LinOp) -> LinOp:
-    return a.compose(b) - b.compose(a)
+    return a @ b - b @ a
 
 
 def matrix_unit(half_dim: int, row: BasisLabel, col: BasisLabel) -> LinOp:
@@ -378,8 +424,7 @@ def invert(op: LinOp) -> LinOp:
     space = op.space
     dim = space.dim
     a = op.to_dense()
-    sample = next((v for col in op.cols.values() for v in col.values()), None)
-    exact = sample is None or is_exact(sample)
+    exact = _exact(op)
     tol = 0.0 if exact else 1e-12 * max(op.max_abs(), 1e-300)
 
     inv = [[0] * dim for _ in range(dim)]

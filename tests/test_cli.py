@@ -95,6 +95,18 @@ def test_verify_unknown_suite_name(capsys):
     assert "nope" in err and "ybe" in err
 
 
+def test_bad_suite_name_in_config_or_flag_gives_one_message(tmp_path, capsys):
+    """A bad verify.suites entry and a bad --suite are rejected by the same
+    check: exit 2 and the same list of valid names."""
+    path = write_json(tmp_path / "cfg.json", {"verify": {"suites": ["nope"]}})
+    assert cli.main(["verify", "--config", path]) == 2
+    from_config = capsys.readouterr().err
+    assert cli.main(["verify", "--suite", "nope"]) == 2
+    from_flag = capsys.readouterr().err
+    assert from_config == from_flag
+    assert "valid names: " + ", ".join(sorted(suites.suite_names())) in from_flag
+
+
 # ------------------------------------------------------------------- solve
 
 
@@ -230,6 +242,48 @@ def test_residuals_names_a_missing_stored_key(tmp_path, capsys):
     assert err.startswith("error:")
     for key in ("lambda", "qkz_residuals", "ode_residual"):
         assert key in err
+
+
+def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch):
+    """A stored lambda or cycle of the wrong shape is an exit-2 message that
+    names the key, given before anything is recomputed."""
+    monkeypatch.setattr(cli, "residual_report", None)
+    good = {"lambda": [0.25, 0.0], "cycle": [[1, [1.0, 0.0]]],
+            "qkz_residuals": {"1": 0.0}, "ode_residual": 0.0}
+    for key, bad in (("lambda", "ab"), ("lambda", [1.0]), ("cycle", "ab"),
+                     ("cycle", [[1, "x"]]), ("cycle", [["one", [1.0, 0.0]]])):
+        entry = dict(good, **{key: bad})
+        report = {"schema_version": cli.SCHEMA_VERSION,
+                  "body": {"config": default_config(), "solutions": [good, entry]}}
+        path = write_json(tmp_path / "bad.json", report)
+        assert cli.main(["residuals", "--in", path]) == 2, (key, bad)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "stored solution " + key in err, err
+
+
+def test_oversized_config_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    """A space above the dimension budget or a refinement count above the cap
+    exits 2 with a message naming the key and the bound; nothing is solved."""
+    monkeypatch.setattr(cli, "residual_report", None)
+    cases = (
+        ({"model": {"n": 5, "half_dim": 2}}, ("model.n", "model.half_dim", "256")),
+        ({"model": {"n": 1, "half_dim": 129}}, ("model.n", "model.half_dim", "256")),
+        ({"solve": {"max_refine": 7}}, ("solve.max_refine", "at most 6")),
+    )
+    for raw, words in cases:
+        path = write_json(tmp_path / "big.json", raw)
+        assert cli.main(
+            ["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+             "--out-json", str(tmp_path / "s.json")]
+        ) == 2, raw
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        for word in words:
+            assert word in err, (raw, err)
+    assert (cli.DIM_BUDGET, cli.MAX_REFINE_CAP) == (256, 6)
+    for raw in ({"model": {"n": 4, "half_dim": 2}}, {"model": {"n": 3, "half_dim": 3}},
+                {"solve": {"max_refine": 6}}):
+        load_config(write_json(tmp_path / "edge.json", raw))
 
 
 # -------------------------------------------------------------- refinement

@@ -4,14 +4,12 @@ import pytest
 
 from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, inv, rat
-from bqkz.tensor_ops import LinOp, Space, Vec
+from bqkz.tensor_ops import LinOp, Space, Vec, product
 from bqkz.rqkz import (
     ModelParams,
-    XPoint,
     bybe_defect,
-    chain_defect,
     compose_descs,
-    factor_chain,
+    factor_ops,
     flip_factor_defect,
     k_unitarity_defect,
     ones,
@@ -71,8 +69,6 @@ def test_op_t_entries():
 def test_op_t_zero_coordinate():
     with pytest.raises(PoleError):
         op_T((rat(0), rat(1)))
-    with pytest.raises(PoleError):
-        XPoint((rat(1), rat(0)))
 
 
 def test_op_r_closed_form():
@@ -265,8 +261,9 @@ def test_consistency_and_split_samples():
 
 
 def test_chain_defect_of_differing_chains_is_the_dense_difference():
-    """The integer-chain comparison can fail: for two products that really
-    differ it returns exactly the dense rational difference."""
+    """The one-product comparison of two factor chains can fail: for two
+    products that really differ it gives exactly the dense rational
+    difference."""
     for n, half in ((2, 2), (3, 2)):
         space = Space(n, half)
 
@@ -277,16 +274,16 @@ def test_chain_defect_of_differing_chains_is_the_dense_difference():
             m, l = 1, 2
             qm, ql = q_factor_list(m, n), q_factor_list(l, n)
             shifted = shift_y(y, l, params.c)
-            got = chain_defect(
-                factor_chain(qm, x, y, params, factor_chain(ql, x, y, params)),
-                factor_chain(qm, x, shifted, params, factor_chain(ql, x, y, params)),
+            got = product(factor_ops(qm, x, y, params) + factor_ops(ql, x, y, params)) - product(
+                factor_ops(qm, x, shifted, params) + factor_ops(ql, x, y, params)
             )
             q_l = op_Q(l, x, y, params)
-            dense = op_Q(m, x, y, params) @ q_l - op_Q(m, x, shifted, params) @ q_l
+            # compose multiplies the rational entries directly: the oracle.
+            dense = op_Q(m, x, y, params).compose(q_l) - op_Q(m, x, shifted, params).compose(q_l)
             assert not got.is_zero()
             assert got == dense
             assert compose_descs(qm, x, shifted, params, start=q_l) == (
-                op_Q(m, x, shifted, params) @ q_l
+                op_Q(m, x, shifted, params).compose(q_l)
             )
             return True
 

@@ -19,6 +19,7 @@ from bqkz.tensor_ops import (
     label_of_code,
     matrix_unit,
     permute_sites,
+    product,
     site_tensor,
     vec_tensor,
 )
@@ -99,6 +100,51 @@ def test_compose_matches_dense_oracle():
         got = (a @ b).to_dense()
         want = dense_mul(a.to_dense(), b.to_dense())
         assert got == want, trial
+
+
+def dense_product(ops):
+    out = ops[-1].to_dense()
+    for op in reversed(ops[:-1]):
+        out = dense_mul(op.to_dense(), out)
+    return out
+
+
+def rand_int_op(space, r, fill=0.3):
+    return LinOp.from_dense(space, [
+        [v.numerator for v in row] for row in rand_op(space, r, fill).to_dense()
+    ])
+
+
+def test_product_matches_dense_oracle():
+    """product is exact: one, two and four operands, rational, integer-only
+    and mixed, with and without a zero operator."""
+    sp = Space(2, 1)
+    for trial in range(6):
+        rats = [rand_op(sp, rng) for _ in range(4)]
+        ints = [rand_int_op(sp, rng, fill=0.6) for _ in range(4)]
+        mixed = [rats[0], ints[1], rats[2], ints[3]]
+        with_zero = [rats[0], LinOp.zero(sp), rats[2], rats[3]]
+        for ops in (rats[:1], rats[:2], rats, ints[:1], ints[:2], ints, mixed, with_zero):
+            got = product(ops)
+            assert got.to_dense() == dense_product(ops), trial
+            assert got == LinOp.from_dense(sp, dense_product(ops))
+        assert product(with_zero).is_zero()
+        assert all(isinstance(v, int) for col in product(ints).cols.values() for v in col.values())
+
+
+def test_product_of_floats_is_the_compose_fold():
+    sp = Space(2, 1)
+    ops = [
+        LinOp(sp, {c: {r: complex(v) + 0.5j * float(v) for r, v in col.items()}
+                   for c, col in rand_op(sp, rng, fill=0.5).cols.items()})
+        for _ in range(3)
+    ]
+    ops.append(rand_op(sp, rng, fill=0.5))
+    fold = ops[-1]
+    for op in reversed(ops[:-1]):
+        fold = op.compose(fold)
+    assert product(ops) == fold
+    assert product(ops[:2]) == ops[0] @ ops[1] == ops[0].compose(ops[1])
 
 
 def test_apply_matches_dense():
