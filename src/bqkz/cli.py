@@ -366,12 +366,20 @@ def _recheck(path: str) -> int:
         raise ConfigError("input report lacks body.config / body.solutions")
     if not entries:
         raise ConfigError("input report has no solutions to recompute")
+    sites = {str(m) for m in range(1, cfg["model"]["n"] + 1)}
     stored = []
     for entry in entries:
         missing = [key for key in _STORED_KEYS if not isinstance(entry, dict) or key not in entry]
         if missing:
             raise ConfigError("stored solution lacks %s" % ", ".join(missing))
         lam = _as_complex(entry["lambda"], "stored solution lambda")
+        qkz = entry["qkz_residuals"]
+        if not (isinstance(qkz, dict) and set(qkz) == sites
+                and all(isinstance(v, (int, float)) for v in qkz.values())):
+            raise ConfigError("stored solution qkz_residuals must map each site to a number")
+        for key in ("ode_residual", "ftilde_residual"):
+            if key in entry and not isinstance(entry[key], (int, float)):
+                raise ConfigError("stored solution %s must be a number" % key)
         stored.append((entry, lam, _as_cycle(entry["cycle"], "stored solution cycle")))
     ok = True
     for entry, lam, cycle in stored:

@@ -245,13 +245,16 @@ def test_residuals_names_a_missing_stored_key(tmp_path, capsys):
 
 
 def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch):
-    """A stored lambda or cycle of the wrong shape is an exit-2 message that
-    names the key, given before anything is recomputed."""
+    """A stored value of the wrong shape is an exit-2 message that names the
+    key, given before anything is recomputed."""
     monkeypatch.setattr(cli, "residual_report", None)
     good = {"lambda": [0.25, 0.0], "cycle": [[1, [1.0, 0.0]]],
             "qkz_residuals": {"1": 0.0}, "ode_residual": 0.0}
     for key, bad in (("lambda", "ab"), ("lambda", [1.0]), ("cycle", "ab"),
-                     ("cycle", [[1, "x"]]), ("cycle", [["one", [1.0, 0.0]]])):
+                     ("cycle", [[1, "x"]]), ("cycle", [["one", [1.0, 0.0]]]),
+                     ("qkz_residuals", "ab"), ("qkz_residuals", {"2": 0.0}),
+                     ("qkz_residuals", {"1": "x"}), ("ode_residual", [0.0]),
+                     ("ftilde_residual", "x")):
         entry = dict(good, **{key: bad})
         report = {"schema_version": cli.SCHEMA_VERSION,
                   "body": {"config": default_config(), "solutions": [good, entry]}}
