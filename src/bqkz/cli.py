@@ -308,6 +308,7 @@ def cmd_verify(args) -> int:
         cfg["verify"]["samples"] = args.samples
     if args.out is not None:
         cfg["output"]["report"] = args.out
+    _validate_config(cfg)
     names = cfg["verify"]["suites"] or list(suite_mod.suite_names())
     seed = cfg["verify"]["seed"]
     samples = cfg["verify"]["samples"]

@@ -16,6 +16,7 @@ certification below compares structurally different computations.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 from .rqkz import (
@@ -90,6 +91,9 @@ def _pair_sum(space: Space, two_site: LinOp) -> LinOp:
     return out
 
 
+# The pair-sum collections depend on the labels and the space only, so
+# each is built once and shared.
+@cache
 def coll_X(a: int, b: int, space: Space) -> LinOp:
     half = space.half_dim
     two = site_tensor(_eu(half, a, False, b, False), op_E(half, b, a)) + site_tensor(
@@ -98,6 +102,7 @@ def coll_X(a: int, b: int, space: Space) -> LinOp:
     return _pair_sum(space, two)
 
 
+@cache
 def coll_Y(a: int, b: int, space: Space) -> LinOp:
     half = space.half_dim
     two = site_tensor(_eu(half, a, False, b, True), op_Ebar(half, b, a)) + site_tensor(
@@ -106,6 +111,7 @@ def coll_Y(a: int, b: int, space: Space) -> LinOp:
     return _pair_sum(space, two)
 
 
+@cache
 def coll_Z(a: int, b: int, space: Space) -> LinOp:
     half = space.half_dim
     two = site_tensor(_eu(half, a, True, b, False), op_Ebar(half, b, a)) + site_tensor(

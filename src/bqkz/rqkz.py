@@ -9,11 +9,13 @@ with strength beta, one at the all-ones point with strength alpha); the
 family is consistent: shifting the l-th argument in the m-th operator and
 composing commutes with doing it the other way around.
 
-Products of factors are formed by `tensor_ops.product` over the factor
-operators themselves: each check that multiplies transport operators passes
-the whole factor list to one product, which multiplies integer matrices and
-divides once, so the exact checks never multiply two dense rational
-operators and never round-trip through a rational partial product.
+Each exchange and reflection factor is built entry by entry from its
+scalar argument: its few distinct entries are cleared once into int
+numerators over one denominator.  Products of factors are formed by
+`tensor_ops.product`, a fold of `LinOp.compose` over those integer forms
+that reduces each partial product by one gcd; each check that multiplies
+transport operators passes its whole factor list to one product, and no
+operator ever stores a rational entry.
 
 Every factor checks its own denominator at build time, so a pole in any
 requested construction raises PoleError immediately with the offending
@@ -27,7 +29,7 @@ from typing import Sequence
 
 from .sampling import rand_rational
 from .scalar_field import PoleError, div, inv, rat
-from .tensor_ops import LinOp, Space, embed_pair, embed_site, product
+from .tensor_ops import LinOp, Space, clear, embed_pair, embed_site, product
 
 
 @dataclass(frozen=True)
@@ -101,20 +103,38 @@ def op_R(lam, params: ModelParams) -> LinOp:
 
 
 def op_R_k(lam, k, half_dim: int) -> LinOp:
-    den = lam + k
-    if den == 0:
+    norm = lam + k
+    if norm == 0:
         raise PoleError("exchange operator pole: argument equals -coupling")
-    p = op_P(half_dim)
-    return (LinOp.identity(p.space).scale(lam) + p.scale(k)).scale(inv(den))
+    s = inv(norm)
+    (keep, swap, diag), den, exact = clear((s * lam, s * k, s * norm))
+    d = 2 * half_dim
+    cols = {}
+    for a in range(d):
+        for b in range(d):
+            col = {(a, b): diag} if a == b else {(a, b): keep, (b, a): swap}
+            cols[(a, b)] = {r: v for r, v in col.items() if v != 0}
+    return LinOp.of(Space(2, half_dim), cols, den, exact)
 
 
 def op_K(lam, x: Sequence, beta) -> LinOp:
     """Site reflection factor (lam T(x) + beta)/(lam + beta)."""
-    den = lam + beta
-    if den == 0:
+    norm = lam + beta
+    if norm == 0:
         raise PoleError("reflection factor pole: argument equals -strength")
-    t = op_T(x)
-    return (t.scale(lam) + LinOp.identity(t.space).scale(beta)).scale(inv(den))
+    s = inv(norm)
+    scalars = [s * beta]
+    for a, xa in enumerate(x):
+        if xa == 0:
+            raise PoleError("reflection coordinate %d is zero" % (a + 1))
+        scalars += [s * (lam * inv(xa)), s * (lam * xa)]
+    (diag, *flips), den, exact = clear(scalars)
+    half = len(x)
+    cols = {}
+    for a in range(half):
+        for col, row, v in ((a, half + a, flips[2 * a]), (half + a, a, flips[2 * a + 1])):
+            cols[(col,)] = {r: w for r, w in {(row,): v, (col,): diag}.items() if w != 0}
+    return LinOp.of(Space(1, half), cols, den, exact)
 
 
 def op_dK_dx(lam, x: Sequence, beta, a: int) -> LinOp:

@@ -6,21 +6,25 @@ N+index-1 for barred, so codes run 0..2N-1.  A basis state of V^(x)n is the
 tuple of its site codes, site 1 first; the linear index of a state makes
 site 1 most significant.
 
-Operators are stored column-major as {col_state: {row_state: scalar}} with
-no explicitly stored zeros, generic over the scalar domain (exact rationals
-or complex floats; see fields).  Equality of operators over the rational
-domain is therefore structural equality of the maps.
+Operators are stored column-major as {col_state: {row_state: entry}} with
+no explicitly stored zeros.  An exact operator holds int numerators over one
+positive int denominator, reduced so that the two share no factor; a
+floating-point operator (the contour solver's) holds complex values over 1.
+Equality of exact operators is therefore structural equality of numerators
+and denominator.
 
-`LinOp.compose` is the raw multiply kernel: it multiplies whatever scalars
-it is given.  Exact products go through `@` or `product`, which clear each
-operand's denominators once, multiply integer matrices with `compose`, and
-divide by the product of the clearing factors once at the end.
+Exact arithmetic never leaves the integers: a sum meets over the lcm of the
+two denominators, `compose` multiplies numerators and denominators and
+reduces once by their gcd, and `product` (or `@`) is a fold of `compose`.
+Values are read as rationals only at the edges: `entry`, `to_dense`,
+`apply` and `max_abs`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .scalar_field import inv as _inv_scalar, is_exact, rat
 
@@ -46,52 +50,7 @@ class Space:
 
     def states(self):
         """All basis states in linear-index order (site 1 most significant)."""
-        d = self.site_dim
-        state = [0] * self.n
-        while True:
-            yield tuple(state)
-            j = self.n - 1
-            while j >= 0:
-                state[j] += 1
-                if state[j] < d:
-                    break
-                state[j] = 0
-                j -= 1
-            if j < 0:
-                return
-
-    def index_of(self, state) -> int:
-        d = self.site_dim
-        idx = 0
-        for c in state:
-            idx = idx * d + c
-        return idx
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    """Site-space basis label: v_index or v_indexbar."""
-
-    index: int
-    barred: bool = False
-
-    def code(self, half_dim: int) -> int:
-        if not 1 <= self.index <= half_dim:
-            raise ValueError("label index out of range")
-        return self.index - 1 + (half_dim if self.barred else 0)
-
-
-def label_of_code(code: int, half_dim: int) -> BasisLabel:
-    if not 0 <= code < 2 * half_dim:
-        raise ValueError("code out of range")
-    if code < half_dim:
-        return BasisLabel(code + 1, False)
-    return BasisLabel(code - half_dim + 1, True)
-
-
-def bar_code(code: int, half_dim: int) -> int:
-    """Code of the bar-conjugate label."""
-    return code - half_dim if code >= half_dim else code + half_dim
+        return itertools.product(range(self.site_dim), repeat=self.n)
 
 
 class Vec:
@@ -118,8 +77,7 @@ class Vec:
                 out[s] = w
         return Vec(self.space, out)
 
-    def __add__(self, other):
-        return self.add(other)
+    __add__ = add
 
     def __sub__(self, other):
         return self.add(other.scale(-1))
@@ -143,24 +101,49 @@ class Vec:
 
 
 class LinOp:
-    """Sparse operator on a Space, column-major, no stored zeros."""
+    """Sparse operator on a Space, column-major, no stored zeros.
 
-    __slots__ = ("space", "cols")
+    An exact operator stores int numerators in `cols` over the positive int
+    `den`, reduced so that gcd(den, every numerator) is 1; the zero operator
+    has den 1.  A floating-point operator stores its values, with den 1.
+    No operation modifies an operator in place, so operators may be shared.
+    """
+
+    __slots__ = ("space", "cols", "den", "exact")
 
     def __init__(self, space: Space, cols=None):
+        """cols may hold ints, rationals (cleared here, once) or floats (an
+        operator with any float entry keeps every entry as given)."""
+        cols = {} if cols is None else cols
+        nums, self.den, self.exact = clear([v for col in cols.values() for v in col.values()])
+        it = iter(nums)
         self.space = space
-        self.cols = cols if cols is not None else {}
+        self.cols = {c: {r: next(it) for r in col} for c, col in cols.items()}
+
+    @classmethod
+    def of(cls, space: Space, cols, den=1, exact=True) -> "LinOp":
+        """Operator from entries already in canonical form, unchecked."""
+        op = object.__new__(cls)
+        op.space, op.cols, op.den, op.exact = space, cols, den, exact
+        return op
 
     @classmethod
     def zero(cls, space: Space) -> "LinOp":
-        return cls(space, {})
+        return cls.of(space, {})
 
     @classmethod
-    def identity(cls, space: Space, one=1) -> "LinOp":
-        return cls(space, {s: {s: one} for s in space.states()})
+    def identity(cls, space: Space) -> "LinOp":
+        return cls.of(space, {s: {s: 1} for s in space.states()})
+
+    def _values(self):
+        """The column map with every entry read as its value."""
+        if self.den == 1:
+            return self.cols
+        return {c: {r: rat(v, self.den) for r, v in col.items()} for c, col in self.cols.items()}
 
     def entry(self, row, col):
-        return self.cols.get(tuple(col), {}).get(tuple(row), 0)
+        v = self.cols.get(tuple(col), {}).get(tuple(row), 0)
+        return v if self.den == 1 else rat(v, self.den)
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols.values())
@@ -172,6 +155,7 @@ class LinOp:
         return (
             isinstance(other, LinOp)
             and self.space == other.space
+            and self.den == other.den
             and self.cols == other.cols
         )
 
@@ -180,8 +164,9 @@ class LinOp:
 
     def apply(self, vec: Vec) -> Vec:
         out = {}
+        cols = self._values()
         for c, v in vec.entries.items():
-            col = self.cols.get(c)
+            col = cols.get(c)
             if col is None:
                 continue
             for r, a in col.items():
@@ -191,13 +176,14 @@ class LinOp:
         return Vec(vec.space, {r: w for r, w in out.items() if w != 0})
 
     def compose(self, other: "LinOp") -> "LinOp":
-        """self o other (apply other first), entry by entry in the given
-        scalars; exact callers use `@` or `product` instead."""
+        """self o other (apply other first).  Exact operands multiply their
+        numerators and denominators and reduce once; with a floating-point
+        operand the values are multiplied."""
         if self.space != other.space:
             raise ValueError("space mismatch in compose")
+        (mycols, da), (bcols, db), exact = _operands(self, other)
         out = {}
-        mycols = self.cols
-        for c, bcol in other.cols.items():
+        for c, bcol in bcols.items():
             acc = {}
             for k, bkc in bcol.items():
                 acol = mycols.get(k)
@@ -210,18 +196,25 @@ class LinOp:
             acc = {r: w for r, w in acc.items() if w != 0}
             if acc:
                 out[c] = acc
-        return LinOp(self.space, out)
+        return _built(self.space, out, da * db, exact)
 
     def __matmul__(self, other):
-        return product((self, other))
+        return self.compose(other)
 
     def add(self, other: "LinOp") -> "LinOp":
+        """self + other; exact operands meet over the lcm of their
+        denominators."""
         if self.space != other.space:
             raise ValueError("space mismatch in add")
-        out = {c: dict(col) for c, col in self.cols.items()}
-        for c, col in other.cols.items():
+        (acols, da), (bcols, db), exact = _operands(self, other)
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        out = {c: {r: v * fa for r, v in col.items()} if fa != 1 else dict(col)
+               for c, col in acols.items()}
+        for c, col in bcols.items():
             dst = out.setdefault(c, {})
             for r, v in col.items():
+                v = v * fb if fb != 1 else v
                 w = dst.get(r)
                 w = v if w is None else w + v
                 if w == 0:
@@ -230,10 +223,9 @@ class LinOp:
                     dst[r] = w
             if not dst:
                 del out[c]
-        return LinOp(self.space, out)
+        return _built(self.space, out, den, exact)
 
-    def __add__(self, other):
-        return self.add(other)
+    __add__ = add
 
     def __sub__(self, other):
         return self.add(-other)
@@ -241,19 +233,21 @@ class LinOp:
     def scale(self, a) -> "LinOp":
         if a == 0:
             return LinOp.zero(self.space)
-        return LinOp(
-            self.space,
-            {c: {r: a * v for r, v in col.items()} for c, col in self.cols.items()},
-        )
+        exact = self.exact and is_exact(a)
+        if exact:
+            cols, a, den = self.cols, a.numerator, self.den * a.denominator
+        else:
+            cols, den = self._values(), 1
+        cols = {c: {r: a * v for r, v in col.items()} for c, col in cols.items()}
+        return _built(self.space, cols, den, exact)
 
     def __neg__(self):
-        return LinOp(
-            self.space, {c: {r: -v for r, v in col.items()} for c, col in self.cols.items()}
-        )
+        cols = {c: {r: -v for r, v in col.items()} for c, col in self.cols.items()}
+        return LinOp.of(self.space, cols, self.den, self.exact)
 
     def max_abs(self) -> float:
         m = 0.0
-        for col in self.cols.values():
+        for col in self._values().values():
             for v in col.values():
                 a = abs(complex(v))
                 if a > m:
@@ -261,11 +255,11 @@ class LinOp:
         return m
 
     def to_dense(self):
-        """Nested row-major list of scalars (ints where unset)."""
+        """Nested row-major list of values (ints where unset)."""
         space = self.space
         idx = {s: i for i, s in enumerate(space.states())}
         dense = [[0] * space.dim for _ in range(space.dim)]
-        for c, col in self.cols.items():
+        for c, col in self._values().items():
             jc = idx[c]
             for r, v in col.items():
                 dense[idx[r]][jc] = v
@@ -274,63 +268,53 @@ class LinOp:
     @classmethod
     def from_dense(cls, space: Space, dense) -> "LinOp":
         states = list(space.states())
-        cols = {}
-        for j, cs in enumerate(states):
-            col = {}
-            for i, rs in enumerate(states):
-                v = dense[i][j]
-                if v != 0:
-                    col[rs] = v
-            if col:
-                cols[cs] = col
-        return cls(space, cols)
+        cols = {cs: {rs: dense[i][j] for i, rs in enumerate(states) if dense[i][j] != 0}
+                for j, cs in enumerate(states)}
+        return cls(space, {c: col for c, col in cols.items() if col})
 
 
-def _exact(op: LinOp) -> bool:
-    """Whether op lives in the exact domain (judged by one stored entry; a
-    zero operator counts as exact)."""
-    sample = next((v for col in op.cols.values() for v in col.values()), None)
-    return sample is None or is_exact(sample)
+def clear(values):
+    """(numerators, den, exact): exact scalars as ints over their least
+    common denominator, which shares no factor with them all; with any float
+    among them, the values as given over 1."""
+    if not all(map(is_exact, values)):
+        return list(values), 1, False
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den, True
+
+
+def _built(space: Space, cols, den, exact) -> LinOp:
+    """Exact operator from int numerators over den > 0, divided by their
+    gcd; a floating-point one from its values (den is then 1)."""
+    g = den
+    for col in cols.values():
+        if g == 1:
+            break
+        g = gcd(g, *col.values())
+    if g != 1:
+        cols = {c: {r: v // g for r, v in col.items()} for c, col in cols.items()}
+    return LinOp.of(space, cols, den // g, exact)
+
+
+def _operands(*ops):
+    """((cols, den) of each operand, exact): the stored numerators when
+    every operand is exact, else every operand's values over 1."""
+    if all(op.exact for op in ops):
+        return [(op.cols, op.den) for op in ops] + [True]
+    return [(op._values(), 1) for op in ops] + [False]
 
 
 def product(ops) -> LinOp:
-    """ops[0] o ops[1] o ... o ops[-1], the last operator applied first.
-
-    When every operand is exact, each is cleared of its denominators once,
-    the integer matrices are multiplied by `compose`, and the result is
-    divided by the product of the clearing factors at the end.  With any
-    floating-point operand the operands are folded by `compose` as given.
-    """
+    """ops[0] o ops[1] o ... o ops[-1], the last operator applied first."""
     ops = list(ops)
-    scale = 1
-    if all(_exact(op) for op in ops):
-        cleared = []
-        for op in ops:
-            den = lcm(*(v.denominator for col in op.cols.values() for v in col.values()))
-            scale *= den
-            cleared.append(LinOp(op.space, {
-                c: {r: v.numerator * (den // v.denominator) for r, v in col.items()}
-                for c, col in op.cols.items()
-            }))
-        ops = cleared
     out = ops[-1]
     for op in reversed(ops[:-1]):
         out = op.compose(out)
-    if scale == 1:
-        return out
-    return LinOp(
-        out.space, {c: {r: rat(v, scale) for r, v in col.items()} for c, col in out.cols.items()}
-    )
+    return out
 
 
 def commutator(a: LinOp, b: LinOp) -> LinOp:
     return a @ b - b @ a
-
-
-def matrix_unit(half_dim: int, row: BasisLabel, col: BasisLabel) -> LinOp:
-    """Site operator e_{row,col}: sends v_col to v_row, kills the rest."""
-    sp = Space(1, half_dim)
-    return LinOp(sp, {(col.code(half_dim),): {(row.code(half_dim),): 1}})
 
 
 def embed_site(op: LinOp, j: int, space: Space) -> LinOp:
@@ -350,7 +334,7 @@ def embed_site(op: LinOp, j: int, space: Space) -> LinOp:
             rstate = state[:pos] + (rcode,) + state[pos + 1 :]
             dst[rstate] = v
         cols[state] = dst
-    return LinOp(space, cols)
+    return LinOp.of(space, cols, op.den, op.exact)
 
 
 def embed_pair(op: LinOp, i: int, j: int, space: Space) -> LinOp:
@@ -372,7 +356,7 @@ def embed_pair(op: LinOp, i: int, j: int, space: Space) -> LinOp:
             rstate[pj] = rb
             dst[tuple(rstate)] = v
         cols[state] = dst
-    return LinOp(space, cols)
+    return LinOp.of(space, cols, op.den, op.exact)
 
 
 def site_tensor(op1: LinOp, op2: LinOp) -> LinOp:
@@ -380,35 +364,16 @@ def site_tensor(op1: LinOp, op2: LinOp) -> LinOp:
     if op1.space.n != 1 or op2.space.n != 1 or op1.space.half_dim != op2.space.half_dim:
         raise ValueError("site_tensor wants two site operators over the same labels")
     sp = Space(2, op1.space.half_dim)
+    (cols1, den1), (cols2, den2), exact = _operands(op1, op2)
     cols = {}
-    for (c1,), col1 in op1.cols.items():
-        for (c2,), col2 in op2.cols.items():
+    for (c1,), col1 in cols1.items():
+        for (c2,), col2 in cols2.items():
             dst = {}
             for (r1,), v1 in col1.items():
                 for (r2,), v2 in col2.items():
                     dst[(r1, r2)] = v1 * v2
             cols[(c1, c2)] = dst
-    return LinOp(sp, cols)
-
-
-def vec_tensor(a: Vec, b: Vec) -> Vec:
-    sp = Space(a.space.n + b.space.n, a.space.half_dim)
-    ent = {}
-    for sa, va in a.entries.items():
-        for sb, vb in b.entries.items():
-            ent[sa + sb] = va * vb
-    return Vec(sp, ent)
-
-
-def permute_sites(vec: Vec, i: int, j: int) -> Vec:
-    """Swap tensor slots i and j (1-based) of a vector."""
-    pi, pj = i - 1, j - 1
-    out = {}
-    for s, v in vec.entries.items():
-        t = list(s)
-        t[pi], t[pj] = t[pj], t[pi]
-        out[tuple(t)] = v
-    return Vec(vec.space, out)
+    return _built(sp, cols, den1 * den2, exact)
 
 
 class PoleSingular(ZeroDivisionError):
@@ -424,7 +389,7 @@ def invert(op: LinOp) -> LinOp:
     space = op.space
     dim = space.dim
     a = op.to_dense()
-    exact = _exact(op)
+    exact = op.exact
     tol = 0.0 if exact else 1e-12 * max(op.max_abs(), 1e-300)
 
     inv = [[0] * dim for _ in range(dim)]

@@ -107,6 +107,23 @@ def test_bad_suite_name_in_config_or_flag_gives_one_message(tmp_path, capsys):
     assert "valid names: " + ", ".join(sorted(suites.suite_names())) in from_flag
 
 
+def test_bad_samples_or_seed_flag_gives_the_config_message(tmp_path, capsys):
+    """--samples and --seed obey the rules of verify.samples and verify.seed:
+    exit 2 before any suite runs, with the message a bad config value gives."""
+    for flag, value, key in (("--samples", 0, "samples"), ("--samples", -4, "samples"),
+                             ("--seed", -1, "seed")):
+        path = write_json(tmp_path / "cfg.json", {"verify": {key: value}})
+        assert cli.main(["verify", "--config", path]) == 2
+        from_config = capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", flag, str(value), "--out", str(out)]) == 2
+        from_flag = capsys.readouterr()
+        assert from_flag.err == from_config.err
+        assert from_flag.err.startswith("error: verify.%s must be" % key)
+        assert from_flag.out == ""
+        assert not out.exists()
+
+
 # ------------------------------------------------------------------- solve
 
 

@@ -1,27 +1,22 @@
 """Sparse tensor-space linear algebra against dense oracles."""
 
+import math
 import random
 
 import pytest
 
 from bqkz.scalar_field import close, rat
 from bqkz.tensor_ops import (
-    BasisLabel,
     LinOp,
     PoleSingular,
     Space,
     Vec,
-    bar_code,
     commutator,
     embed_pair,
     embed_site,
     invert,
-    label_of_code,
-    matrix_unit,
-    permute_sites,
     product,
     site_tensor,
-    vec_tensor,
 )
 
 rng = random.Random(20260818)
@@ -57,19 +52,7 @@ def test_space_dimensions():
     states = list(sp.states())
     assert len(states) == 64
     assert len(set(states)) == 64
-    for idx, s in enumerate(states):
-        assert sp.index_of(s) == idx
-
-
-def test_label_code_roundtrip():
-    half = 3
-    seen = set()
-    for code in range(2 * half):
-        lab = label_of_code(code, half)
-        assert isinstance(lab, BasisLabel)
-        seen.add((lab.index, lab.barred))
-        assert bar_code(bar_code(code, half), half) == code
-    assert seen == {(a, b) for a in range(1, half + 1) for b in (False, True)}
+    assert states == sorted(states)
 
 
 def test_vec_algebra():
@@ -81,15 +64,6 @@ def test_vec_algebra():
     assert s.entries[(1, 0)] == rat(3, 2)
     assert (s - s).is_zero()
     assert s.norm_max() == 1.5
-
-
-def test_vec_tensor_and_permute():
-    a = Vec.basis(Space(1, 2), (0,)) + Vec.basis(Space(1, 2), (3,)).scale(2)
-    b = Vec.basis(Space(1, 2), (1,))
-    t = vec_tensor(a, b)
-    assert t.entries == {(0, 1): 1, (3, 1): 2}
-    swapped = permute_sites(t, 1, 2)
-    assert swapped.entries == {(1, 0): 1, (1, 3): 2}
 
 
 def test_compose_matches_dense_oracle():
@@ -182,18 +156,10 @@ def test_algebra_ops():
 
 def test_no_stored_zeros():
     sp = Space(1, 1)
-    a = matrix_unit(1, label_of_code(0, 1), label_of_code(1, 1))
+    a = LinOp(sp, {(1,): {(0,): 1}})
     b = a.scale(rat(1, 3)) - a.scale(rat(1, 3))
     assert b.is_zero()
     assert b.nnz() == 0
-
-
-def test_matrix_unit_entries():
-    half = 2
-    row, col = label_of_code(1, half), label_of_code(3, half)
-    u = matrix_unit(half, row, col)
-    assert u.entry((1,), (3,)) == 1
-    assert u.nnz() == 1
 
 
 def test_embed_pair_equals_embedded_product():
@@ -213,6 +179,116 @@ def test_embed_site_wrong_half_dim():
         embed_site(op, 1, Space(2, 2))
 
 
+# ------------------------------------------------- numerators over one den
+
+
+def assert_canonical(op):
+    """Exact form: int numerators, no stored zero, positive int den sharing
+    no factor with them, den 1 for the zero operator."""
+    assert op.exact
+    assert type(op.den) is int and op.den > 0
+    values = [v for col in op.cols.values() for v in col.values()]
+    assert all(op.cols.values())
+    assert all(type(v) is int and v != 0 for v in values)
+    assert math.gcd(op.den, *values) == 1
+    if not values:
+        assert op.den == 1
+
+
+def dense_add(a, b, fb=1):
+    return [[x + fb * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_embed(site, positions, space):
+    """Dense embedding of an operator on the sites at `positions`."""
+    states = list(space.states())
+    d = space.site_dim
+
+    def local(state):
+        idx = 0
+        for p in positions:
+            idx = idx * d + state[p]
+        return idx
+
+    return [
+        [
+            site[local(r)][local(c)]
+            if all(r[p] == c[p] for p in range(space.n) if p not in positions) else 0
+            for c in states
+        ]
+        for r in states
+    ]
+
+
+def test_exact_arithmetic_matches_the_fraction_oracle_in_canonical_form():
+    site, pair, three = Space(1, 1), Space(2, 1), Space(3, 1)
+    r = random.Random(11)
+    for trial in range(10):
+        a, b = rand_op(pair, r, fill=0.5), rand_op(pair, r, fill=0.5)
+        s1, s2 = rand_op(site, r, fill=0.7), rand_op(site, r, fill=0.7)
+        q = rand_rat(r) or rat(2, 3)
+        da, db, d1, d2 = a.to_dense(), b.to_dense(), s1.to_dense(), s2.to_dense()
+        cases = [
+            (a + b, dense_add(da, db)),
+            (a - b, dense_add(da, db, -1)),
+            (-a, [[-v for v in row] for row in da]),
+            (a.scale(q), [[q * v for v in row] for row in da]),
+            (a.scale(7), [[7 * v for v in row] for row in da]),
+            (product([a, b, a]), dense_mul(da, dense_mul(db, da))),
+            (site_tensor(s1, s2), [[d1[i // 2][j // 2] * d2[i % 2][j % 2] for j in range(4)]
+                                   for i in range(4)]),
+            (embed_site(s1, 2, three), dense_embed(s1.to_dense(), (1,), three)),
+            (embed_pair(a, 3, 1, three), dense_embed(da, (2, 0), three)),
+        ]
+        for got, want in cases:
+            assert_canonical(got)
+            assert got.to_dense() == want, trial
+            assert got == LinOp.from_dense(got.space, want)
+        states = list(pair.states())
+        for col in states:
+            for row in states:
+                assert a.entry(row, col) == da[states.index(row)][states.index(col)]
+
+
+def test_sum_cancelling_across_denominators_is_the_canonical_zero():
+    sp = Space(1, 1)
+    third = LinOp(sp, {(0,): {(1,): rat(1, 3)}, (1,): {(1,): rat(1, 6)}})
+    half = LinOp(sp, {(0,): {(1,): rat(1, 2)}})
+    sixth = LinOp(sp, {(0,): {(1,): rat(-5, 6)}, (1,): {(1,): rat(-1, 6)}})
+    total = third + half + sixth
+    assert total.is_zero() and total.nnz() == 0
+    assert_canonical(total)
+    assert total == LinOp.zero(sp)
+    partial = third + sixth
+    assert_canonical(partial)
+    assert partial.den == 2 and partial.cols == {(0,): {(1,): -1}}
+    assert partial.entry((1,), (0,)) == rat(-1, 2)
+
+
+def test_mixed_float_and_exact_give_the_fraction_values():
+    sp = Space(2, 1)
+    r = random.Random(12)
+    exact = rand_op(sp, r, fill=0.6)
+    floats = LinOp.from_dense(sp, [[complex(v) * (1 + 0.25j) for v in row]
+                                   for row in rand_op(sp, r, fill=0.6).to_dense()])
+    assert not floats.exact and floats.den == 1
+    de, df = exact.to_dense(), floats.to_dense()
+    assert (floats + exact).to_dense() == dense_add(df, de)
+    assert (exact + floats).to_dense() == dense_add(de, df)
+    got = product([floats, exact, floats]).to_dense()
+    want = dense_mul(df, dense_mul(de, df))
+    assert all(close(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+    states = list(sp.states())
+    vec = Vec(sp, {s: rand_rat(r) for s in states if r.random() < 0.7})
+    col = [vec.entries.get(s, 0) for s in states]
+    for op, dense in ((exact, de), (floats, df)):
+        out = op.apply(vec)
+        for i, s in enumerate(states):
+            want = sum(dense[i][j] * col[j] for j in range(len(states)))
+            got = out.entries.get(s, 0)
+            assert got == want if op.exact else close(got, want)
+
+
 def test_invert_rational():
     sp = Space(1, 2)
     for trial in range(6):
@@ -226,8 +302,7 @@ def test_invert_rational():
 
 
 def test_invert_singular():
-    sp = Space(1, 2)
-    op = matrix_unit(2, label_of_code(0, 2), label_of_code(0, 2))
+    op = LinOp(Space(1, 2), {(0,): {(0,): 1}})
     with pytest.raises(PoleSingular):
         invert(op)
 
