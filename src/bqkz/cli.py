@@ -32,8 +32,8 @@ from . import suites as suite_mod
 SCHEMA_VERSION = 1
 MATCH_TOLERANCE = 1e-12
 # Input bounds, checked before any work starts: the solver builds operators
-# over the whole space of dimension (2*half_dim)^n, and every refinement
-# multiplies the quadrature node count by 4.
+# over the whole space of dimension (2*half_dim)^n, and max_refine counts
+# halvings of the trapezoidal step, each of which doubles the node count.
 DIM_BUDGET = 256
 MAX_REFINE_CAP = 6
 

@@ -16,11 +16,13 @@ the contour cannot sit at height Im(k)/2.  The y entries are real at the
 user level but may acquire imaginary parts up to the separation bound when a
 solve is run at a singly shifted point.
 
-Each quadrature pass evaluates the kernel, the cycle denominator and the
-2n weight functions over numpy arrays of nodes, in chunks of at most
-_CHUNK nodes summed in a fixed chunk order, so results are reproducible
-bit for bit.  The array kernel takes log Gamma modulo 2 pi i, which is
-sound because only exponentials of sums are used.  The scalar kernel
+The integrand is analytic in a strip around the contour and decays
+exponentially, so one trapezoidal rule with nested halving integrates it:
+each halving evaluates only the new midpoints.  The kernel, the cycle
+denominator and the 2n weight functions are evaluated over numpy arrays of
+nodes, in chunks of at most _CHUNK nodes summed in a fixed order, so
+results are reproducible bit for bit.  The array kernel takes log Gamma
+modulo 2 pi i, which is sound because only exponentials of sums are used.  The scalar kernel
 (`integrand`, `_kernel_cycle`) stays as the route of the independent
 quadrature oracle and as the reference the array kernel is tested against.
 A residual report solves each distinct point once: the base point, the n
@@ -62,7 +64,7 @@ class DegreeError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Refinement did not converge within the allowed doublings."""
+    """The trapezoidal rule did not converge within the allowed halvings."""
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,6 @@ class SolverParams:
     k: complex
     y: tuple
     half_dim: int = 2
-    delta: float = None
-    trunc: float = None
     panels_per_unit: float = 4.0
     max_refine: int = 5
     rtol: float = 1e-9
@@ -105,8 +105,11 @@ class SolverParams:
         object.__setattr__(
             self, "y", tuple(complex(v) for v in self.y)
         )
-        if self.delta is None:
-            object.__setattr__(self, "delta", self.k.imag / 2)
+
+    @property
+    def delta(self) -> float:
+        """Height of the contour line, Im(k)/2."""
+        return self.k.imag / 2
 
     @property
     def alpha(self) -> complex:
@@ -223,21 +226,6 @@ def _symmetric_fills(count: int, half: int):
         yield (half + 1,) + rest
 
 
-def vec_u_all(params: SolverParams):
-    return [vec_u(j, params) for j in range(1, 2 * params.n + 1)]
-
-
-def filler_vector(params: SolverParams) -> Vec:
-    """The fixed symmetric tensor on n-1 sites (empty when n = 1)."""
-    if params.n == 1:
-        raise ValueError("no filler sites when n = 1")
-    space = Space(params.n - 1, params.half_dim)
-    out = Vec(space, {})
-    for state in _symmetric_fills(params.n - 1, params.half_dim):
-        out = out.add(Vec.basis(space, state))
-    return out
-
-
 def func_g(j: int, t: complex, y: Sequence, k: complex) -> complex:
     """Rational weight function, uniform over all 2n indices via the
     extended pole-center list."""
@@ -263,29 +251,6 @@ def prod_ratio_full(t: complex, y: Sequence, k: complex) -> complex:
     for yp in y:
         out = out * (t - yp - k) / (t - yp)
         out = out * (t + yp - k) / (t + yp)
-    return out
-
-
-def func_h(j: int, t: complex, y: Sequence, lam: complex, k: complex) -> complex:
-    """Coefficient functions of the first differential operator applied to
-    the solution: a diagonal term plus two geometric ladder sums."""
-    n = len(y)
-    yext = tuple(y) + tuple(-v for v in reversed(tuple(y)))
-    ex = cmath.exp(TWO_PI_I * lam)
-    out = -(t - yext[j - 1]) * func_g(j, t, y, k)
-    for l in range(1, j):
-        out += k / (ex - 1) * func_g(l, t, y, k)
-    for l in range(j + 1, 2 * n + 1):
-        out += k * ex / (ex - 1) * func_g(l, t, y, k)
-    return out
-
-
-def gtilde_vec(t: complex, y: Sequence, params: SolverParams) -> Vec:
-    """Vector-valued weight function: sum of g_j(t) times the j-th basis
-    vector of the target subspace."""
-    out = Vec(params.space, {})
-    for j in range(1, 2 * params.n + 1):
-        out = out.add(vec_u(j, params).scale(func_g(j, t, y, params.k)))
     return out
 
 
@@ -455,101 +420,98 @@ def validate_contour_line(y, c: complex, k: complex, delta: float,
 def build_contour(params: SolverParams, W: CycleW = None,
                   include_shifted: bool = True) -> Contour:
     """Horizontal contour at Im t = delta, truncated and pole-validated."""
-    delta = params.delta
-    trunc = params.trunc
-    if trunc is None:
-        if W is None:
-            W = CycleW.monomial(int(math.floor(params.lam.real)) + 1)
-        trunc = _initial_trunc(W, params)
+    if W is None:
+        W = CycleW.monomial(int(math.floor(params.lam.real)) + 1)
+    trunc = _initial_trunc(W, params)
     record = validate_contour_line(
-        params.y, params.c, params.k, delta, trunc,
+        params.y, params.c, params.k, params.delta, trunc,
         include_shifted=include_shifted,
     )
-    return Contour(delta=delta, trunc=trunc, record=record)
+    return Contour(delta=params.delta, trunc=trunc, record=record)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# Nodes per array evaluation; bounds the working arrays of a pass.
+# Nodes per array evaluation; bounds the working arrays of a sweep.
 _CHUNK = 4096
 
 
-def _sample_line(delta: float, trunc: float, panels: int):
-    """Gauss nodes and weights on the horizontal segment, panel by panel."""
-    edges = np.linspace(-trunc, trunc, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2
-    rad = (edges[1:] - edges[:-1]) / 2
-    ts = (mid[:, None] + rad[:, None] * _GL_NODES).ravel() + 1j * delta
-    ws = (rad[:, None] * _GL_WEIGHTS).ravel()
-    return ts, ws
+def _sweep(values, nodes):
+    """Row sums, |kernel| sum and largest row term over an array of nodes,
+    evaluated chunk by chunk in node order."""
+    sums, abs_sum, top = 0, 0.0, 0.0
+    for lo in range(0, len(nodes), _CHUNK):
+        rows, abs_ker = values(nodes[lo:lo + _CHUNK])
+        sums = sums + np.sum(rows, axis=1)
+        abs_sum += float(np.sum(abs_ker))
+        top = max(top, float(np.max(np.abs(rows))))
+    return sums, abs_sum, top
 
 
-def _kernel_chunks(W: CycleW, params: SolverParams, y, trunc, panels,
-                   extra_weight=0):
-    """(nodes, weights, kernel-cycle values) chunk by chunk, in node order."""
-    ts, ws = _sample_line(params.delta, trunc, panels)
-    for lo in range(0, len(ts), _CHUNK):
-        t = ts[lo:lo + _CHUNK]
-        yield t, ws[lo:lo + _CHUNK], _kernel_cycle_array(
-            t, y, W, params, extra_weight=extra_weight
-        )
+def _trapezoid(values, params: SolverParams, contour: Contour):
+    """Trapezoidal rule along the contour line with nested halving.
 
-
-def _pairing_pass(indices, W: CycleW, params: SolverParams, y, trunc,
-                  panels, extra_weight=0):
-    totals = np.zeros(len(indices), dtype=complex)
-    scale = 0.0
-    for t, w, ker in _kernel_chunks(W, params, y, trunc, panels,
-                                    extra_weight=extra_weight):
-        scale += float(np.sum(np.abs(ker) * np.abs(w)))
-        wk = w * ker
-        rows = _weight_rows(t, y, params.k)
-        totals += [np.sum(wk * rows[j - 1]) for j in indices]
-    return [complex(v) for v in totals], scale
+    values(t) returns the integrand rows (one row per integral) and |kernel|
+    at an array of nodes.  The first grid has h = 1/panels_per_unit, but
+    no wider than the smallest pole gap of the contour: the integrand is
+    analytic only within that distance of the line, and the error of the
+    rule falls like exp(-2 pi gap / h).  On that grid the truncation
+    doubles until the largest term of the newest outer band, times h, is
+    at most atol * max(scale, 1); it then stays fixed.  Each halving of h
+    evaluates only the new midpoints and reuses every earlier node, until
+    two successive estimates agree.  Returns the estimates and diagnostics.
+    """
+    rec = contour.record
+    h = min(1.0 / params.panels_per_unit, rec["min_gap_above"],
+            rec["min_gap_below"])
+    line = 1j * contour.delta
+    half = max(1, int(math.ceil(contour.trunc / h)))
+    sums, abs_sum, _ = _sweep(values, np.arange(-half, half + 1) * h + line)
+    while True:
+        band = np.arange(half + 1, 2 * half + 1) * h
+        s, a, top = _sweep(values, np.concatenate((-band[::-1], band)) + line)
+        sums, abs_sum, half = sums + s, abs_sum + a, 2 * half
+        if top * h <= params.atol * max(h * abs_sum, 1.0):
+            break
+    trunc = half * h
+    ests = [h * sums]
+    for step in range(1, params.max_refine + 1):
+        s, a, _ = _sweep(values, (np.arange(-half, half) + 0.5) * h + line)
+        sums, abs_sum, h, half = sums + s, abs_sum + a, h / 2, 2 * half
+        est, scale = h * sums, h * abs_sum
+        err = float(np.max(np.abs(est - ests[-1])))
+        ests.append(est)
+        if err <= max(params.rtol * float(np.max(np.abs(est))),
+                      params.atol * max(scale, 1.0)):
+            diag = {
+                "trunc": trunc,
+                "panels": 2 * half,
+                "quad_error": err,
+                "refinements": step,
+                "scale": scale,
+            }
+            return [complex(v) for v in est], diag
+    raise QuadratureError(
+        "no convergence after %d halvings; last two estimates %r"
+        % (params.max_refine, [e.tolist() for e in ests[-2:]])
+    )
 
 
 def _pair_many(indices, W: CycleW, params: SolverParams, y=None,
                extra_weight=0, contour: Contour = None):
-    """Refined pairings against g_j for several indices j at once.
-
-    Doubles truncation and panel density together until the estimates
-    stabilize.
-    """
+    """Pairings against g_j for several indices j at once, on one
+    trapezoidal rule."""
     W.validate(params)
     yy = params.y if y is None else tuple(y)
     if contour is None:
         contour = build_contour(
             replace(params, y=yy), W=W, include_shifted=False
         )
-    trunc = contour.trunc
-    ppu = params.panels_per_unit
-    prev = None
-    for step in range(params.max_refine + 1):
-        panels = max(4, int(math.ceil(2 * trunc * ppu)))
-        cur, scale = _pairing_pass(
-            indices, W, params, yy, trunc, panels, extra_weight=extra_weight
-        )
-        if prev is not None:
-            err = max(abs(a - b) for a, b in zip(cur, prev))
-            bound = max(
-                params.rtol * max(abs(v) for v in cur),
-                params.atol * max(scale, 1.0),
-            )
-            if err <= bound:
-                diag = {
-                    "trunc": trunc,
-                    "panels": panels,
-                    "quad_error": err,
-                    "refinements": step,
-                    "scale": scale,
-                }
-                return cur, diag
-        prev = cur
-        trunc *= 2
-        ppu *= 2
-    raise QuadratureError(
-        "no convergence after %d refinements; last two estimates %r / %r"
-        % (params.max_refine, prev, cur)
-    )
+
+    def values(t):
+        ker = _kernel_cycle_array(t, yy, W, params, extra_weight=extra_weight)
+        rows = _weight_rows(t, yy, params.k)
+        return ker * np.array([rows[j - 1] for j in indices]), np.abs(ker)
+
+    return _trapezoid(values, params, contour)
 
 
 def pair_I(j: int, W: CycleW, params: SolverParams, y=None,
@@ -687,25 +649,13 @@ def vanishing_integral(W: CycleW, params: SolverParams,
         contour = build_contour(params, W=W, include_shifted=False)
     ex = params.big_e
 
-    trunc = contour.trunc
-    ppu = params.panels_per_unit
-    prev = None
-    for step in range(params.max_refine + 1):
-        panels = max(4, int(math.ceil(2 * trunc * ppu)))
-        total = 0j
-        scale = 0.0
-        for t, w, ker in _kernel_chunks(W, params, params.y, trunc, panels):
-            val = ker * (1 - ex * prod_ratio_full(t, params.y, params.k))
-            total += complex(np.sum(w * val))
-            scale += float(np.sum(np.abs(w) * np.abs(ker)))
-        if prev is not None and abs(total - prev) <= max(
-            params.rtol * scale, params.atol
-        ):
-            return total, scale
-        prev = total
-        trunc *= 2
-        ppu *= 2
-    raise QuadratureError("vanishing-integral refinement did not converge")
+    def values(t):
+        ker = _kernel_cycle_array(t, params.y, W, params)
+        ratio = prod_ratio_full(t, params.y, params.k)
+        return (ker * (1 - ex * ratio))[None], np.abs(ker)
+
+    (value,), diag = _trapezoid(values, params, contour)
+    return value, diag["scale"]
 
 
 def residual_report(W: CycleW, params: SolverParams) -> dict:

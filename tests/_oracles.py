@@ -1,6 +1,6 @@
 """Independent quadrature oracle shared by the solver and acceptance tests.
 
-Kept deliberately separate from the package's panel-refinement integrator:
+Kept deliberately separate from the package's trapezoidal integrator:
 plain adaptive Simpson with Richardson correction, recursing on the same
 integrand samples the implementation sees.
 """

@@ -9,7 +9,7 @@ numerator gives the derivative without any finite differencing.
 import pytest
 
 from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
-from bqkz.scalar_field import PoleError, div, inv, rat
+from bqkz.scalar_field import PoleError, div, rat
 from bqkz.tensor_ops import LinOp, Space, Vec
 from bqkz.rqkz import ModelParams, op_Q, op_dQ_dx
 from bqkz.compat_ops import (
@@ -31,7 +31,6 @@ from bqkz.compat_ops import (
     op_A,
     op_B,
     op_I,
-    op_M,
     op_dB_dx,
     op_dK_term,
 )

@@ -6,7 +6,7 @@ import pytest
 from bqkz.sampling import make_rng, rand_tuple, sample_point
 from bqkz.scalar_field import inv, rat
 from bqkz.tensor_ops import LinOp, Space, Vec
-from bqkz.rqkz import ModelParams, ones, op_K, op_Q_inv, op_T
+from bqkz.rqkz import ModelParams, op_Q_inv
 from bqkz.compat_ops import coll_Y, coll_Z, op_A
 from bqkz.hecke_module import (
     SignedPerm,

@@ -14,7 +14,7 @@ import pytest
 
 from fractions import Fraction
 
-from bqkz.rqkz import ModelParams, ones, op_K, op_P, op_R, op_T
+from bqkz.rqkz import ones, op_K, op_P, op_R, op_T
 from bqkz.tensor_ops import Space, Vec, embed_pair, embed_site
 import bqkz.integral_solver as solver
 from bqkz.integral_solver import (
@@ -26,11 +26,8 @@ from bqkz.integral_solver import (
     TWO_PI_I,
     build_contour,
     dlambda_solution,
-    filler_vector,
     ftilde_residual,
     func_g,
-    func_h,
-    gtilde_vec,
     kernel_log_phi,
     ode_residual,
     pair_I,
@@ -41,7 +38,6 @@ from bqkz.integral_solver import (
     validate_contour_line,
     vanishing_integral,
     vec_u,
-    vec_u_all,
 )
 
 C = 0.1 + 0.2j
@@ -60,6 +56,44 @@ def rand_t(r):
 
 def vec_norm(vec):
     return max((abs(complex(v)) for v in vec.entries.values()), default=0.0)
+
+
+def vec_u_all(params):
+    return [vec_u(j, params) for j in range(1, 2 * params.n + 1)]
+
+
+def filler_vector(params):
+    """The fixed symmetric tensor on n-1 sites (empty when n = 1)."""
+    if params.n == 1:
+        raise ValueError("no filler sites when n = 1")
+    space = Space(params.n - 1, params.half_dim)
+    out = Vec(space, {})
+    for state in solver._symmetric_fills(params.n - 1, params.half_dim):
+        out = out.add(Vec.basis(space, state))
+    return out
+
+
+def func_h(j, t, y, lam, k):
+    """Coefficient functions of the first differential operator applied to
+    the solution: a diagonal term plus two geometric ladder sums."""
+    n = len(y)
+    yext = tuple(y) + tuple(-v for v in reversed(tuple(y)))
+    ex = cmath.exp(TWO_PI_I * lam)
+    out = -(t - yext[j - 1]) * func_g(j, t, y, k)
+    for l in range(1, j):
+        out += k / (ex - 1) * func_g(l, t, y, k)
+    for l in range(j + 1, 2 * n + 1):
+        out += k * ex / (ex - 1) * func_g(l, t, y, k)
+    return out
+
+
+def gtilde_vec(t, y, params):
+    """Vector-valued weight function: sum of g_j(t) times the j-th basis
+    vector of the target subspace."""
+    out = Vec(params.space, {})
+    for j in range(1, 2 * params.n + 1):
+        out = out.add(vec_u(j, params).scale(func_g(j, t, y, params.k)))
+    return out
 
 
 # ---------------------------------------------------------------- regime
@@ -509,3 +543,150 @@ def test_array_pass_raises_no_floating_point_flag():
                 assert rep["quadrature"]["refinements"] >= 2
                 value, scale = vanishing_integral(W, p)
                 assert abs(value) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------- trapezoidal rule
+
+
+def test_each_node_is_evaluated_once(monkeypatch):
+    """Nested halving reuses every node: one solve evaluates the kernel at
+    exactly the panels + 1 nodes of its final grid."""
+    real = solver._kernel_cycle_array
+    for n, lam, y in ((1, 0.885, (0.3,)), (2, 0.31, (0.3, -0.2))):
+        p = mkparams(n, lam, y)
+        nodes = []
+
+        def counting(t, *args, **kwargs):
+            nodes.append(len(t))
+            return real(t, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_kernel_cycle_array", counting)
+        sol = solve_f(p.lam, p.y, CycleW.monomial(1), p)
+        monkeypatch.setattr(solver, "_kernel_cycle_array", real)
+        assert sum(nodes) == sol.diagnostics["panels"] + 1, (n, lam)
+
+
+# Coefficients of the Gauss-Legendre panel integrator this rule replaced,
+# keyed by (n, lambda, extra_weight): the six criterion 6 configurations,
+# the solve-tails band at n = 1 and a solve-window point at n = 2.
+PARENT_COEFFS = {
+    (1, 0.25, 0): (
+        (0.076476530177877+0.027516510650004922j),
+        (-0.115428605698868+0.0416879803972149j),
+    ),
+    (1, 0.25, 1): (
+        (1.0913026151798702-0.2738354961362858j),
+        (-1.0370675545303636+1.7600202686605022j),
+    ),
+    (1, -0.35, 0): (
+        (26.466338784737495-152.57664670319167j),
+        (267.49899772305184-54.63914236605071j),
+    ),
+    (1, -0.35, 1): (
+        (744.8663931531049-4420.528495085705j),
+        (7373.7068075679545-2467.2733710820703j),
+    ),
+    (1, -0.7, 0): (
+        (-0.05551232065207437-0.09523541392131883j),
+        (-0.26616657609188554+0.2586850971007329j),
+    ),
+    (1, -0.7, 1): (
+        (4.027676844191709+5.787030135625001j),
+        (4.067279059041559+5.453741788962828j),
+    ),
+    (2, 0.31, 0): (
+        (42477.007307035805+15824.722746966532j),
+        (13166.09317098158+73440.1766071296j),
+        (-43808.514390246026+34268.4208469075j),
+        (-70185.45534385166-45922.40788157259j),
+    ),
+    (2, 0.31, 1): (
+        (1218134.2188575992+455889.4597853256j),
+        (472284.95338746766+2052859.5212318655j),
+        (-1143789.9912120358+1097053.54742998j),
+        (-2193512.216980742-967757.5849359571j),
+    ),
+    (2, -0.35, 0): (
+        (-3365098005.2081704+19208340106.326023j),
+        (-17198604558.900444+19488643037.482933j),
+        (-20545857384.98131+5971574515.383566j),
+        (-26580396873.737793-9297726958.714176j),
+    ),
+    (2, -0.35, 1): (
+        (-375556920070.86743+976860789916.5963j),
+        (-1065541650832.9811+859808238987.7114j),
+        (-1119365248799.782+163227766713.6641j),
+        (-1324473977271.0867-625522119301.6055j),
+    ),
+    (2, 0.1, 0): (
+        (121.75667821206939+43.16520009283278j),
+        (-89.21579495016573+248.80819091573494j),
+        (-130.24693280374652-34.040314269716696j),
+        (19.014038721081388-228.9923296825377j),
+    ),
+    (2, 0.1, 1): (
+        (2921.5726319953383+745.7984278823934j),
+        (-1085.573330673891+6100.762669955603j),
+        (-3200.3080639005325-67.42729827977699j),
+        (-1149.7457395103054-5413.709365781212j),
+    ),
+    (1, 0.885, 0): (
+        (6192412.256261532+969222.8324100515j),
+        (6833219.682309265+4243751.493825806j),
+    ),
+    (1, 0.885, 1): (
+        (463764286.30748856+203676220.00724894j),
+        (447320047.1731918+440648046.1677665j),
+    ),
+    (1, -0.11, 0): (
+        (-0.004260970266446456-0.006220480366636895j),
+        (0.0018478119161657548+0.005915759501831125j),
+    ),
+    (1, -0.11, 1): (
+        (-0.09044418745445643+0.04351891550256138j),
+        (0.10094640268118021-0.0072911524935686j),
+    ),
+    (1, 0.89, 0): (
+        (9018981.379993297+2418906.356986994j),
+        (9479641.691000173+7134867.3486863235j),
+    ),
+    (1, 0.89, 1): (
+        (680547495.9994115+395878000.29142743j),
+        (619691082.1319891+742631254.9040408j),
+    ),
+    (2, 0.25, 0): (
+        (8570.637767201697+3906.7290359656436j),
+        (845.7337143125321+15173.877624829358j),
+        (-11024.224453443545+5462.67506406297j),
+        (-10840.94695318737-14297.47156435858j),
+    ),
+    (2, 0.25, 1): (
+        (229967.9248238098+94944.08591705008j),
+        (56874.13550735534+392113.66076431994j),
+        (-266315.0642633173+183676.17686881128j),
+        (-362054.1851912582-310957.104333868j),
+    ),
+}
+PARENT_CONFIGS = {
+    (1, 0.25): ((0.3,), CycleW.monomial(1)),
+    (1, -0.35): ((0.3,), CycleW.monomial(0)),
+    (1, -0.7): ((0.3,), CycleW(((0, 1.0), (1, 0.5j)))),
+    (2, 0.31): ((0.3, -0.2), CycleW.monomial(1)),
+    (2, -0.35): ((0.3, -0.2), CycleW.monomial(0)),
+    (2, 0.1): ((0.25, -0.4), CycleW(((1, 1.0), (2, -0.3)))),
+    (1, 0.885): ((0.3,), CycleW.monomial(1)),
+    (1, -0.11): ((0.3,), CycleW.monomial(1)),
+    (1, 0.89): ((0.3,), CycleW.monomial(1)),
+    (2, 0.25): ((0.3, -0.15), CycleW.monomial(1)),
+}
+
+
+def test_trapezoid_matches_the_parent_coefficients():
+    assert len(PARENT_COEFFS) == 2 * len(PARENT_CONFIGS)
+    for (n, lam, extra), want in PARENT_COEFFS.items():
+        y, W = PARENT_CONFIGS[n, lam]
+        p = mkparams(n, lam, y)
+        got = solve_f(p.lam, p.y, W, p, extra_weight=extra).coeffs
+        top = max(abs(v) for v in want)
+        err = max(abs(a - b) for a, b in zip(got, want))
+        assert err <= 1e-12 * top, (n, lam, extra, err / top)

@@ -18,7 +18,6 @@ from bqkz.rqkz import (
     op_Q,
     op_Q_inv,
     op_Q_split,
-    op_R,
     op_R_k,
     op_T,
     op_dK_dx,
