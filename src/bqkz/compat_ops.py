@@ -12,6 +12,12 @@ The same L_a has a second construction from a one-site block I_a and a
 two-site block M_a summed over sites and site pairs.  Keeping both routes
 alive (no shared code paths beyond the matrix units) is deliberate: each
 certification below compares structurally different computations.
+
+The two compatibility residuals take the operators of their point as
+arguments: L_a at y and at the shifted y, and, for the direct form, the
+transport operator Q_m.  A caller builds each of them once per point and
+passes it to every check that needs it; the two forms share those inputs
+and nothing else.
 """
 
 from __future__ import annotations
@@ -27,10 +33,8 @@ from .rqkz import (
     op_dQ_dx,
     op_K,
     op_P,
-    op_Q,
     op_R_k,
     q_split_descs,
-    shift_y,
 )
 from .scalar_field import PoleError, div, inv
 from .tensor_ops import LinOp, Space, commutator, embed_pair, embed_site, product, site_tensor
@@ -496,8 +500,10 @@ def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:
     return lhs - expected
 
 
-def compat_three_term(a: int, m: int, x, y, params: ModelParams) -> LinOp:
-    """Split-form compatibility residual.
+def compat_three_term(a: int, m: int, x, y, params: ModelParams,
+                      l_a: LinOp, l_a_shifted: LinOp) -> LinOp:
+    """Split-form compatibility residual, given L_a at y and at y with its
+    m-th argument shifted.
 
     piece one: the middle-reflection derivative term (closed form, cross
     checked); piece two: the shifted operator conjugated by the inverse of
@@ -508,34 +514,26 @@ def compat_three_term(a: int, m: int, x, y, params: ModelParams) -> LinOp:
     head, mid, tail = q_split_descs(m, space.n)
     piece1 = op_dK_term(m, a, x, y, params)
 
-    shifted = op_L(a, x, shift_y(y, m, params.c), params)
     piece2 = product(
-        factor_ops(invert_descs(head), x, y, params) + [shifted] + factor_ops(head, x, y, params)
+        factor_ops(invert_descs(head), x, y, params) + [l_a_shifted]
+        + factor_ops(head, x, y, params)
     )
 
     piece3 = product(
         factor_ops([mid] + tail, x, y, params)
-        + [op_L(a, x, y, params)]
+        + [l_a]
         + factor_ops(invert_descs([mid] + tail), x, y, params)
     )
 
     return piece1 + piece2 - piece3
 
 
-def compat_direct(a: int, m: int, x, y, params: ModelParams) -> LinOp:
+def compat_direct(a: int, m: int, x, y, params: ModelParams,
+                  l_a: LinOp, l_a_shifted: LinOp, q_m: LinOp) -> LinOp:
     """Commutator-form compatibility residual, built only from the transport
-    operator, the matrix part L_a, and the analytic transport derivative."""
+    operator Q_m, the matrix parts L_a and L_a(shifted), and the analytic
+    transport derivative."""
     x = tuple(x)
-    shifted = op_L(a, x, shift_y(y, m, params.c), params)
-    q = op_Q(m, x, y, params)
-    return shifted @ q - q @ op_L(a, x, y, params) + op_dQ_dx(m, x, y, params, a).scale(
+    return l_a_shifted @ q_m - q_m @ l_a + op_dQ_dx(m, x, y, params, a).scale(
         params.c * x[a - 1]
-    )
-
-
-def check_compatibility(a: int, m: int, x, y, params: ModelParams):
-    """Both compatibility residuals (split form, direct form)."""
-    return (
-        compat_three_term(a, m, x, y, params),
-        compat_direct(a, m, x, y, params),
     )

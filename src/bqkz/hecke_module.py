@@ -8,6 +8,13 @@ action).  The orbit of v_1 x ... x v_n under the left action spans a
 coordinate subspace whose basis vectors are indexed by group elements; the
 interesting identities of this module hold on that subspace only, so checks
 restrict to it explicitly.
+
+The degenerate product Cbar_m has two independent constructions: `op_Cbar`
+from normalized factors and `cbar_grouped` with the denominators pulled
+into one scalar.  Each writes its factors' entries down directly on one or
+two sites and embeds them, with its own builder.  A caller builds Cbar_m
+once per point; the orbit check compares it with the inverse transport
+operator evaluated on the orbit columns only.
 """
 
 from __future__ import annotations
@@ -16,7 +23,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rqkz import ModelParams, ones, op_P, op_Q_inv, op_T
+from .rqkz import (
+    ModelParams,
+    compose_descs,
+    invert_descs,
+    ones,
+    op_P,
+    op_T,
+    q_factor_list,
+)
 from .scalar_field import PoleError, div, inv
 from .tensor_ops import LinOp, Space, Vec, embed_pair, embed_site, product
 
@@ -267,33 +282,54 @@ def cbar_factor_list(m: int, n: int):
 
 
 def _cbar_factor(desc, x, y, params: ModelParams) -> LinOp:
+    """One degenerate factor, its entries written down directly on one or
+    two sites and embedded at its slots."""
     kind, slot, yterms, cmult = desc
     space = params.space
     n = space.n
     arg = cmult * params.c
     for idx, coef in yterms:
         arg = arg + coef * y[idx - 1]
-    ident = LinOp.identity(space)
     if kind == "Rb":
         den = arg + params.k
         if den == 0:
             raise PoleError("slot-swap factor pole")
-        p = embed_pair(op_P(n), slot, slot + 1, space)
-        return (p.scale(arg) + ident.scale(params.k)).scale(inv(den))
+        # (arg P + k)/(arg + k) fixes a column with equal codes.
+        keep, swap = div(params.k, den), div(arg, den)
+        cols = {}
+        for a in range(2 * n):
+            for b in range(2 * n):
+                col = {(a, b): 1} if a == b else {(a, b): keep, (b, a): swap}
+                cols[(a, b)] = {r: v for r, v in col.items() if v != 0}
+        return embed_pair(LinOp(Space(2, n), cols), slot, slot + 1, space)
     if kind == "Kn":
         den = arg - params.alpha
         if den == 0:
             raise PoleError("all-ones end factor pole")
-        t = embed_site(op_T(ones(n)), n, space)
-        return (t.scale(arg) - ident.scale(params.alpha)).scale(inv(den))
-    if kind == "K0":
+        # (arg T(1) - alpha)/(arg - alpha) at site n.
+        w = div(arg, den)
+        flips = [(w, w)] * n
+        diag, site = div(-params.alpha, den), n
+    elif kind == "K0":
         half_c = div(params.c, 2)
         den = arg + params.beta + half_c
         if den == 0:
             raise PoleError("coordinate end factor pole")
-        t = embed_site(op_T(x), 1, space)
-        return (t.scale(arg + half_c) + ident.scale(params.beta)).scale(inv(den))
-    raise ValueError("unknown factor kind %r" % (kind,))
+        # ((arg + c/2) T(x) + beta)/(arg + beta + c/2) at site 1.
+        w = div(arg + half_c, den)
+        flips = []
+        for a, xa in enumerate(x):
+            if xa == 0:
+                raise PoleError("reflection coordinate %d is zero" % (a + 1))
+            flips.append((w * inv(xa), w * xa))
+        diag, site = div(params.beta, den), 1
+    else:
+        raise ValueError("unknown factor kind %r" % (kind,))
+    cols = {}
+    for a, (down, up) in enumerate(flips):
+        for col, row, v in ((a, n + a, down), (n + a, a, up)):
+            cols[(col,)] = {r: e for r, e in {(row,): v, (col,): diag}.items() if e != 0}
+    return embed_site(LinOp(Space(1, n), cols), site, space)
 
 
 def op_Cbar(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
@@ -318,28 +354,44 @@ def p_m_scalar(m: int, y: Sequence, params: ModelParams):
 
 
 def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
-    """Same product with every denominator pulled into one scalar."""
+    """Same product with every denominator pulled into one scalar; each
+    linear factor is written down directly on one or two sites."""
     space = params.space
     n = space.n
     ym = y[m - 1]
     k = params.k
-    ident = LinOp.identity(space)
+
+    def nonzero(cols):
+        cols = {c: {r: v for r, v in col.items() if v != 0} for c, col in cols.items()}
+        return {c: col for c, col in cols.items() if col}
 
     def swap_factor(arg, slot):
-        p = embed_pair(op_P(n), slot, slot + 1, space)
-        return p.scale(arg) - ident.scale(k)
+        # arg P - k on slots slot and slot + 1.
+        cols = {}
+        for a in range(2 * n):
+            for b in range(2 * n):
+                cols[(a, b)] = {(a, b): arg - k} if a == b else {(a, b): -k, (b, a): arg}
+        return embed_pair(LinOp(Space(2, n), nonzero(cols)), slot, slot + 1, space)
+
+    def end_factor(weight, coords, shift, site):
+        # weight T(coords) - shift at one site.
+        cols = {}
+        for a, xa in enumerate(coords):
+            if xa == 0:
+                raise PoleError("reflection coordinate %d is zero" % (a + 1))
+            cols[(a,)] = {(n + a,): weight * inv(xa), (a,): -shift}
+            cols[(n + a,)] = {(a,): weight * xa, (n + a,): -shift}
+        return embed_site(LinOp(Space(1, n), nonzero(cols)), site, space)
 
     factors = []
     for j in range(m + 1, n + 1):
         factors.append(swap_factor(ym - y[j - 1], j - 1))
-    tn = embed_site(op_T(ones(n)), n, space)
-    factors.append(tn.scale(ym) - ident.scale(params.alpha))
+    factors.append(end_factor(ym, ones(n), params.alpha, n))
     for j in range(n, m, -1):
         factors.append(swap_factor(ym + y[j - 1], j - 1))
     for j in range(m - 1, 0, -1):
         factors.append(swap_factor(ym + y[j - 1], j))
-    t1 = embed_site(op_T(x), 1, space)
-    factors.append(t1.scale(ym - div(params.c, 2)) - ident.scale(params.beta))
+    factors.append(end_factor(ym - div(params.c, 2), tuple(x), params.beta, 1))
     for j in range(1, m):
         factors.append(swap_factor(ym - y[j - 1] - params.c, j))
 
@@ -349,17 +401,22 @@ def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp
     return product(factors).scale(inv(p))
 
 
-def cbar_vs_inverse_transport_defects(x, y, params: ModelParams):
-    """Difference of the degenerate product and the inverse transport
-    operator on each orbit basis vector, for every site."""
+def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: LinOp,
+                                      states) -> list:
+    """Orbit states on which the site-m degenerate product cbar and the
+    inverse transport operator differ.
+
+    The inverse transport is evaluated on the orbit columns only: its
+    factor-wise inverses are applied to the projector onto the orbit
+    states.  The difference is read on those columns alone.
+    """
     space = params.space
-    out = []
-    for m in range(1, space.n + 1):
-        cb = op_Cbar(m, x, y, params)
-        qi = op_Q_inv(m, x, y, params)
-        diff = cb - qi
-        out.append((m, [s for s in orbit_states(space) if s in diff.cols]))
-    return out
+    proj = LinOp.of(space, {s: {s: 1} for s in states})
+    inverse = compose_descs(
+        invert_descs(q_factor_list(m, space.n)), x, y, params, start=proj
+    )
+    diff = cbar - inverse
+    return [s for s in states if s in diff.cols]
 
 
 def check_L_restriction(a: int, x, y, params: ModelParams):

@@ -173,11 +173,25 @@ class CycleW:
 
 @dataclass(frozen=True)
 class Contour:
-    """Validated horizontal integration path Im t = delta, |Re t| <= trunc."""
+    """Validated horizontal integration path Im t = delta, |Re t| <= trunc,
+    with the pole configurations (y, c, k, include_shifted) it was
+    validated for."""
 
     delta: float
     trunc: float
     record: dict
+    y: tuple
+    c: complex
+    k: complex
+    include_shifted: bool
+
+    def widened(self, trunc: float) -> "Contour":
+        """The same line and configurations, validated out to trunc."""
+        record = validate_contour_line(
+            self.y, self.c, self.k, self.delta, trunc,
+            include_shifted=self.include_shifted,
+        )
+        return replace(self, trunc=trunc, record=record)
 
 
 @dataclass(frozen=True)
@@ -427,7 +441,8 @@ def build_contour(params: SolverParams, W: CycleW = None,
         params.y, params.c, params.k, params.delta, trunc,
         include_shifted=include_shifted,
     )
-    return Contour(delta=params.delta, trunc=trunc, record=record)
+    return Contour(delta=params.delta, trunc=trunc, record=record, y=tuple(params.y),
+                   c=params.c, k=params.k, include_shifted=include_shifted)
 
 
 # Nodes per array evaluation; bounds the working arrays of a sweep.
@@ -455,9 +470,11 @@ def _trapezoid(values, params: SolverParams, contour: Contour):
     analytic only within that distance of the line, and the error of the
     rule falls like exp(-2 pi gap / h).  On that grid the truncation
     doubles until the largest term of the newest outer band, times h, is
-    at most atol * max(scale, 1); it then stays fixed.  Each halving of h
-    evaluates only the new midpoints and reuses every earlier node, until
-    two successive estimates agree.  Returns the estimates and diagnostics.
+    at most atol * max(scale, 1); it then stays fixed, and the contour is
+    validated out to it (diagnostics "contour"), so its pole record
+    covers the whole integrated line.  Each halving of h evaluates only
+    the new midpoints and reuses every earlier node, until two successive
+    estimates agree.  Returns the estimates and diagnostics.
     """
     rec = contour.record
     h = min(1.0 / params.panels_per_unit, rec["min_gap_above"],
@@ -472,6 +489,7 @@ def _trapezoid(values, params: SolverParams, contour: Contour):
         if top * h <= params.atol * max(h * abs_sum, 1.0):
             break
     trunc = half * h
+    contour = contour.widened(trunc)
     ests = [h * sums]
     for step in range(1, params.max_refine + 1):
         s, a, _ = _sweep(values, (np.arange(-half, half) + 0.5) * h + line)
@@ -482,6 +500,7 @@ def _trapezoid(values, params: SolverParams, contour: Contour):
         if err <= max(params.rtol * float(np.max(np.abs(est))),
                       params.atol * max(scale, 1.0)):
             diag = {
+                "contour": contour,
                 "trunc": trunc,
                 "panels": 2 * half,
                 "quad_error": err,
@@ -541,14 +560,14 @@ def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
 
 def _shifted_solutions(W: CycleW, params: SolverParams,
                        contour: Contour) -> list:
-    """Solution vectors at y with its m-th entry stepped down by c, for
+    """Solutions at y with its m-th entry stepped down by c, for
     m = 1 .. n."""
     out = []
     for m in range(1, params.n + 1):
         shifted_y = list(params.y)
         shifted_y[m - 1] = shifted_y[m - 1] - params.c
         out.append(solve_f(params.lam, tuple(shifted_y), W, params,
-                           contour=contour).vec)
+                           contour=contour))
     return out
 
 
@@ -572,7 +591,7 @@ def qkz_residuals(W: CycleW, params: SolverParams,
         contour = build_contour(params, W=W, include_shifted=True)
     base = solve_f(params.lam, params.y, W, params, contour=contour)
     shifted = _shifted_solutions(W, params, contour)
-    return _qkz_from_vectors(params, base.vec, shifted)
+    return _qkz_from_vectors(params, base.vec, [sol.vec for sol in shifted])
 
 
 def dlambda_solution(W: CycleW, params: SolverParams,
@@ -670,8 +689,12 @@ def residual_report(W: CycleW, params: SolverParams) -> dict:
     base = solve_f(params.lam, params.y, W, params, contour=contour)
     shifted = _shifted_solutions(W, params, contour)
     deriv = dlambda_solution(W, params, contour=contour)
-    qkz = _qkz_from_vectors(params, base.vec, shifted)
+    qkz = _qkz_from_vectors(params, base.vec, [sol.vec for sol in shifted])
     ode, ftilde = _differential_residuals(params, base.vec, deriv.vec)
+    # Every solve validated the contour out to its own truncation; the
+    # widest of those records covers every integrated line.
+    contour = max((sol.diagnostics["contour"] for sol in [base, *shifted, deriv]),
+                  key=lambda ctr: ctr.trunc)
     report = {
         "n": params.n,
         "lambda": [params.lam.real, params.lam.imag],

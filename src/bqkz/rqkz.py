@@ -13,9 +13,14 @@ Each exchange and reflection factor is built entry by entry from its
 scalar argument: its few distinct entries are cleared once into int
 numerators over one denominator.  Products of factors are formed by
 `tensor_ops.product`, a fold of `LinOp.compose` over those integer forms
-that reduces each partial product by one gcd; each check that multiplies
-transport operators passes its whole factor list to one product, and no
-operator ever stores a rational entry.
+that reduces each partial product by one gcd; no operator ever stores a
+rational entry.
+
+The consistency checks take the transport operators of their point as
+arguments, so a caller builds each Q_m once and reuses it: the split check
+compares the grouped product with it, the inverse check applies the
+inverse factors to it, and each pair check applies the shifted factors of
+one transport operator to the other (`compose_descs` with `start`).
 
 Every factor checks its own denominator at build time, so a pole in any
 requested construction raises PoleError immediately with the offending
@@ -241,11 +246,6 @@ def op_Q_split(m: int, x: Sequence, y: Sequence, params: ModelParams):
     )
 
 
-def op_Q_inv(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
-    """Inverse transport operator, assembled from factor-wise inverses."""
-    return compose_descs(invert_descs(q_factor_list(m, params.space.n)), x, y, params)
-
-
 def op_dQ_dx(m: int, x: Sequence, y: Sequence, params: ModelParams, a: int) -> LinOp:
     """Derivative of the transport operator in the a-th coordinate.
 
@@ -320,25 +320,25 @@ def flip_factor_defect(lam, x: Sequence, beta) -> LinOp:
     return lhs - rhs
 
 
-def transport_consistency_defect(m: int, l: int, x, y, params: ModelParams) -> LinOp:
-    """Exchange of two shifted transport operators; zero iff consistent."""
+def transport_consistency_defect(m: int, l: int, x, y, params: ModelParams,
+                                 q_m: LinOp, q_l: LinOp) -> LinOp:
+    """Exchange of two shifted transport operators, given Q_m and Q_l at y;
+    zero iff consistent."""
     if m == l:
         raise ValueError("need two distinct sites")
     c = params.c
-    qm = q_factor_list(m, params.space.n)
-    ql = q_factor_list(l, params.space.n)
-    lhs = product(factor_ops(qm, x, shift_y(y, l, c), params) + factor_ops(ql, x, y, params))
-    rhs = product(factor_ops(ql, x, shift_y(y, m, c), params) + factor_ops(qm, x, y, params))
+    n = params.space.n
+    lhs = compose_descs(q_factor_list(m, n), x, shift_y(y, l, c), params, start=q_l)
+    rhs = compose_descs(q_factor_list(l, n), x, shift_y(y, m, c), params, start=q_m)
     return lhs - rhs
 
 
-def q_split_defect(m: int, x, y, params: ModelParams) -> LinOp:
-    return product(op_Q_split(m, x, y, params)) - op_Q(m, x, y, params)
+def q_split_defect(m: int, x, y, params: ModelParams, q: LinOp) -> LinOp:
+    """Grouped product of the split transport operator minus Q_m itself."""
+    return product(op_Q_split(m, x, y, params)) - q
 
 
-def q_inverse_defect(m: int, x, y, params: ModelParams) -> LinOp:
-    """Inverse transport factors applied to the transport operator, minus
-    the identity."""
-    descs = q_factor_list(m, params.space.n)
-    prod = product(factor_ops(invert_descs(descs), x, y, params) + factor_ops(descs, x, y, params))
-    return prod - LinOp.identity(params.space)
+def q_inverse_defect(m: int, x, y, params: ModelParams, q: LinOp) -> LinOp:
+    """Inverse transport factors applied to Q_m, minus the identity."""
+    inverse = invert_descs(q_factor_list(m, params.space.n))
+    return compose_descs(inverse, x, y, params, start=q) - LinOp.identity(params.space)

@@ -147,13 +147,16 @@ def _model_suite(checks, draw_x=True, on_orbit=False):
 
 def _qkz_consistency(x, y, params):
     n = params.space.n
-    for m in range(1, n + 1):
-        yield "split-%d" % m, rqkz.q_split_defect(m, x, y, params)
-        yield "inverse-%d" % m, rqkz.q_inverse_defect(m, x, y, params)
+    qs = [rqkz.op_Q(m, x, y, params) for m in range(1, n + 1)]
+    for m, q_m in enumerate(qs, start=1):
+        yield "split-%d" % m, rqkz.q_split_defect(m, x, y, params, q_m)
+        yield "inverse-%d" % m, rqkz.q_inverse_defect(m, x, y, params, q_m)
         # The (l, m) defect builds the same two factor chains as (m, l) with
         # the sides swapped, so each unordered pair is checked once.
         for l in range(m + 1, n + 1):
-            yield "pair-%d-%d" % (m, l), rqkz.transport_consistency_defect(m, l, x, y, params)
+            yield "pair-%d-%d" % (m, l), rqkz.transport_consistency_defect(
+                m, l, x, y, params, q_m, qs[l - 1]
+            )
 
 
 def _lemma_aa(x, y, params):
@@ -179,11 +182,18 @@ def _cross_derivative(x, y, params):
 
 
 def _compatibility(x, y, params):
+    n = params.space.n
+    qs = [rqkz.op_Q(m, x, y, params) for m in range(1, n + 1)]
     for a in range(1, params.space.half_dim + 1):
-        for m in range(1, params.space.n + 1):
-            split, direct = compat_ops.check_compatibility(a, m, x, y, params)
-            yield "split-%d-%d" % (a, m), split
-            yield "direct-%d-%d" % (a, m), direct
+        l_a = compat_ops.op_L(a, x, y, params)
+        for m, q_m in enumerate(qs, start=1):
+            shifted = compat_ops.op_L(a, x, rqkz.shift_y(y, m, params.c), params)
+            yield "split-%d-%d" % (a, m), compat_ops.compat_three_term(
+                a, m, x, y, params, l_a, shifted
+            )
+            yield "direct-%d-%d" % (a, m), compat_ops.compat_direct(
+                a, m, x, y, params, l_a, shifted, q_m
+            )
 
 
 def _aha(x, y, params):
@@ -256,17 +266,18 @@ def _phi_iso(n):
 
 def _cbar_qinv(n):
     space = Space(n, n)
+    states = tuple(hecke_module.orbit_states(space))
 
     def build(r):
         params = ModelParams.random(r, space)
         x = _rand_x(r, n)
         y = rand_tuple(r, n)
         out = []
-        for m, states in hecke_module.cbar_vs_inverse_transport_defects(x, y, params):
-            if states:
+        for m in range(1, n + 1):
+            cbar = hecke_module.op_Cbar(m, x, y, params)
+            if hecke_module.cbar_vs_inverse_transport_defects(m, x, y, params, cbar, states):
                 out.append("site-%d" % m)
-            grouped = hecke_module.cbar_grouped(m, x, y, params)
-            if not (hecke_module.op_Cbar(m, x, y, params) - grouped).is_zero():
+            if cbar != hecke_module.cbar_grouped(m, x, y, params):
                 out.append("grouped-%d" % m)
         return out, (x, y)
 

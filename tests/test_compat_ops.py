@@ -11,7 +11,7 @@ import pytest
 from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, div, rat
 from bqkz.tensor_ops import LinOp, Space, Vec
-from bqkz.rqkz import ModelParams, op_Q, op_dQ_dx
+from bqkz.rqkz import ModelParams, op_Q, op_dQ_dx, shift_y
 from bqkz.compat_ops import (
     RouteMismatch,
     ad_coordinate_on_I_defect,
@@ -20,7 +20,6 @@ from bqkz.compat_ops import (
     ad_tail_defect,
     block_assembly_defect,
     check_comm_IM,
-    check_compatibility,
     check_cross_derivative,
     comm_AA_defect,
     comm_LL_defect,
@@ -31,6 +30,7 @@ from bqkz.compat_ops import (
     op_A,
     op_B,
     op_I,
+    op_L,
     op_dB_dx,
     op_dK_term,
 )
@@ -394,8 +394,13 @@ def test_compatibility_both_forms():
                 x = generic_x(r, half)
                 y = rand_tuple(r, n)
                 for a in range(1, half + 1):
+                    l_a = op_L(a, x, y, params)
                     for m in range(1, n + 1):
-                        split, direct = check_compatibility(a, m, x, y, params)
+                        shifted = op_L(a, x, shift_y(y, m, params.c), params)
+                        split = compat_three_term(a, m, x, y, params, l_a, shifted)
+                        direct = compat_direct(
+                            a, m, x, y, params, l_a, shifted, op_Q(m, x, y, params)
+                        )
                         assert split.is_zero(), (n, half, a, m)
                         assert direct.is_zero(), (n, half, a, m)
                 return True
@@ -419,14 +424,17 @@ def test_compat_forms_are_independent_routes(monkeypatch):
 
     params, x, y = sample_point(rng, body)
     ident = LinOp.identity(space)
+    l_a = op_L(1, x, y, params)
+    shifted = op_L(1, x, shift_y(y, 1, params.c), params)
+    q = op_Q(1, x, y, params)
 
     real_dq = co.op_dQ_dx
     monkeypatch.setattr(co, "op_dQ_dx", lambda *a, **kw: real_dq(*a, **kw) + ident)
-    assert not compat_direct(1, 1, x, y, params).is_zero()
-    assert compat_three_term(1, 1, x, y, params).is_zero()
+    assert not compat_direct(1, 1, x, y, params, l_a, shifted, q).is_zero()
+    assert compat_three_term(1, 1, x, y, params, l_a, shifted).is_zero()
     monkeypatch.setattr(co, "op_dQ_dx", real_dq)
 
     real_dk = co.op_dK_term
     monkeypatch.setattr(co, "op_dK_term", lambda *a, **kw: real_dk(*a, **kw) + ident)
-    assert not compat_three_term(1, 1, x, y, params).is_zero()
-    assert compat_direct(1, 1, x, y, params).is_zero()
+    assert not compat_three_term(1, 1, x, y, params, l_a, shifted).is_zero()
+    assert compat_direct(1, 1, x, y, params, l_a, shifted, q).is_zero()

@@ -6,7 +6,7 @@ import pytest
 from bqkz.sampling import make_rng, rand_tuple, sample_point
 from bqkz.scalar_field import inv, rat
 from bqkz.tensor_ops import LinOp, Space, Vec
-from bqkz.rqkz import ModelParams, op_Q_inv
+from bqkz.rqkz import ModelParams, compose_descs, invert_descs, q_factor_list
 from bqkz.compat_ops import coll_Y, coll_Z, op_A
 from bqkz.hecke_module import (
     SignedPerm,
@@ -283,13 +283,15 @@ def test_cbar_grouped_matches_product():
 def test_cbar_equals_inverse_transport_on_orbit():
     for n in (2, 3):
         space = Space(n, n)
+        states = orbit_states(space)
 
         def body(r):
             params = rand_params(r, space)
             x = rand_tuple(r, n, nonzero=True)
             y = rand_tuple(r, n)
-            for m, bad_states in cbar_vs_inverse_transport_defects(x, y, params):
-                assert bad_states == [], m
+            for m in range(1, n + 1):
+                cbar = op_Cbar(m, x, y, params)
+                assert cbar_vs_inverse_transport_defects(m, x, y, params, cbar, states) == [], m
             return True
 
         for _ in range(2):
@@ -306,7 +308,8 @@ def test_cbar_n1_closed_form_everywhere():
         x = rand_tuple(r, 1, nonzero=True)
         y = rand_tuple(r, 1)
         lhs = op_Cbar(1, x, y, params)
-        assert (lhs - op_Q_inv(1, x, y, params)).is_zero()
+        inverse = compose_descs(invert_descs(q_factor_list(1, 1)), x, y, params)
+        assert (lhs - inverse).is_zero()
         return True
 
     for _ in range(4):

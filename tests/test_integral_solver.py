@@ -8,6 +8,7 @@ the spectral parameter.
 
 import cmath
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -341,6 +342,37 @@ def test_build_contour_passes_regime():
     assert ctr.delta == pytest.approx(p.delta)
     assert ctr.trunc > 0
     assert ctr.record["poles_checked"] == 8
+
+
+def test_report_contour_covers_the_integrated_line():
+    """The rule widens the truncation past build_contour's; the reported
+    contour record is validated out to the widest integrated line."""
+    for n, lam, y in ((1, 0.885, (0.3,)), (2, -0.2, (0.3, -0.2))):
+        p = mkparams(n, lam, y)
+        W = CycleW.monomial(int(np.floor(lam)) + 1)
+        rep = residual_report(W, p)
+        ctr = rep["contour"]
+        assert ctr["trunc"] >= rep["quadrature"]["trunc"] > build_contour(p, W=W).trunc
+        rec = validate_contour_line(p.y, C, K, p.delta, ctr["trunc"], include_shifted=True)
+        for key in ("poles_checked", "min_gap_above", "min_gap_below"):
+            assert ctr[key] == rec[key], key
+
+
+def test_widened_line_with_a_far_wrong_side_pole_is_rejected():
+    """A pole on the wrong side of the line beyond build_contour's window
+    but inside the window the rule integrates fails the solve."""
+    p = mkparams(1, 0.25, (0.3,))
+    ctr = build_contour(p, W=CycleW.monomial(1))
+    # -y + k sits at height 0.4, below the line at 0.5, near Re t = -40.
+    far = replace(ctr, y=(40 + 0.6j,))
+    validate_contour_line(far.y, C, K, far.delta, far.trunc, include_shifted=True)
+
+    def values(t):
+        ker = np.exp(-((t.real / 20) ** 2))
+        return ker[None], np.abs(ker)
+
+    with pytest.raises(SeparationError):
+        solver._trapezoid(values, p, far)
 
 
 # ---------------------------------------------------------------- pairing

@@ -11,12 +11,12 @@ from bqkz.rqkz import (
     compose_descs,
     factor_ops,
     flip_factor_defect,
+    invert_descs,
     k_unitarity_defect,
     ones,
     op_K,
     op_P,
     op_Q,
-    op_Q_inv,
     op_Q_split,
     op_R_k,
     op_T,
@@ -246,13 +246,14 @@ def test_consistency_and_split_samples():
                 params = ModelParams.random(r, space)
                 x = rand_tuple(r, half, nonzero=True)
                 y = rand_tuple(r, n)
+                qs = {m: op_Q(m, x, y, params) for m in range(1, n + 1)}
                 for m in range(1, n + 1):
-                    assert q_split_defect(m, x, y, params).is_zero()
-                    assert q_inverse_defect(m, x, y, params).is_zero()
+                    assert q_split_defect(m, x, y, params, qs[m]).is_zero()
+                    assert q_inverse_defect(m, x, y, params, qs[m]).is_zero()
                     for l in range(1, n + 1):
                         if l != m:
                             assert transport_consistency_defect(
-                                m, l, x, y, params
+                                m, l, x, y, params, qs[m], qs[l]
                             ).is_zero()
                 return True
 
@@ -292,8 +293,10 @@ def test_chain_defect_of_differing_chains_is_the_dense_difference():
 def test_consistency_rejects_equal_sites():
     space = Space(2, 2)
     params = ModelParams(rat(1), rat(1, 2), rat(1, 3), rat(1, 4), space)
+    x, y = (rat(2), rat(3)), (rat(0), rat(1))
+    q = op_Q(1, x, y, params)
     with pytest.raises(ValueError):
-        transport_consistency_defect(1, 1, (rat(2), rat(3)), (rat(0), rat(1)), params)
+        transport_consistency_defect(1, 1, x, y, params, q, q)
 
 
 def test_q_inverse_matches_invert():
@@ -304,7 +307,7 @@ def test_q_inverse_matches_invert():
         x = rand_tuple(r, 2, nonzero=True)
         y = rand_tuple(r, 2)
         q = op_Q(1, x, y, params)
-        qi = op_Q_inv(1, x, y, params)
+        qi = compose_descs(invert_descs(q_factor_list(1, 2)), x, y, params)
         assert (qi @ q) == LinOp.identity(space)
         head, mid, tail = op_Q_split(1, x, y, params)
         assert head @ mid @ tail == q

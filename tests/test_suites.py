@@ -2,8 +2,9 @@
 
 import hashlib
 import json
+import sys
 
-from bqkz import cli, compat_ops, suites
+from bqkz import cli, compat_ops, hecke_module, rqkz, suites
 from bqkz.tensor_ops import LinOp, Space
 
 
@@ -97,3 +98,164 @@ def test_thread_count_is_clamped_to_the_cpu_count(monkeypatch):
     assert suites.thread_count() == 1
     monkeypatch.setenv("BQKZ_THREADS", "0")
     assert suites.thread_count() == 1
+
+
+def _patch_everywhere(monkeypatch, module, attr, replacement):
+    """Replace module.attr, and the copy of it in every bqkz module that
+    imported the name, by replacement(original)."""
+    real = getattr(module, attr)
+    wrapped = replacement(real)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("bqkz") and getattr(mod, attr, None) is real:
+            monkeypatch.setattr(mod, attr, wrapped)
+
+
+def _calls_at_each_point(monkeypatch, name, targets, sizes=None):
+    """Run one sample of a suite; for each accepted point, the arguments of
+    every call to each (module, attr) in targets, by attr.  Calls made for
+    a draw that hit a pole are dropped with that draw."""
+    current = {}
+    points = []
+
+    def counting(attr):
+        def replacement(real):
+            def counted(*args):
+                current[attr].append(args)
+                return real(*args)
+
+            return counted
+
+        return replacement
+
+    for module, attr in targets:
+        _patch_everywhere(monkeypatch, module, attr, counting(attr))
+    real_sample_point = suites.sample_point
+
+    def recording(rng, builder, *args, **kwargs):
+        def fresh(r):
+            current.clear()
+            current.update({attr: [] for _, attr in targets})
+            return builder(r)
+
+        out = real_sample_point(rng, fresh, *args, **kwargs)
+        points.append({attr: list(calls) for attr, calls in current.items()})
+        return out
+
+    monkeypatch.setattr(suites, "sample_point", recording)
+    assert suites.run_suite(name, samples=1, seed=0, sizes=sizes).exact_zero
+    return points
+
+
+def _sites(calls):
+    return sorted(args[0] for args in calls)
+
+
+def test_qkz_consistency_builds_each_transport_operator_once(monkeypatch):
+    """Q_m is built once per m, and its factors at the unshifted y only for
+    Q_m itself and for the split grouping it is compared with."""
+    points = _calls_at_each_point(
+        monkeypatch, "qkz-consistency", [(rqkz, "op_Q"), (rqkz, "_factor_op")]
+    )
+    assert len(points) == 3
+    for calls in points:
+        _, _, y, params = calls["op_Q"][0]
+        n = params.space.n
+        assert _sites(calls["op_Q"]) == list(range(1, n + 1))
+        # Forward factors have a leading argument coefficient of +1, the
+        # inverse factors -1.
+        forward_at_y = [
+            desc for desc, _, yy, _ in calls["_factor_op"] if yy == y and desc[2][0][1] == 1
+        ]
+        chains = sum(len(rqkz.q_factor_list(m, n)) for m in range(1, n + 1))
+        assert len(forward_at_y) == 2 * chains
+
+
+def test_compatibility_builds_each_operator_once(monkeypatch):
+    points = _calls_at_each_point(
+        monkeypatch, "compatibility", [(rqkz, "op_Q"), (compat_ops, "op_L")]
+    )
+    assert len(points) == 4
+    for calls in points:
+        x, y, params = calls["op_Q"][0][1:]
+        n, half = params.space.n, params.space.half_dim
+        assert _sites(calls["op_Q"]) == list(range(1, n + 1))
+        inputs = [(a, tuple(yy)) for a, _, yy, _ in calls["op_L"]]
+        wanted = {(a, tuple(y)) for a in range(1, half + 1)} | {
+            (a, rqkz.shift_y(y, m, params.c))
+            for a in range(1, half + 1)
+            for m in range(1, n + 1)
+        }
+        assert len(inputs) == len(wanted) == half * (n + 1)
+        assert set(inputs) == wanted
+
+
+def test_cbar_qinv_builds_each_degenerate_product_once(monkeypatch):
+    points = _calls_at_each_point(monkeypatch, "cbar-qinv", [(hecke_module, "op_Cbar")])
+    assert len(points) == 2
+    for calls in points:
+        n = calls["op_Cbar"][0][3].space.n
+        assert _sites(calls["op_Cbar"]) == list(range(1, n + 1))
+
+
+def _bump(op: LinOp, state) -> LinOp:
+    """op plus one at the diagonal entry of a basis state."""
+    return op + LinOp.of(op.space, {state: {state: 1}})
+
+
+def test_a_perturbed_transport_factor_fails_both_transport_suites(monkeypatch):
+    """One exchange-reflection factor is wrong wherever it is built; the
+    reused transport operators must not hide it."""
+    target = rqkz.q_factor_list(1, 2)[0]
+
+    def replacement(real):
+        def perturbed(desc, x, y, params):
+            op = real(desc, x, y, params)
+            return _bump(op, (0,) * params.space.n) if desc == target else op
+
+        return perturbed
+
+    monkeypatch.setattr(rqkz, "_factor_op", replacement(rqkz._factor_op))
+    for name in ("qkz-consistency", "compatibility"):
+        result = suites.run_suite(name, samples=1, seed=0, sizes=((2, 2),))
+        assert result.failures == 1, name
+
+
+def _perturbed_inverse_transport(monkeypatch, m, state):
+    """Perturb the site-m inverse transport operator of the orbit check at
+    one diagonal entry; returns the cbar-qinv notes at n = 2."""
+    target = rqkz.invert_descs(rqkz.q_factor_list(m, 2))
+
+    def replacement(real):
+        def perturbed(descs, *args, **kwargs):
+            op = real(descs, *args, **kwargs)
+            return _bump(op, state) if list(descs) == target else op
+
+        return perturbed
+
+    _patch_everywhere(monkeypatch, rqkz, "compose_descs", replacement)
+    return suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes
+
+
+def test_a_perturbed_orbit_column_of_the_inverse_transport_fails_its_site(monkeypatch):
+    orbit_state = hecke_module.orbit_states(Space(2, 2))[0]
+    (note,) = _perturbed_inverse_transport(monkeypatch, 2, orbit_state)
+    assert note.startswith("n=2 site-2 point=")
+
+
+def test_a_perturbed_non_orbit_column_still_passes_the_site_check(monkeypatch):
+    off_orbit = (0, 0)
+    assert off_orbit not in hecke_module.orbit_states(Space(2, 2))
+    assert _perturbed_inverse_transport(monkeypatch, 2, off_orbit) == ()
+
+
+def test_a_perturbed_degenerate_factor_fails_both_cbar_checks(monkeypatch):
+    target = hecke_module.cbar_factor_list(1, 2)[-1]
+    orbit_state = hecke_module.orbit_states(Space(2, 2))[0]
+
+    def perturbed(desc, x, y, params, real=hecke_module._cbar_factor):
+        op = real(desc, x, y, params)
+        return _bump(op, orbit_state) if desc == target else op
+
+    monkeypatch.setattr(hecke_module, "_cbar_factor", perturbed)
+    notes = suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes
+    assert [note.split(" point=")[0] for note in notes] == ["n=2 site-1", "n=2 grouped-1"]
