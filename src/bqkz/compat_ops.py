@@ -17,7 +17,8 @@ The two compatibility residuals take the operators of their point as
 arguments: L_a at y and at the shifted y, and, for the direct form, the
 transport operator Q_m.  A caller builds each of them once per point and
 passes it to every check that needs it; the two forms share those inputs
-and nothing else.
+and nothing else.  The block assembly check likewise takes L_a, which the
+lemma-LL suite also uses for the commutators of the family.
 """
 
 from __future__ import annotations
@@ -294,12 +295,9 @@ def comm_AA_defect(a: int, b: int, y: Sequence, params: ModelParams) -> LinOp:
     return commutator(op_A(a, y, params), op_A(b, y, params))
 
 
-def comm_LL_defect(a: int, b: int, x, y, params: ModelParams) -> LinOp:
-    return commutator(op_L(a, x, y, params), op_L(b, x, y, params))
-
-
-def block_assembly_defect(a: int, x, y, params: ModelParams) -> LinOp:
-    return op_L(a, x, y, params) - op_L_from_blocks(a, x, y, params)
+def block_assembly_defect(a: int, x, y, params: ModelParams, l_a: LinOp) -> LinOp:
+    """L_a, as built by op_L, minus its assembly from the blocks."""
+    return l_a - op_L_from_blocks(a, x, y, params)
 
 
 def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:

@@ -308,21 +308,27 @@ def _kernel_cycle(t: complex, y: Sequence, W: CycleW, params: SolverParams,
 
 def _kernel_cycle_array(t, y: Sequence, W: CycleW, params: SolverParams,
                         extra_weight: int = 0):
-    """_kernel_cycle over an array of nodes t, with log Gamma and the cycle
-    denominator in array form.
+    """_kernel_cycle over a 1-D array of nodes t, with log Gamma and the
+    cycle denominator in array form.
+
+    The 2n differences d = t - (+-y_p) form one (2n, N) array.  One
+    log_gamma_array call takes all 4n gamma arguments, stacked as
+    ((d - k)/(-c), d/(-c)), and one log1m_exp_array call all 2n cycle
+    denominator terms.  Their rows are added in the scalar kernel's order,
+    so each node's value does not depend on the stacking.
 
     Terms whose exponent has real part below _EXP_FLOOR are set to zero
     instead of underflowing, as the scalar form would round them to zero.
     """
     c, k = params.c, params.k
+    centers = np.array([v for yp in y for v in (yp, -yp)])
+    diff = t - centers[:, None]
+    up, down = log_gamma_array(np.stack(((diff - k) / (-c), diff / (-c))))
+    den = log1m_exp_array(TWO_PI_I * diff / c)
     base = -TWO_PI_I * params.lam * t / c
-    for yp in y:
-        base += log_gamma_array((t - yp - k) / (-c))
-        base += log_gamma_array((t + yp - k) / (-c))
-        base -= log_gamma_array((t - yp) / (-c))
-        base -= log_gamma_array((t + yp) / (-c))
-        base -= log1m_exp_array(TWO_PI_I * (t - yp) / c)
-        base -= log1m_exp_array(TWO_PI_I * (t + yp) / c)
+    for p in range(0, len(centers), 2):
+        base = (base + up[p] + up[p + 1] - down[p] - down[p + 1]
+                - den[p] - den[p + 1])
     logz = TWO_PI_I * t / c
     out = 0
     for d, cf in W.terms:
@@ -682,7 +688,9 @@ def residual_report(W: CycleW, params: SolverParams) -> dict:
 
     Solves each distinct point once (the base point, the n shifted points
     and the lambda derivative) and derives the qKZ, ODE and gauge
-    residuals from those vectors.
+    residuals from those vectors.  The quadrature record is the base
+    solve's, plus "kernel_evals", the nodes evaluated over all "solves"
+    (n + 2) solves.
     """
     _check_differential_regime(params)
     contour = build_contour(params, W=W, include_shifted=True)
@@ -691,9 +699,10 @@ def residual_report(W: CycleW, params: SolverParams) -> dict:
     deriv = dlambda_solution(W, params, contour=contour)
     qkz = _qkz_from_vectors(params, base.vec, [sol.vec for sol in shifted])
     ode, ftilde = _differential_residuals(params, base.vec, deriv.vec)
+    solves = [base, *shifted, deriv]
     # Every solve validated the contour out to its own truncation; the
     # widest of those records covers every integrated line.
-    contour = max((sol.diagnostics["contour"] for sol in [base, *shifted, deriv]),
+    contour = max((sol.diagnostics["contour"] for sol in solves),
                   key=lambda ctr: ctr.trunc)
     report = {
         "n": params.n,
@@ -719,6 +728,10 @@ def residual_report(W: CycleW, params: SolverParams) -> dict:
             "panels": base.diagnostics["panels"],
             "refinements": base.diagnostics["refinements"],
             "quad_error": base.diagnostics["quad_error"],
+            # Each solve evaluates the kernel once at every node of its
+            # final grid.
+            "kernel_evals": sum(sol.diagnostics["panels"] + 1 for sol in solves),
+            "solves": len(solves),
         },
     }
     return report

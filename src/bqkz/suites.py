@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .tensor_ops import Space
+from .tensor_ops import Space, commutator
 from .sampling import child_seed, make_rng, rand_rational, rand_tuple, sample_point
 from . import compat_ops, hecke_module, rqkz
 from .rqkz import ModelParams
@@ -168,10 +168,11 @@ def _lemma_aa(x, y, params):
 
 def _lemma_ll(x, y, params):
     half = params.space.half_dim
-    for a in range(1, half + 1):
-        yield "assembly-%d" % a, compat_ops.block_assembly_defect(a, x, y, params)
+    ls = [compat_ops.op_L(a, x, y, params) for a in range(1, half + 1)]
+    for a, l_a in enumerate(ls, start=1):
+        yield "assembly-%d" % a, compat_ops.block_assembly_defect(a, x, y, params, l_a)
         for b in range(a + 1, half + 1):
-            yield "pair-%d-%d" % (a, b), compat_ops.comm_LL_defect(a, b, x, y, params)
+            yield "pair-%d-%d" % (a, b), commutator(l_a, ls[b - 1])
 
 
 def _cross_derivative(x, y, params):

@@ -10,7 +10,7 @@ import pytest
 
 from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, div, rat
-from bqkz.tensor_ops import LinOp, Space, Vec
+from bqkz.tensor_ops import LinOp, Space, Vec, commutator
 from bqkz.rqkz import ModelParams, op_Q, op_dQ_dx, shift_y
 from bqkz.compat_ops import (
     RouteMismatch,
@@ -22,7 +22,6 @@ from bqkz.compat_ops import (
     check_comm_IM,
     check_cross_derivative,
     comm_AA_defect,
-    comm_LL_defect,
     compat_direct,
     compat_three_term,
     intertwining_defects,
@@ -165,10 +164,11 @@ def test_comm_ll_and_assembly_samples():
                 params = rand_params(r, space)
                 x = generic_x(r, half)
                 y = rand_tuple(r, n)
+                ls = [op_L(a, x, y, params) for a in range(1, half + 1)]
                 for a in range(1, half + 1):
-                    assert block_assembly_defect(a, x, y, params).is_zero()
+                    assert block_assembly_defect(a, x, y, params, ls[a - 1]).is_zero()
                     for b in range(a + 1, half + 1):
-                        assert comm_LL_defect(a, b, x, y, params).is_zero()
+                        assert commutator(ls[a - 1], ls[b - 1]).is_zero()
                 return True
 
             sample_point(rng, body)

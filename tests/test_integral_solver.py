@@ -16,6 +16,7 @@ import pytest
 from fractions import Fraction
 
 from bqkz.rqkz import ones, op_K, op_P, op_R, op_T
+from bqkz.scalar_field import log1m_exp_array, log_gamma_array
 from bqkz.tensor_ops import Space, Vec, embed_pair, embed_site
 import bqkz.integral_solver as solver
 from bqkz.integral_solver import (
@@ -561,6 +562,69 @@ def test_array_kernel_cycle_matches_scalar():
             assert reach >= min_reach, (n, lam, extra)
 
 
+def _kernel_cycle_per_term(t, y, W, params, extra_weight=0):
+    """Reference for the array kernel: one log_gamma_array or
+    log1m_exp_array call per term, added in the scalar kernel's order."""
+    c, k = params.c, params.k
+    base = -TWO_PI_I * params.lam * t / c
+    for yp in y:
+        base += log_gamma_array((t - yp - k) / (-c))
+        base += log_gamma_array((t + yp - k) / (-c))
+        base -= log_gamma_array((t - yp) / (-c))
+        base -= log_gamma_array((t + yp) / (-c))
+        base -= log1m_exp_array(TWO_PI_I * (t - yp) / c)
+        base -= log1m_exp_array(TWO_PI_I * (t + yp) / c)
+    logz = TWO_PI_I * t / c
+    out = 0
+    for d, cf in W.terms:
+        expo = base + d * logz
+        live = expo.real >= solver._EXP_FLOOR
+        expo = np.where(live, expo, solver._EXP_FLOOR)
+        out = out + cf * np.where(live, np.exp(expo), 0)
+    if extra_weight:
+        out = out * (-TWO_PI_I * t / c) ** extra_weight
+    return out
+
+
+def test_array_kernel_equals_the_per_term_loop_bit_for_bit():
+    """Stacking the log-Gamma and cycle-denominator arguments changes no
+    bit of any node, out to |Re t| = 240 where the arguments lie far on
+    both sides of the reflection line, at chunk lengths of a few nodes to
+    a full sweep."""
+    cases = (
+        (1, 0.885, (0.3,), CycleW.monomial(1)),
+        (2, 0.31, (0.3, -0.2), CycleW(((1, 1.0), (2, 0.5j)))),
+        (3, 0.25, (0.3, -0.2, 0.45), CycleW.monomial(1)),
+    )
+    for n, lam, y, W in cases:
+        p = mkparams(n, lam, y)
+        for count in (3, 25, 260, 1201):
+            ts = np.linspace(-240.0, 240.0, count) + 1j * p.delta
+            for extra in (0, 1):
+                got = solver._kernel_cycle_array(ts, p.y, W, p, extra_weight=extra)
+                want = _kernel_cycle_per_term(ts, p.y, W, p, extra_weight=extra)
+                assert np.count_nonzero(want) > 0, (n, count, extra)
+                assert np.array_equal(got, want), (n, count, extra)
+
+
+def test_kernel_makes_one_log_gamma_and_one_log1m_call(monkeypatch):
+    """Each array kernel call evaluates all its log-Gamma arguments in one
+    call and all its cycle-denominator terms in another."""
+    counts = {}
+    for name in ("log_gamma_array", "log1m_exp_array"):
+        def counted(z, name=name, real=getattr(solver, name)):
+            counts[name] += 1
+            return real(z)
+
+        monkeypatch.setattr(solver, name, counted)
+    for n, y in ((1, (0.3,)), (3, (0.3, -0.2, 0.45))):
+        p = mkparams(n, 0.31, y)
+        ts = np.linspace(-20.0, 20.0, 41) + 1j * p.delta
+        counts.update(log_gamma_array=0, log1m_exp_array=0)
+        solver._kernel_cycle_array(ts, p.y, CycleW.monomial(1), p)
+        assert counts == {"log_gamma_array": 1, "log1m_exp_array": 1}, n
+
+
 def test_array_pass_raises_no_floating_point_flag():
     """A solve that refines out to long tails, the residual reports and the
     vanishing integral run clean under np.errstate(all="raise")."""
@@ -596,6 +660,26 @@ def test_each_node_is_evaluated_once(monkeypatch):
         sol = solve_f(p.lam, p.y, CycleW.monomial(1), p)
         monkeypatch.setattr(solver, "_kernel_cycle_array", real)
         assert sum(nodes) == sol.diagnostics["panels"] + 1, (n, lam)
+
+
+def test_report_counts_kernel_evaluations(monkeypatch):
+    """The quadrature record counts the nodes evaluated over all n + 2
+    solves of a report, next to the base solve's four keys."""
+    real = solver._kernel_cycle_array
+    nodes = []
+
+    def counting(t, *args, **kwargs):
+        nodes.append(len(t))
+        return real(t, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_kernel_cycle_array", counting)
+    for n, lam, y in ((1, 0.885, (0.3,)), (2, 0.31, (0.3, -0.2))):
+        nodes.clear()
+        quad = residual_report(CycleW.monomial(1), mkparams(n, lam, y))["quadrature"]
+        assert set(quad) == {"trunc", "panels", "refinements", "quad_error",
+                             "kernel_evals", "solves"}
+        assert quad["solves"] == n + 2
+        assert quad["kernel_evals"] == sum(nodes) > quad["panels"] + 1, (n, lam)
 
 
 # Coefficients of the Gauss-Legendre panel integrator this rule replaced,

@@ -20,6 +20,7 @@ from bqkz.scalar_field import (
     gamma,
     inv,
     is_exact,
+    log1m_exp_array,
     log_gamma,
     log_gamma_array,
     rat,
@@ -160,6 +161,23 @@ def test_log_gamma_array_matches_scalar_modulo_branch():
         want = log_gamma(z)
         turns = (g - want) / (2j * math.pi)
         assert abs(turns - round(turns.real)) * 2 * math.pi <= 1e-14 * max(1.0, abs(want)), z
+
+
+def test_array_forms_do_not_depend_on_the_shape():
+    """log_gamma_array and log1m_exp_array on a 3-D array equal the same
+    call on each 1-D row, bit for bit: the solver's kernel stacks all its
+    arguments into one call and relies on this."""
+    r = random.Random(12)
+    shape = (2, 3, 37)
+    zs = np.array([complex(r.uniform(-500, 500), r.uniform(-300, 300))
+                   for _ in range(math.prod(shape))]).reshape(shape)
+    zs[0, 1, :10] = [complex(r.uniform(-3, 3), r.uniform(0.2, 2)) for _ in range(10)]
+    with np.errstate(all="raise"):
+        for f in (log_gamma_array, log1m_exp_array):
+            whole = f(zs)
+            assert whole.shape == shape
+            for i, j in np.ndindex(shape[:2]):
+                assert np.array_equal(whole[i, j], f(zs[i, j].copy())), (f.__name__, i, j)
 
 
 def test_gamma_positive_integers():

@@ -189,6 +189,17 @@ def test_compatibility_builds_each_operator_once(monkeypatch):
         assert set(inputs) == wanted
 
 
+def test_lemma_ll_builds_each_matrix_part_once(monkeypatch):
+    """L_a is built once per a and shared by the block assembly check and
+    the commutators: 4 op_L calls over the two sizes of one sample."""
+    points = _calls_at_each_point(monkeypatch, "lemma-LL", [(compat_ops, "op_L")])
+    assert len(points) == 2
+    assert sum(len(calls["op_L"]) for calls in points) == 4
+    for calls in points:
+        half = calls["op_L"][0][3].space.half_dim
+        assert _sites(calls["op_L"]) == list(range(1, half + 1))
+
+
 def test_cbar_qinv_builds_each_degenerate_product_once(monkeypatch):
     points = _calls_at_each_point(monkeypatch, "cbar-qinv", [(hecke_module, "op_Cbar")])
     assert len(points) == 2
