@@ -14,11 +14,17 @@ alive (no shared code paths beyond the matrix units) is deliberate: each
 certification below compares structurally different computations.
 
 The two compatibility residuals take the operators of their point as
-arguments: L_a at y and at the shifted y, and, for the direct form, the
-transport operator Q_m.  A caller builds each of them once per point and
-passes it to every check that needs it; the two forms share those inputs
-and nothing else.  The block assembly check likewise takes L_a, which the
-lemma-LL suite also uses for the commutators of the family.
+arguments: L_a at y and at the shifted y, built once per (a, m), and parts
+of the transport operator built once per m.  The split form takes
+`three_term_parts(m, ...)`: the inverse head factors, the head product H,
+the middle and tail factors, and the product of their inverses; it folds
+them around L_a(shifted) and L_a exactly as the factor lists would.  The
+direct form takes Q_m and its trailing product T_m (`rqkz.op_Q_tail`),
+to which `op_dQ_dx` applies the head factors and the a-th middle
+derivative.  The two forms share L_a and L_a(shifted) and nothing else:
+neither form's transport parts feed the other.  The block assembly check
+likewise takes L_a, which the lemma-LL suite also uses for the commutators
+of the family.
 """
 
 from __future__ import annotations
@@ -498,40 +504,45 @@ def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:
     return lhs - expected
 
 
+def three_term_parts(m: int, x, y, params: ModelParams) -> tuple:
+    """The a-independent inputs of `compat_three_term` for site m:
+    (inverse head factors, head product H or None when the head is empty,
+    middle and tail factors, product of the inverted middle and tail
+    factors)."""
+    head, mid, tail = q_split_descs(m, params.space.n)
+    head_ops = factor_ops(head, x, y, params)
+    return (
+        factor_ops(invert_descs(head), x, y, params),
+        product(head_ops) if head_ops else None,
+        factor_ops([mid] + tail, x, y, params),
+        product(factor_ops(invert_descs([mid] + tail), x, y, params)),
+    )
+
+
 def compat_three_term(a: int, m: int, x, y, params: ModelParams,
-                      l_a: LinOp, l_a_shifted: LinOp) -> LinOp:
+                      l_a: LinOp, l_a_shifted: LinOp, parts: tuple) -> LinOp:
     """Split-form compatibility residual, given L_a at y and at y with its
-    m-th argument shifted.
+    m-th argument shifted, and `three_term_parts(m, x, y, params)`.
 
     piece one: the middle-reflection derivative term (closed form, cross
     checked); piece two: the shifted operator conjugated by the inverse of
     the leading exchange product; piece three: minus the unshifted operator
     conjugated by middle reflection times trailing part.
     """
-    space = params.space
-    head, mid, tail = q_split_descs(m, space.n)
+    head_inv, head, mid_tail, mid_tail_inv = parts
     piece1 = op_dK_term(m, a, x, y, params)
-
-    piece2 = product(
-        factor_ops(invert_descs(head), x, y, params) + [l_a_shifted]
-        + factor_ops(head, x, y, params)
-    )
-
-    piece3 = product(
-        factor_ops([mid] + tail, x, y, params)
-        + [l_a]
-        + factor_ops(invert_descs([mid] + tail), x, y, params)
-    )
-
+    piece2 = product(head_inv + [l_a_shifted] + ([] if head is None else [head]))
+    piece3 = product(mid_tail + [l_a, mid_tail_inv])
     return piece1 + piece2 - piece3
 
 
 def compat_direct(a: int, m: int, x, y, params: ModelParams,
-                  l_a: LinOp, l_a_shifted: LinOp, q_m: LinOp) -> LinOp:
+                  l_a: LinOp, l_a_shifted: LinOp, q_m: LinOp, tail: LinOp) -> LinOp:
     """Commutator-form compatibility residual, built only from the transport
-    operator Q_m, the matrix parts L_a and L_a(shifted), and the analytic
-    transport derivative."""
+    operator Q_m, its trailing part `op_Q_tail(m, x, y, params)`, the
+    matrix parts L_a and L_a(shifted), and the analytic transport
+    derivative."""
     x = tuple(x)
-    return l_a_shifted @ q_m - q_m @ l_a + op_dQ_dx(m, x, y, params, a).scale(
+    return l_a_shifted @ q_m - q_m @ l_a + op_dQ_dx(m, x, y, params, a, tail).scale(
         params.c * x[a - 1]
     )

@@ -163,7 +163,8 @@ def orbit_states(space: Space):
 
 def zero_on_orbit(op: LinOp, states) -> bool:
     """Whether an operator kills every orbit basis vector."""
-    return all(s not in op.cols for s in states)
+    index = op.space.index
+    return all(index(s) not in op.cols for s in states)
 
 
 def rhoR_generator(g, x: Sequence, space: Space) -> LinOp:
@@ -411,12 +412,13 @@ def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: L
     states.  The difference is read on those columns alone.
     """
     space = params.space
-    proj = LinOp.of(space, {s: {s: 1} for s in states})
+    indices = [space.index(s) for s in states]
+    proj = LinOp.of(space, {i: {i: 1} for i in indices})
     inverse = compose_descs(
         invert_descs(q_factor_list(m, space.n)), x, y, params, start=proj
     )
     diff = cbar - inverse
-    return [s for s in states if s in diff.cols]
+    return [s for s, i in zip(states, indices) if i in diff.cols]
 
 
 def check_L_restriction(a: int, x, y, params: ModelParams):

@@ -10,8 +10,9 @@ family is consistent: shifting the l-th argument in the m-th operator and
 composing commutes with doing it the other way around.
 
 Each exchange and reflection factor is built entry by entry from its
-scalar argument: its few distinct entries are cleared once into int
-numerators over one denominator.  Products of factors are formed by
+scalar argument, keyed by linear state index (a*d + b on two sites, a on
+one): its few distinct entries are cleared once into int numerators over
+one denominator.  Products of factors are formed by
 `tensor_ops.product`, a fold of `LinOp.compose` over those integer forms
 that reduces each partial product by one gcd; no operator ever stores a
 rational entry.
@@ -20,7 +21,9 @@ The consistency checks take the transport operators of their point as
 arguments, so a caller builds each Q_m once and reuses it: the split check
 compares the grouped product with it, the inverse check applies the
 inverse factors to it, and each pair check applies the shifted factors of
-one transport operator to the other (`compose_descs` with `start`).
+one transport operator to the other (`compose_descs` with `start`).  The
+x-derivative likewise takes the trailing product T_m (`op_Q_tail`), built
+once per m, and applies the head factors and one middle derivative to it.
 
 Every factor checks its own denominator at build time, so a pole in any
 requested construction raises PoleError immediately with the offending
@@ -117,8 +120,9 @@ def op_R_k(lam, k, half_dim: int) -> LinOp:
     cols = {}
     for a in range(d):
         for b in range(d):
-            col = {(a, b): diag} if a == b else {(a, b): keep, (b, a): swap}
-            cols[(a, b)] = {r: v for r, v in col.items() if v != 0}
+            ab = a * d + b
+            col = {ab: diag} if a == b else {ab: keep, b * d + a: swap}
+            cols[ab] = {r: v for r, v in col.items() if v != 0}
     return LinOp.of(Space(2, half_dim), cols, den, exact)
 
 
@@ -138,7 +142,7 @@ def op_K(lam, x: Sequence, beta) -> LinOp:
     cols = {}
     for a in range(half):
         for col, row, v in ((a, half + a, flips[2 * a]), (half + a, a, flips[2 * a + 1])):
-            cols[(col,)] = {r: w for r, w in {(row,): v, (col,): diag}.items() if w != 0}
+            cols[col] = {r: w for r, w in {row: v, col: diag}.items() if w != 0}
     return LinOp.of(Space(1, half), cols, den, exact)
 
 
@@ -246,18 +250,24 @@ def op_Q_split(m: int, x: Sequence, y: Sequence, params: ModelParams):
     )
 
 
-def op_dQ_dx(m: int, x: Sequence, y: Sequence, params: ModelParams, a: int) -> LinOp:
-    """Derivative of the transport operator in the a-th coordinate.
+def op_Q_tail(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
+    """Trailing part of the transport operator: the factors after the middle
+    reflection, composed."""
+    return compose_descs(q_split_descs(m, params.space.n)[2], x, y, params)
+
+
+def op_dQ_dx(m: int, x: Sequence, y: Sequence, params: ModelParams, a: int,
+             tail: LinOp) -> LinOp:
+    """Derivative of the transport operator in the a-th coordinate, given
+    its trailing part `op_Q_tail(m, x, y, params)`.
 
     Only the middle reflection factor depends on x, so the derivative is
     (leading part) o (middle derivative) o (trailing part).
     """
-    head, mid, tail = q_split_descs(m, params.space.n)
+    head, mid, _ = q_split_descs(m, params.space.n)
     arg = _factor_arg(mid, y, params.c)
     dmid = embed_site(op_dK_dx(arg, x, params.beta, a), m, params.space)
-    return product(
-        factor_ops(head, x, y, params) + [dmid] + factor_ops(tail, x, y, params)
-    )
+    return product(factor_ops(head, x, y, params) + [dmid, tail])
 
 
 def shift_y(y: Sequence, m: int, c) -> tuple:

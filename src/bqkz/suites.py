@@ -183,17 +183,19 @@ def _cross_derivative(x, y, params):
 
 
 def _compatibility(x, y, params):
-    n = params.space.n
-    qs = [rqkz.op_Q(m, x, y, params) for m in range(1, n + 1)]
+    sites = range(1, params.space.n + 1)
+    qs = [rqkz.op_Q(m, x, y, params) for m in sites]
+    tails = [rqkz.op_Q_tail(m, x, y, params) for m in sites]
+    parts = [compat_ops.three_term_parts(m, x, y, params) for m in sites]
     for a in range(1, params.space.half_dim + 1):
         l_a = compat_ops.op_L(a, x, y, params)
-        for m, q_m in enumerate(qs, start=1):
+        for m in sites:
             shifted = compat_ops.op_L(a, x, rqkz.shift_y(y, m, params.c), params)
             yield "split-%d-%d" % (a, m), compat_ops.compat_three_term(
-                a, m, x, y, params, l_a, shifted
+                a, m, x, y, params, l_a, shifted, parts[m - 1]
             )
             yield "direct-%d-%d" % (a, m), compat_ops.compat_direct(
-                a, m, x, y, params, l_a, shifted, q_m
+                a, m, x, y, params, l_a, shifted, qs[m - 1], tails[m - 1]
             )
 
 

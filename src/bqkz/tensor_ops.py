@@ -3,15 +3,19 @@
 The site space V has basis v_1, ..., v_N, v_1bar, ..., v_Nbar.  A label is a
 pair (index, barred); its integer code is index-1 for unbarred and
 N+index-1 for barred, so codes run 0..2N-1.  A basis state of V^(x)n is the
-tuple of its site codes, site 1 first; the linear index of a state makes
-site 1 most significant.
+tuple of its site codes, site 1 first; its linear index makes site 1 most
+significant, which is the order `Space.states` yields.
 
-Operators are stored column-major as {col_state: {row_state: entry}} with
-no explicitly stored zeros.  An exact operator holds int numerators over one
-positive int denominator, reduced so that the two share no factor; a
-floating-point operator (the contour solver's) holds complex values over 1.
-Equality of exact operators is therefore structural equality of numerators
-and denominator.
+Operators are stored column-major as {col_index: {row_index: entry}}, keyed
+by linear state index, with no explicitly stored zeros.  State tuples appear
+only at the edges: `Vec` is keyed by state, `entry` takes states, and the
+constructor converts state keys once (`LinOp.of` takes indices).  Embedding
+a site or pair operator shifts indices by stride arithmetic.
+
+An exact operator holds int numerators over one positive int denominator,
+reduced so that the two share no factor; a floating-point operator (the
+contour solver's) holds complex values over 1.  Equality of exact operators
+is therefore structural equality of numerators and denominator.
 
 Exact arithmetic never leaves the integers: a sum meets over the lcm of the
 two denominators, `compose` multiplies numerators and denominators and
@@ -51,6 +55,25 @@ class Space:
     def states(self):
         """All basis states in linear-index order (site 1 most significant)."""
         return itertools.product(range(self.site_dim), repeat=self.n)
+
+    def index(self, state) -> int:
+        """Linear index of a basis state."""
+        i = 0
+        for code in state:
+            i = i * self.site_dim + code
+        return i
+
+    def state(self, index: int) -> tuple:
+        """Basis state of a linear index."""
+        codes = []
+        for _ in range(self.n):
+            index, code = divmod(index, self.site_dim)
+            codes.append(code)
+        return tuple(reversed(codes))
+
+    def stride(self, site: int) -> int:
+        """Index step of one code step at a site (1-based)."""
+        return self.site_dim ** (self.n - site)
 
 
 class Vec:
@@ -103,22 +126,29 @@ class Vec:
 class LinOp:
     """Sparse operator on a Space, column-major, no stored zeros.
 
-    An exact operator stores int numerators in `cols` over the positive int
-    `den`, reduced so that gcd(den, every numerator) is 1; the zero operator
-    has den 1.  A floating-point operator stores its values, with den 1.
-    No operation modifies an operator in place, so operators may be shared.
+    `cols` is keyed by linear state index.  An exact operator stores int
+    numerators in `cols` over the positive int `den`, reduced so that
+    gcd(den, every numerator) is 1; the zero operator has den 1.  A
+    floating-point operator stores its values, with den 1.  No operation
+    modifies an operator in place, so operators may be shared.
     """
 
     __slots__ = ("space", "cols", "den", "exact")
 
     def __init__(self, space: Space, cols=None):
-        """cols may hold ints, rationals (cleared here, once) or floats (an
-        operator with any float entry keeps every entry as given)."""
+        """cols may be keyed by linear index or by state tuple (converted
+        here, once) and may hold ints, rationals (cleared here, once) or
+        floats (an operator with any float entry keeps every entry as
+        given)."""
         cols = {} if cols is None else cols
         nums, self.den, self.exact = clear([v for col in cols.values() for v in col.values()])
         it = iter(nums)
         self.space = space
-        self.cols = {c: {r: next(it) for r in col} for c, col in cols.items()}
+
+        def key(k):
+            return k if type(k) is int else space.index(k)
+
+        self.cols = {key(c): {key(r): next(it) for r in col} for c, col in cols.items()}
 
     @classmethod
     def of(cls, space: Space, cols, den=1, exact=True) -> "LinOp":
@@ -133,7 +163,7 @@ class LinOp:
 
     @classmethod
     def identity(cls, space: Space) -> "LinOp":
-        return cls.of(space, {s: {s: 1} for s in space.states()})
+        return cls.of(space, {i: {i: 1} for i in range(space.dim)})
 
     def _values(self):
         """The column map with every entry read as its value."""
@@ -142,7 +172,9 @@ class LinOp:
         return {c: {r: rat(v, self.den) for r, v in col.items()} for c, col in self.cols.items()}
 
     def entry(self, row, col):
-        v = self.cols.get(tuple(col), {}).get(tuple(row), 0)
+        """Value at a (row state, col state) pair."""
+        index = self.space.index
+        v = self.cols.get(index(col), {}).get(index(row), 0)
         return v if self.den == 1 else rat(v, self.den)
 
     def nnz(self) -> int:
@@ -163,17 +195,20 @@ class LinOp:
         return "LinOp(dim=%d, nnz=%d)" % (self.space.dim, self.nnz())
 
     def apply(self, vec: Vec) -> Vec:
+        """The image of a state-keyed vector, keyed by state."""
         out = {}
         cols = self._values()
-        for c, v in vec.entries.items():
-            col = cols.get(c)
+        index = self.space.index
+        for s, v in vec.entries.items():
+            col = cols.get(index(s))
             if col is None:
                 continue
             for r, a in col.items():
                 w = out.get(r)
                 w = a * v if w is None else w + a * v
                 out[r] = w
-        return Vec(vec.space, {r: w for r, w in out.items() if w != 0})
+        state = self.space.state
+        return Vec(vec.space, {state(r): w for r, w in out.items() if w != 0})
 
     def compose(self, other: "LinOp") -> "LinOp":
         """self o other (apply other first).  Exact operands multiply their
@@ -182,18 +217,19 @@ class LinOp:
         if self.space != other.space:
             raise ValueError("space mismatch in compose")
         (mycols, da), (bcols, db), exact = _operands(self, other)
+        acols = {k: tuple(col.items()) for k, col in mycols.items()}
         out = {}
         for c, bcol in bcols.items():
             acc = {}
+            get = acc.get
             for k, bkc in bcol.items():
-                acol = mycols.get(k)
+                acol = acols.get(k)
                 if acol is None:
                     continue
-                for r, ark in acol.items():
-                    w = acc.get(r)
-                    w = ark * bkc if w is None else w + ark * bkc
-                    acc[r] = w
-            acc = {r: w for r, w in acc.items() if w != 0}
+                for r, ark in acol:
+                    acc[r] = get(r, 0) + ark * bkc
+            if 0 in acc.values():
+                acc = {r: w for r, w in acc.items() if w != 0}
             if acc:
                 out[c] = acc
         return _built(self.space, out, da * db, exact)
@@ -256,20 +292,17 @@ class LinOp:
 
     def to_dense(self):
         """Nested row-major list of values (ints where unset)."""
-        space = self.space
-        idx = {s: i for i, s in enumerate(space.states())}
-        dense = [[0] * space.dim for _ in range(space.dim)]
+        dim = self.space.dim
+        dense = [[0] * dim for _ in range(dim)]
         for c, col in self._values().items():
-            jc = idx[c]
             for r, v in col.items():
-                dense[idx[r]][jc] = v
+                dense[r][c] = v
         return dense
 
     @classmethod
     def from_dense(cls, space: Space, dense) -> "LinOp":
-        states = list(space.states())
-        cols = {cs: {rs: dense[i][j] for i, rs in enumerate(states) if dense[i][j] != 0}
-                for j, cs in enumerate(states)}
+        dim = space.dim
+        cols = {j: {i: dense[i][j] for i in range(dim) if dense[i][j] != 0} for j in range(dim)}
         return cls(space, {c: col for c, col in cols.items() if col})
 
 
@@ -323,18 +356,7 @@ def embed_site(op: LinOp, j: int, space: Space) -> LinOp:
         raise ValueError("embed_site wants a site operator over the same labels")
     if not 1 <= j <= space.n:
         raise ValueError("site index out of range")
-    pos = j - 1
-    cols = {}
-    for state in space.states():
-        col = op.cols.get((state[pos],))
-        if col is None:
-            continue
-        dst = {}
-        for (rcode,), v in col.items():
-            rstate = state[:pos] + (rcode,) + state[pos + 1 :]
-            dst[rstate] = v
-        cols[state] = dst
-    return LinOp.of(space, cols, op.den, op.exact)
+    return _embedded(op, (space.stride(j),), space)
 
 
 def embed_pair(op: LinOp, i: int, j: int, space: Space) -> LinOp:
@@ -343,20 +365,36 @@ def embed_pair(op: LinOp, i: int, j: int, space: Space) -> LinOp:
         raise ValueError("embed_pair wants a two-site operator over the same labels")
     if i == j or not (1 <= i <= space.n and 1 <= j <= space.n):
         raise ValueError("need two distinct sites in range")
-    pi, pj = i - 1, j - 1
+    return _embedded(op, (space.stride(i), space.stride(j)), space)
+
+
+def _embedded(op: LinOp, strides, space: Space) -> LinOp:
+    """op acting on the sites whose index strides are given, in slot order.
+
+    A local code adds its slot digits times these strides to a full index;
+    the digits at every other site add an offset that op leaves unchanged.
+    """
+    d = space.site_dim
+    shift = _offsets(strides, d)
+    all_strides = [space.stride(j) for j in range(1, space.n + 1)]
+    others = _offsets([s for s in all_strides if s not in strides], d)
+    local = [(shift[c], [(shift[r] - shift[c], v) for r, v in col.items()])
+             for c, col in op.cols.items()]
     cols = {}
-    for state in space.states():
-        col = op.cols.get((state[pi], state[pj]))
-        if col is None:
-            continue
-        dst = {}
-        for (ra, rb), v in col.items():
-            rstate = list(state)
-            rstate[pi] = ra
-            rstate[pj] = rb
-            dst[tuple(rstate)] = v
-        cols[state] = dst
+    for rest in others:
+        for oc, rows in local:
+            c = rest + oc
+            cols[c] = {c + dr: v for dr, v in rows}
     return LinOp.of(space, cols, op.den, op.exact)
+
+
+def _offsets(strides, d: int) -> list:
+    """Index offset of every digit tuple over the given strides, first
+    stride most significant."""
+    out = [0]
+    for s in strides:
+        out = [base + digit * s for base in out for digit in range(d)]
+    return out
 
 
 def site_tensor(op1: LinOp, op2: LinOp) -> LinOp:
@@ -364,15 +402,14 @@ def site_tensor(op1: LinOp, op2: LinOp) -> LinOp:
     if op1.space.n != 1 or op2.space.n != 1 or op1.space.half_dim != op2.space.half_dim:
         raise ValueError("site_tensor wants two site operators over the same labels")
     sp = Space(2, op1.space.half_dim)
+    d = sp.site_dim
     (cols1, den1), (cols2, den2), exact = _operands(op1, op2)
     cols = {}
-    for (c1,), col1 in cols1.items():
-        for (c2,), col2 in cols2.items():
-            dst = {}
-            for (r1,), v1 in col1.items():
-                for (r2,), v2 in col2.items():
-                    dst[(r1, r2)] = v1 * v2
-            cols[(c1, c2)] = dst
+    for c1, col1 in cols1.items():
+        for c2, col2 in cols2.items():
+            cols[c1 * d + c2] = {
+                r1 * d + r2: v1 * v2 for r1, v1 in col1.items() for r2, v2 in col2.items()
+            }
     return _built(sp, cols, den1 * den2, exact)
 
 

@@ -1,0 +1,165 @@
+"""Operators are keyed by linear state index, in `Space.states()` order.
+
+The oracles here never compute an index by strides: a state's position is
+its position in the list `Space.states()` yields, and embedded operators
+are written down state tuple by state tuple.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from bqkz.compat_ops import op_L, site_unit
+from bqkz.hecke_module import (
+    SignedPerm,
+    _cbar_factor,
+    cbar_factor_list,
+    op_Cbar,
+    orbit_states,
+    rhoL,
+    zero_on_orbit,
+)
+from bqkz.rqkz import ModelParams, op_dT_dx, op_K, op_P, op_Q, op_R_k, op_T
+from bqkz.scalar_field import rat
+from bqkz.tensor_ops import LinOp, Space, Vec, embed_pair, embed_site, site_tensor
+
+SIZES = [(n, half) for n in (1, 2, 3) for half in (1, 2, 3)]
+X = (rat(2), rat(3), rat(5))
+Y = (rat(1, 3), rat(2, 7), rat(-5, 4))
+
+
+def _params(space):
+    return ModelParams(c=rat(1, 2), k=rat(2, 3), alpha=rat(3, 5), beta=rat(-4, 7), space=space)
+
+
+def _built_operators(n, half):
+    """Every builder's output that lives on Space(n, half)."""
+    space = Space(n, half)
+    x, y, params = X[:half], Y[:n], _params(space)
+    ops = [LinOp.identity(space)]
+    if n == 1:
+        ops += [op_T(x), op_dT_dx(x, half), op_K(rat(7, 3), x, rat(1, 2)),
+                site_unit(half, 0, 2 * half - 1)]
+    if n == 2:
+        ops += [op_P(half), op_R_k(rat(5, 2), rat(2, 3), half),
+                site_tensor(op_T(x), site_unit(half, 1, 0))]
+    ops += [embed_site(op_K(rat(7, 3), x, rat(1, 2)), j, space) for j in range(1, n + 1)]
+    if n >= 2:
+        r = op_R_k(rat(5, 2), rat(2, 3), half)
+        ops += [embed_pair(r, 1, n, space), embed_pair(r, n, 1, space)]
+    ops += [op_Q(m, x, y, params) for m in range(1, n + 1)]
+    ops += [op_L(half, x, y, params)]
+    if n == half:
+        ops += [rhoL(SignedPerm.generator(n, n), space), op_Cbar(1, x, y, params)]
+        ops += [_cbar_factor(desc, x, y, params) for desc in cbar_factor_list(n, n)]
+    return space, ops
+
+
+@pytest.mark.parametrize("n,half", SIZES)
+def test_builders_key_by_index_and_entry_reads_the_states_position(n, half):
+    space, ops = _built_operators(n, half)
+    states = list(space.states())
+    position = {s: i for i, s in enumerate(states)}
+    assert [space.index(s) for s in states] == list(range(space.dim))
+    assert [space.state(i) for i in range(space.dim)] == states
+    for op in ops:
+        assert op.space == space
+        for c, col in op.cols.items():
+            assert type(c) is int and 0 <= c < space.dim
+            assert all(type(r) is int and 0 <= r < space.dim for r in col)
+        dense = op.to_dense()
+        for row, col in itertools.product(states, repeat=2):
+            assert op.entry(row, col) == dense[position[row]][position[col]]
+
+
+def _tuple_op(space, r):
+    """A random operator as {col_state: {row_state: value}}."""
+    states = list(space.states())
+    out = {}
+    for c in states:
+        for row in states:
+            if r.random() < 0.4:
+                out.setdefault(c, {})[row] = rat(r.randint(-9, 9) or 1, r.randint(1, 4))
+    return out
+
+
+def _dense_from_tuples(space, value_at):
+    """Dense matrix whose (row, col) entry is value_at(row_state,
+    col_state), positions read from the list of states."""
+    states = list(space.states())
+    return [[value_at(row, col) for col in states] for row in states]
+
+
+def _read(cols, row, col):
+    return cols.get(col, {}).get(row, 0)
+
+
+@pytest.mark.parametrize("n,half", SIZES)
+def test_embeddings_match_oracles_written_by_state(n, half):
+    r = random.Random(100 * n + half)
+    space, site, pair = Space(n, half), Space(1, half), Space(2, half)
+    one, two, local = _tuple_op(site, r), _tuple_op(site, r), _tuple_op(pair, r)
+
+    def embedded(cols, sites):
+        """Oracle of an operator on `sites` (0-based, slot order)."""
+
+        def value_at(row, col):
+            if any(row[p] != col[p] for p in range(n) if p not in sites):
+                return 0
+            return _read(cols, tuple(row[p] for p in sites), tuple(col[p] for p in sites))
+
+        return _dense_from_tuples(space, value_at)
+
+    for j in range(1, n + 1):
+        assert embed_site(LinOp(site, one), j, space).to_dense() == embedded(one, (j - 1,)), j
+    for i, j in itertools.permutations(range(1, n + 1), 2):
+        got = embed_pair(LinOp(pair, local), i, j, space).to_dense()
+        assert got == embedded(local, (i - 1, j - 1)), (i, j)
+
+    def tensor_value(row, col):
+        return _read(one, row[:1], col[:1]) * _read(two, row[1:], col[1:])
+
+    tensor = site_tensor(LinOp(site, one), LinOp(site, two))
+    assert tensor.to_dense() == _dense_from_tuples(pair, tensor_value)
+
+
+def test_orbit_check_reads_orbit_states_by_index():
+    space = Space(2, 2)
+    states = orbit_states(space)
+    on, off = states[0], (0, 0)
+    assert off not in states
+    assert not zero_on_orbit(LinOp(space, {on: {off: 1}}), states)
+    assert zero_on_orbit(LinOp(space, {off: {on: 1}}), states)
+
+
+@pytest.mark.parametrize("scalar", [rat, lambda v: complex(v) * (0.5 + 0.25j)])
+def test_compose_stores_no_zero_and_drops_an_emptied_column(scalar):
+    """Exact and floating point: a cancelled entry is not stored, and a
+    column that cancels entirely is dropped."""
+    sp = Space(1, 1)
+    one = scalar(1)
+    a = LinOp(sp, {(0,): {(0,): one, (1,): one}, (1,): {(0,): one, (1,): one + one}})
+    b = LinOp(sp, {(0,): {(0,): one, (1,): -one}, (1,): {(1,): one}})
+    assert a.exact == b.exact == (scalar is rat)
+    partly = a @ b
+    assert partly.cols[0] == {1: -(one * one)}
+    assert all(v != 0 for col in partly.cols.values() for v in col.values())
+    whole = LinOp(sp, {(0,): {(0,): one}, (1,): {(0,): one}})
+    emptied = whole @ b
+    assert emptied.cols == {1: {0: one * one}}
+
+
+def test_apply_keeps_state_keys():
+    for n, half in ((1, 2), (2, 1), (3, 1)):
+        space = Space(n, half)
+        op = op_Q(1, X[:half], Y[:n], _params(space))
+        vec = Vec(space, {s: rat(i + 1) for i, s in enumerate(space.states()) if i % 3 == 0})
+        out = op.apply(vec)
+        assert out.entries
+        assert all(type(s) is tuple and len(s) == n for s in out.entries)
+        dense = op.to_dense()
+        states = list(space.states())
+        for i, s in enumerate(states):
+            want = sum(dense[i][j] * vec.entries.get(t, 0) for j, t in enumerate(states))
+            assert out.entries.get(s, 0) == want

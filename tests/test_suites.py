@@ -210,7 +210,8 @@ def test_cbar_qinv_builds_each_degenerate_product_once(monkeypatch):
 
 def _bump(op: LinOp, state) -> LinOp:
     """op plus one at the diagonal entry of a basis state."""
-    return op + LinOp.of(op.space, {state: {state: 1}})
+    i = op.space.index(state)
+    return op + LinOp.of(op.space, {i: {i: 1}})
 
 
 def test_a_perturbed_transport_factor_fails_both_transport_suites(monkeypatch):

@@ -261,7 +261,7 @@ def test_sum_cancelling_across_denominators_is_the_canonical_zero():
     assert total == LinOp.zero(sp)
     partial = third + sixth
     assert_canonical(partial)
-    assert partial.den == 2 and partial.cols == {(0,): {(1,): -1}}
+    assert partial.den == 2 and partial.cols == {sp.index((0,)): {sp.index((1,)): -1}}
     assert partial.entry((1,), (0,)) == rat(-1, 2)
 
 
