@@ -15,6 +15,11 @@ into one scalar.  Each writes its factors' entries down directly on one or
 two sites and embeds them, with its own builder.  A caller builds Cbar_m
 once per point; the orbit check compares it with the inverse transport
 operator evaluated on the orbit columns only.
+
+Left-action images depend on the space alone.  A caller builds the ones a
+check reads once per space (`generator_images`, `pair_sum_images`) and
+passes them to every point; the pair-sum identities between them read no
+point at all, so one check per space proves them.
 """
 
 from __future__ import annotations
@@ -132,18 +137,39 @@ def _label_code(label: int, n: int) -> int:
 
 
 def rhoL(w: SignedPerm, space: Space) -> LinOp:
-    """Left action: relabel every site's label by w."""
+    """Left action: relabel every site's label by w.  A permutation of the
+    basis, so each column holds one index."""
     if space.half_dim != space.n or w.n != space.n:
         raise ValueError("left action needs label count equal to site count")
-    n = space.n
-    site_map = {}
-    for code in range(2 * n):
+    n, d = space.n, space.site_dim
+    site_map = []
+    for code in range(d):
         label = code + 1 if code < n else n - code - 1
-        site_map[code] = _label_code(w.apply(label), n)
+        site_map.append(_label_code(w.apply(label), n))
     cols = {}
-    for state in space.states():
-        cols[state] = {tuple(site_map[c] for c in state): 1}
-    return LinOp(space, cols)
+    for col, state in enumerate(space.states()):
+        row = 0
+        for code in state:
+            row = row * d + site_map[code]
+        cols[col] = {row: 1}
+    return LinOp.of(space, cols)
+
+
+def generator_images(space: Space) -> tuple:
+    """Left-action images of the generators s_1, ..., s_n, in that order."""
+    n = space.n
+    return tuple(rhoL(SignedPerm.generator(n, i), space) for i in range(1, n + 1))
+
+
+def pair_sum_images(space: Space) -> dict:
+    """Left-action image of each group element the pair-sum restriction
+    reads (r_a, s_ab and s~_ab), keyed by the element."""
+    n = space.n
+    elements = [elem_r(a, n) for a in range(1, n + 1)]
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            elements += [elem_s(a, b, n), elem_s_tilde(a, b, n)]
+    return {w: rhoL(w, space) for w in elements}
 
 
 def phi(w: SignedPerm, space: Space) -> Vec:
@@ -229,10 +255,12 @@ def eta_L_push(a: int, word: tuple, y: Sequence, params: ModelParams):
     return prepend(eta_L_push(a, rest, y, params))
 
 
-def check_AHA_relations(y: Sequence, params: ModelParams):
+def check_AHA_relations(y: Sequence, params: ModelParams, gens):
     """Residuals of the degenerate cross relations; zero on the orbit only.
 
-    Yields (name, residual LinOp).  Callers restrict to the orbit basis.
+    gens are the generator images `generator_images(params.space)`, which
+    depend on the space alone.  Yields (name, residual LinOp).  Callers
+    restrict to the orbit basis.
     """
     from .compat_ops import op_A
 
@@ -241,12 +269,12 @@ def check_AHA_relations(y: Sequence, params: ModelParams):
     ident = LinOp.identity(space)
     ops_a = {i: op_A(i, y, params) for i in range(1, n + 1)}
     for i in range(1, n):
-        s_i = rhoL(SignedPerm.generator(n, i), space)
+        s_i = gens[i - 1]
         yield (
             "lower-%d" % i,
             ops_a[i] @ s_i - s_i @ ops_a[i + 1] - ident.scale(params.k),
         )
-    s_n = rhoL(SignedPerm.generator(n, n), space)
+    s_n = gens[n - 1]
     yield (
         "top",
         ops_a[n] @ s_n + s_n @ ops_a[n] - ident.scale(2 * params.alpha),
@@ -254,7 +282,7 @@ def check_AHA_relations(y: Sequence, params: ModelParams):
     for i in range(1, n + 1):
         for jj in range(1, n + 1):
             if abs(i - jj) > 1 or (i, jj) == (n - 1, n):
-                s_j = rhoL(SignedPerm.generator(n, jj), space)
+                s_j = gens[jj - 1]
                 yield ("comm-%d-%d" % (i, jj), ops_a[i] @ s_j - s_j @ ops_a[i])
 
 
@@ -421,46 +449,55 @@ def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: L
     return [s for s, i in zip(states, indices) if i in diff.cols]
 
 
-def check_L_restriction(a: int, x, y, params: ModelParams):
-    """Residuals of the orbit-only identities; (name, residual) pairs.
+def pair_sum_identities(a: int, space: Space, images):
+    """Residuals of the point-free restriction identities for label a:
+    (name, residual) pairs between fixed integer operators, images being
+    `pair_sum_images(space)`.
 
     Callers restrict to the orbit basis: all are generally nonzero on the
     full space.
     """
-    from .compat_ops import coll_X, coll_Y, coll_Z, op_A, op_Ebar, op_L
+    from .compat_ops import coll_X, coll_Y, coll_Z, op_Ebar
 
-    space = params.space
     n = space.n
     ebar_sum = LinOp.zero(space)
     for j in range(1, n + 1):
         ebar_sum = ebar_sum + embed_site(op_Ebar(n, a, a), j, space)
-    yield ("reflection-sum", ebar_sum - rhoL(elem_r(a, n), space))
+    yield ("reflection-sum", ebar_sum - images[elem_r(a, n)])
     yield ("self-pair", coll_Y(a, a, space) + coll_Z(a, a, space))
     for b in range(1, n + 1):
         if b == a:
             continue
         yield (
             "swap-pair-%d" % b,
-            coll_X(a, b, space) + coll_X(b, a, space) - rhoL(elem_s(a, b, n), space),
+            coll_X(a, b, space) + coll_X(b, a, space) - images[elem_s(a, b, n)],
         )
         yield (
             "signed-swap-pair-%d" % b,
-            coll_Y(a, b, space) + coll_Z(a, b, space) - rhoL(elem_s_tilde(a, b, n), space),
+            coll_Y(a, b, space) + coll_Z(a, b, space) - images[elem_s_tilde(a, b, n)],
         )
+
+
+def check_L_restriction(a: int, x, params: ModelParams, images) -> LinOp:
+    """Residual of L_a against its group-algebra form; zero on the orbit
+    only.  images are `pair_sum_images(params.space)`.
+
+    Both sides of the identity hold the argument part op_A(a, y); exact
+    addition cancels it, so the residual is the group part minus the
+    coordinate part op_B(a, x) and reads no y.
+    """
+    from .compat_ops import op_B
+
+    space = params.space
+    n = space.n
     x = tuple(x)
     xa = x[a - 1]
-    assembled = op_A(a, y, params)
-    assembled = assembled + rhoL(elem_r(a, n), space).scale(
-        div(2 * (params.alpha + params.beta * xa), xa * xa - 1)
-    )
+    out = images[elem_r(a, n)].scale(div(2 * (params.alpha + params.beta * xa), xa * xa - 1))
     group_part = LinOp.zero(space)
     for p in range(1, n + 1):
         if p == a:
             continue
         w = div(xa, xa - x[p - 1]) if p < a else div(x[p - 1], xa - x[p - 1])
-        group_part = group_part + rhoL(elem_s(a, p, n), space).scale(w)
-        group_part = group_part + rhoL(elem_s_tilde(a, p, n), space).scale(
-            inv(xa * x[p - 1] - 1)
-        )
-    assembled = assembled + group_part.scale(params.k)
-    yield ("assembled", assembled - op_L(a, x, y, params))
+        group_part = group_part + images[elem_s(a, p, n)].scale(w)
+        group_part = group_part + images[elem_s_tilde(a, p, n)].scale(inv(xa * x[p - 1] - 1))
+    return out + group_part.scale(params.k) - op_B(a, x, params)

@@ -6,17 +6,28 @@ passes only if all of them vanish identically.  Results are booleans, not
 small floats; there is no tolerance anywhere in this module.
 
 A suite is one row of a table: its anchor, the label of a size, its sizes,
-its default sample count, and a function that maps a size to the builder
-that `sample_point` calls.  The builder draws the point, runs the checks
-and returns (failing names, point); set-up that depends on the size alone
-stays outside it.  One runner loops over the sizes, draws the points and
-formats each failure note as "<size label> <name> point=<point>".  A route
-mismatch inside a check becomes a failure note, not an exception.
+its default sample count, and `builder_for`, which maps a size to a pair
+(failing point-free checks, builder).  `builder_for` runs once per size
+per run and does everything that depends on the size alone: it builds the
+operators no point changes and runs the point-free checks, the identities
+between fixed operators that read no point.  The builder, which
+`sample_point` calls, draws the point, runs the checks that read it and
+returns (failing names, point).
+
+One runner loops over the sizes and draws the points.  A sample with any
+failing check counts as one failure; its notes read "<size label> <name>
+point=<point>".  A size with a failing point-free check counts as one
+failure of the run, whatever the sample count, with one note "<size label>
+<name>"; its samples are drawn all the same.  A route mismatch inside a
+check becomes a failure note, not an exception.
 
 Samples are independently seeded from the run seed and the pair
 (suite name, sample index), so a run is reproducible regardless of how
 many workers execute it.  Set BQKZ_THREADS to parallelize across samples
-(at most one worker per CPU); assembly order is fixed either way.
+(at most one worker per CPU): each worker takes one contiguous chunk of
+sample indices and calls `builder_for` once per size for it.  Point-free
+checks are counted by the calling process alone, and assembly order is
+fixed either way.
 """
 
 from __future__ import annotations
@@ -66,10 +77,6 @@ class SuiteResult:
         }
 
 
-class _SetupDefect(Exception):
-    """A check on the size alone failed, so no point is drawn for it."""
-
-
 def _rand_x(rng, count: int) -> tuple:
     return rand_tuple(rng, count, nonzero=True)
 
@@ -83,7 +90,8 @@ def _failing(checks, states=None) -> list:
 
 
 # Builders of the braid suites name no check: their notes read
-# "<size label> point=<point>".
+# "<size label> point=<point>".  Like every builder_for without point-free
+# checks, each returns ([], builder).
 
 
 def _ybe(half):
@@ -92,7 +100,7 @@ def _ybe(half):
         l1, l2, l3 = rand_tuple(r, 3)
         return _failing([("", rqkz.ybe_defect(k, l1, l2, l3, half))]), (k, l1, l2, l3)
 
-    return build
+    return [], build
 
 
 def _bybe(half):
@@ -103,7 +111,7 @@ def _bybe(half):
         l1, l2 = rand_tuple(r, 2)
         return _failing([("", rqkz.bybe_defect(k, beta, x, l1, l2))]), (k, beta, x, l1, l2)
 
-    return build
+    return [], build
 
 
 def _unitarity(half):
@@ -120,19 +128,27 @@ def _unitarity(half):
         ]
         return _failing(checks), (k, beta, lam, x)
 
-    return build
+    return [], build
 
 
-def _model_suite(checks, draw_x=True, on_orbit=False):
+def _model_suite(checks, draw_x=True):
     """builder_for of a suite drawn at random model parameters, coordinates x
     (when draw_x) and arguments y on Space(n, half); a size is (n, half), or
-    n for half = n.  checks(x, y, params) yields (name, defect) pairs, and
-    with on_orbit a defect need only vanish on the orbit states."""
+    n for half = n.  checks(x, y, params) yields (name, defect) pairs."""
+    return _sized_model_suite(lambda space: ([], checks), draw_x)
+
+
+def _sized_model_suite(setup, draw_x=True, on_orbit=False):
+    """The same, with work that depends on the space alone: setup(space)
+    returns the point-free (name, defect) pairs and the checks, which may
+    share operators built there.  With on_orbit a defect need only vanish
+    on the orbit states."""
 
     def builder_for(size):
         n, half = size if isinstance(size, tuple) else (size, size)
         space = Space(n, half)
         states = tuple(hecke_module.orbit_states(space)) if on_orbit else None
+        point_free, checks = setup(space)
 
         def build(r):
             params = ModelParams.random(r, space)
@@ -140,7 +156,7 @@ def _model_suite(checks, draw_x=True, on_orbit=False):
             y = rand_tuple(r, n)
             return _failing(checks(x, y, params), states), ((x, y) if draw_x else y)
 
-        return build
+        return _failing(point_free, states), build
 
     return builder_for
 
@@ -199,14 +215,25 @@ def _compatibility(x, y, params):
             )
 
 
-def _aha(x, y, params):
-    return hecke_module.check_AHA_relations(y, params)
+def _aha(space):
+    gens = hecke_module.generator_images(space)
+    return [], lambda x, y, params: hecke_module.check_AHA_relations(y, params, gens)
 
 
-def _l_restriction(x, y, params):
-    for a in range(1, params.space.n + 1):
-        for name, defect in hecke_module.check_L_restriction(a, x, y, params):
-            yield "%s-%d" % (name, a), defect
+def _l_restriction(space):
+    labels = range(1, space.n + 1)
+    images = hecke_module.pair_sum_images(space)
+    point_free = [
+        ("%s-%d" % (name, a), defect)
+        for a in labels
+        for name, defect in hecke_module.pair_sum_identities(a, space, images)
+    ]
+
+    def checks(x, y, params):
+        for a in labels:
+            yield "assembled-%d" % a, hecke_module.check_L_restriction(a, x, params, images)
+
+    return point_free, checks
 
 
 def _comm_im(half):
@@ -223,7 +250,7 @@ def _comm_im(half):
             checks.append(("slot-swap-%d" % a, compat_ops.m_conjugation_defect(a, x, params)))
         return _failing(checks), (x, y1, y2)
 
-    return build
+    return [], build
 
 
 def _phi_iso(n):
@@ -234,8 +261,7 @@ def _phi_iso(n):
         vec = hecke_module.phi(w, space)
         (state,) = vec.entries
         images.add(state)
-    if len(images) != len(elements):
-        raise _SetupDefect("images collide")
+    point_free = ["images-collide"] if len(images) != len(elements) else []
 
     def build(r):
         x = _rand_x(r, n)
@@ -264,7 +290,7 @@ def _phi_iso(n):
             out.append("equivariance word=%r" % (word1,))
         return out, (x, word1, word2)
 
-    return build
+    return point_free, build
 
 
 def _cbar_qinv(n):
@@ -284,7 +310,7 @@ def _cbar_qinv(n):
                 out.append("grouped-%d" % m)
         return out, (x, y)
 
-    return build
+    return [], build
 
 
 class _Suite(NamedTuple):
@@ -333,7 +359,7 @@ _SUITES = {
     ),
     "aha-relations": _Suite(
         "degenerate cross relations on the orbit", _ORBIT, (2, 3), 100,
-        _model_suite(_aha, draw_x=False, on_orbit=True),
+        _sized_model_suite(_aha, draw_x=False, on_orbit=True),
     ),
     "phi-iso": _Suite("group element to orbit vector isomorphism", _ORBIT, (2, 3), 50, _phi_iso),
     "cbar-qinv": _Suite(
@@ -341,7 +367,7 @@ _SUITES = {
     ),
     "l-restriction": _Suite(
         "pair-sum restriction identities on the orbit", _ORBIT, (2, 3), 100,
-        _model_suite(_l_restriction, on_orbit=True),
+        _sized_model_suite(_l_restriction, on_orbit=True),
     ),
 }
 
@@ -362,25 +388,29 @@ def check_name(name):
         )
 
 
-def _run_one(task):
-    """One seeded sample of one suite; returns (index, failure notes)."""
-    name, seed, index, sizes = task
-    suite = _SUITES[name]
+def _sample(name, seed, index, labels, builds):
+    """Failure notes of one seeded sample over every size."""
     rng = make_rng(child_seed(seed, "%s:%d" % (name, index)))
     notes = []
-    for size in sizes:
-        label = suite.label % size
+    for label, build in zip(labels, builds):
         try:
-            names, point = sample_point(rng, suite.builder_for(size))
-        except _SetupDefect as exc:
-            notes.append("%s %s" % (label, exc))
-            continue
+            names, point = sample_point(rng, build)
         except compat_ops.RouteMismatch as exc:
             notes.append("%s route-mismatch: %s" % (label, exc))
             continue
         for nm in names:
             notes.append("%s point=%r" % (" ".join(filter(None, (label, nm))), point))
-    return index, notes
+    return notes
+
+
+def _run_chunk(task):
+    """Failure notes of a chunk of samples of one suite, in index order;
+    builder_for runs once per size for the chunk."""
+    name, seed, indices, sizes = task
+    suite = _SUITES[name]
+    builds = [suite.builder_for(size)[1] for size in sizes]
+    labels = [suite.label % size for size in sizes]
+    return [_sample(name, seed, index, labels, builds) for index in indices]
 
 
 def thread_count() -> int:
@@ -394,21 +424,30 @@ def thread_count() -> int:
 
 
 def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None,
-              executor=None) -> SuiteResult:
-    """Run one suite; unknown names raise ValueError listing valid ones."""
+              executor=None, workers: int = 1) -> SuiteResult:
+    """Run one suite; unknown names raise ValueError listing valid ones.
+
+    With an executor of `workers` processes, each worker runs one
+    contiguous chunk of the sample indices.
+    """
     check_name(name)
     suite = _SUITES[name]
     count = suite.samples if samples is None else samples
     used_sizes = tuple(sizes) if sizes is not None else suite.sizes
-    tasks = [(name, seed, idx, used_sizes) for idx in range(count)]
+    labels = [suite.label % size for size in used_sizes]
+    sized = [suite.builder_for(size) for size in used_sizes]
     if executor is None:
-        results = [_run_one(t) for t in tasks]
+        builds = [build for _, build in sized]
+        results = [_sample(name, seed, idx, labels, builds) for idx in range(count)]
     else:
-        results = list(executor.map(_run_one, tasks))
-    results.sort(key=lambda pair: pair[0])
-    notes = []
-    failures = 0
-    for _, sample_notes in results:
+        bounds = [count * w // workers for w in range(workers + 1)]
+        tasks = [(name, seed, range(lo, hi), used_sizes)
+                 for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        results = [notes for chunk in executor.map(_run_chunk, tasks) for notes in chunk]
+    notes = ["%s %s" % (label, point_free[0])
+             for label, (point_free, _) in zip(labels, sized) if point_free]
+    failures = len(notes)
+    for sample_notes in results:
         if sample_notes:
             failures += 1
             if len(notes) < 5:
@@ -440,7 +479,8 @@ def run_suites(names=None, samples: int | None = None, seed: int = 0,
     try:
         for nm in chosen:
             start = time.perf_counter()
-            result = run_suite(nm, samples=samples, seed=seed, executor=executor)
+            result = run_suite(nm, samples=samples, seed=seed, executor=executor,
+                               workers=workers)
             yield result, time.perf_counter() - start
     finally:
         if executor is not None:

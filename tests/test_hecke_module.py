@@ -20,8 +20,11 @@ from bqkz.hecke_module import (
     elem_s,
     elem_s_tilde,
     eta_L_push,
+    generator_images,
     op_Cbar,
     orbit_states,
+    pair_sum_identities,
+    pair_sum_images,
     phi,
     rhoL,
     rhoR_generator,
@@ -170,11 +173,12 @@ def test_aha_relations_on_orbit():
     for n in (2, 3):
         space = Space(n, n)
         states = tuple(orbit_states(space))
+        gens = generator_images(space)
 
         def body(r):
             params = rand_params(r, space)
             y = rand_tuple(r, n)
-            for name, defect in check_AHA_relations(y, params):
+            for name, defect in check_AHA_relations(y, params, gens):
                 assert zero_on_orbit(defect, states), name
             return True
 
@@ -188,7 +192,7 @@ def test_aha_needs_orbit_restriction():
     space = Space(2, 2)
     params = ModelParams(rat(1), rat(2, 3), rat(5, 7), rat(3, 4), space)
     y = (rat(1, 2), rat(-2, 5))
-    defects = dict(check_AHA_relations(y, params))
+    defects = dict(check_AHA_relations(y, params, generator_images(space)))
     repeated = Vec.basis(space, (0, 0))
     assert defects["lower-1"].apply(repeated) == repeated.scale(-params.k)
 
@@ -220,17 +224,27 @@ def test_eta_push_oracle():
 
 
 def test_l_restriction_on_orbit():
+    """Every family vanishes on the orbit: the point-free identities once
+    per n, the assembled form of L_a at each point."""
     for n in (2, 3):
         space = Space(n, n)
         states = tuple(orbit_states(space))
+        images = pair_sum_images(space)
+        for a in range(1, n + 1):
+            names = []
+            for name, defect in pair_sum_identities(a, space, images):
+                assert zero_on_orbit(defect, states), (a, name)
+                names.append(name)
+            others = [b for b in range(1, n + 1) if b != a]
+            assert names == ["reflection-sum", "self-pair"] + [
+                "%s-%d" % (family, b) for b in others for family in ("swap-pair", "signed-swap-pair")
+            ]
 
         def body(r):
             params = rand_params(r, space)
             x = rand_tuple(r, n, nonzero=True)
-            y = rand_tuple(r, n)
             for a in range(1, n + 1):
-                for name, defect in check_L_restriction(a, x, y, params):
-                    assert zero_on_orbit(defect, states), (a, name)
+                assert zero_on_orbit(check_L_restriction(a, x, params, images), states), a
             return True
 
         for _ in range(2):

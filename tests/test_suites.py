@@ -58,11 +58,15 @@ def test_failure_notes_name_the_size_and_the_check(monkeypatch):
 
 
 def test_process_pool_gives_the_serial_bodies():
+    """Also for suites whose builder_for builds operators per size, which
+    each worker builds again for its chunk of samples."""
+
     def bodies(threads):
         return [
             result.body()
             for result, _ in suites.run_suites(
-                ["ybe", "phi-iso"], samples=3, seed=3, threads=threads
+                ["ybe", "phi-iso", "l-restriction", "aha-relations"],
+                samples=3, seed=3, threads=threads,
             )
         ]
 
@@ -271,3 +275,72 @@ def test_a_perturbed_degenerate_factor_fails_both_cbar_checks(monkeypatch):
     monkeypatch.setattr(hecke_module, "_cbar_factor", perturbed)
     notes = suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes
     assert [note.split(" point=")[0] for note in notes] == ["n=2 site-1", "n=2 grouped-1"]
+
+
+def test_size_level_operators_are_built_once_per_run(monkeypatch):
+    """builder_for runs once per size per run: the left-action images and
+    the orbit states do not grow with the sample count."""
+    counts = {}
+
+    def counting(attr):
+        def replacement(real):
+            def counted(*args):
+                counts[attr] += 1
+                return real(*args)
+
+            return counted
+
+        return replacement
+
+    for attr in ("rhoL", "orbit_states"):
+        _patch_everywhere(monkeypatch, hecke_module, attr, counting(attr))
+    # Per run over n = 2 and 3: distinct images (4 + 9 for the pair sums,
+    # 2 + 3 generators) and one orbit per n.
+    expected = {"l-restriction": 13, "aha-relations": 5, "cbar-qinv": 0}
+    for name, images in expected.items():
+        for samples in (1, 4):
+            counts.update(rhoL=0, orbit_states=0)
+            assert suites.run_suite(name, samples=samples, seed=0).exact_zero
+            assert counts == {"rhoL": images, "orbit_states": 2}, (name, samples)
+
+
+def test_one_wrong_left_image_fails_a_point_free_and_the_assembled_check(monkeypatch):
+    """A wrong rhoL(s_12) entry on the orbit shows in the pair-sum identity
+    proved once per size and in the assembled form checked at the point."""
+    target = hecke_module.elem_s(1, 2, 2)
+    orbit_state = hecke_module.orbit_states(Space(2, 2))[0]
+
+    def perturbed(w, space, real=hecke_module.rhoL):
+        op = real(w, space)
+        return _bump(op, orbit_state) if w == target else op
+
+    monkeypatch.setattr(hecke_module, "rhoL", perturbed)
+    result = suites.run_suite("l-restriction", samples=1, seed=0, sizes=(2,))
+    assert result.failures == 2
+    assert result.notes[0] == "n=2 swap-pair-2-1"
+    assert any(note.startswith("n=2 assembled-1 point=") for note in result.notes[1:])
+
+
+def test_colliding_images_count_once_per_size_and_sampling_goes_on(monkeypatch):
+    """phi sends s_1 onto the identity's basis vector.  The three words of
+    seed 0 never reach s_1, so only the size-level image check fails, once
+    for the size, while all three samples are still drawn."""
+    s_1 = hecke_module.SignedPerm.generator(2, 1)
+    identity = hecke_module.SignedPerm.identity(2)
+
+    def colliding(w, space, real=hecke_module.phi):
+        return real(identity if w == s_1 else w, space)
+
+    monkeypatch.setattr(hecke_module, "phi", colliding)
+    drawn = []
+    real_sample_point = suites.sample_point
+
+    def recording(rng, builder, *args, **kwargs):
+        drawn.append(1)
+        return real_sample_point(rng, builder, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "sample_point", recording)
+    result = suites.run_suite("phi-iso", samples=3, seed=0, sizes=(2,))
+    assert result.failures == 1
+    assert result.notes == ("n=2 images-collide",)
+    assert len(drawn) == 3
