@@ -123,12 +123,21 @@ def coll_Y(a: int, b: int, space: Space) -> LinOp:
 
 
 @cache
-def coll_Z(a: int, b: int, space: Space) -> LinOp:
+def coll_X_swap(a: int, b: int, space: Space) -> LinOp:
+    """coll_X(a, b) + coll_X(b, a): op_B, op_dB_dx and the point-free
+    restriction identities read only this sum."""
+    return coll_X(a, b, space) + coll_X(b, a, space)
+
+
+@cache
+def coll_YZ(a: int, b: int, space: Space) -> LinOp:
+    """coll_Y(a, b) plus its barred-row counterpart: op_B, op_dB_dx and
+    the point-free restriction identities read only this sum."""
     half = space.half_dim
     two = site_tensor(_eu(half, a, True, b, False), op_Ebar(half, b, a)) + site_tensor(
         _eu(half, b, True, a, False), op_Ebar(half, a, b)
     )
-    return _pair_sum(space, two)
+    return coll_Y(a, b, space) + _pair_sum(space, two)
 
 
 def op_A(a: int, y: Sequence, params: ModelParams) -> LinOp:
@@ -175,15 +184,13 @@ def op_B(a: int, x: Sequence, params: ModelParams) -> LinOp:
     for j in range(1, space.n + 1):
         out = out + embed_site(ebar_aa, j, space).scale(coeff0)
     pair_part = LinOp.zero(space)
-    for p in range(1, a):
-        w = div(xa, xa - x[p - 1])
-        pair_part = pair_part + (coll_X(a, p, space) + coll_X(p, a, space)).scale(w)
-    for p in range(a + 1, half + 1):
-        w = div(x[p - 1], xa - x[p - 1])
-        pair_part = pair_part + (coll_X(a, p, space) + coll_X(p, a, space)).scale(w)
+    for p in range(1, half + 1):
+        if p != a:
+            w = div(xa if p < a else x[p - 1], xa - x[p - 1])
+            pair_part = pair_part + coll_X_swap(a, p, space).scale(w)
     for p in range(1, half + 1):
         w = inv(xa * x[p - 1] - 1)
-        pair_part = pair_part + (coll_Y(a, p, space) + coll_Z(a, p, space)).scale(w)
+        pair_part = pair_part + coll_YZ(a, p, space).scale(w)
     return out + pair_part.scale(params.k)
 
 
@@ -327,25 +334,23 @@ def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
         for j in range(1, space.n + 1):
             out = out + embed_site(ebar, j, space).scale(d0)
         pair_part = LinOp.zero(space)
-        for p in range(1, b):
-            d = div(-x[p - 1], (xb - x[p - 1]) ** 2)
-            pair_part = pair_part + (coll_X(b, p, space) + coll_X(p, b, space)).scale(d)
-        for p in range(b + 1, half + 1):
-            d = div(-x[p - 1], (xb - x[p - 1]) ** 2)
-            pair_part = pair_part + (coll_X(b, p, space) + coll_X(p, b, space)).scale(d)
+        for p in range(1, half + 1):
+            if p != b:
+                d = div(-x[p - 1], (xb - x[p - 1]) ** 2)
+                pair_part = pair_part + coll_X_swap(b, p, space).scale(d)
         for p in range(1, half + 1):
             if p == b:
                 d = div(-2 * xb, (xb * xb - 1) ** 2)
             else:
                 d = div(-x[p - 1], (xb * x[p - 1] - 1) ** 2)
-            pair_part = pair_part + (coll_Y(b, p, space) + coll_Z(b, p, space)).scale(d)
+            pair_part = pair_part + coll_YZ(b, p, space).scale(d)
         return out + pair_part.scale(params.k)
     xa = x[a - 1]
     pair_part = LinOp.zero(space)
     d = div(xb, (xb - xa) ** 2)
-    pair_part = pair_part + (coll_X(b, a, space) + coll_X(a, b, space)).scale(d)
+    pair_part = pair_part + coll_X_swap(b, a, space).scale(d)
     d = div(-xb, (xb * xa - 1) ** 2)
-    pair_part = pair_part + (coll_Y(b, a, space) + coll_Z(b, a, space)).scale(d)
+    pair_part = pair_part + coll_YZ(b, a, space).scale(d)
     return pair_part.scale(params.k)
 
 

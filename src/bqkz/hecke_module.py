@@ -457,24 +457,24 @@ def pair_sum_identities(a: int, space: Space, images):
     Callers restrict to the orbit basis: all are generally nonzero on the
     full space.
     """
-    from .compat_ops import coll_X, coll_Y, coll_Z, op_Ebar
+    from .compat_ops import coll_X_swap, coll_YZ, op_Ebar
 
     n = space.n
     ebar_sum = LinOp.zero(space)
     for j in range(1, n + 1):
         ebar_sum = ebar_sum + embed_site(op_Ebar(n, a, a), j, space)
     yield ("reflection-sum", ebar_sum - images[elem_r(a, n)])
-    yield ("self-pair", coll_Y(a, a, space) + coll_Z(a, a, space))
+    yield ("self-pair", coll_YZ(a, a, space))
     for b in range(1, n + 1):
         if b == a:
             continue
         yield (
             "swap-pair-%d" % b,
-            coll_X(a, b, space) + coll_X(b, a, space) - images[elem_s(a, b, n)],
+            coll_X_swap(a, b, space) - images[elem_s(a, b, n)],
         )
         yield (
             "signed-swap-pair-%d" % b,
-            coll_Y(a, b, space) + coll_Z(a, b, space) - images[elem_s_tilde(a, b, n)],
+            coll_YZ(a, b, space) - images[elem_s_tilde(a, b, n)],
         )
 
 

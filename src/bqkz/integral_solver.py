@@ -25,20 +25,22 @@ results are reproducible bit for bit.  The array kernel takes log Gamma
 modulo 2 pi i, which is sound because only exponentials of sums are used.  The scalar kernel
 (`integrand`, `_kernel_cycle`) stays as the route of the independent
 quadrature oracle and as the reference the array kernel is tested against.
-A residual report solves each distinct point once: the base point, the n
-shifted points and the lambda derivative.
+A residual report integrates n + 1 node sets: the base point with its
+lambda derivative, whose rows are the pairing rows times -2 pi i t / c on
+the same nodes, and the n shifted points.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .rqkz import ModelParams, op_Q
+from .rqkz import ModelParams, op_Q, shift_y
 from .scalar_field import (
     cpow,
     log1m_exp,
@@ -288,26 +290,19 @@ def _log_cycle_denominator(t: complex, y: Sequence, c: complex) -> complex:
     return out
 
 
-def _kernel_cycle(t: complex, y: Sequence, W: CycleW, params: SolverParams,
-                  extra_weight: int = 0) -> complex:
-    """Kernel times cycle value at one sample, assembled in log space.
-
-    extra_weight inserts a factor (-2 pi i t / c)^power, used for the
-    analytic lambda derivative.
-    """
+def _kernel_cycle(t: complex, y: Sequence, W: CycleW,
+                  params: SolverParams) -> complex:
+    """Kernel times cycle value at one sample, assembled in log space."""
     base = kernel_log_phi(t, y, params)
     base -= _log_cycle_denominator(t, y, params.c)
     logz = TWO_PI_I * t / params.c
     out = 0
     for d, cf in W.terms:
         out += cf * cmath.exp(base + d * logz)
-    if extra_weight:
-        out *= (-TWO_PI_I * t / params.c) ** extra_weight
     return out
 
 
-def _kernel_cycle_array(t, y: Sequence, W: CycleW, params: SolverParams,
-                        extra_weight: int = 0):
+def _kernel_cycle_array(t, y: Sequence, W: CycleW, params: SolverParams):
     """_kernel_cycle over a 1-D array of nodes t, with log Gamma and the
     cycle denominator in array form.
 
@@ -336,8 +331,6 @@ def _kernel_cycle_array(t, y: Sequence, W: CycleW, params: SolverParams,
         live = expo.real >= _EXP_FLOOR
         expo = np.where(live, expo, _EXP_FLOOR)
         out = out + cf * np.where(live, np.exp(expo), 0)
-    if extra_weight:
-        out = out * (-TWO_PI_I * t / c) ** extra_weight
     return out
 
 
@@ -388,51 +381,33 @@ def validate_contour_line(y, c: complex, k: complex, delta: float,
     margin = 2.0 + abs(c)
     configs = [("base", tuple(y))]
     if include_shifted:
-        for m in range(1, len(y) + 1):
-            shifted = list(y)
-            shifted[m - 1] = shifted[m - 1] - c
-            configs.append(("shift-%d" % m, tuple(shifted)))
+        configs += [("shift-%d" % m, shift_y(y, m, c)) for m in range(1, len(y) + 1)]
     checked = 0
-    gap_above = math.inf
-    gap_below = math.inf
+    # side +1 walks the upward family base + k + j c, which must lie above
+    # the line; side -1 the downward family base - j c, which must lie
+    # below it.  side * (pole.imag - delta) is the pole's gap.
+    gaps = {1: math.inf, -1: math.inf}
     for name, yy in configs:
         for yp in yy:
             for base in (yp, -yp):
-                top = base + k
-                jj = 0
-                while True:
-                    pole = top + jj * c
-                    if abs(pole.real) > trunc + margin:
-                        break
-                    if pole.imag > delta + 3 * abs(c):
-                        break
-                    if pole.imag <= delta:
-                        raise SeparationError(
-                            "pole %r of config %s not above the contour"
-                            % (pole, name)
-                        )
-                    gap_above = min(gap_above, pole.imag - delta)
-                    checked += 1
-                    jj += 1
-                jj = 0
-                while True:
-                    pole = base - jj * c
-                    if abs(pole.real) > trunc + margin:
-                        break
-                    if pole.imag < delta - 3 * abs(c):
-                        break
-                    if pole.imag >= delta:
-                        raise SeparationError(
-                            "pole %r of config %s not below the contour"
-                            % (pole, name)
-                        )
-                    gap_below = min(gap_below, delta - pole.imag)
-                    checked += 1
-                    jj += 1
+                for start, step, side in ((base + k, c, 1), (base, -c, -1)):
+                    for jj in itertools.count():
+                        pole = start + jj * step
+                        if abs(pole.real) > trunc + margin:
+                            break
+                        if side * pole.imag > side * delta + 3 * abs(c):
+                            break
+                        if side * pole.imag <= side * delta:
+                            raise SeparationError(
+                                "pole %r of config %s not %s the contour"
+                                % (pole, name, "above" if side > 0 else "below")
+                            )
+                        gaps[side] = min(gaps[side], side * (pole.imag - delta))
+                        checked += 1
     return {
         "poles_checked": checked,
-        "min_gap_above": gap_above,
-        "min_gap_below": gap_below,
+        "min_gap_above": gaps[1],
+        "min_gap_below": gaps[-1],
         "configs": [name for name, _ in configs],
     }
 
@@ -520,8 +495,20 @@ def _trapezoid(values, params: SolverParams, contour: Contour):
     )
 
 
+def _pairing_values(indices, W: CycleW, params: SolverParams, y: tuple):
+    """values(t) for _trapezoid: the kernel-cycle times g_j at the nodes t
+    for each index j, and |kernel|."""
+
+    def values(t):
+        ker = _kernel_cycle_array(t, y, W, params)
+        rows = _weight_rows(t, y, params.k)
+        return ker * np.array([rows[j - 1] for j in indices]), np.abs(ker)
+
+    return values
+
+
 def _pair_many(indices, W: CycleW, params: SolverParams, y=None,
-               extra_weight=0, contour: Contour = None):
+               contour: Contour = None):
     """Pairings against g_j for several indices j at once, on one
     trapezoidal rule."""
     W.validate(params)
@@ -530,13 +517,7 @@ def _pair_many(indices, W: CycleW, params: SolverParams, y=None,
         contour = build_contour(
             replace(params, y=yy), W=W, include_shifted=False
         )
-
-    def values(t):
-        ker = _kernel_cycle_array(t, yy, W, params, extra_weight=extra_weight)
-        rows = _weight_rows(t, yy, params.k)
-        return ker * np.array([rows[j - 1] for j in indices]), np.abs(ker)
-
-    return _trapezoid(values, params, contour)
+    return _trapezoid(_pairing_values(indices, W, params, yy), params, contour)
 
 
 def pair_I(j: int, W: CycleW, params: SolverParams, y=None,
@@ -548,33 +529,44 @@ def pair_I(j: int, W: CycleW, params: SolverParams, y=None,
     return vals[0]
 
 
-def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
-            contour: Contour = None, extra_weight: int = 0) -> SolutionVector:
-    """All 2n pairing coefficients and the assembled vector."""
-    p = replace(params, lam=complex(lam), y=tuple(y))
-    indices = list(range(1, 2 * p.n + 1))
-    vals, diag = _pair_many(
-        indices, W, p, extra_weight=extra_weight, contour=contour
-    )
+def _solution(p: SolverParams, vals, diag: dict) -> SolutionVector:
     vec = Vec(p.space, {})
-    for j, v in zip(indices, vals):
+    for j, v in enumerate(vals, start=1):
         vec = vec.add(vec_u(j, p).scale(v))
     return SolutionVector(
         coeffs=tuple(vals), lam=p.lam, y=p.y, vec=vec, diagnostics=diag
     )
 
 
-def _shifted_solutions(W: CycleW, params: SolverParams,
-                       contour: Contour) -> list:
-    """Solutions at y with its m-th entry stepped down by c, for
-    m = 1 .. n."""
-    out = []
-    for m in range(1, params.n + 1):
-        shifted_y = list(params.y)
-        shifted_y[m - 1] = shifted_y[m - 1] - params.c
-        out.append(solve_f(params.lam, tuple(shifted_y), W, params,
-                           contour=contour))
-    return out
+def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
+            contour: Contour = None) -> SolutionVector:
+    """All 2n pairing coefficients and the assembled vector."""
+    p = replace(params, lam=complex(lam), y=tuple(y))
+    return _solution(p, *_pair_many(range(1, 2 * p.n + 1), W, p, contour=contour))
+
+
+def solve_with_derivative(W: CycleW, params: SolverParams,
+                          contour: Contour = None) -> tuple:
+    """The solution at params and its lambda derivative, from one node set.
+
+    The lambda derivative of the kernel's factor e^{-2 pi i lam t / c}
+    weights the integrand by -2 pi i t / c, which is analytic in the same
+    strip, so the derivative rows are the 2n pairing rows times that
+    weight at the same nodes.  All 4n rows pass one convergence test
+    against the |kernel| scale.  Returns (solution, derivative).
+    """
+    p = replace(params, lam=complex(params.lam))
+    W.validate(p)
+    if contour is None:
+        contour = build_contour(p, W=W, include_shifted=False)
+    pairing = _pairing_values(range(1, 2 * p.n + 1), W, p, p.y)
+
+    def values(t):
+        rows, abs_ker = pairing(t)
+        return np.concatenate((rows, rows * (-TWO_PI_I * t / p.c))), abs_ker
+
+    vals, diag = _trapezoid(values, p, contour)
+    return _solution(p, vals[:2 * p.n], diag), _solution(p, vals[2 * p.n:], diag)
 
 
 def _qkz_from_vectors(params: SolverParams, base: Vec, shifted) -> dict:
@@ -588,30 +580,6 @@ def _qkz_from_vectors(params: SolverParams, base: Vec, shifted) -> dict:
         transported = op_Q(m, x, params.y, model).apply(base)
         out[m] = (vec - transported).norm_max() / norm
     return out
-
-
-def qkz_residuals(W: CycleW, params: SolverParams,
-                  contour: Contour = None) -> dict:
-    """Relative difference-equation residual for every shift direction."""
-    if contour is None:
-        contour = build_contour(params, W=W, include_shifted=True)
-    base = solve_f(params.lam, params.y, W, params, contour=contour)
-    shifted = _shifted_solutions(W, params, contour)
-    return _qkz_from_vectors(params, base.vec, [sol.vec for sol in shifted])
-
-
-def dlambda_solution(W: CycleW, params: SolverParams,
-                     contour: Contour = None) -> SolutionVector:
-    """Analytic lambda derivative: the integrand gains a linear weight."""
-    return solve_f(params.lam, params.y, W, params, contour=contour,
-                   extra_weight=1)
-
-
-def _check_differential_regime(params: SolverParams):
-    if abs(params.big_e + 1) < 1e-8:
-        raise ValueError(
-            "differential residuals need e^{2 pi i lam} away from -1"
-        )
 
 
 def _differential_residuals(params: SolverParams, base: Vec,
@@ -641,28 +609,6 @@ def _differential_residuals(params: SolverParams, base: Vec,
     return ode, total.norm_max() / (abs(s) * norm)
 
 
-def _solve_differential(W: CycleW, params: SolverParams,
-                        contour: Contour = None) -> tuple:
-    _check_differential_regime(params)
-    if contour is None:
-        contour = build_contour(params, W=W, include_shifted=False)
-    base = solve_f(params.lam, params.y, W, params, contour=contour)
-    deriv = dlambda_solution(W, params, contour=contour)
-    return _differential_residuals(params, base.vec, deriv.vec)
-
-
-def ode_residual(W: CycleW, params: SolverParams,
-                 contour: Contour = None) -> float:
-    """Relative residual of the first-direction differential equation."""
-    return _solve_differential(W, params, contour)[0]
-
-
-def ftilde_residual(W: CycleW, params: SolverParams,
-                    contour: Contour = None) -> float:
-    """Relative residual of the gauge-transformed, parameter-free equation."""
-    return _solve_differential(W, params, contour)[1]
-
-
 def vanishing_integral(W: CycleW, params: SolverParams,
                        contour: Contour = None):
     """The kernel-cycle integral against 1 minus the shifted-kernel ratio.
@@ -686,20 +632,22 @@ def vanishing_integral(W: CycleW, params: SolverParams,
 def residual_report(W: CycleW, params: SolverParams) -> dict:
     """Machine-readable summary: coefficients, residuals, diagnostics.
 
-    Solves each distinct point once (the base point, the n shifted points
-    and the lambda derivative) and derives the qKZ, ODE and gauge
-    residuals from those vectors.  The quadrature record is the base
-    solve's, plus "kernel_evals", the nodes evaluated over all "solves"
-    (n + 2) solves.
+    Integrates n + 1 node sets (the base point with its lambda derivative,
+    and the n shifted points) and derives the qKZ, ODE and gauge residuals
+    from those vectors.  The quadrature record is the base solve's, plus
+    "kernel_evals", the nodes evaluated over all "solves" (n + 1) solves.
     """
-    _check_differential_regime(params)
+    if abs(params.big_e + 1) < 1e-8:
+        raise ValueError(
+            "differential residuals need e^{2 pi i lam} away from -1"
+        )
     contour = build_contour(params, W=W, include_shifted=True)
-    base = solve_f(params.lam, params.y, W, params, contour=contour)
-    shifted = _shifted_solutions(W, params, contour)
-    deriv = dlambda_solution(W, params, contour=contour)
+    base, deriv = solve_with_derivative(W, params, contour=contour)
+    shifted = [solve_f(params.lam, shift_y(params.y, m, params.c), W, params,
+                       contour=contour) for m in range(1, params.n + 1)]
     qkz = _qkz_from_vectors(params, base.vec, [sol.vec for sol in shifted])
     ode, ftilde = _differential_residuals(params, base.vec, deriv.vec)
-    solves = [base, *shifted, deriv]
+    solves = [base, *shifted]
     # Every solve validated the contour out to its own truncation; the
     # widest of those records covers every integrated line.
     contour = max((sol.diagnostics["contour"] for sol in solves),
@@ -735,3 +683,9 @@ def residual_report(W: CycleW, params: SolverParams) -> dict:
         },
     }
     return report
+
+
+def ftilde_residual(W: CycleW, params: SolverParams) -> float:
+    """Relative residual of the gauge-transformed, parameter-free equation,
+    as residual_report gives it."""
+    return residual_report(W, params)["ftilde_residual"]

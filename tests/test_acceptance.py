@@ -9,14 +9,7 @@ import time
 from _oracles import simpson_oracle
 
 from bqkz import cli
-from bqkz.integral_solver import (
-    CycleW,
-    SolverParams,
-    ftilde_residual,
-    ode_residual,
-    pair_I,
-    qkz_residuals,
-)
+from bqkz.integral_solver import CycleW, SolverParams, pair_I, residual_report
 from bqkz.scalar_field import log_gamma
 from bqkz.suites import run_suite
 
@@ -82,10 +75,12 @@ def test_criterion_6_contour_solution_residuals():
         for lam, y, W in cases:
             p = SolverParams(n=n, lam=lam, c=c, k=k, y=y)
             assert p.alpha == p.beta == k / 2
-            for m, res in qkz_residuals(W, p).items():
+            rep = residual_report(W, p)
+            assert len(rep["qkz_residuals"]) == n
+            for m, res in rep["qkz_residuals"].items():
                 assert res <= 1e-7, (n, lam, m, res)
-            assert ode_residual(W, p) <= 1e-7, (n, lam)
-            assert ftilde_residual(W, p) <= 1e-7, (n, lam)
+            assert rep["ode_residual"] <= 1e-7, (n, lam)
+            assert rep["ftilde_residual"] <= 1e-7, (n, lam)
     for n, lam, y, W in (
         (1, 0.25, (0.3,), CycleW.monomial(1)),
         (2, 0.31, (0.3, -0.2), CycleW.monomial(1)),

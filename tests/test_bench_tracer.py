@@ -1,9 +1,13 @@
 """The benchmark tracer wraps package functions by name; every name it lists
-must still resolve, so a rename fails here and not only in a traced run."""
+must still resolve, and its wrappers must run a traced command, so a rename
+or a changed signature fails here and not only in a traced run."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+from bqkz import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -25,3 +29,24 @@ def test_every_traced_name_resolves():
             assert meth in vars(getattr(module, cls_name)), (module_name, attr)
         else:
             assert callable(getattr(module, attr, None)), (module_name, attr)
+
+
+def test_traced_solve_records_the_solver_spans(tmp_path):
+    """One traced `bqkz solve` at n = 1 records spans for the solver entry
+    points, and the solve_f observer reads its positional (lam, y)."""
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    config = tmp_path / "solve.json"
+    config.write_text(json.dumps({"model": {"n": 1}, "solve": {"lambda_grid": [0.25]}}))
+    argv = ["solve", "--config", str(config), "--out-csv", str(tmp_path / "coeffs.csv"),
+            "--out-json", str(tmp_path / "solve.json")]
+    tracer.install(tr)
+    try:
+        code = cli.main(argv)
+    finally:
+        tr.unpatch()
+    assert code == 0
+    spans = tr.summary()
+    for name in ("integral_solver.solve_f", "integral_solver.residual_report"):
+        assert spans[name]["spans"] > 0, name
+    assert tr.counters["solve_f.distinct"] > 0

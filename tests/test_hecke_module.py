@@ -7,7 +7,7 @@ from bqkz.sampling import make_rng, rand_tuple, sample_point
 from bqkz.scalar_field import inv, rat
 from bqkz.tensor_ops import LinOp, Space, Vec
 from bqkz.rqkz import ModelParams, compose_descs, invert_descs, q_factor_list
-from bqkz.compat_ops import coll_Y, coll_Z, op_A
+from bqkz.compat_ops import coll_YZ, op_A
 from bqkz.hecke_module import (
     SignedPerm,
     all_elements,
@@ -255,7 +255,7 @@ def test_l_restriction_needs_orbit():
     """The signed pair sum doubles the repeated barred state off the orbit."""
     space = Space(2, 2)
     repeated = Vec.basis(space, (0, 0))
-    got = (coll_Y(1, 1, space) + coll_Z(1, 1, space)).apply(repeated)
+    got = coll_YZ(1, 1, space).apply(repeated)
     assert got == Vec.basis(space, (2, 2)).scale(2)
 
 

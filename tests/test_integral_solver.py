@@ -27,16 +27,13 @@ from bqkz.integral_solver import (
     SolverParams,
     TWO_PI_I,
     build_contour,
-    dlambda_solution,
-    ftilde_residual,
     func_g,
     kernel_log_phi,
-    ode_residual,
     pair_I,
     prod_ratio_full,
-    qkz_residuals,
     residual_report,
     solve_f,
+    solve_with_derivative,
     validate_contour_line,
     vanishing_integral,
     vec_u,
@@ -119,12 +116,12 @@ def test_regime_validation():
 
 
 def test_half_integer_spectral_point_is_allowed_for_pairing():
-    """big_e = -1 is regular for the pairing; only the differential
-    entries reject it."""
+    """big_e = -1 is regular for the pairing; only the residual report,
+    which needs the differential residuals, rejects it."""
     p = mkparams(1, -0.5, (0.3,))
     assert abs(p.big_e + 1) < 1e-12
     with pytest.raises(ValueError):
-        ode_residual(CycleW.monomial(0), p)
+        residual_report(CycleW.monomial(0), p)
 
 
 def test_cycle_degree_window():
@@ -328,6 +325,7 @@ def test_contour_record_frozen_example():
     rec = validate_contour_line((0.3,), C, K, 0.5, 6.0, include_shifted=True)
     assert rec["poles_checked"] == 8
     assert rec["min_gap_above"] == pytest.approx(0.3)
+    assert rec["min_gap_below"] == pytest.approx(0.3)
     assert set(rec["configs"]) == {"base", "shift-1"}
 
 
@@ -335,6 +333,14 @@ def test_contour_violation_reports_config():
     with pytest.raises(SeparationError) as err:
         validate_contour_line((0.3,), 0.1 + 0.9j, K, 0.5, 6.0, include_shifted=True)
     assert "shift-1" in str(err.value)
+
+
+def test_contour_violation_below_reports_the_pole():
+    """A downward-family pole at or above the line is named with its
+    config."""
+    with pytest.raises(SeparationError) as err:
+        validate_contour_line((0.3 + 0.6j,), C, K, 0.5, 6.0, include_shifted=False)
+    assert str(err.value) == "pole (0.3+0.6j) of config base not below the contour"
 
 
 def test_build_contour_passes_regime():
@@ -428,8 +434,8 @@ def test_quadrature_error_reports_estimates():
 def test_qkz_residuals_small():
     for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
         p = mkparams(n, lam, y)
-        res = qkz_residuals(CycleW.monomial(1), p)
-        assert set(res) == set(range(1, n + 1))
+        res = residual_report(CycleW.monomial(1), p)["qkz_residuals"]
+        assert set(res) == {str(m) for m in range(1, n + 1)}
         for m, v in res.items():
             assert v <= 1e-7, (n, m, v)
 
@@ -437,8 +443,9 @@ def test_qkz_residuals_small():
 def test_ode_and_gauge_residuals_small():
     for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
         p = mkparams(n, lam, y)
-        assert ode_residual(CycleW.monomial(1), p) <= 1e-7
-        assert ftilde_residual(CycleW.monomial(1), p) <= 1e-7
+        rep = residual_report(CycleW.monomial(1), p)
+        assert rep["ode_residual"] <= 1e-7
+        assert rep["ftilde_residual"] <= 1e-7
 
 
 def test_vanishing_integral():
@@ -451,7 +458,7 @@ def test_vanishing_integral():
 def test_dlambda_against_difference_quotient():
     p = mkparams(1, 0.25, (0.3,))
     W = CycleW.monomial(1)
-    deriv = dlambda_solution(W, p)
+    _, deriv = solve_with_derivative(W, p)
     h = 1e-4
     samples = {}
     for step in (-2, -1, 1, 2):
@@ -499,29 +506,41 @@ def test_residual_report_keys():
 
 
 def test_residual_report_solves_each_distinct_point_once(monkeypatch):
-    """n + 2 solves (base, n shifts, lambda derivative), and the same
-    residuals as the standalone functions."""
+    """n + 1 node sets: the base point, whose rule also integrates the
+    lambda derivative, and the n shifted points; the report's coefficients
+    are the joint solve's."""
     calls = []
 
-    def counting_solve_f(*args, **kwargs):
-        calls.append((complex(args[0]), tuple(args[1]), kwargs.get("extra_weight", 0)))
-        return real_solve_f(*args, **kwargs)
+    def counting_trapezoid(values, params, contour):
+        calls.append((params.lam, params.y))
+        return real_trapezoid(values, params, contour)
 
-    real_solve_f = solver.solve_f
+    real_trapezoid = solver._trapezoid
     for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
         p = mkparams(n, lam, y)
         W = CycleW.monomial(1)
         calls.clear()
-        monkeypatch.setattr(solver, "solve_f", counting_solve_f)
+        monkeypatch.setattr(solver, "_trapezoid", counting_trapezoid)
         rep = residual_report(W, p)
-        monkeypatch.setattr(solver, "solve_f", real_solve_f)
-        assert len(calls) == n + 2, calls
-        assert len(set(calls)) == n + 2, calls
-        qkz = qkz_residuals(W, p)
-        for m in range(1, n + 1):
-            assert abs(rep["qkz_residuals"][str(m)] - qkz[m]) <= 1e-12
-        assert abs(rep["ode_residual"] - ode_residual(W, p)) <= 1e-12
-        assert abs(rep["ftilde_residual"] - ftilde_residual(W, p)) <= 1e-12
+        monkeypatch.setattr(solver, "_trapezoid", real_trapezoid)
+        assert len(calls) == n + 1, calls
+        assert len(set(calls)) == n + 1, calls
+        assert calls[0] == (p.lam, p.y)
+        base, _ = solve_with_derivative(W, p, build_contour(p, W=W))
+        assert rep["coefficients"] == [[v.real, v.imag] for v in base.coeffs]
+
+
+def test_joint_rule_takes_the_stricter_grid():
+    """At this point the base rows alone settle after 2 halvings and the
+    derivative rows after 3; the joint rule takes 3, and the base
+    coefficients still match the independent quadrature."""
+    p = mkparams(1, -0.60463035, (0.3,))
+    W = CycleW.monomial(0)
+    rep = residual_report(W, p)
+    assert rep["quadrature"]["refinements"] == 3
+    for j, (re, im) in enumerate(rep["coefficients"], start=1):
+        want = simpson_oracle(j, W, p)
+        assert abs(complex(re, im) - want) <= 1e-8 * abs(want), j
 
 
 # ---------------------------------------------------------------- array pass
@@ -548,21 +567,20 @@ def test_array_kernel_cycle_matches_scalar():
     for n, lam, y, W, tol, min_reach in cases:
         p = mkparams(n, lam, y)
         ts = np.linspace(-240.0, 240.0, 1201) + 1j * p.delta
-        for extra in (0, 1):
-            with np.errstate(all="raise"):
-                got = solver._kernel_cycle_array(ts, p.y, W, p, extra_weight=extra)
-            reach = 0.0
-            for t, g in zip(ts, got):
-                want = solver._kernel_cycle(complex(t), p.y, W, p, extra_weight=extra)
-                if g == 0:
-                    assert abs(want) < 1e-250, (n, lam, extra, t)
-                    continue
-                reach = max(reach, abs(t.real))
-                assert abs(g - want) <= tol * abs(want), (n, lam, extra, t)
-            assert reach >= min_reach, (n, lam, extra)
+        with np.errstate(all="raise"):
+            got = solver._kernel_cycle_array(ts, p.y, W, p)
+        reach = 0.0
+        for t, g in zip(ts, got):
+            want = solver._kernel_cycle(complex(t), p.y, W, p)
+            if g == 0:
+                assert abs(want) < 1e-250, (n, lam, t)
+                continue
+            reach = max(reach, abs(t.real))
+            assert abs(g - want) <= tol * abs(want), (n, lam, t)
+        assert reach >= min_reach, (n, lam)
 
 
-def _kernel_cycle_per_term(t, y, W, params, extra_weight=0):
+def _kernel_cycle_per_term(t, y, W, params):
     """Reference for the array kernel: one log_gamma_array or
     log1m_exp_array call per term, added in the scalar kernel's order."""
     c, k = params.c, params.k
@@ -581,8 +599,6 @@ def _kernel_cycle_per_term(t, y, W, params, extra_weight=0):
         live = expo.real >= solver._EXP_FLOOR
         expo = np.where(live, expo, solver._EXP_FLOOR)
         out = out + cf * np.where(live, np.exp(expo), 0)
-    if extra_weight:
-        out = out * (-TWO_PI_I * t / c) ** extra_weight
     return out
 
 
@@ -600,11 +616,10 @@ def test_array_kernel_equals_the_per_term_loop_bit_for_bit():
         p = mkparams(n, lam, y)
         for count in (3, 25, 260, 1201):
             ts = np.linspace(-240.0, 240.0, count) + 1j * p.delta
-            for extra in (0, 1):
-                got = solver._kernel_cycle_array(ts, p.y, W, p, extra_weight=extra)
-                want = _kernel_cycle_per_term(ts, p.y, W, p, extra_weight=extra)
-                assert np.count_nonzero(want) > 0, (n, count, extra)
-                assert np.array_equal(got, want), (n, count, extra)
+            got = solver._kernel_cycle_array(ts, p.y, W, p)
+            want = _kernel_cycle_per_term(ts, p.y, W, p)
+            assert np.count_nonzero(want) > 0, (n, count)
+            assert np.array_equal(got, want), (n, count)
 
 
 def test_kernel_makes_one_log_gamma_and_one_log1m_call(monkeypatch):
@@ -663,7 +678,7 @@ def test_each_node_is_evaluated_once(monkeypatch):
 
 
 def test_report_counts_kernel_evaluations(monkeypatch):
-    """The quadrature record counts the nodes evaluated over all n + 2
+    """The quadrature record counts the nodes evaluated over all n + 1
     solves of a report, next to the base solve's four keys."""
     real = solver._kernel_cycle_array
     nodes = []
@@ -678,13 +693,14 @@ def test_report_counts_kernel_evaluations(monkeypatch):
         quad = residual_report(CycleW.monomial(1), mkparams(n, lam, y))["quadrature"]
         assert set(quad) == {"trunc", "panels", "refinements", "quad_error",
                              "kernel_evals", "solves"}
-        assert quad["solves"] == n + 2
+        assert quad["solves"] == n + 1
         assert quad["kernel_evals"] == sum(nodes) > quad["panels"] + 1, (n, lam)
 
 
 # Coefficients of the Gauss-Legendre panel integrator this rule replaced,
-# keyed by (n, lambda, extra_weight): the six criterion 6 configurations,
-# the solve-tails band at n = 1 and a solve-window point at n = 2.
+# keyed by (n, lambda, extra), where extra = 1 marks the lambda derivative:
+# the six criterion 6 configurations, the solve-tails band at n = 1 and a
+# solve-window point at n = 2.
 PARENT_COEFFS = {
     (1, 0.25, 0): (
         (0.076476530177877+0.027516510650004922j),
@@ -802,7 +818,10 @@ def test_trapezoid_matches_the_parent_coefficients():
     for (n, lam, extra), want in PARENT_COEFFS.items():
         y, W = PARENT_CONFIGS[n, lam]
         p = mkparams(n, lam, y)
-        got = solve_f(p.lam, p.y, W, p, extra_weight=extra).coeffs
+        if extra:
+            got = solve_with_derivative(W, p)[1].coeffs
+        else:
+            got = solve_f(p.lam, p.y, W, p).coeffs
         top = max(abs(v) for v in want)
         err = max(abs(a - b) for a, b in zip(got, want))
         assert err <= 1e-12 * top, (n, lam, extra, err / top)
