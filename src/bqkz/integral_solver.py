@@ -25,9 +25,13 @@ results are reproducible bit for bit.  The array kernel takes log Gamma
 modulo 2 pi i, which is sound because only exponentials of sums are used.  The scalar kernel
 (`integrand`, `_kernel_cycle`) stays as the route of the independent
 quadrature oracle and as the reference the array kernel is tested against.
-A residual report integrates n + 1 node sets: the base point with its
-lambda derivative, whose rows are the pairing rows times -2 pi i t / c on
-the same nodes, and the n shifted points.
+A residual report integrates one node set with one kernel evaluation per
+node.  Its rows are the base pairing rows, the lambda derivative rows (the
+pairing rows times -2 pi i t / c) and, for each shifted point
+shift_y(y, m, c), the kernel times a rational factor R_m(t) times the
+shifted weight functions: the Gamma recurrence turns the shift of y_m into
+R_m, and the cycle denominator is c-periodic in y.  Each of these solutions
+passes its own convergence test on the shared grid.
 """
 
 from __future__ import annotations
@@ -431,67 +435,77 @@ _CHUNK = 4096
 
 
 def _sweep(values, nodes):
-    """Row sums, |kernel| sum and largest row term over an array of nodes,
-    evaluated chunk by chunk in node order."""
-    sums, abs_sum, top = 0, 0.0, 0.0
+    """Row sums, kernel-weight sums and largest row term of each row group
+    over an array of nodes, evaluated chunk by chunk in node order."""
+    sums, weight_sum, top = 0, 0.0, 0.0
     for lo in range(0, len(nodes), _CHUNK):
-        rows, abs_ker = values(nodes[lo:lo + _CHUNK])
-        sums = sums + np.sum(rows, axis=1)
-        abs_sum += float(np.sum(abs_ker))
-        top = max(top, float(np.max(np.abs(rows))))
-    return sums, abs_sum, top
+        rows, weights = values(nodes[lo:lo + _CHUNK])
+        sums = sums + np.sum(rows, axis=-1)
+        weight_sum = weight_sum + np.sum(weights, axis=-1)
+        top = np.maximum(top, np.max(np.abs(rows), axis=(-2, -1)))
+    return sums, weight_sum, top
 
 
-def _trapezoid(values, params: SolverParams, contour: Contour):
+def _trapezoid(values, params: SolverParams, contour: Contour,
+               names=("base",)):
     """Trapezoidal rule along the contour line with nested halving.
 
-    values(t) returns the integrand rows (one row per integral) and |kernel|
-    at an array of nodes.  The first grid has h = 1/panels_per_unit, but
-    no wider than the smallest pole gap of the contour: the integrand is
-    analytic only within that distance of the line, and the error of the
-    rule falls like exp(-2 pi gap / h).  On that grid the truncation
-    doubles until the largest term of the newest outer band, times h, is
-    at most atol * max(scale, 1); it then stays fixed, and the contour is
+    values(t) returns, at an array of N nodes, the integrand rows as a
+    (G, r, N) array, one group of r rows per solution, and each group's
+    kernel weight (|kernel| times the group's own factor) as a (G, N)
+    array; names labels the G groups.  The first grid has
+    h = 1/panels_per_unit, but no wider than the smallest pole gap of the
+    contour: the integrand is analytic only within that distance of the
+    line, and the error of the rule falls like exp(-2 pi gap / h).  On
+    that grid the truncation doubles until, in every group, the largest
+    term of the newest outer band, times h, is at most atol times
+    max(group scale, 1); it then stays fixed, and the contour is
     validated out to it (diagnostics "contour"), so its pole record
     covers the whole integrated line.  Each halving of h evaluates only
-    the new midpoints and reuses every earlier node, until two successive
-    estimates agree.  Returns the estimates and diagnostics.
+    the new midpoints and reuses every earlier node, until in every group
+    two successive estimates agree to rtol times that group's largest
+    estimate or atol times its scale, so no group stops before it would
+    alone.  Returns the estimates, group by group, and diagnostics.
     """
     rec = contour.record
     h = min(1.0 / params.panels_per_unit, rec["min_gap_above"],
             rec["min_gap_below"])
     line = 1j * contour.delta
     half = max(1, int(math.ceil(contour.trunc / h)))
-    sums, abs_sum, _ = _sweep(values, np.arange(-half, half + 1) * h + line)
+    sums, weight_sum, _ = _sweep(values, np.arange(-half, half + 1) * h + line)
     while True:
         band = np.arange(half + 1, 2 * half + 1) * h
         s, a, top = _sweep(values, np.concatenate((-band[::-1], band)) + line)
-        sums, abs_sum, half = sums + s, abs_sum + a, 2 * half
-        if top * h <= params.atol * max(h * abs_sum, 1.0):
+        sums, weight_sum, half = sums + s, weight_sum + a, 2 * half
+        if np.all(top * h <= params.atol * np.maximum(h * weight_sum, 1.0)):
             break
     trunc = half * h
     contour = contour.widened(trunc)
     ests = [h * sums]
+    failing = list(names)
     for step in range(1, params.max_refine + 1):
         s, a, _ = _sweep(values, (np.arange(-half, half) + 0.5) * h + line)
-        sums, abs_sum, h, half = sums + s, abs_sum + a, h / 2, 2 * half
-        est, scale = h * sums, h * abs_sum
-        err = float(np.max(np.abs(est - ests[-1])))
+        sums, weight_sum, h, half = sums + s, weight_sum + a, h / 2, 2 * half
+        est, scale = h * sums, h * weight_sum
+        err = np.max(np.abs(est - ests[-1]), axis=-1)
         ests.append(est)
-        if err <= max(params.rtol * float(np.max(np.abs(est))),
-                      params.atol * max(scale, 1.0)):
+        done = err <= np.maximum(params.rtol * np.max(np.abs(est), axis=-1),
+                                 params.atol * np.maximum(scale, 1.0))
+        if np.all(done):
             diag = {
                 "contour": contour,
                 "trunc": trunc,
                 "panels": 2 * half,
-                "quad_error": err,
+                "quad_error": float(np.max(err)),
                 "refinements": step,
-                "scale": scale,
+                "scale": float(scale[0]),
             }
-            return [complex(v) for v in est], diag
+            return [complex(v) for v in est.ravel()], diag
+        failing = [name for name, ok in zip(names, done) if not ok]
     raise QuadratureError(
-        "no convergence after %d halvings; last two estimates %r"
-        % (params.max_refine, [e.tolist() for e in ests[-2:]])
+        "%s: no convergence after %d halvings; last two estimates %r"
+        % (", ".join(failing), params.max_refine,
+           [e.tolist() for e in ests[-2:]])
     )
 
 
@@ -502,7 +516,7 @@ def _pairing_values(indices, W: CycleW, params: SolverParams, y: tuple):
     def values(t):
         ker = _kernel_cycle_array(t, y, W, params)
         rows = _weight_rows(t, y, params.k)
-        return ker * np.array([rows[j - 1] for j in indices]), np.abs(ker)
+        return (ker * np.array([rows[j - 1] for j in indices]))[None], np.abs(ker)[None]
 
     return values
 
@@ -545,28 +559,62 @@ def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
     return _solution(p, *_pair_many(range(1, 2 * p.n + 1), W, p, contour=contour))
 
 
-def solve_with_derivative(W: CycleW, params: SolverParams,
-                          contour: Contour = None) -> tuple:
-    """The solution at params and its lambda derivative, from one node set.
+def _report_values(W: CycleW, params: SolverParams):
+    """values(t) for the report's one rule: the row groups base,
+    derivative and shift-1 .. shift-n, from one kernel evaluation.
 
-    The lambda derivative of the kernel's factor e^{-2 pi i lam t / c}
-    weights the integrand by -2 pi i t / c, which is analytic in the same
-    strip, so the derivative rows are the 2n pairing rows times that
-    weight at the same nodes.  All 4n rows pass one convergence test
-    against the |kernel| scale.  Returns (solution, derivative).
+    The derivative rows are the base rows times -2 pi i t / c, the lambda
+    derivative of the kernel's factor e^{-2 pi i lam t / c}.  The kernel
+    at shift_y(y, m, c) is the base kernel times
+    R_m(t) = (t + y_m - k)/(t + y_m) * (t - y_m + c)/(t - y_m - k + c):
+    the shift steps each of the four gamma arguments of y_m by one, and
+    Gamma(z + 1) = z Gamma(z) turns that into R_m; the cycle denominator
+    is c-periodic in y_m and does not change.  Each group's weight is
+    |kernel| times its own factor (1 for base and derivative, |R_m| for
+    shift-m).
+    """
+    c, k, y = params.c, params.k, params.y
+    shifted = [shift_y(y, m, c) for m in range(1, params.n + 1)]
+
+    def values(t):
+        ker = _kernel_cycle_array(t, y, W, params)
+        rows = np.empty((params.n + 2, 2 * params.n, len(t)), dtype=complex)
+        weights = np.empty((params.n + 2, len(t)))
+        rows[0] = ker * np.array(_weight_rows(t, y, k))
+        rows[1] = rows[0] * (-TWO_PI_I * t / c)
+        weights[:2] = np.abs(ker)
+        for g, (ym, ys) in enumerate(zip(y, shifted), start=2):
+            ker_m = ker * ((t + ym - k) / (t + ym) * (t - ym + c) / (t - ym - k + c))
+            rows[g] = ker_m * np.array(_weight_rows(t, ys, k))
+            weights[g] = np.abs(ker_m)
+        return rows, weights
+
+    return values
+
+
+def report_solutions(W: CycleW, params: SolverParams,
+                     contour: Contour = None) -> tuple:
+    """The solution at params, its lambda derivative and the solutions at
+    the n shifted points shift_y(y, m, c), all from one node set.
+
+    One trapezoidal rule integrates the 2n (n + 2) rows of
+    _report_values, evaluating the kernel once per node; each solution
+    passes its own truncation and halving tests.  The default contour is
+    validated for the base and every shifted pole configuration.
+    Returns (solution, derivative, [shifted solutions]).
     """
     p = replace(params, lam=complex(params.lam))
     W.validate(p)
     if contour is None:
-        contour = build_contour(p, W=W, include_shifted=False)
-    pairing = _pairing_values(range(1, 2 * p.n + 1), W, p, p.y)
-
-    def values(t):
-        rows, abs_ker = pairing(t)
-        return np.concatenate((rows, rows * (-TWO_PI_I * t / p.c))), abs_ker
-
-    vals, diag = _trapezoid(values, p, contour)
-    return _solution(p, vals[:2 * p.n], diag), _solution(p, vals[2 * p.n:], diag)
+        contour = build_contour(p, W=W, include_shifted=True)
+    names = ("base", "derivative") + tuple(
+        "shift-%d" % m for m in range(1, p.n + 1))
+    vals, diag = _trapezoid(_report_values(W, p), p, contour, names)
+    size = 2 * p.n
+    parts = [vals[i * size:(i + 1) * size] for i in range(len(names))]
+    shifted = [_solution(replace(p, y=shift_y(p.y, m, p.c)), part, diag)
+               for m, part in enumerate(parts[2:], start=1)]
+    return _solution(p, parts[0], diag), _solution(p, parts[1], diag), shifted
 
 
 def _qkz_from_vectors(params: SolverParams, base: Vec, shifted) -> dict:
@@ -623,7 +671,7 @@ def vanishing_integral(W: CycleW, params: SolverParams,
     def values(t):
         ker = _kernel_cycle_array(t, params.y, W, params)
         ratio = prod_ratio_full(t, params.y, params.k)
-        return (ker * (1 - ex * ratio))[None], np.abs(ker)
+        return (ker * (1 - ex * ratio))[None, None], np.abs(ker)[None]
 
     (value,), diag = _trapezoid(values, params, contour)
     return value, diag["scale"]
@@ -632,26 +680,23 @@ def vanishing_integral(W: CycleW, params: SolverParams,
 def residual_report(W: CycleW, params: SolverParams) -> dict:
     """Machine-readable summary: coefficients, residuals, diagnostics.
 
-    Integrates n + 1 node sets (the base point with its lambda derivative,
-    and the n shifted points) and derives the qKZ, ODE and gauge residuals
-    from those vectors.  The quadrature record is the base solve's, plus
-    "kernel_evals", the nodes evaluated over all "solves" (n + 1) solves.
+    Integrates the base point, its lambda derivative and the n shifted
+    points on one node set (report_solutions), one kernel evaluation per
+    node: the shifted kernels follow from the base kernel by the Gamma
+    recurrence and the c-periodic cycle denominator, and each solution
+    passes its own convergence test.  The residuals are derived from those
+    vectors.  The quadrature record is that rule's, with "kernel_evals"
+    (its nodes) and "solves" (the n + 1 points solved).
     """
     if abs(params.big_e + 1) < 1e-8:
         raise ValueError(
             "differential residuals need e^{2 pi i lam} away from -1"
         )
-    contour = build_contour(params, W=W, include_shifted=True)
-    base, deriv = solve_with_derivative(W, params, contour=contour)
-    shifted = [solve_f(params.lam, shift_y(params.y, m, params.c), W, params,
-                       contour=contour) for m in range(1, params.n + 1)]
+    base, deriv, shifted = report_solutions(W, params)
     qkz = _qkz_from_vectors(params, base.vec, [sol.vec for sol in shifted])
     ode, ftilde = _differential_residuals(params, base.vec, deriv.vec)
-    solves = [base, *shifted]
-    # Every solve validated the contour out to its own truncation; the
-    # widest of those records covers every integrated line.
-    contour = max((sol.diagnostics["contour"] for sol in solves),
-                  key=lambda ctr: ctr.trunc)
+    diag = base.diagnostics
+    contour = diag["contour"]
     report = {
         "n": params.n,
         "lambda": [params.lam.real, params.lam.imag],
@@ -672,14 +717,14 @@ def residual_report(W: CycleW, params: SolverParams) -> dict:
             "min_gap_below": contour.record["min_gap_below"],
         },
         "quadrature": {
-            "trunc": base.diagnostics["trunc"],
-            "panels": base.diagnostics["panels"],
-            "refinements": base.diagnostics["refinements"],
-            "quad_error": base.diagnostics["quad_error"],
-            # Each solve evaluates the kernel once at every node of its
+            "trunc": diag["trunc"],
+            "panels": diag["panels"],
+            "refinements": diag["refinements"],
+            "quad_error": diag["quad_error"],
+            # The one rule evaluates the kernel once at every node of its
             # final grid.
-            "kernel_evals": sum(sol.diagnostics["panels"] + 1 for sol in solves),
-            "solves": len(solves),
+            "kernel_evals": diag["panels"] + 1,
+            "solves": 1 + len(shifted),
         },
     }
     return report

@@ -7,7 +7,8 @@ import importlib.util
 import json
 from pathlib import Path
 
-from bqkz import cli
+from bqkz import cli, integral_solver
+from bqkz.integral_solver import CycleW, SolverParams
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -32,17 +33,20 @@ def test_every_traced_name_resolves():
 
 
 def test_traced_solve_records_the_solver_spans(tmp_path):
-    """One traced `bqkz solve` at n = 1 records spans for the solver entry
-    points, and the solve_f observer reads its positional (lam, y)."""
+    """One traced `bqkz solve` at n = 1 records the residual_report span.  A
+    report no longer calls solve_f, so a direct solve_f call records that
+    span, and the solve_f observer reads its positional (lam, y)."""
     tracer = load_tracer()
     tr = tracer.Tracer()
     config = tmp_path / "solve.json"
     config.write_text(json.dumps({"model": {"n": 1}, "solve": {"lambda_grid": [0.25]}}))
     argv = ["solve", "--config", str(config), "--out-csv", str(tmp_path / "coeffs.csv"),
             "--out-json", str(tmp_path / "solve.json")]
+    params = SolverParams(n=1, lam=0.25, c=0.1 + 0.2j, k=0.05 + 1.0j, y=(0.3,))
     tracer.install(tr)
     try:
         code = cli.main(argv)
+        integral_solver.solve_f(params.lam, params.y, CycleW.monomial(1), params)
     finally:
         tr.unpatch()
     assert code == 0

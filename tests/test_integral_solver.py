@@ -15,7 +15,7 @@ import pytest
 
 from fractions import Fraction
 
-from bqkz.rqkz import ones, op_K, op_P, op_R, op_T
+from bqkz.rqkz import ones, op_K, op_P, op_R, op_T, shift_y
 from bqkz.scalar_field import log1m_exp_array, log_gamma_array
 from bqkz.tensor_ops import Space, Vec, embed_pair, embed_site
 import bqkz.integral_solver as solver
@@ -31,9 +31,9 @@ from bqkz.integral_solver import (
     kernel_log_phi,
     pair_I,
     prod_ratio_full,
+    report_solutions,
     residual_report,
     solve_f,
-    solve_with_derivative,
     validate_contour_line,
     vanishing_integral,
     vec_u,
@@ -428,6 +428,18 @@ def test_quadrature_error_reports_estimates():
     assert "estimates" in str(err.value)
 
 
+def test_quadrature_error_names_the_unconverged_solutions():
+    """With no halving allowed no solution of a report converges, and the
+    error names each of them."""
+    p = mkparams(2, 0.31, (0.3, -0.2), max_refine=0)
+    with pytest.raises(QuadratureError) as err:
+        residual_report(CycleW.monomial(1), p)
+    message = str(err.value)
+    for name in ("base", "derivative", "shift-1", "shift-2"):
+        assert name in message, name
+    assert "estimates" in message
+
+
 # ---------------------------------------------------------------- solution
 
 
@@ -458,7 +470,7 @@ def test_vanishing_integral():
 def test_dlambda_against_difference_quotient():
     p = mkparams(1, 0.25, (0.3,))
     W = CycleW.monomial(1)
-    _, deriv = solve_with_derivative(W, p)
+    _, deriv, _ = report_solutions(W, p)
     h = 1e-4
     samples = {}
     for step in (-2, -1, 1, 2):
@@ -506,14 +518,14 @@ def test_residual_report_keys():
 
 
 def test_residual_report_solves_each_distinct_point_once(monkeypatch):
-    """n + 1 node sets: the base point, whose rule also integrates the
-    lambda derivative, and the n shifted points; the report's coefficients
+    """One trapezoidal rule per report integrates the base point, its
+    lambda derivative and the n shifted points; the report's coefficients
     are the joint solve's."""
     calls = []
 
-    def counting_trapezoid(values, params, contour):
-        calls.append((params.lam, params.y))
-        return real_trapezoid(values, params, contour)
+    def counting_trapezoid(values, params, contour, names):
+        calls.append((params.lam, params.y, names))
+        return real_trapezoid(values, params, contour, names)
 
     real_trapezoid = solver._trapezoid
     for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
@@ -523,10 +535,10 @@ def test_residual_report_solves_each_distinct_point_once(monkeypatch):
         monkeypatch.setattr(solver, "_trapezoid", counting_trapezoid)
         rep = residual_report(W, p)
         monkeypatch.setattr(solver, "_trapezoid", real_trapezoid)
-        assert len(calls) == n + 1, calls
-        assert len(set(calls)) == n + 1, calls
-        assert calls[0] == (p.lam, p.y)
-        base, _ = solve_with_derivative(W, p, build_contour(p, W=W))
+        shifts = tuple("shift-%d" % m for m in range(1, n + 1))
+        assert calls == [(p.lam, p.y, ("base", "derivative") + shifts)], calls
+        assert rep["quadrature"]["solves"] == n + 1
+        base, _, _ = report_solutions(W, p, build_contour(p, W=W))
         assert rep["coefficients"] == [[v.real, v.imag] for v in base.coeffs]
 
 
@@ -541,6 +553,72 @@ def test_joint_rule_takes_the_stricter_grid():
     for j, (re, im) in enumerate(rep["coefficients"], start=1):
         want = simpson_oracle(j, W, p)
         assert abs(complex(re, im) - want) <= 1e-8 * abs(want), j
+
+
+def test_each_solution_of_a_report_converges_on_its_own():
+    """At these scan points one convergence test against the largest row
+    of all let the base rows stop a halving early.  Each solution of the
+    report now passes its own test, so the report refines at least as often
+    as a standalone solve at the base point and at every shifted point on
+    the same contour."""
+    cases = ((1, -0.0613, (0.3,)), (1, 0.9387, (0.3,)),
+             (2, -0.4613, (0.3, -0.15)), (2, 0.5387, (0.3, -0.15)))
+    for n, lam, y in cases:
+        p = mkparams(n, lam, y)
+        W = CycleW.monomial(int(np.floor(lam)) + 1)
+        contour = build_contour(p, W=W)
+        joint = residual_report(W, p)["quadrature"]["refinements"]
+        for point in [p.y] + [shift_y(p.y, m, C) for m in range(1, n + 1)]:
+            alone = solve_f(p.lam, point, W, p, contour=contour)
+            assert joint >= alone.diagnostics["refinements"], (n, lam, point)
+
+
+def test_shifted_rows_match_the_directly_shifted_kernel():
+    """The report's shift-m rows, the base kernel times R_m times the
+    shifted weight functions, equal the array kernel evaluated directly at
+    shift_y(y, m, c) times the same weight functions, out to |Re t| = 240,
+    to the tolerances of test_array_kernel_cycle_matches_scalar.  A node
+    below the exponent floor on either route must be negligible on the
+    other."""
+    cases = (
+        (1, 0.885, (0.3,), CycleW.monomial(1), 1e-11),
+        (2, 0.31, (0.3, -0.2), CycleW(((1, 1.0), (2, 0.5j))), 1e-12),
+        (3, 0.25, (0.3, -0.2, 0.45), CycleW.monomial(1), 1e-12),
+    )
+    for n, lam, y, W, tol in cases:
+        p = mkparams(n, lam, y)
+        ts = np.linspace(-240.0, 240.0, 1201) + 1j * p.delta
+        rows, weights = solver._report_values(W, p)(ts)
+        assert rows.shape == (n + 2, 2 * n, len(ts))
+        for m in range(1, n + 1):
+            ys = shift_y(p.y, m, C)
+            ker = solver._kernel_cycle_array(ts, ys, W, p)
+            want = ker * np.array(solver._weight_rows(ts, ys, K))
+            got = rows[m + 1]
+            live = (got != 0) & (want != 0)
+            assert np.all(np.abs(got[~live]) < 1e-250), (n, m)
+            assert np.all(np.abs(want[~live]) < 1e-250), (n, m)
+            assert np.all(np.abs(got - want)[live] <= tol * np.abs(want)[live]), (n, m)
+            assert np.max(np.abs(ts.real[live.any(axis=0)])) >= 20.0, (n, m)
+            scale = np.abs(ker)
+            assert np.all(np.abs(weights[m + 1] - scale) <= tol * scale + 1e-250), (n, m)
+
+
+def test_report_shifted_solutions_match_the_oracle():
+    """The report's solutions at the shifted points match the independent
+    adaptive Simpson quadrature of the scalar integrand evaluated directly
+    at shift_y(y, m, c)."""
+    for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
+        p = mkparams(n, lam, y)
+        W = CycleW.monomial(1)
+        _, _, shifted = report_solutions(W, p)
+        assert len(shifted) == n
+        for m, sol in enumerate(shifted, start=1):
+            q = replace(p, y=shift_y(p.y, m, C))
+            assert sol.y == q.y
+            for j in (1, 2 * n):
+                want = simpson_oracle(j, W, q)
+                assert abs(sol.coeffs[j - 1] - want) <= 1e-8 * abs(want), (n, m, j)
 
 
 # ---------------------------------------------------------------- array pass
@@ -641,10 +719,12 @@ def test_kernel_makes_one_log_gamma_and_one_log1m_call(monkeypatch):
 
 
 def test_array_pass_raises_no_floating_point_flag():
-    """A solve that refines out to long tails, the residual reports and the
-    vanishing integral run clean under np.errstate(all="raise")."""
+    """A solve that refines out to long tails, the residual reports (up to
+    n = 3, whose joint rule carries 30 rows) and the vanishing integral run
+    clean under np.errstate(all="raise")."""
     with np.errstate(all="raise"):
-        for n, lam, y in ((1, 0.885, (0.3,)), (2, 0.31, (0.3, -0.2))):
+        for n, lam, y in ((1, 0.885, (0.3,)), (2, 0.31, (0.3, -0.2)),
+                          (3, 0.25, (0.3, -0.2, 0.45))):
             p = mkparams(n, lam, y)
             W = CycleW.monomial(1)
             rep = residual_report(W, p)
@@ -678,8 +758,9 @@ def test_each_node_is_evaluated_once(monkeypatch):
 
 
 def test_report_counts_kernel_evaluations(monkeypatch):
-    """The quadrature record counts the nodes evaluated over all n + 1
-    solves of a report, next to the base solve's four keys."""
+    """A report evaluates the kernel once at every node of its one final
+    grid for all n + 1 points it solves, and the quadrature record says
+    so."""
     real = solver._kernel_cycle_array
     nodes = []
 
@@ -694,7 +775,7 @@ def test_report_counts_kernel_evaluations(monkeypatch):
         assert set(quad) == {"trunc", "panels", "refinements", "quad_error",
                              "kernel_evals", "solves"}
         assert quad["solves"] == n + 1
-        assert quad["kernel_evals"] == sum(nodes) > quad["panels"] + 1, (n, lam)
+        assert quad["kernel_evals"] == quad["panels"] + 1 == sum(nodes), (n, lam)
 
 
 # Coefficients of the Gauss-Legendre panel integrator this rule replaced,
@@ -819,7 +900,7 @@ def test_trapezoid_matches_the_parent_coefficients():
         y, W = PARENT_CONFIGS[n, lam]
         p = mkparams(n, lam, y)
         if extra:
-            got = solve_with_derivative(W, p)[1].coeffs
+            got = report_solutions(W, p)[1].coeffs
         else:
             got = solve_f(p.lam, p.y, W, p).coeffs
         top = max(abs(v) for v in want)
