@@ -592,21 +592,19 @@ def _report_values(W: CycleW, params: SolverParams):
     return values
 
 
-def report_solutions(W: CycleW, params: SolverParams,
-                     contour: Contour = None) -> tuple:
+def report_solutions(W: CycleW, params: SolverParams) -> tuple:
     """The solution at params, its lambda derivative and the solutions at
     the n shifted points shift_y(y, m, c), all from one node set.
 
     One trapezoidal rule integrates the 2n (n + 2) rows of
     _report_values, evaluating the kernel once per node; each solution
-    passes its own truncation and halving tests.  The default contour is
+    passes its own truncation and halving tests.  The contour is
     validated for the base and every shifted pole configuration.
     Returns (solution, derivative, [shifted solutions]).
     """
     p = replace(params, lam=complex(params.lam))
     W.validate(p)
-    if contour is None:
-        contour = build_contour(p, W=W, include_shifted=True)
+    contour = build_contour(p, W=W, include_shifted=True)
     names = ("base", "derivative") + tuple(
         "shift-%d" % m for m in range(1, p.n + 1))
     vals, diag = _trapezoid(_report_values(W, p), p, contour, names)

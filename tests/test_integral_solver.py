@@ -376,7 +376,7 @@ def test_widened_line_with_a_far_wrong_side_pole_is_rejected():
 
     def values(t):
         ker = np.exp(-((t.real / 20) ** 2))
-        return ker[None], np.abs(ker)
+        return ker[None, None], np.abs(ker)[None]
 
     with pytest.raises(SeparationError):
         solver._trapezoid(values, p, far)
@@ -538,7 +538,7 @@ def test_residual_report_solves_each_distinct_point_once(monkeypatch):
         shifts = tuple("shift-%d" % m for m in range(1, n + 1))
         assert calls == [(p.lam, p.y, ("base", "derivative") + shifts)], calls
         assert rep["quadrature"]["solves"] == n + 1
-        base, _, _ = report_solutions(W, p, build_contour(p, W=W))
+        base, _, _ = report_solutions(W, p)
         assert rep["coefficients"] == [[v.real, v.imag] for v in base.coeffs]
 
 
