@@ -26,7 +26,9 @@ import time
 from . import __version__
 from .sampling import SamplingExhausted
 from .scalar_field import RATIONAL_BACKEND
-from .integral_solver import CycleW, QuadratureError, SolverParams, residual_report
+from .integral_solver import (
+    CycleW, QuadratureError, SolverParams, grid_solutions, residual_report,
+)
 from . import suites as suite_mod
 
 SCHEMA_VERSION = 1
@@ -267,14 +269,18 @@ def _cycle_for(cfg: dict, lam: complex) -> CycleW:
 
 
 def _solve_grid(cfg: dict):
-    """Solve at every lambda of the grid, printing one residual line each;
-    returns (grid, solutions, timing)."""
+    """Integrate the whole lambda grid on one rule, then assemble each
+    lambda's report and print one residual line each; returns (grid,
+    solutions, timing)."""
     grid = [_as_complex(v, "solve.lambda_grid entries") for v in cfg["solve"]["lambda_grid"]]
+    points = [(_cycle_for(cfg, lam), _solver_params(cfg, lam)) for lam in grid]
+    start = time.perf_counter()
+    solved = grid_solutions(points)
+    timing = {"quadrature": time.perf_counter() - start}
     solutions = []
-    timing = {}
-    for lam in grid:
+    for lam, (cycle, params), sols in zip(grid, points, solved):
         start = time.perf_counter()
-        entry = residual_report(_cycle_for(cfg, lam), _solver_params(cfg, lam))
+        entry = residual_report(cycle, params, sols)
         timing["lambda=%r" % lam] = time.perf_counter() - start
         solutions.append(entry)
         print(
@@ -350,8 +356,8 @@ def cmd_solve(args) -> int:
 
 
 def _recheck(path: str) -> int:
-    """Recompute every solution stored in a solve report; exit 0 iff each
-    matches its stored residuals."""
+    """Recompute every solution stored in a solve report, its lambdas as one
+    grid; exit 0 iff each matches its stored residuals."""
     try:
         with open(path) as fh:
             prior = json.load(fh)
@@ -382,10 +388,12 @@ def _recheck(path: str) -> int:
             if key in entry and not isinstance(entry[key], (int, float)):
                 raise ConfigError("stored solution %s must be a number" % key)
         stored.append((entry, lam, _as_cycle(entry["cycle"], "stored solution cycle")))
+    # The stored grid is integrated again as one rule, so the recheck
+    # evaluates the same node set as the solve.
+    points = [(cycle, _solver_params(cfg, lam)) for _, lam, cycle in stored]
     ok = True
-    for entry, lam, cycle in stored:
-        params = _solver_params(cfg, lam)
-        fresh = residual_report(cycle, params)
+    for (entry, _, _), (cycle, params), sols in zip(stored, points, grid_solutions(points)):
+        fresh = residual_report(cycle, params, sols)
         drift = max(
             abs(fresh["qkz_residuals"][m] - entry["qkz_residuals"][m])
             for m in entry["qkz_residuals"]

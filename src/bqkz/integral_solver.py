@@ -25,13 +25,15 @@ results are reproducible bit for bit.  The array kernel takes log Gamma
 modulo 2 pi i, which is sound because only exponentials of sums are used.  The scalar kernel
 (`integrand`, `_kernel_cycle`) stays as the route of the independent
 quadrature oracle and as the reference the array kernel is tested against.
-A residual report integrates one node set with one kernel evaluation per
-node.  Its rows are the base pairing rows, the lambda derivative rows (the
-pairing rows times -2 pi i t / c) and, for each shifted point
-shift_y(y, m, c), the kernel times a rational factor R_m(t) times the
-shifted weight functions: the Gamma recurrence turns the shift of y_m into
-R_m, and the cycle denominator is c-periodic in y.  Each of these solutions
-passes its own convergence test on the shared grid.
+A lambda grid of residual reports integrates one node set with one
+evaluation of the lambda-independent log kernel per node; each lambda adds
+only its prefactor e^{-2 pi i lam t / c} and its cycle.  Its rows are the
+base pairing rows, the lambda derivative rows (the pairing rows times
+-2 pi i t / c) and, for each shifted point shift_y(y, m, c), the kernel
+times a rational factor R_m(t) times the shifted weight functions: the
+Gamma recurrence turns the shift of y_m into R_m, and the cycle denominator
+is c-periodic in y.  Each of these solutions, at each lambda, passes its
+own convergence test on the shared grid.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rqkz import ModelParams, op_Q, shift_y
+from .rqkz import ModelParams, factor_ops, q_factor_list, shift_y
 from .scalar_field import (
     cpow,
     log1m_exp,
@@ -306,36 +308,49 @@ def _kernel_cycle(t: complex, y: Sequence, W: CycleW,
     return out
 
 
-def _kernel_cycle_array(t, y: Sequence, W: CycleW, params: SolverParams):
-    """_kernel_cycle over a 1-D array of nodes t, with log Gamma and the
-    cycle denominator in array form.
+def _log_kernel(t, y: Sequence, c: complex, k: complex):
+    """The lambda-independent part of the log kernel-cycle over a 1-D array
+    of nodes t: the gamma ratios minus the log cycle denominator.
 
     The 2n differences d = t - (+-y_p) form one (2n, N) array.  One
     log_gamma_array call takes all 4n gamma arguments, stacked as
     ((d - k)/(-c), d/(-c)), and one log1m_exp_array call all 2n cycle
     denominator terms.  Their rows are added in the scalar kernel's order,
     so each node's value does not depend on the stacking.
-
-    Terms whose exponent has real part below _EXP_FLOOR are set to zero
-    instead of underflowing, as the scalar form would round them to zero.
     """
-    c, k = params.c, params.k
     centers = np.array([v for yp in y for v in (yp, -yp)])
     diff = t - centers[:, None]
     up, down = log_gamma_array(np.stack(((diff - k) / (-c), diff / (-c))))
     den = log1m_exp_array(TWO_PI_I * diff / c)
-    base = -TWO_PI_I * params.lam * t / c
+    out = 0
     for p in range(0, len(centers), 2):
-        base = (base + up[p] + up[p + 1] - down[p] - down[p + 1]
-                - den[p] - den[p + 1])
-    logz = TWO_PI_I * t / c
+        out = (out + up[p] + up[p + 1] - down[p] - down[p + 1]
+               - den[p] - den[p + 1])
+    return out
+
+
+def _cycle_kernel(log_ker, t, W: CycleW, params: SolverParams):
+    """The kernel-cycle at the nodes t from its lambda-independent log part:
+    the sum over the cycle's monomials of cf exp(log_ker + (d - lam) 2 pi i t / c),
+    where e^{-2 pi i lam t / c} is the kernel's lambda prefactor.
+
+    Terms whose exponent has real part below _EXP_FLOOR are set to zero
+    instead of underflowing, as the scalar form would round them to zero.
+    """
+    logz = TWO_PI_I * t / params.c
     out = 0
     for d, cf in W.terms:
-        expo = base + d * logz
+        expo = log_ker + (d - params.lam) * logz
         live = expo.real >= _EXP_FLOOR
         expo = np.where(live, expo, _EXP_FLOOR)
         out = out + cf * np.where(live, np.exp(expo), 0)
     return out
+
+
+def _kernel_cycle_array(t, y: Sequence, W: CycleW, params: SolverParams):
+    """_kernel_cycle over a 1-D array of nodes t: the lambda-independent log
+    sum, then the lambda prefactor and the cycle."""
+    return _cycle_kernel(_log_kernel(t, y, params.c, params.k), t, W, params)
 
 
 def _weight_rows(t, y: Sequence, k: complex) -> list:
@@ -435,37 +450,57 @@ _CHUNK = 4096
 
 
 def _sweep(values, nodes):
-    """Row sums, kernel-weight sums and largest row term of each row group
-    over an array of nodes, evaluated chunk by chunk in node order."""
+    """Row sums, weight sums and largest row term of each row group for
+    each kernel of a grid, over an array of nodes, evaluated chunk by chunk
+    in node order.
+
+    values(t) returns a chunk's shared block: the rows of the G groups as a
+    (G, r, N) array, each group's weight factor as a (G, N) array, and an
+    iterable of kernels, one (N,) array per lambda of the grid.  The
+    integrand rows of a lambda are its kernel times the block; each kernel
+    is reduced against the block as soon as it is formed, so no array of
+    every lambda's rows exists.  Returns (L, G, r), (L, G) and (L, G)
+    arrays.
+    """
     sums, weight_sum, top = 0, 0.0, 0.0
     for lo in range(0, len(nodes), _CHUNK):
-        rows, weights = values(nodes[lo:lo + _CHUNK])
-        sums = sums + np.sum(rows, axis=-1)
-        weight_sum = weight_sum + np.sum(weights, axis=-1)
-        top = np.maximum(top, np.max(np.abs(rows), axis=(-2, -1)))
+        block, factors, kernels = values(nodes[lo:lo + _CHUNK])
+        flat = block.reshape(-1, block.shape[-1])
+        row_top = np.max(np.abs(block), axis=1)
+        s, a, m = [], [], []
+        # einsum rather than @: the first BLAS call of a process adds
+        # resident buffers, about 0.2 MB of peak RSS for a few microseconds.
+        for ker in kernels:
+            mag = np.abs(ker)
+            s.append(np.einsum("rn,n->r", flat, ker))
+            a.append(np.einsum("gn,n->g", factors, mag))
+            m.append(np.max(row_top * mag, axis=-1))
+        sums = sums + np.reshape(s, (len(s),) + block.shape[:2])
+        weight_sum = weight_sum + np.array(a)
+        top = np.maximum(top, m)
     return sums, weight_sum, top
 
 
-def _trapezoid(values, params: SolverParams, contour: Contour,
+def _trapezoid(values, params: SolverParams, contour: Contour, lams,
                names=("base",)):
-    """Trapezoidal rule along the contour line with nested halving.
+    """Trapezoidal rule along the contour line with nested halving, for
+    every lambda of a grid on one node set.
 
-    values(t) returns, at an array of N nodes, the integrand rows as a
-    (G, r, N) array, one group of r rows per solution, and each group's
-    kernel weight (|kernel| times the group's own factor) as a (G, N)
-    array; names labels the G groups.  The first grid has
+    values(t) is as for _sweep; lams labels its kernels and names its G
+    row groups.  Each (lambda, group) pair is one solution, whose kernel
+    weight is |kernel| times the group's factor.  The first grid has
     h = 1/panels_per_unit, but no wider than the smallest pole gap of the
     contour: the integrand is analytic only within that distance of the
     line, and the error of the rule falls like exp(-2 pi gap / h).  On
-    that grid the truncation doubles until, in every group, the largest
-    term of the newest outer band, times h, is at most atol times
-    max(group scale, 1); it then stays fixed, and the contour is
-    validated out to it (diagnostics "contour"), so its pole record
-    covers the whole integrated line.  Each halving of h evaluates only
-    the new midpoints and reuses every earlier node, until in every group
-    two successive estimates agree to rtol times that group's largest
-    estimate or atol times its scale, so no group stops before it would
-    alone.  Returns the estimates, group by group, and diagnostics.
+    that grid the truncation doubles until, for every solution, the
+    largest term of the newest outer band, times h, is at most atol times
+    max(its scale, 1); it then stays fixed, and the contour is validated
+    out to it (diagnostics "contour"), so its pole record covers the whole
+    integrated line.  Each halving of h evaluates only the new midpoints
+    and reuses every earlier node, until for every solution two successive
+    estimates agree to rtol times its largest estimate or atol times its
+    scale, so no solution stops before it would alone.  Returns the
+    estimates as an (L, G, r) array and one diagnostics dict per lambda.
     """
     rec = contour.record
     h = min(1.0 / params.panels_per_unit, rec["min_gap_above"],
@@ -482,7 +517,8 @@ def _trapezoid(values, params: SolverParams, contour: Contour,
     trunc = half * h
     contour = contour.widened(trunc)
     ests = [h * sums]
-    failing = list(names)
+    labels = ["lambda=%r %s" % (complex(lam), name) for lam in lams for name in names]
+    failing = labels
     for step in range(1, params.max_refine + 1):
         s, a, _ = _sweep(values, (np.arange(-half, half) + 0.5) * h + line)
         sums, weight_sum, h, half = sums + s, weight_sum + a, h / 2, 2 * half
@@ -492,16 +528,16 @@ def _trapezoid(values, params: SolverParams, contour: Contour,
         done = err <= np.maximum(params.rtol * np.max(np.abs(est), axis=-1),
                                  params.atol * np.maximum(scale, 1.0))
         if np.all(done):
-            diag = {
+            shared = {
                 "contour": contour,
                 "trunc": trunc,
                 "panels": 2 * half,
-                "quad_error": float(np.max(err)),
                 "refinements": step,
-                "scale": float(scale[0]),
+                "lambdas": len(lams),
             }
-            return [complex(v) for v in est.ravel()], diag
-        failing = [name for name, ok in zip(names, done) if not ok]
+            return est, [dict(shared, quad_error=float(np.max(e)), scale=float(g[0]))
+                         for e, g in zip(err, scale)]
+        failing = [label for label, ok in zip(labels, done.ravel()) if not ok]
     raise QuadratureError(
         "%s: no convergence after %d halvings; last two estimates %r"
         % (", ".join(failing), params.max_refine,
@@ -510,13 +546,13 @@ def _trapezoid(values, params: SolverParams, contour: Contour,
 
 
 def _pairing_values(indices, W: CycleW, params: SolverParams, y: tuple):
-    """values(t) for _trapezoid: the kernel-cycle times g_j at the nodes t
-    for each index j, and |kernel|."""
+    """values(t) for _trapezoid: the weight rows g_j at the nodes t for each
+    index j, and the kernel-cycle."""
 
     def values(t):
-        ker = _kernel_cycle_array(t, y, W, params)
         rows = _weight_rows(t, y, params.k)
-        return (ker * np.array([rows[j - 1] for j in indices]))[None], np.abs(ker)[None]
+        block = np.array([rows[j - 1] for j in indices])[None]
+        return block, np.ones((1, len(t))), [_kernel_cycle_array(t, y, W, params)]
 
     return values
 
@@ -531,7 +567,9 @@ def _pair_many(indices, W: CycleW, params: SolverParams, y=None,
         contour = build_contour(
             replace(params, y=yy), W=W, include_shifted=False
         )
-    return _trapezoid(_pairing_values(indices, W, params, yy), params, contour)
+    est, (diag,) = _trapezoid(_pairing_values(indices, W, params, yy), params,
+                              contour, [params.lam])
+    return [complex(v) for v in est[0, 0]], diag
 
 
 def pair_I(j: int, W: CycleW, params: SolverParams, y=None,
@@ -559,71 +597,99 @@ def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
     return _solution(p, *_pair_many(range(1, 2 * p.n + 1), W, p, contour=contour))
 
 
-def _report_values(W: CycleW, params: SolverParams):
-    """values(t) for the report's one rule: the row groups base,
-    derivative and shift-1 .. shift-n, from one kernel evaluation.
+def _report_values(points):
+    """values(t) for the grid's one rule: the lambda-independent block of
+    the row groups base, derivative and shift-1 .. shift-n, and one
+    kernel-cycle per (W, params) point of the grid.
 
-    The derivative rows are the base rows times -2 pi i t / c, the lambda
-    derivative of the kernel's factor e^{-2 pi i lam t / c}.  The kernel
-    at shift_y(y, m, c) is the base kernel times
+    The log kernel is evaluated once per node for the whole grid; each
+    point adds only its lambda prefactor and its cycle.  The derivative
+    rows are the base rows times -2 pi i t / c, the lambda derivative of
+    the prefactor e^{-2 pi i lam t / c}.  The kernel at shift_y(y, m, c)
+    is the base kernel times
     R_m(t) = (t + y_m - k)/(t + y_m) * (t - y_m + c)/(t - y_m - k + c):
     the shift steps each of the four gamma arguments of y_m by one, and
     Gamma(z + 1) = z Gamma(z) turns that into R_m; the cycle denominator
-    is c-periodic in y_m and does not change.  Each group's weight is
-    |kernel| times its own factor (1 for base and derivative, |R_m| for
-    shift-m).
+    is c-periodic in y_m and does not change.  So the shift-m rows are
+    R_m times the shifted weight functions, and each group's weight factor
+    is 1 for base and derivative and |R_m| for shift-m.
     """
-    c, k, y = params.c, params.k, params.y
-    shifted = [shift_y(y, m, c) for m in range(1, params.n + 1)]
+    _, p = points[0]
+    c, k, y = p.c, p.k, p.y
+    shifted = [shift_y(y, m, c) for m in range(1, p.n + 1)]
 
     def values(t):
-        ker = _kernel_cycle_array(t, y, W, params)
-        rows = np.empty((params.n + 2, 2 * params.n, len(t)), dtype=complex)
-        weights = np.empty((params.n + 2, len(t)))
-        rows[0] = ker * np.array(_weight_rows(t, y, k))
-        rows[1] = rows[0] * (-TWO_PI_I * t / c)
-        weights[:2] = np.abs(ker)
+        # The log kernel comes first, so that its working arrays are freed
+        # before the block is built.
+        log_ker = _log_kernel(t, y, c, k)
+        block = np.empty((p.n + 2, 2 * p.n, len(t)), dtype=complex)
+        factors = np.ones((p.n + 2, len(t)))
+        block[0] = _weight_rows(t, y, k)
+        block[1] = block[0] * (-TWO_PI_I * t / c)
         for g, (ym, ys) in enumerate(zip(y, shifted), start=2):
-            ker_m = ker * ((t + ym - k) / (t + ym) * (t - ym + c) / (t - ym - k + c))
-            rows[g] = ker_m * np.array(_weight_rows(t, ys, k))
-            weights[g] = np.abs(ker_m)
-        return rows, weights
+            r_m = (t + ym - k) / (t + ym) * (t - ym + c) / (t - ym - k + c)
+            block[g] = r_m * np.array(_weight_rows(t, ys, k))
+            factors[g] = np.abs(r_m)
+        return block, factors, (_cycle_kernel(log_ker, t, W, q) for W, q in points)
 
     return values
 
 
-def report_solutions(W: CycleW, params: SolverParams) -> tuple:
-    """The solution at params, its lambda derivative and the solutions at
-    the n shifted points shift_y(y, m, c), all from one node set.
+def grid_solutions(points) -> list:
+    """The solution, its lambda derivative and the n shifted solutions at
+    every point of a lambda grid, all on one trapezoidal rule.
 
-    One trapezoidal rule integrates the 2n (n + 2) rows of
-    _report_values, evaluating the kernel once per node; each solution
-    passes its own truncation and halving tests.  The contour is
-    validated for the base and every shifted pole configuration.
-    Returns (solution, derivative, [shifted solutions]).
+    points is a sequence of (W, params) pairs whose params differ only in
+    lam.  The rule integrates the rows of _report_values, evaluating the
+    lambda-independent kernel once per node for the whole grid; every
+    solution of every point passes its own truncation and halving tests,
+    so a point's coefficients depend on the other points only through the
+    shared node set.  The contour is validated once, for the base and
+    every shifted pole configuration, out to the largest initial
+    truncation over the grid.  Returns one (solution, derivative,
+    [shifted solutions]) per point.
     """
-    p = replace(params, lam=complex(params.lam))
-    W.validate(p)
+    points = [(W, replace(p, lam=complex(p.lam))) for W, p in points]
+    _, first = points[0]
+    for W, p in points:
+        if replace(p, lam=first.lam) != first:
+            raise ValueError("the points of a grid may differ only in lambda")
+        W.validate(p)
+    W, p = max(points, key=lambda point: _initial_trunc(*point))
     contour = build_contour(p, W=W, include_shifted=True)
     names = ("base", "derivative") + tuple(
-        "shift-%d" % m for m in range(1, p.n + 1))
-    vals, diag = _trapezoid(_report_values(W, p), p, contour, names)
-    size = 2 * p.n
-    parts = [vals[i * size:(i + 1) * size] for i in range(len(names))]
-    shifted = [_solution(replace(p, y=shift_y(p.y, m, p.c)), part, diag)
-               for m, part in enumerate(parts[2:], start=1)]
-    return _solution(p, parts[0], diag), _solution(p, parts[1], diag), shifted
+        "shift-%d" % m for m in range(1, first.n + 1))
+    est, diags = _trapezoid(_report_values(points), first, contour,
+                            [p.lam for _, p in points], names)
+    out = []
+    for (_, p), parts, diag in zip(points, est, diags):
+        parts = [[complex(v) for v in row] for row in parts]
+        shifted = [_solution(replace(p, y=shift_y(p.y, m, p.c)), part, diag)
+                   for m, part in enumerate(parts[2:], start=1)]
+        out.append((_solution(p, parts[0], diag), _solution(p, parts[1], diag), shifted))
+    return out
+
+
+def report_solutions(W: CycleW, params: SolverParams) -> tuple:
+    """The solution at params, its lambda derivative and the solutions at
+    the n shifted points shift_y(y, m, c): grid_solutions on the grid of
+    one.  Returns (solution, derivative, [shifted solutions])."""
+    return grid_solutions([(W, params)])[0]
 
 
 def _qkz_from_vectors(params: SolverParams, base: Vec, shifted) -> dict:
     """Relative difference-equation residual of the solution at each
-    shifted point against the transported base solution."""
+    shifted point against the transported base solution; the factors of
+    the transport operator are applied to the base vector in turn, the
+    rightmost first, so the operator itself is never composed."""
     model = params.model()
     x = params.x_point()
     norm = base.norm_max()
     out = {}
     for m, vec in enumerate(shifted, start=1):
-        transported = op_Q(m, x, params.y, model).apply(base)
+        transported = base
+        for factor in reversed(factor_ops(q_factor_list(m, params.n), x, params.y, model)):
+            transported = factor.apply(transported)
         out[m] = (vec - transported).norm_max() / norm
     return out
 
@@ -667,30 +733,36 @@ def vanishing_integral(W: CycleW, params: SolverParams,
     ex = params.big_e
 
     def values(t):
-        ker = _kernel_cycle_array(t, params.y, W, params)
         ratio = prod_ratio_full(t, params.y, params.k)
-        return (ker * (1 - ex * ratio))[None, None], np.abs(ker)[None]
+        return ((1 - ex * ratio)[None, None], np.ones((1, len(t))),
+                [_kernel_cycle_array(t, params.y, W, params)])
 
-    (value,), diag = _trapezoid(values, params, contour)
-    return value, diag["scale"]
+    est, (diag,) = _trapezoid(values, params, contour, [params.lam])
+    return complex(est[0, 0, 0]), diag["scale"]
 
 
-def residual_report(W: CycleW, params: SolverParams) -> dict:
+def residual_report(W: CycleW, params: SolverParams, solutions=None) -> dict:
     """Machine-readable summary: coefficients, residuals, diagnostics.
 
-    Integrates the base point, its lambda derivative and the n shifted
-    points on one node set (report_solutions), one kernel evaluation per
-    node: the shifted kernels follow from the base kernel by the Gamma
-    recurrence and the c-periodic cycle denominator, and each solution
-    passes its own convergence test.  The residuals are derived from those
-    vectors.  The quadrature record is that rule's, with "kernel_evals"
-    (its nodes) and "solves" (the n + 1 points solved).
+    solutions is the point's (solution, derivative, [shifted solutions])
+    from grid_solutions when the point was integrated with a lambda grid;
+    without it the point is its own grid (report_solutions).  Either way
+    the base point, its lambda derivative and the n shifted points come
+    from one node set with one kernel evaluation per node: the shifted
+    kernels follow from the base kernel by the Gamma recurrence and the
+    c-periodic cycle denominator, and each solution passes its own
+    convergence test.  The residuals are derived from those vectors.  The
+    quadrature record is the shared rule's, with "kernel_evals" (its
+    nodes), "lambdas" (the points of its grid) and "solves" (the n + 1
+    points solved at this lambda).
     """
     if abs(params.big_e + 1) < 1e-8:
         raise ValueError(
             "differential residuals need e^{2 pi i lam} away from -1"
         )
-    base, deriv, shifted = report_solutions(W, params)
+    if solutions is None:
+        solutions = report_solutions(W, params)
+    base, deriv, shifted = solutions
     qkz = _qkz_from_vectors(params, base.vec, [sol.vec for sol in shifted])
     ode, ftilde = _differential_residuals(params, base.vec, deriv.vec)
     diag = base.diagnostics
@@ -719,9 +791,10 @@ def residual_report(W: CycleW, params: SolverParams) -> dict:
             "panels": diag["panels"],
             "refinements": diag["refinements"],
             "quad_error": diag["quad_error"],
-            # The one rule evaluates the kernel once at every node of its
-            # final grid.
+            # The grid's one rule evaluates the kernel once at every node
+            # of its final grid, for all of its lambdas together.
             "kernel_evals": diag["panels"] + 1,
+            "lambdas": diag["lambdas"],
             "solves": 1 + len(shifted),
         },
     }

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bqkz import cli, suites
+from bqkz import cli, integral_solver, suites
 from bqkz.cli import ConfigError, default_config, load_config
 
 
@@ -185,6 +185,70 @@ def test_solve_failing_tolerance_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_integrates_the_grid_on_one_rule(tmp_path, capsys, monkeypatch):
+    """A 4-lambda `bqkz solve` runs one trapezoidal rule, evaluates the
+    lambda-independent kernel once at each of its panels + 1 nodes, gives
+    each lambda's coefficients within 1e-12 of that lambda solved alone, and
+    writes a body that a rerun reproduces bit for bit."""
+    rules, nodes = [], []
+    real_rule, real_kernel = integral_solver._trapezoid, integral_solver._log_kernel
+
+    def counting_rule(values, params, contour, lams, names):
+        rules.append(lams)
+        return real_rule(values, params, contour, lams, names)
+
+    def counting_kernel(t, *args):
+        nodes.append(len(t))
+        return real_kernel(t, *args)
+
+    grid = [-0.8, -0.35, 0.25, 0.7]
+    path = write_json(tmp_path / "cfg.json", {"model": {"n": 2}, "solve": {"lambda_grid": grid}})
+    argv = ["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+            "--out-json", str(tmp_path / "r.json")]
+    monkeypatch.setattr(integral_solver, "_trapezoid", counting_rule)
+    monkeypatch.setattr(integral_solver, "_log_kernel", counting_kernel)
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    assert rules == [[complex(lam) for lam in grid]]
+    with open(tmp_path / "r.json") as fh:
+        report = json.load(fh)
+    entries = report["body"]["solutions"]
+    assert set(report["timing"]) == {"quadrature"} | {"lambda=%r" % complex(lam) for lam in grid}
+    cfg = load_config(path)
+    widened = 0
+    for lam, entry in zip(grid, entries):
+        quad = entry["quadrature"]
+        assert quad["lambdas"] == 4
+        assert quad["kernel_evals"] == quad["panels"] + 1 == sum(nodes)
+        alone = integral_solver.residual_report(
+            cli._cycle_for(cfg, complex(lam)), cli._solver_params(cfg, complex(lam)))
+        got = [complex(*v) for v in entry["coefficients"]]
+        want = [complex(*v) for v in alone["coefficients"]]
+        top = max(abs(w) for w in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * top, lam
+        widened += alone["quadrature"]["panels"] < quad["panels"]
+    assert widened > 0
+    first = body_text(tmp_path / "r.json")
+    assert cli.main(argv) == 0
+    assert body_text(tmp_path / "r.json") == first
+    capsys.readouterr()
+
+
+def test_grid_non_convergence_names_its_lambda(tmp_path, capsys):
+    """With two halvings allowed, lambda = 0.885 converges and 0.25 does
+    not; the error names each group of 0.25 and nothing of 0.885."""
+    cfg = {"solve": {"lambda_grid": [0.25, 0.885], "max_refine": 2}}
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(
+        ["solve", "--config", path,
+         "--out-csv", str(tmp_path / "c.csv"), "--out-json", str(tmp_path / "r.json")]
+    ) == 2
+    err = capsys.readouterr().err
+    for group in ("base", "derivative", "shift-1"):
+        assert "lambda=(0.25+0j) %s" % group in err, group
+    assert "0.885" not in err
+
+
 # --------------------------------------------------------------- residuals
 
 
@@ -209,9 +273,9 @@ def test_residuals_rebuilds_the_solve_params(tmp_path, capsys, monkeypatch):
     stored config, half_dim included."""
     seen = []
 
-    def recording_report(cycle, params):
+    def recording_report(cycle, params, solutions):
         seen.append(params)
-        return real_report(cycle, params)
+        return real_report(cycle, params, solutions)
 
     real_report = cli.residual_report
     monkeypatch.setattr(cli, "residual_report", recording_report)
@@ -227,6 +291,27 @@ def test_residuals_rebuilds_the_solve_params(tmp_path, capsys, monkeypatch):
     assert len(seen) == 2
     assert seen[0].half_dim == 3
     assert seen[1] == seen[0]
+
+
+def test_recheck_integrates_the_stored_grid_as_one_rule(tmp_path, capsys):
+    """`residuals --in` integrates the stored lambdas and cycles as one grid
+    again, so it evaluates the solve's node set.  On this grid the cycle
+    degree is 0 at lambda = -0.35 and 1 at 0.25 and 0.885, and the grid's
+    node set is wider than -0.35 or 0.885 would get alone; every recheck
+    reproduces its stored residuals exactly."""
+    cfg = {"solve": {"lambda_grid": [-0.35, 0.25, 0.885]}}
+    path = write_json(tmp_path / "cfg.json", cfg)
+    json_path = tmp_path / "solve.json"
+    assert cli.main(
+        ["solve", "--config", path,
+         "--out-csv", str(tmp_path / "c.csv"), "--out-json", str(json_path)]
+    ) == 0
+    with open(json_path) as fh:
+        entries = json.load(fh)["body"]["solutions"]
+    assert [e["cycle"][0][0] for e in entries] == [0, 1, 1]
+    capsys.readouterr()
+    assert cli.main(["residuals", "--in", str(json_path)]) == 0
+    assert capsys.readouterr().out.count("recompute drift 0.000e+00 matches") == 3
 
 
 def test_residuals_from_config_inline(tmp_path, capsys):

@@ -376,10 +376,10 @@ def test_widened_line_with_a_far_wrong_side_pole_is_rejected():
 
     def values(t):
         ker = np.exp(-((t.real / 20) ** 2))
-        return ker[None, None], np.abs(ker)[None]
+        return np.ones((1, 1, len(t))), np.ones((1, len(t))), [ker]
 
     with pytest.raises(SeparationError):
-        solver._trapezoid(values, p, far)
+        solver._trapezoid(values, p, far, [p.lam])
 
 
 # ---------------------------------------------------------------- pairing
@@ -523,9 +523,9 @@ def test_residual_report_solves_each_distinct_point_once(monkeypatch):
     are the joint solve's."""
     calls = []
 
-    def counting_trapezoid(values, params, contour, names):
+    def counting_trapezoid(values, params, contour, lams, names):
         calls.append((params.lam, params.y, names))
-        return real_trapezoid(values, params, contour, names)
+        return real_trapezoid(values, params, contour, lams, names)
 
     real_trapezoid = solver._trapezoid
     for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
@@ -540,6 +540,16 @@ def test_residual_report_solves_each_distinct_point_once(monkeypatch):
         assert rep["quadrature"]["solves"] == n + 1
         base, _, _ = report_solutions(W, p)
         assert rep["coefficients"] == [[v.real, v.imag] for v in base.coeffs]
+
+
+def test_grid_points_may_differ_only_in_lambda():
+    """A grid shares its contour, kernel and weight rows, so its points must
+    agree in everything but lambda."""
+    W = CycleW.monomial(1)
+    p = mkparams(1, 0.25, (0.3,))
+    for q in (replace(p, lam=0.4, y=(0.2,)), replace(p, lam=0.4, rtol=1e-8)):
+        with pytest.raises(ValueError, match="differ only in lambda"):
+            solver.grid_solutions([(W, p), (W, q)])
 
 
 def test_joint_rule_takes_the_stricter_grid():
@@ -588,7 +598,8 @@ def test_shifted_rows_match_the_directly_shifted_kernel():
     for n, lam, y, W, tol in cases:
         p = mkparams(n, lam, y)
         ts = np.linspace(-240.0, 240.0, 1201) + 1j * p.delta
-        rows, weights = solver._report_values(W, p)(ts)
+        block, factors, (base_ker,) = solver._report_values([(W, p)])(ts)
+        rows, weights = block * base_ker, factors * np.abs(base_ker)
         assert rows.shape == (n + 2, 2 * n, len(ts))
         for m in range(1, n + 1):
             ys = shift_y(p.y, m, C)
@@ -660,9 +671,10 @@ def test_array_kernel_cycle_matches_scalar():
 
 def _kernel_cycle_per_term(t, y, W, params):
     """Reference for the array kernel: one log_gamma_array or
-    log1m_exp_array call per term, added in the scalar kernel's order."""
+    log1m_exp_array call per term, added in the scalar kernel's order,
+    then the lambda prefactor with each monomial."""
     c, k = params.c, params.k
-    base = -TWO_PI_I * params.lam * t / c
+    base = 0
     for yp in y:
         base += log_gamma_array((t - yp - k) / (-c))
         base += log_gamma_array((t + yp - k) / (-c))
@@ -673,7 +685,7 @@ def _kernel_cycle_per_term(t, y, W, params):
     logz = TWO_PI_I * t / c
     out = 0
     for d, cf in W.terms:
-        expo = base + d * logz
+        expo = base + (d - params.lam) * logz
         live = expo.real >= solver._EXP_FLOOR
         expo = np.where(live, expo, solver._EXP_FLOOR)
         out = out + cf * np.where(live, np.exp(expo), 0)
@@ -761,19 +773,19 @@ def test_report_counts_kernel_evaluations(monkeypatch):
     """A report evaluates the kernel once at every node of its one final
     grid for all n + 1 points it solves, and the quadrature record says
     so."""
-    real = solver._kernel_cycle_array
+    real = solver._log_kernel
     nodes = []
 
     def counting(t, *args, **kwargs):
         nodes.append(len(t))
         return real(t, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "_kernel_cycle_array", counting)
+    monkeypatch.setattr(solver, "_log_kernel", counting)
     for n, lam, y in ((1, 0.885, (0.3,)), (2, 0.31, (0.3, -0.2))):
         nodes.clear()
         quad = residual_report(CycleW.monomial(1), mkparams(n, lam, y))["quadrature"]
         assert set(quad) == {"trunc", "panels", "refinements", "quad_error",
-                             "kernel_evals", "solves"}
+                             "kernel_evals", "solves", "lambdas"}
         assert quad["solves"] == n + 1
         assert quad["kernel_evals"] == quad["panels"] + 1 == sum(nodes), (n, lam)
 
