@@ -27,7 +27,7 @@ from . import __version__
 from .sampling import SamplingExhausted
 from .scalar_field import RATIONAL_BACKEND
 from .integral_solver import (
-    CycleW, QuadratureError, SolverParams, grid_solutions, residual_report,
+    CycleW, QuadratureError, SolverParams, grid_residuals, grid_solutions, residual_report,
 )
 from . import suites as suite_mod
 
@@ -269,18 +269,21 @@ def _cycle_for(cfg: dict, lam: complex) -> CycleW:
 
 
 def _solve_grid(cfg: dict):
-    """Integrate the whole lambda grid on one rule, then assemble each
-    lambda's report and print one residual line each; returns (grid,
-    solutions, timing)."""
+    """Integrate the whole lambda grid on one rule, compute its residuals
+    in one pass, then assemble each lambda's report and print one residual
+    line each; returns (grid, solutions, timing)."""
     grid = [_as_complex(v, "solve.lambda_grid entries") for v in cfg["solve"]["lambda_grid"]]
     points = [(_cycle_for(cfg, lam), _solver_params(cfg, lam)) for lam in grid]
     start = time.perf_counter()
     solved = grid_solutions(points)
     timing = {"quadrature": time.perf_counter() - start}
+    start = time.perf_counter()
+    residuals = grid_residuals(points, solved)
+    timing["residuals"] = time.perf_counter() - start
     solutions = []
-    for lam, (cycle, params), sols in zip(grid, points, solved):
+    for lam, (cycle, params), sols, res in zip(grid, points, solved, residuals):
         start = time.perf_counter()
-        entry = residual_report(cycle, params, sols)
+        entry = residual_report(cycle, params, sols, res)
         timing["lambda=%r" % lam] = time.perf_counter() - start
         solutions.append(entry)
         print(
@@ -391,9 +394,11 @@ def _recheck(path: str) -> int:
     # The stored grid is integrated again as one rule, so the recheck
     # evaluates the same node set as the solve.
     points = [(cycle, _solver_params(cfg, lam)) for _, lam, cycle in stored]
+    solved = grid_solutions(points)
     ok = True
-    for (entry, _, _), (cycle, params), sols in zip(stored, points, grid_solutions(points)):
-        fresh = residual_report(cycle, params, sols)
+    for (entry, _, _), (cycle, params), sols, res in zip(
+            stored, points, solved, grid_residuals(points, solved)):
+        fresh = residual_report(cycle, params, sols, res)
         drift = max(
             abs(fresh["qkz_residuals"][m] - entry["qkz_residuals"][m])
             for m in entry["qkz_residuals"]

@@ -34,6 +34,12 @@ times a rational factor R_m(t) times the shifted weight functions: the
 Gamma recurrence turns the shift of y_m into R_m, and the cycle denominator
 is c-periodic in y.  Each of these solutions, at each lambda, passes its
 own convergence test on the shared grid.
+
+The residuals of a grid (`grid_residuals`) are computed on dense arrays of
+coefficients and states.  Along a grid only x_1 = e^{2 pi i lam} moves, so
+every operator part that does not read x (the transport factors around the
+coordinate reflection Kx, op_A and the coefficient-to-state matrix) is
+built once per grid; each lambda builds only its n Kx factors and op_B.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .rqkz import ModelParams, factor_ops, q_factor_list, shift_y
+from . import compat_ops, rqkz
+from .rqkz import ModelParams, compose_descs, q_factor_list, shift_y
 from .scalar_field import (
     cpow,
     log1m_exp,
@@ -204,12 +211,12 @@ class Contour:
 
 @dataclass(frozen=True)
 class SolutionVector:
-    """Pairing coefficients with the evaluation point and diagnostics."""
+    """Pairing coefficients with the evaluation point and diagnostics; the
+    solution vector is the sum of coeffs[j - 1] vec_u(j)."""
 
     coeffs: tuple
     lam: complex
     y: tuple
-    vec: Vec
     diagnostics: dict
 
 
@@ -582,17 +589,12 @@ def pair_I(j: int, W: CycleW, params: SolverParams, y=None,
 
 
 def _solution(p: SolverParams, vals, diag: dict) -> SolutionVector:
-    vec = Vec(p.space, {})
-    for j, v in enumerate(vals, start=1):
-        vec = vec.add(vec_u(j, p).scale(v))
-    return SolutionVector(
-        coeffs=tuple(vals), lam=p.lam, y=p.y, vec=vec, diagnostics=diag
-    )
+    return SolutionVector(coeffs=tuple(vals), lam=p.lam, y=p.y, diagnostics=diag)
 
 
 def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
             contour: Contour = None) -> SolutionVector:
-    """All 2n pairing coefficients and the assembled vector."""
+    """All 2n pairing coefficients."""
     p = replace(params, lam=complex(lam), y=tuple(y))
     return _solution(p, *_pair_many(range(1, 2 * p.n + 1), W, p, contour=contour))
 
@@ -635,6 +637,17 @@ def _report_values(points):
     return values
 
 
+def _grid_points(points) -> list:
+    """The (W, params) points of a grid with complex lambda; their params
+    must agree in everything but lambda."""
+    points = [(W, replace(p, lam=complex(p.lam))) for W, p in points]
+    _, first = points[0]
+    for _, p in points:
+        if replace(p, lam=first.lam) != first:
+            raise ValueError("the points of a grid may differ only in lambda")
+    return points
+
+
 def grid_solutions(points) -> list:
     """The solution, its lambda derivative and the n shifted solutions at
     every point of a lambda grid, all on one trapezoidal rule.
@@ -649,11 +662,9 @@ def grid_solutions(points) -> list:
     truncation over the grid.  Returns one (solution, derivative,
     [shifted solutions]) per point.
     """
-    points = [(W, replace(p, lam=complex(p.lam))) for W, p in points]
+    points = _grid_points(points)
     _, first = points[0]
     for W, p in points:
-        if replace(p, lam=first.lam) != first:
-            raise ValueError("the points of a grid may differ only in lambda")
         W.validate(p)
     W, p = max(points, key=lambda point: _initial_trunc(*point))
     contour = build_contour(p, W=W, include_shifted=True)
@@ -677,48 +688,79 @@ def report_solutions(W: CycleW, params: SolverParams) -> tuple:
     return grid_solutions([(W, params)])[0]
 
 
-def _qkz_from_vectors(params: SolverParams, base: Vec, shifted) -> dict:
-    """Relative difference-equation residual of the solution at each
-    shifted point against the transported base solution; the factors of
-    the transport operator are applied to the base vector in turn, the
-    rightmost first, so the operator itself is never composed."""
-    model = params.model()
-    x = params.x_point()
-    norm = base.norm_max()
-    out = {}
-    for m, vec in enumerate(shifted, start=1):
-        transported = base
-        for factor in reversed(factor_ops(q_factor_list(m, params.n), x, params.y, model)):
-            transported = factor.apply(transported)
-        out[m] = (vec - transported).norm_max() / norm
-    return out
+def _dense(op) -> np.ndarray:
+    return np.array(op.to_dense(), dtype=complex)
 
 
-def _differential_residuals(params: SolverParams, base: Vec,
-                            deriv: Vec) -> tuple:
-    """Relative residuals of the first-direction differential equation and
-    of its gauge-transformed, parameter-free form, from the solution and
-    its lambda derivative.
+def _apply(matrix, vec):
+    # einsum rather than @, as in _sweep: the residual path makes no BLAS call.
+    return np.einsum("ij,j->i", matrix, vec)
 
-    The scalar prefactor (e^{2 pi i lam} - 1)^{k/c} of the gauge uses the
-    principal branch; any other branch differs by a lambda-independent
-    constant and solves the same equation.
+
+def grid_residuals(points, solved) -> list:
+    """The qKZ, ODE and gauge residuals of every point of a lambda grid:
+    points as passed to grid_solutions, solved as it returned them.
+
+    On a grid only x_1 = e^{2 pi i lam} changes, and of the operators only
+    the coordinate reflection factor Kx of each transport operator Q_m and
+    op_B(1, x) depend on x.  So these are built once per grid, as dense
+    arrays: U, whose columns are the vec_u(j) (coefficients to states);
+    for each m the product H_m of the factors before Kx and the product
+    T_m of those after it, folded into T_m U; and op_A(1, y) U.  Each
+    lambda builds its n Kx factors and op_B(1, x) and applies them with
+    np.einsum.  Every operator comes from its one builder in rqkz or
+    compat_ops.
+
+    qkz_residuals[m] is the largest entry of U a_m - H_m Kx T_m U a, for
+    base and shift-m coefficients a and a_m, relative to that of U a.  The
+    differential residuals are those of the first-direction equation and
+    of its gauge-transformed, parameter-free form; the scalar prefactor
+    (e^{2 pi i lam} - 1)^{k/c} of the gauge uses the principal branch, and
+    any other branch differs by a lambda-independent constant and solves
+    the same equation.  Returns one (qkz residuals by site, ode residual,
+    gauge residual) per point.
     """
-    from .compat_ops import op_L
-
-    lbase = op_L(1, params.x_point(), params.y, params.model()).apply(base)
-    ex = params.big_e
-    norm = base.norm_max()
-    total = deriv.scale(params.c / TWO_PI_I)
-    total = total.add(lbase)
-    total = total.add(base.scale(params.k * ex / (ex - 1)))
-    ode = total.norm_max() / norm
-    s = cpow(ex - 1, params.k / params.c)
-    ds = params.k * ex * cpow(ex - 1, params.k / params.c - 1)
-    total = base.scale(ds)
-    total = total.add(deriv.scale(s * params.c / TWO_PI_I))
-    total = total.add(lbase.scale(s))
-    return ode, total.norm_max() / (abs(s) * norm)
+    points = _grid_points(points)
+    for _, p in points:
+        if abs(p.big_e + 1) < 1e-8:
+            raise ValueError(
+                "differential residuals need e^{2 pi i lam} away from -1"
+            )
+    _, p = points[0]
+    model, x, y, n = p.model(), p.x_point(), p.y, p.n
+    states = np.zeros((p.space.dim, 2 * n))
+    for j in range(1, 2 * n + 1):
+        for state, v in vec_u(j, p).entries.items():
+            states[p.space.index(state), j - 1] = v
+    transports = []
+    for m in range(1, n + 1):
+        descs = q_factor_list(m, n)
+        mid = next(i for i, desc in enumerate(descs) if desc[0] == "Kx")
+        # Only the Kx factor reads x, so the first point's x serves the grid.
+        head, tail = (_dense(compose_descs(part, x, y, model))
+                      for part in (descs[:mid], descs[mid + 1:]))
+        transports.append((head, descs[mid], np.einsum("ij,jk->ik", tail, states)))
+    a_states = np.einsum("ij,jk->ik", _dense(compat_ops.op_A(1, y, model)), states)
+    out = []
+    for (_, p), (base, deriv, shifted) in zip(points, solved):
+        x = p.x_point()
+        coeffs = np.array([base.coeffs, deriv.coeffs] + [sol.coeffs for sol in shifted])
+        vec, dvec, *shifted_vecs = np.einsum("ij,gj->gi", states, coeffs)
+        norm = np.max(np.abs(vec))
+        qkz = {}
+        for m, (head, mid, tail_states) in enumerate(transports, start=1):
+            kx = _dense(rqkz._factor_op(mid, x, y, model))
+            diff = shifted_vecs[m - 1] - _apply(head, _apply(kx, _apply(tail_states, coeffs[0])))
+            qkz[m] = float(np.max(np.abs(diff)) / norm)
+        lvec = _apply(a_states, coeffs[0]) + _apply(_dense(compat_ops.op_B(1, x, model)), vec)
+        ex = p.big_e
+        total = dvec * (p.c / TWO_PI_I) + lvec + vec * (p.k * ex / (ex - 1))
+        ode = float(np.max(np.abs(total)) / norm)
+        s = cpow(ex - 1, p.k / p.c)
+        ds = p.k * ex * cpow(ex - 1, p.k / p.c - 1)
+        total = vec * ds + dvec * (s * p.c / TWO_PI_I) + lvec * s
+        out.append((qkz, ode, float(np.max(np.abs(total)) / (abs(s) * norm))))
+    return out
 
 
 def vanishing_integral(W: CycleW, params: SolverParams,
@@ -741,30 +783,29 @@ def vanishing_integral(W: CycleW, params: SolverParams,
     return complex(est[0, 0, 0]), diag["scale"]
 
 
-def residual_report(W: CycleW, params: SolverParams, solutions=None) -> dict:
-    """Machine-readable summary: coefficients, residuals, diagnostics.
+def residual_report(W: CycleW, params: SolverParams, solutions=None,
+                    residuals=None) -> dict:
+    """Machine-readable summary of one lambda: coefficients, residuals,
+    diagnostics.
 
     solutions is the point's (solution, derivative, [shifted solutions])
-    from grid_solutions when the point was integrated with a lambda grid;
-    without it the point is its own grid (report_solutions).  Either way
-    the base point, its lambda derivative and the n shifted points come
-    from one node set with one kernel evaluation per node: the shifted
-    kernels follow from the base kernel by the Gamma recurrence and the
-    c-periodic cycle denominator, and each solution passes its own
-    convergence test.  The residuals are derived from those vectors.  The
-    quadrature record is the shared rule's, with "kernel_evals" (its
+    from grid_solutions and residuals its (qkz residuals, ode residual,
+    gauge residual) from grid_residuals, when the point was solved with a
+    lambda grid; without them the point is its own grid.  Either way the
+    base point, its lambda derivative and the n shifted points come from
+    one node set with one kernel evaluation per node: the shifted kernels
+    follow from the base kernel by the Gamma recurrence and the c-periodic
+    cycle denominator, and each solution passes its own convergence test.
+    The quadrature record is the shared rule's, with "kernel_evals" (its
     nodes), "lambdas" (the points of its grid) and "solves" (the n + 1
     points solved at this lambda).
     """
-    if abs(params.big_e + 1) < 1e-8:
-        raise ValueError(
-            "differential residuals need e^{2 pi i lam} away from -1"
-        )
     if solutions is None:
         solutions = report_solutions(W, params)
-    base, deriv, shifted = solutions
-    qkz = _qkz_from_vectors(params, base.vec, [sol.vec for sol in shifted])
-    ode, ftilde = _differential_residuals(params, base.vec, deriv.vec)
+    if residuals is None:
+        (residuals,) = grid_residuals([(W, params)], [solutions])
+    base, _, shifted = solutions
+    qkz, ode, ftilde = residuals
     diag = base.diagnostics
     contour = diag["contour"]
     report = {

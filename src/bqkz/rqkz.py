@@ -25,6 +25,11 @@ one transport operator to the other (`compose_descs` with `start`).  The
 x-derivative likewise takes the trailing product T_m (`op_Q_tail`), built
 once per m, and applies the head factors and one middle derivative to it.
 
+The contour solver's residual pass uses the same builders in floating
+point: per lambda grid it composes the factors on either side of the
+coordinate reflection Kx (`compose_descs`), the only factor that reads x,
+and per lambda it builds just the Kx factors (`_factor_op`).
+
 Every factor checks its own denominator at build time, so a pole in any
 requested construction raises PoleError immediately with the offending
 factor identified.

@@ -95,6 +95,39 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+
+
+def _lanczos_rational():
+    """The Lanczos sum c_0 + sum_{i >= 1} c_i / (z + i - 1) as one rational
+    function P(v) / Q(v) of v = 1/z (Pugh 2004; Boost.Math `lanczos`).
+
+    With 1/(z + a) = v/(1 + a v), Q(v) = prod_{a=1}^{13} (1 + a v) and
+    P(v) = c_0 Q(v) + v sum_i c_i Q(v)/(1 + (i - 1) v).  Over Re z >= 0.5,
+    v lies in the disk |v - 1| <= 1, so neither polynomial can overflow.
+    The coefficients are formed exactly, in integers over the common
+    power-of-two denominator of the c_i, and rounded once.  Returns the
+    coefficients of P and of Q, highest degree first.
+    """
+    ratios = [cf.as_integer_ratio() for cf in _LANCZOS_C]
+    scale = max(q for _, q in ratios)
+    cs = [p * (scale // q) for p, q in ratios]
+    den = [1]
+    for a in range(1, len(cs) - 1):
+        den = [x + a * y for x, y in zip(den + [0], [0] + den)]
+    num = [cs[0] * q for q in den] + [0]
+    for a, ca in enumerate(cs[1:]):
+        # Q(v)/(1 + a v) by synthetic division, lowest degree first.
+        part, prev = [], 0
+        for q in den[:-1] if a else den:
+            prev = q - a * prev
+            part.append(prev)
+        for k, q in enumerate(part, start=1):
+            num[k] += ca * q
+    return (tuple(v / scale for v in reversed(num)),
+            tuple(float(q) for q in reversed(den)))
+
+
+_LANCZOS_NUM, _LANCZOS_DEN = _lanczos_rational()
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
 _LOG_HALF_I = complex(-math.log(2.0), 0.5 * math.pi)
@@ -107,12 +140,23 @@ _REFLECT_BELOW = -8.0
 _LOG1M_FLOOR = -60.0
 
 
+def _horner(coeffs, v):
+    """The polynomial with coefficients coeffs (highest degree first) at v;
+    for an array v every step after the first works in place."""
+    out = coeffs[0] * v + coeffs[1]
+    for cf in coeffs[2:]:
+        out *= v
+        out += cf
+    return out
+
+
 def _lanczos_half_plane(z, log=cmath.log):
-    """log Gamma(z) for Re z >= 0.5; with log=np.log, z may be an array."""
+    """log Gamma(z) for Re z >= 0.5; with log=np.log, z may be an array.
+    The Lanczos sum is evaluated as P(1/z) / Q(1/z) by Horner's rule, with
+    two divisions in place of one per term."""
+    v = 1 / z
+    s = _horner(_LANCZOS_NUM, v) / _horner(_LANCZOS_DEN, v)
     zm1 = z - 1.0
-    s = _LANCZOS_C[0]
-    for i in range(1, 15):
-        s += _LANCZOS_C[i] / (zm1 + i)
     t = zm1 + _LANCZOS_G + 0.5
     return (zm1 + 0.5) * log(t) - t + _LOG_SQRT_2PI + log(s)
 

@@ -1,11 +1,12 @@
 """Command line surface: config handling, reports, exit codes."""
 
+import collections
 import csv
 import json
 
 import pytest
 
-from bqkz import cli, integral_solver, suites
+from bqkz import cli, compat_ops, integral_solver, rqkz, suites
 from bqkz.cli import ConfigError, default_config, load_config
 
 
@@ -213,7 +214,8 @@ def test_solve_integrates_the_grid_on_one_rule(tmp_path, capsys, monkeypatch):
     with open(tmp_path / "r.json") as fh:
         report = json.load(fh)
     entries = report["body"]["solutions"]
-    assert set(report["timing"]) == {"quadrature"} | {"lambda=%r" % complex(lam) for lam in grid}
+    assert set(report["timing"]) == ({"quadrature", "residuals"}
+                                     | {"lambda=%r" % complex(lam) for lam in grid})
     cfg = load_config(path)
     widened = 0
     for lam, entry in zip(grid, entries):
@@ -231,6 +233,34 @@ def test_solve_integrates_the_grid_on_one_rule(tmp_path, capsys, monkeypatch):
     first = body_text(tmp_path / "r.json")
     assert cli.main(argv) == 0
     assert body_text(tmp_path / "r.json") == first
+    capsys.readouterr()
+
+
+def test_solve_builds_the_lambda_independent_operators_once(tmp_path, capsys, monkeypatch):
+    """A 4-lambda n = 2 `bqkz solve` builds op_A and every transport factor
+    but the coordinate reflection Kx once for the grid, and n Kx factors
+    and one op_B for each lambda."""
+    builds = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            builds[name(args)] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(rqkz, "_factor_op", counted(lambda args: args[0], rqkz._factor_op))
+    for name in ("op_A", "op_B"):
+        monkeypatch.setattr(compat_ops, name, counted(lambda args, name=name: name,
+                                                      getattr(compat_ops, name)))
+    grid, n = [-0.8, -0.35, 0.25, 0.7], 2
+    path = write_json(tmp_path / "cfg.json", {"model": {"n": n}, "solve": {"lambda_grid": grid}})
+    assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(tmp_path / "r.json")]) == 0
+    want = collections.Counter(op_A=1, op_B=len(grid))
+    for m in range(1, n + 1):
+        for desc in rqkz.q_factor_list(m, n):
+            want[desc] += len(grid) if desc[0] == "Kx" else 1
+    assert builds == want
     capsys.readouterr()
 
 
@@ -273,9 +303,9 @@ def test_residuals_rebuilds_the_solve_params(tmp_path, capsys, monkeypatch):
     stored config, half_dim included."""
     seen = []
 
-    def recording_report(cycle, params, solutions):
+    def recording_report(cycle, params, solutions, residuals):
         seen.append(params)
-        return real_report(cycle, params, solutions)
+        return real_report(cycle, params, solutions, residuals)
 
     real_report = cli.residual_report
     monkeypatch.setattr(cli, "residual_report", recording_report)

@@ -7,6 +7,7 @@ the spectral parameter.
 """
 
 import cmath
+import math
 import random
 from dataclasses import replace
 
@@ -15,10 +16,12 @@ import pytest
 
 from fractions import Fraction
 
-from bqkz.rqkz import ones, op_K, op_P, op_R, op_T, shift_y
+from bqkz.rqkz import ones, op_K, op_P, op_R, op_T, q_factor_list, shift_y
 from bqkz.scalar_field import log1m_exp_array, log_gamma_array
-from bqkz.tensor_ops import Space, Vec, embed_pair, embed_site
+from bqkz.tensor_ops import LinOp, Space, Vec, embed_pair, embed_site
+import bqkz.compat_ops as compat_ops
 import bqkz.integral_solver as solver
+import bqkz.rqkz as rqkz
 from bqkz.integral_solver import (
     CycleW,
     DegreeError,
@@ -365,6 +368,24 @@ def test_report_contour_covers_the_integrated_line():
             assert ctr[key] == rec[key], key
 
 
+def test_truncation_reaches_every_kernel_term_above_atol():
+    """The rule's truncation reaches every node of its first grid where the
+    scalar kernel-cycle times h exceeds atol times max(scale, 1).  The
+    initial truncation does not depend on y, so at this solve-tails lambda
+    (1 - frac(lambda) = 0.11) a far y_1 carries the kernel beyond twice
+    the initial truncation: one doubling is not enough."""
+    p = mkparams(2, -0.11, (20.0, -0.15))
+    W = CycleW.monomial(0)
+    rec = build_contour(p, W=W).record
+    h = min(1 / p.panels_per_unit, rec["min_gap_above"], rec["min_gap_below"])
+    diag = report_solutions(W, p)[0].diagnostics
+    bound = p.atol * max(diag["scale"], 1.0)
+    reach = max(j * h for j in range(int(2 * diag["trunc"] / h)) for side in (1, -1)
+                if abs(solver._kernel_cycle(side * j * h + 1j * p.delta, p.y, W, p)) * h > bound)
+    assert reach > 2 * math.ceil(build_contour(p, W=W).trunc / h) * h
+    assert diag["trunc"] >= reach
+
+
 def test_widened_line_with_a_far_wrong_side_pole_is_rejected():
     """A pole on the wrong side of the line beyond build_contour's window
     but inside the window the rule integrates fails the solve."""
@@ -460,6 +481,69 @@ def test_ode_and_gauge_residuals_small():
         assert rep["ftilde_residual"] <= 1e-7
 
 
+def _bumped(op, state, size=1e-6):
+    """op with size added to its diagonal entry at state."""
+    c = op.space.index(state)
+    cols = {key: dict(col) for key, col in op._values().items()}
+    col = cols.setdefault(c, {})
+    col[c] = col.get(c, 0) + size
+    return LinOp.of(op.space, cols, 1, False)
+
+
+def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
+    """A change of about 1e-6 in one entry of a transport factor (the
+    coordinate reflection Kx or an exchange factor R), of op_B, or of one
+    coefficient of a shifted solution lifts the residuals built from it
+    above 1e-7.  A transport factor lifts the qKZ residual of every Q_m
+    that contains it; a shift-m coefficient lifts qkz_residuals[m] and
+    changes nothing else; op_B lifts both differential residuals."""
+    W = CycleW.monomial(1)
+    real_factor, real_b = rqkz._factor_op, compat_ops.op_B
+    for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
+        p = mkparams(n, lam, y)
+        sites = [str(m) for m in range(1, n + 1)]
+        solutions = report_solutions(W, p)
+        clean = residual_report(W, p, solutions)
+        base, deriv, shifted = solutions
+        top = max(range(2 * n), key=lambda j: abs(base.coeffs[j]))
+        state = min(vec_u(top + 1, p).entries)
+        factors = {d for m in range(1, n + 1) for d in q_factor_list(m, n)}
+        assert len(factors) == (2 if n == 1 else 7)
+        for target in sorted(factors):
+            def bumped_factor(desc, *args, target=target):
+                op = real_factor(desc, *args)
+                return _bumped(op, state) if desc == target else op
+
+            monkeypatch.setattr(rqkz, "_factor_op", bumped_factor)
+            rep = residual_report(W, p, solutions)
+            monkeypatch.setattr(rqkz, "_factor_op", real_factor)
+            for m in sites:
+                if target in q_factor_list(int(m), n):
+                    assert rep["qkz_residuals"][m] > 1e-7, (n, target, m)
+                else:
+                    assert rep["qkz_residuals"][m] == clean["qkz_residuals"][m], (n, target, m)
+            assert rep["ode_residual"] == clean["ode_residual"]
+        for m in range(1, n + 1):
+            sol = shifted[m - 1]
+            vals = list(sol.coeffs)
+            vals[top] += 1e-6 * abs(vals[top])
+            moved = list(shifted)
+            moved[m - 1] = solver._solution(replace(p, y=sol.y), vals, sol.diagnostics)
+            rep = residual_report(W, p, (base, deriv, moved))
+            for key in sites:
+                if key == str(m):
+                    assert rep["qkz_residuals"][key] > 1e-7, (n, m)
+                else:
+                    assert rep["qkz_residuals"][key] == clean["qkz_residuals"][key], (n, m)
+            for key in ("ode_residual", "ftilde_residual"):
+                assert rep[key] == clean[key], (n, m, key)
+        monkeypatch.setattr(compat_ops, "op_B", lambda *args: _bumped(real_b(*args), state))
+        rep = residual_report(W, p, solutions)
+        monkeypatch.setattr(compat_ops, "op_B", real_b)
+        assert rep["ode_residual"] > 1e-7 and rep["ftilde_residual"] > 1e-7, n
+        assert rep["qkz_residuals"] == clean["qkz_residuals"], n
+
+
 def test_vanishing_integral():
     p = mkparams(1, 0.25, (0.3,))
     W = CycleW.monomial(1)
@@ -543,13 +627,17 @@ def test_residual_report_solves_each_distinct_point_once(monkeypatch):
 
 
 def test_grid_points_may_differ_only_in_lambda():
-    """A grid shares its contour, kernel and weight rows, so its points must
-    agree in everything but lambda."""
+    """A grid shares its contour, kernel and weight rows, and its residual
+    pass its lambda-independent operators, so its points must agree in
+    everything but lambda."""
     W = CycleW.monomial(1)
     p = mkparams(1, 0.25, (0.3,))
+    solved = report_solutions(W, p)
     for q in (replace(p, lam=0.4, y=(0.2,)), replace(p, lam=0.4, rtol=1e-8)):
         with pytest.raises(ValueError, match="differ only in lambda"):
             solver.grid_solutions([(W, p), (W, q)])
+        with pytest.raises(ValueError, match="differ only in lambda"):
+            solver.grid_residuals([(W, p), (W, q)], [solved, solved])
 
 
 def test_joint_rule_takes_the_stricter_grid():
