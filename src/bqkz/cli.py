@@ -76,14 +76,20 @@ def _check_keys(obj: dict, allowed: set, where: str):
         )
 
 
+def _is_int(value) -> bool:
+    """An integer, not a bool: JSON true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """An int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
         return complex(value[0], value[1])
     raise ConfigError("%s must be a number or a [re, im] pair" % where)
 
@@ -144,9 +150,9 @@ def load_config(path: str | None) -> dict:
 
 def _validate_config(cfg: dict):
     model = cfg["model"]
-    if not isinstance(model["n"], int) or model["n"] < 1:
+    if not _is_int(model["n"]) or model["n"] < 1:
         raise ConfigError("model.n must be a positive integer")
-    if not isinstance(model["half_dim"], int) or model["half_dim"] < 1:
+    if not _is_int(model["half_dim"]) or model["half_dim"] < 1:
         raise ConfigError("model.half_dim must be a positive integer")
     dim = 1
     for _ in range(model["n"]):
@@ -159,9 +165,7 @@ def _validate_config(cfg: dict):
     _as_complex(model["c"], "model.c")
     _as_complex(model["k"], "model.k")
     if model["y"] is not None:
-        if not isinstance(model["y"], list) or not all(
-            isinstance(v, (int, float)) for v in model["y"]
-        ):
+        if not isinstance(model["y"], list) or not all(map(_is_real, model["y"])):
             raise ConfigError("model.y must be a list of real numbers")
         if len(model["y"]) != model["n"]:
             raise ConfigError("model.y must have model.n entries")
@@ -171,11 +175,9 @@ def _validate_config(cfg: dict):
             raise ConfigError("verify.suites must be a list of suite names")
         for name in ver["suites"]:
             suite_mod.check_name(name)
-    if ver["samples"] is not None and (
-        not isinstance(ver["samples"], int) or ver["samples"] < 1
-    ):
+    if ver["samples"] is not None and (not _is_int(ver["samples"]) or ver["samples"] < 1):
         raise ConfigError("verify.samples must be a positive integer")
-    if not isinstance(ver["seed"], int) or ver["seed"] < 0:
+    if not _is_int(ver["seed"]) or ver["seed"] < 0:
         raise ConfigError("verify.seed must be a non-negative integer")
     sol = cfg["solve"]
     if not isinstance(sol["lambda_grid"], list) or not sol["lambda_grid"]:
@@ -185,11 +187,11 @@ def _validate_config(cfg: dict):
     if sol["degrees"] is not None:
         _as_cycle(sol["degrees"], "solve.degrees")
     for field in ("rtol", "atol", "tolerance"):
-        if not isinstance(sol[field], (int, float)) or sol[field] <= 0:
+        if not _is_real(sol[field]) or sol[field] <= 0:
             raise ConfigError("solve.%s must be a positive number" % field)
-    if not isinstance(sol["panels_per_unit"], (int, float)) or sol["panels_per_unit"] <= 0:
+    if not _is_real(sol["panels_per_unit"]) or sol["panels_per_unit"] <= 0:
         raise ConfigError("solve.panels_per_unit must be a positive number")
-    if not isinstance(sol["max_refine"], int) or sol["max_refine"] < 0:
+    if not _is_int(sol["max_refine"]) or sol["max_refine"] < 0:
         raise ConfigError("solve.max_refine must be a non-negative integer")
     if sol["max_refine"] > MAX_REFINE_CAP:
         raise ConfigError("solve.max_refine must be at most %d" % MAX_REFINE_CAP)
@@ -256,7 +258,7 @@ def _as_cycle(terms, where: str) -> CycleW:
     if not isinstance(terms, list) or not terms:
         raise ConfigError("%s must be a non-empty list" % where)
     for term in terms:
-        if not (isinstance(term, list) and len(term) == 2 and isinstance(term[0], int)):
+        if not (isinstance(term, list) and len(term) == 2 and _is_int(term[0])):
             raise ConfigError("%s entries must be [degree, coefficient]" % where)
     return CycleW(tuple((d, _as_complex(cf, where + " coefficients")) for d, cf in terms))
 
@@ -385,10 +387,10 @@ def _recheck(path: str) -> int:
         lam = _as_complex(entry["lambda"], "stored solution lambda")
         qkz = entry["qkz_residuals"]
         if not (isinstance(qkz, dict) and set(qkz) == sites
-                and all(isinstance(v, (int, float)) for v in qkz.values())):
+                and all(map(_is_real, qkz.values()))):
             raise ConfigError("stored solution qkz_residuals must map each site to a number")
         for key in ("ode_residual", "ftilde_residual"):
-            if key in entry and not isinstance(entry[key], (int, float)):
+            if key in entry and not _is_real(entry[key]):
                 raise ConfigError("stored solution %s must be a number" % key)
         stored.append((entry, lam, _as_cycle(entry["cycle"], "stored solution cycle")))
     # The stored grid is integrated again as one rule, so the recheck

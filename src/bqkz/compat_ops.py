@@ -13,18 +13,22 @@ two-site block M_a summed over sites and site pairs.  Keeping both routes
 alive (no shared code paths beyond the matrix units) is deliberate: each
 certification below compares structurally different computations.
 
-The two compatibility residuals take the operators of their point as
-arguments: L_a at y and at the shifted y, built once per (a, m), and parts
-of the transport operator built once per m.  The split form takes
-`three_term_parts(m, ...)`: the inverse head factors, the head product H,
-the middle and tail factors, and the product of their inverses; it folds
-them around L_a(shifted) and L_a exactly as the factor lists would.  The
-direct form takes Q_m and its trailing product T_m (`rqkz.op_Q_tail`),
-to which `op_dQ_dx` applies the head factors and the a-th middle
-derivative.  The two forms share L_a and L_a(shifted) and nothing else:
-neither form's transport parts feed the other.  The block assembly check
-likewise takes L_a, which the lemma-LL suite also uses for the commutators
-of the family.
+The two compatibility residuals are read on a start, one seeded random
+integer column in the suite (Freivalds' check) or the identity for the
+whole operator.  They take the operators of their point as arguments: L_a
+at y and at the shifted y, built once per (a, m), and the a-independent
+transport parts of each form, built once per m and already applied to
+the start.  The split form takes `three_term_parts(m, ...)`: the inverse
+head factors, the head product H applied to the start, the middle and
+tail factors, and their inverses applied to the start; it folds them
+around L_a(shifted) and L_a exactly as the factor lists would.  The direct
+form takes `direct_parts(m, ...)`: the transport factors, Q_m and its
+trailing product T_m applied to the start; `op_dQ_dx` applies the head
+factors and the a-th middle derivative to the latter.  The two forms
+share L_a and L_a(shifted) and nothing else: each builds its own
+transport factors, and neither form's transport parts feed the other.
+The block assembly check likewise takes L_a, which the lemma-LL suite
+also uses for the commutators of the family.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .rqkz import (
     op_K,
     op_P,
     op_R_k,
+    q_factor_list,
     q_split_descs,
 )
 from .scalar_field import PoleError, div, inv
@@ -509,45 +514,56 @@ def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:
     return lhs - expected
 
 
-def three_term_parts(m: int, x, y, params: ModelParams) -> tuple:
-    """The a-independent inputs of `compat_three_term` for site m:
-    (inverse head factors, head product H or None when the head is empty,
-    middle and tail factors, product of the inverted middle and tail
-    factors)."""
+def three_term_parts(m: int, x, y, params: ModelParams, start: LinOp) -> tuple:
+    """The a-independent inputs of `compat_three_term` for site m on a
+    start: (start, inverse head factors, H applied to start, middle and
+    tail factors, the inverted middle and tail factors applied to
+    start)."""
     head, mid, tail = q_split_descs(m, params.space.n)
-    head_ops = factor_ops(head, x, y, params)
     return (
+        start,
         factor_ops(invert_descs(head), x, y, params),
-        product(head_ops) if head_ops else None,
+        product(factor_ops(head, x, y, params) + [start]),
         factor_ops([mid] + tail, x, y, params),
-        product(factor_ops(invert_descs([mid] + tail), x, y, params)),
+        product(factor_ops(invert_descs([mid] + tail), x, y, params) + [start]),
     )
 
 
 def compat_three_term(a: int, m: int, x, y, params: ModelParams,
                       l_a: LinOp, l_a_shifted: LinOp, parts: tuple) -> LinOp:
-    """Split-form compatibility residual, given L_a at y and at y with its
-    m-th argument shifted, and `three_term_parts(m, x, y, params)`.
+    """Split-form compatibility residual on a start, given L_a at y and at y
+    with its m-th argument shifted, and `three_term_parts(m, x, y, params,
+    start)`.
 
     piece one: the middle-reflection derivative term (closed form, cross
     checked); piece two: the shifted operator conjugated by the inverse of
     the leading exchange product; piece three: minus the unshifted operator
     conjugated by middle reflection times trailing part.
     """
-    head_inv, head, mid_tail, mid_tail_inv = parts
-    piece1 = op_dK_term(m, a, x, y, params)
-    piece2 = product(head_inv + [l_a_shifted] + ([] if head is None else [head]))
+    start, head_inv, head, mid_tail, mid_tail_inv = parts
+    piece1 = op_dK_term(m, a, x, y, params) @ start
+    piece2 = product(head_inv + [l_a_shifted, head])
     piece3 = product(mid_tail + [l_a, mid_tail_inv])
     return piece1 + piece2 - piece3
 
 
+def direct_parts(m: int, x, y, params: ModelParams, start: LinOp) -> tuple:
+    """The a-independent inputs of `compat_direct` for site m on a start:
+    (start, transport factors, Q_m applied to start, trailing product T_m
+    applied to start)."""
+    ops = factor_ops(q_factor_list(m, params.space.n), x, y, params)
+    lead = len(q_split_descs(m, params.space.n)[0]) + 1
+    tail = product(ops[lead:] + [start])
+    return start, ops, product(ops[:lead] + [tail]), tail
+
+
 def compat_direct(a: int, m: int, x, y, params: ModelParams,
-                  l_a: LinOp, l_a_shifted: LinOp, q_m: LinOp, tail: LinOp) -> LinOp:
-    """Commutator-form compatibility residual, built only from the transport
-    operator Q_m, its trailing part `op_Q_tail(m, x, y, params)`, the
-    matrix parts L_a and L_a(shifted), and the analytic transport
-    derivative."""
+                  l_a: LinOp, l_a_shifted: LinOp, parts: tuple) -> LinOp:
+    """Commutator-form compatibility residual on a start, built only from
+    `direct_parts(m, x, y, params, start)`, the matrix parts L_a and
+    L_a(shifted), and the analytic transport derivative."""
     x = tuple(x)
-    return l_a_shifted @ q_m - q_m @ l_a + op_dQ_dx(m, x, y, params, a, tail).scale(
-        params.c * x[a - 1]
-    )
+    start, ops, q_start, tail = parts
+    return l_a_shifted @ q_start - product(ops + [l_a @ start]) + op_dQ_dx(
+        m, x, y, params, a, tail
+    ).scale(params.c * x[a - 1])

@@ -12,9 +12,12 @@ restrict to it explicitly.
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
 into one scalar.  Each writes its factors' entries down directly on one or
-two sites and embeds them, with its own builder.  A caller builds Cbar_m
-once per point; the orbit check compares it with the inverse transport
-operator evaluated on the orbit columns only.
+two sites and embeds them, with its own builder, and applies them to a
+start: the suite's start holds a seeded random integer column and one
+supported on the orbit states (Freivalds' check), a test's the identity.
+A caller applies Cbar_m once per point; the orbit check compares it with
+the inverse transport operator applied to the start's orbit-supported
+columns only.
 
 Left-action images depend on the space alone.  A caller builds the ones a
 check reads once per space (`generator_images`, `pair_sum_images`) and
@@ -361,11 +364,11 @@ def _cbar_factor(desc, x, y, params: ModelParams) -> LinOp:
     return embed_site(LinOp(Space(1, n), cols), site, space)
 
 
-def op_Cbar(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
+def op_Cbar(m: int, x: Sequence, y: Sequence, params: ModelParams, start: LinOp) -> LinOp:
     """Degenerate transport product for site m, built from right-action
-    generator images."""
+    generator images, applied to start."""
     return product([_cbar_factor(desc, x, y, params)
-                    for desc in cbar_factor_list(m, params.space.n)])
+                    for desc in cbar_factor_list(m, params.space.n)] + [start])
 
 
 def p_m_scalar(m: int, y: Sequence, params: ModelParams):
@@ -382,9 +385,11 @@ def p_m_scalar(m: int, y: Sequence, params: ModelParams):
     return out
 
 
-def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
-    """Same product with every denominator pulled into one scalar; each
-    linear factor is written down directly on one or two sites."""
+def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams,
+                 start: LinOp) -> LinOp:
+    """Same product applied to start, with every denominator pulled into
+    one scalar; each linear factor is written down directly on one or two
+    sites."""
     space = params.space
     n = space.n
     ym = y[m - 1]
@@ -427,26 +432,27 @@ def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp
     p = p_m_scalar(m, y, params)
     if p == 0:
         raise PoleError("grouped-form scalar vanishes")
-    return product(factors).scale(inv(p))
+    return product(factors + [start]).scale(inv(p))
 
 
 def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: LinOp,
-                                      states) -> list:
-    """Orbit states on which the site-m degenerate product cbar and the
-    inverse transport operator differ.
+                                      start: LinOp, columns) -> list:
+    """The columns, among `columns`, of start on which the site-m degenerate
+    product and the inverse transport operator differ; cbar is
+    `op_Cbar(m, x, y, params, start)`.
 
-    The inverse transport is evaluated on the orbit columns only: its
-    factor-wise inverses are applied to the projector onto the orbit
-    states.  The difference is read on those columns alone.
+    The inverse transport factors are applied to those columns of start
+    only, and the difference is read on them alone: with the identity as
+    start and the orbit states' indices as columns, this is the whole
+    operator on the orbit.
     """
     space = params.space
-    indices = [space.index(s) for s in states]
-    proj = LinOp.of(space, {i: {i: 1} for i in indices})
+    picked = LinOp.of(space, {c: start.cols[c] for c in columns if c in start.cols}, start.den)
     inverse = compose_descs(
-        invert_descs(q_factor_list(m, space.n)), x, y, params, start=proj
+        invert_descs(q_factor_list(m, space.n)), x, y, params, start=picked
     )
     diff = cbar - inverse
-    return [s for s, i in zip(states, indices) if i in diff.cols]
+    return [c for c in columns if c in diff.cols]
 
 
 def pair_sum_identities(a: int, space: Space, images):

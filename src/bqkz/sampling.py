@@ -45,6 +45,21 @@ def rand_tuple(rng: random.Random, count: int, nonzero: bool = False):
     return tuple(rand_rational(rng, nonzero=nonzero) for _ in range(count))
 
 
+def rand_column(rng: random.Random, indices) -> dict:
+    """{index: entry} of a random integer column on the given indices, each
+    entry uniform in [-NUM_BOUND, NUM_BOUND], zeros left out.  A matrix D
+    with a nonzero entry in one of these columns has D v = 0 with
+    probability at most 1/(2 NUM_BOUND + 1) (Freivalds, IFIP 1977): a row
+    of D with a nonzero entry at j is orthogonal to v for at most one value
+    of v_j."""
+    column = {}
+    for i in indices:
+        v = rng.randint(-NUM_BOUND, NUM_BOUND)
+        if v:
+            column[i] = v
+    return column
+
+
 def sample_point(rng: random.Random, builder, max_retries: int = MAX_RETRIES):
     """Draw points until builder(rng) returns without a PoleError.
 

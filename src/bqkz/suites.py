@@ -5,6 +5,13 @@ rational parameter point, evaluates every residual in the family, and
 passes only if all of them vanish identically.  Results are booleans, not
 small floats; there is no tolerance anywhere in this module.
 
+The three transport suites (qkz-consistency, compatibility, cbar-qinv)
+never form their products: each applies every factor chain to one seeded
+random integer column v (Freivalds' check) and tests D(p) v = 0 for the
+point's defect D(p).  A nonzero D(p) passes one sample with probability at
+most 1/101 on top of the point's own chance of sitting on a zero of D.
+The other suites evaluate their defects as whole operators.
+
 A suite is one row of a table: its anchor, the label of a size, its sizes,
 its default sample count, and `builder_for`, which maps a size to a pair
 (failing point-free checks, builder).  `builder_for` runs once per size
@@ -12,7 +19,8 @@ per run and does everything that depends on the size alone: it builds the
 operators no point changes and runs the point-free checks, the identities
 between fixed operators that read no point.  The builder, which
 `sample_point` calls, draws the point, runs the checks that read it and
-returns (failing names, point).
+returns (failing names, point).  It takes the point's stream and the
+column stream, from which the transport suites draw v.
 
 One runner loops over the sizes and draws the points.  A sample with any
 failing check counts as one failure; its notes read "<size label> <name>
@@ -23,7 +31,9 @@ check becomes a failure note, not an exception.
 
 Samples are independently seeded from the run seed and the pair
 (suite name, sample index), so a run is reproducible regardless of how
-many workers execute it.  Set BQKZ_THREADS to parallelize across samples
+many workers execute it; v comes from its own stream, seeded from the same
+pair and the tag "v", so the points and their redraws do not depend on
+it.  Set BQKZ_THREADS to parallelize across samples
 (at most one worker per CPU): each worker takes one contiguous chunk of
 sample indices and calls `builder_for` once per size for it.  Point-free
 checks are counted by the calling process alone, and assembly order is
@@ -38,8 +48,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .tensor_ops import Space, commutator
-from .sampling import child_seed, make_rng, rand_rational, rand_tuple, sample_point
+from .tensor_ops import LinOp, Space, commutator
+from .sampling import child_seed, make_rng, rand_column, rand_rational, rand_tuple, sample_point
 from . import compat_ops, hecke_module, rqkz
 from .rqkz import ModelParams
 
@@ -83,19 +93,32 @@ def _rand_x(rng, count: int) -> tuple:
 
 def _failing(checks, states=None) -> list:
     """Names of the (name, defect) pairs whose defect does not vanish, or
-    does not vanish on the orbit states when they are given."""
-    if states is None:
-        return [name for name, defect in checks if not defect.is_zero()]
-    return [name for name, defect in checks if not hecke_module.zero_on_orbit(defect, states)]
+    does not vanish on the orbit states when they are given.  A point-free
+    check's defect may be a bool, True when it fails."""
+
+    def vanishes(defect):
+        if isinstance(defect, bool):
+            return not defect
+        if states is None:
+            return defect.is_zero()
+        return hecke_module.zero_on_orbit(defect, states)
+
+    return [name for name, defect in checks if not vanishes(defect)]
+
+
+def _start(space: Space, *columns) -> LinOp:
+    """Operator whose i-th column is the i-th given {index: entry} column."""
+    return LinOp.of(space, {i: col for i, col in enumerate(columns) if col})
 
 
 # Builders of the braid suites name no check: their notes read
 # "<size label> point=<point>".  Like every builder_for without point-free
-# checks, each returns ([], builder).
+# checks, each returns ([], builder).  Only the transport suites read the
+# column stream.
 
 
 def _ybe(half):
-    def build(r):
+    def build(r, _):
         k = rand_rational(r, nonzero=True)
         l1, l2, l3 = rand_tuple(r, 3)
         return _failing([("", rqkz.ybe_defect(k, l1, l2, l3, half))]), (k, l1, l2, l3)
@@ -104,7 +127,7 @@ def _ybe(half):
 
 
 def _bybe(half):
-    def build(r):
+    def build(r, _):
         k = rand_rational(r, nonzero=True)
         beta = rand_rational(r, nonzero=True)
         x = _rand_x(r, half)
@@ -115,7 +138,7 @@ def _bybe(half):
 
 
 def _unitarity(half):
-    def build(r):
+    def build(r, _):
         k = rand_rational(r, nonzero=True)
         beta = rand_rational(r, nonzero=True)
         lam = rand_rational(r, nonzero=True)
@@ -131,18 +154,19 @@ def _unitarity(half):
     return [], build
 
 
-def _model_suite(checks, draw_x=True):
+def _model_suite(checks, draw_x=True, column=False):
     """builder_for of a suite drawn at random model parameters, coordinates x
     (when draw_x) and arguments y on Space(n, half); a size is (n, half), or
     n for half = n.  checks(x, y, params) yields (name, defect) pairs."""
-    return _sized_model_suite(lambda space: ([], checks), draw_x)
+    return _sized_model_suite(lambda space: ([], checks), draw_x, column=column)
 
 
-def _sized_model_suite(setup, draw_x=True, on_orbit=False):
+def _sized_model_suite(setup, draw_x=True, on_orbit=False, column=False):
     """The same, with work that depends on the space alone: setup(space)
     returns the point-free (name, defect) pairs and the checks, which may
     share operators built there.  With on_orbit a defect need only vanish
-    on the orbit states."""
+    on the orbit states.  With column the checks take a fourth argument,
+    the start: one random integer column drawn from the column stream."""
 
     def builder_for(size):
         n, half = size if isinstance(size, tuple) else (size, size)
@@ -150,29 +174,35 @@ def _sized_model_suite(setup, draw_x=True, on_orbit=False):
         states = tuple(hecke_module.orbit_states(space)) if on_orbit else None
         point_free, checks = setup(space)
 
-        def build(r):
+        def build(r, vr):
             params = ModelParams.random(r, space)
             x = _rand_x(r, half) if draw_x else None
             y = rand_tuple(r, n)
-            return _failing(checks(x, y, params), states), ((x, y) if draw_x else y)
+            start = (_start(space, rand_column(vr, range(space.dim))),) if column else ()
+            return _failing(checks(x, y, params, *start), states), ((x, y) if draw_x else y)
 
         return _failing(point_free, states), build
 
     return builder_for
 
 
-def _qkz_consistency(x, y, params):
-    n = params.space.n
-    qs = [rqkz.op_Q(m, x, y, params) for m in range(1, n + 1)]
-    for m, q_m in enumerate(qs, start=1):
-        yield "split-%d" % m, rqkz.q_split_defect(m, x, y, params, q_m)
-        yield "inverse-%d" % m, rqkz.q_inverse_defect(m, x, y, params, q_m)
-        # The (l, m) defect builds the same two factor chains as (m, l) with
-        # the sides swapped, so each unordered pair is checked once.
-        for l in range(m + 1, n + 1):
-            yield "pair-%d-%d" % (m, l), rqkz.transport_consistency_defect(
-                m, l, x, y, params, q_m, qs[l - 1]
-            )
+def _qkz_consistency(space):
+    sites = range(1, space.n + 1)
+    point_free = [("split-%d" % m, rqkz.q_split_defect(m, space.n)) for m in sites]
+
+    def checks(x, y, params, v):
+        qs = [rqkz.compose_descs(rqkz.q_factor_list(m, space.n), x, y, params, start=v)
+              for m in sites]
+        for m, q_m in enumerate(qs, start=1):
+            yield "inverse-%d" % m, rqkz.q_inverse_defect(m, x, y, params, q_m, v)
+            # The (l, m) defect builds the same two factor chains as (m, l)
+            # with the sides swapped, so each unordered pair is checked once.
+            for l in range(m + 1, space.n + 1):
+                yield "pair-%d-%d" % (m, l), rqkz.transport_consistency_defect(
+                    m, l, x, y, params, q_m, qs[l - 1]
+                )
+
+    return point_free, checks
 
 
 def _lemma_aa(x, y, params):
@@ -198,20 +228,19 @@ def _cross_derivative(x, y, params):
             yield "pair-%d-%d" % (a, b), compat_ops.check_cross_derivative(a, b, x, y, params)
 
 
-def _compatibility(x, y, params):
+def _compatibility(x, y, params, v):
     sites = range(1, params.space.n + 1)
-    qs = [rqkz.op_Q(m, x, y, params) for m in sites]
-    tails = [rqkz.op_Q_tail(m, x, y, params) for m in sites]
-    parts = [compat_ops.three_term_parts(m, x, y, params) for m in sites]
+    direct = [compat_ops.direct_parts(m, x, y, params, v) for m in sites]
+    split = [compat_ops.three_term_parts(m, x, y, params, v) for m in sites]
     for a in range(1, params.space.half_dim + 1):
         l_a = compat_ops.op_L(a, x, y, params)
         for m in sites:
             shifted = compat_ops.op_L(a, x, rqkz.shift_y(y, m, params.c), params)
             yield "split-%d-%d" % (a, m), compat_ops.compat_three_term(
-                a, m, x, y, params, l_a, shifted, parts[m - 1]
+                a, m, x, y, params, l_a, shifted, split[m - 1]
             )
             yield "direct-%d-%d" % (a, m), compat_ops.compat_direct(
-                a, m, x, y, params, l_a, shifted, qs[m - 1], tails[m - 1]
+                a, m, x, y, params, l_a, shifted, direct[m - 1]
             )
 
 
@@ -239,7 +268,7 @@ def _l_restriction(space):
 def _comm_im(half):
     space = Space(2, half)
 
-    def build(r):
+    def build(r, _):
         params = ModelParams.random(r, space)
         x = _rand_x(r, half)
         y1 = rand_rational(r)
@@ -263,7 +292,7 @@ def _phi_iso(n):
         images.add(state)
     point_free = ["images-collide"] if len(images) != len(elements) else []
 
-    def build(r):
+    def build(r, _):
         x = _rand_x(r, n)
         word1 = [("s0" if g == 0 else g) for g in
                  (r.randint(0, n) for _ in range(r.randint(0, 4)))]
@@ -295,18 +324,21 @@ def _phi_iso(n):
 
 def _cbar_qinv(n):
     space = Space(n, n)
-    states = tuple(hecke_module.orbit_states(space))
+    orbit = [space.index(s) for s in hecke_module.orbit_states(space)]
 
-    def build(r):
+    def build(r, vr):
         params = ModelParams.random(r, space)
         x = _rand_x(r, n)
         y = rand_tuple(r, n)
+        # Column 0 is a full column for the grouped check, column 1 one on
+        # the orbit states for the orbit check.
+        start = _start(space, rand_column(vr, range(space.dim)), rand_column(vr, orbit))
         out = []
         for m in range(1, n + 1):
-            cbar = hecke_module.op_Cbar(m, x, y, params)
-            if hecke_module.cbar_vs_inverse_transport_defects(m, x, y, params, cbar, states):
+            cbar = hecke_module.op_Cbar(m, x, y, params, start)
+            if hecke_module.cbar_vs_inverse_transport_defects(m, x, y, params, cbar, start, (1,)):
                 out.append("site-%d" % m)
-            if cbar != hecke_module.cbar_grouped(m, x, y, params):
+            if cbar != hecke_module.cbar_grouped(m, x, y, params, start):
                 out.append("grouped-%d" % m)
         return out, (x, y)
 
@@ -337,7 +369,7 @@ _SUITES = {
     ),
     "qkz-consistency": _Suite(
         "transport family shift consistency", _PAIR, ((2, 2), (3, 2), (2, 3)), 100,
-        _model_suite(_qkz_consistency),
+        _sized_model_suite(_qkz_consistency, column=True),
     ),
     "lemma-AA": _Suite(
         "polynomial coefficient family commutes", _PAIR, _PAIR_SIZES, 100,
@@ -355,7 +387,7 @@ _SUITES = {
     ),
     "compatibility": _Suite(
         "difference and differential operators are compatible", _PAIR,
-        ((1, 1), (2, 2), (3, 2), (2, 3)), 100, _model_suite(_compatibility),
+        ((1, 1), (2, 2), (3, 2), (2, 3)), 100, _model_suite(_compatibility, column=True),
     ),
     "aha-relations": _Suite(
         "degenerate cross relations on the orbit", _ORBIT, (2, 3), 100,
@@ -391,10 +423,11 @@ def check_name(name):
 def _sample(name, seed, index, labels, builds):
     """Failure notes of one seeded sample over every size."""
     rng = make_rng(child_seed(seed, "%s:%d" % (name, index)))
+    vr = make_rng(child_seed(seed, "%s:%d:v" % (name, index)))
     notes = []
     for label, build in zip(labels, builds):
         try:
-            names, point = sample_point(rng, build)
+            names, point = sample_point(rng, lambda r: build(r, vr))
         except compat_ops.RouteMismatch as exc:
             notes.append("%s route-mismatch: %s" % (label, exc))
             continue

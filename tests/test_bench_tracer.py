@@ -54,3 +54,23 @@ def test_traced_solve_records_the_solver_spans(tmp_path):
     for name in ("integral_solver.solve_f", "integral_solver.residual_report"):
         assert spans[name]["spans"] > 0, name
     assert tr.counters["solve_f.distinct"] > 0
+
+
+def test_traced_transport_verify_records_the_check_spans(tmp_path):
+    """One traced one-sample `bqkz verify` of the three transport suites
+    exits 0 and records a span for each of their checks, so a signature
+    that breaks a tracer observer fails here."""
+    tracer = load_tracer()
+    tr = tracer.Tracer()
+    argv = ["verify", "--suite", "qkz-consistency", "--suite", "compatibility",
+            "--suite", "cbar-qinv", "--samples", "1", "--out", str(tmp_path / "verify.json")]
+    tracer.install(tr)
+    try:
+        code = cli.main(argv)
+    finally:
+        tr.unpatch()
+    assert code == 0
+    spans = tr.summary()
+    for name in ("rqkz.transport_consistency_defect", "compat_ops.compat_three_term",
+                 "compat_ops.compat_direct", "hecke_module.cbar_grouped"):
+        assert spans[name]["spans"] > 0, name

@@ -125,6 +125,38 @@ def test_bad_samples_or_seed_flag_gives_the_config_message(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("raw,message", [
+    ({"model": {"n": True}, "verify": {"samples": True, "seed": False}},
+     "model.n must be a positive integer"),
+    ({"model": {"half_dim": True}}, "model.half_dim must be a positive integer"),
+    ({"model": {"n": 1, "y": [True]}}, "model.y must be a list of real numbers"),
+    ({"model": {"c": True}}, "model.c must be a number or a [re, im] pair"),
+    ({"model": {"k": [0.05, True]}}, "model.k must be a number or a [re, im] pair"),
+    ({"verify": {"samples": True}}, "verify.samples must be a positive integer"),
+    ({"verify": {"seed": False}}, "verify.seed must be a non-negative integer"),
+    ({"solve": {"lambda_grid": [True]}},
+     "solve.lambda_grid entries must be a number or a [re, im] pair"),
+    ({"solve": {"degrees": [[True, 1.0]]}}, "solve.degrees entries must be [degree, coefficient]"),
+    ({"solve": {"max_refine": True}}, "solve.max_refine must be a non-negative integer"),
+    ({"solve": {"rtol": True}}, "solve.rtol must be a positive number"),
+    ({"solve": {"atol": True}}, "solve.atol must be a positive number"),
+    ({"solve": {"tolerance": True}}, "solve.tolerance must be a positive number"),
+    ({"solve": {"panels_per_unit": True}}, "solve.panels_per_unit must be a positive number"),
+])
+def test_a_bool_where_a_number_is_needed_exits_two(tmp_path, capsys, raw, message):
+    """JSON true and false are ints to Python; the config takes neither as
+    a number.  Each exits 2 with the message any bad value of that key
+    gives, before any suite runs (one cheap suite is named in case one
+    does run)."""
+    path = write_json(tmp_path / "cfg.json", raw)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--config", path, "--suite", "ybe", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- solve
 
 

@@ -11,7 +11,7 @@ import pytest
 from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, div, rat
 from bqkz.tensor_ops import LinOp, Space, Vec, commutator
-from bqkz.rqkz import ModelParams, op_Q, op_Q_tail, op_dQ_dx, shift_y
+from bqkz.rqkz import ModelParams, compose_descs, op_Q, op_dQ_dx, q_split_descs, shift_y
 from bqkz.compat_ops import (
     RouteMismatch,
     ad_coordinate_on_I_defect,
@@ -24,6 +24,7 @@ from bqkz.compat_ops import (
     comm_AA_defect,
     compat_direct,
     compat_three_term,
+    direct_parts,
     intertwining_defects,
     m_conjugation_defect,
     op_A,
@@ -303,7 +304,7 @@ def test_dq_dx_interpolation_oracle():
 
         want = derivative_by_interpolation(at, q, ts, t_hold, space.dim)
         x_hold = tuple(t_hold if i == a - 1 else v for i, v in enumerate(x))
-        tail = op_Q_tail(m, x_hold, y, params)
+        tail = compose_descs(q_split_descs(m, n)[2], x_hold, y, params)
         got = op_dQ_dx(m, x_hold, y, params, a, tail).to_dense()
         assert got == want
         return True
@@ -395,15 +396,16 @@ def test_compatibility_both_forms():
                 params = rand_params(r, space)
                 x = generic_x(r, half)
                 y = rand_tuple(r, n)
+                ident = LinOp.identity(space)
                 for a in range(1, half + 1):
                     l_a = op_L(a, x, y, params)
                     for m in range(1, n + 1):
                         shifted = op_L(a, x, shift_y(y, m, params.c), params)
-                        parts = three_term_parts(m, x, y, params)
+                        parts = three_term_parts(m, x, y, params, ident)
                         split = compat_three_term(a, m, x, y, params, l_a, shifted, parts)
                         direct = compat_direct(
-                            a, m, x, y, params, l_a, shifted, op_Q(m, x, y, params),
-                            op_Q_tail(m, x, y, params),
+                            a, m, x, y, params, l_a, shifted,
+                            direct_parts(m, x, y, params, ident),
                         )
                         assert split.is_zero(), (n, half, a, m)
                         assert direct.is_zero(), (n, half, a, m)
@@ -430,16 +432,16 @@ def test_compat_forms_are_independent_routes(monkeypatch):
     ident = LinOp.identity(space)
     l_a = op_L(1, x, y, params)
     shifted = op_L(1, x, shift_y(y, 1, params.c), params)
-    q, tail = op_Q(1, x, y, params), op_Q_tail(1, x, y, params)
-    parts = three_term_parts(1, x, y, params)
+    direct = direct_parts(1, x, y, params, ident)
+    split = three_term_parts(1, x, y, params, ident)
 
     real_dq = co.op_dQ_dx
     monkeypatch.setattr(co, "op_dQ_dx", lambda *a, **kw: real_dq(*a, **kw) + ident)
-    assert not compat_direct(1, 1, x, y, params, l_a, shifted, q, tail).is_zero()
-    assert compat_three_term(1, 1, x, y, params, l_a, shifted, parts).is_zero()
+    assert not compat_direct(1, 1, x, y, params, l_a, shifted, direct).is_zero()
+    assert compat_three_term(1, 1, x, y, params, l_a, shifted, split).is_zero()
     monkeypatch.setattr(co, "op_dQ_dx", real_dq)
 
     real_dk = co.op_dK_term
     monkeypatch.setattr(co, "op_dK_term", lambda *a, **kw: real_dk(*a, **kw) + ident)
-    assert not compat_three_term(1, 1, x, y, params, l_a, shifted, parts).is_zero()
-    assert compat_direct(1, 1, x, y, params, l_a, shifted, q, tail).is_zero()
+    assert not compat_three_term(1, 1, x, y, params, l_a, shifted, split).is_zero()
+    assert compat_direct(1, 1, x, y, params, l_a, shifted, direct).is_zero()

@@ -284,9 +284,10 @@ def test_cbar_grouped_matches_product():
             params = rand_params(r, space)
             x = rand_tuple(r, n, nonzero=True)
             y = rand_tuple(r, n)
+            ident = LinOp.identity(space)
             for m in range(1, n + 1):
                 assert (
-                    op_Cbar(m, x, y, params) - cbar_grouped(m, x, y, params)
+                    op_Cbar(m, x, y, params, ident) - cbar_grouped(m, x, y, params, ident)
                 ).is_zero(), m
             return True
 
@@ -297,15 +298,18 @@ def test_cbar_grouped_matches_product():
 def test_cbar_equals_inverse_transport_on_orbit():
     for n in (2, 3):
         space = Space(n, n)
-        states = orbit_states(space)
+        orbit = [space.index(s) for s in orbit_states(space)]
+        ident = LinOp.identity(space)
 
         def body(r):
             params = rand_params(r, space)
             x = rand_tuple(r, n, nonzero=True)
             y = rand_tuple(r, n)
             for m in range(1, n + 1):
-                cbar = op_Cbar(m, x, y, params)
-                assert cbar_vs_inverse_transport_defects(m, x, y, params, cbar, states) == [], m
+                cbar = op_Cbar(m, x, y, params, ident)
+                assert cbar_vs_inverse_transport_defects(
+                    m, x, y, params, cbar, ident, orbit
+                ) == [], m
             return True
 
         for _ in range(2):
@@ -321,7 +325,7 @@ def test_cbar_n1_closed_form_everywhere():
         params = rand_params(r, space)
         x = rand_tuple(r, 1, nonzero=True)
         y = rand_tuple(r, 1)
-        lhs = op_Cbar(1, x, y, params)
+        lhs = op_Cbar(1, x, y, params, LinOp.identity(space))
         inverse = compose_descs(invert_descs(q_factor_list(1, 1)), x, y, params)
         assert (lhs - inverse).is_zero()
         return True

@@ -17,7 +17,6 @@ from bqkz.rqkz import (
     op_K,
     op_P,
     op_Q,
-    op_Q_split,
     op_R_k,
     op_T,
     op_dK_dx,
@@ -246,10 +245,14 @@ def test_consistency_and_split_samples():
                 params = ModelParams.random(r, space)
                 x = rand_tuple(r, half, nonzero=True)
                 y = rand_tuple(r, n)
+                ident = LinOp.identity(space)
                 qs = {m: op_Q(m, x, y, params) for m in range(1, n + 1)}
                 for m in range(1, n + 1):
-                    assert q_split_defect(m, x, y, params, qs[m]).is_zero()
-                    assert q_inverse_defect(m, x, y, params, qs[m]).is_zero()
+                    assert not q_split_defect(m, n)
+                    head, mid, tail = q_split_descs(m, n)
+                    grouped = [compose_descs(part, x, y, params) for part in (head, [mid], tail)]
+                    assert product(grouped) == qs[m]
+                    assert q_inverse_defect(m, x, y, params, qs[m], ident).is_zero()
                     for l in range(1, n + 1):
                         if l != m:
                             assert transport_consistency_defect(
@@ -309,7 +312,8 @@ def test_q_inverse_matches_invert():
         q = op_Q(1, x, y, params)
         qi = compose_descs(invert_descs(q_factor_list(1, 2)), x, y, params)
         assert (qi @ q) == LinOp.identity(space)
-        head, mid, tail = op_Q_split(1, x, y, params)
+        head, mid, tail = q_split_descs(1, 2)
+        head, mid, tail = (compose_descs(part, x, y, params) for part in (head, [mid], tail))
         assert head @ mid @ tail == q
         return True
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+from collections import Counter
 
 from bqkz import cli, compat_ops, hecke_module, rqkz, suites
 from bqkz.tensor_ops import LinOp, Space
@@ -154,35 +155,55 @@ def _sites(calls):
     return sorted(args[0] for args in calls)
 
 
+def _builds(calls):
+    """Counter of the (descriptor, y) of every _factor_op call."""
+    return Counter((desc, tuple(yy)) for desc, _, yy, _ in calls["_factor_op"])
+
+
+def _chains(chains):
+    """Counter of (descriptor, y) over (descriptor list, y) chains, each
+    built once."""
+    return Counter((desc, tuple(yy)) for descs, yy in chains for desc in descs)
+
+
 def test_qkz_consistency_builds_each_transport_operator_once(monkeypatch):
-    """Q_m is built once per m, and its factors at the unshifted y only for
-    Q_m itself and for the split grouping it is compared with."""
-    points = _calls_at_each_point(
-        monkeypatch, "qkz-consistency", [(rqkz, "op_Q"), (rqkz, "_factor_op")]
-    )
+    """At each accepted point every transport chain and its inverse are
+    built once at y, and each pair builds its two shifted chains once.  The
+    split check reads no point and builds nothing."""
+    points = _calls_at_each_point(monkeypatch, "qkz-consistency", [(rqkz, "_factor_op")])
     assert len(points) == 3
     for calls in points:
-        _, _, y, params = calls["op_Q"][0]
+        _, _, y, params = calls["_factor_op"][0]
         n = params.space.n
-        assert _sites(calls["op_Q"]) == list(range(1, n + 1))
-        # Forward factors have a leading argument coefficient of +1, the
-        # inverse factors -1.
-        forward_at_y = [
-            desc for desc, _, yy, _ in calls["_factor_op"] if yy == y and desc[2][0][1] == 1
-        ]
-        chains = sum(len(rqkz.q_factor_list(m, n)) for m in range(1, n + 1))
-        assert len(forward_at_y) == 2 * chains
+        chains = []
+        for m in range(1, n + 1):
+            q_m = rqkz.q_factor_list(m, n)
+            chains += [(q_m, y), (rqkz.invert_descs(q_m), y)]
+            for l in range(m + 1, n + 1):
+                chains += [(q_m, rqkz.shift_y(y, l, params.c)),
+                           (rqkz.q_factor_list(l, n), rqkz.shift_y(y, m, params.c))]
+        assert _builds(calls) == _chains(chains)
 
 
 def test_compatibility_builds_each_operator_once(monkeypatch):
+    """Each form builds its own transport chains once per site: the direct
+    form the transport factors, plus the head for each a's derivative; the
+    split form the head, the middle and tail, and their inverses.  L_a is
+    built once per a and per shifted y."""
     points = _calls_at_each_point(
-        monkeypatch, "compatibility", [(rqkz, "op_Q"), (compat_ops, "op_L")]
+        monkeypatch, "compatibility", [(rqkz, "_factor_op"), (compat_ops, "op_L")]
     )
     assert len(points) == 4
     for calls in points:
-        x, y, params = calls["op_Q"][0][1:]
+        _, x, y, params = calls["_factor_op"][0]
         n, half = params.space.n, params.space.half_dim
-        assert _sites(calls["op_Q"]) == list(range(1, n + 1))
+        chains = []
+        for m in range(1, n + 1):
+            head, mid, tail = rqkz.q_split_descs(m, n)
+            chains += [(rqkz.q_factor_list(m, n), y)] + [(head, y)] * half
+            chains += [(head, y), (rqkz.invert_descs(head), y), ([mid] + tail, y),
+                       (rqkz.invert_descs([mid] + tail), y)]
+        assert _builds(calls) == _chains(chains)
         inputs = [(a, tuple(yy)) for a, _, yy, _ in calls["op_L"]]
         wanted = {(a, tuple(y)) for a in range(1, half + 1)} | {
             (a, rqkz.shift_y(y, m, params.c))
@@ -205,11 +226,20 @@ def test_lemma_ll_builds_each_matrix_part_once(monkeypatch):
 
 
 def test_cbar_qinv_builds_each_degenerate_product_once(monkeypatch):
-    points = _calls_at_each_point(monkeypatch, "cbar-qinv", [(hecke_module, "op_Cbar")])
+    """At each accepted point each degenerate chain and each inverse
+    transport chain is built once at y."""
+    points = _calls_at_each_point(
+        monkeypatch, "cbar-qinv", [(hecke_module, "_cbar_factor"), (rqkz, "_factor_op")]
+    )
     assert len(points) == 2
     for calls in points:
-        n = calls["op_Cbar"][0][3].space.n
-        assert _sites(calls["op_Cbar"]) == list(range(1, n + 1))
+        _, _, y, params = calls["_cbar_factor"][0]
+        sites = range(1, params.space.n + 1)
+        cbar = [(hecke_module.cbar_factor_list(m, params.space.n), y) for m in sites]
+        degenerate = Counter((desc, tuple(yy)) for desc, _, yy, _ in calls["_cbar_factor"])
+        assert degenerate == _chains(cbar)
+        inverse = [(rqkz.invert_descs(rqkz.q_factor_list(m, params.space.n)), y) for m in sites]
+        assert _builds(calls) == _chains(inverse)
 
 
 def _bump(op: LinOp, state) -> LinOp:
@@ -237,19 +267,42 @@ def test_a_perturbed_transport_factor_fails_both_transport_suites(monkeypatch):
 
 
 def _perturbed_inverse_transport(monkeypatch, m, state):
-    """Perturb the site-m inverse transport operator of the orbit check at
-    one diagonal entry; returns the cbar-qinv notes at n = 2."""
-    target = rqkz.invert_descs(rqkz.q_factor_list(m, 2))
+    """Perturb, at one diagonal entry, the factor of the site-m inverse
+    transport chain that the orbit check applies first; returns the
+    cbar-qinv notes at n = 2."""
+    target = rqkz.invert_descs(rqkz.q_factor_list(m, 2))[-1]
 
-    def replacement(real):
-        def perturbed(descs, *args, **kwargs):
-            op = real(descs, *args, **kwargs)
-            return _bump(op, state) if list(descs) == target else op
+    def perturbed(desc, x, y, params, real=rqkz._factor_op):
+        op = real(desc, x, y, params)
+        return _bump(op, state) if desc == target else op
 
-        return perturbed
-
-    _patch_everywhere(monkeypatch, rqkz, "compose_descs", replacement)
+    monkeypatch.setattr(rqkz, "_factor_op", perturbed)
     return suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes
+
+
+def test_a_split_that_drops_a_factor_fails_once_per_size_and_sampling_goes_on(monkeypatch):
+    """The split check reads no point: a split that loses a factor fails
+    once for the size, the first failing site named, and the points of
+    both samples are still drawn and pass."""
+    real = rqkz.q_split_descs
+
+    def dropping(m, n):
+        head, mid, tail = real(m, n)
+        return head, mid, tail[:-1]
+
+    monkeypatch.setattr(rqkz, "q_split_descs", dropping)
+    drawn = []
+    real_sample_point = suites.sample_point
+
+    def recording(rng, builder, *args, **kwargs):
+        drawn.append(1)
+        return real_sample_point(rng, builder, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "sample_point", recording)
+    result = suites.run_suite("qkz-consistency", samples=2, seed=0, sizes=((2, 2),))
+    assert result.failures == 1
+    assert result.notes == ("n=2 half=2 split-1",)
+    assert len(drawn) == 2
 
 
 def test_a_perturbed_orbit_column_of_the_inverse_transport_fails_its_site(monkeypatch):
