@@ -11,17 +11,22 @@ the "body" key is a deterministic function of the configuration and seed,
 wall-clock timings live outside it.
 
 Exit codes: 0 all checks pass, 1 a verification failure, 2 a configuration
-or regime error.
+or regime error, such as a non-finite number, a quadrature rule over its
+node budget or an output path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import sys
 import time
+
+import numpy as np
 
 from . import __version__
 from .sampling import SamplingExhausted
@@ -82,8 +87,13 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """An int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float, not a bool: json reads NaN, Infinity and 1e999
+    as floats, and an int too large for a float is no usable number."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def _as_complex(value, where: str) -> complex:
@@ -118,18 +128,22 @@ def default_config() -> dict:
     }
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError("cannot read %s %s: %s" % (what, path, exc))
+    except json.JSONDecodeError as exc:
+        raise ConfigError("%s %s is not valid JSON: %s" % (what, path, exc))
+
+
 def load_config(path: str | None) -> dict:
     """Read and strictly validate a config file, merged over defaults."""
     merged = default_config()
     if path is None:
         return merged
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("cannot read config file %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config file %s is not valid JSON: %s" % (path, exc))
+    raw = _read_json(path, "config file")
     _check_keys(raw, _TOP_KEYS, "config")
     if "mode" in raw:
         if raw["mode"] not in ("verify", "solve", "residuals"):
@@ -186,11 +200,9 @@ def _validate_config(cfg: dict):
         _as_complex(v, "solve.lambda_grid entries")
     if sol["degrees"] is not None:
         _as_cycle(sol["degrees"], "solve.degrees")
-    for field in ("rtol", "atol", "tolerance"):
+    for field in ("rtol", "atol", "tolerance", "panels_per_unit"):
         if not _is_real(sol[field]) or sol[field] <= 0:
             raise ConfigError("solve.%s must be a positive number" % field)
-    if not _is_real(sol["panels_per_unit"]) or sol["panels_per_unit"] <= 0:
-        raise ConfigError("solve.panels_per_unit must be a positive number")
     if not _is_int(sol["max_refine"]) or sol["max_refine"] < 0:
         raise ConfigError("solve.max_refine must be a non-negative integer")
     if sol["max_refine"] > MAX_REFINE_CAP:
@@ -209,6 +221,23 @@ def _versions() -> dict:
     }
 
 
+def _check_output(path: str | None, key: str):
+    """Refuse an output path whose file cannot be written, before any work."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError("cannot write %s to %s" % (key, path))
+
+
+def _write_output(path: str, key: str, text: str):
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s to %s: %s" % (key, path, exc.strerror or exc))
+
+
 def _write_report(path: str | None, cfg: dict, timing: dict, seed=None, suites=(),
                   solutions=()):
     """Write the versioned report; everything under "body" is deterministic."""
@@ -225,8 +254,7 @@ def _write_report(path: str | None, cfg: dict, timing: dict, seed=None, suites=(
         },
         "timing": timing,
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_output(path, "output.report", json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _default_y(n: int) -> list:
@@ -320,6 +348,7 @@ def cmd_verify(args) -> int:
     if args.out is not None:
         cfg["output"]["report"] = args.out
     _validate_config(cfg)
+    _check_output(cfg["output"]["report"], "output.report")
     names = cfg["verify"]["suites"] or list(suite_mod.suite_names())
     seed = cfg["verify"]["seed"]
     samples = cfg["verify"]["samples"]
@@ -349,27 +378,24 @@ def cmd_solve(args) -> int:
         cfg["output"]["report"] = args.out_json
     if cfg["output"]["csv"] is None or cfg["output"]["report"] is None:
         raise ConfigError("solve needs --out-csv and --out-json (or output.csv/output.report)")
+    for key in ("csv", "report"):
+        _check_output(cfg["output"][key], "output." + key)
 
     grid, solutions, timing = _solve_grid(cfg)
-    with open(cfg["output"]["csv"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_re", "lambda_im", "j", "coeff_re", "coeff_im"])
-        for lam, entry in zip(grid, solutions):
-            for j, (re, im) in enumerate(entry["coefficients"], start=1):
-                writer.writerow([lam.real, lam.imag, j, re, im])
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["lambda_re", "lambda_im", "j", "coeff_re", "coeff_im"])
+    for lam, entry in zip(grid, solutions):
+        for j, (re, im) in enumerate(entry["coefficients"], start=1):
+            writer.writerow([lam.real, lam.imag, j, re, im])
+    _write_output(cfg["output"]["csv"], "output.csv", table.getvalue())
     return _report_grid(cfg, solutions, timing)
 
 
 def _recheck(path: str) -> int:
     """Recompute every solution stored in a solve report, its lambdas as one
     grid; exit 0 iff each matches its stored residuals."""
-    try:
-        with open(path) as fh:
-            prior = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("cannot read input report %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise ConfigError("input report %s is not valid JSON: %s" % (path, exc))
+    prior = _read_json(path, "input report")
     try:
         cfg = prior["body"]["config"]
         entries = prior["body"]["solutions"]
@@ -424,6 +450,7 @@ def cmd_residuals(args) -> int:
     if args.infile is not None:
         return _recheck(args.infile)
     cfg = load_config(args.config)
+    _check_output(cfg["output"]["report"], "output.report")
     _, solutions, timing = _solve_grid(cfg)
     return _report_grid(cfg, solutions, timing)
 
@@ -466,9 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, QuadratureError, SamplingExhausted) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # The solver reports an integrand that overflows as a QuadratureError,
+        # so numpy's per-operation warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
+    except (ValueError, OverflowError, QuadratureError, SamplingExhausted) as exc:
+        kind = "overflow: " if isinstance(exc, OverflowError) else ""
+        print("error: %s%s" % (kind, exc), file=sys.stderr)
         return 2
 
 

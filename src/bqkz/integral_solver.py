@@ -33,7 +33,8 @@ base pairing rows, the lambda derivative rows (the pairing rows times
 times a rational factor R_m(t) times the shifted weight functions: the
 Gamma recurrence turns the shift of y_m into R_m, and the cycle denominator
 is c-periodic in y.  Each of these solutions, at each lambda, passes its
-own convergence test on the shared grid.
+own convergence test on the shared grid.  No rule evaluates more than
+NODE_BUDGET nodes.
 
 The residuals of a grid (`grid_residuals`) are computed on dense arrays of
 coefficients and states.  Along a grid only x_1 = e^{2 pi i lam} moves, so
@@ -68,6 +69,9 @@ TWO_PI_I = 2j * math.pi
 # zero: e^-600 is far under any sum such a term enters, and every product
 # the pass forms from a larger term stays in the normal double range.
 _EXP_FLOOR = -600.0
+# Most nodes one trapezoidal rule may evaluate; the largest rule of the
+# test suite has 6,913 nodes and that of the benchmark workloads 1,889.
+NODE_BUDGET = 1 << 17
 
 
 class SeparationError(ValueError):
@@ -79,7 +83,8 @@ class DegreeError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """The trapezoidal rule did not converge within the allowed halvings."""
+    """The trapezoidal rule did not converge within the allowed halvings,
+    would exceed NODE_BUDGET, or met an integrand that is not finite."""
 
 
 @dataclass(frozen=True)
@@ -444,12 +449,21 @@ def build_contour(params: SolverParams, W: CycleW = None,
     if W is None:
         W = CycleW.monomial(int(math.floor(params.lam.real)) + 1)
     trunc = _initial_trunc(W, params)
+    _check_budget(2 * trunc * params.panels_per_unit + 1, ["lambda=%r" % params.lam])
     record = validate_contour_line(
         params.y, params.c, params.k, params.delta, trunc,
         include_shifted=include_shifted,
     )
     return Contour(delta=params.delta, trunc=trunc, record=record, y=tuple(params.y),
                    c=params.c, k=params.k, include_shifted=include_shifted)
+
+
+def _check_budget(nodes, labels):
+    """Raise QuadratureError naming labels if a rule of this many nodes,
+    which may be inf or NaN, would exceed NODE_BUDGET."""
+    if not nodes <= NODE_BUDGET:
+        raise QuadratureError("%s: the rule needs %.3g nodes, above the budget of %d"
+                              % (", ".join(labels), nodes, NODE_BUDGET))
 
 
 # Nodes per array evaluation; bounds the working arrays of a sweep.
@@ -506,27 +520,38 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
     integrated line.  Each halving of h evaluates only the new midpoints
     and reuses every earlier node, until for every solution two successive
     estimates agree to rtol times its largest estimate or atol times its
-    scale, so no solution stops before it would alone.  Returns the
-    estimates as an (L, G, r) array and one diagnostics dict per lambda.
+    scale, so no solution stops before it would alone.  A sweep that would
+    take the rule past NODE_BUDGET nodes, or an outer band whose largest
+    term is not finite, raises QuadratureError instead.
+    Returns the estimates as an (L, G, r) array and one diagnostics dict
+    per lambda.
     """
     rec = contour.record
     h = min(1.0 / params.panels_per_unit, rec["min_gap_above"],
             rec["min_gap_below"])
     line = 1j * contour.delta
+    labels = ["lambda=%r %s" % (complex(lam), name) for lam in lams for name in names]
+    # 2 * ceil(trunc / h) + 1 nodes, checked before ceil, which fails on inf.
+    _check_budget(2 * contour.trunc / h + 3, labels)
     half = max(1, int(math.ceil(contour.trunc / h)))
     sums, weight_sum, _ = _sweep(values, np.arange(-half, half + 1) * h + line)
     while True:
+        _check_budget(4 * half + 1, labels)
         band = np.arange(half + 1, 2 * half + 1) * h
         s, a, top = _sweep(values, np.concatenate((-band[::-1], band)) + line)
         sums, weight_sum, half = sums + s, weight_sum + a, 2 * half
+        finite = np.isfinite(top).ravel()
+        if not np.all(finite):
+            raise QuadratureError("%s: the integrand is not finite on the contour" % ", ".join(
+                label for label, ok in zip(labels, finite) if not ok))
         if np.all(top * h <= params.atol * np.maximum(h * weight_sum, 1.0)):
             break
     trunc = half * h
     contour = contour.widened(trunc)
     ests = [h * sums]
-    labels = ["lambda=%r %s" % (complex(lam), name) for lam in lams for name in names]
     failing = labels
     for step in range(1, params.max_refine + 1):
+        _check_budget(4 * half + 1, failing)
         s, a, _ = _sweep(values, (np.arange(-half, half) + 0.5) * h + line)
         sums, weight_sum, h, half = sums + s, weight_sum + a, h / 2, 2 * half
         est, scale = h * sums, h * weight_sum

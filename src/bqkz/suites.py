@@ -30,21 +30,15 @@ failure of the run, whatever the sample count, with one note "<size label>
 check becomes a failure note, not an exception.
 
 Samples are independently seeded from the run seed and the pair
-(suite name, sample index), so a run is reproducible regardless of how
-many workers execute it; v comes from its own stream, seeded from the same
-pair and the tag "v", so the points and their redraws do not depend on
-it.  Set BQKZ_THREADS to parallelize across samples
-(at most one worker per CPU): each worker takes one contiguous chunk of
-sample indices and calls `builder_for` once per size for it.  Point-free
-checks are counted by the calling process alone, and assembly order is
-fixed either way.
+(suite name, sample index), so a suite's body depends only on the suite,
+the seed and the sample count, not on what else runs; v comes from its
+own stream, seeded from the same pair and the tag "v", so the points and
+their redraws do not depend on it.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -420,67 +414,29 @@ def check_name(name):
         )
 
 
-def _sample(name, seed, index, labels, builds):
-    """Failure notes of one seeded sample over every size."""
-    rng = make_rng(child_seed(seed, "%s:%d" % (name, index)))
-    vr = make_rng(child_seed(seed, "%s:%d:v" % (name, index)))
-    notes = []
-    for label, build in zip(labels, builds):
-        try:
-            names, point = sample_point(rng, lambda r: build(r, vr))
-        except compat_ops.RouteMismatch as exc:
-            notes.append("%s route-mismatch: %s" % (label, exc))
-            continue
-        for nm in names:
-            notes.append("%s point=%r" % (" ".join(filter(None, (label, nm))), point))
-    return notes
-
-
-def _run_chunk(task):
-    """Failure notes of a chunk of samples of one suite, in index order;
-    builder_for runs once per size for the chunk."""
-    name, seed, indices, sizes = task
-    suite = _SUITES[name]
-    builds = [suite.builder_for(size)[1] for size in sizes]
-    labels = [suite.label % size for size in sizes]
-    return [_sample(name, seed, index, labels, builds) for index in indices]
-
-
-def thread_count() -> int:
-    """Worker processes from BQKZ_THREADS, at least 1 and at most the CPU count."""
-    raw = os.environ.get("BQKZ_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError("BQKZ_THREADS must be an integer, got %r" % raw)
-    return max(1, min(value, os.cpu_count() or 1))
-
-
-def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None,
-              executor=None, workers: int = 1) -> SuiteResult:
-    """Run one suite; unknown names raise ValueError listing valid ones.
-
-    With an executor of `workers` processes, each worker runs one
-    contiguous chunk of the sample indices.
-    """
+def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None) -> SuiteResult:
+    """Run one suite; unknown names raise ValueError listing valid ones."""
     check_name(name)
     suite = _SUITES[name]
     count = suite.samples if samples is None else samples
     used_sizes = tuple(sizes) if sizes is not None else suite.sizes
     labels = [suite.label % size for size in used_sizes]
     sized = [suite.builder_for(size) for size in used_sizes]
-    if executor is None:
-        builds = [build for _, build in sized]
-        results = [_sample(name, seed, idx, labels, builds) for idx in range(count)]
-    else:
-        bounds = [count * w // workers for w in range(workers + 1)]
-        tasks = [(name, seed, range(lo, hi), used_sizes)
-                 for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-        results = [notes for chunk in executor.map(_run_chunk, tasks) for notes in chunk]
     notes = ["%s %s" % (label, point_free[0])
              for label, (point_free, _) in zip(labels, sized) if point_free]
     failures = len(notes)
-    for sample_notes in results:
+    for index in range(count):
+        rng = make_rng(child_seed(seed, "%s:%d" % (name, index)))
+        vr = make_rng(child_seed(seed, "%s:%d:v" % (name, index)))
+        sample_notes = []
+        for label, (_, build) in zip(labels, sized):
+            try:
+                names, point = sample_point(rng, lambda r: build(r, vr))
+            except compat_ops.RouteMismatch as exc:
+                sample_notes.append("%s route-mismatch: %s" % (label, exc))
+                continue
+            for nm in names:
+                sample_notes.append("%s point=%r" % (" ".join(filter(None, (label, nm))), point))
         if sample_notes:
             failures += 1
             if len(notes) < 5:
@@ -496,25 +452,11 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None,
     )
 
 
-def run_suites(names=None, samples: int | None = None, seed: int = 0,
-               threads: int | None = None):
-    """Run suites in declaration order; yields (SuiteResult, elapsed seconds).
-
-    With threads > 1 the samples of each suite are distributed over a
-    process pool; results are assembled in (suite, sample index) order so
-    the output is identical to a serial run.
-    """
+def run_suites(names=None, samples: int | None = None, seed: int = 0):
+    """Run suites in declaration order; yields (SuiteResult, elapsed seconds)."""
     chosen = list(names) if names is not None else list(_SUITES)
     for nm in chosen:
         check_name(nm)
-    workers = thread_count() if threads is None else max(1, threads)
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for nm in chosen:
-            start = time.perf_counter()
-            result = run_suite(nm, samples=samples, seed=seed, executor=executor,
-                               workers=workers)
-            yield result, time.perf_counter() - start
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for nm in chosen:
+        start = time.perf_counter()
+        yield run_suite(nm, samples=samples, seed=seed), time.perf_counter() - start

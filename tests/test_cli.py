@@ -3,6 +3,7 @@
 import collections
 import csv
 import json
+import time
 
 import pytest
 
@@ -155,6 +156,58 @@ def test_a_bool_where_a_number_is_needed_exits_two(tmp_path, capsys, raw, messag
     assert captured.err == "error: %s\n" % message
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"model": {"n": 1, "y": [NaN]}, "solve": {"lambda_grid": [0.25]}}',
+     "model.y must be a list of real numbers"),
+    ('{"model": {"c": [NaN, 0.2]}}', "model.c must be a number or a [re, im] pair"),
+    ('{"solve": {"lambda_grid": [Infinity]}}',
+     "solve.lambda_grid entries must be a number or a [re, im] pair"),
+    ('{"model": {"k": [1e999, 1.0]}}', "model.k must be a number or a [re, im] pair"),
+    ('{"solve": {"rtol": -Infinity}}', "solve.rtol must be a positive number"),
+])
+def test_a_non_finite_number_exits_two(tmp_path, capsys, text, message):
+    """json reads NaN, Infinity and 1e999 as floats; the config takes none
+    of them as a number.  Each solve exits 2 with the key's message before
+    any quadrature runs."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cli.main(["solve", "--config", str(path), "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(tmp_path / "s.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == ""
+
+
+def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch):
+    """A report or table that cannot be written exits 2 before any suite or
+    quadrature runs; a write that fails all the same exits 2 too."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(suites, "run_suite", no_work)
+    monkeypatch.setattr(cli, "grid_solutions", no_work)
+    missing = str(tmp_path / "missing" / "out")
+    good = str(tmp_path / "ok")
+    runs = (
+        (["verify", "--suite", "ybe", "--out", missing], "output.report"),
+        (["solve", "--out-csv", missing, "--out-json", good], "output.csv"),
+        (["solve", "--out-csv", good, "--out-json", str(tmp_path)], "output.report"),
+        (["residuals", "--config", write_json(tmp_path / "cfg.json",
+                                              {"output": {"report": missing}})],
+         "output.report"),
+    )
+    for argv, key in runs:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write %s to " % key), argv
+        assert captured.out == ""
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_check_output", lambda path, key: None)
+    assert cli.main(["verify", "--suite", "ybe", "--samples", "1", "--out", missing]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output.report to ")
 
 
 # ------------------------------------------------------------------- solve
@@ -409,8 +462,8 @@ def test_residuals_names_a_missing_stored_key(tmp_path, capsys):
 
 
 def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch):
-    """A stored value of the wrong shape is an exit-2 message that names the
-    key, given before anything is recomputed."""
+    """A stored value of the wrong shape, or a non-finite one, is an exit-2
+    message that names the key, given before anything is recomputed."""
     monkeypatch.setattr(cli, "residual_report", None)
     good = {"lambda": [0.25, 0.0], "cycle": [[1, [1.0, 0.0]]],
             "qkz_residuals": {"1": 0.0}, "ode_residual": 0.0}
@@ -418,7 +471,8 @@ def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch)
                      ("cycle", [[1, "x"]]), ("cycle", [["one", [1.0, 0.0]]]),
                      ("qkz_residuals", "ab"), ("qkz_residuals", {"2": 0.0}),
                      ("qkz_residuals", {"1": "x"}), ("ode_residual", [0.0]),
-                     ("ftilde_residual", "x")):
+                     ("ftilde_residual", "x"), ("ode_residual", float("nan")),
+                     ("qkz_residuals", {"1": float("inf")})):
         entry = dict(good, **{key: bad})
         report = {"schema_version": cli.SCHEMA_VERSION,
                   "body": {"config": default_config(), "solutions": [good, entry]}}
@@ -451,6 +505,44 @@ def test_oversized_config_is_rejected_before_any_work(tmp_path, capsys, monkeypa
     for raw in ({"model": {"n": 4, "half_dim": 2}}, {"model": {"n": 3, "half_dim": 3}},
                 {"solve": {"max_refine": 6}}):
         load_config(write_json(tmp_path / "edge.json", raw))
+
+
+@pytest.mark.parametrize("raw,words", [
+    ({"model": {"c": [1e6, 0.2]}}, ("budget of 131072",)),
+    ({"model": {"k": [1e8, 1.0]}}, ("lambda=",)),
+    ({"solve": {"lambda_grid": [[0.25, 50]]}}, ("lambda=(0.25+50j)",)),
+    ({"solve": {"lambda_grid": [[0.25, -50]]}}, ("lambda=(0.25-50j)",)),
+    ({"model": {"c": [0.1, 1e-9]}}, ("budget of 131072",)),
+    ({"model": {"c": [1e300, 0.2]}}, ("overflow",)),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_unbounded_quadrature_exits_two_within_seconds(tmp_path, capsys, raw, words):
+    """Finite configs whose rule would not end, or would not fit in memory,
+    exit 2 with a one-line message and no numpy warning: the node budget,
+    a non-finite integrand or a float overflow stops them."""
+    path = write_json(tmp_path / "cfg.json", raw)
+    start = time.perf_counter()
+    assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(tmp_path / "s.json")]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for word in words:
+        assert word in err, err
+
+
+def test_the_node_budget_stops_a_rule_between_sweeps(tmp_path, capsys, monkeypatch):
+    """The default grid's rule has 3,777 nodes: under a budget of 1,000 its
+    truncation passes the first check and stops before a later sweep,
+    naming every solution of the grid and the budget."""
+    assert integral_solver.NODE_BUDGET == 1 << 17
+    monkeypatch.setattr(integral_solver, "NODE_BUDGET", 1000)
+    assert cli.main(["solve", "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda=(-0.7+0j) base, lambda=(-0.7+0j) derivative")
+    assert err.endswith("nodes, above the budget of 1000\n"), err
+    assert not (tmp_path / "c.csv").exists()
 
 
 # -------------------------------------------------------------- refinement

@@ -7,6 +7,9 @@ it binds nothing the module reads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,3 +50,16 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text()):
             found.append("%s:%d %s" % (path.relative_to(ROOT), line, name))
     assert not found, found
+
+
+def test_the_cli_imports_no_process_pool():
+    """`bqkz` runs in one process, so its start-up loads no pool machinery."""
+    code = (
+        "import sys, bqkz.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,4 +1,4 @@
-"""The suite runner: draw order, note format, failure notes, worker count."""
+"""The suite runner: draw order, note format, failure notes."""
 
 import hashlib
 import json
@@ -58,27 +58,10 @@ def test_failure_notes_name_the_size_and_the_check(monkeypatch):
     assert result.notes[0].startswith("n=2 half=2 pair-1-2 point=")
 
 
-def test_process_pool_gives_the_serial_bodies():
-    """Also for suites whose builder_for builds operators per size, which
-    each worker builds again for its chunk of samples."""
-
-    def bodies(threads):
-        return [
-            result.body()
-            for result, _ in suites.run_suites(
-                ["ybe", "phi-iso", "l-restriction", "aha-relations"],
-                samples=3, seed=3, threads=threads,
-            )
-        ]
-
-    assert bodies(2) == bodies(1)
-
-
 def test_route_mismatch_is_a_suite_failure(tmp_path, monkeypatch, capsys):
     def mismatch(*args):
         raise compat_ops.RouteMismatch("derivative route and closed form disagree")
 
-    monkeypatch.delenv("BQKZ_THREADS", raising=False)
     monkeypatch.setattr(compat_ops, "op_dK_term", mismatch)
     out = tmp_path / "report.json"
     code = cli.main(
@@ -93,16 +76,6 @@ def test_route_mismatch_is_a_suite_failure(tmp_path, monkeypatch, capsys):
         "n=1 half=1 route-mismatch: derivative route and closed form disagree"
     )
     assert "route-mismatch" in capsys.readouterr().out
-
-
-def test_thread_count_is_clamped_to_the_cpu_count(monkeypatch):
-    monkeypatch.setenv("BQKZ_THREADS", str(10**6))
-    monkeypatch.setattr(suites.os, "cpu_count", lambda: 4)
-    assert suites.thread_count() == 4
-    monkeypatch.setattr(suites.os, "cpu_count", lambda: None)
-    assert suites.thread_count() == 1
-    monkeypatch.setenv("BQKZ_THREADS", "0")
-    assert suites.thread_count() == 1
 
 
 def _patch_everywhere(monkeypatch, module, attr, replacement):
