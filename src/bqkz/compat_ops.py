@@ -11,7 +11,9 @@ derivatives only.
 The same L_a has a second construction from a one-site block I_a and a
 two-site block M_a summed over sites and site pairs.  Keeping both routes
 alive (no shared code paths beyond the matrix units) is deliberate: each
-certification below compares structurally different computations.
+certification below compares structurally different computations.  Each
+route lists its own (coefficient, operator) terms and sums them in one
+`tensor_ops.lincomb`, which the two share as they share matrix units.
 
 The two compatibility residuals are read on a start, one seeded random
 integer column in the suite (Freivalds' check) or the identity for the
@@ -49,7 +51,16 @@ from .rqkz import (
     q_split_descs,
 )
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import LinOp, Space, commutator, embed_pair, embed_site, product, site_tensor
+from .tensor_ops import (
+    LinOp,
+    Space,
+    commutator,
+    embed_pair,
+    embed_site,
+    lincomb,
+    product,
+    site_tensor,
+)
 
 
 class RouteMismatch(AssertionError):
@@ -62,6 +73,9 @@ def _code(half: int, a: int, barred: bool) -> int:
     return a - 1 + (half if barred else 0)
 
 
+# Matrix units, the label-only sums of them and the pair-sum collections
+# depend on the labels and the space only, so each is built once and shared.
+@cache
 def site_unit(half: int, row_code: int, col_code: int) -> LinOp:
     return LinOp(Space(1, half), {(col_code,): {(row_code,): 1}})
 
@@ -71,59 +85,64 @@ def _eu(half, ra, rbar, ca, cbar) -> LinOp:
     return site_unit(half, _code(half, ra, rbar), _code(half, ca, cbar))
 
 
+def _units(half: int, a: int) -> tuple:
+    """The matrix units e_(a,a), e_(abar,abar), e_(abar,a) and e_(a,abar)."""
+    return (_eu(half, a, False, a, False), _eu(half, a, True, a, True),
+            _eu(half, a, True, a, False), _eu(half, a, False, a, True))
+
+
+@cache
 def op_E(half: int, a: int, b: int) -> LinOp:
     """Label-preserving pair unit: e_ab plus its barred copy."""
     return _eu(half, a, False, b, False) + _eu(half, a, True, b, True)
 
 
+@cache
 def op_Ebar(half: int, a: int, b: int) -> LinOp:
     """Bar-exchanging pair unit: e to the barred column plus the mirror."""
     return _eu(half, a, False, b, True) + _eu(half, a, True, b, False)
 
 
+@cache
 def pair_U(half: int, a: int, b: int) -> LinOp:
-    return site_tensor(_eu(half, a, False, b, False), op_E(half, b, a)) + site_tensor(
-        _eu(half, b, True, a, True), op_E(half, a, b)
-    )
+    return (site_tensor(_eu(half, a, False, b, False), op_E(half, b, a))
+            + site_tensor(_eu(half, b, True, a, True), op_E(half, a, b)))
 
 
+@cache
 def pair_J(half: int, a: int, b: int) -> LinOp:
-    return site_tensor(_eu(half, a, False, b, True), op_Ebar(half, b, a)) + site_tensor(
-        _eu(half, b, False, a, True), op_Ebar(half, a, b)
-    )
+    return (site_tensor(_eu(half, a, False, b, True), op_Ebar(half, b, a))
+            + site_tensor(_eu(half, b, False, a, True), op_Ebar(half, a, b)))
 
 
+@cache
 def pair_K(half: int, a: int, b: int) -> LinOp:
-    return site_tensor(_eu(half, a, True, b, False), op_Ebar(half, b, a)) + site_tensor(
-        _eu(half, b, True, a, False), op_Ebar(half, a, b)
-    )
+    return (site_tensor(_eu(half, a, True, b, False), op_Ebar(half, b, a))
+            + site_tensor(_eu(half, b, True, a, False), op_Ebar(half, a, b)))
 
 
-def _pair_sum(space: Space, two_site: LinOp) -> LinOp:
-    out = LinOp.zero(space)
-    for i in range(1, space.n + 1):
-        for j in range(i + 1, space.n + 1):
-            out = out + embed_pair(two_site, i, j, space)
-    return out
+def _site_pairs(n: int) -> list:
+    """Every site pair (i, j) with i < j."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-# The pair-sum collections depend on the labels and the space only, so
-# each is built once and shared.
+def _pair_sum(space: Space, two: LinOp) -> LinOp:
+    return lincomb(space, ((1, embed_pair(two, i, j, space)) for i, j in _site_pairs(space.n)))
+
+
 @cache
 def coll_X(a: int, b: int, space: Space) -> LinOp:
     half = space.half_dim
-    two = site_tensor(_eu(half, a, False, b, False), op_E(half, b, a)) + site_tensor(
-        _eu(half, b, True, a, True), op_E(half, a, b)
-    )
+    two = (site_tensor(_eu(half, a, False, b, False), op_E(half, b, a))
+           + site_tensor(_eu(half, b, True, a, True), op_E(half, a, b)))
     return _pair_sum(space, two)
 
 
 @cache
 def coll_Y(a: int, b: int, space: Space) -> LinOp:
     half = space.half_dim
-    two = site_tensor(_eu(half, a, False, b, True), op_Ebar(half, b, a)) + site_tensor(
-        _eu(half, b, False, a, True), op_Ebar(half, a, b)
-    )
+    two = (site_tensor(_eu(half, a, False, b, True), op_Ebar(half, b, a))
+           + site_tensor(_eu(half, b, False, a, True), op_Ebar(half, a, b)))
     return _pair_sum(space, two)
 
 
@@ -139,30 +158,30 @@ def coll_YZ(a: int, b: int, space: Space) -> LinOp:
     """coll_Y(a, b) plus its barred-row counterpart: op_B, op_dB_dx and
     the point-free restriction identities read only this sum."""
     half = space.half_dim
-    two = site_tensor(_eu(half, a, True, b, False), op_Ebar(half, b, a)) + site_tensor(
-        _eu(half, b, True, a, False), op_Ebar(half, a, b)
-    )
+    two = (site_tensor(_eu(half, a, True, b, False), op_Ebar(half, b, a))
+           + site_tensor(_eu(half, b, True, a, False), op_Ebar(half, a, b)))
     return coll_Y(a, b, space) + _pair_sum(space, two)
+
+
+def op_A_terms(a: int, y: Sequence, params: ModelParams) -> list:
+    """(coefficient, operator) terms of op_A."""
+    space = params.space
+    half = space.half_dim
+    k = params.k
+    e_aa, e_bb, _, raise_a = _units(half, a)
+    terms = []
+    for j, yj in enumerate(y, start=1):
+        terms += [(yj, embed_site(e_aa, j, space)), (-yj, embed_site(e_bb, j, space)),
+                  (2 * params.alpha, embed_site(raise_a, j, space))]
+    terms += [(-k, coll_X(p, a, space)) for p in range(1, a)]
+    terms += [(k, coll_X(a, p, space)) for p in range(a + 1, half + 1)]
+    terms += [(k, coll_Y(a, p, space)) for p in range(1, half + 1)]
+    return terms
 
 
 def op_A(a: int, y: Sequence, params: ModelParams) -> LinOp:
     """Argument part of the a-th differential operator family."""
-    space = params.space
-    half = space.half_dim
-    diag = _eu(half, a, False, a, False) - _eu(half, a, True, a, True)
-    raise_a = _eu(half, a, False, a, True)
-    out = LinOp.zero(space)
-    for j, yj in enumerate(y, start=1):
-        out = out + embed_site(diag, j, space).scale(yj)
-        out = out + embed_site(raise_a, j, space).scale(2 * params.alpha)
-    pair_part = LinOp.zero(space)
-    for p in range(1, a):
-        pair_part = pair_part - coll_X(p, a, space)
-    for p in range(a + 1, half + 1):
-        pair_part = pair_part + coll_X(a, p, space)
-    for p in range(1, half + 1):
-        pair_part = pair_part + coll_Y(a, p, space)
-    return out + pair_part.scale(params.k)
+    return lincomb(params.space, op_A_terms(a, y, params))
 
 
 def _check_x_generic(a: int, x: Sequence):
@@ -176,115 +195,117 @@ def _check_x_generic(a: int, x: Sequence):
             raise PoleError("coordinates %d and %d are not generic" % (a, p))
 
 
-def op_B(a: int, x: Sequence, params: ModelParams) -> LinOp:
-    """Coordinate part of the a-th differential operator family."""
+def op_B_terms(a: int, x: Sequence, params: ModelParams) -> list:
+    """(coefficient, operator) terms of op_B."""
     space = params.space
     half = space.half_dim
     x = tuple(x)
     _check_x_generic(a, x)
     xa = x[a - 1]
-    out = LinOp.zero(space)
+    k = params.k
     coeff0 = div(2 * (params.alpha + params.beta * xa), xa * xa - 1)
-    ebar_aa = op_Ebar(half, a, a)
-    for j in range(1, space.n + 1):
-        out = out + embed_site(ebar_aa, j, space).scale(coeff0)
-    pair_part = LinOp.zero(space)
+    terms = [(coeff0, embed_site(op_Ebar(half, a, a), j, space)) for j in range(1, space.n + 1)]
     for p in range(1, half + 1):
+        xp = x[p - 1]
         if p != a:
-            w = div(xa if p < a else x[p - 1], xa - x[p - 1])
-            pair_part = pair_part + coll_X_swap(a, p, space).scale(w)
-    for p in range(1, half + 1):
-        w = inv(xa * x[p - 1] - 1)
-        pair_part = pair_part + coll_YZ(a, p, space).scale(w)
-    return out + pair_part.scale(params.k)
+            terms.append((k * div(xa if p < a else xp, xa - xp), coll_X_swap(a, p, space)))
+        terms.append((k * inv(xa * xp - 1), coll_YZ(a, p, space)))
+    return terms
+
+
+def op_B(a: int, x: Sequence, params: ModelParams) -> LinOp:
+    """Coordinate part of the a-th differential operator family."""
+    return lincomb(params.space, op_B_terms(a, x, params))
 
 
 def op_L(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
-    return op_A(a, y, params) + op_B(a, x, params)
+    return lincomb(params.space, op_A_terms(a, y, params) + op_B_terms(a, x, params))
 
 
-def op_I(a: int, lam, gamma, params: ModelParams) -> LinOp:
-    """One-site block of the alternative construction of L_a."""
+def op_I_terms(a: int, lam, gamma, params: ModelParams) -> list:
+    """(coefficient, site unit) terms of op_I."""
     half = params.space.half_dim
     if lam == 0 or lam * lam == 1:
         raise PoleError("block argument may not be 0 or a unit square root")
     ilam = inv(lam)
-    out = (_eu(half, a, False, a, False) - _eu(half, a, True, a, True)).scale(gamma)
-    out = out + _eu(half, a, True, a, False).scale(
-        div(2 * (params.alpha + params.beta * lam), lam * lam - 1)
-    )
-    out = out + _eu(half, a, False, a, True).scale(
-        div(2 * (params.alpha + params.beta * ilam), 1 - ilam * ilam)
-    )
-    return out
+    lower = div(2 * (params.alpha + params.beta * lam), lam * lam - 1)
+    upper = div(2 * (params.alpha + params.beta * ilam), 1 - ilam * ilam)
+    return list(zip((gamma, -gamma, lower, upper), _units(half, a)))
 
 
-def op_M(a: int, x: Sequence, params: ModelParams) -> LinOp:
-    """Two-site block of the alternative construction of L_a."""
+def op_I(a: int, lam, gamma, params: ModelParams) -> LinOp:
+    """One-site block of the alternative construction of L_a."""
+    return lincomb(Space(1, params.space.half_dim), op_I_terms(a, lam, gamma, params))
+
+
+def op_M_terms(a: int, x: Sequence, params: ModelParams) -> list:
+    """(coefficient, two-site operator) terms of op_M.
+
+    Its lead term, 2k/(x_a - 1/x_a) (x_a e_(a,abar) + e_(abar,a)/x_a) (x)
+    (e_(a,abar) + e_(abar,a)), is the p = a term of the J and K sums:
+    pair_J(a, a) is twice e_(a,abar) (x) (e_(a,abar) + e_(abar,a)),
+    pair_K(a, a) twice e_(abar,a) (x) (e_(a,abar) + e_(abar,a)), and their
+    p = a coefficients are half of the lead's.
+    """
     half = params.space.half_dim
     x = tuple(x)
     _check_x_generic(a, x)
     xa = x[a - 1]
-    ixa = inv(xa)
     k = params.k
-    lead_site = _eu(half, a, False, a, True).scale(xa) + _eu(half, a, True, a, False).scale(ixa)
-    mixer = _eu(half, a, False, a, True) + _eu(half, a, True, a, False)
-    out = site_tensor(lead_site, mixer).scale(div(2 * k, xa - ixa))
+    terms = []
     for p in range(1, half + 1):
-        if p == a:
-            continue
         xp = x[p - 1]
-        out = out + pair_U(half, a, p).scale(div(k * xa, xa - xp))
-        out = out + pair_U(half, p, a).scale(div(k * xp, xa - xp))
-        out = out + pair_J(half, a, p).scale(div(k * xa * xp, xa * xp - 1))
-        out = out + pair_K(half, a, p).scale(div(k, xa * xp - 1))
-    return out
+        terms += [(div(k * xa * xp, xa * xp - 1), pair_J(half, a, p)),
+                  (div(k, xa * xp - 1), pair_K(half, a, p))]
+        if p != a:
+            terms += [(div(k * xa, xa - xp), pair_U(half, a, p)),
+                      (div(k * xp, xa - xp), pair_U(half, p, a))]
+    return terms
+
+
+def op_M(a: int, x: Sequence, params: ModelParams) -> LinOp:
+    """Two-site block of the alternative construction of L_a."""
+    return lincomb(Space(2, params.space.half_dim), op_M_terms(a, x, params))
+
+
+@cache
+def _swapped_pairs(half: int, a: int, p: int) -> tuple:
+    """The slot-exchanged two-site operators of op_M_swapped for the label
+    pair (a, p): the four bar-exchanging ones, then the four others."""
+    return (
+        site_tensor(op_Ebar(half, p, a), _eu(half, a, False, p, True)),
+        site_tensor(op_Ebar(half, a, p), _eu(half, p, False, a, True)),
+        site_tensor(op_Ebar(half, p, a), _eu(half, a, True, p, False)),
+        site_tensor(op_Ebar(half, a, p), _eu(half, p, True, a, False)),
+        site_tensor(op_E(half, p, a), _eu(half, a, False, p, False)),
+        site_tensor(op_E(half, a, p), _eu(half, p, True, a, True)),
+        site_tensor(op_E(half, a, p), _eu(half, p, False, a, False)),
+        site_tensor(op_E(half, p, a), _eu(half, a, True, p, True)),
+    )
 
 
 def op_M_swapped(a: int, x: Sequence, params: ModelParams) -> LinOp:
     """Two-site block with the tensor slots exchanged, built term by term.
 
     Not implemented as a conjugation of op_M; the equality with P op_M P is
-    one of the certified identities.
+    one of the certified identities.  As in op_M, the p = a terms of the
+    bar-exchanging sum are the lead term.
     """
     half = params.space.half_dim
     x = tuple(x)
     _check_x_generic(a, x)
     xa = x[a - 1]
-    ixa = inv(xa)
     k = params.k
-    lead_site = _eu(half, a, False, a, True).scale(xa) + _eu(half, a, True, a, False).scale(ixa)
-    mixer = _eu(half, a, False, a, True) + _eu(half, a, True, a, False)
-    out = site_tensor(mixer, lead_site).scale(div(2 * k, xa - ixa))
+    terms = []
     for p in range(1, half + 1):
-        if p == a:
-            continue
         xp = x[p - 1]
-        out = out + site_tensor(op_E(half, p, a), _eu(half, a, False, p, False)).scale(
-            div(k * xa, xa - xp)
-        )
-        out = out + site_tensor(op_E(half, a, p), _eu(half, p, True, a, True)).scale(
-            div(k * xa, xa - xp)
-        )
-        out = out + site_tensor(op_E(half, a, p), _eu(half, p, False, a, False)).scale(
-            div(k * xp, xa - xp)
-        )
-        out = out + site_tensor(op_E(half, p, a), _eu(half, a, True, p, True)).scale(
-            div(k * xp, xa - xp)
-        )
-        out = out + site_tensor(op_Ebar(half, p, a), _eu(half, a, False, p, True)).scale(
-            div(k * xa * xp, xa * xp - 1)
-        )
-        out = out + site_tensor(op_Ebar(half, a, p), _eu(half, p, False, a, True)).scale(
-            div(k * xa * xp, xa * xp - 1)
-        )
-        out = out + site_tensor(op_Ebar(half, p, a), _eu(half, a, True, p, False)).scale(
-            div(k, xa * xp - 1)
-        )
-        out = out + site_tensor(op_Ebar(half, a, p), _eu(half, p, True, a, False)).scale(
-            div(k, xa * xp - 1)
-        )
-    return out
+        ops = _swapped_pairs(half, a, p)
+        wj, wk = div(k * xa * xp, xa * xp - 1), div(k, xa * xp - 1)
+        terms += zip((wj, wj, wk, wk), ops[:4])
+        if p != a:
+            wa, wp = div(k * xa, xa - xp), div(k * xp, xa - xp)
+            terms += zip((wa, wa, wp, wp), ops[4:])
+    return lincomb(Space(2, half), terms)
 
 
 def m_conjugation_defect(a: int, x: Sequence, params: ModelParams) -> LinOp:
@@ -294,19 +315,26 @@ def m_conjugation_defect(a: int, x: Sequence, params: ModelParams) -> LinOp:
     return op_M_swapped(a, x, params) - product((flip, direct, flip))
 
 
+def _block_terms(a: int, x: Sequence, args: Sequence, pairs, params: ModelParams) -> list:
+    """Terms of op_I(a, x_a, args[j - 1]) at every site j plus op_M(a, x)
+    on every site pair (i, j) of pairs, i in its first slot."""
+    space = params.space
+    xa = tuple(x)[a - 1]
+    terms = [(w, embed_site(unit, j, space))
+             for j, arg in enumerate(args, start=1)
+             for w, unit in op_I_terms(a, xa, arg, params)]
+    m_terms = op_M_terms(a, x, params)
+    terms += [(w, embed_pair(two, i, j, space)) for i, j in pairs for w, two in m_terms]
+    return terms
+
+
 def op_L_from_blocks(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
     """L_a assembled from the one-site and two-site blocks.
 
     Independent route kept separate from op_L on purpose; their equality is
     a certified identity, not a refactoring opportunity.
     """
-    space = params.space
-    xa = tuple(x)[a - 1]
-    out = LinOp.zero(space)
-    for j, yj in enumerate(y, start=1):
-        out = out + embed_site(op_I(a, xa, yj, params), j, space)
-    m2 = op_M(a, x, params)
-    return out + _pair_sum(space, m2)
+    return lincomb(params.space, _block_terms(a, x, y, _site_pairs(params.space.n), params))
 
 
 def comm_AA_defect(a: int, b: int, y: Sequence, params: ModelParams) -> LinOp:
@@ -328,43 +356,28 @@ def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
     x = tuple(x)
     _check_x_generic(b, x)
     xb = x[b - 1]
-    out = LinOp.zero(space)
-    if a == b:
-        alpha, beta = params.alpha, params.beta
-        d0 = div(
-            2 * (-beta * xb * xb - 2 * alpha * xb - beta),
-            (xb * xb - 1) * (xb * xb - 1),
-        )
-        ebar = op_Ebar(half, b, b)
-        for j in range(1, space.n + 1):
-            out = out + embed_site(ebar, j, space).scale(d0)
-        pair_part = LinOp.zero(space)
-        for p in range(1, half + 1):
-            if p != b:
-                d = div(-x[p - 1], (xb - x[p - 1]) ** 2)
-                pair_part = pair_part + coll_X_swap(b, p, space).scale(d)
-        for p in range(1, half + 1):
-            if p == b:
-                d = div(-2 * xb, (xb * xb - 1) ** 2)
-            else:
-                d = div(-x[p - 1], (xb * x[p - 1] - 1) ** 2)
-            pair_part = pair_part + coll_YZ(b, p, space).scale(d)
-        return out + pair_part.scale(params.k)
-    xa = x[a - 1]
-    pair_part = LinOp.zero(space)
-    d = div(xb, (xb - xa) ** 2)
-    pair_part = pair_part + coll_X_swap(b, a, space).scale(d)
-    d = div(-xb, (xb * xa - 1) ** 2)
-    pair_part = pair_part + coll_YZ(b, a, space).scale(d)
-    return pair_part.scale(params.k)
+    k = params.k
+    if a != b:
+        xa = x[a - 1]
+        return lincomb(space, [(k * div(xb, (xb - xa) ** 2), coll_X_swap(b, a, space)),
+                               (k * div(-xb, (xb * xa - 1) ** 2), coll_YZ(b, a, space))])
+    alpha, beta = params.alpha, params.beta
+    d0 = div(2 * (-beta * xb * xb - 2 * alpha * xb - beta), (xb * xb - 1) * (xb * xb - 1))
+    terms = [(d0, embed_site(op_Ebar(half, b, b), j, space)) for j in range(1, space.n + 1)]
+    for p in range(1, half + 1):
+        xp = x[p - 1]
+        if p != b:
+            terms.append((k * div(-xp, (xb - xp) ** 2), coll_X_swap(b, p, space)))
+        d = div(-2 * xb, (xb * xb - 1) ** 2) if p == b else div(-xp, (xb * xp - 1) ** 2)
+        terms.append((k * d, coll_YZ(b, p, space)))
+    return lincomb(space, terms)
 
 
 def check_cross_derivative(a: int, b: int, x, y, params: ModelParams) -> LinOp:
     """x_a dB_b/dx_a - x_b dB_a/dx_b; zero iff the family commutes."""
     x = tuple(x)
-    lhs = op_dB_dx(b, a, x, params).scale(x[a - 1])
-    rhs = op_dB_dx(a, b, x, params).scale(x[b - 1])
-    return lhs - rhs
+    return lincomb(params.space, [(x[a - 1], op_dB_dx(b, a, x, params)),
+                                  (-x[b - 1], op_dB_dx(a, b, x, params))])
 
 
 def check_comm_IM(a: int, x, y1, y2, params: ModelParams) -> LinOp:
@@ -372,18 +385,11 @@ def check_comm_IM(a: int, x, y1, y2, params: ModelParams) -> LinOp:
     half = params.space.half_dim
     sp2 = Space(2, half)
     two_params = ModelParams(params.c, params.k, params.alpha, params.beta, sp2)
-    xa = tuple(x)[a - 1]
-    blocks = (
-        embed_site(op_I(a, xa, y1, two_params), 1, sp2)
-        + embed_site(op_I(a, xa, y2, two_params), 2, sp2)
-    )
-    m12 = op_M(a, x, two_params)
-    m21 = embed_pair(m12, 2, 1, sp2)
-    m12 = embed_pair(m12, 1, 2, sp2)
     r = op_R_k(y1 - y2, params.k, half)
     rinv = op_R_k(y2 - y1, params.k, half)
-    lhs = product((r, blocks + m12, rinv))
-    return lhs - (blocks + m21)
+    lhs = product((r, lincomb(sp2, _block_terms(a, x, (y1, y2), [(1, 2)], two_params)), rinv))
+    rhs = _block_terms(a, x, (y1, y2), [(2, 1)], two_params)
+    return lincomb(sp2, [(1, lhs)] + [(-w, op) for w, op in rhs])
 
 
 def intertwining_defects(lam, k, half: int, l_code: int, m_code: int):
@@ -392,18 +398,18 @@ def intertwining_defects(lam, k, half: int, l_code: int, m_code: int):
     r = op_R_k(lam, k, half)
     e_lm = site_unit(half, l_code, m_code)
     one = LinOp.identity(Space(1, half))
-    base = site_tensor(one, e_lm).scale(lam)
-    left_sum = LinOp.zero(sp2)
-    right_sum = LinOp.zero(sp2)
-    for p in range(2 * half):
-        left_sum = left_sum + site_tensor(
-            site_unit(half, p, m_code), site_unit(half, l_code, p)
-        )
-        right_sum = right_sum + site_tensor(
-            site_unit(half, l_code, p), site_unit(half, p, m_code)
-        )
-    d1 = r @ (base + left_sum.scale(k)) - (base + right_sum.scale(k)) @ r
-    d2 = r @ (base - right_sum.scale(k)) - (base - left_sum.scale(k)) @ r
+    base = site_tensor(one, e_lm)
+    left = [site_tensor(site_unit(half, p, m_code), site_unit(half, l_code, p))
+            for p in range(2 * half)]
+    right = [site_tensor(site_unit(half, l_code, p), site_unit(half, p, m_code))
+             for p in range(2 * half)]
+
+    def block(sign, ops):
+        # lam (1 (x) e_lm) + sign k (sum of ops)
+        return lincomb(sp2, [(lam, base)] + [(sign * k, op) for op in ops])
+
+    d1 = r @ block(1, left) - block(1, right) @ r
+    d2 = r @ block(-1, right) - block(-1, left) @ r
     return d1, d2
 
 
@@ -437,11 +443,9 @@ def _dk_correction(a: int, gamma, x, params: ModelParams) -> LinOp:
     den = lamc * lamc - params.beta * params.beta
     if den == 0:
         raise PoleError("correction pole: shifted argument hits the strength")
-    coeff = div(params.c * params.beta, den)
-    body = (_eu(half, a, False, a, False) - _eu(half, a, True, a, True)).scale(params.beta) + (
-        _eu(half, a, True, a, False).scale(inv(xa)) - _eu(half, a, False, a, True).scale(xa)
-    ).scale(lamc)
-    return body.scale(coeff)
+    w = div(params.c * params.beta, den)
+    weights = (w * params.beta, -w * params.beta, w * lamc * inv(xa), -w * lamc * xa)
+    return lincomb(Space(1, half), zip(weights, _units(half, a)))
 
 
 def ad_coordinate_on_I_defect(a: int, gamma, x, params: ModelParams) -> LinOp:
@@ -476,11 +480,10 @@ def op_dK_term(m: int, a: int, x, y, params: ModelParams) -> LinOp:
         @ embed_site(op_K(-lam, x, params.beta), m, space)
     ).scale(params.c * xa)
 
-    half = space.half_dim
-    body = (_eu(half, a, False, a, False) - _eu(half, a, True, a, True)).scale(lam) - (
-        _eu(half, a, False, a, True).scale(xa) - _eu(half, a, True, a, False).scale(inv(xa))
-    ).scale(params.beta)
-    route2 = embed_site(body, m, space).scale(div(params.c * lam, den))
+    w = div(params.c * lam, den)
+    weights = (w * lam, -w * lam, w * params.beta * inv(xa), -w * params.beta * xa)
+    route2 = embed_site(lincomb(Space(1, space.half_dim), zip(weights, _units(space.half_dim, a))),
+                        m, space)
 
     if route1 != route2:
         raise RouteMismatch("derivative route and closed form disagree")
@@ -491,27 +494,17 @@ def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:
     """Conjugation by the trailing transport part replaces the site-m block
     argument by its negative and flips the mixed blocks to slot-(m,j) order."""
     space = params.space
-    x = tuple(x)
-    xa = x[a - 1]
     _, _, tail = q_split_descs(m, space.n)
     lhs = product(
         factor_ops(tail, x, y, params)
         + [op_L(a, x, y, params)]
         + factor_ops(invert_descs(tail), x, y, params)
     )
-    expected = LinOp.zero(space)
-    for j, yj in enumerate(y, start=1):
-        arg = -yj if j == m else yj
-        expected = expected + embed_site(op_I(a, xa, arg, params), j, space)
-    m2 = op_M(a, x, params)
-    for j in range(1, space.n + 1):
-        if j != m:
-            expected = expected + embed_pair(m2, m, j, space)
-    for i in range(1, space.n + 1):
-        for j in range(i + 1, space.n + 1):
-            if i != m and j != m:
-                expected = expected + embed_pair(m2, i, j, space)
-    return lhs - expected
+    args = [-yj if j == m else yj for j, yj in enumerate(y, start=1)]
+    pairs = [(m, j) for j in range(1, space.n + 1) if j != m]
+    pairs += [(i, j) for i, j in _site_pairs(space.n) if m not in (i, j)]
+    expected = _block_terms(a, x, args, pairs, params)
+    return lincomb(space, [(1, lhs)] + [(-w, op) for w, op in expected])
 
 
 def three_term_parts(m: int, x, y, params: ModelParams, start: LinOp) -> tuple:

@@ -41,7 +41,7 @@ from .rqkz import (
     q_factor_list,
 )
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import LinOp, Space, Vec, embed_pair, embed_site, product
+from .tensor_ops import LinOp, Space, Vec, embed_pair, embed_site, lincomb, product
 
 
 @dataclass(frozen=True)
@@ -273,15 +273,11 @@ def check_AHA_relations(y: Sequence, params: ModelParams, gens):
     ops_a = {i: op_A(i, y, params) for i in range(1, n + 1)}
     for i in range(1, n):
         s_i = gens[i - 1]
-        yield (
-            "lower-%d" % i,
-            ops_a[i] @ s_i - s_i @ ops_a[i + 1] - ident.scale(params.k),
-        )
+        yield ("lower-%d" % i, lincomb(space, [(1, ops_a[i] @ s_i), (-1, s_i @ ops_a[i + 1]),
+                                               (-params.k, ident)]))
     s_n = gens[n - 1]
-    yield (
-        "top",
-        ops_a[n] @ s_n + s_n @ ops_a[n] - ident.scale(2 * params.alpha),
-    )
+    yield ("top", lincomb(space, [(1, ops_a[n] @ s_n), (1, s_n @ ops_a[n]),
+                                  (-2 * params.alpha, ident)]))
     for i in range(1, n + 1):
         for jj in range(1, n + 1):
             if abs(i - jj) > 1 or (i, jj) == (n - 1, n):
@@ -466,10 +462,8 @@ def pair_sum_identities(a: int, space: Space, images):
     from .compat_ops import coll_X_swap, coll_YZ, op_Ebar
 
     n = space.n
-    ebar_sum = LinOp.zero(space)
-    for j in range(1, n + 1):
-        ebar_sum = ebar_sum + embed_site(op_Ebar(n, a, a), j, space)
-    yield ("reflection-sum", ebar_sum - images[elem_r(a, n)])
+    ebar_sum = [(1, embed_site(op_Ebar(n, a, a), j, space)) for j in range(1, n + 1)]
+    yield ("reflection-sum", lincomb(space, ebar_sum + [(-1, images[elem_r(a, n)])]))
     yield ("self-pair", coll_YZ(a, a, space))
     for b in range(1, n + 1):
         if b == a:
@@ -492,18 +486,18 @@ def check_L_restriction(a: int, x, params: ModelParams, images) -> LinOp:
     addition cancels it, so the residual is the group part minus the
     coordinate part op_B(a, x) and reads no y.
     """
-    from .compat_ops import op_B
+    from .compat_ops import op_B_terms
 
     space = params.space
     n = space.n
+    k = params.k
     x = tuple(x)
     xa = x[a - 1]
-    out = images[elem_r(a, n)].scale(div(2 * (params.alpha + params.beta * xa), xa * xa - 1))
-    group_part = LinOp.zero(space)
+    terms = [(div(2 * (params.alpha + params.beta * xa), xa * xa - 1), images[elem_r(a, n)])]
     for p in range(1, n + 1):
         if p == a:
             continue
         w = div(xa, xa - x[p - 1]) if p < a else div(x[p - 1], xa - x[p - 1])
-        group_part = group_part + images[elem_s(a, p, n)].scale(w)
-        group_part = group_part + images[elem_s_tilde(a, p, n)].scale(inv(xa * x[p - 1] - 1))
-    return out + group_part.scale(params.k) - op_B(a, x, params)
+        terms.append((k * w, images[elem_s(a, p, n)]))
+        terms.append((k * inv(xa * x[p - 1] - 1), images[elem_s_tilde(a, p, n)]))
+    return lincomb(space, terms + [(-w, op) for w, op in op_B_terms(a, x, params)])

@@ -391,7 +391,11 @@ def _initial_trunc(W: CycleW, params: SolverParams) -> float:
     m_left = min(d - lo for d, _ in W.terms)
     m_right = min(hi - d for d, _ in W.terms)
     need = math.log(1 / params.atol)
-    scale = abs(params.c) ** 2 / (2 * math.pi)
+    try:
+        scale = abs(params.c) ** 2 / (2 * math.pi)
+    except OverflowError:
+        # An infinite truncation, which the node budget rejects by lambda.
+        scale = math.inf
     dc = params.delta * params.c.real
     t_right = (need / m_right * scale + dc) / params.c.imag
     t_left = (need / m_left * scale - dc) / params.c.imag

@@ -47,7 +47,7 @@ from typing import Sequence
 
 from .sampling import rand_rational
 from .scalar_field import PoleError, div, inv, rat
-from .tensor_ops import LinOp, Space, clear, embed_pair, embed_site, product
+from .tensor_ops import LinOp, Space, clear, embed_pair, embed_site, lincomb, product
 
 
 @dataclass(frozen=True)
@@ -307,18 +307,15 @@ def k_unitarity_defect(lam, x: Sequence, beta) -> LinOp:
 def swap_factor_defect(k, lam, half_dim: int) -> LinOp:
     """(lam P - k) - (lam - k) P R(lam)^{-1}; zero at every regular point."""
     p = op_P(half_dim)
-    sp = p.space
-    lhs = p.scale(lam) - LinOp.identity(sp).scale(k)
-    rhs = (p @ op_R_k(-lam, k, half_dim)).scale(lam - k)
-    return lhs - rhs
+    return lincomb(p.space, [(lam, p), (-k, LinOp.identity(p.space)),
+                             (k - lam, p @ op_R_k(-lam, k, half_dim))])
 
 
 def flip_factor_defect(lam, x: Sequence, beta) -> LinOp:
     """(lam T(x) - beta) - (lam - beta) K(lam|x,beta)^{-1}; zero when regular."""
     t = op_T(x)
-    lhs = t.scale(lam) - LinOp.identity(t.space).scale(beta)
-    rhs = op_K(-lam, x, beta).scale(lam - beta)
-    return lhs - rhs
+    return lincomb(t.space, [(lam, t), (-beta, LinOp.identity(t.space)),
+                             (beta - lam, op_K(-lam, x, beta))])
 
 
 def transport_consistency_defect(m: int, l: int, x, y, params: ModelParams,

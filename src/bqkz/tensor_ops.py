@@ -17,9 +17,10 @@ reduced so that the two share no factor; a floating-point operator (the
 contour solver's) holds complex values over 1.  Equality of exact operators
 is therefore structural equality of numerators and denominator.
 
-Exact arithmetic never leaves the integers: a sum meets over the lcm of the
-two denominators, `compose` multiplies numerators and denominators and
-reduces once by their gcd, and `product` (or `@`) is a fold of `compose`.
+Exact arithmetic never leaves the integers: a linear combination
+(`lincomb`, and `+`, `-` and `scale` through it) meets over one lcm and
+reduces once by the gcd, `compose` multiplies numerators and denominators
+and reduces once, and `product` (or `@`) is a fold of `compose`.
 Values are read as rationals only at the edges: `entry`, `to_dense`,
 `apply` and `max_abs`.
 """
@@ -238,48 +239,18 @@ class LinOp:
         return self.compose(other)
 
     def add(self, other: "LinOp") -> "LinOp":
-        """self + other; exact operands meet over the lcm of their
-        denominators."""
-        if self.space != other.space:
-            raise ValueError("space mismatch in add")
-        (acols, da), (bcols, db), exact = _operands(self, other)
-        den = lcm(da, db)
-        fa, fb = den // da, den // db
-        out = {c: {r: v * fa for r, v in col.items()} if fa != 1 else dict(col)
-               for c, col in acols.items()}
-        for c, col in bcols.items():
-            dst = out.setdefault(c, {})
-            for r, v in col.items():
-                v = v * fb if fb != 1 else v
-                w = dst.get(r)
-                w = v if w is None else w + v
-                if w == 0:
-                    dst.pop(r, None)
-                else:
-                    dst[r] = w
-            if not dst:
-                del out[c]
-        return _built(self.space, out, den, exact)
+        return lincomb(self.space, ((1, self), (1, other)))
 
     __add__ = add
 
     def __sub__(self, other):
-        return self.add(-other)
+        return lincomb(self.space, ((1, self), (-1, other)))
 
     def scale(self, a) -> "LinOp":
-        if a == 0:
-            return LinOp.zero(self.space)
-        exact = self.exact and is_exact(a)
-        if exact:
-            cols, a, den = self.cols, a.numerator, self.den * a.denominator
-        else:
-            cols, den = self._values(), 1
-        cols = {c: {r: a * v for r, v in col.items()} for c, col in cols.items()}
-        return _built(self.space, cols, den, exact)
+        return lincomb(self.space, ((a, self),))
 
     def __neg__(self):
-        cols = {c: {r: -v for r, v in col.items()} for c, col in self.cols.items()}
-        return LinOp.of(self.space, cols, self.den, self.exact)
+        return self.scale(-1)
 
     def max_abs(self) -> float:
         m = 0.0
@@ -314,6 +285,46 @@ def clear(values):
         return list(values), 1, False
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den, True
+
+
+def lincomb(space: Space, terms) -> LinOp:
+    """sum(coef * op) over (coef, op) pairs on `space`, in one pass: exact
+    terms meet over the lcm of every op.den * coef.denominator and the sum
+    is reduced once; with any inexact term the values are summed in term
+    order.  No term's columns are modified or shared by the result."""
+    live = []
+    for a, op in terms:
+        if op.space != space:
+            raise ValueError("space mismatch in lincomb")
+        if a != 0:
+            live.append((a, op))
+    exact = all(op.exact and is_exact(a) for a, op in live)
+    if exact:
+        den = lcm(*(op.den * a.denominator for a, op in live))
+        live = [(a.numerator * (den // (op.den * a.denominator)), op.cols) for a, op in live]
+    else:
+        den = 1
+        live = [(a, op._values()) for a, op in live]
+    out = {}
+    for f, cols in live:
+        for c, col in cols.items():
+            dst = out.get(c)
+            if dst is None:
+                out[c] = dict(col) if f == 1 else {r: f * v for r, v in col.items()}
+            elif f == 1:
+                for r, v in col.items():
+                    w = dst.get(r)
+                    dst[r] = v if w is None else w + v
+            else:
+                for r, v in col.items():
+                    w = dst.get(r)
+                    dst[r] = f * v if w is None else w + f * v
+    for c, col in list(out.items()):
+        if 0 in col.values():
+            out[c] = col = {r: v for r, v in col.items() if v != 0}
+            if not col:
+                del out[c]
+    return _built(space, out, den, exact)
 
 
 def _built(space: Space, cols, den, exact) -> LinOp:

@@ -31,8 +31,12 @@ from bqkz.compat_ops import (
     op_B,
     op_I,
     op_L,
+    op_L_from_blocks,
+    op_M,
+    op_M_swapped,
     op_dB_dx,
     op_dK_term,
+    site_unit,
     three_term_parts,
 )
 
@@ -445,3 +449,45 @@ def test_compat_forms_are_independent_routes(monkeypatch):
     monkeypatch.setattr(co, "op_dK_term", lambda *a, **kw: real_dk(*a, **kw) + ident)
     assert not compat_three_term(1, 1, x, y, params, l_a, shifted, split).is_zero()
     assert compat_direct(1, 1, x, y, params, l_a, shifted, direct).is_zero()
+
+
+def test_each_operator_is_one_linear_combination(monkeypatch):
+    """Every builder of the family, and the L_a restriction residual, sums
+    its terms in one `lincomb`: with the label-only caches warm, one call
+    reduces exactly once.  Matrix units are built once and shared."""
+    import bqkz.tensor_ops as to
+    from bqkz.hecke_module import check_L_restriction, pair_sum_images
+
+    space = Space(2, 2)
+    r = make_rng(515)
+    params = rand_params(r, space)
+    x, y = generic_x(r, 2), rand_tuple(r, 2)
+    gamma = rand_rational(r)
+    images = pair_sum_images(space)
+    calls = {
+        "op_A": lambda: op_A(1, y, params),
+        "op_B": lambda: op_B(2, x, params),
+        "op_L": lambda: op_L(1, x, y, params),
+        "op_I": lambda: op_I(2, x[1], gamma, params),
+        "op_M": lambda: op_M(1, x, params),
+        "op_M_swapped": lambda: op_M_swapped(2, x, params),
+        "op_L_from_blocks": lambda: op_L_from_blocks(1, x, y, params),
+        "op_dB_dx same": lambda: op_dB_dx(1, 1, x, params),
+        "op_dB_dx cross": lambda: op_dB_dx(1, 2, x, params),
+        "check_L_restriction": lambda: check_L_restriction(2, x, params, images),
+    }
+    for call in calls.values():
+        call()
+    real = to._built
+    built = []
+
+    def counted(*args):
+        built.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(to, "_built", counted)
+    for name, call in calls.items():
+        built.clear()
+        call()
+        assert len(built) == 1, name
+    assert site_unit(2, 1, 3) is site_unit(2, 1, 3)

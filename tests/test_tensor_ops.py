@@ -15,6 +15,7 @@ from bqkz.tensor_ops import (
     embed_pair,
     embed_site,
     invert,
+    lincomb,
     product,
     site_tensor,
 )
@@ -287,6 +288,120 @@ def test_mixed_float_and_exact_give_the_fraction_values():
             want = sum(dense[i][j] * col[j] for j in range(len(states)))
             got = out.entries.get(s, 0)
             assert got == want if op.exact else close(got, want)
+
+
+# ------------------------------------------------------ linear combination
+
+
+def dense_lincomb(space, terms):
+    """Fraction oracle: sum of coef * (dense op) over the terms."""
+    dim = space.dim
+    out = [[0] * dim for _ in range(dim)]
+    for a, op in terms:
+        for i, row in enumerate(op.to_dense()):
+            for j, v in enumerate(row):
+                out[i][j] += a * v
+    return out
+
+
+def snapshot(ops):
+    """Deep copies of every operator's columns and denominator."""
+    return [({c: dict(col) for c, col in op.cols.items()}, op.den) for op in ops]
+
+
+def test_lincomb_matches_the_fraction_oracle_in_canonical_form():
+    sp = Space(2, 1)
+    r = random.Random(13)
+    for trial in range(12):
+        ops = [rand_op(sp, r, fill=0.4).scale(rat(1, r.randint(1, 6))) for _ in range(4)]
+        coefs = [rand_rat(r) for _ in ops]
+        coefs[trial % 4] = 0
+        terms = list(zip(coefs, ops))
+        before = snapshot(ops)
+        got = lincomb(sp, iter(terms))
+        assert_canonical(got)
+        assert got.to_dense() == dense_lincomb(sp, terms), trial
+        assert snapshot(ops) == before
+
+
+def test_lincomb_meets_over_one_lcm_and_reduces():
+    sp = Space(1, 1)
+    sixth = LinOp(sp, {(0,): {(1,): rat(1, 6)}, (1,): {(0,): rat(1, 4)}})
+    third = LinOp(sp, {(0,): {(1,): rat(1, 3)}})
+    got = lincomb(sp, [(1, sixth), (rat(1, 2), third), (rat(2, 3), sixth)])
+    assert_canonical(got)
+    # 1/6 + 1/6 + 1/9 = 4/9 and 1/4 + 1/6 = 5/12, over the lcm 36.
+    assert got.den == 36
+    assert got.to_dense() == [[0, rat(5, 12)], [rat(4, 9), 0]]
+    # (3/2)(1/6) - (1/2)(1/2) empties column 0; 3/8 is left over the lcm 24.
+    half = LinOp(sp, {(0,): {(1,): rat(1, 2)}})
+    got = lincomb(sp, [(rat(3, 2), sixth), (rat(-1, 2), half)])
+    assert_canonical(got)
+    assert got.den == 8 and got.cols == {1: {0: 3}}
+
+
+def test_lincomb_cancels_to_the_canonical_zero():
+    sp = Space(1, 1)
+    a = LinOp(sp, {(0,): {(1,): rat(1, 3)}, (1,): {(0,): rat(1, 6), (1,): rat(2, 5)}})
+    b = LinOp(sp, {(1,): {(0,): rat(1, 2)}})
+    before = snapshot([a, b])
+    # Column 1 of a + (-1/3) b keeps (1, 1) only; of a - a every column empties.
+    partial = lincomb(sp, [(1, a), (rat(-1, 3), b)])
+    assert_canonical(partial)
+    assert partial.to_dense() == [[0, 0], [rat(1, 3), rat(2, 5)]]
+    for terms in ([(1, a), (-1, a)], [(rat(1, 2), a), (1, b), (rat(-1, 2), a), (-1, b)],
+                  [(0, a), (0, b)], []):
+        total = lincomb(sp, terms)
+        assert_canonical(total)
+        assert total.is_zero() and total == LinOp.zero(sp)
+    assert snapshot([a, b]) == before
+
+
+def test_lincomb_of_float_terms_sums_in_term_order():
+    sp = Space(2, 1)
+    r = random.Random(14)
+    exact = rand_op(sp, r, fill=0.6)
+    floats = [LinOp.from_dense(sp, [[complex(v) * w for v in row]
+                                    for row in rand_op(sp, r, fill=0.6).to_dense()])
+              for w in (1 + 0.25j, 0.3 - 1.1j)]
+    before = snapshot([exact] + floats)
+    got = lincomb(sp, [(1, floats[0]), (1, floats[1])])
+    assert not got.exact and got == floats[0].add(floats[1])
+    assert got.to_dense() == dense_add(floats[0].to_dense(), floats[1].to_dense())
+    terms = [(0.5 + 1j, floats[0]), (rat(2, 3), exact), (-1, floats[1]), (2.5, exact)]
+    got = lincomb(sp, terms)
+    assert not got.exact and got.den == 1
+    want = dense_lincomb(sp, terms)
+    assert all(close(g, w) for gr, wr in zip(got.to_dense(), want) for g, w in zip(gr, wr))
+    assert lincomb(sp, [(0.5, floats[0]), (-0.5, floats[0])]).is_zero()
+    assert snapshot([exact] + floats) == before
+
+
+def test_lincomb_leaves_shared_units_unchanged():
+    from bqkz.compat_ops import op_E, site_unit
+
+    unit = site_unit(2, 0, 1)
+    pair = op_E(2, 1, 2)
+    before = snapshot([unit, pair])
+    sp = unit.space
+    for terms in ([(1, unit), (1, pair)], [(rat(3, 7), unit), (2, pair), (-1, unit)],
+                  [(1, unit)], [(1j, unit), (1, pair)]):
+        lincomb(sp, terms)
+    assert unit + pair - pair == unit
+    assert snapshot([unit, pair]) == before
+    assert site_unit(2, 0, 1) is unit and unit.to_dense()[0][1] == 1
+
+
+def test_lincomb_space_mismatch():
+    a = LinOp.identity(Space(1, 1))
+    b = LinOp.identity(Space(2, 1))
+    for terms in ([(1, a), (1, b)], [(0, b)]):
+        with pytest.raises(ValueError):
+            lincomb(Space(1, 1), terms)
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a - b
 
 
 def test_invert_rational():
