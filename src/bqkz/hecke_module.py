@@ -19,16 +19,18 @@ A caller applies Cbar_m once per point; the orbit check compares it with
 the inverse transport operator applied to the start's orbit-supported
 columns only.
 
-Left-action images depend on the space alone.  A caller builds the ones a
-check reads once per space (`generator_images`, `pair_sum_images`) and
-passes them to every point; the pair-sum identities between them read no
-point at all, so one check per space proves them.
+Left-action images and the orbit states depend on the space alone, so
+`rhoL` and `orbit_states` are cached: each is built once per process, as
+`compat_ops` builds its matrix units, and every check reads them from
+there.  The pair-sum identities between fixed operators read no point at
+all, so one check per space proves them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .rqkz import (
@@ -139,6 +141,7 @@ def _label_code(label: int, n: int) -> int:
     return label - 1 if label > 0 else n - label - 1
 
 
+@cache
 def rhoL(w: SignedPerm, space: Space) -> LinOp:
     """Left action: relabel every site's label by w.  A permutation of the
     basis, so each column holds one index."""
@@ -158,23 +161,6 @@ def rhoL(w: SignedPerm, space: Space) -> LinOp:
     return LinOp.of(space, cols)
 
 
-def generator_images(space: Space) -> tuple:
-    """Left-action images of the generators s_1, ..., s_n, in that order."""
-    n = space.n
-    return tuple(rhoL(SignedPerm.generator(n, i), space) for i in range(1, n + 1))
-
-
-def pair_sum_images(space: Space) -> dict:
-    """Left-action image of each group element the pair-sum restriction
-    reads (r_a, s_ab and s~_ab), keyed by the element."""
-    n = space.n
-    elements = [elem_r(a, n) for a in range(1, n + 1)]
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            elements += [elem_s(a, b, n), elem_s_tilde(a, b, n)]
-    return {w: rhoL(w, space) for w in elements}
-
-
 def phi(w: SignedPerm, space: Space) -> Vec:
     """Image of a group element: the basis vector whose j-th site carries
     the label w(j)."""
@@ -185,15 +171,16 @@ def phi(w: SignedPerm, space: Space) -> Vec:
     return Vec.basis(space, state)
 
 
-def orbit_states(space: Space):
+@cache
+def orbit_states(space: Space) -> tuple:
     """Basis states of the orbit subspace, one per group element."""
-    return [next(iter(phi(w, space).entries)) for w in all_elements(space.n)]
+    return tuple(next(iter(phi(w, space).entries)) for w in all_elements(space.n))
 
 
-def zero_on_orbit(op: LinOp, states) -> bool:
+def zero_on_orbit(op: LinOp) -> bool:
     """Whether an operator kills every orbit basis vector."""
     index = op.space.index
-    return all(index(s) not in op.cols for s in states)
+    return all(index(s) not in op.cols for s in orbit_states(op.space))
 
 
 def rhoR_generator(g, x: Sequence, space: Space) -> LinOp:
@@ -258,18 +245,17 @@ def eta_L_push(a: int, word: tuple, y: Sequence, params: ModelParams):
     return prepend(eta_L_push(a, rest, y, params))
 
 
-def check_AHA_relations(y: Sequence, params: ModelParams, gens):
+def check_AHA_relations(y: Sequence, params: ModelParams):
     """Residuals of the degenerate cross relations; zero on the orbit only.
 
-    gens are the generator images `generator_images(params.space)`, which
-    depend on the space alone.  Yields (name, residual LinOp).  Callers
-    restrict to the orbit basis.
+    Yields (name, residual LinOp).  Callers restrict to the orbit basis.
     """
     from .compat_ops import op_A
 
     space = params.space
     n = space.n
     ident = LinOp.identity(space)
+    gens = [rhoL(SignedPerm.generator(n, i), space) for i in range(1, n + 1)]
     ops_a = {i: op_A(i, y, params) for i in range(1, n + 1)}
     for i in range(1, n):
         s_i = gens[i - 1]
@@ -451,10 +437,9 @@ def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: L
     return [c for c in columns if c in diff.cols]
 
 
-def pair_sum_identities(a: int, space: Space, images):
+def pair_sum_identities(a: int, space: Space):
     """Residuals of the point-free restriction identities for label a:
-    (name, residual) pairs between fixed integer operators, images being
-    `pair_sum_images(space)`.
+    (name, residual) pairs between fixed integer operators.
 
     Callers restrict to the orbit basis: all are generally nonzero on the
     full space.
@@ -463,24 +448,19 @@ def pair_sum_identities(a: int, space: Space, images):
 
     n = space.n
     ebar_sum = [(1, embed_site(op_Ebar(n, a, a), j, space)) for j in range(1, n + 1)]
-    yield ("reflection-sum", lincomb(space, ebar_sum + [(-1, images[elem_r(a, n)])]))
+    yield ("reflection-sum", lincomb(space, ebar_sum + [(-1, rhoL(elem_r(a, n), space))]))
     yield ("self-pair", coll_YZ(a, a, space))
     for b in range(1, n + 1):
         if b == a:
             continue
-        yield (
-            "swap-pair-%d" % b,
-            coll_X_swap(a, b, space) - images[elem_s(a, b, n)],
-        )
-        yield (
-            "signed-swap-pair-%d" % b,
-            coll_YZ(a, b, space) - images[elem_s_tilde(a, b, n)],
-        )
+        yield ("swap-pair-%d" % b, coll_X_swap(a, b, space) - rhoL(elem_s(a, b, n), space))
+        yield ("signed-swap-pair-%d" % b,
+               coll_YZ(a, b, space) - rhoL(elem_s_tilde(a, b, n), space))
 
 
-def check_L_restriction(a: int, x, params: ModelParams, images) -> LinOp:
+def check_L_restriction(a: int, x, params: ModelParams) -> LinOp:
     """Residual of L_a against its group-algebra form; zero on the orbit
-    only.  images are `pair_sum_images(params.space)`.
+    only.
 
     Both sides of the identity hold the argument part op_A(a, y); exact
     addition cancels it, so the residual is the group part minus the
@@ -493,11 +473,11 @@ def check_L_restriction(a: int, x, params: ModelParams, images) -> LinOp:
     k = params.k
     x = tuple(x)
     xa = x[a - 1]
-    terms = [(div(2 * (params.alpha + params.beta * xa), xa * xa - 1), images[elem_r(a, n)])]
+    terms = [(div(2 * (params.alpha + params.beta * xa), xa * xa - 1), rhoL(elem_r(a, n), space))]
     for p in range(1, n + 1):
         if p == a:
             continue
         w = div(xa, xa - x[p - 1]) if p < a else div(x[p - 1], xa - x[p - 1])
-        terms.append((k * w, images[elem_s(a, p, n)]))
-        terms.append((k * inv(xa * x[p - 1] - 1), images[elem_s_tilde(a, p, n)]))
+        terms.append((k * w, rhoL(elem_s(a, p, n), space)))
+        terms.append((k * inv(xa * x[p - 1] - 1), rhoL(elem_s_tilde(a, p, n), space)))
     return lincomb(space, terms + [(-w, op) for w, op in op_B_terms(a, x, params)])

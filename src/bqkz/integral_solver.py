@@ -53,8 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import compat_ops, rqkz
-from .rqkz import ModelParams, compose_descs, q_factor_list, shift_y
+from . import compat_ops
+from .rqkz import ModelParams, compose_descs, q_split_descs, shift_y
 from .scalar_field import (
     cpow,
     log1m_exp,
@@ -120,7 +120,11 @@ class SolverParams:
         ybound = 2 * max(abs(complex(v).imag) for v in self.y)
         if not (ybound < self.k.imag):
             raise ValueError("need 2 max|Im y_p| < Im k")
-        if abs(self.big_e - 1) < 1e-8:
+        try:
+            big_e = self.big_e
+        except OverflowError:
+            raise ValueError("lambda=%r: e^{2 pi i lam} overflows" % (self.lam,)) from None
+        if abs(big_e - 1) < 1e-8:
             raise ValueError("e^{2 pi i lam} too close to 1")
         object.__setattr__(
             self, "y", tuple(complex(v) for v in self.y)
@@ -171,8 +175,8 @@ class CycleW:
             raise ValueError("empty cycle")
 
     @classmethod
-    def monomial(cls, degree: int, coeff=1.0) -> "CycleW":
-        return cls(((int(degree), complex(coeff)),))
+    def monomial(cls, degree: int) -> "CycleW":
+        return cls(((int(degree), 1 + 0j),))
 
     def __add__(self, other: "CycleW") -> "CycleW":
         table = dict(self.terms)
@@ -447,11 +451,9 @@ def validate_contour_line(y, c: complex, k: complex, delta: float,
     }
 
 
-def build_contour(params: SolverParams, W: CycleW = None,
+def build_contour(params: SolverParams, W: CycleW,
                   include_shifted: bool = True) -> Contour:
     """Horizontal contour at Im t = delta, truncated and pole-validated."""
-    if W is None:
-        W = CycleW.monomial(int(math.floor(params.lam.real)) + 1)
     trunc = _initial_trunc(W, params)
     _check_budget(2 * trunc * params.panels_per_unit + 1, ["lambda=%r" % params.lam])
     record = validate_contour_line(
@@ -581,9 +583,10 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
     )
 
 
-def _pairing_values(indices, W: CycleW, params: SolverParams, y: tuple):
+def _pairing_values(indices, W: CycleW, params: SolverParams):
     """values(t) for _trapezoid: the weight rows g_j at the nodes t for each
     index j, and the kernel-cycle."""
+    y = params.y
 
     def values(t):
         rows = _weight_rows(t, y, params.k)
@@ -593,27 +596,22 @@ def _pairing_values(indices, W: CycleW, params: SolverParams, y: tuple):
     return values
 
 
-def _pair_many(indices, W: CycleW, params: SolverParams, y=None,
-               contour: Contour = None):
+def _pair_many(indices, W: CycleW, params: SolverParams, contour: Contour = None):
     """Pairings against g_j for several indices j at once, on one
     trapezoidal rule."""
     W.validate(params)
-    yy = params.y if y is None else tuple(y)
     if contour is None:
-        contour = build_contour(
-            replace(params, y=yy), W=W, include_shifted=False
-        )
-    est, (diag,) = _trapezoid(_pairing_values(indices, W, params, yy), params,
+        contour = build_contour(params, W=W, include_shifted=False)
+    est, (diag,) = _trapezoid(_pairing_values(indices, W, params), params,
                               contour, [params.lam])
     return [complex(v) for v in est[0, 0]], diag
 
 
-def pair_I(j: int, W: CycleW, params: SolverParams, y=None,
-           contour: Contour = None) -> complex:
+def pair_I(j: int, W: CycleW, params: SolverParams) -> complex:
     """Single pairing coefficient."""
     if not 1 <= j <= 2 * params.n:
         raise ValueError("index out of range")
-    vals, _ = _pair_many([j], W, params, y=y, contour=contour)
+    vals, _ = _pair_many([j], W, params)
     return vals[0]
 
 
@@ -738,7 +736,7 @@ def grid_residuals(points, solved) -> list:
     T_m of those after it, folded into T_m U; and op_A(1, y) U.  Each
     lambda builds its n Kx factors and op_B(1, x) and applies them with
     np.einsum.  Every operator comes from its one builder in rqkz or
-    compat_ops.
+    compat_ops, and the split of Q_m around Kx from `rqkz.q_split_descs`.
 
     qkz_residuals[m] is the largest entry of U a_m - H_m Kx T_m U a, for
     base and shift-m coefficients a and a_m, relative to that of U a.  The
@@ -747,7 +745,9 @@ def grid_residuals(points, solved) -> list:
     (e^{2 pi i lam} - 1)^{k/c} of the gauge uses the principal branch, and
     any other branch differs by a lambda-independent constant and solves
     the same equation.  Returns one (qkz residuals by site, ode residual,
-    gauge residual) per point.
+    gauge residual) per point.  A point whose solution vector is zero, or
+    one of whose residuals is not finite, raises QuadratureError naming
+    its lambda.
     """
     points = _grid_points(points)
     for _, p in points:
@@ -763,12 +763,10 @@ def grid_residuals(points, solved) -> list:
             states[p.space.index(state), j - 1] = v
     transports = []
     for m in range(1, n + 1):
-        descs = q_factor_list(m, n)
-        mid = next(i for i, desc in enumerate(descs) if desc[0] == "Kx")
+        head, mid, tail = q_split_descs(m, n)
         # Only the Kx factor reads x, so the first point's x serves the grid.
-        head, tail = (_dense(compose_descs(part, x, y, model))
-                      for part in (descs[:mid], descs[mid + 1:]))
-        transports.append((head, descs[mid], np.einsum("ij,jk->ik", tail, states)))
+        head, tail = (_dense(compose_descs(part, x, y, model)) for part in (head, tail))
+        transports.append((head, mid, np.einsum("ij,jk->ik", tail, states)))
     a_states = np.einsum("ij,jk->ik", _dense(compat_ops.op_A(1, y, model)), states)
     out = []
     for (_, p), (base, deriv, shifted) in zip(points, solved):
@@ -776,9 +774,12 @@ def grid_residuals(points, solved) -> list:
         coeffs = np.array([base.coeffs, deriv.coeffs] + [sol.coeffs for sol in shifted])
         vec, dvec, *shifted_vecs = np.einsum("ij,gj->gi", states, coeffs)
         norm = np.max(np.abs(vec))
+        if norm == 0:
+            raise QuadratureError("lambda=%r: every coefficient of the solution is zero, "
+                                  "so its relative residuals are undefined" % p.lam)
         qkz = {}
         for m, (head, mid, tail_states) in enumerate(transports, start=1):
-            kx = _dense(rqkz._factor_op(mid, x, y, model))
+            kx = _dense(compose_descs([mid], x, y, model))
             diff = shifted_vecs[m - 1] - _apply(head, _apply(kx, _apply(tail_states, coeffs[0])))
             qkz[m] = float(np.max(np.abs(diff)) / norm)
         lvec = _apply(a_states, coeffs[0]) + _apply(_dense(compat_ops.op_B(1, x, model)), vec)
@@ -788,7 +789,11 @@ def grid_residuals(points, solved) -> list:
         s = cpow(ex - 1, p.k / p.c)
         ds = p.k * ex * cpow(ex - 1, p.k / p.c - 1)
         total = vec * ds + dvec * (s * p.c / TWO_PI_I) + lvec * s
-        out.append((qkz, ode, float(np.max(np.abs(total)) / (abs(s) * norm))))
+        gauge = float(np.max(np.abs(total)) / (abs(s) * norm))
+        # Checked one by one: a max over them could drop a NaN.
+        if not all(math.isfinite(v) for v in [*qkz.values(), ode, gauge]):
+            raise QuadratureError("lambda=%r: a residual is not finite" % p.lam)
+        out.append((qkz, ode, gauge))
     return out
 
 

@@ -33,7 +33,7 @@ point, so `q_split_defect` checks it once per size.
 The contour solver's residual pass uses the same builders in floating
 point: per lambda grid it composes the factors on either side of the
 coordinate reflection Kx (`compose_descs`), the only factor that reads x,
-and per lambda it builds just the Kx factors (`_factor_op`).
+and per lambda it builds just the Kx factors, each a chain of one.
 
 Every factor checks its own denominator at build time, so a pole in any
 requested construction raises PoleError immediately with the offending

@@ -60,18 +60,19 @@ def rand_column(rng: random.Random, indices) -> dict:
     return column
 
 
-def sample_point(rng: random.Random, builder, max_retries: int = MAX_RETRIES):
-    """Draw points until builder(rng) returns without a PoleError.
+def sample_point(rng: random.Random, builder):
+    """Draw points, at most MAX_RETRIES, until builder(rng) returns without
+    a PoleError.
 
     builder draws its own coordinates from rng and either returns a value
     or raises PoleError when the draw sits on a pole.
     """
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         try:
             return builder(rng)
         except PoleError:
             continue
     raise SamplingExhausted(
         "no pole-free point in %d draws (numerators within %d, denominators within %d)"
-        % (max_retries, NUM_BOUND, DEN_BOUND)
+        % (MAX_RETRIES, NUM_BOUND, DEN_BOUND)
     )

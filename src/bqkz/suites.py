@@ -15,9 +15,10 @@ The other suites evaluate their defects as whole operators.
 A suite is one row of a table: its anchor, the label of a size, its sizes,
 its default sample count, and `builder_for`, which maps a size to a pair
 (failing point-free checks, builder).  `builder_for` runs once per size
-per run and does everything that depends on the size alone: it builds the
-operators no point changes and runs the point-free checks, the identities
-between fixed operators that read no point.  The builder, which
+per run and runs the point-free checks, the identities between fixed
+operators that read no point.  Those operators (matrix units, label-only
+sums, left-action images, orbit states) are cached by the module that
+builds them, once per process, so no suite holds them.  The builder, which
 `sample_point` calls, draws the point, runs the checks that read it and
 returns (failing names, point).  It takes the point's stream and the
 column stream, from which the transport suites draw v.
@@ -85,17 +86,17 @@ def _rand_x(rng, count: int) -> tuple:
     return rand_tuple(rng, count, nonzero=True)
 
 
-def _failing(checks, states=None) -> list:
+def _failing(checks, on_orbit=False) -> list:
     """Names of the (name, defect) pairs whose defect does not vanish, or
-    does not vanish on the orbit states when they are given.  A point-free
+    with on_orbit does not vanish on the orbit states.  A point-free
     check's defect may be a bool, True when it fails."""
 
     def vanishes(defect):
         if isinstance(defect, bool):
             return not defect
-        if states is None:
-            return defect.is_zero()
-        return hecke_module.zero_on_orbit(defect, states)
+        if on_orbit:
+            return hecke_module.zero_on_orbit(defect)
+        return defect.is_zero()
 
     return [name for name, defect in checks if not vanishes(defect)]
 
@@ -156,16 +157,15 @@ def _model_suite(checks, draw_x=True, column=False):
 
 
 def _sized_model_suite(setup, draw_x=True, on_orbit=False, column=False):
-    """The same, with work that depends on the space alone: setup(space)
-    returns the point-free (name, defect) pairs and the checks, which may
-    share operators built there.  With on_orbit a defect need only vanish
-    on the orbit states.  With column the checks take a fourth argument,
-    the start: one random integer column drawn from the column stream."""
+    """The same, with point-free checks: setup(space) returns the
+    point-free (name, defect) pairs and the checks.  With on_orbit a
+    defect need only vanish on the orbit states.  With column the checks
+    take a fourth argument, the start: one random integer column drawn
+    from the column stream."""
 
     def builder_for(size):
         n, half = size if isinstance(size, tuple) else (size, size)
         space = Space(n, half)
-        states = tuple(hecke_module.orbit_states(space)) if on_orbit else None
         point_free, checks = setup(space)
 
         def build(r, vr):
@@ -173,9 +173,9 @@ def _sized_model_suite(setup, draw_x=True, on_orbit=False, column=False):
             x = _rand_x(r, half) if draw_x else None
             y = rand_tuple(r, n)
             start = (_start(space, rand_column(vr, range(space.dim))),) if column else ()
-            return _failing(checks(x, y, params, *start), states), ((x, y) if draw_x else y)
+            return _failing(checks(x, y, params, *start), on_orbit), ((x, y) if draw_x else y)
 
-        return _failing(point_free, states), build
+        return _failing(point_free, on_orbit), build
 
     return builder_for
 
@@ -239,22 +239,20 @@ def _compatibility(x, y, params, v):
 
 
 def _aha(space):
-    gens = hecke_module.generator_images(space)
-    return [], lambda x, y, params: hecke_module.check_AHA_relations(y, params, gens)
+    return [], lambda x, y, params: hecke_module.check_AHA_relations(y, params)
 
 
 def _l_restriction(space):
     labels = range(1, space.n + 1)
-    images = hecke_module.pair_sum_images(space)
     point_free = [
         ("%s-%d" % (name, a), defect)
         for a in labels
-        for name, defect in hecke_module.pair_sum_identities(a, space, images)
+        for name, defect in hecke_module.pair_sum_identities(a, space)
     ]
 
     def checks(x, y, params):
         for a in labels:
-            yield "assembled-%d" % a, hecke_module.check_L_restriction(a, x, params, images)
+            yield "assembled-%d" % a, hecke_module.check_L_restriction(a, x, params)
 
     return point_free, checks
 
@@ -452,11 +450,12 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None) 
     )
 
 
-def run_suites(names=None, samples: int | None = None, seed: int = 0):
-    """Run suites in declaration order; yields (SuiteResult, elapsed seconds)."""
-    chosen = list(names) if names is not None else list(_SUITES)
-    for nm in chosen:
+def run_suites(names, samples: int | None = None, seed: int = 0):
+    """Run the named suites in the given order; yields (SuiteResult,
+    elapsed seconds)."""
+    names = list(names)
+    for nm in names:
         check_name(nm)
-    for nm in chosen:
+    for nm in names:
         start = time.perf_counter()
         yield run_suite(nm, samples=samples, seed=seed), time.perf_counter() - start

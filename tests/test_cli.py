@@ -515,13 +515,15 @@ def test_oversized_config_is_rejected_before_any_work(tmp_path, capsys, monkeypa
     ({"model": {"c": [0.1, 1e-9]}}, ("budget of 131072",)),
     ({"model": {"c": [1e300, 0.2]}}, ("lambda=", "budget of 131072")),
     ({"model": {"c": [1e200, 0.2]}}, ("lambda=", "budget of 131072")),
+    ({"solve": {"lambda_grid": [[0.25, -300]]}}, ("lambda=(0.25-300j)", "overflows")),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_unbounded_quadrature_exits_two_within_seconds(tmp_path, capsys, raw, words):
     """Finite configs whose rule would not end, or would not fit in memory,
     exit 2 with a one-line message and no numpy warning: the node budget
     or a non-finite integrand stops them.  A |c| whose square overflows
-    gives an infinite truncation, which the budget names by its lambda."""
+    gives an infinite truncation, which the budget names by its lambda.
+    A lambda whose e^{2 pi i lambda} overflows is named before any rule."""
     path = write_json(tmp_path / "cfg.json", raw)
     start = time.perf_counter()
     assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
@@ -531,6 +533,28 @@ def test_an_unbounded_quadrature_exits_two_within_seconds(tmp_path, capsys, raw,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     for word in words:
         assert word in err, err
+
+
+@pytest.mark.parametrize("model", [{"n": 1, "y": [1e300]}, {"n": 2, "y": [0.3, 1e200]}])
+def test_a_vanishing_solution_exits_two(tmp_path, capsys, model):
+    """Every coefficient underflows to zero, so no residual relative to the
+    solution exists: the run names its lambda and writes no output."""
+    path = write_json(tmp_path / "cfg.json", {"model": model, "solve": {"lambda_grid": [0.25]}})
+    assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda=(0.25+0j): every coefficient") and err.count("\n") == 1
+    assert not (tmp_path / "c.csv").exists() and not (tmp_path / "s.json").exists()
+
+
+def test_a_non_finite_residual_exits_two(tmp_path, capsys, monkeypatch):
+    """A NaN in op_B makes the ODE residuals NaN while the qKZ residuals
+    stay finite; a max over the three would hide it, so the run fails."""
+    real = compat_ops.op_B
+    monkeypatch.setattr(compat_ops, "op_B", lambda *args: real(*args).scale(float("nan")))
+    assert cli.main(["solve", "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == "error: lambda=(-0.7+0j): a residual is not finite\n"
 
 
 def test_the_node_budget_stops_a_rule_between_sweeps(tmp_path, capsys, monkeypatch):

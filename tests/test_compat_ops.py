@@ -456,14 +456,13 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
     its terms in one `lincomb`: with the label-only caches warm, one call
     reduces exactly once.  Matrix units are built once and shared."""
     import bqkz.tensor_ops as to
-    from bqkz.hecke_module import check_L_restriction, pair_sum_images
+    from bqkz.hecke_module import check_L_restriction
 
     space = Space(2, 2)
     r = make_rng(515)
     params = rand_params(r, space)
     x, y = generic_x(r, 2), rand_tuple(r, 2)
     gamma = rand_rational(r)
-    images = pair_sum_images(space)
     calls = {
         "op_A": lambda: op_A(1, y, params),
         "op_B": lambda: op_B(2, x, params),
@@ -474,7 +473,7 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
         "op_L_from_blocks": lambda: op_L_from_blocks(1, x, y, params),
         "op_dB_dx same": lambda: op_dB_dx(1, 1, x, params),
         "op_dB_dx cross": lambda: op_dB_dx(1, 2, x, params),
-        "check_L_restriction": lambda: check_L_restriction(2, x, params, images),
+        "check_L_restriction": lambda: check_L_restriction(2, x, params),
     }
     for call in calls.values():
         call()

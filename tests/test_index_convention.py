@@ -129,8 +129,8 @@ def test_orbit_check_reads_orbit_states_by_index():
     states = orbit_states(space)
     on, off = states[0], (0, 0)
     assert off not in states
-    assert not zero_on_orbit(LinOp(space, {on: {off: 1}}), states)
-    assert zero_on_orbit(LinOp(space, {off: {on: 1}}), states)
+    assert not zero_on_orbit(LinOp(space, {on: {off: 1}}))
+    assert zero_on_orbit(LinOp(space, {off: {on: 1}}))
 
 
 @pytest.mark.parametrize("scalar", [rat, lambda v: complex(v) * (0.5 + 0.25j)])

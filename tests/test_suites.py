@@ -5,7 +5,10 @@ import json
 import sys
 from collections import Counter
 
+import pytest
+
 from bqkz import cli, compat_ops, hecke_module, rqkz, suites
+from bqkz.scalar_field import RATIONAL_BACKEND, rat
 from bqkz.tensor_ops import LinOp, Space
 
 
@@ -47,6 +50,43 @@ def test_draws_match_the_golden_digest(monkeypatch):
     assert sum(draws for draws, _ in recorded) == 35
     text = json.dumps(recorded, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DRAWS
+
+
+# sha256 of body["suites"] of `bqkz verify --samples 1 --seed 6` over all 13
+# suites, as json.dumps(..., sort_keys=True), on the fractions backend (the
+# notes carry the repr of the points): as it is, and with op_B's first
+# coefficient 2 (alpha + beta x_a) / (x_a^2 - 1) taken 3/2 times, which
+# fails lemma-LL, compatibility and l-restriction with notes.
+GOLDEN_BODY = "e810261f8bce0ca6c20478dca9f90a4ceae7bd5e56260b80b8b8128df02a9570"
+GOLDEN_PERTURBED_BODY = "32ce9dd9543d92cacd9058e931c334ca8334e4bdaa26dafed5e5639f5c7fd096"
+
+
+def _verify_body_digest(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    code = cli.main(["verify", "--samples", "1", "--seed", "6", "--out", str(out)])
+    capsys.readouterr()
+    with open(out) as fh:
+        entries = json.load(fh)["body"]["suites"]
+    assert [entry["name"] for entry in entries] == list(suites.suite_names())
+    return code, hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.skipif(RATIONAL_BACKEND != "fractions", reason="notes carry Fraction reprs")
+def test_verify_body_matches_the_golden_digest(tmp_path, capsys):
+    assert _verify_body_digest(tmp_path, capsys) == (0, GOLDEN_BODY)
+
+
+@pytest.mark.skipif(RATIONAL_BACKEND != "fractions", reason="notes carry Fraction reprs")
+def test_failing_verify_body_matches_the_golden_digest(tmp_path, capsys, monkeypatch):
+    real = compat_ops.op_B_terms
+
+    def perturbed(a, x, params):
+        terms = real(a, x, params)
+        n = params.space.n
+        return [(coef * rat(3, 2), op) for coef, op in terms[:n]] + terms[n:]
+
+    monkeypatch.setattr(compat_ops, "op_B_terms", perturbed)
+    assert _verify_body_digest(tmp_path, capsys) == (1, GOLDEN_PERTURBED_BODY)
 
 
 def test_failure_notes_name_the_size_and_the_check(monkeypatch):
@@ -303,31 +343,21 @@ def test_a_perturbed_degenerate_factor_fails_both_cbar_checks(monkeypatch):
     assert [note.split(" point=")[0] for note in notes] == ["n=2 site-1", "n=2 grouped-1"]
 
 
-def test_size_level_operators_are_built_once_per_run(monkeypatch):
-    """builder_for runs once per size per run: the left-action images and
-    the orbit states do not grow with the sample count."""
-    counts = {}
-
-    def counting(attr):
-        def replacement(real):
-            def counted(*args):
-                counts[attr] += 1
-                return real(*args)
-
-            return counted
-
-        return replacement
-
-    for attr in ("rhoL", "orbit_states"):
-        _patch_everywhere(monkeypatch, hecke_module, attr, counting(attr))
+def test_size_level_operators_are_built_once_per_run():
+    """The left-action images and the orbit states are cached: with the
+    caches cleared first, the builds of one run do not grow with the
+    sample count."""
+    builders = (hecke_module.rhoL, hecke_module.orbit_states)
     # Per run over n = 2 and 3: distinct images (4 + 9 for the pair sums,
     # 2 + 3 generators) and one orbit per n.
     expected = {"l-restriction": 13, "aha-relations": 5, "cbar-qinv": 0}
     for name, images in expected.items():
         for samples in (1, 4):
-            counts.update(rhoL=0, orbit_states=0)
+            for builder in builders:
+                builder.cache_clear()
             assert suites.run_suite(name, samples=samples, seed=0).exact_zero
-            assert counts == {"rhoL": images, "orbit_states": 2}, (name, samples)
+            misses = [builder.cache_info().misses for builder in builders]
+            assert misses == [images, 2], (name, samples)
 
 
 def test_one_wrong_left_image_fails_a_point_free_and_the_assembled_check(monkeypatch):
