@@ -26,14 +26,9 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .sampling import SamplingExhausted
 from .scalar_field import RATIONAL_BACKEND
-from .integral_solver import (
-    CycleW, QuadratureError, SolverParams, grid_residuals, grid_solutions, residual_report,
-)
 from . import suites as suite_mod
 
 SCHEMA_VERSION = 1
@@ -263,7 +258,9 @@ def _default_y(n: int) -> list:
     return [0.3 - 0.45 * i for i in range(n)]
 
 
-def _solver_params(cfg: dict, lam: complex) -> SolverParams:
+def _solver_params(cfg: dict, lam: complex):
+    from .integral_solver import SolverParams
+
     model = cfg["model"]
     sol = cfg["solve"]
     y = model["y"] if model["y"] is not None else _default_y(model["n"])
@@ -281,8 +278,10 @@ def _solver_params(cfg: dict, lam: complex) -> SolverParams:
     )
 
 
-def _as_cycle(terms, where: str) -> CycleW:
+def _as_cycle(terms, where: str):
     """Cycle from a list of [degree, coefficient] pairs."""
+    from .integral_solver import CycleW
+
     if not isinstance(terms, list) or not terms:
         raise ConfigError("%s must be a non-empty list" % where)
     for term in terms:
@@ -291,31 +290,46 @@ def _as_cycle(terms, where: str) -> CycleW:
     return CycleW(tuple((d, _as_complex(cf, where + " coefficients")) for d, cf in terms))
 
 
-def _cycle_for(cfg: dict, lam: complex) -> CycleW:
+def _cycle_for(cfg: dict, lam: complex):
     degrees = cfg["solve"]["degrees"]
     if degrees is None:
-        return CycleW.monomial(math.floor(lam.real) + 1)
+        degrees = [[math.floor(lam.real) + 1, 1]]
     return _as_cycle(degrees, "solve.degrees")
 
 
+def _grid_reports(points):
+    """Integrate the (cycle, params) points of a lambda grid on one rule,
+    compute their residuals in one pass and assemble each point's report;
+    returns (reports, timing).  The only route by which the CLI runs the
+    solver, so only a solve or a recheck loads numpy."""
+    import numpy as np
+
+    from .integral_solver import grid_residuals, grid_solutions, residual_report
+
+    # The solver reports an integrand that overflows as a QuadratureError,
+    # so numpy's per-operation warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = time.perf_counter()
+        solved = grid_solutions(points)
+        timing = {"quadrature": time.perf_counter() - start}
+        start = time.perf_counter()
+        residuals = grid_residuals(points, solved)
+        timing["residuals"] = time.perf_counter() - start
+        reports = []
+        for (cycle, params), sols, res in zip(points, solved, residuals):
+            start = time.perf_counter()
+            reports.append(residual_report(cycle, params, sols, res))
+            timing["lambda=%r" % params.lam] = time.perf_counter() - start
+    return reports, timing
+
+
 def _solve_grid(cfg: dict):
-    """Integrate the whole lambda grid on one rule, compute its residuals
-    in one pass, then assemble each lambda's report and print one residual
-    line each; returns (grid, solutions, timing)."""
+    """Solve the whole lambda grid through _grid_reports and print one
+    residual line per lambda; returns (grid, solutions, timing)."""
     grid = [_as_complex(v, "solve.lambda_grid entries") for v in cfg["solve"]["lambda_grid"]]
     points = [(_cycle_for(cfg, lam), _solver_params(cfg, lam)) for lam in grid]
-    start = time.perf_counter()
-    solved = grid_solutions(points)
-    timing = {"quadrature": time.perf_counter() - start}
-    start = time.perf_counter()
-    residuals = grid_residuals(points, solved)
-    timing["residuals"] = time.perf_counter() - start
-    solutions = []
-    for lam, (cycle, params), sols, res in zip(grid, points, solved, residuals):
-        start = time.perf_counter()
-        entry = residual_report(cycle, params, sols, res)
-        timing["lambda=%r" % lam] = time.perf_counter() - start
-        solutions.append(entry)
+    solutions, timing = _grid_reports(points)
+    for lam, entry in zip(grid, solutions):
         print(
             "lambda=%g%+gi max_qkz=%.3e ode=%.3e ftilde=%.3e"
             % (lam.real, lam.imag, entry["max_qkz_residual"],
@@ -422,11 +436,9 @@ def _recheck(path: str) -> int:
     # The stored grid is integrated again as one rule, so the recheck
     # evaluates the same node set as the solve.
     points = [(cycle, _solver_params(cfg, lam)) for _, lam, cycle in stored]
-    solved = grid_solutions(points)
+    fresh_reports, _ = _grid_reports(points)
     ok = True
-    for (entry, _, _), (cycle, params), sols, res in zip(
-            stored, points, solved, grid_residuals(points, solved)):
-        fresh = residual_report(cycle, params, sols, res)
+    for (entry, _, _), (_, params), fresh in zip(stored, points, fresh_reports):
         drift = max(
             abs(fresh["qkz_residuals"][m] - entry["qkz_residuals"][m])
             for m in entry["qkz_residuals"]
@@ -493,11 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # The solver reports an integrand that overflows as a QuadratureError,
-        # so numpy's per-operation warnings would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
-    except (ValueError, OverflowError, QuadratureError, SamplingExhausted) as exc:
+        return args.func(args)
+    except (ValueError, OverflowError, SamplingExhausted) as exc:
         kind = "overflow: " if isinstance(exc, OverflowError) else ""
         print("error: %s%s" % (kind, exc), file=sys.stderr)
         return 2

@@ -347,8 +347,9 @@ def _cbar_factor(desc, x, y, params: ModelParams) -> LinOp:
 
 
 def op_Cbar(m: int, x: Sequence, y: Sequence, params: ModelParams, start: LinOp) -> LinOp:
-    """Degenerate transport product for site m, built from right-action
-    generator images, applied to start."""
+    """Degenerate transport product for site m applied to start: the
+    product of the factors of cbar_factor_list, leftmost first, each with
+    its entries written down directly by _cbar_factor."""
     return product([_cbar_factor(desc, x, y, params)
                     for desc in cbar_factor_list(m, params.space.n)] + [start])
 

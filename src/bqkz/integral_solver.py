@@ -22,9 +22,11 @@ each halving evaluates only the new midpoints.  The kernel, the cycle
 denominator and the 2n weight functions are evaluated over numpy arrays of
 nodes, in chunks of at most _CHUNK nodes summed in a fixed order, so
 results are reproducible bit for bit.  The array kernel takes log Gamma
-modulo 2 pi i, which is sound because only exponentials of sums are used.  The scalar kernel
-(`integrand`, `_kernel_cycle`) stays as the route of the independent
-quadrature oracle and as the reference the array kernel is tested against.
+modulo 2 pi i (`log_gamma_array`; the package's only numpy code lives in
+this module), which is sound because only exponentials of sums are used.
+The scalar kernel (`integrand`, `_kernel_cycle`) stays as the route of
+the independent quadrature oracle and as the reference the array kernel
+is tested against.
 A lambda grid of residual reports integrates one node set with one
 evaluation of the lambda-independent log kernel per node; each lambda adds
 only its prefactor e^{-2 pi i lam t / c} and its cycle.  Its rows are the
@@ -55,13 +57,7 @@ import numpy as np
 
 from . import compat_ops
 from .rqkz import ModelParams, compose_descs, q_split_descs, shift_y
-from .scalar_field import (
-    cpow,
-    log1m_exp,
-    log1m_exp_array,
-    log_gamma,
-    log_gamma_array,
-)
+from .scalar_field import _LOG_HALF_I, _LOG_PI, _lanczos_half_plane, cpow, log1m_exp, log_gamma
 from .tensor_ops import Space, Vec
 
 TWO_PI_I = 2j * math.pi
@@ -72,6 +68,10 @@ _EXP_FLOOR = -600.0
 # Most nodes one trapezoidal rule may evaluate; the largest rule of the
 # test suite has 6,913 nodes and that of the benchmark workloads 1,889.
 NODE_BUDGET = 1 << 17
+# log1m_exp_array clamps Re zeta here before exponentiating: e^-60 lies
+# far under the rounding unit of 1 - e^zeta, so no digit changes, and
+# numpy's complex log cannot underflow on what is left.
+_LOG1M_FLOOR = -60.0
 
 
 class SeparationError(ValueError):
@@ -82,9 +82,40 @@ class DegreeError(ValueError):
     """A cycle monomial violates the convergence window."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ValueError):
     """The trapezoidal rule did not converge within the allowed halvings,
     would exceed NODE_BUDGET, or met an integrand that is not finite."""
+
+
+def log1m_exp_array(zeta):
+    """Array form of log1m_exp: the exponential is only ever taken of the
+    half with Re <= 0, so nothing overflows."""
+    flip = zeta.real > 0
+    near = np.where(flip, -zeta, zeta)
+    near = np.maximum(near.real, _LOG1M_FLOOR) + 1j * near.imag
+    return np.log(1 - np.exp(near)) + np.where(flip, zeta + 1j * math.pi, 0)
+
+
+def log_gamma_array(z):
+    """A logarithm of Gamma over a complex array, valid modulo 2 pi i.
+
+    Lanczos for Re z >= 0.5 and reflection below, with log sin(pi z) in the
+    log1m_exp_array form after reducing by round(Re z).  The branch is left
+    unfixed, which is sound wherever only exponentials of sums are used.
+    At distance d from a pole that form adds an absolute error of about
+    1e-17/d; the solver's contour keeps every argument at least its pole
+    gap over |c| away from the poles.
+    """
+    left = z.real < 0.5
+    out = _lanczos_half_plane(np.where(left, 1 - z, z), np.log)
+    if left.any():
+        zl = z[left]
+        m = np.round(zl.real)
+        w = zl - m
+        log_sin = (_LOG_HALF_I + 1j * math.pi * (m % 2) - 1j * math.pi * w
+                   + log1m_exp_array(2j * math.pi * w))
+        out[left] = _LOG_PI - log_sin - out[left]
+    return out
 
 
 @dataclass(frozen=True)
@@ -520,15 +551,16 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
     contour: the integrand is analytic only within that distance of the
     line, and the error of the rule falls like exp(-2 pi gap / h).  On
     that grid the truncation doubles until, for every solution, the
-    largest term of the newest outer band, times h, is at most atol times
-    max(its scale, 1); it then stays fixed, and the contour is validated
-    out to it (diagnostics "contour"), so its pole record covers the whole
-    integrated line.  Each halving of h evaluates only the new midpoints
-    and reuses every earlier node, until for every solution two successive
-    estimates agree to rtol times its largest estimate or atol times its
-    scale, so no solution stops before it would alone.  A sweep that would
-    take the rule past NODE_BUDGET nodes, or an outer band whose largest
-    term is not finite, raises QuadratureError instead.
+    largest term of the newest outer band is at most atol times its weight
+    sum; it then stays fixed, and the contour is validated out to it
+    (diagnostics "contour"), so its pole record covers the whole
+    integrated line.  Each halving of h evaluates only the
+    new midpoints and reuses every earlier node, until for every solution
+    two successive estimates agree to rtol times its largest estimate or
+    atol times its scale, so no solution stops before it would alone, and
+    a tiny solution gets the relative accuracy of a large one.  A sweep
+    that would take the rule past NODE_BUDGET nodes, or an outer band
+    whose largest term is not finite, raises QuadratureError instead.
     Returns the estimates as an (L, G, r) array and one diagnostics dict
     per lambda.
     """
@@ -550,7 +582,7 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
         if not np.all(finite):
             raise QuadratureError("%s: the integrand is not finite on the contour" % ", ".join(
                 label for label, ok in zip(labels, finite) if not ok))
-        if np.all(top * h <= params.atol * np.maximum(h * weight_sum, 1.0)):
+        if np.all(top <= params.atol * weight_sum):
             break
     trunc = half * h
     contour = contour.widened(trunc)
@@ -564,7 +596,7 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
         err = np.max(np.abs(est - ests[-1]), axis=-1)
         ests.append(est)
         done = err <= np.maximum(params.rtol * np.max(np.abs(est), axis=-1),
-                                 params.atol * np.maximum(scale, 1.0))
+                                 params.atol * scale)
         if np.all(done):
             shared = {
                 "contour": contour,

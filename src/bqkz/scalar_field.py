@@ -4,7 +4,8 @@ Two scalar domains are used throughout the package:
 
 * exact rationals with arbitrary-precision integer numerator/denominator,
   used for every identity that must hold as a matrix identity over Q;
-* complex double precision, used by the contour-integral solver.
+* complex double precision, used by the contour-integral solver; its
+  array forms live in `integral_solver`, so this module imports no numpy.
 
 Rationals are gmpy2.mpq when available (much faster), falling back to
 fractions.Fraction.  Both keep gcd-reduced canonical form with a positive
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
 
 try:
     from gmpy2 import mpq as Rational
@@ -61,22 +60,12 @@ def div(a, b):
     return a * inv(b)
 
 
-def close(a, b, rtol=1e-9, atol=1e-12) -> bool:
-    """Tolerance comparison for complex scalars.
-
-    Exact equality is reserved for the rational domain; all complex
-    comparisons in the package go through an explicit rtol/atol pair.
-    """
-    a = complex(a)
-    b = complex(b)
-    return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
-
-
 # Lanczos approximation of log Gamma, g = 607/128, 15 terms.  Valid for
 # Re z >= 0.5 with relative error near double-precision roundoff.  Left of
 # that line the scalar log_gamma steps z up by the recurrence
 # log Gamma(z) = log Gamma(z+1) - log z while Re z is near the origin, and
-# uses reflection further out; the array form always reflects.
+# uses reflection further out; integral_solver's array form always
+# reflects.
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = (
     0.99999999999999709182,
@@ -134,10 +123,6 @@ _LOG_HALF_I = complex(-math.log(2.0), 0.5 * math.pi)
 # The scalar log_gamma reflects below this real part; above it the shift
 # loop takes at most nine steps.
 _REFLECT_BELOW = -8.0
-# log1m_exp_array clamps Re zeta here before exponentiating: e^-60 lies
-# far under the rounding unit of 1 - e^zeta, so no digit changes, and
-# numpy's complex log cannot underflow on what is left.
-_LOG1M_FLOOR = -60.0
 
 
 def _horner(coeffs, v):
@@ -220,41 +205,6 @@ def log_gamma(z) -> complex:
         acc += cmath.log(z)
         z += 1.0
     return _lanczos_half_plane(z) - acc
-
-
-def log1m_exp_array(zeta):
-    """Array form of log1m_exp: the exponential is only ever taken of the
-    half with Re <= 0, so nothing overflows."""
-    flip = zeta.real > 0
-    near = np.where(flip, -zeta, zeta)
-    near = np.maximum(near.real, _LOG1M_FLOOR) + 1j * near.imag
-    return np.log(1 - np.exp(near)) + np.where(flip, zeta + 1j * math.pi, 0)
-
-
-def log_gamma_array(z):
-    """A logarithm of Gamma over a complex array, valid modulo 2 pi i.
-
-    Lanczos for Re z >= 0.5 and reflection below, with log sin(pi z) in the
-    log1m_exp_array form after reducing by round(Re z).  The branch is left
-    unfixed, which is sound wherever only exponentials of sums are used.
-    At distance d from a pole that form adds an absolute error of about
-    1e-17/d; the solver's contour keeps every argument at least its pole
-    gap over |c| away from the poles.
-    """
-    left = z.real < 0.5
-    out = _lanczos_half_plane(np.where(left, 1 - z, z), np.log)
-    if left.any():
-        zl = z[left]
-        m = np.round(zl.real)
-        w = zl - m
-        log_sin = (_LOG_HALF_I + 1j * math.pi * (m % 2) - 1j * math.pi * w
-                   + log1m_exp_array(2j * math.pi * w))
-        out[left] = _LOG_PI - log_sin - out[left]
-    return out
-
-
-def gamma(z) -> complex:
-    return cmath.exp(log_gamma(z))
 
 
 def cpow(w, s) -> complex:

@@ -2,10 +2,21 @@
 
 Kept deliberately separate from the package's trapezoidal integrator:
 plain adaptive Simpson with Richardson correction, recursing on the same
-integrand samples the implementation sees.
+integrand samples the implementation sees, along the same line
+Im t = Im(k)/2 but with its own truncation and its own tolerance, both
+relative to the size of the integral.
 """
 
-from bqkz.integral_solver import build_contour, integrand
+from bqkz.integral_solver import integrand
+
+# The oracle's first line is |Re t| <= _REACH, widened by doubling; a line
+# that never settles by _MAX_REACH is an error of the oracle, not an answer.
+_REACH = 16
+_MAX_REACH = 1 << 12
+# Accuracy relative to the integral's size: far below the 1e-8 the tests
+# compare at, and far enough above the integrand's rounding that a piece
+# settles before full depth unless the integral cancels strongly.
+_RTOL = 1e-10
 
 
 def adaptive_simpson(f, a, b, eps, depth=26):
@@ -34,14 +45,48 @@ def adaptive_simpson(f, a, b, eps, depth=26):
     return recurse(a, b, fa, fm, fb, whole, eps, depth)
 
 
-def simpson_oracle(j, W, params, eps=1e-9):
-    """Pairing value by adaptive Simpson along the validated contour line."""
-    ctr = build_contour(params, W=W)
+def _line_integral(f, eps):
+    """Integral of f over the real line to absolute accuracy about eps:
+    unit pieces of |s| <= _REACH, then the bands _REACH < |s| <= 2 _REACH,
+    and so on, doubling until a band adds at most eps."""
+
+    def band(lo, hi):
+        # Each unit piece gets its share of eps over the band's width.
+        tol = eps / (2 * (hi - lo))
+        return sum(adaptive_simpson(f, a, a + 1, tol) + adaptive_simpson(f, -a - 1, -a, tol)
+                   for a in range(lo, hi))
+
+    total = band(0, _REACH)
+    reach = _REACH
+    while reach < _MAX_REACH:
+        outer = band(reach, 2 * reach)
+        total += outer
+        reach *= 2
+        if abs(outer) <= eps:
+            return total
+    raise ArithmeticError("the oracle's line did not settle by |Re t| = %d" % _MAX_REACH)
+
+
+def simpson_oracle(j, W, params, eps=None):
+    """Pairing value by adaptive Simpson along the line Im t = Im(k)/2, to
+    absolute accuracy about eps, or by default to _RTOL relative to its
+    own size.
+
+    For the default, a first pass, to an eps relative to the largest
+    integrand sample at the integers of |s| <= _REACH, gives the size of
+    the integral; a second pass integrates to _RTOL times that size, so a
+    tiny integral is resolved as finely as one of size 1.
+    """
+    delta = params.delta
 
     def f(s):
-        return integrand(j, W, complex(s, ctr.delta), params)
+        return integrand(j, W, complex(s, delta), params)
 
-    pieces = [-ctr.trunc, -ctr.trunc / 3, 0.0, ctr.trunc / 3, ctr.trunc]
-    return sum(
-        adaptive_simpson(f, lo, hi, eps) for lo, hi in zip(pieces, pieces[1:])
-    )
+    if eps is not None:
+        return _line_integral(f, eps)
+    peak = max(abs(f(s)) for s in range(-_REACH, _REACH + 1))
+    size = abs(_line_integral(f, 1e-6 * peak)) if peak else 0.0
+    if not size:
+        # An eps of 0 would recurse to full depth in every piece.
+        raise ArithmeticError("the integrand has no size on the sampled line")
+    return _line_integral(f, _RTOL * size)

@@ -188,7 +188,7 @@ def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch)
         raise AssertionError("work started before the output paths were checked")
 
     monkeypatch.setattr(suites, "run_suite", no_work)
-    monkeypatch.setattr(cli, "grid_solutions", no_work)
+    monkeypatch.setattr(integral_solver, "grid_solutions", no_work)
     missing = str(tmp_path / "missing" / "out")
     good = str(tmp_path / "ok")
     runs = (
@@ -392,8 +392,8 @@ def test_residuals_rebuilds_the_solve_params(tmp_path, capsys, monkeypatch):
         seen.append(params)
         return real_report(cycle, params, solutions, residuals)
 
-    real_report = cli.residual_report
-    monkeypatch.setattr(cli, "residual_report", recording_report)
+    real_report = integral_solver.residual_report
+    monkeypatch.setattr(integral_solver, "residual_report", recording_report)
     cfg = {"model": {"n": 2, "half_dim": 3}, "solve": {"lambda_grid": [0.31]}}
     path = write_json(tmp_path / "cfg.json", cfg)
     json_path = tmp_path / "solve.json"
@@ -464,7 +464,7 @@ def test_residuals_names_a_missing_stored_key(tmp_path, capsys):
 def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch):
     """A stored value of the wrong shape, or a non-finite one, is an exit-2
     message that names the key, given before anything is recomputed."""
-    monkeypatch.setattr(cli, "residual_report", None)
+    monkeypatch.setattr(integral_solver, "residual_report", None)
     good = {"lambda": [0.25, 0.0], "cycle": [[1, [1.0, 0.0]]],
             "qkz_residuals": {"1": 0.0}, "ode_residual": 0.0}
     for key, bad in (("lambda", "ab"), ("lambda", [1.0]), ("cycle", "ab"),
@@ -485,7 +485,7 @@ def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch)
 def test_oversized_config_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
     """A space above the dimension budget or a refinement count above the cap
     exits 2 with a message naming the key and the bound; nothing is solved."""
-    monkeypatch.setattr(cli, "residual_report", None)
+    monkeypatch.setattr(integral_solver, "residual_report", None)
     cases = (
         ({"model": {"n": 5, "half_dim": 2}}, ("model.n", "model.half_dim", "256")),
         ({"model": {"n": 1, "half_dim": 129}}, ("model.n", "model.half_dim", "256")),
@@ -555,6 +555,25 @@ def test_a_non_finite_residual_exits_two(tmp_path, capsys, monkeypatch):
     assert cli.main(["solve", "--out-csv", str(tmp_path / "c.csv"),
                      "--out-json", str(tmp_path / "s.json")]) == 2
     assert capsys.readouterr().err == "error: lambda=(-0.7+0j): a residual is not finite\n"
+
+
+@pytest.mark.parametrize("y", [3.0, 10.0])
+def test_a_small_solution_is_integrated_to_its_own_accuracy(tmp_path, capsys, y):
+    """At n = 1, lambda = 0.25 the largest coefficient is about 3e-19 at
+    y = 3 and 2e-74 at y = 10.  The rule's truncation and halving tests
+    are relative to each solution's scale, so both solves pass with every
+    residual near rounding rather than with quadrature error of the size
+    of the answer."""
+    path = write_json(tmp_path / "cfg.json",
+                      {"model": {"y": [y]}, "solve": {"lambda_grid": [0.25]}})
+    assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(tmp_path / "s.json")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "s.json") as fh:
+        (entry,) = json.load(fh)["body"]["solutions"]
+    residuals = [*entry["qkz_residuals"].values(), entry["ode_residual"],
+                 entry["ftilde_residual"]]
+    assert max(residuals) <= 1e-12, residuals
 
 
 def test_the_node_budget_stops_a_rule_between_sweeps(tmp_path, capsys, monkeypatch):

@@ -124,3 +124,18 @@ def test_the_cli_imports_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_verify_loads_no_numpy_and_no_solver():
+    """The exact suites read no floating-point arrays, so a `verify` run
+    leaves numpy and the contour-integral solver unloaded."""
+    code = (
+        "import sys, bqkz.cli; "
+        "code = bqkz.cli.main(['verify', '--suite', 'ybe', '--samples', '1']); "
+        "print(code, sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'numpy' or m == 'bqkz.integral_solver'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []", out

@@ -17,7 +17,6 @@ import pytest
 from fractions import Fraction
 
 from bqkz.rqkz import ones, op_K, op_P, op_R, op_T, q_factor_list, shift_y
-from bqkz.scalar_field import log1m_exp_array, log_gamma_array
 from bqkz.tensor_ops import LinOp, Space, Vec, embed_pair, embed_site
 import bqkz.compat_ops as compat_ops
 import bqkz.integral_solver as solver
@@ -32,6 +31,8 @@ from bqkz.integral_solver import (
     build_contour,
     func_g,
     kernel_log_phi,
+    log1m_exp_array,
+    log_gamma_array,
     pair_I,
     prod_ratio_full,
     report_solutions,
@@ -422,6 +423,7 @@ def test_pair_i_matches_adaptive_simpson():
     configs = [
         (1, -0.5, (0.3,), CycleW.monomial(0)),
         (1, 0.25, (0.3,), CycleW.monomial(1)),
+        (1, 0.25, (5.0,), CycleW.monomial(1)),
         (2, 0.31, (0.3, -0.2), CycleW.monomial(1)),
     ]
     for n, lam, y, W in configs:
@@ -429,7 +431,20 @@ def test_pair_i_matches_adaptive_simpson():
         for j in (1, 2 * n):
             got = pair_I(j, W, p)
             want = simpson_oracle(j, W, p)
-            assert abs(got - want) <= 1e-8 * max(abs(want), 1e-12), (n, lam, j)
+            assert abs(got - want) <= 1e-8 * abs(want), (n, lam, j)
+
+
+def test_oracle_takes_an_absolute_eps():
+    """bench/make_reference.py passes eps= 1e-13 times the coefficients'
+    largest size; the oracle then integrates to that absolute accuracy and
+    agrees with its own relative default."""
+    p = mkparams(1, 0.25, (0.3,))
+    W = CycleW.monomial(1)
+    default = [simpson_oracle(j, W, p) for j in (1, 2)]
+    scale = max(abs(v) for v in default)
+    for j, want in zip((1, 2), default):
+        got = simpson_oracle(j, W, p, eps=1e-13 * scale)
+        assert abs(got - want) <= 1e-9 * scale, j
 
 
 def test_pair_i_linear_in_cycle():
@@ -706,8 +721,8 @@ def test_shifted_rows_match_the_directly_shifted_kernel():
 def test_report_shifted_solutions_match_the_oracle():
     """The report's solutions at the shifted points match the independent
     adaptive Simpson quadrature of the scalar integrand evaluated directly
-    at shift_y(y, m, c)."""
-    for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
+    at shift_y(y, m, c), also at y = 3, where the solution is about 3e-19."""
+    for n, lam, y in ((1, 0.25, (0.3,)), (1, 0.25, (3.0,)), (2, 0.31, (0.3, -0.2))):
         p = mkparams(n, lam, y)
         W = CycleW.monomial(1)
         _, _, shifted = report_solutions(W, p)
@@ -802,12 +817,19 @@ def test_array_kernel_equals_the_per_term_loop_bit_for_bit():
 
 def test_kernel_makes_one_log_gamma_and_one_log1m_call(monkeypatch):
     """Each array kernel call evaluates all its log-Gamma arguments in one
-    call and all its cycle-denominator terms in another."""
-    counts = {}
+    call and all its cycle-denominator terms in another.  log_gamma_array
+    calls log1m_exp_array for its reflection, so only calls that are not
+    nested inside a counted call are the kernel's own."""
+    counts, depth = {}, [0]
     for name in ("log_gamma_array", "log1m_exp_array"):
         def counted(z, name=name, real=getattr(solver, name)):
-            counts[name] += 1
-            return real(z)
+            if not depth[0]:
+                counts[name] += 1
+            depth[0] += 1
+            try:
+                return real(z)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(solver, name, counted)
     for n, y in ((1, (0.3,)), (3, (0.3, -0.2, 0.45))):

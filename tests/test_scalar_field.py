@@ -14,17 +14,14 @@ import mpmath
 from bqkz.scalar_field import (
     PoleError,
     RATIONAL_BACKEND,
-    close,
     cpow,
     div,
-    gamma,
     inv,
     is_exact,
-    log1m_exp_array,
     log_gamma,
-    log_gamma_array,
     rat,
 )
+from bqkz.integral_solver import log1m_exp_array, log_gamma_array
 
 rationals = st.builds(
     rat, st.integers(min_value=-200, max_value=200), st.integers(min_value=1, max_value=60)
@@ -79,12 +76,6 @@ def test_div_pole():
 
 def test_pole_error_is_zero_division():
     assert issubclass(PoleError, ZeroDivisionError)
-
-
-def test_close_basics():
-    assert close(1.0, 1.0 + 1e-13)
-    assert not close(1.0, 1.1)
-    assert close(0.0, 1e-13)
 
 
 _GRID = [
@@ -182,12 +173,12 @@ def test_array_forms_do_not_depend_on_the_shape():
 
 def test_gamma_positive_integers():
     for m, want in ((1, 1.0), (2, 1.0), (3, 2.0), (5, 24.0)):
-        assert close(gamma(m), want, rtol=1e-12)
+        assert cmath.isclose(cmath.exp(log_gamma(m)), want, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_cpow_principal_branch():
-    assert close(cpow(4.0, 0.5), 2.0, rtol=1e-12)
+    assert cmath.isclose(cpow(4.0, 0.5), 2.0, rel_tol=1e-12, abs_tol=1e-12)
     z = 1.3 - 0.8j
-    assert close(cpow(z, 1.0), z, rtol=1e-12)
+    assert cmath.isclose(cpow(z, 1.0), z, rel_tol=1e-12, abs_tol=1e-12)
     a, b = 0.37 + 0.21j, -0.6 + 0.9j
-    assert close(cpow(z, a + b), cpow(z, a) * cpow(z, b), rtol=1e-11)
+    assert cmath.isclose(cpow(z, a + b), cpow(z, a) * cpow(z, b), rel_tol=1e-11, abs_tol=1e-12)

@@ -1,11 +1,12 @@
 """Sparse tensor-space linear algebra against dense oracles."""
 
+import cmath
 import math
 import random
 
 import pytest
 
-from bqkz.scalar_field import close, rat
+from bqkz.scalar_field import rat
 from bqkz.tensor_ops import (
     LinOp,
     PoleSingular,
@@ -278,7 +279,8 @@ def test_mixed_float_and_exact_give_the_fraction_values():
     assert (exact + floats).to_dense() == dense_add(de, df)
     got = product([floats, exact, floats]).to_dense()
     want = dense_mul(df, dense_mul(de, df))
-    assert all(close(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+    assert all(cmath.isclose(g, w, abs_tol=1e-12)
+               for gr, wr in zip(got, want) for g, w in zip(gr, wr))
     states = list(sp.states())
     vec = Vec(sp, {s: rand_rat(r) for s in states if r.random() < 0.7})
     col = [vec.entries.get(s, 0) for s in states]
@@ -287,7 +289,7 @@ def test_mixed_float_and_exact_give_the_fraction_values():
         for i, s in enumerate(states):
             want = sum(dense[i][j] * col[j] for j in range(len(states)))
             got = out.entries.get(s, 0)
-            assert got == want if op.exact else close(got, want)
+            assert got == want if op.exact else cmath.isclose(got, want, abs_tol=1e-12)
 
 
 # ------------------------------------------------------ linear combination
@@ -372,7 +374,8 @@ def test_lincomb_of_float_terms_sums_in_term_order():
     got = lincomb(sp, terms)
     assert not got.exact and got.den == 1
     want = dense_lincomb(sp, terms)
-    assert all(close(g, w) for gr, wr in zip(got.to_dense(), want) for g, w in zip(gr, wr))
+    assert all(cmath.isclose(g, w, abs_tol=1e-12)
+               for gr, wr in zip(got.to_dense(), want) for g, w in zip(gr, wr))
     assert lincomb(sp, [(0.5, floats[0]), (-0.5, floats[0])]).is_zero()
     assert snapshot([exact] + floats) == before
 
@@ -434,4 +437,4 @@ def test_invert_complex():
     prod = (iop @ op).to_dense()
     for i in range(sp.dim):
         for j in range(sp.dim):
-            assert close(prod[i][j], 1.0 if i == j else 0.0, rtol=1e-9, atol=1e-9)
+            assert cmath.isclose(prod[i][j], 1.0 if i == j else 0.0, rel_tol=1e-9, abs_tol=1e-9)
