@@ -180,10 +180,12 @@ def _validate_config(cfg: dict):
             raise ConfigError("model.y must have model.n entries")
     ver = cfg["verify"]
     if ver["suites"] is not None:
-        if not isinstance(ver["suites"], list):
-            raise ConfigError("verify.suites must be a list of suite names")
-        for name in ver["suites"]:
+        if not isinstance(ver["suites"], list) or not ver["suites"]:
+            raise ConfigError("verify.suites must be a non-empty list of suite names")
+        for i, name in enumerate(ver["suites"]):
             suite_mod.check_name(name)
+            if name in ver["suites"][:i]:
+                raise ConfigError("verify.suites names %r more than once" % name)
     if ver["samples"] is not None and (not _is_int(ver["samples"]) or ver["samples"] < 1):
         raise ConfigError("verify.samples must be a positive integer")
     if not _is_int(ver["seed"]) or ver["seed"] < 0:

@@ -5,9 +5,10 @@ Here the label count equals the site count (N = n).  The signed permutation
 group acts on site labels (left action, sitewise relabeling); a second,
 anti-homomorphic action works by slot swaps and reflection operators (right
 action).  The orbit of v_1 x ... x v_n under the left action spans a
-coordinate subspace whose basis vectors are indexed by group elements; the
-interesting identities of this module hold on that subspace only, so checks
-restrict to it explicitly.
+coordinate subspace whose basis vectors are indexed by group elements:
+`phi` maps an element to its basis vector's linear index, and
+`orbit_states` lists those indices.  The interesting identities of this
+module hold on that subspace only, so checks restrict to it explicitly.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -43,7 +44,7 @@ from .rqkz import (
     q_factor_list,
 )
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import LinOp, Space, Vec, embed_pair, embed_site, lincomb, product
+from .tensor_ops import LinOp, Space, embed_pair, embed_site, lincomb, product
 
 
 @dataclass(frozen=True)
@@ -161,26 +162,24 @@ def rhoL(w: SignedPerm, space: Space) -> LinOp:
     return LinOp.of(space, cols)
 
 
-def phi(w: SignedPerm, space: Space) -> Vec:
-    """Image of a group element: the basis vector whose j-th site carries
-    the label w(j)."""
+def phi(w: SignedPerm, space: Space) -> int:
+    """Image of a group element: the index of the basis vector whose j-th
+    site carries the label w(j)."""
     if space.half_dim != space.n or w.n != space.n:
         raise ValueError("need label count equal to site count")
     n = space.n
-    state = tuple(_label_code(w.apply(j), n) for j in range(1, n + 1))
-    return Vec.basis(space, state)
+    return space.index(_label_code(w.apply(j), n) for j in range(1, n + 1))
 
 
 @cache
 def orbit_states(space: Space) -> tuple:
-    """Basis states of the orbit subspace, one per group element."""
-    return tuple(next(iter(phi(w, space).entries)) for w in all_elements(space.n))
+    """Indices of the orbit subspace's basis vectors, one per group element."""
+    return tuple(phi(w, space) for w in all_elements(space.n))
 
 
 def zero_on_orbit(op: LinOp) -> bool:
     """Whether an operator kills every orbit basis vector."""
-    index = op.space.index
-    return all(index(s) not in op.cols for s in orbit_states(op.space))
+    return all(i not in op.cols for i in orbit_states(op.space))
 
 
 def rhoR_generator(g, x: Sequence, space: Space) -> LinOp:
@@ -426,7 +425,7 @@ def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: L
 
     The inverse transport factors are applied to those columns of start
     only, and the difference is read on them alone: with the identity as
-    start and the orbit states' indices as columns, this is the whole
+    start and the orbit states as columns, this is the whole
     operator on the orbit.
     """
     space = params.space

@@ -38,11 +38,16 @@ is c-periodic in y.  Each of these solutions, at each lambda, passes its
 own convergence test on the shared grid.  No rule evaluates more than
 NODE_BUDGET nodes.
 
-The residuals of a grid (`grid_residuals`) are computed on dense arrays of
-coefficients and states.  Along a grid only x_1 = e^{2 pi i lam} moves, so
-every operator part that does not read x (the transport factors around the
-coordinate reflection Kx, op_A and the coefficient-to-state matrix) is
-built once per grid; each lambda builds only its n Kx factors and op_B.
+The solution vector is the sum of the coefficients times the 2n target
+basis vectors u_j; `vec_u` gives u_j as an {index: 1} column, and the
+coefficient-to-state matrix has these columns.  The residuals of a grid
+(`grid_residuals`) are computed on dense arrays of coefficients and states.
+Along a grid only x_1 = e^{2 pi i lam} moves, so every operator part that
+does not read x (the transport factors around the coordinate reflection Kx,
+op_A and the coefficient-to-state matrix) is built once per grid; each
+lambda builds only its n Kx factors and op_B.  A grid refuses a lambda
+with e^{2 pi i lam} near -1 before any quadrature; the pairing alone
+(`solve_f`) is regular there.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import numpy as np
 from . import compat_ops
 from .rqkz import ModelParams, compose_descs, q_split_descs, shift_y
 from .scalar_field import _LOG_HALF_I, _LOG_PI, _lanczos_half_plane, cpow, log1m_exp, log_gamma
-from .tensor_ops import Space, Vec
+from .tensor_ops import Space
 
 TWO_PI_I = 2j * math.pi
 # The array kernel sets terms whose exponent has real part below this to
@@ -156,7 +161,7 @@ class SolverParams:
         except OverflowError:
             raise ValueError("lambda=%r: e^{2 pi i lam} overflows" % (self.lam,)) from None
         if abs(big_e - 1) < 1e-8:
-            raise ValueError("e^{2 pi i lam} too close to 1")
+            raise ValueError("lambda=%r: e^{2 pi i lam} too close to 1" % (self.lam,))
         object.__setattr__(
             self, "y", tuple(complex(v) for v in self.y)
         )
@@ -260,39 +265,22 @@ class SolutionVector:
     diagnostics: dict
 
 
-def vec_u(j: int, params: SolverParams) -> Vec:
-    """Basis vector of the 2n-dimensional target subspace.
+def vec_u(j: int, params: SolverParams) -> dict:
+    """Basis vector of the 2n-dimensional target subspace, as an
+    {index: 1} column.
 
     For j <= n the j-th site carries the first label and every other site
-    carries the symmetric second-label pair; for j > n site 2n+1-j carries
-    the barred first label instead.
+    carries the second label, barred or not, in every combination; for
+    j > n site 2n+1-j carries the barred first label instead.
     """
     n = params.n
     if not 1 <= j <= 2 * n:
         raise ValueError("index out of range")
-    space = params.space
     half = params.half_dim
-    if j <= n:
-        site, code = j, 0
-    else:
-        site, code = 2 * n + 1 - j, half
-    if n == 1:
-        return Vec.basis(space, (code,))
-    out = Vec(space, {})
-    for fill in _symmetric_fills(n - 1, half):
-        state = fill[: site - 1] + (code,) + fill[site - 1:]
-        out = out.add(Vec.basis(space, state))
-    return out
-
-
-def _symmetric_fills(count: int, half: int):
-    """States of the filler sites: every site label 2, barred or not."""
-    if count == 0:
-        yield ()
-        return
-    for rest in _symmetric_fills(count - 1, half):
-        yield (1,) + rest
-        yield (half + 1,) + rest
+    site, code = (j, 0) if j <= n else (2 * n + 1 - j, half)
+    index = params.space.index
+    return {index(fill[:site - 1] + (code,) + fill[site - 1:]): 1
+            for fill in itertools.product((1, half + 1), repeat=n - 1)}
 
 
 def func_g(j: int, t: complex, y: Sequence, k: complex) -> complex:
@@ -615,47 +603,26 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
     )
 
 
-def _pairing_values(indices, W: CycleW, params: SolverParams):
-    """values(t) for _trapezoid: the weight rows g_j at the nodes t for each
-    index j, and the kernel-cycle."""
-    y = params.y
-
-    def values(t):
-        rows = _weight_rows(t, y, params.k)
-        block = np.array([rows[j - 1] for j in indices])[None]
-        return block, np.ones((1, len(t))), [_kernel_cycle_array(t, y, W, params)]
-
-    return values
-
-
-def _pair_many(indices, W: CycleW, params: SolverParams, contour: Contour = None):
-    """Pairings against g_j for several indices j at once, on one
-    trapezoidal rule."""
-    W.validate(params)
-    if contour is None:
-        contour = build_contour(params, W=W, include_shifted=False)
-    est, (diag,) = _trapezoid(_pairing_values(indices, W, params), params,
-                              contour, [params.lam])
-    return [complex(v) for v in est[0, 0]], diag
-
-
-def pair_I(j: int, W: CycleW, params: SolverParams) -> complex:
-    """Single pairing coefficient."""
-    if not 1 <= j <= 2 * params.n:
-        raise ValueError("index out of range")
-    vals, _ = _pair_many([j], W, params)
-    return vals[0]
-
-
 def _solution(p: SolverParams, vals, diag: dict) -> SolutionVector:
     return SolutionVector(coeffs=tuple(vals), lam=p.lam, y=p.y, diagnostics=diag)
 
 
 def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
             contour: Contour = None) -> SolutionVector:
-    """All 2n pairing coefficients."""
+    """All 2n pairing coefficients, on one trapezoidal rule whose rows are
+    the weight functions g_j at the nodes and whose kernel is the
+    kernel-cycle."""
     p = replace(params, lam=complex(lam), y=tuple(y))
-    return _solution(p, *_pair_many(range(1, 2 * p.n + 1), W, p, contour=contour))
+    W.validate(p)
+    if contour is None:
+        contour = build_contour(p, W=W, include_shifted=False)
+
+    def values(t):
+        block = np.array(_weight_rows(t, p.y, p.k))[None]
+        return block, np.ones((1, len(t))), [_kernel_cycle_array(t, p.y, W, p)]
+
+    est, (diag,) = _trapezoid(values, p, contour, [p.lam])
+    return _solution(p, [complex(v) for v in est[0, 0]], diag)
 
 
 def _report_values(points):
@@ -698,12 +665,16 @@ def _report_values(points):
 
 def _grid_points(points) -> list:
     """The (W, params) points of a grid with complex lambda; their params
-    must agree in everything but lambda."""
+    must agree in everything but lambda, and no e^{2 pi i lam} may lie
+    near -1, where the differential residuals are undefined."""
     points = [(W, replace(p, lam=complex(p.lam))) for W, p in points]
     _, first = points[0]
     for _, p in points:
         if replace(p, lam=first.lam) != first:
             raise ValueError("the points of a grid may differ only in lambda")
+        if abs(p.big_e + 1) < 1e-8:
+            raise ValueError("lambda=%r: differential residuals need "
+                             "e^{2 pi i lam} away from -1" % (p.lam,))
     return points
 
 
@@ -782,17 +753,11 @@ def grid_residuals(points, solved) -> list:
     its lambda.
     """
     points = _grid_points(points)
-    for _, p in points:
-        if abs(p.big_e + 1) < 1e-8:
-            raise ValueError(
-                "differential residuals need e^{2 pi i lam} away from -1"
-            )
     _, p = points[0]
     model, x, y, n = p.model(), p.x_point(), p.y, p.n
     states = np.zeros((p.space.dim, 2 * n))
     for j in range(1, 2 * n + 1):
-        for state, v in vec_u(j, p).entries.items():
-            states[p.space.index(state), j - 1] = v
+        states[list(vec_u(j, p)), j - 1] = 1
     transports = []
     for m in range(1, n + 1):
         head, mid, tail = q_split_descs(m, n)

@@ -277,11 +277,7 @@ def _comm_im(half):
 def _phi_iso(n):
     space = Space(n, n)
     elements = list(hecke_module.all_elements(n))
-    images = set()
-    for w in elements:
-        vec = hecke_module.phi(w, space)
-        (state,) = vec.entries
-        images.add(state)
+    images = {hecke_module.phi(w, space) for w in elements}
     point_free = ["images-collide"] if len(images) != len(elements) else []
 
     def build(r, _):
@@ -298,7 +294,7 @@ def _phi_iso(n):
         if not (lhs - rhs).is_zero():
             out.append("reversal word=%r+%r" % (word1, word2))
         w = hecke_module.SignedPerm.identity(n)
-        vec = hecke_module.phi(w, space)
+        vec = {hecke_module.phi(w, space): 1}
         for g in word1:
             vec = hecke_module.rhoR_generator(g, x, space).apply(vec)
             w = w * (
@@ -306,8 +302,7 @@ def _phi_iso(n):
                 if g == "s0"
                 else hecke_module.SignedPerm.generator(n, g)
             )
-        target_states = set(hecke_module.phi(w, space).entries)
-        if set(vec.entries) != target_states:
+        if set(vec) != {hecke_module.phi(w, space)}:
             out.append("equivariance word=%r" % (word1,))
         return out, (x, word1, word2)
 
@@ -316,7 +311,7 @@ def _phi_iso(n):
 
 def _cbar_qinv(n):
     space = Space(n, n)
-    orbit = [space.index(s) for s in hecke_module.orbit_states(space)]
+    orbit = hecke_module.orbit_states(space)
 
     def build(r, vr):
         params = ModelParams.random(r, space)

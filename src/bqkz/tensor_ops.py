@@ -7,10 +7,11 @@ tuple of its site codes, site 1 first; its linear index makes site 1 most
 significant, which is the order `Space.states` yields.
 
 Operators are stored column-major as {col_index: {row_index: entry}}, keyed
-by linear state index, with no explicitly stored zeros.  State tuples appear
-only at the edges: `Vec` is keyed by state, `entry` takes states, and the
-constructor converts state keys once (`LinOp.of` takes indices).  Embedding
-a site or pair operator shifts indices by stride arithmetic.
+by linear state index, with no explicitly stored zeros.  A vector is one
+such column, {index: value}, and `apply` maps columns to columns.  State
+tuples appear only where builders write entries: `entry` takes states, and
+the constructor converts state keys once (`LinOp.of` takes indices).
+Embedding a site or pair operator shifts indices by stride arithmetic.
 
 An exact operator holds int numerators over one positive int denominator,
 reduced so that the two share no factor; a floating-point operator (the
@@ -64,64 +65,9 @@ class Space:
             i = i * self.site_dim + code
         return i
 
-    def state(self, index: int) -> tuple:
-        """Basis state of a linear index."""
-        codes = []
-        for _ in range(self.n):
-            index, code = divmod(index, self.site_dim)
-            codes.append(code)
-        return tuple(reversed(codes))
-
     def stride(self, site: int) -> int:
         """Index step of one code step at a site (1-based)."""
         return self.site_dim ** (self.n - site)
-
-
-class Vec:
-    """Sparse vector over a Space; entries maps state -> scalar, zero-free."""
-
-    __slots__ = ("space", "entries")
-
-    def __init__(self, space: Space, entries=None):
-        self.space = space
-        self.entries = entries if entries is not None else {}
-
-    @classmethod
-    def basis(cls, space: Space, state, coeff=1):
-        return cls(space, {tuple(state): coeff})
-
-    def add(self, other: "Vec") -> "Vec":
-        out = dict(self.entries)
-        for s, v in other.entries.items():
-            w = out.get(s)
-            w = v if w is None else w + v
-            if w == 0:
-                out.pop(s, None)
-            else:
-                out[s] = w
-        return Vec(self.space, out)
-
-    __add__ = add
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
-
-    def scale(self, a) -> "Vec":
-        if a == 0:
-            return Vec(self.space, {})
-        return Vec(self.space, {s: a * v for s, v in self.entries.items()})
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def norm_max(self) -> float:
-        return max((abs(complex(v)) for v in self.entries.values()), default=0.0)
-
-    def __eq__(self, other):
-        return isinstance(other, Vec) and self.space == other.space and self.entries == other.entries
-
-    def __repr__(self):
-        return "Vec(%d entries)" % len(self.entries)
 
 
 class LinOp:
@@ -195,21 +141,18 @@ class LinOp:
     def __repr__(self):
         return "LinOp(dim=%d, nnz=%d)" % (self.space.dim, self.nnz())
 
-    def apply(self, vec: Vec) -> Vec:
-        """The image of a state-keyed vector, keyed by state."""
+    def apply(self, column: dict) -> dict:
+        """The image of an {index: value} column, zero-free."""
         out = {}
         cols = self._values()
-        index = self.space.index
-        for s, v in vec.entries.items():
-            col = cols.get(index(s))
+        for c, v in column.items():
+            col = cols.get(c)
             if col is None:
                 continue
             for r, a in col.items():
                 w = out.get(r)
-                w = a * v if w is None else w + a * v
-                out[r] = w
-        state = self.space.state
-        return Vec(vec.space, {state(r): w for r, w in out.items() if w != 0})
+                out[r] = a * v if w is None else w + a * v
+        return {r: w for r, w in out.items() if w != 0}
 
     def compose(self, other: "LinOp") -> "LinOp":
         """self o other (apply other first).  Exact operands multiply their

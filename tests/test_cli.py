@@ -109,6 +109,26 @@ def test_bad_suite_name_in_config_or_flag_gives_one_message(tmp_path, capsys):
     assert "valid names: " + ", ".join(sorted(suites.suite_names())) in from_flag
 
 
+def test_verify_suites_must_be_a_non_empty_list_of_distinct_names(tmp_path, capsys):
+    """An empty verify.suites and a suite named twice, in the config or by
+    --suite, exit 2 before any suite runs; a repeat is named."""
+    out = tmp_path / "report.json"
+    path = write_json(tmp_path / "cfg.json", {"verify": {"suites": []}})
+    assert cli.main(["verify", "--config", path, "--samples", "1", "--out", str(out)]) == 2
+    empty = capsys.readouterr()
+    assert empty.err == "error: verify.suites must be a non-empty list of suite names\n"
+    assert empty.out == ""
+    path = write_json(tmp_path / "cfg.json", {"verify": {"suites": ["ybe", "bybe", "ybe"]}})
+    assert cli.main(["verify", "--config", path, "--samples", "1", "--out", str(out)]) == 2
+    from_config = capsys.readouterr()
+    argv = ["verify", "--suite", "ybe", "--suite", "ybe", "--samples", "1", "--out", str(out)]
+    assert cli.main(argv) == 2
+    from_flag = capsys.readouterr()
+    assert from_config.err == from_flag.err == "error: verify.suites names 'ybe' more than once\n"
+    assert from_config.out == from_flag.out == ""
+    assert not out.exists()
+
+
 def test_bad_samples_or_seed_flag_gives_the_config_message(tmp_path, capsys):
     """--samples and --seed obey the rules of verify.samples and verify.seed:
     exit 2 before any suite runs, with the message a bad config value gives."""
@@ -362,6 +382,24 @@ def test_grid_non_convergence_names_its_lambda(tmp_path, capsys):
     for group in ("base", "derivative", "shift-1"):
         assert "lambda=(0.25+0j) %s" % group in err, group
     assert "0.885" not in err
+
+
+@pytest.mark.parametrize("grid,bad", [([0.25, 1.0], 1.0), ([0.25, 0.5], 0.5)])
+def test_a_lambda_outside_the_domain_is_named_before_any_quadrature(
+        tmp_path, capsys, monkeypatch, grid, bad):
+    """e^{2 pi i lam} = 1 and e^{2 pi i lam} = -1 exit 2 with a message that
+    names the lambda, and no trapezoidal rule runs."""
+    rules = []
+    real = integral_solver._trapezoid
+    monkeypatch.setattr(integral_solver, "_trapezoid", lambda *args: rules.append(1) or real(*args))
+    path = write_json(tmp_path / "cfg.json", {"solve": {"lambda_grid": grid}})
+    csv_path, json_path = tmp_path / "c.csv", tmp_path / "r.json"
+    assert cli.main(["solve", "--config", path,
+                     "--out-csv", str(csv_path), "--out-json", str(json_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda=%r: " % complex(bad))
+    assert rules == []
+    assert not csv_path.exists() and not json_path.exists()
 
 
 # --------------------------------------------------------------- residuals

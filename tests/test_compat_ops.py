@@ -10,7 +10,7 @@ import pytest
 
 from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, div, rat
-from bqkz.tensor_ops import LinOp, Space, Vec, commutator
+from bqkz.tensor_ops import LinOp, Space, commutator
 from bqkz.rqkz import ModelParams, compose_descs, op_Q, op_dQ_dx, q_split_descs, shift_y
 from bqkz.compat_ops import (
     RouteMismatch,
@@ -140,9 +140,9 @@ def test_op_a_smallest_case_entries():
     params = ModelParams(rat(1), rat(2, 3), rat(5, 7), rat(1, 4), space)
     y = (rat(3, 2),)
     a1 = op_A(1, y, params)
-    v, vb = Vec.basis(space, (0,)), Vec.basis(space, (1,))
-    assert a1.apply(v) == v.scale(y[0])
-    assert a1.apply(vb) == vb.scale(-y[0]) + v.scale(2 * params.alpha)
+    # On one site a state's index is its code: v is 0, vbar 1.
+    assert a1.apply({0: 1}) == {0: y[0]}
+    assert a1.apply({1: 1}) == {1: -y[0], 0: 2 * params.alpha}
 
 
 def test_comm_aa_samples():

@@ -22,7 +22,7 @@ from bqkz.hecke_module import (
 )
 from bqkz.rqkz import ModelParams, op_dT_dx, op_K, op_P, op_Q, op_R_k, op_T
 from bqkz.scalar_field import rat
-from bqkz.tensor_ops import LinOp, Space, Vec, embed_pair, embed_site, site_tensor
+from bqkz.tensor_ops import LinOp, Space, embed_pair, embed_site, site_tensor
 
 SIZES = [(n, half) for n in (1, 2, 3) for half in (1, 2, 3)]
 X = (rat(2), rat(3), rat(5))
@@ -62,7 +62,6 @@ def test_builders_key_by_index_and_entry_reads_the_states_position(n, half):
     states = list(space.states())
     position = {s: i for i, s in enumerate(states)}
     assert [space.index(s) for s in states] == list(range(space.dim))
-    assert [space.state(i) for i in range(space.dim)] == states
     for op in ops:
         assert op.space == space
         for c, col in op.cols.items():
@@ -126,8 +125,13 @@ def test_embeddings_match_oracles_written_by_state(n, half):
 
 def test_orbit_check_reads_orbit_states_by_index():
     space = Space(2, 2)
+    position = {s: i for i, s in enumerate(space.states())}
     states = orbit_states(space)
-    on, off = states[0], (0, 0)
+    # Each site carries label 1 or 2, barred or not (codes 0, 2 and 1, 3),
+    # and the two sites carry different labels.
+    pairs = [(a, b) for a in (0, 2) for b in (1, 3)]
+    assert sorted(states) == sorted(position[s] for p in pairs for s in (p, p[::-1]))
+    on, off = states[0], position[(0, 0)]
     assert off not in states
     assert not zero_on_orbit(LinOp(space, {on: {off: 1}}))
     assert zero_on_orbit(LinOp(space, {off: {on: 1}}))
@@ -150,16 +154,16 @@ def test_compose_stores_no_zero_and_drops_an_emptied_column(scalar):
     assert emptied.cols == {1: {0: one * one}}
 
 
-def test_apply_keeps_state_keys():
+def test_apply_reads_and_returns_index_columns():
     for n, half in ((1, 2), (2, 1), (3, 1)):
         space = Space(n, half)
         op = op_Q(1, X[:half], Y[:n], _params(space))
-        vec = Vec(space, {s: rat(i + 1) for i, s in enumerate(space.states()) if i % 3 == 0})
+        vec = {i: rat(i + 1) for i in range(space.dim) if i % 3 == 0}
         out = op.apply(vec)
-        assert out.entries
-        assert all(type(s) is tuple and len(s) == n for s in out.entries)
+        assert out
+        assert all(type(i) is int and 0 <= i < space.dim for i in out)
+        assert 0 not in out.values()
         dense = op.to_dense()
-        states = list(space.states())
-        for i, s in enumerate(states):
-            want = sum(dense[i][j] * vec.entries.get(t, 0) for j, t in enumerate(states))
-            assert out.entries.get(s, 0) == want
+        for i in range(space.dim):
+            want = sum(dense[i][j] * vec.get(j, 0) for j in range(space.dim))
+            assert out.get(i, 0) == want

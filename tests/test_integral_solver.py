@@ -7,6 +7,7 @@ the spectral parameter.
 """
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -17,7 +18,7 @@ import pytest
 from fractions import Fraction
 
 from bqkz.rqkz import ones, op_K, op_P, op_R, op_T, q_factor_list, shift_y
-from bqkz.tensor_ops import LinOp, Space, Vec, embed_pair, embed_site
+from bqkz.tensor_ops import LinOp, Space, embed_pair, embed_site
 import bqkz.compat_ops as compat_ops
 import bqkz.integral_solver as solver
 import bqkz.rqkz as rqkz
@@ -33,7 +34,6 @@ from bqkz.integral_solver import (
     kernel_log_phi,
     log1m_exp_array,
     log_gamma_array,
-    pair_I,
     prod_ratio_full,
     report_solutions,
     residual_report,
@@ -58,7 +58,12 @@ def rand_t(r):
 
 
 def vec_norm(vec):
-    return max((abs(complex(v)) for v in vec.entries.values()), default=0.0)
+    return max((abs(complex(v)) for v in vec.values()), default=0.0)
+
+
+def vec_diff(a, b):
+    """a - b for {index: value} columns."""
+    return {i: a.get(i, 0) - b.get(i, 0) for i in a.keys() | b.keys()}
 
 
 def vec_u_all(params):
@@ -70,10 +75,8 @@ def filler_vector(params):
     if params.n == 1:
         raise ValueError("no filler sites when n = 1")
     space = Space(params.n - 1, params.half_dim)
-    out = Vec(space, {})
-    for state in solver._symmetric_fills(params.n - 1, params.half_dim):
-        out = out.add(Vec.basis(space, state))
-    return out
+    second = (1, params.half_dim + 1)
+    return {space.index(s): 1 for s in itertools.product(second, repeat=params.n - 1)}
 
 
 def func_h(j, t, y, lam, k):
@@ -93,9 +96,11 @@ def func_h(j, t, y, lam, k):
 def gtilde_vec(t, y, params):
     """Vector-valued weight function: sum of g_j(t) times the j-th basis
     vector of the target subspace."""
-    out = Vec(params.space, {})
+    out = {}
     for j in range(1, 2 * params.n + 1):
-        out = out.add(vec_u(j, params).scale(func_g(j, t, y, params.k)))
+        g = func_g(j, t, y, params.k)
+        for i, v in vec_u(j, params).items():
+            out[i] = out.get(i, 0) + v * g
     return out
 
 
@@ -119,13 +124,22 @@ def test_regime_validation():
     assert p.x_point() == (p.big_e, 1)
 
 
-def test_half_integer_spectral_point_is_allowed_for_pairing():
+def test_half_integer_spectral_point_is_allowed_for_pairing(monkeypatch):
     """big_e = -1 is regular for the pairing; only the residual report,
-    which needs the differential residuals, rejects it."""
+    which needs the differential residuals, rejects it, naming its lambda
+    before any quadrature runs."""
     p = mkparams(1, -0.5, (0.3,))
     assert abs(p.big_e + 1) < 1e-12
-    with pytest.raises(ValueError):
-        residual_report(CycleW.monomial(0), p)
+    W = CycleW.monomial(0)
+    rules = []
+    real = solver._trapezoid
+    monkeypatch.setattr(solver, "_trapezoid", lambda *args: rules.append(1) or real(*args))
+    assert all(math.isfinite(abs(v)) for v in solve_f(p.lam, p.y, W, p).coeffs)
+    assert rules == [1]
+    with pytest.raises(ValueError) as err:
+        residual_report(W, p)
+    assert str(err.value).startswith("lambda=(-0.5+0j): ")
+    assert rules == [1]
 
 
 def test_cycle_degree_window():
@@ -144,23 +158,24 @@ def test_cycle_degree_window():
 
 def test_u_vectors_n1_closed_form():
     p = mkparams(1, -0.5, (0.3,))
-    assert vec_u(1, p).entries == {(0,): 1}
-    assert vec_u(2, p).entries == {(2,): 1}
+    # On one site a state's index is its code.
+    assert vec_u(1, p) == {0: 1}
+    assert vec_u(2, p) == {2: 1}
 
 
 def test_filler_conditions_and_rank():
     for n in (2, 3):
         p = mkparams(n, 0.31, tuple(0.1 + 0.13 * i for i in range(n)))
         fv = filler_vector(p)
-        sp = fv.space
+        sp = Space(n - 1, p.half_dim)
         for i in range(1, n - 1):
             assert embed_pair(op_P(2), i, i + 1, sp).apply(fv) == fv
         for i in range(1, n):
             assert embed_site(op_T(ones(2)), i, sp).apply(fv) == fv
         us = vec_u_all(p)
         assert len(us) == 2 * n
-        states = sorted({s for u in us for s in u.entries})
-        rows = [[Fraction(u.entries.get(s, 0)) for s in states] for u in us]
+        states = sorted({i for u in us for i in u})
+        rows = [[Fraction(u.get(i, 0)) for i in states] for u in us]
         rank = 0
         for col in range(len(states)):
             piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
@@ -310,11 +325,11 @@ def test_gtilde_intertwining():
                     )
                     lhs = swap_op.apply(gt)
                     rhs = gtilde_vec(t, tuple(ysw), p)
-                    assert vec_norm(lhs - rhs) <= 1e-10 * max(1.0, vec_norm(rhs)), (n, l)
+                    assert vec_norm(vec_diff(lhs, rhs)) <= 1e-10 * max(1.0, vec_norm(rhs)), (n, l)
                 flip_op = embed_site(op_K(y[-1], ones(2), K / 2), n, sp)
                 lhs = flip_op.apply(gt)
                 rhs = gtilde_vec(t, y[:-1] + (-y[-1],), p)
-                assert vec_norm(lhs - rhs) <= 1e-10 * max(1.0, vec_norm(rhs)), n
+                assert vec_norm(vec_diff(lhs, rhs)) <= 1e-10 * max(1.0, vec_norm(rhs)), n
             except ZeroDivisionError:
                 continue
             hits += 1
@@ -415,7 +430,7 @@ def test_pair_i_frozen_oracle_point():
     this value; the implementation must keep reproducing it."""
     p = mkparams(1, -0.5, (0.3,))
     want = 1.8676715689736985 - 3.5987515575140336j
-    got = pair_I(1, CycleW.monomial(0), p)
+    got = solve_f(p.lam, p.y, CycleW.monomial(0), p).coeffs[0]
     assert abs(got - want) <= 1e-9 * abs(want)
 
 
@@ -428,8 +443,9 @@ def test_pair_i_matches_adaptive_simpson():
     ]
     for n, lam, y, W in configs:
         p = mkparams(n, lam, y)
+        coeffs = solve_f(p.lam, p.y, W, p).coeffs
         for j in (1, 2 * n):
-            got = pair_I(j, W, p)
+            got = coeffs[j - 1]
             want = simpson_oracle(j, W, p)
             assert abs(got - want) <= 1e-8 * abs(want), (n, lam, j)
 
@@ -450,9 +466,9 @@ def test_oracle_takes_an_absolute_eps():
 def test_pair_i_linear_in_cycle():
     p = mkparams(1, -0.5, (0.3,))
     w0, w1 = CycleW.monomial(0), CycleW.monomial(1)
-    a = pair_I(2, w0, p)
-    b = pair_I(2, w1, p)
-    ab = pair_I(2, w0 + w1, p)
+    a = solve_f(p.lam, p.y, w0, p).coeffs[1]
+    b = solve_f(p.lam, p.y, w1, p).coeffs[1]
+    ab = solve_f(p.lam, p.y, w0 + w1, p).coeffs[1]
     assert abs(ab - (a + b)) <= 1e-10 * max(abs(ab), 1e-30)
 
 
@@ -460,7 +476,7 @@ def test_quadrature_error_reports_estimates():
     p = mkparams(1, -0.5, (0.3,), panels_per_unit=0.05, max_refine=0,
                  rtol=1e-13, atol=1e-30)
     with pytest.raises(QuadratureError) as err:
-        pair_I(1, CycleW.monomial(0), p)
+        solve_f(p.lam, p.y, CycleW.monomial(0), p)
     assert "estimates" in str(err.value)
 
 
@@ -496,9 +512,8 @@ def test_ode_and_gauge_residuals_small():
         assert rep["ftilde_residual"] <= 1e-7
 
 
-def _bumped(op, state, size=1e-6):
-    """op with size added to its diagonal entry at state."""
-    c = op.space.index(state)
+def _bumped(op, c, size=1e-6):
+    """op with size added to its diagonal entry at index c."""
     cols = {key: dict(col) for key, col in op._values().items()}
     col = cols.setdefault(c, {})
     col[c] = col.get(c, 0) + size
@@ -521,13 +536,13 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
         clean = residual_report(W, p, solutions)
         base, deriv, shifted = solutions
         top = max(range(2 * n), key=lambda j: abs(base.coeffs[j]))
-        state = min(vec_u(top + 1, p).entries)
+        index = min(vec_u(top + 1, p))
         factors = {d for m in range(1, n + 1) for d in q_factor_list(m, n)}
         assert len(factors) == (2 if n == 1 else 7)
         for target in sorted(factors):
             def bumped_factor(desc, *args, target=target):
                 op = real_factor(desc, *args)
-                return _bumped(op, state) if desc == target else op
+                return _bumped(op, index) if desc == target else op
 
             monkeypatch.setattr(rqkz, "_factor_op", bumped_factor)
             rep = residual_report(W, p, solutions)
@@ -552,7 +567,7 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
                     assert rep["qkz_residuals"][key] == clean["qkz_residuals"][key], (n, m)
             for key in ("ode_residual", "ftilde_residual"):
                 assert rep[key] == clean[key], (n, m, key)
-        monkeypatch.setattr(compat_ops, "op_B", lambda *args: _bumped(real_b(*args), state))
+        monkeypatch.setattr(compat_ops, "op_B", lambda *args: _bumped(real_b(*args), index))
         rep = residual_report(W, p, solutions)
         monkeypatch.setattr(compat_ops, "op_B", real_b)
         assert rep["ode_residual"] > 1e-7 and rep["ftilde_residual"] > 1e-7, n

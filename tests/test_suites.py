@@ -255,9 +255,8 @@ def test_cbar_qinv_builds_each_degenerate_product_once(monkeypatch):
         assert _builds(calls) == _chains(inverse)
 
 
-def _bump(op: LinOp, state) -> LinOp:
-    """op plus one at the diagonal entry of a basis state."""
-    i = op.space.index(state)
+def _bump(op: LinOp, i: int) -> LinOp:
+    """op plus one at the diagonal entry of basis index i."""
     return op + LinOp.of(op.space, {i: {i: 1}})
 
 
@@ -269,7 +268,7 @@ def test_a_perturbed_transport_factor_fails_both_transport_suites(monkeypatch):
     def replacement(real):
         def perturbed(desc, x, y, params):
             op = real(desc, x, y, params)
-            return _bump(op, (0,) * params.space.n) if desc == target else op
+            return _bump(op, 0) if desc == target else op
 
         return perturbed
 
@@ -279,7 +278,7 @@ def test_a_perturbed_transport_factor_fails_both_transport_suites(monkeypatch):
         assert result.failures == 1, name
 
 
-def _perturbed_inverse_transport(monkeypatch, m, state):
+def _perturbed_inverse_transport(monkeypatch, m, index):
     """Perturb, at one diagonal entry, the factor of the site-m inverse
     transport chain that the orbit check applies first; returns the
     cbar-qinv notes at n = 2."""
@@ -287,7 +286,7 @@ def _perturbed_inverse_transport(monkeypatch, m, state):
 
     def perturbed(desc, x, y, params, real=rqkz._factor_op):
         op = real(desc, x, y, params)
-        return _bump(op, state) if desc == target else op
+        return _bump(op, index) if desc == target else op
 
     monkeypatch.setattr(rqkz, "_factor_op", perturbed)
     return suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes
@@ -319,24 +318,24 @@ def test_a_split_that_drops_a_factor_fails_once_per_size_and_sampling_goes_on(mo
 
 
 def test_a_perturbed_orbit_column_of_the_inverse_transport_fails_its_site(monkeypatch):
-    orbit_state = hecke_module.orbit_states(Space(2, 2))[0]
-    (note,) = _perturbed_inverse_transport(monkeypatch, 2, orbit_state)
+    orbit_index = hecke_module.orbit_states(Space(2, 2))[0]
+    (note,) = _perturbed_inverse_transport(monkeypatch, 2, orbit_index)
     assert note.startswith("n=2 site-2 point=")
 
 
 def test_a_perturbed_non_orbit_column_still_passes_the_site_check(monkeypatch):
-    off_orbit = (0, 0)
+    off_orbit = Space(2, 2).index((0, 0))
     assert off_orbit not in hecke_module.orbit_states(Space(2, 2))
     assert _perturbed_inverse_transport(monkeypatch, 2, off_orbit) == ()
 
 
 def test_a_perturbed_degenerate_factor_fails_both_cbar_checks(monkeypatch):
     target = hecke_module.cbar_factor_list(1, 2)[-1]
-    orbit_state = hecke_module.orbit_states(Space(2, 2))[0]
+    orbit_index = hecke_module.orbit_states(Space(2, 2))[0]
 
     def perturbed(desc, x, y, params, real=hecke_module._cbar_factor):
         op = real(desc, x, y, params)
-        return _bump(op, orbit_state) if desc == target else op
+        return _bump(op, orbit_index) if desc == target else op
 
     monkeypatch.setattr(hecke_module, "_cbar_factor", perturbed)
     notes = suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes
@@ -364,11 +363,11 @@ def test_one_wrong_left_image_fails_a_point_free_and_the_assembled_check(monkeyp
     """A wrong rhoL(s_12) entry on the orbit shows in the pair-sum identity
     proved once per size and in the assembled form checked at the point."""
     target = hecke_module.elem_s(1, 2, 2)
-    orbit_state = hecke_module.orbit_states(Space(2, 2))[0]
+    orbit_index = hecke_module.orbit_states(Space(2, 2))[0]
 
     def perturbed(w, space, real=hecke_module.rhoL):
         op = real(w, space)
-        return _bump(op, orbit_state) if w == target else op
+        return _bump(op, orbit_index) if w == target else op
 
     monkeypatch.setattr(hecke_module, "rhoL", perturbed)
     result = suites.run_suite("l-restriction", samples=1, seed=0, sizes=(2,))

@@ -11,7 +11,6 @@ from bqkz.tensor_ops import (
     LinOp,
     PoleSingular,
     Space,
-    Vec,
     commutator,
     embed_pair,
     embed_site,
@@ -55,17 +54,6 @@ def test_space_dimensions():
     assert len(states) == 64
     assert len(set(states)) == 64
     assert states == sorted(states)
-
-
-def test_vec_algebra():
-    sp = Space(2, 2)
-    a = Vec.basis(sp, (0, 1))
-    b = Vec.basis(sp, (1, 0))
-    s = a + b.scale(rat(3, 2))
-    assert s.entries[(0, 1)] == 1
-    assert s.entries[(1, 0)] == rat(3, 2)
-    assert (s - s).is_zero()
-    assert s.norm_max() == 1.5
 
 
 def test_compose_matches_dense_oracle():
@@ -126,14 +114,14 @@ def test_product_of_floats_is_the_compose_fold():
 def test_apply_matches_dense():
     sp = Space(2, 1)
     op = rand_op(sp, rng)
-    states = list(sp.states())
-    vec = Vec(sp, {s: rand_rat(rng) for s in states if rng.random() < 0.5})
+    vec = {i: rand_rat(rng) for i in range(sp.dim) if rng.random() < 0.5}
     out = op.apply(vec)
     dense = op.to_dense()
-    col = [vec.entries.get(s, 0) for s in states]
-    want = [sum(dense[i][j] * col[j] for j in range(len(states))) for i in range(len(states))]
-    for i, s in enumerate(states):
-        assert out.entries.get(s, 0) == want[i]
+    col = [vec.get(j, 0) for j in range(sp.dim)]
+    want = [sum(dense[i][j] * col[j] for j in range(sp.dim)) for i in range(sp.dim)]
+    assert 0 not in out.values()
+    for i in range(sp.dim):
+        assert out.get(i, 0) == want[i]
 
 
 def test_from_dense_roundtrip():
@@ -281,14 +269,13 @@ def test_mixed_float_and_exact_give_the_fraction_values():
     want = dense_mul(df, dense_mul(de, df))
     assert all(cmath.isclose(g, w, abs_tol=1e-12)
                for gr, wr in zip(got, want) for g, w in zip(gr, wr))
-    states = list(sp.states())
-    vec = Vec(sp, {s: rand_rat(r) for s in states if r.random() < 0.7})
-    col = [vec.entries.get(s, 0) for s in states]
+    vec = {i: rand_rat(r) for i in range(sp.dim) if r.random() < 0.7}
+    col = [vec.get(j, 0) for j in range(sp.dim)]
     for op, dense in ((exact, de), (floats, df)):
         out = op.apply(vec)
-        for i, s in enumerate(states):
-            want = sum(dense[i][j] * col[j] for j in range(len(states)))
-            got = out.entries.get(s, 0)
+        for i in range(sp.dim):
+            want = sum(dense[i][j] * col[j] for j in range(sp.dim))
+            got = out.get(i, 0)
             assert got == want if op.exact else cmath.isclose(got, want, abs_tol=1e-12)
 
 
