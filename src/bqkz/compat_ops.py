@@ -18,7 +18,7 @@ route lists its own (coefficient, operator) terms and sums them in one
 The two compatibility residuals are read on a start, one seeded random
 integer column in the suite (Freivalds' check) or the identity for the
 whole operator.  They take the operators of their point as arguments: L_a
-at y and at the shifted y, built once per (a, m), and the a-independent
+at y and each shifted y (`op_L_shifts`, once per a), and the a-independent
 transport parts of each form, built once per m and already applied to
 the start.  The split form takes `three_term_parts(m, ...)`: the inverse
 head factors, the head product H applied to the start, the middle and
@@ -49,6 +49,7 @@ from .rqkz import (
     op_R_k,
     q_factor_list,
     q_split_descs,
+    shift_y,
 )
 from .scalar_field import PoleError, div, inv
 from .tensor_ops import (
@@ -121,6 +122,14 @@ def pair_K(half: int, a: int, b: int) -> LinOp:
             + site_tensor(_eu(half, b, True, a, False), op_Ebar(half, a, b)))
 
 
+@cache
+def site_units(a: int, j: int, space: Space) -> tuple:
+    """e_(a,a), e_(abar,abar), e_(a,abar) and op_Ebar(a, a) embedded at site j."""
+    half = space.half_dim
+    e_aa, e_bb, _, raise_a = _units(half, a)
+    return tuple(embed_site(u, j, space) for u in (e_aa, e_bb, raise_a, op_Ebar(half, a, a)))
+
+
 def _site_pairs(n: int) -> list:
     """Every site pair (i, j) with i < j."""
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -168,11 +177,10 @@ def op_A_terms(a: int, y: Sequence, params: ModelParams) -> list:
     space = params.space
     half = space.half_dim
     k = params.k
-    e_aa, e_bb, _, raise_a = _units(half, a)
     terms = []
     for j, yj in enumerate(y, start=1):
-        terms += [(yj, embed_site(e_aa, j, space)), (-yj, embed_site(e_bb, j, space)),
-                  (2 * params.alpha, embed_site(raise_a, j, space))]
+        e_aa, e_bb, raise_a, _ = site_units(a, j, space)
+        terms += [(yj, e_aa), (-yj, e_bb), (2 * params.alpha, raise_a)]
     terms += [(-k, coll_X(p, a, space)) for p in range(1, a)]
     terms += [(k, coll_X(a, p, space)) for p in range(a + 1, half + 1)]
     terms += [(k, coll_Y(a, p, space)) for p in range(1, half + 1)]
@@ -204,7 +212,7 @@ def op_B_terms(a: int, x: Sequence, params: ModelParams) -> list:
     xa = x[a - 1]
     k = params.k
     coeff0 = div(2 * (params.alpha + params.beta * xa), xa * xa - 1)
-    terms = [(coeff0, embed_site(op_Ebar(half, a, a), j, space)) for j in range(1, space.n + 1)]
+    terms = [(coeff0, site_units(a, j, space)[3]) for j in range(1, space.n + 1)]
     for p in range(1, half + 1):
         xp = x[p - 1]
         if p != a:
@@ -220,6 +228,13 @@ def op_B(a: int, x: Sequence, params: ModelParams) -> LinOp:
 
 def op_L(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
     return lincomb(params.space, op_A_terms(a, y, params) + op_B_terms(a, x, params))
+
+
+def op_L_shifts(a: int, x: Sequence, y: Sequence, params: ModelParams) -> list:
+    """L_a at y, then at shift_y(y, m, c) for each site m; op_B's terms are listed once."""
+    b_terms = op_B_terms(a, x, params)
+    ys = [y] + [shift_y(y, m, params.c) for m in range(1, params.space.n + 1)]
+    return [lincomb(params.space, op_A_terms(a, yy, params) + b_terms) for yy in ys]
 
 
 def op_I_terms(a: int, lam, gamma, params: ModelParams) -> list:
@@ -363,7 +378,7 @@ def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
                                (k * div(-xb, (xb * xa - 1) ** 2), coll_YZ(b, a, space))])
     alpha, beta = params.alpha, params.beta
     d0 = div(2 * (-beta * xb * xb - 2 * alpha * xb - beta), (xb * xb - 1) * (xb * xb - 1))
-    terms = [(d0, embed_site(op_Ebar(half, b, b), j, space)) for j in range(1, space.n + 1)]
+    terms = [(d0, site_units(b, j, space)[3]) for j in range(1, space.n + 1)]
     for p in range(1, half + 1):
         xp = x[p - 1]
         if p != b:

@@ -13,7 +13,7 @@ module hold on that subspace only, so checks restrict to it explicitly.
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
 into one scalar.  Each writes its factors' entries down directly on one or
-two sites and embeds them, with its own builder, and applies them to a
+two sites and places them, with its own builder, and applies them to a
 start: the suite's start holds a seeded random integer column and one
 supported on the orbit states (Freivalds' check), a test's the identity.
 A caller applies Cbar_m once per point; the orbit check compares it with
@@ -44,7 +44,7 @@ from .rqkz import (
     q_factor_list,
 )
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import LinOp, Space, embed_pair, embed_site, lincomb, product
+from .tensor_ops import LinOp, Placed, Space, embed_pair, embed_site, lincomb, product
 
 
 @dataclass(frozen=True)
@@ -294,9 +294,9 @@ def cbar_factor_list(m: int, n: int):
     return fs
 
 
-def _cbar_factor(desc, x, y, params: ModelParams) -> LinOp:
+def _cbar_factor(desc, x, y, params: ModelParams) -> Placed:
     """One degenerate factor, its entries written down directly on one or
-    two sites and embedded at its slots."""
+    two sites and placed at its slots."""
     kind, slot, yterms, cmult = desc
     space = params.space
     n = space.n
@@ -314,7 +314,7 @@ def _cbar_factor(desc, x, y, params: ModelParams) -> LinOp:
             for b in range(2 * n):
                 col = {(a, b): 1} if a == b else {(a, b): keep, (b, a): swap}
                 cols[(a, b)] = {r: v for r, v in col.items() if v != 0}
-        return embed_pair(LinOp(Space(2, n), cols), slot, slot + 1, space)
+        return Placed(LinOp(Space(2, n), cols), (slot, slot + 1), space)
     if kind == "Kn":
         den = arg - params.alpha
         if den == 0:
@@ -342,7 +342,7 @@ def _cbar_factor(desc, x, y, params: ModelParams) -> LinOp:
     for a, (down, up) in enumerate(flips):
         for col, row, v in ((a, n + a, down), (n + a, a, up)):
             cols[(col,)] = {r: e for r, e in {(row,): v, (col,): diag}.items() if e != 0}
-    return embed_site(LinOp(Space(1, n), cols), site, space)
+    return Placed(LinOp(Space(1, n), cols), (site,), space)
 
 
 def op_Cbar(m: int, x: Sequence, y: Sequence, params: ModelParams, start: LinOp) -> LinOp:
@@ -387,7 +387,7 @@ def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams,
         for a in range(2 * n):
             for b in range(2 * n):
                 cols[(a, b)] = {(a, b): arg - k} if a == b else {(a, b): -k, (b, a): arg}
-        return embed_pair(LinOp(Space(2, n), nonzero(cols)), slot, slot + 1, space)
+        return Placed(LinOp(Space(2, n), nonzero(cols)), (slot, slot + 1), space)
 
     def end_factor(weight, coords, shift, site):
         # weight T(coords) - shift at one site.
@@ -397,7 +397,7 @@ def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams,
                 raise PoleError("reflection coordinate %d is zero" % (a + 1))
             cols[(a,)] = {(n + a,): weight * inv(xa), (a,): -shift}
             cols[(n + a,)] = {(a,): weight * xa, (n + a,): -shift}
-        return embed_site(LinOp(Space(1, n), nonzero(cols)), site, space)
+        return Placed(LinOp(Space(1, n), nonzero(cols)), (site,), space)
 
     factors = []
     for j in range(m + 1, n + 1):
@@ -444,10 +444,10 @@ def pair_sum_identities(a: int, space: Space):
     Callers restrict to the orbit basis: all are generally nonzero on the
     full space.
     """
-    from .compat_ops import coll_X_swap, coll_YZ, op_Ebar
+    from .compat_ops import coll_X_swap, coll_YZ, site_units
 
     n = space.n
-    ebar_sum = [(1, embed_site(op_Ebar(n, a, a), j, space)) for j in range(1, n + 1)]
+    ebar_sum = [(1, site_units(a, j, space)[3]) for j in range(1, n + 1)]
     yield ("reflection-sum", lincomb(space, ebar_sum + [(-1, rhoL(elem_r(a, n), space))]))
     yield ("self-pair", coll_YZ(a, a, space))
     for b in range(1, n + 1):

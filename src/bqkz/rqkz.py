@@ -10,25 +10,24 @@ family is consistent: shifting the l-th argument in the m-th operator and
 composing commutes with doing it the other way around.
 
 Each exchange and reflection factor is built entry by entry from its
-scalar argument, keyed by linear state index (a*d + b on two sites, a on
-one): its few distinct entries are cleared once into int numerators over
-one denominator.  Products of factors are formed by
-`tensor_ops.product`, a fold of `LinOp.compose` over those integer forms
-that reduces each partial product by one gcd; no operator ever stores a
-rational entry.
+scalar argument on its one or two sites (index a*d + b on two, a on one),
+its few distinct entries cleared once into int numerators over one
+denominator, and placed at its sites (`tensor_ops.Placed`), not embedded.
 
 The consistency checks read their transport operators on one start: a
 caller applies each chain of factors to a start (`compose_descs` with
-`start`) and compares the images.  The suites start from one seeded random
-integer column v, so a pass proves D(p) v = 0 for the point's defect D(p)
-(Freivalds' check); a test that starts from the identity gets the whole
-operator and the exact certificate from the same code.  The inverse check
-applies the inverse factors to Q_m v, and each pair check applies the
-shifted factors of one transport operator to the other's image.  The
-x-derivative likewise takes the trailing product T_m applied to the start
-and applies the head factors and one middle derivative to it.  Whether
-the split into (head, middle, tail) keeps every factor in order reads no
-point, so `q_split_defect` checks it once per size.
+`start`) and compares the images; `tensor_ops.product` applies each
+placed factor where it acts and reduces each partial product by one gcd.
+The suites start from one seeded random integer column v, so a pass
+proves D(p) v = 0 for the point's defect D(p) (Freivalds' check); a test
+that starts from the identity, or a chain with no start, gets the whole
+operator from the same code.  The inverse check applies the inverse
+factors to Q_m v, and each pair check applies the shifted factors of one
+transport operator to the other's image.  The x-derivative likewise takes
+the trailing product T_m applied to the start and applies the head
+factors and one middle derivative to it.  Whether the split into (head,
+middle, tail) keeps every factor in order reads no point, so
+`q_split_defect` checks it once per size.
 
 The contour solver's residual pass uses the same builders in floating
 point: per lambda grid it composes the factors on either side of the
@@ -47,7 +46,7 @@ from typing import Sequence
 
 from .sampling import rand_rational
 from .scalar_field import PoleError, div, inv, rat
-from .tensor_ops import LinOp, Space, clear, embed_pair, embed_site, lincomb, product
+from .tensor_ops import LinOp, Placed, Space, clear, embed_pair, embed_site, lincomb, product
 
 
 @dataclass(frozen=True)
@@ -197,16 +196,16 @@ def _factor_arg(desc, y: Sequence, c):
     return arg
 
 
-def _factor_op(desc, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
+def _factor_op(desc, x: Sequence, y: Sequence, params: ModelParams) -> Placed:
     kind, sites, _, _ = desc
     space = params.space
     arg = _factor_arg(desc, y, params.c)
     if kind == "R":
-        return embed_pair(op_R(arg, params), sites[0], sites[1], space)
+        return Placed(op_R(arg, params), sites, space)
     if kind == "Kx":
-        return embed_site(op_K(arg, x, params.beta), sites[0], space)
+        return Placed(op_K(arg, x, params.beta), sites, space)
     if kind == "K1":
-        return embed_site(op_K(arg, ones(space.half_dim), params.alpha), sites[0], space)
+        return Placed(op_K(arg, ones(space.half_dim), params.alpha), sites, space)
     raise ValueError("unknown factor kind %r" % (kind,))
 
 
@@ -222,7 +221,7 @@ def invert_descs(descs):
 
 
 def factor_ops(descs, x, y, params: ModelParams) -> list:
-    """The factor operators of a descriptor list, leftmost first; each one
+    """The placed factors of a descriptor list, leftmost first; each one
     runs its own pole check as it is built."""
     return [_factor_op(desc, x, y, params) for desc in descs]
 

@@ -227,9 +227,8 @@ def _compatibility(x, y, params, v):
     direct = [compat_ops.direct_parts(m, x, y, params, v) for m in sites]
     split = [compat_ops.three_term_parts(m, x, y, params, v) for m in sites]
     for a in range(1, params.space.half_dim + 1):
-        l_a = compat_ops.op_L(a, x, y, params)
-        for m in sites:
-            shifted = compat_ops.op_L(a, x, rqkz.shift_y(y, m, params.c), params)
+        l_a, *shifts = compat_ops.op_L_shifts(a, x, y, params)
+        for m, shifted in zip(sites, shifts):
             yield "split-%d-%d" % (a, m), compat_ops.compat_three_term(
                 a, m, x, y, params, l_a, shifted, split[m - 1]
             )

@@ -11,7 +11,8 @@ by linear state index, with no explicitly stored zeros.  A vector is one
 such column, {index: value}, and `apply` maps columns to columns.  State
 tuples appear only where builders write entries: `entry` takes states, and
 the constructor converts state keys once (`LinOp.of` takes indices).
-Embedding a site or pair operator shifts indices by stride arithmetic.
+Embedding a site or pair operator shifts indices by stride arithmetic; a
+placed one (`Placed`) is applied to a column by the same arithmetic.
 
 An exact operator holds int numerators over one positive int denominator,
 reduced so that the two share no factor; a floating-point operator (the
@@ -21,7 +22,7 @@ is therefore structural equality of numerators and denominator.
 Exact arithmetic never leaves the integers: a linear combination
 (`lincomb`, and `+`, `-` and `scale` through it) meets over one lcm and
 reduces once by the gcd, `compose` multiplies numerators and denominators
-and reduces once, and `product` (or `@`) is a fold of `compose`.
+and reduces once, and `product` (or `@`) folds `compose`, placed ones too.
 Values are read as rationals only at the edges: `entry`, `to_dense`,
 `apply` and `max_abs`.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm
 
 from .scalar_field import inv as _inv_scalar, is_exact, rat
@@ -292,10 +294,10 @@ def _operands(*ops):
 
 
 def product(ops) -> LinOp:
-    """ops[0] o ops[1] o ... o ops[-1], the last operator applied first."""
-    ops = list(ops)
-    out = ops[-1]
-    for op in reversed(ops[:-1]):
+    """ops[0] o ops[1] o ... o ops[-1], the last applied first (embedded if placed)."""
+    *rest, out = ops
+    out = out.embedded() if isinstance(out, Placed) else out
+    for op in reversed(rest):
         out = op.compose(out)
     return out
 
@@ -306,40 +308,70 @@ def commutator(a: LinOp, b: LinOp) -> LinOp:
 
 def embed_site(op: LinOp, j: int, space: Space) -> LinOp:
     """Embed a site operator at site j (1-based) of the tensor power."""
-    if op.space.n != 1 or op.space.half_dim != space.half_dim:
-        raise ValueError("embed_site wants a site operator over the same labels")
-    if not 1 <= j <= space.n:
-        raise ValueError("site index out of range")
-    return _embedded(op, (space.stride(j),), space)
+    return Placed(op, (j,), space).embedded()
 
 
 def embed_pair(op: LinOp, i: int, j: int, space: Space) -> LinOp:
     """Embed a two-site operator with its first slot at site i, second at site j."""
-    if op.space.n != 2 or op.space.half_dim != space.half_dim:
-        raise ValueError("embed_pair wants a two-site operator over the same labels")
-    if i == j or not (1 <= i <= space.n and 1 <= j <= space.n):
-        raise ValueError("need two distinct sites in range")
-    return _embedded(op, (space.stride(i), space.stride(j)), space)
+    return Placed(op, (i, j), space).embedded()
 
 
 def _embedded(op: LinOp, strides, space: Space) -> LinOp:
-    """op acting on the sites whose index strides are given, in slot order.
-
-    A local code adds its slot digits times these strides to a full index;
-    the digits at every other site add an offset that op leaves unchanged.
-    """
-    d = space.site_dim
-    shift = _offsets(strides, d)
-    all_strides = [space.stride(j) for j in range(1, space.n + 1)]
-    others = _offsets([s for s in all_strides if s not in strides], d)
-    local = [(shift[c], [(shift[r] - shift[c], v) for r, v in col.items()])
-             for c, col in op.cols.items()]
+    """op acting on the sites whose index strides are given, in slot order:
+    each index's local code picks op's column, and its base index, the
+    digits at every other site, is added to each row's offset."""
+    shift, codes, bases = _placement(strides, space)
+    local = {c: [(shift[r], v) for r, v in col.items()] for c, col in op.cols.items()}
     cols = {}
-    for rest in others:
-        for oc, rows in local:
-            c = rest + oc
-            cols[c] = {c + dr: v for dr, v in rows}
+    for c, (code, base) in enumerate(zip(codes, bases)):
+        rows = local.get(code)
+        if rows is not None:
+            cols[c] = {base + dr: v for dr, v in rows}
     return LinOp.of(space, cols, op.den, op.exact)
+
+
+class Placed:
+    """A one- or two-site operator at given sites (slot order), applied
+    without embedding: `compose` reads each entry of each column of other as
+    a local code and a base index (the digits at every other site) and adds
+    to base plus each local row's offset, as `embedded().compose` would."""
+
+    __slots__ = ("local", "strides", "space")
+
+    def __init__(self, local: LinOp, sites: tuple, space: Space):
+        sites = tuple(sites)
+        if local.space.n != len(sites) or local.space.half_dim != space.half_dim:
+            raise ValueError("need a %d-site operator over the same labels" % len(sites))
+        if len(set(sites)) != len(sites) or not all(1 <= j <= space.n for j in sites):
+            raise ValueError("need distinct sites in range")
+        self.local, self.strides, self.space = local, tuple(map(space.stride, sites)), space
+
+    def embedded(self) -> LinOp:
+        """The whole operator on the space."""
+        return _embedded(self.local, self.strides, self.space)
+
+    def compose(self, other: LinOp) -> LinOp:
+        if self.space != other.space:
+            raise ValueError("space mismatch in compose")
+        (acols, da), (bcols, db), exact = _operands(self.local, other)
+        shift, codes, bases = _placement(self.strides, self.space)
+        out = {}
+        for c, bcol in bcols.items():
+            acc = {}
+            get = acc.get
+            for k, bkc in bcol.items():
+                acol = acols.get(codes[k])
+                if acol is None:
+                    continue
+                base = bases[k]
+                for lr, ark in acol.items():
+                    r = base + shift[lr]
+                    acc[r] = get(r, 0) + ark * bkc
+            if 0 in acc.values():
+                acc = {r: w for r, w in acc.items() if w != 0}
+            if acc:
+                out[c] = acc
+        return _built(self.space, out, da * db, exact)
 
 
 def _offsets(strides, d: int) -> list:
@@ -349,6 +381,21 @@ def _offsets(strides, d: int) -> list:
     for s in strides:
         out = [base + digit * s for base in out for digit in range(d)]
     return out
+
+
+@cache
+def _placement(strides: tuple, space: Space) -> tuple:
+    """(shift, codes, bases) at these strides: shift[code] is a local code's
+    index offset; index i has local code codes[i] and base index bases[i],
+    the offset of its digits at every other site.  Reads no point: cached."""
+    d = space.site_dim
+    shift = _offsets(strides, d)
+    others = [t for t in map(space.stride, range(1, space.n + 1)) if t not in strides]
+    codes, bases = [0] * space.dim, [0] * space.dim
+    for base in _offsets(others, d):
+        for code, s in enumerate(shift):
+            codes[base + s], bases[base + s] = code, base
+    return tuple(shift), tuple(codes), tuple(bases)
 
 
 def site_tensor(op1: LinOp, op2: LinOp) -> LinOp:

@@ -52,7 +52,7 @@ def _built_operators(n, half):
     ops += [op_L(half, x, y, params)]
     if n == half:
         ops += [rhoL(SignedPerm.generator(n, n), space), op_Cbar(1, x, y, params, LinOp.identity(space))]
-        ops += [_cbar_factor(desc, x, y, params) for desc in cbar_factor_list(n, n)]
+        ops += [_cbar_factor(desc, x, y, params).embedded() for desc in cbar_factor_list(n, n)]
     return space, ops
 
 

@@ -542,7 +542,7 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
         for target in sorted(factors):
             def bumped_factor(desc, *args, target=target):
                 op = real_factor(desc, *args)
-                return _bumped(op, index) if desc == target else op
+                return _bumped(op.embedded(), index) if desc == target else op
 
             monkeypatch.setattr(rqkz, "_factor_op", bumped_factor)
             rep = residual_report(W, p, solutions)

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from bqkz import cli, compat_ops, hecke_module, rqkz, suites
+from bqkz import cli, compat_ops, hecke_module, rqkz, suites, tensor_ops
 from bqkz.scalar_field import RATIONAL_BACKEND, rat
 from bqkz.tensor_ops import LinOp, Space
 
@@ -202,9 +202,11 @@ def test_compatibility_builds_each_operator_once(monkeypatch):
     """Each form builds its own transport chains once per site: the direct
     form the transport factors, plus the head for each a's derivative; the
     split form the head, the middle and tail, and their inverses.  L_a is
-    built once per a and per shifted y."""
+    built once per a and per shifted y, from op_A's terms at that y and
+    op_B's terms, which read no y and are listed once per a."""
     points = _calls_at_each_point(
-        monkeypatch, "compatibility", [(rqkz, "_factor_op"), (compat_ops, "op_L")]
+        monkeypatch, "compatibility",
+        [(rqkz, "_factor_op"), (compat_ops, "op_A_terms"), (compat_ops, "op_B_terms")],
     )
     assert len(points) == 4
     for calls in points:
@@ -217,7 +219,9 @@ def test_compatibility_builds_each_operator_once(monkeypatch):
             chains += [(head, y), (rqkz.invert_descs(head), y), ([mid] + tail, y),
                        (rqkz.invert_descs([mid] + tail), y)]
         assert _builds(calls) == _chains(chains)
-        inputs = [(a, tuple(yy)) for a, _, yy, _ in calls["op_L"]]
+        assert sorted(a for a, xx, _ in calls["op_B_terms"]) == list(range(1, half + 1))
+        assert all(tuple(xx) == tuple(x) for _, xx, _ in calls["op_B_terms"])
+        inputs = [(a, tuple(yy)) for a, yy, _ in calls["op_A_terms"]]
         wanted = {(a, tuple(y)) for a in range(1, half + 1)} | {
             (a, rqkz.shift_y(y, m, params.c))
             for a in range(1, half + 1)
@@ -255,6 +259,26 @@ def test_cbar_qinv_builds_each_degenerate_product_once(monkeypatch):
         assert _builds(calls) == _chains(inverse)
 
 
+def test_the_transport_chains_embed_no_factor(monkeypatch):
+    """qkz-consistency and cbar-qinv apply every factor where it acts: a
+    one-sample run embeds no operator into the whole space."""
+    embedded = []
+    real = tensor_ops._embedded
+
+    def counted(*args):
+        embedded.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tensor_ops, "_embedded", counted)
+    for name in ("qkz-consistency", "cbar-qinv"):
+        assert suites.run_suite(name, samples=1, seed=0).exact_zero, name
+    assert embedded == []
+    # The counter sees an embedding made on the whole space.
+    rqkz.compose_descs(rqkz.q_factor_list(1, 2), (rat(7), rat(11)), (rat(1), rat(2)),
+                       rqkz.ModelParams(rat(1), rat(2), rat(3), rat(5), Space(2, 2)))
+    assert len(embedded) == 1
+
+
 def _bump(op: LinOp, i: int) -> LinOp:
     """op plus one at the diagonal entry of basis index i."""
     return op + LinOp.of(op.space, {i: {i: 1}})
@@ -268,7 +292,7 @@ def test_a_perturbed_transport_factor_fails_both_transport_suites(monkeypatch):
     def replacement(real):
         def perturbed(desc, x, y, params):
             op = real(desc, x, y, params)
-            return _bump(op, 0) if desc == target else op
+            return _bump(op.embedded(), 0) if desc == target else op
 
         return perturbed
 
@@ -286,7 +310,7 @@ def _perturbed_inverse_transport(monkeypatch, m, index):
 
     def perturbed(desc, x, y, params, real=rqkz._factor_op):
         op = real(desc, x, y, params)
-        return _bump(op, index) if desc == target else op
+        return _bump(op.embedded(), index) if desc == target else op
 
     monkeypatch.setattr(rqkz, "_factor_op", perturbed)
     return suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes
@@ -335,7 +359,7 @@ def test_a_perturbed_degenerate_factor_fails_both_cbar_checks(monkeypatch):
 
     def perturbed(desc, x, y, params, real=hecke_module._cbar_factor):
         op = real(desc, x, y, params)
-        return _bump(op, orbit_index) if desc == target else op
+        return _bump(op.embedded(), orbit_index) if desc == target else op
 
     monkeypatch.setattr(hecke_module, "_cbar_factor", perturbed)
     notes = suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes

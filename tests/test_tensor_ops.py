@@ -1,6 +1,7 @@
 """Sparse tensor-space linear algebra against dense oracles."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from bqkz.scalar_field import rat
 from bqkz.tensor_ops import (
     LinOp,
+    Placed,
     PoleSingular,
     Space,
     commutator,
@@ -161,6 +163,57 @@ def test_embed_pair_equals_embedded_product():
         lhs = embed_pair(two, i, j, sp)
         rhs = embed_site(a, i, sp) @ embed_site(b, j, sp)
         assert lhs == rhs, (i, j)
+
+
+def _twin_op(space, r, exact):
+    """Random sparse operator whose columns 0 and 1 are equal, so it kills
+    the difference of basis vectors 0 and 1; complex floats unless exact."""
+
+    def value():
+        v = rand_rat(r)
+        return v if exact else complex(float(v), r.randint(-9, 9) / 7)
+
+    cols = {c: {row: value() for row in range(space.dim) if r.random() < 0.4}
+            for c in range(1, space.dim)}
+    cols[0] = dict(cols[1])
+    return LinOp(space, {c: col for c, col in cols.items() if col})
+
+
+def _start(space, cols, exact):
+    """Operator with the given rational columns, as complex floats unless
+    exact; the common factor keeps opposite entries opposite."""
+    if not exact:
+        cols = {c: {i: float(v) * (1 + 0.5j) for i, v in col.items()} for c, col in cols.items()}
+    return LinOp(space, cols)
+
+
+@pytest.mark.parametrize("n,half", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_placed_factors_compose_like_embedded_ones(n, half):
+    """At every site and ordered site pair, a placed factor composed with a
+    one-column start, a two-column start, a start it cancels to zero and
+    the identity equals the embedded factor composed with it, in canonical
+    form, for exact, floating-point and mixed operands."""
+    r = random.Random(10 * n + half)
+    space = Space(n, half)
+    sites = range(1, n + 1)
+    where = [((j,), embed_site) for j in sites]
+    where += [((i, j), embed_pair) for i in sites for j in sites if i != j]
+    for exact_local, exact_start in itertools.product((True, False), repeat=2):
+        for at, embed in where:
+            local = _twin_op(Space(len(at), half), r, exact_local)
+            placed, whole = Placed(local, at, space), embed(local, *at, space)
+            # Local codes 0 and 1 differ in the last slot's digit only.
+            cancel = {0: 1, space.stride(at[-1]): -1}
+            column = {i: rand_rat(r) for i in r.sample(range(space.dim), 5)}
+            column = {i: v for i, v in column.items() if v != 0}
+            starts = [_start(space, cols, exact_start)
+                      for cols in ({7: column}, {0: column, 3: cancel}, {2: cancel})]
+            ident = LinOp.identity(space)
+            starts.append(ident if exact_start else ident.scale(1.0))
+            for start in starts:
+                assert placed.compose(start) == whole.compose(start), (at, exact_local)
+            assert placed.compose(starts[2]).is_zero()
+            assert list(placed.compose(starts[1]).cols) == [0]
 
 
 def test_embed_site_wrong_half_dim():
