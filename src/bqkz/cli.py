@@ -418,6 +418,8 @@ def _recheck(path: str) -> int:
         _validate_config(cfg)
     except (KeyError, TypeError):
         raise ConfigError("input report lacks body.config / body.solutions")
+    if not isinstance(entries, list):
+        raise ConfigError("input report body.solutions must be a list")
     if not entries:
         raise ConfigError("input report has no solutions to recompute")
     sites = {str(m) for m in range(1, cfg["model"]["n"] + 1)}

@@ -26,7 +26,9 @@ tail factors, and their inverses applied to the start; it folds them
 around L_a(shifted) and L_a exactly as the factor lists would.  The direct
 form takes `direct_parts(m, ...)`: the transport factors, Q_m and its
 trailing product T_m applied to the start; `op_dQ_dx` applies the head
-factors and the a-th middle derivative to the latter.  The two forms
+factors and the a-th middle derivative to the latter.  Like the factors,
+the derivative terms are one-site operators placed at site m: the split
+form's `op_dK_term` compares its two routes on the site.  The two forms
 share L_a and L_a(shifted) and nothing else: each builds its own
 transport factors, and neither form's transport parts feed the other.
 The block assembly check likewise takes L_a, which the lemma-LL suite
@@ -43,6 +45,7 @@ from .rqkz import (
     factor_ops,
     invert_descs,
     ones,
+    op_dK_dx,
     op_dQ_dx,
     op_K,
     op_P,
@@ -54,6 +57,7 @@ from .rqkz import (
 from .scalar_field import PoleError, div, inv
 from .tensor_ops import (
     LinOp,
+    Placed,
     Space,
     commutator,
     embed_pair,
@@ -78,7 +82,7 @@ def _code(half: int, a: int, barred: bool) -> int:
 # depend on the labels and the space only, so each is built once and shared.
 @cache
 def site_unit(half: int, row_code: int, col_code: int) -> LinOp:
-    return LinOp(Space(1, half), {(col_code,): {(row_code,): 1}})
+    return LinOp.of(Space(1, half), {col_code: {row_code: 1}})
 
 
 def _eu(half, ra, rbar, ca, cbar) -> LinOp:
@@ -474,13 +478,14 @@ def ad_coordinate_on_I_defect(a: int, gamma, x, params: ModelParams) -> LinOp:
     return lhs - op_I(a, xa, gamma, params) - _dk_correction(a, gamma, x, params)
 
 
-def op_dK_term(m: int, a: int, x, y, params: ModelParams) -> LinOp:
-    """c x_a (d/dx_a of the middle reflection) composed with its inverse.
+def op_dK_term(m: int, a: int, x, y, params: ModelParams) -> Placed:
+    """c x_a (d/dx_a of the middle reflection) composed with its inverse,
+    placed at site m.
 
-    Computed two ways, derivative route and closed form; raises
+    Computed two ways on the site, derivative route and closed form; raises
     RouteMismatch unless they agree exactly.
     """
-    space = params.space
+    half = params.space.half_dim
     x = tuple(x)
     xa = x[a - 1]
     lam = y[m - 1] - div(params.c, 2)
@@ -488,21 +493,15 @@ def op_dK_term(m: int, a: int, x, y, params: ModelParams) -> LinOp:
     if den == 0:
         raise PoleError("middle reflection argument hits the strength")
 
-    from .rqkz import op_dK_dx
-
-    route1 = (
-        embed_site(op_dK_dx(lam, x, params.beta, a), m, space)
-        @ embed_site(op_K(-lam, x, params.beta), m, space)
-    ).scale(params.c * xa)
+    route1 = (op_dK_dx(lam, x, params.beta, a) @ op_K(-lam, x, params.beta)).scale(params.c * xa)
 
     w = div(params.c * lam, den)
     weights = (w * lam, -w * lam, w * params.beta * inv(xa), -w * params.beta * xa)
-    route2 = embed_site(lincomb(Space(1, space.half_dim), zip(weights, _units(space.half_dim, a))),
-                        m, space)
+    route2 = lincomb(Space(1, half), zip(weights, _units(half, a)))
 
     if route1 != route2:
         raise RouteMismatch("derivative route and closed form disagree")
-    return route2
+    return Placed(route2, (m,), params.space)
 
 
 def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:
@@ -549,7 +548,7 @@ def compat_three_term(a: int, m: int, x, y, params: ModelParams,
     conjugated by middle reflection times trailing part.
     """
     start, head_inv, head, mid_tail, mid_tail_inv = parts
-    piece1 = op_dK_term(m, a, x, y, params) @ start
+    piece1 = op_dK_term(m, a, x, y, params).compose(start)
     piece2 = product(head_inv + [l_a_shifted, head])
     piece3 = product(mid_tail + [l_a, mid_tail_inv])
     return piece1 + piece2 - piece3

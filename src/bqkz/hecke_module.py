@@ -12,13 +12,14 @@ module hold on that subspace only, so checks restrict to it explicitly.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
-into one scalar.  Each writes its factors' entries down directly on one or
-two sites and places them, with its own builder, and applies them to a
-start: the suite's start holds a seeded random integer column and one
-supported on the orbit states (Freivalds' check), a test's the identity.
-A caller applies Cbar_m once per point; the orbit check compares it with
-the inverse transport operator applied to the start's orbit-supported
-columns only.
+into one scalar.  Each computes its own factors' scalars and order; the
+`tensor_ops` writer of each factor's shape (`exchange_op` on two sites,
+`reflection_op` on one), the only code the two share, writes it, and the
+placed factors are applied to a start: the suite's start holds a seeded
+random integer column and one supported on the orbit states (Freivalds'
+check), a test's the identity.  A caller applies Cbar_m once per point;
+the orbit check compares it with the inverse transport operator applied
+to the start's orbit-supported columns only.
 
 Left-action images and the orbit states depend on the space alone, so
 `rhoL` and `orbit_states` are cached: each is built once per process, as
@@ -37,6 +38,7 @@ from typing import Sequence
 from .rqkz import (
     ModelParams,
     compose_descs,
+    coordinates,
     invert_descs,
     ones,
     op_P,
@@ -44,7 +46,8 @@ from .rqkz import (
     q_factor_list,
 )
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import LinOp, Placed, Space, embed_pair, embed_site, lincomb, product
+from .tensor_ops import (LinOp, Placed, Space, embed_pair, embed_site, exchange_op, lincomb,
+                         product, reflection_op)
 
 
 @dataclass(frozen=True)
@@ -295,8 +298,8 @@ def cbar_factor_list(m: int, n: int):
 
 
 def _cbar_factor(desc, x, y, params: ModelParams) -> Placed:
-    """One degenerate factor, its entries written down directly on one or
-    two sites and placed at its slots."""
+    """One degenerate factor, written on one or two sites by the writer of
+    its shape and placed at its slots."""
     kind, slot, yterms, cmult = desc
     space = params.space
     n = space.n
@@ -309,12 +312,7 @@ def _cbar_factor(desc, x, y, params: ModelParams) -> Placed:
             raise PoleError("slot-swap factor pole")
         # (arg P + k)/(arg + k) fixes a column with equal codes.
         keep, swap = div(params.k, den), div(arg, den)
-        cols = {}
-        for a in range(2 * n):
-            for b in range(2 * n):
-                col = {(a, b): 1} if a == b else {(a, b): keep, (b, a): swap}
-                cols[(a, b)] = {r: v for r, v in col.items() if v != 0}
-        return Placed(LinOp(Space(2, n), cols), (slot, slot + 1), space)
+        return Placed(exchange_op(n, 1, keep, swap), (slot, slot + 1), space)
     if kind == "Kn":
         den = arg - params.alpha
         if den == 0:
@@ -330,25 +328,17 @@ def _cbar_factor(desc, x, y, params: ModelParams) -> Placed:
             raise PoleError("coordinate end factor pole")
         # ((arg + c/2) T(x) + beta)/(arg + beta + c/2) at site 1.
         w = div(arg + half_c, den)
-        flips = []
-        for a, xa in enumerate(x):
-            if xa == 0:
-                raise PoleError("reflection coordinate %d is zero" % (a + 1))
-            flips.append((w * inv(xa), w * xa))
+        flips = [(w * inv(xa), w * xa) for xa in coordinates(x)]
         diag, site = div(params.beta, den), 1
     else:
         raise ValueError("unknown factor kind %r" % (kind,))
-    cols = {}
-    for a, (down, up) in enumerate(flips):
-        for col, row, v in ((a, n + a, down), (n + a, a, up)):
-            cols[(col,)] = {r: e for r, e in {(row,): v, (col,): diag}.items() if e != 0}
-    return Placed(LinOp(Space(1, n), cols), (site,), space)
+    return Placed(reflection_op(diag, flips), (site,), space)
 
 
 def op_Cbar(m: int, x: Sequence, y: Sequence, params: ModelParams, start: LinOp) -> LinOp:
     """Degenerate transport product for site m applied to start: the
-    product of the factors of cbar_factor_list, leftmost first, each with
-    its entries written down directly by _cbar_factor."""
+    product of the factors of cbar_factor_list, leftmost first, each
+    written by _cbar_factor."""
     return product([_cbar_factor(desc, x, y, params)
                     for desc in cbar_factor_list(m, params.space.n)] + [start])
 
@@ -367,49 +357,38 @@ def p_m_scalar(m: int, y: Sequence, params: ModelParams):
     return out
 
 
+def _grouped_swap(arg, k, slot: int, space: Space) -> Placed:
+    """arg P - k at slots slot, slot + 1: a linear factor of the grouped form."""
+    return Placed(exchange_op(space.n, arg - k, -k, arg), (slot, slot + 1), space)
+
+
+def _grouped_end(weight, coords, shift, site: int, space: Space) -> Placed:
+    """weight T(coords) - shift at a site: a linear factor of the grouped form."""
+    flips = [(weight * inv(xa), weight * xa) for xa in coordinates(coords)]
+    return Placed(reflection_op(-shift, flips), (site,), space)
+
+
 def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams,
                  start: LinOp) -> LinOp:
     """Same product applied to start, with every denominator pulled into
-    one scalar; each linear factor is written down directly on one or two
-    sites."""
+    one scalar; each linear factor is written by _grouped_swap or
+    _grouped_end."""
     space = params.space
     n = space.n
     ym = y[m - 1]
     k = params.k
 
-    def nonzero(cols):
-        cols = {c: {r: v for r, v in col.items() if v != 0} for c, col in cols.items()}
-        return {c: col for c, col in cols.items() if col}
-
-    def swap_factor(arg, slot):
-        # arg P - k on slots slot and slot + 1.
-        cols = {}
-        for a in range(2 * n):
-            for b in range(2 * n):
-                cols[(a, b)] = {(a, b): arg - k} if a == b else {(a, b): -k, (b, a): arg}
-        return Placed(LinOp(Space(2, n), nonzero(cols)), (slot, slot + 1), space)
-
-    def end_factor(weight, coords, shift, site):
-        # weight T(coords) - shift at one site.
-        cols = {}
-        for a, xa in enumerate(coords):
-            if xa == 0:
-                raise PoleError("reflection coordinate %d is zero" % (a + 1))
-            cols[(a,)] = {(n + a,): weight * inv(xa), (a,): -shift}
-            cols[(n + a,)] = {(a,): weight * xa, (n + a,): -shift}
-        return Placed(LinOp(Space(1, n), nonzero(cols)), (site,), space)
-
     factors = []
     for j in range(m + 1, n + 1):
-        factors.append(swap_factor(ym - y[j - 1], j - 1))
-    factors.append(end_factor(ym, ones(n), params.alpha, n))
+        factors.append(_grouped_swap(ym - y[j - 1], k, j - 1, space))
+    factors.append(_grouped_end(ym, ones(n), params.alpha, n, space))
     for j in range(n, m, -1):
-        factors.append(swap_factor(ym + y[j - 1], j - 1))
+        factors.append(_grouped_swap(ym + y[j - 1], k, j - 1, space))
     for j in range(m - 1, 0, -1):
-        factors.append(swap_factor(ym + y[j - 1], j))
-    factors.append(end_factor(ym - div(params.c, 2), tuple(x), params.beta, 1))
+        factors.append(_grouped_swap(ym + y[j - 1], k, j, space))
+    factors.append(_grouped_end(ym - div(params.c, 2), tuple(x), params.beta, 1, space))
     for j in range(1, m):
-        factors.append(swap_factor(ym - y[j - 1] - params.c, j))
+        factors.append(_grouped_swap(ym - y[j - 1] - params.c, k, j, space))
 
     p = p_m_scalar(m, y, params)
     if p == 0:

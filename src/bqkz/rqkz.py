@@ -9,10 +9,11 @@ with strength beta, one at the all-ones point with strength alpha); the
 family is consistent: shifting the l-th argument in the m-th operator and
 composing commutes with doing it the other way around.
 
-Each exchange and reflection factor is built entry by entry from its
-scalar argument on its one or two sites (index a*d + b on two, a on one),
-its few distinct entries cleared once into int numerators over one
-denominator, and placed at its sites (`tensor_ops.Placed`), not embedded.
+Each exchange and reflection factor computes its few distinct scalars
+from its argument and hands them to the `tensor_ops` writer of its shape
+(`exchange_op` on two sites, `reflection_op` on one), which clears them
+once and writes the index-keyed entries; the factor is then placed at its
+sites (`tensor_ops.Placed`), not embedded.
 
 The consistency checks read their transport operators on one start: a
 caller applies each chain of factors to a start (`compose_descs` with
@@ -46,7 +47,8 @@ from typing import Sequence
 
 from .sampling import rand_rational
 from .scalar_field import PoleError, div, inv, rat
-from .tensor_ops import LinOp, Placed, Space, clear, embed_pair, embed_site, lincomb, product
+from .tensor_ops import (LinOp, Placed, Space, embed_pair, embed_site, exchange_op, lincomb,
+                         product, reflection_op)
 
 
 @dataclass(frozen=True)
@@ -78,40 +80,28 @@ def ones(count: int) -> tuple:
 
 def op_P(half_dim: int) -> LinOp:
     """Two-site swap."""
-    sp = Space(2, half_dim)
-    d = sp.site_dim
-    return LinOp(sp, {(a, b): {(b, a): 1} for a in range(d) for b in range(d)})
+    return exchange_op(half_dim, 1, 0, 1)
+
+
+def coordinates(x: Sequence) -> tuple:
+    """The reflection coordinates; a zero one is a pole of T(x)."""
+    for a, xa in enumerate(x, start=1):
+        if xa == 0:
+            raise PoleError("reflection coordinate %d is zero" % a)
+    return tuple(x)
 
 
 def op_T(x: Sequence) -> LinOp:
     """Site reflection: v_a -> x_a^{-1} v_abar, v_abar -> x_a v_a."""
-    x = tuple(x)
-    half = len(x)
-    sp = Space(1, half)
-    cols = {}
-    for a, xa in enumerate(x):
-        if xa == 0:
-            raise PoleError("reflection coordinate %d is zero" % (a + 1))
-        cols[(a,)] = {(half + a,): inv(xa)}
-        cols[(half + a,)] = {(a,): xa}
-    return LinOp(sp, cols)
+    return reflection_op(0, [(inv(xa), xa) for xa in coordinates(x)])
 
 
 def op_dT_dx(x: Sequence, a: int) -> LinOp:
     """Derivative of op_T in the a-th coordinate (a is 1-based)."""
-    x = tuple(x)
-    half = len(x)
-    sp = Space(1, half)
-    xa = x[a - 1]
-    if xa == 0:
-        raise PoleError("reflection coordinate %d is zero" % a)
-    return LinOp(
-        sp,
-        {
-            (a - 1,): {(half + a - 1,): -inv(xa * xa)},
-            (half + a - 1,): {(a - 1,): 1},
-        },
-    )
+    x = coordinates(x)
+    flips = [(0, 0)] * len(x)
+    flips[a - 1] = (-inv(x[a - 1] * x[a - 1]), 1)
+    return reflection_op(0, flips)
 
 
 def op_R(lam, params: ModelParams) -> LinOp:
@@ -124,15 +114,7 @@ def op_R_k(lam, k, half_dim: int) -> LinOp:
     if norm == 0:
         raise PoleError("exchange operator pole: argument equals -coupling")
     s = inv(norm)
-    (keep, swap, diag), den, exact = clear((s * lam, s * k, s * norm))
-    d = 2 * half_dim
-    cols = {}
-    for a in range(d):
-        for b in range(d):
-            ab = a * d + b
-            col = {ab: diag} if a == b else {ab: keep, b * d + a: swap}
-            cols[ab] = {r: v for r, v in col.items() if v != 0}
-    return LinOp.of(Space(2, half_dim), cols, den, exact)
+    return exchange_op(half_dim, s * norm, s * lam, s * k)
 
 
 def op_K(lam, x: Sequence, beta) -> LinOp:
@@ -141,18 +123,8 @@ def op_K(lam, x: Sequence, beta) -> LinOp:
     if norm == 0:
         raise PoleError("reflection factor pole: argument equals -strength")
     s = inv(norm)
-    scalars = [s * beta]
-    for a, xa in enumerate(x):
-        if xa == 0:
-            raise PoleError("reflection coordinate %d is zero" % (a + 1))
-        scalars += [s * (lam * inv(xa)), s * (lam * xa)]
-    (diag, *flips), den, exact = clear(scalars)
-    half = len(x)
-    cols = {}
-    for a in range(half):
-        for col, row, v in ((a, half + a, flips[2 * a]), (half + a, a, flips[2 * a + 1])):
-            cols[col] = {r: w for r, w in {row: v, col: diag}.items() if w != 0}
-    return LinOp.of(Space(1, half), cols, den, exact)
+    flips = [(s * (lam * inv(xa)), s * (lam * xa)) for xa in coordinates(x)]
+    return reflection_op(s * beta, flips)
 
 
 def op_dK_dx(lam, x: Sequence, beta, a: int) -> LinOp:
@@ -256,7 +228,7 @@ def op_dQ_dx(m: int, x: Sequence, y: Sequence, params: ModelParams, a: int,
     """
     head, mid, _ = q_split_descs(m, params.space.n)
     arg = _factor_arg(mid, y, params.c)
-    dmid = embed_site(op_dK_dx(arg, x, params.beta, a), m, params.space)
+    dmid = Placed(op_dK_dx(arg, x, params.beta, a), (m,), params.space)
     return product(factor_ops(head, x, y, params) + [dmid, tail])
 
 

@@ -8,9 +8,13 @@ significant, which is the order `Space.states` yields.
 
 Operators are stored column-major as {col_index: {row_index: entry}}, keyed
 by linear state index, with no explicitly stored zeros.  A vector is one
-such column, {index: value}, and `apply` maps columns to columns.  State
-tuples appear only where builders write entries: `entry` takes states, and
-the constructor converts state keys once (`LinOp.of` takes indices).
+such column, {index: value}, and `apply` maps columns to columns.  The
+package writes index keys only.  Every exchange and reflection factor is
+written by the writer of its shape, `exchange_op` on two sites or
+`reflection_op` on one, which clears its few scalars once and stores no
+zero entry or empty column; other operators come from `LinOp.of`,
+`lincomb`, `compose` or an embedding.  `entry` reads by state, and the
+constructor converts state keys once, for operators written by hand.
 Embedding a site or pair operator shifts indices by stride arithmetic; a
 placed one (`Placed`) is applied to a column by the same arithmetic.
 
@@ -88,7 +92,8 @@ class LinOp:
         """cols may be keyed by linear index or by state tuple (converted
         here, once) and may hold ints, rationals (cleared here, once) or
         floats (an operator with any float entry keeps every entry as
-        given)."""
+        given).  The package writes index keys (`of` and the shape
+        writers); state keys remain for operators written by hand in tests."""
         cols = {} if cols is None else cols
         nums, self.den, self.exact = clear([v for col in cols.values() for v in col.values()])
         it = iter(nums)
@@ -230,6 +235,45 @@ def clear(values):
         return list(values), 1, False
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den, True
+
+
+def exchange_op(half: int, diag, keep, swap) -> LinOp:
+    """Two-site operator of the exchange shape: column a*d + b holds diag
+    when a == b, else keep at a*d + b and then swap at b*d + a.  The three
+    scalars are cleared once; no zero entry or empty column is stored."""
+    (diag, keep, swap), den, exact = clear((diag, keep, swap))
+    d = 2 * half
+    cols = {}
+    for a in range(d):
+        for b in range(d):
+            col = {}
+            if a == b:
+                if diag != 0:
+                    col[a * d + b] = diag
+            else:
+                if keep != 0:
+                    col[a * d + b] = keep
+                if swap != 0:
+                    col[b * d + a] = swap
+            if col:
+                cols[a * d + b] = col
+    return LinOp.of(Space(2, half), cols, den, exact)
+
+
+def reflection_op(diag, flips) -> LinOp:
+    """One-site operator of the reflection shape, one (down, up) pair of
+    flips per label a: column a holds down at abar, column abar up at a,
+    and each then diag on itself.  The scalars are cleared once; no zero
+    entry or empty column is stored."""
+    (diag, *ends), den, exact = clear([diag, *itertools.chain.from_iterable(flips)])
+    half = len(ends) // 2
+    cols = {}
+    for a in range(half):
+        for col, row, v in ((a, half + a, ends[2 * a]), (half + a, a, ends[2 * a + 1])):
+            entries = {r: w for r, w in ((row, v), (col, diag)) if w != 0}
+            if entries:
+                cols[col] = entries
+    return LinOp.of(Space(1, half), cols, den, exact)
 
 
 def lincomb(space: Space, terms) -> LinOp:

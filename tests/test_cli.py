@@ -486,6 +486,20 @@ def test_residuals_rejects_malformed_report(tmp_path, capsys):
     assert "body.config" in capsys.readouterr().err
 
 
+def test_residuals_rejects_solutions_that_are_not_a_list(tmp_path, capsys, monkeypatch):
+    """A `body.solutions` that is no list is an exit-2 message, given before
+    anything is recomputed."""
+    monkeypatch.setattr(integral_solver, "residual_report", None)
+    for bad in (5, "ab", {"lambda": [0.25, 0.0]}, None):
+        report = {"schema_version": cli.SCHEMA_VERSION,
+                  "body": {"config": default_config(), "solutions": bad}}
+        path = write_json(tmp_path / "bad.json", report)
+        assert cli.main(["residuals", "--in", path]) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "body.solutions" in err, err
+
+
 def test_residuals_names_a_missing_stored_key(tmp_path, capsys):
     report = {
         "schema_version": cli.SCHEMA_VERSION,

@@ -446,7 +446,7 @@ def test_compat_forms_are_independent_routes(monkeypatch):
     monkeypatch.setattr(co, "op_dQ_dx", real_dq)
 
     real_dk = co.op_dK_term
-    monkeypatch.setattr(co, "op_dK_term", lambda *a, **kw: real_dk(*a, **kw) + ident)
+    monkeypatch.setattr(co, "op_dK_term", lambda *a, **kw: real_dk(*a, **kw).embedded() + ident)
     assert not compat_three_term(1, 1, x, y, params, l_a, shifted, split).is_zero()
     assert compat_direct(1, 1, x, y, params, l_a, shifted, direct).is_zero()
 

@@ -139,3 +139,24 @@ def test_verify_loads_no_numpy_and_no_solver():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 []", out
+
+
+def constructor_calls(source: str, name: str) -> list:
+    """Lines of each call of `name(...)` or `<module>.name(...)`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)]
+
+
+def test_checker_flags_a_constructor_call():
+    source = "a = LinOp(sp, {})\nb = LinOp.of(sp, {})\nc = tensor_ops.LinOp(sp)\n"
+    assert constructor_calls(source, "LinOp") == [1, 3]
+
+
+def test_only_tensor_ops_calls_the_state_keyed_constructor():
+    """Operators in the package are written with index keys: outside
+    `tensor_ops`, no module calls the `LinOp(...)` constructor, which
+    converts state-tuple keys."""
+    found = ["%s:%d" % (path.name, line) for path in PACKAGE if path.name != "tensor_ops.py"
+             for line in constructor_calls(path.read_text(), "LinOp")]
+    assert not found, found

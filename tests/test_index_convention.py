@@ -14,6 +14,8 @@ from bqkz.compat_ops import op_L, site_unit
 from bqkz.hecke_module import (
     SignedPerm,
     _cbar_factor,
+    _grouped_end,
+    _grouped_swap,
     cbar_factor_list,
     op_Cbar,
     orbit_states,
@@ -21,8 +23,9 @@ from bqkz.hecke_module import (
     zero_on_orbit,
 )
 from bqkz.rqkz import ModelParams, op_dT_dx, op_K, op_P, op_Q, op_R_k, op_T
-from bqkz.scalar_field import rat
-from bqkz.tensor_ops import LinOp, Space, embed_pair, embed_site, site_tensor
+from bqkz.scalar_field import inv, rat
+from bqkz.tensor_ops import (LinOp, Space, embed_pair, embed_site, exchange_op, reflection_op,
+                              site_tensor)
 
 SIZES = [(n, half) for n in (1, 2, 3) for half in (1, 2, 3)]
 X = (rat(2), rat(3), rat(5))
@@ -167,3 +170,136 @@ def test_apply_reads_and_returns_index_columns():
         for i in range(space.dim):
             want = sum(dense[i][j] * vec.get(j, 0) for j in range(space.dim))
             assert out.get(i, 0) == want
+
+
+# Layout writers: exchange_op and reflection_op, and the builders that
+# write their factors through them, against oracles written state by state.
+
+HALVES = (1, 2, 3)
+
+
+def _exchange_oracle(half, diag, keep, swap):
+    """(diag on a state of two equal codes, else keep) on every state, plus
+    swap from each state (a, b) with a != b to (b, a)."""
+    space = Space(2, half)
+    cols = {}
+    for col in space.states():
+        for row in space.states():
+            if row == col:
+                v = diag if col[0] == col[1] else keep
+            else:
+                v = swap if row == col[::-1] else 0
+            if v != 0:
+                cols.setdefault(col, {})[row] = v
+    return LinOp(space, cols)
+
+
+def _reflection_oracle(diag, flips):
+    """diag on every state, plus down from label a to abar and up from abar
+    to a, for each label's (down, up) pair."""
+    half = len(flips)
+    space = Space(1, half)
+    cols = {}
+    for (col,) in space.states():
+        for (row,) in space.states():
+            if row == col:
+                v = diag
+            elif col < half and row == col + half:
+                v = flips[col][0]
+            elif col >= half and row == col - half:
+                v = flips[col - half][1]
+            else:
+                v = 0
+            if v != 0:
+                cols.setdefault((col,), {})[(row,)] = v
+    return LinOp(space, cols)
+
+
+def _assert_written(op, oracle):
+    """op equals the oracle built through the state-keyed constructor (the
+    canonical form) and stores no zero entry and no empty column."""
+    assert op == oracle and op.exact == oracle.exact
+    assert all(op.cols.values())
+    assert all(v != 0 for col in op.cols.values() for v in col.values())
+
+
+# (diag, keep or down, swap or up): exact, float, and with zeros.
+SCALARS = [
+    (rat(2, 3), rat(-5, 7), rat(1, 4)),
+    (0.5, -1.25 + 0.5j, 3.0),
+    (0, rat(3, 4), rat(-1, 6)),
+    (rat(1, 2), 0, rat(1, 3)),
+    (rat(1, 2), rat(1, 3), 0),
+    (0.0, 0.25, 0.0),
+    (0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("half", HALVES)
+@pytest.mark.parametrize("diag,first,second", SCALARS)
+def test_layout_writers_match_their_oracles(half, diag, first, second):
+    _assert_written(exchange_op(half, diag, first, second),
+                    _exchange_oracle(half, diag, first, second))
+    flips = [(first * (a + 1), second * (a + 2)) for a in range(half)]
+    _assert_written(reflection_op(diag, flips), _reflection_oracle(diag, flips))
+    # Only the last label flips, as in a coordinate derivative.
+    flips = [(0, 0)] * (half - 1) + [(first, second)]
+    _assert_written(reflection_op(diag, flips), _reflection_oracle(diag, flips))
+
+
+# (x, lam, k, beta), exact and float.
+POINTS = [((rat(2), rat(-3, 4), rat(5, 7)), rat(5, 2), rat(2, 3), rat(-4, 7)),
+          ((0.5, -2.0, 1.5 + 0.5j), 0.75, -1.5, 2.5)]
+
+
+@pytest.mark.parametrize("half", HALVES)
+@pytest.mark.parametrize("x,lam,k,beta", POINTS)
+def test_transport_builders_match_their_oracles(half, x, lam, k, beta):
+    x = x[:half]
+    for arg in (lam, 0 * lam):
+        s = inv(arg + k)
+        want = _exchange_oracle(half, s * (arg + k), s * arg, s * k)
+        _assert_written(op_R_k(arg, k, half), want)
+    _assert_written(op_P(half), _exchange_oracle(half, 1, 0, 1))
+    _assert_written(op_T(x), _reflection_oracle(0, [(inv(xa), xa) for xa in x]))
+    for a in range(1, half + 1):
+        flips = [(-inv(xa * xa), 1) if b == a else (0, 0) for b, xa in enumerate(x, start=1)]
+        _assert_written(op_dT_dx(x, a), _reflection_oracle(0, flips))
+    s = inv(lam + beta)
+    flips = [(s * (lam * inv(xa)), s * (lam * xa)) for xa in x]
+    _assert_written(op_K(lam, x, beta), _reflection_oracle(s * beta, flips))
+
+
+@pytest.mark.parametrize("n", HALVES)
+def test_degenerate_builders_match_their_oracles(n):
+    space = Space(n, n)
+    params = _params(space)
+    c, k, alpha, beta = params.c, params.k, params.alpha, params.beta
+    x = X[:n]
+    for arg in (rat(5, 3), rat(0)):
+        y = (arg,) + Y[1:n]
+        if n > 1:
+            rb = _cbar_factor(("Rb", 1, ((1, 1),), 0), x, y, params)
+            assert rb.strides == (space.stride(1), space.stride(2))
+            _assert_written(rb.local, _exchange_oracle(n, 1, k / (arg + k), arg / (arg + k)))
+            swap = _grouped_swap(arg, k, 1, space)
+            assert swap.strides == rb.strides
+            _assert_written(swap.local, _exchange_oracle(n, arg - k, -k, arg))
+        kn = _cbar_factor(("Kn", None, ((1, 1),), 0), x, y, params)
+        assert kn.strides == (space.stride(n),)
+        w = arg / (arg - alpha)
+        _assert_written(kn.local, _reflection_oracle(-alpha / (arg - alpha), [(w, w)] * n))
+        k0 = _cbar_factor(("K0", None, ((1, 1),), 0), x, y, params)
+        assert k0.strides == (space.stride(1),)
+        den = arg + beta + c / 2
+        w = (arg + c / 2) / den
+        _assert_written(k0.local, _reflection_oracle(beta / den, [(w / xa, w * xa) for xa in x]))
+        end = _grouped_end(arg, x, beta, 1, space)
+        assert end.strides == k0.strides
+        _assert_written(end.local, _reflection_oracle(-beta, [(arg / xa, arg * xa) for xa in x]))
+
+
+@pytest.mark.parametrize("half", HALVES)
+def test_site_units_match_their_oracle(half):
+    for row, col in itertools.product(range(2 * half), repeat=2):
+        _assert_written(site_unit(half, row, col), LinOp(Space(1, half), {(col,): {(row,): 1}}))
