@@ -60,8 +60,6 @@ from .tensor_ops import (
     Placed,
     Space,
     commutator,
-    embed_pair,
-    embed_site,
     lincomb,
     product,
     site_tensor,
@@ -131,7 +129,8 @@ def site_units(a: int, j: int, space: Space) -> tuple:
     """e_(a,a), e_(abar,abar), e_(a,abar) and op_Ebar(a, a) embedded at site j."""
     half = space.half_dim
     e_aa, e_bb, _, raise_a = _units(half, a)
-    return tuple(embed_site(u, j, space) for u in (e_aa, e_bb, raise_a, op_Ebar(half, a, a)))
+    return tuple(Placed(u, (j,), space).embedded()
+                 for u in (e_aa, e_bb, raise_a, op_Ebar(half, a, a)))
 
 
 def _site_pairs(n: int) -> list:
@@ -140,7 +139,8 @@ def _site_pairs(n: int) -> list:
 
 
 def _pair_sum(space: Space, two: LinOp) -> LinOp:
-    return lincomb(space, ((1, embed_pair(two, i, j, space)) for i, j in _site_pairs(space.n)))
+    return lincomb(space, ((1, Placed(two, sites, space).embedded())
+                           for sites in _site_pairs(space.n)))
 
 
 @cache
@@ -339,11 +339,11 @@ def _block_terms(a: int, x: Sequence, args: Sequence, pairs, params: ModelParams
     on every site pair (i, j) of pairs, i in its first slot."""
     space = params.space
     xa = tuple(x)[a - 1]
-    terms = [(w, embed_site(unit, j, space))
+    terms = [(w, Placed(unit, (j,), space).embedded())
              for j, arg in enumerate(args, start=1)
              for w, unit in op_I_terms(a, xa, arg, params)]
     m_terms = op_M_terms(a, x, params)
-    terms += [(w, embed_pair(two, i, j, space)) for i, j in pairs for w, two in m_terms]
+    terms += [(w, Placed(two, sites, space).embedded()) for sites in pairs for w, two in m_terms]
     return terms
 
 
@@ -446,10 +446,10 @@ def ad_reflection_on_M_defects(a: int, x, gamma, params: ModelParams):
     sp2 = Space(2, half)
     two_params = ModelParams(params.c, params.k, params.alpha, params.beta, sp2)
     m12 = op_M(a, x, two_params)
-    k2f = embed_site(op_K(gamma, ones(half), params.alpha), 2, sp2)
-    k2b = embed_site(op_K(-gamma, ones(half), params.alpha), 2, sp2)
-    k1f = embed_site(op_K(gamma, x, params.beta), 1, sp2)
-    k1b = embed_site(op_K(-gamma, x, params.beta), 1, sp2)
+    k2f = Placed(op_K(gamma, ones(half), params.alpha), (2,), sp2)
+    k2b = Placed(op_K(-gamma, ones(half), params.alpha), (2,), sp2)
+    k1f = Placed(op_K(gamma, x, params.beta), (1,), sp2)
+    k1b = Placed(op_K(-gamma, x, params.beta), (1,), sp2)
     return (product((k2f, m12, k2b)) - m12, product((k1f, m12, k1b)) - m12)
 
 

@@ -46,8 +46,7 @@ from .rqkz import (
     q_factor_list,
 )
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import (LinOp, Placed, Space, embed_pair, embed_site, exchange_op, lincomb,
-                         product, reflection_op)
+from .tensor_ops import LinOp, Placed, Space, exchange_op, lincomb, product, reflection_op
 
 
 @dataclass(frozen=True)
@@ -185,25 +184,26 @@ def zero_on_orbit(op: LinOp) -> bool:
     return all(i not in op.cols for i in orbit_states(op.space))
 
 
-def rhoR_generator(g, x: Sequence, space: Space) -> LinOp:
-    """Right-action image of one generator: "s0" -> coordinate reflection at
-    site 1, integer i in 1..n-1 -> swap of slots i, i+1, n (or "sn") -> the
-    all-ones reflection at site n."""
+def rhoR_generator(g, x: Sequence, space: Space) -> Placed:
+    """Right-action image of one generator, placed where it acts: "s0" ->
+    coordinate reflection at site 1, integer i in 1..n-1 -> swap of slots
+    i, i+1, n (or "sn") -> the all-ones reflection at site n."""
     n = space.n
     if space.half_dim != n:
         raise ValueError("right action needs label count equal to site count")
     if g == "s0":
-        return embed_site(op_T(x), 1, space)
+        return Placed(op_T(x), (1,), space)
     if g == "sn" or g == n:
-        return embed_site(op_T(ones(n)), n, space)
+        return Placed(op_T(ones(n)), (n,), space)
     if isinstance(g, int) and 1 <= g < n:
-        return embed_pair(op_P(n), g, g + 1, space)
+        return Placed(op_P(n), (g, g + 1), space)
     raise ValueError("unknown generator %r" % (g,))
 
 
 def rhoR_word(word, x: Sequence, space: Space) -> LinOp:
-    """Right-action image of a word: generator images composed in reversed
-    order (anti-homomorphism)."""
+    """Right-action image of a word: the placed generator images composed
+    in reversed order (anti-homomorphism), embedding only the one applied
+    first."""
     images = [rhoR_generator(g, x, space) for g in reversed(word)]
     return product(images or [LinOp.identity(space)])
 

@@ -214,12 +214,6 @@ class CycleW:
     def monomial(cls, degree: int) -> "CycleW":
         return cls(((int(degree), 1 + 0j),))
 
-    def __add__(self, other: "CycleW") -> "CycleW":
-        table = dict(self.terms)
-        for d, cf in other.terms:
-            table[d] = table.get(d, 0) + cf
-        return CycleW(tuple(sorted(table.items())))
-
     def validate(self, params: SolverParams):
         lo = params.lam.real
         hi = lo + 2 * params.n
@@ -491,6 +485,15 @@ def _check_budget(nodes, labels):
                               % (", ".join(labels), nodes, NODE_BUDGET))
 
 
+def _check_finite(sums, weight_sum, labels):
+    """Raise QuadratureError naming each label whose row sums or weight sum
+    are not finite: a sum can overflow while every term is finite."""
+    finite = (np.all(np.isfinite(sums), axis=-1) & np.isfinite(weight_sum)).ravel()
+    if not np.all(finite):
+        raise QuadratureError("%s: the integral is not finite on the contour" % ", ".join(
+            label for label, ok in zip(labels, finite) if not ok))
+
+
 # Nodes per array evaluation; bounds the working arrays of a sweep.
 _CHUNK = 4096
 
@@ -547,8 +550,9 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
     two successive estimates agree to rtol times its largest estimate or
     atol times its scale, so no solution stops before it would alone, and
     a tiny solution gets the relative accuracy of a large one.  A sweep
-    that would take the rule past NODE_BUDGET nodes, or an outer band
-    whose largest term is not finite, raises QuadratureError instead.
+    that would take the rule past NODE_BUDGET nodes, an outer band whose
+    largest term is not finite, or a row sum or weight sum that is not
+    finite, raises QuadratureError instead.
     Returns the estimates as an (L, G, r) array and one diagnostics dict
     per lambda.
     """
@@ -570,6 +574,7 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
         if not np.all(finite):
             raise QuadratureError("%s: the integrand is not finite on the contour" % ", ".join(
                 label for label, ok in zip(labels, finite) if not ok))
+        _check_finite(sums, weight_sum, labels)
         if np.all(top <= params.atol * weight_sum):
             break
     trunc = half * h
@@ -580,6 +585,7 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
         _check_budget(4 * half + 1, failing)
         s, a, _ = _sweep(values, (np.arange(-half, half) + 0.5) * h + line)
         sums, weight_sum, h, half = sums + s, weight_sum + a, h / 2, 2 * half
+        _check_finite(sums, weight_sum, labels)
         est, scale = h * sums, h * weight_sum
         err = np.max(np.abs(est - ests[-1]), axis=-1)
         ests.append(est)

@@ -13,7 +13,9 @@ Each exchange and reflection factor computes its few distinct scalars
 from its argument and hands them to the `tensor_ops` writer of its shape
 (`exchange_op` on two sites, `reflection_op` on one), which clears them
 once and writes the index-keyed entries; the factor is then placed at its
-sites (`tensor_ops.Placed`), not embedded.
+sites (`tensor_ops.Placed`), not embedded.  The braid defects pass placed
+factors to `tensor_ops.product` too, which embeds only the last factor of
+each side.
 
 The consistency checks read their transport operators on one start: a
 caller applies each chain of factors to a start (`compose_descs` with
@@ -47,8 +49,7 @@ from typing import Sequence
 
 from .sampling import rand_rational
 from .scalar_field import PoleError, div, inv, rat
-from .tensor_ops import (LinOp, Placed, Space, embed_pair, embed_site, exchange_op, lincomb,
-                         product, reflection_op)
+from .tensor_ops import LinOp, Placed, Space, exchange_op, lincomb, product, reflection_op
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,7 @@ def ybe_defect(k, l1, l2, l3, half_dim: int) -> LinOp:
     sp = Space(3, half_dim)
 
     def r(i, j, arg):
-        return embed_pair(op_R_k(arg, k, half_dim), i, j, sp)
+        return Placed(op_R_k(arg, k, half_dim), (i, j), sp)
 
     lhs = product((r(1, 2, l1 - l2), r(1, 3, l1 - l3), r(2, 3, l2 - l3)))
     rhs = product((r(2, 3, l2 - l3), r(1, 3, l1 - l3), r(1, 2, l1 - l2)))
@@ -256,10 +257,10 @@ def bybe_defect(k, beta, x: Sequence, l1, l2) -> LinOp:
     sp = Space(2, half)
 
     def r(i, j, arg):
-        return embed_pair(op_R_k(arg, k, half), i, j, sp)
+        return Placed(op_R_k(arg, k, half), (i, j), sp)
 
-    k1 = embed_site(op_K(l1, x, beta), 1, sp)
-    k2 = embed_site(op_K(l2, x, beta), 2, sp)
+    k1 = Placed(op_K(l1, x, beta), (1,), sp)
+    k2 = Placed(op_K(l2, x, beta), (2,), sp)
     lhs = product((r(1, 2, l1 - l2), k1, r(2, 1, l1 + l2), k2))
     rhs = product((k2, r(2, 1, l1 + l2), k1, r(1, 2, l1 - l2)))
     return lhs - rhs

@@ -293,15 +293,15 @@ def _phi_iso(n):
         if not (lhs - rhs).is_zero():
             out.append("reversal word=%r+%r" % (word1, word2))
         w = hecke_module.SignedPerm.identity(n)
-        vec = {hecke_module.phi(w, space): 1}
+        vec = _start(space, {hecke_module.phi(w, space): 1})
         for g in word1:
-            vec = hecke_module.rhoR_generator(g, x, space).apply(vec)
+            vec = hecke_module.rhoR_generator(g, x, space).compose(vec)
             w = w * (
                 hecke_module.elem_r(1, n)
                 if g == "s0"
                 else hecke_module.SignedPerm.generator(n, g)
             )
-        if set(vec) != {hecke_module.phi(w, space)}:
+        if set(vec.cols.get(0, ())) != {hecke_module.phi(w, space)}:
             out.append("equivariance word=%r" % (word1,))
         return out, (x, word1, word2)
 

@@ -13,10 +13,17 @@ package writes index keys only.  Every exchange and reflection factor is
 written by the writer of its shape, `exchange_op` on two sites or
 `reflection_op` on one, which clears its few scalars once and stores no
 zero entry or empty column; other operators come from `LinOp.of`,
-`lincomb`, `compose` or an embedding.  `entry` reads by state, and the
-constructor converts state keys once, for operators written by hand.
-Embedding a site or pair operator shifts indices by stride arithmetic; a
-placed one (`Placed`) is applied to a column by the same arithmetic.
+`lincomb`, `compose` or `Placed.embedded`.  `entry` reads by state, and
+the constructor converts state keys once, for operators written by hand.
+
+One loop, `_compose_at`, multiplies operator entries.  It composes an
+operator placed on some sites with one on the whole space, reading each
+index as a local code and a base index (the digits at every other site)
+from a table cached per placement.  `Placed.compose` runs it at a one- or
+two-site placement, `LinOp.compose` at the whole-space one (every site,
+each index its own code, every base 0), `apply` on a one-column operator
+and `site_tensor` with op1 placed at site 1; `Placed.embedded` writes a
+whole operator from a placed one by the same table.
 
 An exact operator holds int numerators over one positive int denominator,
 reduced so that the two share no factor; a floating-point operator (the
@@ -26,7 +33,8 @@ is therefore structural equality of numerators and denominator.
 Exact arithmetic never leaves the integers: a linear combination
 (`lincomb`, and `+`, `-` and `scale` through it) meets over one lcm and
 reduces once by the gcd, `compose` multiplies numerators and denominators
-and reduces once, and `product` (or `@`) folds `compose`, placed ones too.
+and reduces once, and `product` (or `@`) folds `compose`, placed ones too,
+embedding only a placed last factor.
 Values are read as rationals only at the edges: `entry`, `to_dense`,
 `apply` and `max_abs`.
 """
@@ -149,41 +157,16 @@ class LinOp:
         return "LinOp(dim=%d, nnz=%d)" % (self.space.dim, self.nnz())
 
     def apply(self, column: dict) -> dict:
-        """The image of an {index: value} column, zero-free."""
-        out = {}
-        cols = self._values()
-        for c, v in column.items():
-            col = cols.get(c)
-            if col is None:
-                continue
-            for r, a in col.items():
-                w = out.get(r)
-                out[r] = a * v if w is None else w + a * v
-        return {r: w for r, w in out.items() if w != 0}
+        """The image of an {index: value} column, zero-free: self composed
+        with the one-column operator that holds it, read as values."""
+        return self.compose(LinOp(self.space, {0: column}))._values().get(0, {})
 
     def compose(self, other: "LinOp") -> "LinOp":
-        """self o other (apply other first).  Exact operands multiply their
-        numerators and denominators and reduce once; with a floating-point
-        operand the values are multiplied."""
-        if self.space != other.space:
-            raise ValueError("space mismatch in compose")
-        (mycols, da), (bcols, db), exact = _operands(self, other)
-        acols = {k: tuple(col.items()) for k, col in mycols.items()}
-        out = {}
-        for c, bcol in bcols.items():
-            acc = {}
-            get = acc.get
-            for k, bkc in bcol.items():
-                acol = acols.get(k)
-                if acol is None:
-                    continue
-                for r, ark in acol:
-                    acc[r] = get(r, 0) + ark * bkc
-            if 0 in acc.values():
-                acc = {r: w for r, w in acc.items() if w != 0}
-            if acc:
-                out[c] = acc
-        return _built(self.space, out, da * db, exact)
+        """self o other (apply other first): the product kernel with self
+        placed on every site, where each index is its own local code and
+        every base index is 0."""
+        space = self.space
+        return _compose_at(self, tuple(map(space.stride, range(1, space.n + 1))), space, other)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -350,16 +333,6 @@ def commutator(a: LinOp, b: LinOp) -> LinOp:
     return a @ b - b @ a
 
 
-def embed_site(op: LinOp, j: int, space: Space) -> LinOp:
-    """Embed a site operator at site j (1-based) of the tensor power."""
-    return Placed(op, (j,), space).embedded()
-
-
-def embed_pair(op: LinOp, i: int, j: int, space: Space) -> LinOp:
-    """Embed a two-site operator with its first slot at site i, second at site j."""
-    return Placed(op, (i, j), space).embedded()
-
-
 def _embedded(op: LinOp, strides, space: Space) -> LinOp:
     """op acting on the sites whose index strides are given, in slot order:
     each index's local code picks op's column, and its base index, the
@@ -376,9 +349,8 @@ def _embedded(op: LinOp, strides, space: Space) -> LinOp:
 
 class Placed:
     """A one- or two-site operator at given sites (slot order), applied
-    without embedding: `compose` reads each entry of each column of other as
-    a local code and a base index (the digits at every other site) and adds
-    to base plus each local row's offset, as `embedded().compose` would."""
+    without embedding: `compose` runs the product kernel at this placement,
+    with the result `embedded().compose` would give."""
 
     __slots__ = ("local", "strides", "space")
 
@@ -395,27 +367,37 @@ class Placed:
         return _embedded(self.local, self.strides, self.space)
 
     def compose(self, other: LinOp) -> LinOp:
-        if self.space != other.space:
-            raise ValueError("space mismatch in compose")
-        (acols, da), (bcols, db), exact = _operands(self.local, other)
-        shift, codes, bases = _placement(self.strides, self.space)
-        out = {}
-        for c, bcol in bcols.items():
-            acc = {}
-            get = acc.get
-            for k, bkc in bcol.items():
-                acol = acols.get(codes[k])
-                if acol is None:
-                    continue
-                base = bases[k]
-                for lr, ark in acol.items():
-                    r = base + shift[lr]
-                    acc[r] = get(r, 0) + ark * bkc
-            if 0 in acc.values():
-                acc = {r: w for r, w in acc.items() if w != 0}
-            if acc:
-                out[c] = acc
-        return _built(self.space, out, da * db, exact)
+        return _compose_at(self.local, self.strides, self.space, other)
+
+
+def _compose_at(local: LinOp, strides: tuple, space: Space, other: LinOp) -> LinOp:
+    """The one product kernel: local, acting on the sites of `space` whose
+    index strides are given, composed with other.  Each index k of a
+    column of other picks local's column codes[k], read in place; each of
+    its rows adds at bases[k] plus that row's shift.  Exact operands
+    multiply numerators and denominators and reduce once; with a
+    floating-point operand the values are multiplied."""
+    if space != other.space:
+        raise ValueError("space mismatch in compose")
+    (acols, da), (bcols, db), exact = _operands(local, other)
+    shift, codes, bases = _placement(strides, space)
+    out = {}
+    for c, bcol in bcols.items():
+        acc = {}
+        get = acc.get
+        for k, bkc in bcol.items():
+            acol = acols.get(codes[k])
+            if acol is None:
+                continue
+            base = bases[k]
+            for lr, ark in acol.items():
+                r = base + shift[lr]
+                acc[r] = get(r, 0) + ark * bkc
+        if 0 in acc.values():
+            acc = {r: w for r, w in acc.items() if w != 0}
+        if acc:
+            out[c] = acc
+    return _built(space, out, da * db, exact)
 
 
 def _offsets(strides, d: int) -> list:
@@ -443,19 +425,10 @@ def _placement(strides: tuple, space: Space) -> tuple:
 
 
 def site_tensor(op1: LinOp, op2: LinOp) -> LinOp:
-    """Two-site operator op1 (x) op2 from two site operators."""
-    if op1.space.n != 1 or op2.space.n != 1 or op1.space.half_dim != op2.space.half_dim:
-        raise ValueError("site_tensor wants two site operators over the same labels")
+    """Two-site operator op1 (x) op2 from two site operators: op1 placed at
+    site 1 composed with op2 embedded at site 2."""
     sp = Space(2, op1.space.half_dim)
-    d = sp.site_dim
-    (cols1, den1), (cols2, den2), exact = _operands(op1, op2)
-    cols = {}
-    for c1, col1 in cols1.items():
-        for c2, col2 in cols2.items():
-            cols[c1 * d + c2] = {
-                r1 * d + r2: v1 * v2 for r1, v1 in col1.items() for r2, v2 in col2.items()
-            }
-    return _built(sp, cols, den1 * den2, exact)
+    return Placed(op1, (1,), sp).compose(Placed(op2, (2,), sp).embedded())
 
 
 class PoleSingular(ZeroDivisionError):

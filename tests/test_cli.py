@@ -568,14 +568,17 @@ def test_oversized_config_is_rejected_before_any_work(tmp_path, capsys, monkeypa
     ({"model": {"c": [1e300, 0.2]}}, ("lambda=", "budget of 131072")),
     ({"model": {"c": [1e200, 0.2]}}, ("lambda=", "budget of 131072")),
     ({"solve": {"lambda_grid": [[0.25, -300]]}}, ("lambda=(0.25-300j)", "overflows")),
+    ({"solve": {"degrees": [[1, [1e308, 0]]], "lambda_grid": [0.25]}},
+     ("lambda=(0.25+0j)", "not finite")),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_unbounded_quadrature_exits_two_within_seconds(tmp_path, capsys, raw, words):
     """Finite configs whose rule would not end, or would not fit in memory,
-    exit 2 with a one-line message and no numpy warning: the node budget
-    or a non-finite integrand stops them.  A |c| whose square overflows
-    gives an infinite truncation, which the budget names by its lambda.
-    A lambda whose e^{2 pi i lambda} overflows is named before any rule."""
+    exit 2 with a one-line message and no numpy warning: the node budget,
+    a non-finite integrand or a sum that overflows stops them.  A |c|
+    whose square overflows gives an infinite truncation, which the budget
+    names by its lambda.  A lambda whose e^{2 pi i lambda} overflows is
+    named before any rule."""
     path = write_json(tmp_path / "cfg.json", raw)
     start = time.perf_counter()
     assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),

@@ -133,10 +133,11 @@ def test_rho_r_generator_images():
     n = 2
     space = Space(n, n)
     x = (rat(2, 3), rat(5, 4))
-    assert rhoR_generator(1, x, space) @ rhoR_generator(1, x, space) == LinOp.identity(space)
-    tn = rhoR_generator(n, x, space)
+    s1 = rhoR_generator(1, x, space).embedded()
+    assert s1 @ s1 == LinOp.identity(space)
+    tn = rhoR_generator(n, x, space).embedded()
     assert tn @ tn == LinOp.identity(space)
-    t0 = rhoR_generator("s0", x, space)
+    t0 = rhoR_generator("s0", x, space).embedded()
     assert t0 @ t0 == LinOp.identity(space)
     with pytest.raises(ValueError):
         rhoR_generator(5, x, space)
@@ -154,11 +155,11 @@ def test_phi_equivariance_exact_scalars():
             w = SignedPerm.from_word(n, word)
             base = {phi(w, space): 1}
             for i in range(1, n + 1):
-                img = rhoR_generator(i if i < n else n, x, space).apply(base)
+                img = rhoR_generator(i if i < n else n, x, space).embedded().apply(base)
                 assert img == {phi(w * SignedPerm.generator(n, i), space): 1}, (word, i)
             j = w.apply(1)
             scale = inv(x[j - 1]) if j > 0 else x[-j - 1]
-            img0 = rhoR_generator("s0", x, space).apply(base)
+            img0 = rhoR_generator("s0", x, space).embedded().apply(base)
             assert img0 == {phi(w * elem_r(1, n), space): scale}, word
             return True
 

@@ -24,8 +24,7 @@ from bqkz.hecke_module import (
 )
 from bqkz.rqkz import ModelParams, op_dT_dx, op_K, op_P, op_Q, op_R_k, op_T
 from bqkz.scalar_field import inv, rat
-from bqkz.tensor_ops import (LinOp, Space, embed_pair, embed_site, exchange_op, reflection_op,
-                              site_tensor)
+from bqkz.tensor_ops import LinOp, Placed, Space, exchange_op, reflection_op, site_tensor
 
 SIZES = [(n, half) for n in (1, 2, 3) for half in (1, 2, 3)]
 X = (rat(2), rat(3), rat(5))
@@ -47,10 +46,10 @@ def _built_operators(n, half):
     if n == 2:
         ops += [op_P(half), op_R_k(rat(5, 2), rat(2, 3), half),
                 site_tensor(op_T(x), site_unit(half, 1, 0))]
-    ops += [embed_site(op_K(rat(7, 3), x, rat(1, 2)), j, space) for j in range(1, n + 1)]
+    ops += [Placed(op_K(rat(7, 3), x, rat(1, 2)), (j,), space).embedded() for j in range(1, n + 1)]
     if n >= 2:
         r = op_R_k(rat(5, 2), rat(2, 3), half)
-        ops += [embed_pair(r, 1, n, space), embed_pair(r, n, 1, space)]
+        ops += [Placed(r, (1, n), space).embedded(), Placed(r, (n, 1), space).embedded()]
     ops += [op_Q(m, x, y, params) for m in range(1, n + 1)]
     ops += [op_L(half, x, y, params)]
     if n == half:
@@ -114,9 +113,10 @@ def test_embeddings_match_oracles_written_by_state(n, half):
         return _dense_from_tuples(space, value_at)
 
     for j in range(1, n + 1):
-        assert embed_site(LinOp(site, one), j, space).to_dense() == embedded(one, (j - 1,)), j
+        got = Placed(LinOp(site, one), (j,), space).embedded().to_dense()
+        assert got == embedded(one, (j - 1,)), j
     for i, j in itertools.permutations(range(1, n + 1), 2):
-        got = embed_pair(LinOp(pair, local), i, j, space).to_dense()
+        got = Placed(LinOp(pair, local), (i, j), space).embedded().to_dense()
         assert got == embedded(local, (i - 1, j - 1)), (i, j)
 
     def tensor_value(row, col):

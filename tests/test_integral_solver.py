@@ -18,7 +18,7 @@ import pytest
 from fractions import Fraction
 
 from bqkz.rqkz import ones, op_K, op_P, op_R, op_T, q_factor_list, shift_y
-from bqkz.tensor_ops import LinOp, Space, embed_pair, embed_site
+from bqkz.tensor_ops import LinOp, Placed, Space
 import bqkz.compat_ops as compat_ops
 import bqkz.integral_solver as solver
 import bqkz.rqkz as rqkz
@@ -169,9 +169,9 @@ def test_filler_conditions_and_rank():
         fv = filler_vector(p)
         sp = Space(n - 1, p.half_dim)
         for i in range(1, n - 1):
-            assert embed_pair(op_P(2), i, i + 1, sp).apply(fv) == fv
+            assert Placed(op_P(2), (i, i + 1), sp).embedded().apply(fv) == fv
         for i in range(1, n):
-            assert embed_site(op_T(ones(2)), i, sp).apply(fv) == fv
+            assert Placed(op_T(ones(2)), (i,), sp).embedded().apply(fv) == fv
         us = vec_u_all(p)
         assert len(us) == 2 * n
         states = sorted({i for u in us for i in u})
@@ -320,13 +320,13 @@ def test_gtilde_intertwining():
                 for l in range(1, n):
                     ysw = list(y)
                     ysw[l - 1], ysw[l] = ysw[l], ysw[l - 1]
-                    swap_op = embed_pair(op_P(2), l, l + 1, sp) @ embed_pair(
-                        op_R(y[l - 1] - y[l], model), l, l + 1, sp
-                    )
+                    swap_op = Placed(op_P(2), (l, l + 1), sp).embedded() @ Placed(
+                        op_R(y[l - 1] - y[l], model), (l, l + 1), sp
+                    ).embedded()
                     lhs = swap_op.apply(gt)
                     rhs = gtilde_vec(t, tuple(ysw), p)
                     assert vec_norm(vec_diff(lhs, rhs)) <= 1e-10 * max(1.0, vec_norm(rhs)), (n, l)
-                flip_op = embed_site(op_K(y[-1], ones(2), K / 2), n, sp)
+                flip_op = Placed(op_K(y[-1], ones(2), K / 2), (n,), sp).embedded()
                 lhs = flip_op.apply(gt)
                 rhs = gtilde_vec(t, y[:-1] + (-y[-1],), p)
                 assert vec_norm(vec_diff(lhs, rhs)) <= 1e-10 * max(1.0, vec_norm(rhs)), n
@@ -468,7 +468,7 @@ def test_pair_i_linear_in_cycle():
     w0, w1 = CycleW.monomial(0), CycleW.monomial(1)
     a = solve_f(p.lam, p.y, w0, p).coeffs[1]
     b = solve_f(p.lam, p.y, w1, p).coeffs[1]
-    ab = solve_f(p.lam, p.y, w0 + w1, p).coeffs[1]
+    ab = solve_f(p.lam, p.y, CycleW(w0.terms + w1.terms), p).coeffs[1]
     assert abs(ab - (a + b)) <= 1e-10 * max(abs(ab), 1e-30)
 
 

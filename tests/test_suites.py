@@ -283,6 +283,29 @@ def test_the_transport_chains_embed_no_factor(monkeypatch):
     assert len(embedded) == 1
 
 
+def test_the_braid_and_word_chains_embed_one_factor_per_side(monkeypatch):
+    """The braid defects and the right-action word pass placed factors to
+    `product`, which embeds only the factor applied first: one embedding
+    per side of a braid, one per word."""
+    embedded = []
+    real = tensor_ops._embedded
+
+    def counted(*args):
+        embedded.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tensor_ops, "_embedded", counted)
+    assert rqkz.ybe_defect(rat(2), rat(1), rat(5), rat(11), 2).is_zero()
+    assert len(embedded) == 2
+    assert rqkz.bybe_defect(rat(2), rat(3), (rat(7), rat(-4)), rat(1), rat(5)).is_zero()
+    assert len(embedded) == 4
+    word, x, space = ["s0", 1, 2, 3, 1], (rat(2), rat(3), rat(5)), Space(3, 3)
+    image = hecke_module.rhoR_word(word, x, space)
+    assert len(embedded) == 5
+    whole = [hecke_module.rhoR_generator(g, x, space).embedded() for g in reversed(word)]
+    assert image == tensor_ops.product(whole)
+
+
 def _bump(op: LinOp, i: int) -> LinOp:
     """op plus one at the diagonal entry of basis index i."""
     return op + LinOp.of(op.space, {i: {i: 1}})

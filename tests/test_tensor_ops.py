@@ -14,8 +14,6 @@ from bqkz.tensor_ops import (
     PoleSingular,
     Space,
     commutator,
-    embed_pair,
-    embed_site,
     invert,
     lincomb,
     product,
@@ -41,11 +39,32 @@ def rand_op(space, r, fill=0.3):
 
 
 def dense_mul(a, b):
-    size = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(size)) for j in range(size)]
-        for i in range(size)
-    ]
+    """Product of row-major nested lists: each nonzero b[t][j] adds its
+    multiple of column t of a to column j, in increasing t."""
+    a_cols = [[(i, v) for i, v in enumerate(col) if v != 0] for col in zip(*a)]
+    out = [[0] * len(b[0]) for _ in a]
+    for j, col in enumerate(zip(*b)):
+        for t, w in enumerate(col):
+            if w != 0:
+                for i, v in a_cols[t]:
+                    out[i][j] += v * w
+    return out
+
+
+def as_floats(op):
+    """op with every value turned into a complex float."""
+    return LinOp.from_dense(op.space, [[complex(v) * (1 + 0.5j) for v in row]
+                                       for row in op.to_dense()])
+
+
+def assert_dense_equal(got, want, label=None):
+    """got's dense form is want: exactly when got is exact, else to rounding."""
+    dense = got.to_dense()
+    if got.exact:
+        assert dense == want, label
+    else:
+        assert all(g == w or cmath.isclose(g, w, abs_tol=1e-12)
+                   for gr, wr in zip(dense, want) for g, w in zip(gr, wr)), label
 
 
 def test_space_dimensions():
@@ -59,6 +78,8 @@ def test_space_dimensions():
 
 
 def test_compose_matches_dense_oracle():
+    """Exact, floating-point and mixed operands, with a whole and with a
+    one-column right operand."""
     sp = Space(2, 1)
     for trial in range(8):
         a = rand_op(sp, rng)
@@ -66,6 +87,13 @@ def test_compose_matches_dense_oracle():
         got = (a @ b).to_dense()
         want = dense_mul(a.to_dense(), b.to_dense())
         assert got == want, trial
+    for sp in (Space(2, 2), Space(3, 2)):
+        a, b = rand_op(sp, rng, fill=0.1), rand_op(sp, rng, fill=0.2)
+        one = LinOp(sp, {5: b.cols.get(9, {0: rat(3, 7)})})
+        for left, right in itertools.product((a, as_floats(a)), (b, as_floats(b), one)):
+            got = left @ right
+            assert got.exact == (left.exact and right.exact)
+            assert_dense_equal(got, dense_mul(left.to_dense(), right.to_dense()), sp)
 
 
 def dense_product(ops):
@@ -160,8 +188,8 @@ def test_embed_pair_equals_embedded_product():
     b = rand_op(Space(1, 1), rng)
     two = site_tensor(a, b)
     for i, j in ((1, 2), (1, 3), (2, 3), (3, 1)):
-        lhs = embed_pair(two, i, j, sp)
-        rhs = embed_site(a, i, sp) @ embed_site(b, j, sp)
+        lhs = Placed(two, (i, j), sp).embedded()
+        rhs = Placed(a, (i,), sp).embedded() @ Placed(b, (j,), sp).embedded()
         assert lhs == rhs, (i, j)
 
 
@@ -192,16 +220,19 @@ def test_placed_factors_compose_like_embedded_ones(n, half):
     """At every site and ordered site pair, a placed factor composed with a
     one-column start, a two-column start, a start it cancels to zero and
     the identity equals the embedded factor composed with it, in canonical
-    form, for exact, floating-point and mixed operands."""
+    form, and the dense product of the two, for exact, floating-point and
+    mixed operands."""
     r = random.Random(10 * n + half)
     space = Space(n, half)
     sites = range(1, n + 1)
-    where = [((j,), embed_site) for j in sites]
-    where += [((i, j), embed_pair) for i in sites for j in sites if i != j]
+    where = [(j,) for j in sites]
+    where += [(i, j) for i in sites for j in sites if i != j]
     for exact_local, exact_start in itertools.product((True, False), repeat=2):
-        for at, embed in where:
+        for at in where:
             local = _twin_op(Space(len(at), half), r, exact_local)
-            placed, whole = Placed(local, at, space), embed(local, *at, space)
+            placed = Placed(local, at, space)
+            whole = placed.embedded()
+            dense = whole.to_dense()
             # Local codes 0 and 1 differ in the last slot's digit only.
             cancel = {0: 1, space.stride(at[-1]): -1}
             column = {i: rand_rat(r) for i in r.sample(range(space.dim), 5)}
@@ -211,7 +242,9 @@ def test_placed_factors_compose_like_embedded_ones(n, half):
             ident = LinOp.identity(space)
             starts.append(ident if exact_start else ident.scale(1.0))
             for start in starts:
-                assert placed.compose(start) == whole.compose(start), (at, exact_local)
+                got = placed.compose(start)
+                assert got == whole.compose(start), (at, exact_local)
+                assert_dense_equal(got, dense_mul(dense, start.to_dense()), (at, exact_local))
             assert placed.compose(starts[2]).is_zero()
             assert list(placed.compose(starts[1]).cols) == [0]
 
@@ -219,7 +252,7 @@ def test_placed_factors_compose_like_embedded_ones(n, half):
 def test_embed_site_wrong_half_dim():
     op = LinOp.identity(Space(1, 1))
     with pytest.raises(ValueError):
-        embed_site(op, 1, Space(2, 2))
+        Placed(op, (1,), Space(2, 2))
 
 
 # ------------------------------------------------- numerators over one den
@@ -280,8 +313,8 @@ def test_exact_arithmetic_matches_the_fraction_oracle_in_canonical_form():
             (product([a, b, a]), dense_mul(da, dense_mul(db, da))),
             (site_tensor(s1, s2), [[d1[i // 2][j // 2] * d2[i % 2][j % 2] for j in range(4)]
                                    for i in range(4)]),
-            (embed_site(s1, 2, three), dense_embed(s1.to_dense(), (1,), three)),
-            (embed_pair(a, 3, 1, three), dense_embed(da, (2, 0), three)),
+            (Placed(s1, (2,), three).embedded(), dense_embed(s1.to_dense(), (1,), three)),
+            (Placed(a, (3, 1), three).embedded(), dense_embed(da, (2, 0), three)),
         ]
         for got, want in cases:
             assert_canonical(got)
