@@ -33,11 +33,12 @@ from . import suites as suite_mod
 
 SCHEMA_VERSION = 1
 MATCH_TOLERANCE = 1e-12
-# Input bounds, checked before any work starts: the solver builds operators
-# over the whole space of dimension (2*half_dim)^n, and max_refine counts
-# halvings of the trapezoidal step, each of which doubles the node count.
+# Input bounds, checked before any work starts: the dimension (2*half_dim)^n
+# of the space the solver builds operators over, the halvings of the
+# trapezoidal step (each doubles the node count) and verify's samples per suite.
 DIM_BUDGET = 256
 MAX_REFINE_CAP = 6
+SAMPLE_BUDGET = 10_000
 
 
 class ConfigError(ValueError):
@@ -188,6 +189,8 @@ def _validate_config(cfg: dict):
                 raise ConfigError("verify.suites names %r more than once" % name)
     if ver["samples"] is not None and (not _is_int(ver["samples"]) or ver["samples"] < 1):
         raise ConfigError("verify.samples must be a positive integer")
+    if ver["samples"] is not None and ver["samples"] > SAMPLE_BUDGET:
+        raise ConfigError("verify.samples must be at most %d" % SAMPLE_BUDGET)
     if not _is_int(ver["seed"]) or ver["seed"] < 0:
         raise ConfigError("verify.seed must be a non-negative integer")
     sol = cfg["solve"]

@@ -8,7 +8,8 @@ action).  The orbit of v_1 x ... x v_n under the left action spans a
 coordinate subspace whose basis vectors are indexed by group elements:
 `phi` maps an element to its basis vector's linear index, and
 `orbit_states` lists those indices.  The interesting identities of this
-module hold on that subspace only, so checks restrict to it explicitly.
+module hold on that subspace only, so each check returns its residual
+applied to a start: on `orbit_start`, the orbit projector, it must vanish.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -179,9 +180,10 @@ def orbit_states(space: Space) -> tuple:
     return tuple(phi(w, space) for w in all_elements(space.n))
 
 
-def zero_on_orbit(op: LinOp) -> bool:
-    """Whether an operator kills every orbit basis vector."""
-    return all(i not in op.cols for i in orbit_states(op.space))
+def orbit_start(space: Space) -> LinOp:
+    """Projector onto the orbit columns: a residual applied to it vanishes
+    exactly when it kills every orbit basis vector."""
+    return LinOp.of(space, {i: {i: 1} for i in orbit_states(space)})
 
 
 def rhoR_generator(g, x: Sequence, space: Space) -> Placed:
@@ -247,30 +249,29 @@ def eta_L_push(a: int, word: tuple, y: Sequence, params: ModelParams):
     return prepend(eta_L_push(a, rest, y, params))
 
 
-def check_AHA_relations(y: Sequence, params: ModelParams):
-    """Residuals of the degenerate cross relations; zero on the orbit only.
-
-    Yields (name, residual LinOp).  Callers restrict to the orbit basis.
-    """
+def check_AHA_relations(y: Sequence, params: ModelParams, start: LinOp):
+    """Residuals of the degenerate cross relations applied to start; zero
+    on the orbit only.  Yields (name, residual LinOp).  Each product
+    applies its right factor to start first, so none is wider than start."""
     from .compat_ops import op_A
 
     space = params.space
     n = space.n
-    ident = LinOp.identity(space)
     gens = [rhoL(SignedPerm.generator(n, i), space) for i in range(1, n + 1)]
     ops_a = {i: op_A(i, y, params) for i in range(1, n + 1)}
+    a_start = {i: op_a @ start for i, op_a in ops_a.items()}
+    s_start = [s_i @ start for s_i in gens]
     for i in range(1, n):
-        s_i = gens[i - 1]
-        yield ("lower-%d" % i, lincomb(space, [(1, ops_a[i] @ s_i), (-1, s_i @ ops_a[i + 1]),
-                                               (-params.k, ident)]))
-    s_n = gens[n - 1]
-    yield ("top", lincomb(space, [(1, ops_a[n] @ s_n), (1, s_n @ ops_a[n]),
-                                  (-2 * params.alpha, ident)]))
+        yield ("lower-%d" % i, lincomb(space, [(1, ops_a[i] @ s_start[i - 1]),
+                                               (-1, gens[i - 1] @ a_start[i + 1]),
+                                               (-params.k, start)]))
+    yield ("top", lincomb(space, [(1, ops_a[n] @ s_start[n - 1]), (1, gens[n - 1] @ a_start[n]),
+                                  (-2 * params.alpha, start)]))
     for i in range(1, n + 1):
         for jj in range(1, n + 1):
             if abs(i - jj) > 1 or (i, jj) == (n - 1, n):
-                s_j = gens[jj - 1]
-                yield ("comm-%d-%d" % (i, jj), ops_a[i] @ s_j - s_j @ ops_a[i])
+                yield ("comm-%d-%d" % (i, jj),
+                       ops_a[i] @ s_start[jj - 1] - gens[jj - 1] @ a_start[i])
 
 
 def cbar_factor_list(m: int, n: int):
@@ -416,34 +417,33 @@ def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: L
     return [c for c in columns if c in diff.cols]
 
 
-def pair_sum_identities(a: int, space: Space):
-    """Residuals of the point-free restriction identities for label a:
-    (name, residual) pairs between fixed integer operators.
-
-    Callers restrict to the orbit basis: all are generally nonzero on the
-    full space.
-    """
+def pair_sum_identities(a: int, space: Space, start: LinOp) -> list:
+    """Residuals of the point-free restriction identities for label a
+    applied to start: (name, residual) pairs between fixed integer
+    operators, zero on the orbit only."""
     from .compat_ops import coll_X_swap, coll_YZ, site_units
 
     n = space.n
     ebar_sum = [(1, site_units(a, j, space)[3]) for j in range(1, n + 1)]
-    yield ("reflection-sum", lincomb(space, ebar_sum + [(-1, rhoL(elem_r(a, n), space))]))
-    yield ("self-pair", coll_YZ(a, a, space))
+    pairs = [("reflection-sum", lincomb(space, ebar_sum + [(-1, rhoL(elem_r(a, n), space))])),
+             ("self-pair", coll_YZ(a, a, space))]
     for b in range(1, n + 1):
-        if b == a:
-            continue
-        yield ("swap-pair-%d" % b, coll_X_swap(a, b, space) - rhoL(elem_s(a, b, n), space))
-        yield ("signed-swap-pair-%d" % b,
-               coll_YZ(a, b, space) - rhoL(elem_s_tilde(a, b, n), space))
+        if b != a:
+            pairs.append(("swap-pair-%d" % b,
+                          coll_X_swap(a, b, space) - rhoL(elem_s(a, b, n), space)))
+            pairs.append(("signed-swap-pair-%d" % b,
+                          coll_YZ(a, b, space) - rhoL(elem_s_tilde(a, b, n), space)))
+    return [(name, residual @ start) for name, residual in pairs]
 
 
-def check_L_restriction(a: int, x, params: ModelParams) -> LinOp:
-    """Residual of L_a against its group-algebra form; zero on the orbit
-    only.
+def check_L_restriction(a: int, x, params: ModelParams, start: LinOp) -> LinOp:
+    """Residual of L_a against its group-algebra form applied to start;
+    zero on the orbit only.
 
     Both sides of the identity hold the argument part op_A(a, y); exact
     addition cancels it, so the residual is the group part minus the
-    coordinate part op_B(a, x) and reads no y.
+    coordinate part op_B(a, x) and reads no y: one `lincomb`, applied to
+    start once.
     """
     from .compat_ops import op_B_terms
 
@@ -459,4 +459,4 @@ def check_L_restriction(a: int, x, params: ModelParams) -> LinOp:
         w = div(xa, xa - x[p - 1]) if p < a else div(x[p - 1], xa - x[p - 1])
         terms.append((k * w, rhoL(elem_s(a, p, n), space)))
         terms.append((k * inv(xa * x[p - 1] - 1), rhoL(elem_s_tilde(a, p, n), space)))
-    return lincomb(space, terms + [(-w, op) for w, op in op_B_terms(a, x, params)])
+    return lincomb(space, terms + [(-w, op) for w, op in op_B_terms(a, x, params)]) @ start

@@ -10,7 +10,9 @@ never form their products: each applies every factor chain to one seeded
 random integer column v (Freivalds' check) and tests D(p) v = 0 for the
 point's defect D(p).  A nonzero D(p) passes one sample with probability at
 most 1/101 on top of the point's own chance of sitting on a zero of D.
-The other suites evaluate their defects as whole operators.
+aha-relations and l-restriction hold on the orbit only: they test D(p) P
+= 0 for the orbit projector P (`hecke_module.orbit_start`, built once per
+size).  The other suites evaluate their defects as whole operators.
 
 A suite is one row of a table: its anchor, the label of a size, its sizes,
 its default sample count, and `builder_for`, which maps a size to a pair
@@ -86,19 +88,11 @@ def _rand_x(rng, count: int) -> tuple:
     return rand_tuple(rng, count, nonzero=True)
 
 
-def _failing(checks, on_orbit=False) -> list:
-    """Names of the (name, defect) pairs whose defect does not vanish, or
-    with on_orbit does not vanish on the orbit states.  A point-free
-    check's defect may be a bool, True when it fails."""
-
-    def vanishes(defect):
-        if isinstance(defect, bool):
-            return not defect
-        if on_orbit:
-            return hecke_module.zero_on_orbit(defect)
-        return defect.is_zero()
-
-    return [name for name, defect in checks if not vanishes(defect)]
+def _failing(checks) -> list:
+    """Names of the (name, defect) pairs whose defect does not vanish.  A
+    point-free check's defect may be a bool, True when it fails."""
+    return [name for name, defect in checks
+            if (defect if isinstance(defect, bool) else not defect.is_zero())]
 
 
 def _start(space: Space, *columns) -> LinOp:
@@ -156,10 +150,9 @@ def _model_suite(checks, draw_x=True, column=False):
     return _sized_model_suite(lambda space: ([], checks), draw_x, column=column)
 
 
-def _sized_model_suite(setup, draw_x=True, on_orbit=False, column=False):
+def _sized_model_suite(setup, draw_x=True, column=False):
     """The same, with point-free checks: setup(space) returns the
-    point-free (name, defect) pairs and the checks.  With on_orbit a
-    defect need only vanish on the orbit states.  With column the checks
+    point-free (name, defect) pairs and the checks.  With column the checks
     take a fourth argument, the start: one random integer column drawn
     from the column stream."""
 
@@ -173,9 +166,9 @@ def _sized_model_suite(setup, draw_x=True, on_orbit=False, column=False):
             x = _rand_x(r, half) if draw_x else None
             y = rand_tuple(r, n)
             start = (_start(space, rand_column(vr, range(space.dim))),) if column else ()
-            return _failing(checks(x, y, params, *start), on_orbit), ((x, y) if draw_x else y)
+            return _failing(checks(x, y, params, *start)), ((x, y) if draw_x else y)
 
-        return _failing(point_free, on_orbit), build
+        return _failing(point_free), build
 
     return builder_for
 
@@ -238,20 +231,22 @@ def _compatibility(x, y, params, v):
 
 
 def _aha(space):
-    return [], lambda x, y, params: hecke_module.check_AHA_relations(y, params)
+    start = hecke_module.orbit_start(space)
+    return [], lambda x, y, params: hecke_module.check_AHA_relations(y, params, start)
 
 
 def _l_restriction(space):
     labels = range(1, space.n + 1)
+    start = hecke_module.orbit_start(space)
     point_free = [
         ("%s-%d" % (name, a), defect)
         for a in labels
-        for name, defect in hecke_module.pair_sum_identities(a, space)
+        for name, defect in hecke_module.pair_sum_identities(a, space, start)
     ]
 
     def checks(x, y, params):
         for a in labels:
-            yield "assembled-%d" % a, hecke_module.check_L_restriction(a, x, params)
+            yield "assembled-%d" % a, hecke_module.check_L_restriction(a, x, params, start)
 
     return point_free, checks
 
@@ -377,7 +372,7 @@ _SUITES = {
     ),
     "aha-relations": _Suite(
         "degenerate cross relations on the orbit", _ORBIT, (2, 3), 100,
-        _sized_model_suite(_aha, draw_x=False, on_orbit=True),
+        _sized_model_suite(_aha, draw_x=False),
     ),
     "phi-iso": _Suite("group element to orbit vector isomorphism", _ORBIT, (2, 3), 50, _phi_iso),
     "cbar-qinv": _Suite(
@@ -385,7 +380,7 @@ _SUITES = {
     ),
     "l-restriction": _Suite(
         "pair-sum restriction identities on the orbit", _ORBIT, (2, 3), 100,
-        _sized_model_suite(_l_restriction, on_orbit=True),
+        _sized_model_suite(_l_restriction),
     ),
 }
 

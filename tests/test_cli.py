@@ -146,6 +146,32 @@ def test_bad_samples_or_seed_flag_gives_the_config_message(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_samples_above_the_budget_are_rejected_in_the_config(tmp_path):
+    """verify.samples is bounded like the other axes of the work."""
+    path = write_json(tmp_path / "cfg.json", {"verify": {"samples": 10001}})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == "verify.samples must be at most 10000"
+    load_config(write_json(tmp_path / "edge.json", {"verify": {"samples": 10000}}))
+    assert cli.SAMPLE_BUDGET == 10000
+
+
+def test_samples_above_the_budget_exit_two_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    """A huge --samples is rejected by the config rule; no suite starts."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(suites, "run_suites", no_run)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "ybe", "--samples", "1000000000000", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: verify.samples must be at most 10000\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("raw,message", [
     ({"model": {"n": True}, "verify": {"samples": True, "seed": False}},
      "model.n must be a positive integer"),

@@ -454,15 +454,18 @@ def test_compat_forms_are_independent_routes(monkeypatch):
 def test_each_operator_is_one_linear_combination(monkeypatch):
     """Every builder of the family, and the L_a restriction residual, sums
     its terms in one `lincomb`: with the label-only caches warm, one call
-    reduces exactly once.  Matrix units are built once and shared."""
+    reduces exactly once.  The restriction residual then applies its start,
+    one product, so it reduces exactly twice.  Matrix units are built once
+    and shared."""
     import bqkz.tensor_ops as to
-    from bqkz.hecke_module import check_L_restriction
+    from bqkz.hecke_module import check_L_restriction, orbit_start
 
     space = Space(2, 2)
     r = make_rng(515)
     params = rand_params(r, space)
     x, y = generic_x(r, 2), rand_tuple(r, 2)
     gamma = rand_rational(r)
+    start = orbit_start(space)
     calls = {
         "op_A": lambda: op_A(1, y, params),
         "op_B": lambda: op_B(2, x, params),
@@ -473,8 +476,10 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
         "op_L_from_blocks": lambda: op_L_from_blocks(1, x, y, params),
         "op_dB_dx same": lambda: op_dB_dx(1, 1, x, params),
         "op_dB_dx cross": lambda: op_dB_dx(1, 2, x, params),
-        "check_L_restriction": lambda: check_L_restriction(2, x, params),
+        "check_L_restriction": lambda: check_L_restriction(2, x, params, start),
     }
+    reductions = {name: 1 for name in calls}
+    reductions["check_L_restriction"] = 2
     for call in calls.values():
         call()
     real = to._built
@@ -488,5 +493,5 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
     for name, call in calls.items():
         built.clear()
         call()
-        assert len(built) == 1, name
+        assert len(built) == reductions[name], name
     assert site_unit(2, 1, 3) is site_unit(2, 1, 3)

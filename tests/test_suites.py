@@ -283,6 +283,27 @@ def test_the_transport_chains_embed_no_factor(monkeypatch):
     assert len(embedded) == 1
 
 
+def test_the_orbit_suites_compose_nothing_wider_than_the_orbit(monkeypatch):
+    """aha-relations and l-restriction read their identities on the orbit
+    start: once the point-free caches are warm, no product of a one-sample
+    run at n = 3 has a right operand wider than the 48 orbit columns."""
+    names = ("aha-relations", "l-restriction")
+    for name in names:
+        suites.run_suite(name, samples=1, seed=0, sizes=(3,))
+    widths = []
+    real = tensor_ops._compose_at
+
+    def recorded(local, strides, space, other):
+        widths.append(len(other.cols))
+        return real(local, strides, space, other)
+
+    monkeypatch.setattr(tensor_ops, "_compose_at", recorded)
+    for name in names:
+        assert suites.run_suite(name, samples=1, seed=1, sizes=(3,)).exact_zero, name
+    assert len(hecke_module.orbit_states(Space(3, 3))) == 48
+    assert max(widths) == 48
+
+
 def test_the_braid_and_word_chains_embed_one_factor_per_side(monkeypatch):
     """The braid defects and the right-action word pass placed factors to
     `product`, which embeds only the factor applied first: one embedding
