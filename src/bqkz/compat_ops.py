@@ -11,9 +11,10 @@ derivatives only.
 The same L_a has a second construction from a one-site block I_a and a
 two-site block M_a summed over sites and site pairs.  Keeping both routes
 alive (no shared code paths beyond the matrix units) is deliberate: each
-certification below compares structurally different computations.  Each
-route lists its own (coefficient, operator) terms and sums them in one
-`tensor_ops.lincomb`, which the two share as they share matrix units.
+certification below compares structurally different computations.  The
+first route sums its terms in one `tensor_ops.lincomb`; the second builds
+each block once per point and sums the blocks embedded whole where they
+act, one embedding per site and per site pair.
 
 The two compatibility residuals are read on a start, one seeded random
 integer column in the suite (Freivalds' check) or the identity for the
@@ -241,24 +242,19 @@ def op_L_shifts(a: int, x: Sequence, y: Sequence, params: ModelParams) -> list:
     return [lincomb(params.space, op_A_terms(a, yy, params) + b_terms) for yy in ys]
 
 
-def op_I_terms(a: int, lam, gamma, params: ModelParams) -> list:
-    """(coefficient, site unit) terms of op_I."""
+def op_I(a: int, lam, gamma, params: ModelParams) -> LinOp:
+    """One-site block of the alternative construction of L_a."""
     half = params.space.half_dim
     if lam == 0 or lam * lam == 1:
         raise PoleError("block argument may not be 0 or a unit square root")
     ilam = inv(lam)
     lower = div(2 * (params.alpha + params.beta * lam), lam * lam - 1)
     upper = div(2 * (params.alpha + params.beta * ilam), 1 - ilam * ilam)
-    return list(zip((gamma, -gamma, lower, upper), _units(half, a)))
+    return lincomb(Space(1, half), zip((gamma, -gamma, lower, upper), _units(half, a)))
 
 
-def op_I(a: int, lam, gamma, params: ModelParams) -> LinOp:
-    """One-site block of the alternative construction of L_a."""
-    return lincomb(Space(1, params.space.half_dim), op_I_terms(a, lam, gamma, params))
-
-
-def op_M_terms(a: int, x: Sequence, params: ModelParams) -> list:
-    """(coefficient, two-site operator) terms of op_M.
+def op_M(a: int, x: Sequence, params: ModelParams) -> LinOp:
+    """Two-site block of the alternative construction of L_a.
 
     Its lead term, 2k/(x_a - 1/x_a) (x_a e_(a,abar) + e_(abar,a)/x_a) (x)
     (e_(a,abar) + e_(abar,a)), is the p = a term of the J and K sums:
@@ -279,12 +275,7 @@ def op_M_terms(a: int, x: Sequence, params: ModelParams) -> list:
         if p != a:
             terms += [(div(k * xa, xa - xp), pair_U(half, a, p)),
                       (div(k * xp, xa - xp), pair_U(half, p, a))]
-    return terms
-
-
-def op_M(a: int, x: Sequence, params: ModelParams) -> LinOp:
-    """Two-site block of the alternative construction of L_a."""
-    return lincomb(Space(2, params.space.half_dim), op_M_terms(a, x, params))
+    return lincomb(Space(2, half), terms)
 
 
 @cache
@@ -327,24 +318,24 @@ def op_M_swapped(a: int, x: Sequence, params: ModelParams) -> LinOp:
     return lincomb(Space(2, half), terms)
 
 
-def m_conjugation_defect(a: int, x: Sequence, params: ModelParams) -> LinOp:
-    """Slot-exchanged pair block minus the flip conjugate of the direct one."""
+def m_conjugation_defect(a: int, x: Sequence, params: ModelParams, m_a: LinOp) -> LinOp:
+    """Slot-exchanged pair block minus the flip conjugate of the direct one,
+    m_a = `op_M(a, x, params)`."""
     flip = op_P(params.space.half_dim)
-    direct = op_M(a, x, params)
-    return op_M_swapped(a, x, params) - product((flip, direct, flip))
+    return op_M_swapped(a, x, params) - product((flip, m_a, flip))
 
 
-def _block_terms(a: int, x: Sequence, args: Sequence, pairs, params: ModelParams) -> list:
-    """Terms of op_I(a, x_a, args[j - 1]) at every site j plus op_M(a, x)
-    on every site pair (i, j) of pairs, i in its first slot."""
+def _block_sum(a: int, x: Sequence, args: Sequence, pairs, params: ModelParams,
+               m_a: LinOp) -> LinOp:
+    """op_I(a, x_a, args[j - 1]) at every site j plus m_a = op_M(a, x) on
+    every site pair (i, j) of pairs, i in its first slot: each block is
+    built once and embedded whole, and the embeddings are summed in one
+    `lincomb`."""
     space = params.space
     xa = tuple(x)[a - 1]
-    terms = [(w, Placed(unit, (j,), space).embedded())
-             for j, arg in enumerate(args, start=1)
-             for w, unit in op_I_terms(a, xa, arg, params)]
-    m_terms = op_M_terms(a, x, params)
-    terms += [(w, Placed(two, sites, space).embedded()) for sites in pairs for w, two in m_terms]
-    return terms
+    blocks = [Placed(op_I(a, xa, arg, params), (j,), space) for j, arg in enumerate(args, start=1)]
+    blocks += [Placed(m_a, sites, space) for sites in pairs]
+    return lincomb(space, [(1, block.embedded()) for block in blocks])
 
 
 def op_L_from_blocks(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
@@ -353,7 +344,7 @@ def op_L_from_blocks(a: int, x: Sequence, y: Sequence, params: ModelParams) -> L
     Independent route kept separate from op_L on purpose; their equality is
     a certified identity, not a refactoring opportunity.
     """
-    return lincomb(params.space, _block_terms(a, x, y, _site_pairs(params.space.n), params))
+    return _block_sum(a, x, y, _site_pairs(params.space.n), params, op_M(a, x, params))
 
 
 def comm_AA_defect(a: int, b: int, y: Sequence, params: ModelParams) -> LinOp:
@@ -399,16 +390,14 @@ def check_cross_derivative(a: int, b: int, x, y, params: ModelParams) -> LinOp:
                                   (-x[b - 1], op_dB_dx(a, b, x, params))])
 
 
-def check_comm_IM(a: int, x, y1, y2, params: ModelParams) -> LinOp:
-    """Exchange conjugation of the block sum versus slot-swapped blocks."""
+def check_comm_IM(a: int, x, y1, y2, params: ModelParams, m_a: LinOp) -> LinOp:
+    """Exchange conjugation of the block sum versus slot-swapped blocks on
+    the two-site space of params, m_a = `op_M(a, x, params)`."""
     half = params.space.half_dim
-    sp2 = Space(2, half)
-    two_params = ModelParams(params.c, params.k, params.alpha, params.beta, sp2)
     r = op_R_k(y1 - y2, params.k, half)
     rinv = op_R_k(y2 - y1, params.k, half)
-    lhs = product((r, lincomb(sp2, _block_terms(a, x, (y1, y2), [(1, 2)], two_params)), rinv))
-    rhs = _block_terms(a, x, (y1, y2), [(2, 1)], two_params)
-    return lincomb(sp2, [(1, lhs)] + [(-w, op) for w, op in rhs])
+    lhs = product((r, _block_sum(a, x, (y1, y2), [(1, 2)], params, m_a), rinv))
+    return lhs - _block_sum(a, x, (y1, y2), [(2, 1)], params, m_a)
 
 
 def intertwining_defects(lam, k, half: int, l_code: int, m_code: int):
@@ -444,8 +433,7 @@ def ad_reflection_on_M_defects(a: int, x, gamma, params: ModelParams):
     """Both reflection conjugations fix the two-site block."""
     half = params.space.half_dim
     sp2 = Space(2, half)
-    two_params = ModelParams(params.c, params.k, params.alpha, params.beta, sp2)
-    m12 = op_M(a, x, two_params)
+    m12 = op_M(a, x, params)
     k2f = Placed(op_K(gamma, ones(half), params.alpha), (2,), sp2)
     k2b = Placed(op_K(-gamma, ones(half), params.alpha), (2,), sp2)
     k1f = Placed(op_K(gamma, x, params.beta), (1,), sp2)
@@ -517,8 +505,7 @@ def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:
     args = [-yj if j == m else yj for j, yj in enumerate(y, start=1)]
     pairs = [(m, j) for j in range(1, space.n + 1) if j != m]
     pairs += [(i, j) for i, j in _site_pairs(space.n) if m not in (i, j)]
-    expected = _block_terms(a, x, args, pairs, params)
-    return lincomb(space, [(1, lhs)] + [(-w, op) for w, op in expected])
+    return lhs - _block_sum(a, x, args, pairs, params, op_M(a, x, params))
 
 
 def three_term_parts(m: int, x, y, params: ModelParams, start: LinOp) -> tuple:

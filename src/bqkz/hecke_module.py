@@ -9,7 +9,8 @@ coordinate subspace whose basis vectors are indexed by group elements:
 `phi` maps an element to its basis vector's linear index, and
 `orbit_states` lists those indices.  The interesting identities of this
 module hold on that subspace only, so each check returns its residual
-applied to a start: on `orbit_start`, the orbit projector, it must vanish.
+applied to a start, each term composed with it before the one sum: on
+`orbit_start`, the orbit projector, it must vanish.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -417,6 +418,11 @@ def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: L
     return [c for c in columns if c in diff.cols]
 
 
+def _applied_sum(terms, start: LinOp) -> LinOp:
+    """sum(coef * (op @ start)) over (coef, op) terms, in one `lincomb`."""
+    return lincomb(start.space, [(w, op @ start) for w, op in terms])
+
+
 def pair_sum_identities(a: int, space: Space, start: LinOp) -> list:
     """Residuals of the point-free restriction identities for label a
     applied to start: (name, residual) pairs between fixed integer
@@ -425,15 +431,15 @@ def pair_sum_identities(a: int, space: Space, start: LinOp) -> list:
 
     n = space.n
     ebar_sum = [(1, site_units(a, j, space)[3]) for j in range(1, n + 1)]
-    pairs = [("reflection-sum", lincomb(space, ebar_sum + [(-1, rhoL(elem_r(a, n), space))])),
-             ("self-pair", coll_YZ(a, a, space))]
+    pairs = [("reflection-sum", ebar_sum + [(-1, rhoL(elem_r(a, n), space))]),
+             ("self-pair", [(1, coll_YZ(a, a, space))])]
     for b in range(1, n + 1):
         if b != a:
             pairs.append(("swap-pair-%d" % b,
-                          coll_X_swap(a, b, space) - rhoL(elem_s(a, b, n), space)))
+                          [(1, coll_X_swap(a, b, space)), (-1, rhoL(elem_s(a, b, n), space))]))
             pairs.append(("signed-swap-pair-%d" % b,
-                          coll_YZ(a, b, space) - rhoL(elem_s_tilde(a, b, n), space)))
-    return [(name, residual @ start) for name, residual in pairs]
+                          [(1, coll_YZ(a, b, space)), (-1, rhoL(elem_s_tilde(a, b, n), space))]))
+    return [(name, _applied_sum(terms, start)) for name, terms in pairs]
 
 
 def check_L_restriction(a: int, x, params: ModelParams, start: LinOp) -> LinOp:
@@ -442,8 +448,8 @@ def check_L_restriction(a: int, x, params: ModelParams, start: LinOp) -> LinOp:
 
     Both sides of the identity hold the argument part op_A(a, y); exact
     addition cancels it, so the residual is the group part minus the
-    coordinate part op_B(a, x) and reads no y: one `lincomb`, applied to
-    start once.
+    coordinate part op_B(a, x) and reads no y: each term composed with
+    start, then one `lincomb`.
     """
     from .compat_ops import op_B_terms
 
@@ -459,4 +465,4 @@ def check_L_restriction(a: int, x, params: ModelParams, start: LinOp) -> LinOp:
         w = div(xa, xa - x[p - 1]) if p < a else div(x[p - 1], xa - x[p - 1])
         terms.append((k * w, rhoL(elem_s(a, p, n), space)))
         terms.append((k * inv(xa * x[p - 1] - 1), rhoL(elem_s_tilde(a, p, n), space)))
-    return lincomb(space, terms + [(-w, op) for w, op in op_B_terms(a, x, params)]) @ start
+    return _applied_sum(terms + [(-w, op) for w, op in op_B_terms(a, x, params)], start)

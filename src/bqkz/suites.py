@@ -12,7 +12,9 @@ point's defect D(p).  A nonzero D(p) passes one sample with probability at
 most 1/101 on top of the point's own chance of sitting on a zero of D.
 aha-relations and l-restriction hold on the orbit only: they test D(p) P
 = 0 for the orbit projector P (`hecke_module.orbit_start`, built once per
-size).  The other suites evaluate their defects as whole operators.
+size).  The other suites evaluate their defects as whole operators and
+build each operator of a point once, such as L_a or comm-IM's pair block
+M_a once per label for every check that reads it.
 
 A suite is one row of a table: its anchor, the label of a size, its sizes,
 its default sample count, and `builder_for`, which maps a size to a pair
@@ -261,8 +263,9 @@ def _comm_im(half):
         y2 = rand_rational(r)
         checks = []
         for a in range(1, half + 1):
-            checks.append(("conjugation-%d" % a, compat_ops.check_comm_IM(a, x, y1, y2, params)))
-            checks.append(("slot-swap-%d" % a, compat_ops.m_conjugation_defect(a, x, params)))
+            m_a = compat_ops.op_M(a, x, params)
+            checks += [("conjugation-%d" % a, compat_ops.check_comm_IM(a, x, y1, y2, params, m_a)),
+                       ("slot-swap-%d" % a, compat_ops.m_conjugation_defect(a, x, params, m_a))]
         return _failing(checks), (x, y1, y2)
 
     return [], build

@@ -29,6 +29,7 @@ from bqkz.compat_ops import (
     m_conjugation_defect,
     op_A,
     op_B,
+    op_B_terms,
     op_I,
     op_L,
     op_L_from_blocks,
@@ -204,8 +205,9 @@ def test_comm_im_and_slot_swap_samples():
                 x = generic_x(r, half)
                 y1, y2 = rand_tuple(r, 2)
                 for a in range(1, half + 1):
-                    assert check_comm_IM(a, x, y1, y2, params).is_zero()
-                    assert m_conjugation_defect(a, x, params).is_zero()
+                    m_a = op_M(a, x, params)
+                    assert check_comm_IM(a, x, y1, y2, params, m_a).is_zero()
+                    assert m_conjugation_defect(a, x, params, m_a).is_zero()
                 return True
 
             sample_point(rng, body)
@@ -452,11 +454,13 @@ def test_compat_forms_are_independent_routes(monkeypatch):
 
 
 def test_each_operator_is_one_linear_combination(monkeypatch):
-    """Every builder of the family, and the L_a restriction residual, sums
-    its terms in one `lincomb`: with the label-only caches warm, one call
-    reduces exactly once.  The restriction residual then applies its start,
-    one product, so it reduces exactly twice.  Matrix units are built once
-    and shared."""
+    """Every builder of the family sums its terms in one `lincomb`: with
+    the label-only caches warm, one call reduces exactly once.  The block
+    route builds each of its n one-site blocks and its one pair block once
+    (one reduction each) and sums their embeddings once, so it reduces
+    n + 2 times.  The restriction residual composes each of its terms with
+    its start (one reduction each) and then sums them once.  Matrix units
+    are built once and shared."""
     import bqkz.tensor_ops as to
     from bqkz.hecke_module import check_L_restriction, orbit_start
 
@@ -479,7 +483,10 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
         "check_L_restriction": lambda: check_L_restriction(2, x, params, start),
     }
     reductions = {name: 1 for name in calls}
-    reductions["check_L_restriction"] = 2
+    reductions["op_L_from_blocks"] = space.n + 2
+    # The group part has the reflection image and two images per other
+    # label; the coordinate part is op_B's terms.
+    reductions["check_L_restriction"] = 1 + 2 * (space.n - 1) + len(op_B_terms(2, x, params)) + 1
     for call in calls.values():
         call()
     real = to._built

@@ -327,6 +327,39 @@ def test_the_braid_and_word_chains_embed_one_factor_per_side(monkeypatch):
     assert image == tensor_ops.product(whole)
 
 
+def test_the_blocks_are_built_once_per_point_and_embedded_whole(monkeypatch):
+    """The block route builds each one-site block and the pair block once
+    and embeds each whole where it acts: once the point-free caches are
+    warm, a block sum over n sites and a list of site pairs makes
+    n + |pairs| embeddings (3 at n = 2).  comm-IM builds op_M once per
+    label and point and hands it to both of its checks; op_M reads
+    pair_J once per label, so a build is half reads."""
+    for name in ("lemma-LL", "comm-IM"):
+        suites.run_suite(name, samples=1, seed=0)
+    with monkeypatch.context() as patch:
+        points = _calls_at_each_point(
+            patch, "lemma-LL", [(tensor_ops, "_embedded"), (compat_ops, "op_L_from_blocks")]
+        )
+    assert len(points) == 2
+    for calls in points:
+        _, _, _, params = calls["op_L_from_blocks"][0]
+        n, half = params.space.n, params.space.half_dim
+        assert _sites(calls["op_L_from_blocks"]) == list(range(1, half + 1))
+        assert len(calls["_embedded"]) == half * (n + n * (n - 1) // 2)
+    with monkeypatch.context() as patch:
+        points = _calls_at_each_point(
+            patch, "comm-IM", [(tensor_ops, "_embedded"), (compat_ops, "op_M"),
+                               (compat_ops, "pair_J"), (compat_ops, "check_comm_IM")]
+        )
+    assert len(points) == 3
+    for calls in points:
+        half = calls["op_M"][0][2].space.half_dim
+        assert _sites(calls["op_M"]) == _sites(calls["check_comm_IM"]) == list(range(1, half + 1))
+        assert len(calls["pair_J"]) == half * half
+        # Two block sums per check, each over 2 sites and 1 pair.
+        assert len(calls["_embedded"]) == half * 2 * 3
+
+
 def _bump(op: LinOp, i: int) -> LinOp:
     """op plus one at the diagonal entry of basis index i."""
     return op + LinOp.of(op.space, {i: {i: 1}})
