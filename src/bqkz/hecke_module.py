@@ -94,12 +94,6 @@ class SignedPerm:
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         return SignedPerm(tuple(self.apply(v) for v in other.images))
 
-    def inverse(self) -> "SignedPerm":
-        imgs = [0] * self.n
-        for a, v in enumerate(self.images, start=1):
-            imgs[abs(v) - 1] = a if v > 0 else -a
-        return SignedPerm(tuple(imgs))
-
     @classmethod
     def from_word(cls, n: int, word: Sequence[int]) -> "SignedPerm":
         out = cls.identity(n)
@@ -209,45 +203,6 @@ def rhoR_word(word, x: Sequence, space: Space) -> LinOp:
     first."""
     images = [rhoR_generator(g, x, space) for g in reversed(word)]
     return product(images or [LinOp.identity(space)])
-
-
-def eta_L_push(a: int, word: tuple, y: Sequence, params: ModelParams):
-    """Normal ordering of (argument generator a) times (group word).
-
-    Pushes the argument generator rightward through the word using the
-    degenerate cross relations; a generator that reaches the right end
-    becomes the scalar y_a.  Returns {word: coefficient}.
-    """
-    n = len(y)
-    if not word:
-        return {(): y[a - 1]}
-    j, rest = word[0], tuple(word[1:])
-
-    def prepend(table, scale=1):
-        return {(j,) + u: scale * c for u, c in table.items()}
-
-    def merged(base, extra_word, extra_coeff):
-        out = dict(base)
-        cur = out.get(extra_word, 0)
-        cur = cur + extra_coeff
-        if cur == 0:
-            out.pop(extra_word, None)
-        else:
-            out[extra_word] = cur
-        return out
-
-    if j < n:
-        if a == j:
-            out = prepend(eta_L_push(j + 1, rest, y, params))
-            return merged(out, rest, params.k)
-        if a == j + 1:
-            out = prepend(eta_L_push(j, rest, y, params))
-            return merged(out, rest, -params.k)
-        return prepend(eta_L_push(a, rest, y, params))
-    if a == n:
-        out = prepend(eta_L_push(n, rest, y, params), scale=-1)
-        return merged(out, rest, 2 * params.alpha)
-    return prepend(eta_L_push(a, rest, y, params))
 
 
 def check_AHA_relations(y: Sequence, params: ModelParams, start: LinOp):

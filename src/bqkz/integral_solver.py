@@ -24,9 +24,9 @@ nodes, in chunks of at most _CHUNK nodes summed in a fixed order, so
 results are reproducible bit for bit.  The array kernel takes log Gamma
 modulo 2 pi i (`log_gamma_array`; the package's only numpy code lives in
 this module), which is sound because only exponentials of sums are used.
-The scalar kernel (`integrand`, `_kernel_cycle`) stays as the route of
-the independent quadrature oracle and as the reference the array kernel
-is tested against.
+The package evaluates the integrand over arrays only; the scalar route is
+the test suite's independent quadrature oracle, which builds its
+integrand from the scalar `kernel_log_phi` and `func_g`.
 A lambda grid of residual reports integrates one node set with one
 evaluation of the lambda-independent log kernel per node; each lambda adds
 only its prefactor e^{-2 pi i lam t / c} and its cycle.  Its rows are the
@@ -62,7 +62,7 @@ import numpy as np
 
 from . import compat_ops
 from .rqkz import ModelParams, compose_descs, q_split_descs, shift_y
-from .scalar_field import _LOG_HALF_I, _LOG_PI, _lanczos_half_plane, cpow, log1m_exp, log_gamma
+from .scalar_field import _LOG_HALF_I, _LOG_PI, _lanczos_half_plane, cpow, log_gamma
 from .tensor_ops import Space
 
 TWO_PI_I = 2j * math.pi
@@ -228,8 +228,8 @@ class CycleW:
 @dataclass(frozen=True)
 class Contour:
     """Validated horizontal integration path Im t = delta, |Re t| <= trunc,
-    with the pole configurations (y, c, k, include_shifted) it was
-    validated for."""
+    with the (y, c, k) whose base and singly shifted pole configurations
+    it was validated for."""
 
     delta: float
     trunc: float
@@ -237,14 +237,10 @@ class Contour:
     y: tuple
     c: complex
     k: complex
-    include_shifted: bool
 
     def widened(self, trunc: float) -> "Contour":
         """The same line and configurations, validated out to trunc."""
-        record = validate_contour_line(
-            self.y, self.c, self.k, self.delta, trunc,
-            include_shifted=self.include_shifted,
-        )
+        record = validate_contour_line(self.y, self.c, self.k, self.delta, trunc)
         return replace(self, trunc=trunc, record=record)
 
 
@@ -317,26 +313,6 @@ def kernel_log_phi(t: complex, y: Sequence, params: SolverParams) -> complex:
     return out
 
 
-def _log_cycle_denominator(t: complex, y: Sequence, c: complex) -> complex:
-    out = 0
-    for yp in y:
-        out += log1m_exp(TWO_PI_I * (t - yp) / c)
-        out += log1m_exp(TWO_PI_I * (t + yp) / c)
-    return out
-
-
-def _kernel_cycle(t: complex, y: Sequence, W: CycleW,
-                  params: SolverParams) -> complex:
-    """Kernel times cycle value at one sample, assembled in log space."""
-    base = kernel_log_phi(t, y, params)
-    base -= _log_cycle_denominator(t, y, params.c)
-    logz = TWO_PI_I * t / params.c
-    out = 0
-    for d, cf in W.terms:
-        out += cf * cmath.exp(base + d * logz)
-    return out
-
-
 def _log_kernel(t, y: Sequence, c: complex, k: complex):
     """The lambda-independent part of the log kernel-cycle over a 1-D array
     of nodes t: the gamma ratios minus the log cycle denominator.
@@ -344,8 +320,9 @@ def _log_kernel(t, y: Sequence, c: complex, k: complex):
     The 2n differences d = t - (+-y_p) form one (2n, N) array.  One
     log_gamma_array call takes all 4n gamma arguments, stacked as
     ((d - k)/(-c), d/(-c)), and one log1m_exp_array call all 2n cycle
-    denominator terms.  Their rows are added in the scalar kernel's order,
-    so each node's value does not depend on the stacking.
+    denominator terms.  Their rows are added in one fixed order, center
+    pair by center pair: its four gamma terms, then its two denominator
+    terms, so each node's value does not depend on the stacking.
     """
     centers = np.array([v for yp in y for v in (yp, -yp)])
     diff = t - centers[:, None]
@@ -364,7 +341,7 @@ def _cycle_kernel(log_ker, t, W: CycleW, params: SolverParams):
     where e^{-2 pi i lam t / c} is the kernel's lambda prefactor.
 
     Terms whose exponent has real part below _EXP_FLOOR are set to zero
-    instead of underflowing, as the scalar form would round them to zero.
+    instead of underflowing, as a scalar exponential would round them.
     """
     logz = TWO_PI_I * t / params.c
     out = 0
@@ -377,8 +354,8 @@ def _cycle_kernel(log_ker, t, W: CycleW, params: SolverParams):
 
 
 def _kernel_cycle_array(t, y: Sequence, W: CycleW, params: SolverParams):
-    """_kernel_cycle over a 1-D array of nodes t: the lambda-independent log
-    sum, then the lambda prefactor and the cycle."""
+    """The kernel times the cycle over a 1-D array of nodes t: the
+    lambda-independent log sum, then the lambda prefactor and the cycle."""
     return _cycle_kernel(_log_kernel(t, y, params.c, params.k), t, W, params)
 
 
@@ -392,13 +369,6 @@ def _weight_rows(t, y: Sequence, k: complex) -> list:
         rows.append(ratio / den)
         ratio = ratio * (den - k) / den
     return rows
-
-
-def integrand(j: int, W: CycleW, t: complex, params: SolverParams,
-              y: Sequence = None) -> complex:
-    """Full integrand sample for one pairing index."""
-    yy = params.y if y is None else tuple(y)
-    return _kernel_cycle(t, yy, W, params) * func_g(j, t, yy, params.k)
 
 
 def _initial_trunc(W: CycleW, params: SolverParams) -> float:
@@ -421,19 +391,19 @@ def _initial_trunc(W: CycleW, params: SolverParams) -> float:
 
 
 def validate_contour_line(y, c: complex, k: complex, delta: float,
-                          trunc: float, include_shifted: bool = True) -> dict:
+                          trunc: float) -> dict:
     """Pole-side validation of the horizontal line Im t = delta.
 
     Enumerates every gamma pole whose real part falls inside the truncation
     window (plus margin): the upward families must lie strictly above the
     line and the downward families strictly below, both for the given y
-    and, when include_shifted is set, for each singly shifted
-    configuration.  Raises SeparationError naming the offending pole.
+    and for each singly shifted configuration shift_y(y, m, c), whose
+    solutions every residual report integrates on the same line.  Raises
+    SeparationError naming the offending pole.
     """
     margin = 2.0 + abs(c)
-    configs = [("base", tuple(y))]
-    if include_shifted:
-        configs += [("shift-%d" % m, shift_y(y, m, c)) for m in range(1, len(y) + 1)]
+    configs = [("base", tuple(y))] + [
+        ("shift-%d" % m, shift_y(y, m, c)) for m in range(1, len(y) + 1)]
     checked = 0
     # side +1 walks the upward family base + k + j c, which must lie above
     # the line; side -1 the downward family base - j c, which must lie
@@ -464,17 +434,13 @@ def validate_contour_line(y, c: complex, k: complex, delta: float,
     }
 
 
-def build_contour(params: SolverParams, W: CycleW,
-                  include_shifted: bool = True) -> Contour:
+def build_contour(params: SolverParams, W: CycleW) -> Contour:
     """Horizontal contour at Im t = delta, truncated and pole-validated."""
     trunc = _initial_trunc(W, params)
     _check_budget(2 * trunc * params.panels_per_unit + 1, ["lambda=%r" % params.lam])
-    record = validate_contour_line(
-        params.y, params.c, params.k, params.delta, trunc,
-        include_shifted=include_shifted,
-    )
+    record = validate_contour_line(params.y, params.c, params.k, params.delta, trunc)
     return Contour(delta=params.delta, trunc=trunc, record=record, y=tuple(params.y),
-                   c=params.c, k=params.k, include_shifted=include_shifted)
+                   c=params.c, k=params.k)
 
 
 def _check_budget(nodes, labels):
@@ -621,7 +587,7 @@ def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
     p = replace(params, lam=complex(lam), y=tuple(y))
     W.validate(p)
     if contour is None:
-        contour = build_contour(p, W=W, include_shifted=False)
+        contour = build_contour(p, W=W)
 
     def values(t):
         block = np.array(_weight_rows(t, p.y, p.k))[None]
@@ -703,7 +669,7 @@ def grid_solutions(points) -> list:
     for W, p in points:
         W.validate(p)
     W, p = max(points, key=lambda point: _initial_trunc(*point))
-    contour = build_contour(p, W=W, include_shifted=True)
+    contour = build_contour(p, W=W)
     names = ("base", "derivative") + tuple(
         "shift-%d" % m for m in range(1, first.n + 1))
     est, diags = _trapezoid(_report_values(points), first, contour,
@@ -715,13 +681,6 @@ def grid_solutions(points) -> list:
                    for m, part in enumerate(parts[2:], start=1)]
         out.append((_solution(p, parts[0], diag), _solution(p, parts[1], diag), shifted))
     return out
-
-
-def report_solutions(W: CycleW, params: SolverParams) -> tuple:
-    """The solution at params, its lambda derivative and the solutions at
-    the n shifted points shift_y(y, m, c): grid_solutions on the grid of
-    one.  Returns (solution, derivative, [shifted solutions])."""
-    return grid_solutions([(W, params)])[0]
 
 
 def _dense(op) -> np.ndarray:
@@ -808,7 +767,7 @@ def vanishing_integral(W: CycleW, params: SolverParams,
     should vanish to quadrature accuracy relative to the scale.
     """
     if contour is None:
-        contour = build_contour(params, W=W, include_shifted=False)
+        contour = build_contour(params, W=W)
     ex = params.big_e
 
     def values(t):
@@ -820,27 +779,22 @@ def vanishing_integral(W: CycleW, params: SolverParams,
     return complex(est[0, 0, 0]), diag["scale"]
 
 
-def residual_report(W: CycleW, params: SolverParams, solutions=None,
-                    residuals=None) -> dict:
-    """Machine-readable summary of one lambda: coefficients, residuals,
-    diagnostics.
+def residual_report(W: CycleW, params: SolverParams, solutions,
+                    residuals) -> dict:
+    """Machine-readable summary of one lambda of a grid: coefficients,
+    residuals, diagnostics.
 
     solutions is the point's (solution, derivative, [shifted solutions])
     from grid_solutions and residuals its (qkz residuals, ode residual,
-    gauge residual) from grid_residuals, when the point was solved with a
-    lambda grid; without them the point is its own grid.  Either way the
-    base point, its lambda derivative and the n shifted points come from
-    one node set with one kernel evaluation per node: the shifted kernels
-    follow from the base kernel by the Gamma recurrence and the c-periodic
-    cycle denominator, and each solution passes its own convergence test.
-    The quadrature record is the shared rule's, with "kernel_evals" (its
-    nodes), "lambdas" (the points of its grid) and "solves" (the n + 1
-    points solved at this lambda).
+    gauge residual) from grid_residuals.  The base point, its lambda
+    derivative and the n shifted points come from one node set with one
+    kernel evaluation per node: the shifted kernels follow from the base
+    kernel by the Gamma recurrence and the c-periodic cycle denominator,
+    and each solution passes its own convergence test.  The quadrature
+    record is the shared rule's, with "kernel_evals" (its nodes),
+    "lambdas" (the points of its grid) and "solves" (the n + 1 points
+    solved at this lambda).
     """
-    if solutions is None:
-        solutions = report_solutions(W, params)
-    if residuals is None:
-        (residuals,) = grid_residuals([(W, params)], [solutions])
     base, _, shifted = solutions
     qkz, ode, ftilde = residuals
     diag = base.diagnostics
@@ -880,6 +834,7 @@ def residual_report(W: CycleW, params: SolverParams, solutions=None,
 
 
 def ftilde_residual(W: CycleW, params: SolverParams) -> float:
-    """Relative residual of the gauge-transformed, parameter-free equation,
-    as residual_report gives it."""
-    return residual_report(W, params)["ftilde_residual"]
+    """Relative residual of the gauge-transformed, parameter-free equation
+    at params, solved as its own grid."""
+    points = [(W, params)]
+    return grid_residuals(points, grid_solutions(points))[0][2]

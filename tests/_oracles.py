@@ -1,13 +1,19 @@
 """Independent quadrature oracle shared by the solver and acceptance tests.
 
 Kept deliberately separate from the package's trapezoidal integrator:
-plain adaptive Simpson with Richardson correction, recursing on the same
-integrand samples the implementation sees, along the same line
+plain adaptive Simpson with Richardson correction along the same line
 Im t = Im(k)/2 but with its own truncation and its own tolerance, both
-relative to the size of the integral.
+relative to the size of the integral.  The oracle owns the scalar route:
+its integrand is assembled here one sample at a time, in log space, from
+the package's scalar kernel `kernel_log_phi`, weight function `func_g`
+and `log1m_exp`, where the package evaluates the integrand only over
+arrays of nodes.
 """
 
-from bqkz.integral_solver import integrand
+import cmath
+
+from bqkz.integral_solver import TWO_PI_I, func_g, kernel_log_phi
+from bqkz.scalar_field import log1m_exp
 
 # The oracle's first line is |Re t| <= _REACH, widened by doubling; a line
 # that never settles by _MAX_REACH is an error of the oracle, not an answer.
@@ -17,6 +23,29 @@ _MAX_REACH = 1 << 12
 # compare at, and far enough above the integrand's rounding that a piece
 # settles before full depth unless the integral cancels strongly.
 _RTOL = 1e-10
+
+
+def _log_cycle_denominator(t, y, c):
+    out = 0
+    for yp in y:
+        out += log1m_exp(TWO_PI_I * (t - yp) / c)
+        out += log1m_exp(TWO_PI_I * (t + yp) / c)
+    return out
+
+
+def _kernel_cycle(t, y, W, params):
+    """Kernel times cycle value at one sample, assembled in log space."""
+    base = kernel_log_phi(t, y, params) - _log_cycle_denominator(t, y, params.c)
+    logz = TWO_PI_I * t / params.c
+    out = 0
+    for d, cf in W.terms:
+        out += cf * cmath.exp(base + d * logz)
+    return out
+
+
+def integrand(j, W, t, params):
+    """Full integrand sample for one pairing index at params.y."""
+    return _kernel_cycle(t, params.y, W, params) * func_g(j, t, params.y, params.k)
 
 
 def adaptive_simpson(f, a, b, eps, depth=26):

@@ -9,7 +9,7 @@ import time
 from _oracles import simpson_oracle
 
 from bqkz import cli
-from bqkz.integral_solver import CycleW, SolverParams, residual_report, solve_f
+from bqkz.integral_solver import CycleW, SolverParams, solve_f
 from bqkz.scalar_field import log_gamma
 from bqkz.suites import run_suite
 
@@ -75,7 +75,7 @@ def test_criterion_6_contour_solution_residuals():
         for lam, y, W in cases:
             p = SolverParams(n=n, lam=lam, c=c, k=k, y=y)
             assert p.alpha == p.beta == k / 2
-            rep = residual_report(W, p)
+            (rep,), _ = cli._grid_reports([(W, p)])
             assert len(rep["qkz_residuals"]) == n
             for m, res in rep["qkz_residuals"].items():
                 assert res <= 1e-7, (n, lam, m, res)

@@ -353,8 +353,8 @@ def test_solve_integrates_the_grid_on_one_rule(tmp_path, capsys, monkeypatch):
         quad = entry["quadrature"]
         assert quad["lambdas"] == 4
         assert quad["kernel_evals"] == quad["panels"] + 1 == sum(nodes)
-        alone = integral_solver.residual_report(
-            cli._cycle_for(cfg, complex(lam)), cli._solver_params(cfg, complex(lam)))
+        (alone,), _ = cli._grid_reports(
+            [(cli._cycle_for(cfg, complex(lam)), cli._solver_params(cfg, complex(lam)))])
         got = [complex(*v) for v in entry["coefficients"]]
         want = [complex(*v) for v in alone["coefficients"]]
         top = max(abs(w) for w in want)

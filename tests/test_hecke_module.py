@@ -19,7 +19,6 @@ from bqkz.hecke_module import (
     elem_r,
     elem_s,
     elem_s_tilde,
-    eta_L_push,
     op_Cbar,
     orbit_start,
     orbit_states,
@@ -60,13 +59,12 @@ def test_generator_relations():
                     assert gens[i] * gens[j] == gens[j] * gens[i]
 
 
-def test_inverse_and_from_word():
+def test_from_word_is_the_product_of_its_generators():
     n = 3
     r = make_rng(7, "words")
     for _ in range(20):
         word = [r.randint(1, n) for _ in range(r.randint(0, 6))]
         w = SignedPerm.from_word(n, word)
-        assert w * w.inverse() == SignedPerm.identity(n)
         step = SignedPerm.identity(n)
         for g in word:
             step = step * SignedPerm.generator(n, g)
@@ -192,6 +190,45 @@ def test_aha_needs_orbit_restriction():
     defects = dict(check_AHA_relations(y, params, LinOp.identity(space)))
     repeated = space.index((0, 0))
     assert defects["lower-1"].apply({repeated: 1}) == {repeated: -params.k}
+
+
+def eta_L_push(a, word, y, params):
+    """Normal ordering of (argument generator a) times (group word).
+
+    Pushes the argument generator rightward through the word using the
+    degenerate cross relations; a generator that reaches the right end
+    becomes the scalar y_a.  Returns {word: coefficient}.
+    """
+    n = len(y)
+    if not word:
+        return {(): y[a - 1]}
+    j, rest = word[0], tuple(word[1:])
+
+    def prepend(table, scale=1):
+        return {(j,) + u: scale * c for u, c in table.items()}
+
+    def merged(base, extra_word, extra_coeff):
+        out = dict(base)
+        cur = out.get(extra_word, 0)
+        cur = cur + extra_coeff
+        if cur == 0:
+            out.pop(extra_word, None)
+        else:
+            out[extra_word] = cur
+        return out
+
+    if j < n:
+        if a == j:
+            out = prepend(eta_L_push(j + 1, rest, y, params))
+            return merged(out, rest, params.k)
+        if a == j + 1:
+            out = prepend(eta_L_push(j, rest, y, params))
+            return merged(out, rest, -params.k)
+        return prepend(eta_L_push(a, rest, y, params))
+    if a == n:
+        out = prepend(eta_L_push(n, rest, y, params), scale=-1)
+        return merged(out, rest, 2 * params.alpha)
+    return prepend(eta_L_push(a, rest, y, params))
 
 
 def test_eta_push_oracle():

@@ -6,8 +6,9 @@ collects the names its import statements bind, and fails on any name the
 module never reads.  `from __future__ import annotations` is exempt, since
 it binds nothing the module reads.  Likewise it fails on a module-level
 `def` or `class` of the package that no module of the package, the tests
-or the benchmark reads, by name, attribute, import or string (the
-benchmark's tracer patches functions named in strings).  Counting reads
+or the benchmark reads outside the definition's own body, by name,
+attribute, import or string (the benchmark's tracer patches functions
+named in strings).  Counting reads
 from the package alone, the definitions that only the tests or the
 benchmark keep are exactly an allow-list, each entry with its reason.
 """
@@ -58,39 +59,46 @@ def test_no_unused_imports():
     assert not found, found
 
 
-def referenced_names(source: str) -> set:
-    """Every name a module reads, imports or writes in a string other than
-    a docstring."""
+def statement_reads(source: str) -> list:
+    """(line, names) of each top-level statement of a module: every name
+    it reads, imports or writes in a string other than a docstring."""
     tree = ast.parse(source)
     docstrings = {
         id(node.body[0].value) for node in ast.walk(tree)
         if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and ast.get_docstring(node, clean=False) is not None
     }
-    names = set()
-    for node in ast.walk(tree):
-        if id(node) in docstrings:
-            continue
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
-    return names
+    out = []
+    for statement in tree.body:
+        names = set()
+        for node in ast.walk(statement):
+            if id(node) in docstrings:
+                continue
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+        out.append((statement.lineno, names))
+    return out
 
 
 def unreferenced_definitions(definers: dict, readers: list) -> list:
     """(module, line, name) of each module-level def or class of the
-    {module: source} definers that none of the reader sources reads."""
-    read = set().union(*(referenced_names(source) for source in readers))
+    {module: source} definers that none of the reader sources reads
+    outside the definition's own body: a function that only calls itself
+    is read by nothing."""
+    reads = [(source, line, names) for source in readers
+             for line, names in statement_reads(source)]
     found = []
     for module, source in definers.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name not in read:
+                if not any(node.name in names for reader, line, names in reads
+                           if (reader, line) != (source, node.lineno)):
                     found.append((module, node.lineno, node.name))
     return found
 
@@ -101,12 +109,13 @@ def test_checker_flags_an_unreferenced_definition():
         "def unused():\n    \"\"\"Not unused().\"\"\"\n"
         "class Kept:\n    pass\n"
         "class Gone:\n    def used(self):\n        pass\n"
+        "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
     )
     others = ["from m import used\n", "TRACED = ('m.traced',)\n",
               "def traced():\n    pass\n"]
     definers = {"m": package, "t": others[2]}
     assert unreferenced_definitions(definers, [package] + others) == [
-        ("m", 3, "unused"), ("m", 7, "Gone")]
+        ("m", 3, "unused"), ("m", 7, "Gone"), ("m", 10, "recursive")]
 
 
 def test_every_package_definition_is_referenced():
@@ -131,6 +140,8 @@ READ_OUTSIDE_THE_PACKAGE = {
     "compat_ops.ad_tail_defect": _LEMMA,
     "integral_solver.vanishing_integral":
         "the cycle check, to be reported by each solve or deleted (ROADMAP item 6)",
+    "integral_solver.func_g": _TRACED,
+    "integral_solver.kernel_log_phi": _TRACED,
     "integral_solver.solve_f": _TRACED,
     "rqkz.op_Q": _TRACED,
     "tensor_ops.invert": _TRACED,

@@ -1,9 +1,9 @@
 """Contour-integral solution: kernel identities, quadrature, residuals.
 
 Complex-domain checks compare against independently built oracles: closed
-forms for the small cases, an adaptive Simpson integrator written here for
-the pairing, and difference-quotient extrapolation for the derivative in
-the spectral parameter.
+forms for the small cases, the adaptive Simpson oracle of `_oracles`, with
+its own scalar integrand, for the pairing, and difference-quotient
+extrapolation for the derivative in the spectral parameter.
 """
 
 import cmath
@@ -17,8 +17,10 @@ import pytest
 
 from fractions import Fraction
 
+from _oracles import _kernel_cycle, simpson_oracle
 from bqkz.rqkz import ones, op_K, op_P, op_R, op_T, q_factor_list, shift_y
 from bqkz.tensor_ops import LinOp, Placed, Space
+import bqkz.cli as cli
 import bqkz.compat_ops as compat_ops
 import bqkz.integral_solver as solver
 import bqkz.rqkz as rqkz
@@ -31,11 +33,12 @@ from bqkz.integral_solver import (
     TWO_PI_I,
     build_contour,
     func_g,
+    grid_residuals,
+    grid_solutions,
     kernel_log_phi,
     log1m_exp_array,
     log_gamma_array,
     prod_ratio_full,
-    report_solutions,
     residual_report,
     solve_f,
     validate_contour_line,
@@ -55,6 +58,19 @@ def mkparams(n, lam, y, **kw):
 
 def rand_t(r):
     return complex(r.uniform(-3, 3), r.uniform(-3, 3))
+
+
+def one_report(W, p):
+    """The residual report of the point p, by the route `bqkz solve` takes."""
+    (rep,), _ = cli._grid_reports([(W, p)])
+    return rep
+
+
+def report_of(W, p, solutions):
+    """The report of p from the given solutions and their residuals, as
+    `cli._grid_reports` assembles it, without its np.errstate."""
+    (res,) = grid_residuals([(W, p)], [solutions])
+    return residual_report(W, p, solutions, res)
 
 
 def vec_norm(vec):
@@ -137,7 +153,7 @@ def test_half_integer_spectral_point_is_allowed_for_pairing(monkeypatch):
     assert all(math.isfinite(abs(v)) for v in solve_f(p.lam, p.y, W, p).coeffs)
     assert rules == [1]
     with pytest.raises(ValueError) as err:
-        residual_report(W, p)
+        one_report(W, p)
     assert str(err.value).startswith("lambda=(-0.5+0j): ")
     assert rules == [1]
 
@@ -341,7 +357,7 @@ def test_gtilde_intertwining():
 def test_contour_record_frozen_example():
     """Eight pole families for one site including the shifted family, the
     tightest upper clearance coming from the shifted raised pole."""
-    rec = validate_contour_line((0.3,), C, K, 0.5, 6.0, include_shifted=True)
+    rec = validate_contour_line((0.3,), C, K, 0.5, 6.0)
     assert rec["poles_checked"] == 8
     assert rec["min_gap_above"] == pytest.approx(0.3)
     assert rec["min_gap_below"] == pytest.approx(0.3)
@@ -350,7 +366,7 @@ def test_contour_record_frozen_example():
 
 def test_contour_violation_reports_config():
     with pytest.raises(SeparationError) as err:
-        validate_contour_line((0.3,), 0.1 + 0.9j, K, 0.5, 6.0, include_shifted=True)
+        validate_contour_line((0.3,), 0.1 + 0.9j, K, 0.5, 6.0)
     assert "shift-1" in str(err.value)
 
 
@@ -358,7 +374,7 @@ def test_contour_violation_below_reports_the_pole():
     """A downward-family pole at or above the line is named with its
     config."""
     with pytest.raises(SeparationError) as err:
-        validate_contour_line((0.3 + 0.6j,), C, K, 0.5, 6.0, include_shifted=False)
+        validate_contour_line((0.3 + 0.6j,), C, K, 0.5, 6.0)
     assert str(err.value) == "pole (0.3+0.6j) of config base not below the contour"
 
 
@@ -370,16 +386,29 @@ def test_build_contour_passes_regime():
     assert ctr.record["poles_checked"] == 8
 
 
+def test_every_contour_is_validated_for_the_shifted_poles():
+    """A contour is checked against the base pole configuration and each
+    singly shifted one, whether it is built directly, widened by a grid's
+    rule or by a standalone solve of the pairing."""
+    for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
+        p = mkparams(n, lam, y)
+        W = CycleW.monomial(1)
+        configs = ["base"] + ["shift-%d" % m for m in range(1, n + 1)]
+        assert build_contour(p, W=W).record["configs"] == configs, n
+        for sol in (solve_f(p.lam, p.y, W, p), grid_solutions([(W, p)])[0][0]):
+            assert sol.diagnostics["contour"].record["configs"] == configs, n
+
+
 def test_report_contour_covers_the_integrated_line():
     """The rule widens the truncation past build_contour's; the reported
     contour record is validated out to the widest integrated line."""
     for n, lam, y in ((1, 0.885, (0.3,)), (2, -0.2, (0.3, -0.2))):
         p = mkparams(n, lam, y)
         W = CycleW.monomial(int(np.floor(lam)) + 1)
-        rep = residual_report(W, p)
+        rep = one_report(W, p)
         ctr = rep["contour"]
         assert ctr["trunc"] >= rep["quadrature"]["trunc"] > build_contour(p, W=W).trunc
-        rec = validate_contour_line(p.y, C, K, p.delta, ctr["trunc"], include_shifted=True)
+        rec = validate_contour_line(p.y, C, K, p.delta, ctr["trunc"])
         for key in ("poles_checked", "min_gap_above", "min_gap_below"):
             assert ctr[key] == rec[key], key
 
@@ -394,10 +423,10 @@ def test_truncation_reaches_every_kernel_term_above_atol():
     W = CycleW.monomial(0)
     rec = build_contour(p, W=W).record
     h = min(1 / p.panels_per_unit, rec["min_gap_above"], rec["min_gap_below"])
-    diag = report_solutions(W, p)[0].diagnostics
+    diag = grid_solutions([(W, p)])[0][0].diagnostics
     bound = p.atol * max(diag["scale"], 1.0)
     reach = max(j * h for j in range(int(2 * diag["trunc"] / h)) for side in (1, -1)
-                if abs(solver._kernel_cycle(side * j * h + 1j * p.delta, p.y, W, p)) * h > bound)
+                if abs(_kernel_cycle(side * j * h + 1j * p.delta, p.y, W, p)) * h > bound)
     assert reach > 2 * math.ceil(build_contour(p, W=W).trunc / h) * h
     assert diag["trunc"] >= reach
 
@@ -409,7 +438,7 @@ def test_widened_line_with_a_far_wrong_side_pole_is_rejected():
     ctr = build_contour(p, W=CycleW.monomial(1))
     # -y + k sits at height 0.4, below the line at 0.5, near Re t = -40.
     far = replace(ctr, y=(40 + 0.6j,))
-    validate_contour_line(far.y, C, K, far.delta, far.trunc, include_shifted=True)
+    validate_contour_line(far.y, C, K, far.delta, far.trunc)
 
     def values(t):
         ker = np.exp(-((t.real / 20) ** 2))
@@ -420,9 +449,6 @@ def test_widened_line_with_a_far_wrong_side_pole_is_rejected():
 
 
 # ---------------------------------------------------------------- pairing
-
-
-from _oracles import simpson_oracle
 
 
 def test_pair_i_frozen_oracle_point():
@@ -485,7 +511,7 @@ def test_quadrature_error_names_the_unconverged_solutions():
     error names each of them."""
     p = mkparams(2, 0.31, (0.3, -0.2), max_refine=0)
     with pytest.raises(QuadratureError) as err:
-        residual_report(CycleW.monomial(1), p)
+        one_report(CycleW.monomial(1), p)
     message = str(err.value)
     for name in ("base", "derivative", "shift-1", "shift-2"):
         assert name in message, name
@@ -498,7 +524,7 @@ def test_quadrature_error_names_the_unconverged_solutions():
 def test_qkz_residuals_small():
     for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
         p = mkparams(n, lam, y)
-        res = residual_report(CycleW.monomial(1), p)["qkz_residuals"]
+        res = one_report(CycleW.monomial(1), p)["qkz_residuals"]
         assert set(res) == {str(m) for m in range(1, n + 1)}
         for m, v in res.items():
             assert v <= 1e-7, (n, m, v)
@@ -507,7 +533,7 @@ def test_qkz_residuals_small():
 def test_ode_and_gauge_residuals_small():
     for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
         p = mkparams(n, lam, y)
-        rep = residual_report(CycleW.monomial(1), p)
+        rep = one_report(CycleW.monomial(1), p)
         assert rep["ode_residual"] <= 1e-7
         assert rep["ftilde_residual"] <= 1e-7
 
@@ -532,8 +558,8 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
     for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
         p = mkparams(n, lam, y)
         sites = [str(m) for m in range(1, n + 1)]
-        solutions = report_solutions(W, p)
-        clean = residual_report(W, p, solutions)
+        solutions = grid_solutions([(W, p)])[0]
+        clean = report_of(W, p, solutions)
         base, deriv, shifted = solutions
         top = max(range(2 * n), key=lambda j: abs(base.coeffs[j]))
         index = min(vec_u(top + 1, p))
@@ -545,7 +571,7 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
                 return _bumped(op.embedded(), index) if desc == target else op
 
             monkeypatch.setattr(rqkz, "_factor_op", bumped_factor)
-            rep = residual_report(W, p, solutions)
+            rep = report_of(W, p, solutions)
             monkeypatch.setattr(rqkz, "_factor_op", real_factor)
             for m in sites:
                 if target in q_factor_list(int(m), n):
@@ -559,7 +585,7 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
             vals[top] += 1e-6 * abs(vals[top])
             moved = list(shifted)
             moved[m - 1] = solver._solution(replace(p, y=sol.y), vals, sol.diagnostics)
-            rep = residual_report(W, p, (base, deriv, moved))
+            rep = report_of(W, p, (base, deriv, moved))
             for key in sites:
                 if key == str(m):
                     assert rep["qkz_residuals"][key] > 1e-7, (n, m)
@@ -568,7 +594,7 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
             for key in ("ode_residual", "ftilde_residual"):
                 assert rep[key] == clean[key], (n, m, key)
         monkeypatch.setattr(compat_ops, "op_B", lambda *args: _bumped(real_b(*args), index))
-        rep = residual_report(W, p, solutions)
+        rep = report_of(W, p, solutions)
         monkeypatch.setattr(compat_ops, "op_B", real_b)
         assert rep["ode_residual"] > 1e-7 and rep["ftilde_residual"] > 1e-7, n
         assert rep["qkz_residuals"] == clean["qkz_residuals"], n
@@ -584,7 +610,7 @@ def test_vanishing_integral():
 def test_dlambda_against_difference_quotient():
     p = mkparams(1, 0.25, (0.3,))
     W = CycleW.monomial(1)
-    _, deriv, _ = report_solutions(W, p)
+    _, deriv, _ = grid_solutions([(W, p)])[0]
     h = 1e-4
     samples = {}
     for step in (-2, -1, 1, 2):
@@ -610,7 +636,7 @@ def test_solver_determinism():
 
 def test_residual_report_keys():
     p = mkparams(1, 0.25, (0.3,))
-    rep = residual_report(CycleW.monomial(1), p)
+    rep = one_report(CycleW.monomial(1), p)
     assert set(rep) == {
         "n",
         "lambda",
@@ -647,12 +673,12 @@ def test_residual_report_solves_each_distinct_point_once(monkeypatch):
         W = CycleW.monomial(1)
         calls.clear()
         monkeypatch.setattr(solver, "_trapezoid", counting_trapezoid)
-        rep = residual_report(W, p)
+        rep = one_report(W, p)
         monkeypatch.setattr(solver, "_trapezoid", real_trapezoid)
         shifts = tuple("shift-%d" % m for m in range(1, n + 1))
         assert calls == [(p.lam, p.y, ("base", "derivative") + shifts)], calls
         assert rep["quadrature"]["solves"] == n + 1
-        base, _, _ = report_solutions(W, p)
+        base, _, _ = grid_solutions([(W, p)])[0]
         assert rep["coefficients"] == [[v.real, v.imag] for v in base.coeffs]
 
 
@@ -662,7 +688,7 @@ def test_grid_points_may_differ_only_in_lambda():
     everything but lambda."""
     W = CycleW.monomial(1)
     p = mkparams(1, 0.25, (0.3,))
-    solved = report_solutions(W, p)
+    solved = grid_solutions([(W, p)])[0]
     for q in (replace(p, lam=0.4, y=(0.2,)), replace(p, lam=0.4, rtol=1e-8)):
         with pytest.raises(ValueError, match="differ only in lambda"):
             solver.grid_solutions([(W, p), (W, q)])
@@ -676,7 +702,7 @@ def test_joint_rule_takes_the_stricter_grid():
     coefficients still match the independent quadrature."""
     p = mkparams(1, -0.60463035, (0.3,))
     W = CycleW.monomial(0)
-    rep = residual_report(W, p)
+    rep = one_report(W, p)
     assert rep["quadrature"]["refinements"] == 3
     for j, (re, im) in enumerate(rep["coefficients"], start=1):
         want = simpson_oracle(j, W, p)
@@ -695,7 +721,7 @@ def test_each_solution_of_a_report_converges_on_its_own():
         p = mkparams(n, lam, y)
         W = CycleW.monomial(int(np.floor(lam)) + 1)
         contour = build_contour(p, W=W)
-        joint = residual_report(W, p)["quadrature"]["refinements"]
+        joint = one_report(W, p)["quadrature"]["refinements"]
         for point in [p.y] + [shift_y(p.y, m, C) for m in range(1, n + 1)]:
             alone = solve_f(p.lam, point, W, p, contour=contour)
             assert joint >= alone.diagnostics["refinements"], (n, lam, point)
@@ -740,7 +766,7 @@ def test_report_shifted_solutions_match_the_oracle():
     for n, lam, y in ((1, 0.25, (0.3,)), (1, 0.25, (3.0,)), (2, 0.31, (0.3, -0.2))):
         p = mkparams(n, lam, y)
         W = CycleW.monomial(1)
-        _, _, shifted = report_solutions(W, p)
+        _, _, shifted = grid_solutions([(W, p)])[0]
         assert len(shifted) == n
         for m, sol in enumerate(shifted, start=1):
             q = replace(p, y=shift_y(p.y, m, C))
@@ -754,7 +780,7 @@ def test_report_shifted_solutions_match_the_oracle():
 
 
 def test_array_kernel_cycle_matches_scalar():
-    """The array kernel-cycle equals the scalar one along the contour out to
+    """The array kernel-cycle equals the oracle's scalar one along the contour out to
     |Re t| = 240, where the log-Gamma arguments reach Re z of about -480,
     far below the reflection line.  Nodes whose exponent drops below the
     floor come back as exact zeros, where the scalar value is below any sum
@@ -778,7 +804,7 @@ def test_array_kernel_cycle_matches_scalar():
             got = solver._kernel_cycle_array(ts, p.y, W, p)
         reach = 0.0
         for t, g in zip(ts, got):
-            want = solver._kernel_cycle(complex(t), p.y, W, p)
+            want = _kernel_cycle(complex(t), p.y, W, p)
             if g == 0:
                 assert abs(want) < 1e-250, (n, lam, t)
                 continue
@@ -864,7 +890,7 @@ def test_array_pass_raises_no_floating_point_flag():
                           (3, 0.25, (0.3, -0.2, 0.45))):
             p = mkparams(n, lam, y)
             W = CycleW.monomial(1)
-            rep = residual_report(W, p)
+            rep = report_of(W, p, grid_solutions([(W, p)])[0])
             assert max(rep["max_qkz_residual"], rep["ode_residual"],
                        rep["ftilde_residual"]) <= 1e-7, (n, lam)
             if lam == 0.885:
@@ -908,7 +934,7 @@ def test_report_counts_kernel_evaluations(monkeypatch):
     monkeypatch.setattr(solver, "_log_kernel", counting)
     for n, lam, y in ((1, 0.885, (0.3,)), (2, 0.31, (0.3, -0.2))):
         nodes.clear()
-        quad = residual_report(CycleW.monomial(1), mkparams(n, lam, y))["quadrature"]
+        quad = one_report(CycleW.monomial(1), mkparams(n, lam, y))["quadrature"]
         assert set(quad) == {"trunc", "panels", "refinements", "quad_error",
                              "kernel_evals", "solves", "lambdas"}
         assert quad["solves"] == n + 1
@@ -1037,7 +1063,7 @@ def test_trapezoid_matches_the_parent_coefficients():
         y, W = PARENT_CONFIGS[n, lam]
         p = mkparams(n, lam, y)
         if extra:
-            got = report_solutions(W, p)[1].coeffs
+            got = grid_solutions([(W, p)])[0][1].coeffs
         else:
             got = solve_f(p.lam, p.y, W, p).coeffs
         top = max(abs(v) for v in want)
