@@ -208,22 +208,33 @@ def _check_x_generic(a: int, x: Sequence):
             raise PoleError("coordinates %d and %d are not generic" % (a, p))
 
 
+@cache
+def op_B_ops(a: int, space: Space) -> tuple:
+    """The operators of op_B, which read no point, in the order of
+    op_B_terms: op_Ebar(a, a) at every site, then for each label p the
+    swap collection with p (p != a) and the YZ collection."""
+    ops = [site_units(a, j, space)[3] for j in range(1, space.n + 1)]
+    for p in range(1, space.half_dim + 1):
+        if p != a:
+            ops.append(coll_X_swap(a, p, space))
+        ops.append(coll_YZ(a, p, space))
+    return tuple(ops)
+
+
 def op_B_terms(a: int, x: Sequence, params: ModelParams) -> list:
-    """(coefficient, operator) terms of op_B."""
+    """(coefficient, operator) terms of op_B, in the order of op_B_ops."""
     space = params.space
-    half = space.half_dim
     x = tuple(x)
     _check_x_generic(a, x)
     xa = x[a - 1]
     k = params.k
-    coeff0 = div(2 * (params.alpha + params.beta * xa), xa * xa - 1)
-    terms = [(coeff0, site_units(a, j, space)[3]) for j in range(1, space.n + 1)]
-    for p in range(1, half + 1):
+    coeffs = [div(2 * (params.alpha + params.beta * xa), xa * xa - 1)] * space.n
+    for p in range(1, space.half_dim + 1):
         xp = x[p - 1]
         if p != a:
-            terms.append((k * div(xa if p < a else xp, xa - xp), coll_X_swap(a, p, space)))
-        terms.append((k * inv(xa * xp - 1), coll_YZ(a, p, space)))
-    return terms
+            coeffs.append(k * div(xa if p < a else xp, xa - xp))
+        coeffs.append(k * inv(xa * xp - 1))
+    return list(zip(coeffs, op_B_ops(a, space), strict=True))
 
 
 def op_B(a: int, x: Sequence, params: ModelParams) -> LinOp:

@@ -10,7 +10,9 @@ coordinate subspace whose basis vectors are indexed by group elements:
 `orbit_states` lists those indices.  The interesting identities of this
 module hold on that subspace only, so each check returns its residual
 applied to a start, each term composed with it before the one sum: on
-`orbit_start`, the orbit projector, it must vanish.
+`orbit_start`, the orbit projector, it must vanish.  The restriction
+check's terms read no point, so they are composed with the start once per
+space (`restriction_images`) and each point only weights and sums them.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -373,11 +375,6 @@ def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: L
     return [c for c in columns if c in diff.cols]
 
 
-def _applied_sum(terms, start: LinOp) -> LinOp:
-    """sum(coef * (op @ start)) over (coef, op) terms, in one `lincomb`."""
-    return lincomb(start.space, [(w, op @ start) for w, op in terms])
-
-
 def pair_sum_identities(a: int, space: Space, start: LinOp) -> list:
     """Residuals of the point-free restriction identities for label a
     applied to start: (name, residual) pairs between fixed integer
@@ -394,30 +391,44 @@ def pair_sum_identities(a: int, space: Space, start: LinOp) -> list:
                           [(1, coll_X_swap(a, b, space)), (-1, rhoL(elem_s(a, b, n), space))]))
             pairs.append(("signed-swap-pair-%d" % b,
                           [(1, coll_YZ(a, b, space)), (-1, rhoL(elem_s_tilde(a, b, n), space))]))
-    return [(name, _applied_sum(terms, start)) for name, terms in pairs]
+    return [(name, lincomb(space, [(w, op @ start) for w, op in terms])) for name, terms in pairs]
 
 
-def check_L_restriction(a: int, x, params: ModelParams, start: LinOp) -> LinOp:
-    """Residual of L_a against its group-algebra form applied to start;
-    zero on the orbit only.
+def restriction_images(a: int, space: Space, start: LinOp) -> list:
+    """The operators of check_L_restriction for label a applied to start,
+    in the order of its weights: the left-action images of r_a, then of
+    s_ap and s~_ap for each p != a, then op_B's operators.  None of them
+    reads a point, so a caller composes them once per space."""
+    from .compat_ops import op_B_ops
+
+    n = space.n
+    ops = [rhoL(elem_r(a, n), space)]
+    for p in range(1, n + 1):
+        if p != a:
+            ops += [rhoL(elem_s(a, p, n), space), rhoL(elem_s_tilde(a, p, n), space)]
+    return [op @ start for op in ops + list(op_B_ops(a, space))]
+
+
+def check_L_restriction(a: int, x, params: ModelParams, images: list) -> LinOp:
+    """Residual of L_a against its group-algebra form applied to a start,
+    given restriction_images(a, space, start); zero on the orbit only.
 
     Both sides of the identity hold the argument part op_A(a, y); exact
     addition cancels it, so the residual is the group part minus the
-    coordinate part op_B(a, x) and reads no y: each term composed with
-    start, then one `lincomb`.
+    coordinate part op_B(a, x) and reads no y: one `lincomb` of the
+    images weighted at x.
     """
     from .compat_ops import op_B_terms
 
-    space = params.space
-    n = space.n
+    n = params.space.n
     k = params.k
     x = tuple(x)
     xa = x[a - 1]
-    terms = [(div(2 * (params.alpha + params.beta * xa), xa * xa - 1), rhoL(elem_r(a, n), space))]
+    weights = [div(2 * (params.alpha + params.beta * xa), xa * xa - 1)]
     for p in range(1, n + 1):
         if p == a:
             continue
         w = div(xa, xa - x[p - 1]) if p < a else div(x[p - 1], xa - x[p - 1])
-        terms.append((k * w, rhoL(elem_s(a, p, n), space)))
-        terms.append((k * inv(xa * x[p - 1] - 1), rhoL(elem_s_tilde(a, p, n), space)))
-    return _applied_sum(terms + [(-w, op) for w, op in op_B_terms(a, x, params)], start)
+        weights += [k * w, k * inv(xa * x[p - 1] - 1)]
+    weights += [-w for w, _ in op_B_terms(a, x, params)]
+    return lincomb(params.space, list(zip(weights, images, strict=True)))

@@ -18,7 +18,9 @@ solve is run at a singly shifted point.
 
 The integrand is analytic in a strip around the contour and decays
 exponentially, so one trapezoidal rule with nested halving integrates it:
-each halving evaluates only the new midpoints.  The kernel, the cycle
+each side of the line is truncated on its own, and each halving evaluates
+only the new midpoints inside the window where some term lies above
+atol.  The kernel, the cycle
 denominator and the 2n weight functions are evaluated over numpy arrays of
 nodes, in chunks of at most _CHUNK nodes summed in a fixed order, so
 results are reproducible bit for bit.  The array kernel takes log Gamma
@@ -71,7 +73,7 @@ TWO_PI_I = 2j * math.pi
 # the pass forms from a larger term stays in the normal double range.
 _EXP_FLOOR = -600.0
 # Most nodes one trapezoidal rule may evaluate; the largest rule of the
-# test suite has 6,913 nodes and that of the benchmark workloads 1,889.
+# test suite evaluates 1,128 nodes and that of the benchmark workloads 632.
 NODE_BUDGET = 1 << 17
 # log1m_exp_array clamps Re zeta here before exponentiating: e^-60 lies
 # far under the rounding unit of 1 - e^zeta, so no digit changes, and
@@ -227,21 +229,27 @@ class CycleW:
 
 @dataclass(frozen=True)
 class Contour:
-    """Validated horizontal integration path Im t = delta, |Re t| <= trunc,
-    with the (y, c, k) whose base and singly shifted pole configurations
-    it was validated for."""
+    """Validated horizontal integration path Im t = delta,
+    -extents[0] <= Re t <= extents[1], with the (y, c, k) whose base and
+    singly shifted pole configurations it was validated for, out to trunc
+    on either side."""
 
     delta: float
-    trunc: float
+    extents: tuple
     record: dict
     y: tuple
     c: complex
     k: complex
 
-    def widened(self, trunc: float) -> "Contour":
-        """The same line and configurations, validated out to trunc."""
-        record = validate_contour_line(self.y, self.c, self.k, self.delta, trunc)
-        return replace(self, trunc=trunc, record=record)
+    @property
+    def trunc(self) -> float:
+        """The wider side's extent, to which the record validates the line."""
+        return max(self.extents)
+
+    def widened(self, extents: tuple) -> "Contour":
+        """The same line and configurations, over the given extents."""
+        record = validate_contour_line(self.y, self.c, self.k, self.delta, max(extents))
+        return replace(self, extents=extents, record=record)
 
 
 @dataclass(frozen=True)
@@ -371,8 +379,9 @@ def _weight_rows(t, y: Sequence, k: complex) -> list:
     return rows
 
 
-def _initial_trunc(W: CycleW, params: SolverParams) -> float:
-    """Truncation where every monomial tail factor drops below atol."""
+def _initial_extents(W: CycleW, params: SolverParams) -> tuple:
+    """Left and right extents beyond which every monomial tail factor of
+    that side is below atol, each at least 2, plus a margin of 2."""
     lo = params.lam.real
     hi = lo + 2 * params.n
     m_left = min(d - lo for d, _ in W.terms)
@@ -381,13 +390,12 @@ def _initial_trunc(W: CycleW, params: SolverParams) -> float:
     try:
         scale = abs(params.c) ** 2 / (2 * math.pi)
     except OverflowError:
-        # An infinite truncation, which the node budget rejects by lambda.
+        # An infinite extent, which the node budget rejects by lambda.
         scale = math.inf
     dc = params.delta * params.c.real
-    t_right = (need / m_right * scale + dc) / params.c.imag
     t_left = (need / m_left * scale - dc) / params.c.imag
-    base = max(t_right, t_left, 2.0)
-    return base + 2.0
+    t_right = (need / m_right * scale + dc) / params.c.imag
+    return max(t_left, 2.0) + 2.0, max(t_right, 2.0) + 2.0
 
 
 def validate_contour_line(y, c: complex, k: complex, delta: float,
@@ -435,11 +443,18 @@ def validate_contour_line(y, c: complex, k: complex, delta: float,
 
 
 def build_contour(params: SolverParams, W: CycleW) -> Contour:
-    """Horizontal contour at Im t = delta, truncated and pole-validated."""
-    trunc = _initial_trunc(W, params)
-    _check_budget(2 * trunc * params.panels_per_unit + 1, ["lambda=%r" % params.lam])
-    record = validate_contour_line(params.y, params.c, params.k, params.delta, trunc)
-    return Contour(delta=params.delta, trunc=trunc, record=record, y=tuple(params.y),
+    """Horizontal contour at Im t = delta over the initial extents of
+    (W, params), pole-validated."""
+    return _line(params, _initial_extents(W, params))
+
+
+def _line(params: SolverParams, extents) -> Contour:
+    """The contour at Im t = delta over -left <= Re t <= right for the
+    extents (left, right), pole-validated out to the wider side."""
+    extents = tuple(float(side) for side in extents)
+    _check_budget(sum(extents) * params.panels_per_unit + 1, ["lambda=%r" % params.lam])
+    record = validate_contour_line(params.y, params.c, params.k, params.delta, max(extents))
+    return Contour(delta=params.delta, extents=extents, record=record, y=tuple(params.y),
                    c=params.c, k=params.k)
 
 
@@ -462,9 +477,13 @@ def _check_finite(sums, weight_sum, labels):
 
 # Nodes per array evaluation; bounds the working arrays of a sweep.
 _CHUNK = 4096
+# Nodes per band of the first grid, a divisor of _CHUNK.  The rule keeps
+# each band's sums apart until it knows where the integrand lives, so its
+# window ends within one band of the outermost term above atol.
+_BAND = 8
 
 
-def _sweep(values, nodes):
+def _sweep(values, nodes, bands=False):
     """Row sums, weight sums and largest row term of each row group for
     each kernel of a grid, over an array of nodes, evaluated chunk by chunk
     in node order.
@@ -475,25 +494,38 @@ def _sweep(values, nodes):
     integrand rows of a lambda are its kernel times the block; each kernel
     is reduced against the block as soon as it is formed, so no array of
     every lambda's rows exists.  Returns (L, G, r), (L, G) and (L, G)
-    arrays.
+    arrays; with bands, the nodes are consecutive bands of _BAND nodes, and
+    each array has one more axis, with one entry per band.
     """
-    sums, weight_sum, top = 0, 0.0, 0.0
+    sums, weight_sum, top = [], [], []
     for lo in range(0, len(nodes), _CHUNK):
         block, factors, kernels = values(nodes[lo:lo + _CHUNK])
-        flat = block.reshape(-1, block.shape[-1])
-        row_top = np.max(np.abs(block), axis=1)
+        groups, rows, count = block.shape
+        split = (count // _BAND, _BAND) if bands else (1, count)
+        flat = block.reshape((groups * rows,) + split)
+        parts = factors.reshape((groups,) + split)
+        row_top = np.max(np.abs(block), axis=1).reshape((groups,) + split)
         s, a, m = [], [], []
         # einsum rather than @: the first BLAS call of a process adds
         # resident buffers, about 0.2 MB of peak RSS for a few microseconds.
         for ker in kernels:
+            ker = ker.reshape(split)
             mag = np.abs(ker)
-            s.append(np.einsum("rn,n->r", flat, ker))
-            a.append(np.einsum("gn,n->g", factors, mag))
+            s.append(np.einsum("rbn,bn->rb", flat, ker))
+            a.append(np.einsum("gbn,bn->gb", parts, mag))
             m.append(np.max(row_top * mag, axis=-1))
-        sums = sums + np.reshape(s, (len(s),) + block.shape[:2])
-        weight_sum = weight_sum + np.array(a)
-        top = np.maximum(top, m)
-    return sums, weight_sum, top
+        sums.append(np.reshape(s, (len(s), groups, rows, split[0])))
+        weight_sum.append(np.array(a))
+        top.append(np.array(m))
+    sums, weight_sum, top = (np.concatenate(part, axis=-1) for part in (sums, weight_sum, top))
+    if bands:
+        return sums, weight_sum, top
+    return sums.sum(axis=-1), weight_sum.sum(axis=-1), top.max(axis=-1)
+
+
+def _band_nodes(lo, hi):
+    """Indices j of the first-grid nodes j h of the bands lo <= b < hi."""
+    return np.arange(lo * _BAND, hi * _BAND)
 
 
 def _trapezoid(values, params: SolverParams, contour: Contour, lams,
@@ -506,51 +538,88 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
     weight is |kernel| times the group's factor.  The first grid has
     h = 1/panels_per_unit, but no wider than the smallest pole gap of the
     contour: the integrand is analytic only within that distance of the
-    line, and the error of the rule falls like exp(-2 pi gap / h).  On
-    that grid the truncation doubles until, for every solution, the
-    largest term of the newest outer band is at most atol times its weight
-    sum; it then stays fixed, and the contour is validated out to it
-    (diagnostics "contour"), so its pole record covers the whole
-    integrated line.  Each halving of h evaluates only the
-    new midpoints and reuses every earlier node, until for every solution
-    two successive estimates agree to rtol times its largest estimate or
-    atol times its scale, so no solution stops before it would alone, and
-    a tiny solution gets the relative accuracy of a large one.  A sweep
-    that would take the rule past NODE_BUDGET nodes, an outer band whose
-    largest term is not finite, or a row sum or weight sum that is not
-    finite, raises QuadratureError instead.
+    line, and the error of the rule falls like exp(-2 pi gap / h).  The
+    first grid is cut into bands of _BAND nodes, and each side of the line
+    is truncated on its own.  The first sweep takes two doublings of the
+    contour's extent on each side at once, since a sweep costs as much as
+    a few hundred nodes; then a side doubles until, for every solution,
+    the largest term of its newest bands, the outer half of what it has
+    evaluated, is at most atol times its weight sum.  The contour is then validated out to the furthest node evaluated
+    (diagnostics "contour"), so its pole record covers every node.  The
+    outer bands whose terms are all at most atol times the weight sum, for
+    every solution, are dropped; the bands left are the window, and every
+    halving of h evaluates only the new midpoints inside it, so each
+    estimate is taken over the same window.  The halving stops when, for
+    every solution, two successive estimates agree to rtol times its
+    largest estimate or atol times its scale, so no solution stops before
+    it would alone, and a tiny solution gets the relative accuracy of a
+    large one.  A window with no band left holds no term of any solution:
+    the estimates are zero, with no halving.  A sweep that would take the
+    rule past NODE_BUDGET evaluated nodes, a band whose largest term is not
+    finite, or a row sum or weight sum that is not finite, raises
+    QuadratureError instead.
     Returns the estimates as an (L, G, r) array and one diagnostics dict
-    per lambda.
+    per lambda: "window" is the ends of the final grid and "kernel_evals"
+    the nodes evaluated, those of the first grid outside the window too.
     """
     rec = contour.record
     h = min(1.0 / params.panels_per_unit, rec["min_gap_above"],
             rec["min_gap_below"])
     line = 1j * contour.delta
     labels = ["lambda=%r %s" % (complex(lam), name) for lam in lams for name in names]
-    # 2 * ceil(trunc / h) + 1 nodes, checked before ceil, which fails on inf.
-    _check_budget(2 * contour.trunc / h + 3, labels)
-    half = max(1, int(math.ceil(contour.trunc / h)))
-    sums, weight_sum, _ = _sweep(values, np.arange(-half, half + 1) * h + line)
+    # The first sweep's nodes, checked before ceil, which fails on inf.
+    _check_budget(4 * sum(contour.extents) / h, labels)
+    # The first grid's band b holds the nodes j h with b _BAND <= j < (b + 1) _BAND.
+    # [lo, hi) are the bands evaluated, and new[side] counts that side's
+    # newest bands, the outer half of what it has evaluated.
+    left, right = (max(1, math.ceil(side / (_BAND * h))) for side in contour.extents)
+    lo, hi = -4 * left, 4 * right
+    new = [2 * left, 2 * right]
+    nodes = _band_nodes(lo, hi)
+    _check_budget(len(nodes), labels)
+    sums, weight_sum, top = _sweep(values, nodes * h + line, bands=True)
+    evaluated = len(nodes)
     while True:
-        _check_budget(4 * half + 1, labels)
-        band = np.arange(half + 1, 2 * half + 1) * h
-        s, a, top = _sweep(values, np.concatenate((-band[::-1], band)) + line)
-        sums, weight_sum, half = sums + s, weight_sum + a, 2 * half
-        finite = np.isfinite(top).ravel()
+        finite = np.all(np.isfinite(top), axis=-1).ravel()
         if not np.all(finite):
             raise QuadratureError("%s: the integrand is not finite on the contour" % ", ".join(
                 label for label, ok in zip(labels, finite) if not ok))
-        _check_finite(sums, weight_sum, labels)
-        if np.all(top <= params.atol * weight_sum):
+        total = weight_sum.sum(axis=-1)
+        _check_finite(sums.sum(axis=-1), total, labels)
+        bound = params.atol * total[..., None]
+        # A side doubles while its newest bands hold a term above atol.
+        new = [-lo if new[0] and np.any(top[..., :new[0]] > bound) else 0,
+               hi if new[1] and np.any(top[..., top.shape[-1] - new[1]:] > bound) else 0]
+        if not any(new):
             break
-    trunc = half * h
-    contour = contour.widened(trunc)
+        nodes = np.concatenate((_band_nodes(lo - new[0], lo), _band_nodes(hi, hi + new[1])))
+        _check_budget(evaluated + len(nodes), labels)
+        s, a, m = _sweep(values, nodes * h + line, bands=True)
+        evaluated += len(nodes)
+        sums, weight_sum, top = (
+            np.concatenate((part[..., :new[0]], old, part[..., new[0]:]), axis=-1)
+            for part, old in ((s, sums), (a, weight_sum), (m, top)))
+        lo, hi = lo - new[0], hi + new[1]
+    contour = contour.widened((-lo * _BAND * h, (hi * _BAND - 1) * h))
+    live = np.flatnonzero(np.any(top > bound, axis=(0, 1)))
+    shared = {"contour": contour, "trunc": contour.trunc, "lambdas": len(lams)}
+    if not len(live):
+        shared.update(window=None, panels=0, refinements=0, kernel_evals=evaluated)
+        est = np.zeros(sums.shape[:-1], dtype=complex)
+        return est, [dict(shared, quad_error=0.0, scale=0.0) for _ in lams]
+    first, last = int(live[0]), int(live[-1]) + 1
+    sums, weight_sum = sums[..., first:last].sum(axis=-1), weight_sum[..., first:last].sum(axis=-1)
+    # The window's nodes are j h for start <= j < stop, at every level.
+    start, stop = (lo + first) * _BAND, (lo + last) * _BAND
     ests = [h * sums]
     failing = labels
     for step in range(1, params.max_refine + 1):
-        _check_budget(4 * half + 1, failing)
-        s, a, _ = _sweep(values, (np.arange(-half, half) + 0.5) * h + line)
-        sums, weight_sum, h, half = sums + s, weight_sum + a, h / 2, 2 * half
+        mids = (np.arange(start, stop) + 0.5) * h + line
+        _check_budget(evaluated + len(mids), failing)
+        s, a, _ = _sweep(values, mids)
+        evaluated += len(mids)
+        sums, weight_sum, h = sums + s, weight_sum + a, h / 2
+        start, stop = 2 * start, 2 * stop
         _check_finite(sums, weight_sum, labels)
         est, scale = h * sums, h * weight_sum
         err = np.max(np.abs(est - ests[-1]), axis=-1)
@@ -558,13 +627,8 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
         done = err <= np.maximum(params.rtol * np.max(np.abs(est), axis=-1),
                                  params.atol * scale)
         if np.all(done):
-            shared = {
-                "contour": contour,
-                "trunc": trunc,
-                "panels": 2 * half,
-                "refinements": step,
-                "lambdas": len(lams),
-            }
+            shared.update(window=[start * h, (stop - 1) * h], panels=stop - start - 1,
+                          refinements=step, kernel_evals=evaluated)
             return est, [dict(shared, quad_error=float(np.max(e)), scale=float(g[0]))
                          for e, g in zip(err, scale)]
         failing = [label for label, ok in zip(labels, done.ravel()) if not ok]
@@ -659,17 +723,17 @@ def grid_solutions(points) -> list:
     lambda-independent kernel once per node for the whole grid; every
     solution of every point passes its own truncation and halving tests,
     so a point's coefficients depend on the other points only through the
-    shared node set.  The contour is validated once, for the base and
-    every shifted pole configuration, out to the largest initial
-    truncation over the grid.  Returns one (solution, derivative,
-    [shifted solutions]) per point.
+    shared node set.  The contour starts from the widest initial extent
+    of each side over the grid and is validated, for the base and every
+    shifted pole configuration, before the rule and again out to its
+    furthest node.  Returns one (solution, derivative, [shifted
+    solutions]) per point.
     """
     points = _grid_points(points)
     _, first = points[0]
     for W, p in points:
         W.validate(p)
-    W, p = max(points, key=lambda point: _initial_trunc(*point))
-    contour = build_contour(p, W=W)
+    contour = _line(first, np.max([_initial_extents(W, p) for W, p in points], axis=0))
     names = ("base", "derivative") + tuple(
         "shift-%d" % m for m in range(1, first.n + 1))
     est, diags = _trapezoid(_report_values(points), first, contour,
@@ -791,9 +855,11 @@ def residual_report(W: CycleW, params: SolverParams, solutions,
     kernel evaluation per node: the shifted kernels follow from the base
     kernel by the Gamma recurrence and the c-periodic cycle denominator,
     and each solution passes its own convergence test.  The quadrature
-    record is the shared rule's, with "kernel_evals" (its nodes),
-    "lambdas" (the points of its grid) and "solves" (the n + 1 points
-    solved at this lambda).
+    record is the shared rule's: "trunc" (the furthest |Re t| it
+    evaluated), "window" (the ends of its final grid), "panels" (the
+    intervals of that grid), "kernel_evals" (every node it evaluated, the
+    first grid's outside the window too), "lambdas" (the points of its
+    grid) and "solves" (the n + 1 points solved at this lambda).
     """
     base, _, shifted = solutions
     qkz, ode, ftilde = residuals
@@ -820,12 +886,13 @@ def residual_report(W: CycleW, params: SolverParams, solutions,
         },
         "quadrature": {
             "trunc": diag["trunc"],
+            "window": diag["window"],
             "panels": diag["panels"],
             "refinements": diag["refinements"],
             "quad_error": diag["quad_error"],
-            # The grid's one rule evaluates the kernel once at every node
-            # of its final grid, for all of its lambdas together.
-            "kernel_evals": diag["panels"] + 1,
+            # The grid's one rule evaluates the kernel once at every node it
+            # evaluates, for all of its lambdas together.
+            "kernel_evals": diag["kernel_evals"],
             "lambdas": diag["lambdas"],
             "solves": 1 + len(shifted),
         },

@@ -246,9 +246,12 @@ def _l_restriction(space):
         for name, defect in hecke_module.pair_sum_identities(a, space, start)
     ]
 
+    images = [hecke_module.restriction_images(a, space, start) for a in labels]
+
     def checks(x, y, params):
         for a in labels:
-            yield "assembled-%d" % a, hecke_module.check_L_restriction(a, x, params, start)
+            yield "assembled-%d" % a, hecke_module.check_L_restriction(
+                a, x, params, images[a - 1])
 
     return point_free, checks
 

@@ -319,7 +319,7 @@ def test_solve_failing_tolerance_exits_one(tmp_path, capsys):
 
 def test_solve_integrates_the_grid_on_one_rule(tmp_path, capsys, monkeypatch):
     """A 4-lambda `bqkz solve` runs one trapezoidal rule, evaluates the
-    lambda-independent kernel once at each of its panels + 1 nodes, gives
+    lambda-independent kernel once at each of its kernel_evals nodes, gives
     each lambda's coefficients within 1e-12 of that lambda solved alone, and
     writes a body that a rerun reproduces bit for bit."""
     rules, nodes = [], []
@@ -330,7 +330,7 @@ def test_solve_integrates_the_grid_on_one_rule(tmp_path, capsys, monkeypatch):
         return real_rule(values, params, contour, lams, names)
 
     def counting_kernel(t, *args):
-        nodes.append(len(t))
+        nodes.extend(t.tolist())
         return real_kernel(t, *args)
 
     grid = [-0.8, -0.35, 0.25, 0.7]
@@ -352,7 +352,7 @@ def test_solve_integrates_the_grid_on_one_rule(tmp_path, capsys, monkeypatch):
     for lam, entry in zip(grid, entries):
         quad = entry["quadrature"]
         assert quad["lambdas"] == 4
-        assert quad["kernel_evals"] == quad["panels"] + 1 == sum(nodes)
+        assert quad["kernel_evals"] == len(nodes) == len(set(nodes))
         (alone,), _ = cli._grid_reports(
             [(cli._cycle_for(cfg, complex(lam)), cli._solver_params(cfg, complex(lam)))])
         got = [complex(*v) for v in entry["coefficients"]]
@@ -658,16 +658,17 @@ def test_a_small_solution_is_integrated_to_its_own_accuracy(tmp_path, capsys, y)
 
 
 def test_the_node_budget_stops_a_rule_between_sweeps(tmp_path, capsys, monkeypatch):
-    """The default grid's rule has 3,777 nodes: under a budget of 1,000 its
-    truncation passes the first check and stops before a later sweep,
-    naming every solution of the grid and the budget."""
+    """The default grid's rule evaluates 1,048 nodes, 320 of them in its
+    first sweep and 104 in its second: under a budget of 400 the first
+    sweep passes its check and the rule stops before the second, naming
+    every solution of the grid and the budget."""
     assert integral_solver.NODE_BUDGET == 1 << 17
-    monkeypatch.setattr(integral_solver, "NODE_BUDGET", 1000)
+    monkeypatch.setattr(integral_solver, "NODE_BUDGET", 400)
     assert cli.main(["solve", "--out-csv", str(tmp_path / "c.csv"),
                      "--out-json", str(tmp_path / "s.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: lambda=(-0.7+0j) base, lambda=(-0.7+0j) derivative")
-    assert err.endswith("nodes, above the budget of 1000\n"), err
+    assert err.endswith("the rule needs 424 nodes, above the budget of 400\n"), err
     assert not (tmp_path / "c.csv").exists()
 
 

@@ -29,7 +29,6 @@ from bqkz.compat_ops import (
     m_conjugation_defect,
     op_A,
     op_B,
-    op_B_terms,
     op_I,
     op_L,
     op_L_from_blocks,
@@ -458,18 +457,18 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
     the label-only caches warm, one call reduces exactly once.  The block
     route builds each of its n one-site blocks and its one pair block once
     (one reduction each) and sums their embeddings once, so it reduces
-    n + 2 times.  The restriction residual composes each of its terms with
-    its start (one reduction each) and then sums them once.  Matrix units
-    are built once and shared."""
+    n + 2 times.  The restriction residual's terms are composed with its
+    start once per space, so at a point it only sums them, once.  Matrix
+    units are built once and shared."""
     import bqkz.tensor_ops as to
-    from bqkz.hecke_module import check_L_restriction, orbit_start
+    from bqkz.hecke_module import check_L_restriction, orbit_start, restriction_images
 
     space = Space(2, 2)
     r = make_rng(515)
     params = rand_params(r, space)
     x, y = generic_x(r, 2), rand_tuple(r, 2)
     gamma = rand_rational(r)
-    start = orbit_start(space)
+    images = restriction_images(2, space, orbit_start(space))
     calls = {
         "op_A": lambda: op_A(1, y, params),
         "op_B": lambda: op_B(2, x, params),
@@ -480,13 +479,10 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
         "op_L_from_blocks": lambda: op_L_from_blocks(1, x, y, params),
         "op_dB_dx same": lambda: op_dB_dx(1, 1, x, params),
         "op_dB_dx cross": lambda: op_dB_dx(1, 2, x, params),
-        "check_L_restriction": lambda: check_L_restriction(2, x, params, start),
+        "check_L_restriction": lambda: check_L_restriction(2, x, params, images),
     }
     reductions = {name: 1 for name in calls}
     reductions["op_L_from_blocks"] = space.n + 2
-    # The group part has the reflection image and two images per other
-    # label; the coordinate part is op_B's terms.
-    reductions["check_L_restriction"] = 1 + 2 * (space.n - 1) + len(op_B_terms(2, x, params)) + 1
     for call in calls.values():
         call()
     real = to._built

@@ -904,41 +904,109 @@ def test_array_pass_raises_no_floating_point_flag():
 
 def test_each_node_is_evaluated_once(monkeypatch):
     """Nested halving reuses every node: one solve evaluates the kernel at
-    exactly the panels + 1 nodes of its final grid."""
+    kernel_evals distinct nodes, its first grid's and the midpoints inside
+    its window, and its final grid is among them."""
     real = solver._kernel_cycle_array
     for n, lam, y in ((1, 0.885, (0.3,)), (2, 0.31, (0.3, -0.2))):
         p = mkparams(n, lam, y)
         nodes = []
 
         def counting(t, *args, **kwargs):
-            nodes.append(len(t))
+            nodes.extend(t.tolist())
             return real(t, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_kernel_cycle_array", counting)
         sol = solve_f(p.lam, p.y, CycleW.monomial(1), p)
         monkeypatch.setattr(solver, "_kernel_cycle_array", real)
-        assert sum(nodes) == sol.diagnostics["panels"] + 1, (n, lam)
+        diag = sol.diagnostics
+        assert len(set(nodes)) == len(nodes) == diag["kernel_evals"], (n, lam)
+        assert diag["panels"] + 1 < diag["kernel_evals"], (n, lam)
 
 
 def test_report_counts_kernel_evaluations(monkeypatch):
-    """A report evaluates the kernel once at every node of its one final
-    grid for all n + 1 points it solves, and the quadrature record says
-    so."""
+    """A report evaluates the kernel once at every node of its one rule
+    for all n + 1 points it solves, and the quadrature record says so:
+    kernel_evals counts every node, those of the first grid outside the
+    window too, and the window holds the final grid's panels."""
     real = solver._log_kernel
     nodes = []
 
     def counting(t, *args, **kwargs):
-        nodes.append(len(t))
+        nodes.extend(t.tolist())
         return real(t, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_log_kernel", counting)
     for n, lam, y in ((1, 0.885, (0.3,)), (2, 0.31, (0.3, -0.2))):
         nodes.clear()
-        quad = one_report(CycleW.monomial(1), mkparams(n, lam, y))["quadrature"]
-        assert set(quad) == {"trunc", "panels", "refinements", "quad_error",
+        p, W = mkparams(n, lam, y), CycleW.monomial(1)
+        quad = one_report(W, p)["quadrature"]
+        assert set(quad) == {"trunc", "window", "panels", "refinements", "quad_error",
                              "kernel_evals", "solves", "lambdas"}
         assert quad["solves"] == n + 1
-        assert quad["kernel_evals"] == quad["panels"] + 1 == sum(nodes), (n, lam)
+        assert quad["kernel_evals"] == len(nodes) == len(set(nodes)), (n, lam)
+        lo, hi = quad["window"]
+        h = first_step(p, W) / 2 ** quad["refinements"]
+        assert quad["panels"] == round((hi - lo) / h), (n, lam)
+        assert max(-lo, hi) <= quad["trunc"], (n, lam)
+
+
+def first_step(p, W):
+    """The step of the rule's first grid at (W, p)."""
+    rec = build_contour(p, W=W).record
+    return min(1 / p.panels_per_unit, rec["min_gap_above"], rec["min_gap_below"])
+
+
+def _live_first_grid_span(points, reach):
+    """The first and last node t of the first grid with |Re t| <= reach at
+    which some solution's term exceeds atol times its weight sum over
+    those nodes, and the first grid's step h."""
+    W, p = points[0]
+    h = first_step(p, W)
+    j = np.arange(-int(reach / h), int(reach / h) + 1)
+    block, factors, kernels = solver._report_values(points)(j * h + 1j * p.delta)
+    live = np.zeros(len(j), dtype=bool)
+    for ker in kernels:
+        terms = np.max(np.abs(block), axis=1) * np.abs(ker)
+        weight_sum = np.sum(factors * np.abs(ker), axis=-1)
+        live |= np.any(terms > p.atol * weight_sum[:, None], axis=0)
+    return j[live][0] * h, j[live][-1] * h, h
+
+
+@pytest.mark.parametrize("n,grid,y,W", [
+    (1, (-0.11, 0.885), (0.3,), None),
+    (2, (-0.7, 0.35, -0.8, 0.15), (0.3, -0.15), None),
+    (2, (-0.11,), (20.0, -0.15), CycleW.monomial(0)),
+], ids=["solve-tails", "solve-window", "far-y1"])
+def test_window_covers_every_first_grid_term_above_atol(n, grid, y, W):
+    """The rule halves only over its window, and the window reaches every
+    node of its first grid where some solution's term exceeds atol times
+    its weight sum, ending within one band of the outermost such node on
+    either side.  At the far y_1 the integrand lives on about [-40, -18]
+    only, so the window leaves out the centre of the line."""
+    points = [(W or CycleW.monomial(int(np.floor(lam)) + 1), mkparams(n, lam, y))
+              for lam in grid]
+    diag = grid_solutions(points)[0][0].diagnostics
+    first, last, h = _live_first_grid_span(points, 150.0)
+    lo, hi = diag["window"]
+    assert lo <= first and last <= hi, (diag["window"], first, last)
+    band = solver._BAND * h
+    assert first - band < lo and hi < last + band, (diag["window"], first, last)
+    assert diag["trunc"] < 150.0
+
+
+def test_each_side_of_the_line_is_truncated_on_its_own():
+    """At a solve-tails grid the integrand lives on about [-22, 0.5].  The
+    rule starts from the extents 13.4 on the left and 4 on the right, and
+    its window ends below 13.4, the symmetric truncation it once started
+    from on both sides (it then integrated [-54, 54]); the right side is
+    evaluated less far than the left."""
+    points = [(CycleW.monomial(int(np.floor(lam)) + 1), mkparams(1, lam, (0.3,)))
+              for lam in (-0.11, 0.885)]
+    diag = grid_solutions(points)[0][0].diagnostics
+    symmetric = max(build_contour(p, W=W).trunc for W, p in points)
+    left, right = diag["contour"].extents
+    assert diag["window"][1] < 2.0 < symmetric < 13.5
+    assert right < left == diag["trunc"]
 
 
 # Coefficients of the Gauss-Legendre panel integrator this rule replaced,
