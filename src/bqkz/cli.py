@@ -35,10 +35,12 @@ SCHEMA_VERSION = 1
 MATCH_TOLERANCE = 1e-12
 # Input bounds, checked before any work starts: the dimension (2*half_dim)^n
 # of the space the solver builds operators over, the halvings of the
-# trapezoidal step (each doubles the node count) and verify's samples per suite.
+# trapezoidal step (each doubles the node count), verify's samples per suite
+# and the lambdas of a solve grid or of a stored report's solutions.
 DIM_BUDGET = 256
 MAX_REFINE_CAP = 6
 SAMPLE_BUDGET = 10_000
+GRID_BUDGET = 256
 
 
 class ConfigError(ValueError):
@@ -196,6 +198,8 @@ def _validate_config(cfg: dict):
     sol = cfg["solve"]
     if not isinstance(sol["lambda_grid"], list) or not sol["lambda_grid"]:
         raise ConfigError("solve.lambda_grid must be a non-empty list")
+    if len(sol["lambda_grid"]) > GRID_BUDGET:
+        raise ConfigError("solve.lambda_grid must have at most %d entries" % GRID_BUDGET)
     for v in sol["lambda_grid"]:
         _as_complex(v, "solve.lambda_grid entries")
     if sol["degrees"] is not None:
@@ -425,6 +429,9 @@ def _recheck(path: str) -> int:
         raise ConfigError("input report body.solutions must be a list")
     if not entries:
         raise ConfigError("input report has no solutions to recompute")
+    if len(entries) > GRID_BUDGET:
+        raise ConfigError("input report body.solutions must have at most %d entries"
+                          % GRID_BUDGET)
     sites = {str(m) for m in range(1, cfg["model"]["n"] + 1)}
     stored = []
     for entry in entries:

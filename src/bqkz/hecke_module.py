@@ -12,7 +12,8 @@ module hold on that subspace only, so each check returns its residual
 applied to a start, each term composed with it before the one sum: on
 `orbit_start`, the orbit projector, it must vanish.  The restriction
 check's terms read no point, so they are composed with the start once per
-space (`restriction_images`) and each point only weights and sums them.
+space (`restriction_images`) and each point only weights and sums them; the
+point-free pair-sum identities (`pair_sum_identities`) sum the same images.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -375,23 +376,27 @@ def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: L
     return [c for c in columns if c in diff.cols]
 
 
-def pair_sum_identities(a: int, space: Space, start: LinOp) -> list:
-    """Residuals of the point-free restriction identities for label a
-    applied to start: (name, residual) pairs between fixed integer
-    operators, zero on the orbit only."""
-    from .compat_ops import coll_X_swap, coll_YZ, site_units
-
+def pair_sum_identities(a: int, space: Space, images: list) -> list:
+    """Residuals of the point-free restriction identities for label a on a
+    start, given restriction_images(a, space, start): (name, residual)
+    pairs between fixed integer operators, zero on the orbit only.  They
+    sum the images of check_L_restriction, so no operator is composed with
+    the start twice."""
     n = space.n
-    ebar_sum = [(1, site_units(a, j, space)[3]) for j in range(1, n + 1)]
-    pairs = [("reflection-sum", ebar_sum + [(-1, rhoL(elem_r(a, n), space))]),
-             ("self-pair", [(1, coll_YZ(a, a, space))])]
-    for b in range(1, n + 1):
-        if b != a:
-            pairs.append(("swap-pair-%d" % b,
-                          [(1, coll_X_swap(a, b, space)), (-1, rhoL(elem_s(a, b, n), space))]))
-            pairs.append(("signed-swap-pair-%d" % b,
-                          [(1, coll_YZ(a, b, space)), (-1, rhoL(elem_s_tilde(a, b, n), space))]))
-    return [(name, lincomb(space, [(w, op @ start) for w, op in terms])) for name, terms in pairs]
+    # rhoL(r_a), then rhoL(s_ab) and rhoL(s~_ab) for each b != a; then
+    # op_B_ops: op_Ebar(a, a) at each site, and for each label b
+    # coll_X_swap(a, b) unless b == a, then coll_YZ(a, b).
+    r_a, *pairs = images[:2 * n - 1]
+    ebar = images[2 * n - 1:3 * n - 1]
+    colls = iter(images[3 * n - 1:])
+    swap_yz = {b: (None if b == a else next(colls), next(colls)) for b in range(1, n + 1)}
+    out = [("reflection-sum", lincomb(space, [(1, op) for op in ebar] + [(-1, r_a)])),
+           ("self-pair", swap_yz[a][1])]
+    others = [b for b in range(1, n + 1) if b != a]
+    for b, s, s_tilde in zip(others, pairs[::2], pairs[1::2], strict=True):
+        swap, yz = swap_yz[b]
+        out += [("swap-pair-%d" % b, swap - s), ("signed-swap-pair-%d" % b, yz - s_tilde)]
+    return out
 
 
 def restriction_images(a: int, space: Space, start: LinOp) -> list:

@@ -31,7 +31,11 @@ the test suite's independent quadrature oracle, which builds its
 integrand from the scalar `kernel_log_phi` and `func_g`.
 A lambda grid of residual reports integrates one node set with one
 evaluation of the lambda-independent log kernel per node; each lambda adds
-only its prefactor e^{-2 pi i lam t / c} and its cycle.  Its rows are the
+only its prefactor e^{-2 pi i lam t / c} and its cycle.  The lambdas are
+one array axis: every cycle term of every lambda is one row of an
+exponent array, formed in batches of at most _CHUNK lambda-node pairs,
+and each batch is reduced against the shared rows by one einsum per
+quantity.  Its rows are the
 base pairing rows, the lambda derivative rows (the pairing rows times
 -2 pi i t / c) and, for each shifted point shift_y(y, m, c), the kernel
 times a rational factor R_m(t) times the shifted weight functions: the
@@ -43,13 +47,16 @@ NODE_BUDGET nodes.
 The solution vector is the sum of the coefficients times the 2n target
 basis vectors u_j; `vec_u` gives u_j as an {index: 1} column, and the
 coefficient-to-state matrix has these columns.  The residuals of a grid
-(`grid_residuals`) are computed on dense arrays of coefficients and states.
-Along a grid only x_1 = e^{2 pi i lam} moves, so every operator part that
-does not read x (the transport factors around the coordinate reflection Kx,
-op_A and the coefficient-to-state matrix) is built once per grid; each
-lambda builds only its n Kx factors and op_B.  A grid refuses a lambda
-with e^{2 pi i lam} near -1 before any quadrature; the pairing alone
-(`solve_f`) is regular there.
+(`grid_residuals`) are computed on one (L, n + 2, 2n) array of
+coefficients and the stack of their solution vectors, each an array
+with one axis per site.  Along a grid only x_1 = e^{2 pi i lam} moves, so
+every operator part that does not read x (the transport factors around
+the coordinate reflection Kx, op_A and the coefficient-to-state matrix)
+is built once per grid; each lambda builds only its n Kx factors and
+op_B.  Each transport factor is applied as its local matrix on its own
+sites' axes, so no whole-space transport operator is formed.  A grid
+refuses a lambda with e^{2 pi i lam} near -1 before any quadrature; the
+pairing alone (`solve_f`) is regular there.
 """
 
 from __future__ import annotations
@@ -57,13 +64,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import string
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import compat_ops
-from .rqkz import ModelParams, compose_descs, q_split_descs, shift_y
+from .rqkz import ModelParams, factor_ops, q_split_descs, shift_y
 from .scalar_field import _LOG_HALF_I, _LOG_PI, _lanczos_half_plane, cpow, log_gamma
 from .tensor_ops import Space
 
@@ -343,39 +351,55 @@ def _log_kernel(t, y: Sequence, c: complex, k: complex):
     return out
 
 
-def _cycle_kernel(log_ker, t, W: CycleW, params: SolverParams):
-    """The kernel-cycle at the nodes t from its lambda-independent log part:
-    the sum over the cycle's monomials of cf exp(log_ker + (d - lam) 2 pi i t / c),
-    where e^{-2 pi i lam t / c} is the kernel's lambda prefactor.
+def _cycle_terms(points):
+    """The cycle monomials cf z^d of the (W, params) points of a grid, as
+    (shift, coef): (L, J) arrays of d - lam and of cf, one row per point in
+    order.  A cycle shorter than the longest is padded with terms of
+    coefficient 0 at its own first shift, so a padded term overflows only
+    where a real one does."""
+    width = max(len(W.terms) for W, _ in points)
+    rows = [[(d - p.lam, cf) for d, cf in W.terms] for W, p in points]
+    table = np.array([row + [(row[0][0], 0)] * (width - len(row)) for row in rows],
+                     dtype=complex)
+    return table[..., 0], table[..., 1]
+
+
+def _cycle_kernel(log_ker, t, c: complex, shift, coef):
+    """The kernel-cycles at the nodes t of the points whose cycle terms
+    are given (as _cycle_terms returns them), as one (points, N) array,
+    from their lambda-independent log part: for each point the sum over
+    its monomials of cf exp(log_ker + (d - lam) 2 pi i t / c), where
+    e^{-2 pi i lam t / c} is the kernel's lambda prefactor.  Every term of
+    every point is one row of a (points, terms, N) exponent array, and
+    each point's terms are summed in order.
 
     Terms whose exponent has real part below _EXP_FLOOR are set to zero
     instead of underflowing, as a scalar exponential would round them.
     """
-    logz = TWO_PI_I * t / params.c
-    out = 0
-    for d, cf in W.terms:
-        expo = log_ker + (d - params.lam) * logz
-        live = expo.real >= _EXP_FLOOR
-        expo = np.where(live, expo, _EXP_FLOOR)
-        out = out + cf * np.where(live, np.exp(expo), 0)
-    return out
+    expo = log_ker + shift[..., None] * (TWO_PI_I * t / c)
+    live = expo.real >= _EXP_FLOOR
+    expo = np.where(live, expo, _EXP_FLOOR)
+    return (coef[..., None] * np.where(live, np.exp(expo), 0)).sum(axis=1)
 
 
 def _kernel_cycle_array(t, y: Sequence, W: CycleW, params: SolverParams):
     """The kernel times the cycle over a 1-D array of nodes t: the
     lambda-independent log sum, then the lambda prefactor and the cycle."""
-    return _cycle_kernel(_log_kernel(t, y, params.c, params.k), t, W, params)
+    log_ker = _log_kernel(t, y, params.c, params.k)
+    return _cycle_kernel(log_ker, t, params.c, *_cycle_terms([(W, params)]))[0]
 
 
-def _weight_rows(t, y: Sequence, k: complex) -> list:
+def _weight_rows(t, y, k: complex):
     """g_1 .. g_2n over an array of nodes, as one running product of the
-    func_g factors."""
-    rows = []
+    func_g factors: a (..., 2n, N) array for y of shape (..., n), one set
+    of rows per pole configuration."""
+    y = np.asarray(y)
+    den = t - np.concatenate((y, -y[..., ::-1]), axis=-1)[..., None]
+    rows = np.empty(den.shape, dtype=complex)
     ratio = 1
-    for center in tuple(y) + tuple(-v for v in reversed(tuple(y))):
-        den = t - center
-        rows.append(ratio / den)
-        ratio = ratio * (den - k) / den
+    for j in range(den.shape[-2]):
+        rows[..., j, :] = ratio / den[..., j, :]
+        ratio = ratio * (den[..., j, :] - k) / den[..., j, :]
     return rows
 
 
@@ -490,12 +514,13 @@ def _sweep(values, nodes, bands=False):
 
     values(t) returns a chunk's shared block: the rows of the G groups as a
     (G, r, N) array, each group's weight factor as a (G, N) array, and an
-    iterable of kernels, one (N,) array per lambda of the grid.  The
-    integrand rows of a lambda are its kernel times the block; each kernel
-    is reduced against the block as soon as it is formed, so no array of
-    every lambda's rows exists.  Returns (L, G, r), (L, G) and (L, G)
-    arrays; with bands, the nodes are consecutive bands of _BAND nodes, and
-    each array has one more axis, with one entry per band.
+    iterable of the kernels of the grid's lambdas, in order, each an (N,)
+    array or a (B, N) batch of B lambdas' kernels.  The integrand rows of
+    a lambda are its kernel times the block; each batch is reduced against
+    the block by one einsum per quantity as soon as it is formed, so no
+    array of every lambda's rows exists.  Returns (L, G, r), (L, G) and
+    (L, G) arrays; with bands, the nodes are consecutive bands of _BAND
+    nodes, and each array has one more axis, with one entry per band.
     """
     sums, weight_sum, top = [], [], []
     for lo in range(0, len(nodes), _CHUNK):
@@ -509,14 +534,15 @@ def _sweep(values, nodes, bands=False):
         # einsum rather than @: the first BLAS call of a process adds
         # resident buffers, about 0.2 MB of peak RSS for a few microseconds.
         for ker in kernels:
-            ker = ker.reshape(split)
+            ker = ker.reshape((-1,) + split)
             mag = np.abs(ker)
-            s.append(np.einsum("rbn,bn->rb", flat, ker))
-            a.append(np.einsum("gbn,bn->gb", parts, mag))
-            m.append(np.max(row_top * mag, axis=-1))
-        sums.append(np.reshape(s, (len(s), groups, rows, split[0])))
-        weight_sum.append(np.array(a))
-        top.append(np.array(m))
+            s.append(np.einsum("rbn,lbn->lrb", flat, ker))
+            a.append(np.einsum("gbn,lbn->lgb", parts, mag))
+            m.append(np.max(row_top * mag[:, None], axis=-1))
+        s = np.concatenate(s)
+        sums.append(s.reshape((len(s), groups, rows, split[0])))
+        weight_sum.append(np.concatenate(a))
+        top.append(np.concatenate(m))
     sums, weight_sum, top = (np.concatenate(part, axis=-1) for part in (sums, weight_sum, top))
     if bands:
         return sums, weight_sum, top
@@ -654,7 +680,7 @@ def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
         contour = build_contour(p, W=W)
 
     def values(t):
-        block = np.array(_weight_rows(t, p.y, p.k))[None]
+        block = _weight_rows(t, p.y, p.k)[None]
         return block, np.ones((1, len(t))), [_kernel_cycle_array(t, p.y, W, p)]
 
     est, (diag,) = _trapezoid(values, p, contour, [p.lam])
@@ -663,38 +689,44 @@ def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
 
 def _report_values(points):
     """values(t) for the grid's one rule: the lambda-independent block of
-    the row groups base, derivative and shift-1 .. shift-n, and one
-    kernel-cycle per (W, params) point of the grid.
+    the row groups base, derivative and shift-1 .. shift-n, and the
+    kernel-cycles of the grid's (W, params) points in batches of
+    consecutive points, each one (B, N) array with B N at most _CHUNK
+    (B at least 1), formed only as _sweep asks for it.
 
     The log kernel is evaluated once per node for the whole grid; each
-    point adds only its lambda prefactor and its cycle.  The derivative
-    rows are the base rows times -2 pi i t / c, the lambda derivative of
-    the prefactor e^{-2 pi i lam t / c}.  The kernel at shift_y(y, m, c)
-    is the base kernel times
+    point adds only its lambda prefactor and its cycle, all points' terms
+    in one exponent array per batch.  The derivative rows are the base
+    rows times -2 pi i t / c, the lambda derivative of the prefactor
+    e^{-2 pi i lam t / c}.  The kernel at shift_y(y, m, c) is the base
+    kernel times
     R_m(t) = (t + y_m - k)/(t + y_m) * (t - y_m + c)/(t - y_m - k + c):
     the shift steps each of the four gamma arguments of y_m by one, and
     Gamma(z + 1) = z Gamma(z) turns that into R_m; the cycle denominator
     is c-periodic in y_m and does not change.  So the shift-m rows are
     R_m times the shifted weight functions, and each group's weight factor
-    is 1 for base and derivative and |R_m| for shift-m.
+    is 1 for base and derivative and |R_m| for shift-m.  The weight rows
+    of the base and the n shifted configurations are one array, and so
+    are the n factors R_m.
     """
     _, p = points[0]
     c, k, y = p.c, p.k, p.y
-    shifted = [shift_y(y, m, c) for m in range(1, p.n + 1)]
+    configs = [y] + [shift_y(y, m, c) for m in range(1, p.n + 1)]
+    ym = np.array(y)[:, None]
+    shift, coef = _cycle_terms(points)
 
     def values(t):
         # The log kernel comes first, so that its working arrays are freed
         # before the block is built.
         log_ker = _log_kernel(t, y, c, k)
-        block = np.empty((p.n + 2, 2 * p.n, len(t)), dtype=complex)
-        factors = np.ones((p.n + 2, len(t)))
-        block[0] = _weight_rows(t, y, k)
-        block[1] = block[0] * (-TWO_PI_I * t / c)
-        for g, (ym, ys) in enumerate(zip(y, shifted), start=2):
-            r_m = (t + ym - k) / (t + ym) * (t - ym + c) / (t - ym - k + c)
-            block[g] = r_m * np.array(_weight_rows(t, ys, k))
-            factors[g] = np.abs(r_m)
-        return block, factors, (_cycle_kernel(log_ker, t, W, q) for W, q in points)
+        rows = _weight_rows(t, configs, k)
+        r_m = (t + ym - k) / (t + ym) * (t - ym + c) / (t - ym - k + c)
+        block = np.concatenate((rows[:1], rows[:1] * (-TWO_PI_I * t / c), r_m[:, None] * rows[1:]))
+        factors = np.concatenate((np.ones((2, len(t))), np.abs(r_m)))
+        step = max(1, _CHUNK // len(t))
+        kernels = (_cycle_kernel(log_ker, t, c, shift[lo:lo + step], coef[lo:lo + step])
+                   for lo in range(0, len(shift), step))
+        return block, factors, kernels
 
     return values
 
@@ -703,10 +735,11 @@ def _grid_points(points) -> list:
     """The (W, params) points of a grid with complex lambda; their params
     must agree in everything but lambda, and no e^{2 pi i lam} may lie
     near -1, where the differential residuals are undefined."""
-    points = [(W, replace(p, lam=complex(p.lam))) for W, p in points]
+    points = [(W, p if type(p.lam) is complex else replace(p, lam=complex(p.lam)))
+              for W, p in points]
     _, first = points[0]
     for _, p in points:
-        if replace(p, lam=first.lam) != first:
+        if dict(vars(p), lam=first.lam) != vars(first):
             raise ValueError("the points of a grid may differ only in lambda")
         if abs(p.big_e + 1) < 1e-8:
             raise ValueError("lambda=%r: differential residuals need "
@@ -741,37 +774,63 @@ def grid_solutions(points) -> list:
     out = []
     for (_, p), parts, diag in zip(points, est, diags):
         parts = [[complex(v) for v in row] for row in parts]
-        shifted = [_solution(replace(p, y=shift_y(p.y, m, p.c)), part, diag)
+        shifted = [SolutionVector(tuple(part), p.lam, shift_y(p.y, m, p.c), diag)
                    for m, part in enumerate(parts[2:], start=1)]
         out.append((_solution(p, parts[0], diag), _solution(p, parts[1], diag), shifted))
     return out
 
 
 def _dense(op) -> np.ndarray:
-    return np.array(op.to_dense(), dtype=complex)
+    """The operator as a dense complex array, written entry by entry from
+    its stored columns."""
+    dim = op.space.dim
+    cols = op._values()
+    out = np.zeros(dim * dim, dtype=complex)
+    out[[r * dim + c for c, col in cols.items() for r in col]] = [
+        v for col in cols.values() for v in col.values()]
+    return out.reshape(dim, dim)
 
 
-def _apply(matrix, vec):
-    # einsum rather than @, as in _sweep: the residual path makes no BLAS call.
-    return np.einsum("ij,j->i", matrix, vec)
+def _local_factors(descs, x, y, model) -> list:
+    """(local matrix, sites) of each transport factor of a descriptor list,
+    leftmost first: its d x d or d^2 x d^2 matrix on its own sites."""
+    return [(_dense(f.local), desc[1]) for desc, f in zip(descs, factor_ops(descs, x, y, model))]
+
+
+def _at_sites(matrix, sites, vecs):
+    """A local matrix on the given sites (slot order), or an (L, ...) stack
+    of them, one per vector, applied to an (L, d, ..., d) stack of vectors
+    on those sites' axes.  einsum rather than tensordot, as in _sweep: the
+    residual pass makes no BLAS call."""
+    d, axes = vecs.shape[1], string.ascii_lowercase[:vecs.ndim - 1]
+    ins = "".join(axes[site - 1] for site in sites)
+    outs = string.ascii_uppercase[:len(sites)]
+    stack = "Z" if matrix.ndim == 3 else ""
+    local = matrix.reshape(matrix.shape[:-2] + (d,) * (2 * len(sites)))
+    result = axes.translate(str.maketrans(ins, outs))
+    return np.einsum("%s%s%s,Z%s->Z%s" % (stack, outs, ins, axes, result), local, vecs)
 
 
 def grid_residuals(points, solved) -> list:
     """The qKZ, ODE and gauge residuals of every point of a lambda grid:
     points as passed to grid_solutions, solved as it returned them.
 
-    On a grid only x_1 = e^{2 pi i lam} changes, and of the operators only
-    the coordinate reflection factor Kx of each transport operator Q_m and
-    op_B(1, x) depend on x.  So these are built once per grid, as dense
-    arrays: U, whose columns are the vec_u(j) (coefficients to states);
-    for each m the product H_m of the factors before Kx and the product
-    T_m of those after it, folded into T_m U; and op_A(1, y) U.  Each
-    lambda builds its n Kx factors and op_B(1, x) and applies them with
-    np.einsum.  Every operator comes from its one builder in rqkz or
-    compat_ops, and the split of Q_m around Kx from `rqkz.q_split_descs`.
+    The grid's coefficients are one (L, n + 2, 2n) array, and its solution
+    vectors, U times them, one array whose columns U are the vec_u(j).  On
+    a grid only x_1 = e^{2 pi i lam} changes, and of the operators only the
+    coordinate reflection factor Kx of each transport operator Q_m and
+    op_B(1, x) depend on x.  So every other transport factor and op_A(1, y)
+    U are built once per grid, and each lambda builds its n Kx factors and
+    op_B(1, x).  Each transport factor is its local d x d or d^2 x d^2
+    matrix, applied on its own site axes of the (L, d, ..., d) stack of
+    vectors (`_at_sites`), the Kx factors as one (L, d, d) stack; no
+    whole-space transport operator is formed.  Every operator comes from its
+    one builder in rqkz or compat_ops, and the split of Q_m around Kx from
+    `rqkz.q_split_descs`.  The lambdas are taken in batches of at most
+    _CHUNK lambda-state pairs, which bounds the stack of op_B matrices.
 
-    qkz_residuals[m] is the largest entry of U a_m - H_m Kx T_m U a, for
-    base and shift-m coefficients a and a_m, relative to that of U a.  The
+    qkz_residuals[m] is the largest entry of U a_m - Q_m U a, for base and
+    shift-m coefficients a and a_m, relative to that of U a.  The
     differential residuals are those of the first-direction equation and
     of its gauge-transformed, parameter-free form; the scalar prefactor
     (e^{2 pi i lam} - 1)^{k/c} of the gauge uses the principal branch, and
@@ -783,43 +842,55 @@ def grid_residuals(points, solved) -> list:
     """
     points = _grid_points(points)
     _, p = points[0]
-    model, x, y, n = p.model(), p.x_point(), p.y, p.n
-    states = np.zeros((p.space.dim, 2 * n))
+    model, y, n, space = p.model(), p.y, p.n, p.space
+    states = np.zeros((space.dim, 2 * n))
     for j in range(1, 2 * n + 1):
         states[list(vec_u(j, p)), j - 1] = 1
     transports = []
     for m in range(1, n + 1):
         head, mid, tail = q_split_descs(m, n)
         # Only the Kx factor reads x, so the first point's x serves the grid.
-        head, tail = (_dense(compose_descs(part, x, y, model)) for part in (head, tail))
-        transports.append((head, mid, np.einsum("ij,jk->ik", tail, states)))
+        head, tail = (_local_factors(part, p.x_point(), y, model) for part in (head, tail))
+        transports.append((head, mid, tail))
     a_states = np.einsum("ij,jk->ik", _dense(compat_ops.op_A(1, y, model)), states)
+    coeffs = np.array([[base.coeffs, deriv.coeffs] + [sol.coeffs for sol in shifted]
+                       for base, deriv, shifted in solved])
     out = []
-    for (_, p), (base, deriv, shifted) in zip(points, solved):
-        x = p.x_point()
-        coeffs = np.array([base.coeffs, deriv.coeffs] + [sol.coeffs for sol in shifted])
-        vec, dvec, *shifted_vecs = np.einsum("ij,gj->gi", states, coeffs)
-        norm = np.max(np.abs(vec))
-        if norm == 0:
-            raise QuadratureError("lambda=%r: every coefficient of the solution is zero, "
-                                  "so its relative residuals are undefined" % p.lam)
-        qkz = {}
-        for m, (head, mid, tail_states) in enumerate(transports, start=1):
-            kx = _dense(compose_descs([mid], x, y, model))
-            diff = shifted_vecs[m - 1] - _apply(head, _apply(kx, _apply(tail_states, coeffs[0])))
-            qkz[m] = float(np.max(np.abs(diff)) / norm)
-        lvec = _apply(a_states, coeffs[0]) + _apply(_dense(compat_ops.op_B(1, x, model)), vec)
-        ex = p.big_e
-        total = dvec * (p.c / TWO_PI_I) + lvec + vec * (p.k * ex / (ex - 1))
-        ode = float(np.max(np.abs(total)) / norm)
-        s = cpow(ex - 1, p.k / p.c)
-        ds = p.k * ex * cpow(ex - 1, p.k / p.c - 1)
-        total = vec * ds + dvec * (s * p.c / TWO_PI_I) + lvec * s
-        gauge = float(np.max(np.abs(total)) / (abs(s) * norm))
-        # Checked one by one: a max over them could drop a NaN.
-        if not all(math.isfinite(v) for v in [*qkz.values(), ode, gauge]):
-            raise QuadratureError("lambda=%r: a residual is not finite" % p.lam)
-        out.append((qkz, ode, gauge))
+    step = max(1, _CHUNK // space.dim)
+    for lo in range(0, len(points), step):
+        batch, a = points[lo:lo + step], coeffs[lo:lo + step]
+        xs = [q.x_point() for _, q in batch]
+        vecs = np.einsum("ij,lgj->lgi", states, a)
+        vec, dvec, shifted = vecs[:, 0], vecs[:, 1], vecs[:, 2:]
+        qkz = []
+        for m, (head, mid, tail) in enumerate(transports, start=1):
+            kx = np.array([_local_factors([mid], x, y, model)[0][0] for x in xs])
+            image = vec.reshape((len(batch),) + (space.site_dim,) * n)
+            for matrix, sites in reversed(head + [(kx, (m,))] + tail):
+                image = _at_sites(matrix, sites, image)
+            qkz.append(np.max(np.abs(shifted[:, m - 1] - image.reshape(vec.shape)), axis=-1))
+        b = np.array([_dense(compat_ops.op_B(1, x, model)) for x in xs])
+        lvec = np.einsum("ij,lj->li", a_states, a[:, 0]) + np.einsum("lij,lj->li", b, vec)
+        exs = [q.big_e for _, q in batch]
+        ex = np.array(exs)[:, None]
+        ode = np.max(np.abs(dvec * (p.c / TWO_PI_I) + lvec + vec * (p.k * ex / (ex - 1))), axis=-1)
+        # The gauge prefactor s = (e - 1)^{k/c} on the principal branch, and
+        # (e - 1)^{k/c - 1}: k e times it is s's lambda derivative over 2 pi i / c.
+        s, ds = (np.array([cpow(e - 1, power) for e in exs])[:, None]
+                 for power in (p.k / p.c, p.k / p.c - 1))
+        total = vec * (p.k * ex * ds) + dvec * (s * p.c / TWO_PI_I) + lvec * s
+        gauge = np.max(np.abs(total), axis=-1) / np.abs(s[:, 0])
+        for i, (_, q) in enumerate(batch):
+            norm = float(np.max(np.abs(vec[i])))
+            if norm == 0:
+                raise QuadratureError("lambda=%r: every coefficient of the solution is zero, "
+                                      "so its relative residuals are undefined" % q.lam)
+            res = ({m: float(top[i]) / norm for m, top in enumerate(qkz, start=1)},
+                   float(ode[i]) / norm, float(gauge[i]) / norm)
+            # Checked one by one: a max over them could drop a NaN.
+            if not all(math.isfinite(v) for v in [*res[0].values(), *res[1:]]):
+                raise QuadratureError("lambda=%r: a residual is not finite" % q.lam)
+            out.append(res)
     return out
 
 

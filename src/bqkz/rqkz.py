@@ -32,10 +32,11 @@ factors and one middle derivative to it.  Whether the split into (head,
 middle, tail) keeps every factor in order reads no point, so
 `q_split_defect` checks it once per size.
 
-The contour solver's residual pass uses the same builders in floating
-point: per lambda grid it composes the factors on either side of the
-coordinate reflection Kx (`compose_descs`), the only factor that reads x,
-and per lambda it builds just the Kx factors, each a chain of one.
+The contour solver's residual pass uses the same factor builders in
+floating point (`factor_ops`): per lambda grid it builds the factors on
+either side of the coordinate reflection Kx, the only factor that reads
+x, and per lambda just the Kx factors; it applies each one's local
+matrix on its own sites, without composing them.
 
 Every factor checks its own denominator at build time, so a pole in any
 requested construction raises PoleError immediately with the offending

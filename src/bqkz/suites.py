@@ -240,13 +240,12 @@ def _aha(space):
 def _l_restriction(space):
     labels = range(1, space.n + 1)
     start = hecke_module.orbit_start(space)
+    images = [hecke_module.restriction_images(a, space, start) for a in labels]
     point_free = [
         ("%s-%d" % (name, a), defect)
         for a in labels
-        for name, defect in hecke_module.pair_sum_identities(a, space, start)
+        for name, defect in hecke_module.pair_sum_identities(a, space, images[a - 1])
     ]
-
-    images = [hecke_module.restriction_images(a, space, start) for a in labels]
 
     def checks(x, y, params):
         for a in labels:

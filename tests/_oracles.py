@@ -7,12 +7,17 @@ relative to the size of the integral.  The oracle owns the scalar route:
 its integrand is assembled here one sample at a time, in log space, from
 the package's scalar kernel `kernel_log_phi`, weight function `func_g`
 and `log1m_exp`, where the package evaluates the integrand only over
-arrays of nodes.
+arrays of nodes.  It also owns the whole-operator route of the residual
+pass (`residuals_oracle`).
 """
 
 import cmath
 
-from bqkz.integral_solver import TWO_PI_I, func_g, kernel_log_phi
+import numpy as np
+
+from bqkz import compat_ops
+from bqkz.integral_solver import TWO_PI_I, func_g, kernel_log_phi, vec_u
+from bqkz.rqkz import compose_descs, q_factor_list
 from bqkz.scalar_field import log1m_exp
 
 # The oracle's first line is |Re t| <= _REACH, widened by doubling; a line
@@ -119,3 +124,42 @@ def simpson_oracle(j, W, params, eps=None):
         # An eps of 0 would recurse to full depth in every piece.
         raise ArithmeticError("the integrand has no size on the sampled line")
     return _line_integral(f, _RTOL * size)
+
+
+def residuals_oracle(points, solved):
+    """The qKZ, ODE and gauge residuals of each (W, params) point of a grid
+    from its (solution, derivative, [shifted solutions]), by whole
+    operators: per lambda, each transport operator Q_m as one dense
+    floating-point product of all its factors (`compose_descs` over
+    `q_factor_list`), and dense op_A and op_B, applied to the dense
+    solution vectors.  The package's residual pass applies each factor on
+    its own sites instead."""
+    out = []
+    for (_, p), (base, deriv, shifted) in zip(points, solved):
+        model, x, c, k = p.model(), p.x_point(), p.c, p.k
+
+        def dense(op):
+            return np.array(op.to_dense(), dtype=complex)
+
+        def vector(sol):
+            v = np.zeros(p.space.dim, dtype=complex)
+            for j, a in enumerate(sol.coeffs, start=1):
+                v[list(vec_u(j, p))] += a
+            return v
+
+        vec, dvec = vector(base), vector(deriv)
+        norm = np.max(np.abs(vec))
+        qkz = {}
+        for m, sol in enumerate(shifted, start=1):
+            q_m = dense(compose_descs(q_factor_list(m, p.n), x, p.y, model))
+            qkz[m] = float(np.max(np.abs(vector(sol) - q_m @ vec)) / norm)
+        lvec = (dense(compat_ops.op_A(1, p.y, model)) + dense(compat_ops.op_B(1, x, model))) @ vec
+        ex = p.big_e
+        ode = np.max(np.abs(dvec * c / TWO_PI_I + lvec + vec * k * ex / (ex - 1))) / norm
+        # The gauge prefactor s = (e - 1)^{k/c} on the principal branch and its
+        # lambda derivative times c / (2 pi i).
+        s = cmath.exp(k / c * cmath.log(ex - 1))
+        ds = k * ex * s / (ex - 1)
+        gauge = np.max(np.abs(vec * ds + dvec * s * c / TWO_PI_I + lvec * s)) / (abs(s) * norm)
+        out.append((qkz, float(ode), float(gauge)))
+    return out

@@ -172,6 +172,55 @@ def test_samples_above_the_budget_exit_two_before_any_suite_runs(tmp_path, capsy
     assert not out.exists()
 
 
+def _count_rules(monkeypatch) -> list:
+    """A list that gains one entry each time a trapezoidal rule starts."""
+    rules = []
+    real = integral_solver._trapezoid
+    monkeypatch.setattr(integral_solver, "_trapezoid",
+                        lambda *args: rules.append(1) or real(*args))
+    return rules
+
+
+def test_a_grid_above_the_budget_exits_two_before_any_quadrature(tmp_path, capsys, monkeypatch):
+    """solve.lambda_grid is bounded like the other axes of the work: 257
+    lambdas exit 2 with one error line and no rule runs, while 256 pass
+    the config check."""
+    assert cli.GRID_BUDGET == 256
+    rules = _count_rules(monkeypatch)
+    grid = [round(0.05 + 0.001 * i, 3) for i in range(257)]
+    path = write_json(tmp_path / "cfg.json",
+                      {"model": {"n": 1}, "solve": {"lambda_grid": grid}})
+    argv = ["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+            "--out-json", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: solve.lambda_grid must have at most 256 entries\n"
+    assert captured.out == "" and rules == []
+    assert not (tmp_path / "c.csv").exists() and not (tmp_path / "s.json").exists()
+    load_config(write_json(tmp_path / "edge.json", {"solve": {"lambda_grid": grid[:256]}}))
+
+
+def test_a_stored_grid_above_the_budget_exits_two_before_any_quadrature(
+        tmp_path, capsys, monkeypatch):
+    """`residuals --in` bounds the stored solutions it would integrate as
+    one grid by the same budget: a report whose one solution is repeated
+    257 times exits 2 with one error line, and no rule runs."""
+    path = write_json(tmp_path / "cfg.json",
+                      {"model": {"n": 1}, "solve": {"lambda_grid": [0.25]}})
+    json_path = tmp_path / "solve.json"
+    assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(json_path)]) == 0
+    capsys.readouterr()
+    report = json.loads(json_path.read_text())
+    report["body"]["solutions"] *= 257
+    big = write_json(tmp_path / "big.json", report)
+    rules = _count_rules(monkeypatch)
+    assert cli.main(["residuals", "--in", big]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: input report body.solutions must have at most 256 entries\n"
+    assert captured.out == "" and rules == []
+
+
 @pytest.mark.parametrize("raw,message", [
     ({"model": {"n": True}, "verify": {"samples": True, "seed": False}},
      "model.n must be a positive integer"),

@@ -265,17 +265,16 @@ def test_l_restriction_on_orbit():
     for n in (2, 3):
         space = Space(n, n)
         start = orbit_start(space)
+        images = [restriction_images(a, space, start) for a in range(1, n + 1)]
         for a in range(1, n + 1):
             names = []
-            for name, defect in pair_sum_identities(a, space, start):
+            for name, defect in pair_sum_identities(a, space, images[a - 1]):
                 assert defect.is_zero(), (a, name)
                 names.append(name)
             others = [b for b in range(1, n + 1) if b != a]
             assert names == ["reflection-sum", "self-pair"] + [
                 "%s-%d" % (family, b) for b in others for family in ("swap-pair", "signed-swap-pair")
             ]
-
-        images = [restriction_images(a, space, start) for a in range(1, n + 1)]
 
         def body(r):
             params = rand_params(r, space)

@@ -17,13 +17,14 @@ import pytest
 
 from fractions import Fraction
 
-from _oracles import _kernel_cycle, simpson_oracle
+from _oracles import _kernel_cycle, residuals_oracle, simpson_oracle
 from bqkz.rqkz import ones, op_K, op_P, op_R, op_T, q_factor_list, shift_y
 from bqkz.tensor_ops import LinOp, Placed, Space
 import bqkz.cli as cli
 import bqkz.compat_ops as compat_ops
 import bqkz.integral_solver as solver
 import bqkz.rqkz as rqkz
+import bqkz.tensor_ops as tensor_ops
 from bqkz.integral_solver import (
     CycleW,
     DegreeError,
@@ -547,8 +548,9 @@ def _bumped(op, c, size=1e-6):
 
 
 def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
-    """A change of about 1e-6 in one entry of a transport factor (the
-    coordinate reflection Kx or an exchange factor R), of op_B, or of one
+    """A change of about 1e-6 in one diagonal entry of a transport
+    factor's local matrix (the coordinate reflection Kx or an exchange
+    factor R), at the top state's codes on its sites, of op_B, or of one
     coefficient of a shifted solution lifts the residuals built from it
     above 1e-7.  A transport factor lifts the qKZ residual of every Q_m
     that contains it; a shift-m coefficient lifts qkz_residuals[m] and
@@ -566,9 +568,16 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
         factors = {d for m in range(1, n + 1) for d in q_factor_list(m, n)}
         assert len(factors) == (2 if n == 1 else 7)
         for target in sorted(factors):
-            def bumped_factor(desc, *args, target=target):
+            code = 0
+            for site in target[1]:
+                digit = index // p.space.stride(site) % p.space.site_dim
+                code = code * p.space.site_dim + digit
+
+            def bumped_factor(desc, *args, target=target, code=code):
                 op = real_factor(desc, *args)
-                return _bumped(op.embedded(), index) if desc == target else op
+                if desc != target:
+                    return op
+                return Placed(_bumped(op.local, code), desc[1], op.space)
 
             monkeypatch.setattr(rqkz, "_factor_op", bumped_factor)
             rep = report_of(W, p, solutions)
@@ -598,6 +607,53 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
         monkeypatch.setattr(compat_ops, "op_B", real_b)
         assert rep["ode_residual"] > 1e-7 and rep["ftilde_residual"] > 1e-7, n
         assert rep["qkz_residuals"] == clean["qkz_residuals"], n
+
+
+# The default `bqkz solve` grid, the first grids of the benchmark's
+# solve-window and solve-tails workloads at seed 0, and an n = 3 grid.
+RESIDUAL_GRIDS = {
+    "default": (1, (-0.7, -0.35, -0.1, 0.15, 0.4)),
+    "solve-window": (2, (-0.784586528, -0.891401949, -0.889902498, 0.3217381)),
+    "solve-tails": (1, (0.879741411, -0.104741411)),
+    "n3": (3, (-0.35, 0.25)),
+}
+
+
+def _cli_grid(n, grid):
+    cfg = cli.default_config()
+    cfg["model"]["n"] = n
+    return [(cli._cycle_for(cfg, complex(lam)), cli._solver_params(cfg, complex(lam)))
+            for lam in grid]
+
+
+def _flat_residuals(residuals):
+    return [v for qkz, ode, gauge in residuals for v in [*qkz.values(), ode, gauge]]
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_GRIDS))
+def test_residual_pass_matches_the_whole_operator_oracle(name):
+    """Every qKZ, ODE and gauge residual of the package's pass, which
+    applies each transport factor on its own sites, lies within 1e-14 of
+    the oracle's, which multiplies whole operators per lambda.  With the
+    largest base coefficient of every lambda scaled by 1 + 1e-6 the
+    residuals grow to about 1e-6 and still agree within 1e-14:
+    within 1e-8 relative, since the two routes round differently by a few
+    units of 1e-16 in the solution's scale."""
+    points = _cli_grid(*RESIDUAL_GRIDS[name])
+    solved = grid_solutions(points)
+    got, want = (_flat_residuals(f(points, solved)) for f in (grid_residuals, residuals_oracle))
+    assert len(got) == len(want)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14, name
+    moved = []
+    for base, deriv, shifted in solved:
+        vals = list(base.coeffs)
+        top = max(range(len(vals)), key=lambda j: abs(vals[j]))
+        vals[top] *= 1 + 1e-6
+        moved.append((replace(base, coeffs=tuple(vals)), deriv, shifted))
+    got, want = (_flat_residuals(f(points, moved)) for f in (grid_residuals, residuals_oracle))
+    assert min(want) > 1e-8, name
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14, name
+    assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-8, name
 
 
 def test_vanishing_integral():
@@ -742,7 +798,8 @@ def test_shifted_rows_match_the_directly_shifted_kernel():
     for n, lam, y, W, tol in cases:
         p = mkparams(n, lam, y)
         ts = np.linspace(-240.0, 240.0, 1201) + 1j * p.delta
-        block, factors, (base_ker,) = solver._report_values([(W, p)])(ts)
+        block, factors, kernels = solver._report_values([(W, p)])(ts)
+        (base_ker,) = np.concatenate(list(kernels))
         rows, weights = block * base_ker, factors * np.abs(base_ker)
         assert rows.shape == (n + 2, 2 * n, len(ts))
         for m in range(1, n + 1):
@@ -899,6 +956,69 @@ def test_array_pass_raises_no_floating_point_flag():
                 assert abs(value) <= 1e-9 * scale
 
 
+def _recorded(monkeypatch, name) -> list:
+    """The outputs of every call of the solver function name, in order."""
+    out = []
+    real = getattr(solver, name)
+
+    def recording(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(solver, name, recording)
+    return out
+
+
+def test_a_grid_forms_every_lambda_kernel_in_one_batch_per_chunk(monkeypatch):
+    """The lambda grid is one array axis of the rule: on an 8-lambda n = 2
+    grid each chunk of nodes evaluates the log kernel once and forms the
+    kernel-cycles of all 8 lambdas in one (8, N) batch."""
+    grid = (-0.8, -0.7, -0.35, -0.2, 0.15, 0.25, 0.31, 0.35)
+    points = [(CycleW.monomial(int(np.floor(lam)) + 1), mkparams(2, lam, (0.3, -0.15)))
+              for lam in grid]
+    logs = _recorded(monkeypatch, "_log_kernel")
+    batches = _recorded(monkeypatch, "_cycle_kernel")
+    grid_solutions(points)
+    assert len(logs) >= 3 and len(batches) == len(logs)
+    assert [ker.shape for ker in batches] == [(len(grid),) + log.shape for log in logs]
+
+
+def test_kernel_batches_stay_within_the_chunk(monkeypatch):
+    """On a 64-lambda n = 1 grid no kernel batch holds more than _CHUNK
+    lambda-node pairs, so some chunk splits its lambdas over batches, and
+    every lambda's coefficients lie within 1e-12 of that lambda solved
+    alone."""
+    points = [(CycleW.monomial(int(np.floor(lam)) + 1), mkparams(1, lam, (0.3,)))
+              for lam in np.linspace(-0.95, 0.95, 64)]
+    batches = _recorded(monkeypatch, "_cycle_kernel")
+    solved = grid_solutions(points)
+    monkeypatch.undo()
+    assert max(ker.size for ker in batches) <= solver._CHUNK
+    assert min(len(ker) for ker in batches) < len(points)
+    for point, (base, _, _) in zip(points, solved):
+        ((alone, _, _),) = grid_solutions([point])
+        top = max(abs(v) for v in alone.coeffs)
+        err = max(abs(a - b) for a, b in zip(base.coeffs, alone.coeffs))
+        assert err <= 1e-12 * top, (point[1].lam, err / top)
+
+
+def test_the_residual_pass_forms_no_whole_space_operator(monkeypatch):
+    """Once the point-free caches are warm, the residual pass of a 4-lambda
+    n = 2 grid applies each transport factor as its local matrix: it makes
+    no product call and embeds no placed factor."""
+    points = [(CycleW.monomial(int(np.floor(lam)) + 1), mkparams(2, lam, (0.3, -0.15)))
+              for lam in (-0.7, -0.35, 0.25, 0.31)]
+    solved = grid_solutions(points)
+    want = grid_residuals(points, solved)
+    calls = []
+    for name in ("_compose_at", "_embedded"):
+        real = getattr(tensor_ops, name)
+        monkeypatch.setattr(tensor_ops, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert grid_residuals(points, solved) == want
+    assert calls == []
+
+
 # ---------------------------------------------------------------- trapezoidal rule
 
 
@@ -965,7 +1085,7 @@ def _live_first_grid_span(points, reach):
     j = np.arange(-int(reach / h), int(reach / h) + 1)
     block, factors, kernels = solver._report_values(points)(j * h + 1j * p.delta)
     live = np.zeros(len(j), dtype=bool)
-    for ker in kernels:
+    for ker in np.concatenate(list(kernels)):
         terms = np.max(np.abs(block), axis=1) * np.abs(ker)
         weight_sum = np.sum(factors * np.abs(ker), axis=-1)
         live |= np.any(terms > p.atol * weight_sum[:, None], axis=0)

@@ -304,6 +304,21 @@ def test_the_orbit_suites_compose_nothing_wider_than_the_orbit(monkeypatch):
     assert max(widths) == 48
 
 
+def test_l_restriction_composes_each_point_free_operator_once(monkeypatch):
+    """Setting up l-restriction at sizes 2 and 3 composes each of its 5n - 2
+    point-free operators per label with the orbit start once, 55 composes
+    in all: the pair-sum identities sum the images the assembled check
+    weights, and compose none of their own."""
+    for n in (2, 3):
+        suites._l_restriction(Space(n, n))
+    calls = []
+    real = tensor_ops._compose_at
+    monkeypatch.setattr(tensor_ops, "_compose_at", lambda *args: calls.append(1) or real(*args))
+    for n in (2, 3):
+        suites._l_restriction(Space(n, n))
+    assert len(calls) == sum(n * (5 * n - 2) for n in (2, 3)) == 55
+
+
 def test_the_braid_and_word_chains_embed_one_factor_per_side(monkeypatch):
     """The braid defects and the right-action word pass placed factors to
     `product`, which embeds only the factor applied first: one embedding
