@@ -47,19 +47,6 @@ class ConfigError(ValueError):
     """Malformed configuration: unknown key, wrong type, missing field."""
 
 
-_TOP_KEYS = {"mode", "model", "verify", "solve", "output"}
-_MODEL_KEYS = {"n", "half_dim", "c", "k", "y"}
-_VERIFY_KEYS = {"suites", "samples", "seed"}
-_SOLVE_KEYS = {
-    "lambda_grid",
-    "degrees",
-    "rtol",
-    "atol",
-    "panels_per_unit",
-    "max_refine",
-    "tolerance",
-}
-_OUTPUT_KEYS = {"report", "csv"}
 # Keys `residuals --in` reads from each stored solution.
 _STORED_KEYS = ("lambda", "cycle", "qkz_residuals", "ode_residual")
 
@@ -137,24 +124,20 @@ def _read_json(path: str, what: str):
 
 
 def load_config(path: str | None) -> dict:
-    """Read and strictly validate a config file, merged over defaults."""
+    """Read and strictly validate a config file, merged over defaults; the
+    keys of default_config() are the only ones allowed."""
     merged = default_config()
     if path is None:
         return merged
     raw = _read_json(path, "config file")
-    _check_keys(raw, _TOP_KEYS, "config")
+    _check_keys(raw, set(merged), "config")
     if "mode" in raw:
         if raw["mode"] not in ("verify", "solve", "residuals"):
             raise ConfigError("mode must be verify, solve or residuals")
         merged["mode"] = raw["mode"]
-    for section, allowed in (
-        ("model", _MODEL_KEYS),
-        ("verify", _VERIFY_KEYS),
-        ("solve", _SOLVE_KEYS),
-        ("output", _OUTPUT_KEYS),
-    ):
-        if section in raw:
-            _check_keys(raw[section], allowed, section)
+    for section in merged:
+        if section != "mode" and section in raw:
+            _check_keys(raw[section], set(merged[section]), section)
             merged[section].update(raw[section])
     _validate_config(merged)
     return merged

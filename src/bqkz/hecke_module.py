@@ -7,13 +7,18 @@ anti-homomorphic action works by slot swaps and reflection operators (right
 action).  The orbit of v_1 x ... x v_n under the left action spans a
 coordinate subspace whose basis vectors are indexed by group elements:
 `phi` maps an element to its basis vector's linear index, and
-`orbit_states` lists those indices.  The interesting identities of this
-module hold on that subspace only, so each check returns its residual
-applied to a start, each term composed with it before the one sum: on
-`orbit_start`, the orbit projector, it must vanish.  The restriction
-check's terms read no point, so they are composed with the start once per
-space (`restriction_images`) and each point only weights and sums them; the
-point-free pair-sum identities (`pair_sum_identities`) sum the same images.
+`orbit_states` lists those indices.  A group element is its tuple of
+images of the labels 1..n: `SignedPerm.generator`, `elem_r` (negate one
+label) and `elem_s` (swap two) write that tuple directly; a word's element
+is the product of its generators (`SignedPerm.from_word`).
+
+The interesting identities of this module hold on the orbit subspace only,
+so each check returns its residual applied to a start, each term composed
+with it before the one sum: on `orbit_start`, the orbit projector, it must
+vanish.  The restriction check's terms read no point, so they are composed
+with the start once per space (`restriction_images`) and each point only
+weights and sums them; the point-free pair-sum identities
+(`pair_sum_identities`) sum the same images.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -40,6 +45,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
+from . import compat_ops
 from .rqkz import (
     ModelParams,
     compose_descs,
@@ -112,26 +118,15 @@ def all_elements(n: int):
             yield SignedPerm(tuple(s * p for s, p in zip(signs, perm)))
 
 
-def word_r(a: int, n: int) -> list:
-    """Word for the reflection that negates label a and fixes the rest."""
-    return list(range(a, n + 1)) + list(range(n - 1, a - 1, -1))
-
-
-def word_s(a: int, b: int, n: int) -> list:
-    """Word for the transposition of labels a and b (a < b)."""
-    if not a < b:
-        raise ValueError("need a < b")
-    return list(range(a, b)) + list(range(b - 2, a - 1, -1))
-
-
 def elem_r(a: int, n: int) -> SignedPerm:
-    return SignedPerm.from_word(n, word_r(a, n))
+    """The reflection that negates label a and fixes the rest."""
+    return SignedPerm(tuple(-j if j == a else j for j in range(1, n + 1)))
 
 
 def elem_s(a: int, b: int, n: int) -> SignedPerm:
-    if a > b:
-        a, b = b, a
-    return SignedPerm.from_word(n, word_s(a, b, n))
+    """The transposition of labels a and b."""
+    swap = {a: b, b: a}
+    return SignedPerm(tuple(swap.get(j, j) for j in range(1, n + 1)))
 
 
 def elem_s_tilde(a: int, b: int, n: int) -> SignedPerm:
@@ -212,12 +207,10 @@ def check_AHA_relations(y: Sequence, params: ModelParams, start: LinOp):
     """Residuals of the degenerate cross relations applied to start; zero
     on the orbit only.  Yields (name, residual LinOp).  Each product
     applies its right factor to start first, so none is wider than start."""
-    from .compat_ops import op_A
-
     space = params.space
     n = space.n
     gens = [rhoL(SignedPerm.generator(n, i), space) for i in range(1, n + 1)]
-    ops_a = {i: op_A(i, y, params) for i in range(1, n + 1)}
+    ops_a = {i: compat_ops.op_A(i, y, params) for i in range(1, n + 1)}
     a_start = {i: op_a @ start for i, op_a in ops_a.items()}
     s_start = [s_i @ start for s_i in gens]
     for i in range(1, n):
@@ -404,14 +397,12 @@ def restriction_images(a: int, space: Space, start: LinOp) -> list:
     in the order of its weights: the left-action images of r_a, then of
     s_ap and s~_ap for each p != a, then op_B's operators.  None of them
     reads a point, so a caller composes them once per space."""
-    from .compat_ops import op_B_ops
-
     n = space.n
     ops = [rhoL(elem_r(a, n), space)]
     for p in range(1, n + 1):
         if p != a:
             ops += [rhoL(elem_s(a, p, n), space), rhoL(elem_s_tilde(a, p, n), space)]
-    return [op @ start for op in ops + list(op_B_ops(a, space))]
+    return [op @ start for op in ops + list(compat_ops.op_B_ops(a, space))]
 
 
 def check_L_restriction(a: int, x, params: ModelParams, images: list) -> LinOp:
@@ -423,8 +414,6 @@ def check_L_restriction(a: int, x, params: ModelParams, images: list) -> LinOp:
     coordinate part op_B(a, x) and reads no y: one `lincomb` of the
     images weighted at x.
     """
-    from .compat_ops import op_B_terms
-
     n = params.space.n
     k = params.k
     x = tuple(x)
@@ -435,5 +424,5 @@ def check_L_restriction(a: int, x, params: ModelParams, images: list) -> LinOp:
             continue
         w = div(xa, xa - x[p - 1]) if p < a else div(x[p - 1], xa - x[p - 1])
         weights += [k * w, k * inv(xa * x[p - 1] - 1)]
-    weights += [-w for w, _ in op_B_terms(a, x, params)]
+    weights += [-w for w, _ in compat_ops.op_B_terms(a, x, params)]
     return lincomb(params.space, list(zip(weights, images, strict=True)))

@@ -469,34 +469,62 @@ def validate_contour_line(y, c: complex, k: complex, delta: float,
 def build_contour(params: SolverParams, W: CycleW) -> Contour:
     """Horizontal contour at Im t = delta over the initial extents of
     (W, params), pole-validated."""
-    return _line(params, _initial_extents(W, params))
+    return _line(params, [_initial_extents(W, params)], [params.lam])
 
 
-def _line(params: SolverParams, extents) -> Contour:
-    """The contour at Im t = delta over -left <= Re t <= right for the
-    extents (left, right), pole-validated out to the wider side."""
-    extents = tuple(float(side) for side in extents)
-    _check_budget(sum(extents) * params.panels_per_unit + 1, ["lambda=%r" % params.lam])
+def _line(params: SolverParams, extents, lams) -> Contour:
+    """The contour at Im t = delta over -left <= Re t <= right, where left
+    and right are the widest of the (left, right) extents of the lambdas
+    lams, pole-validated out to the wider side.  A line too long for
+    NODE_BUDGET is refused naming the lambda whose own extents need the
+    nodes or, when only the widest sides together do, the lambdas that
+    set them."""
+    for lam, own in zip(lams, extents):
+        _check_budget(sum(own) * params.panels_per_unit + 1, [lam])
+    widest = [max(zip(extents, lams), key=lambda pair: pair[0][side]) for side in (0, 1)]
+    extents = tuple(float(own[side]) for side, (own, _) in enumerate(widest))
+    _check_budget(sum(extents) * params.panels_per_unit + 1,
+                  list(dict.fromkeys(lam for _, lam in widest)))
     record = validate_contour_line(params.y, params.c, params.k, params.delta, max(extents))
     return Contour(delta=params.delta, extents=extents, record=record, y=tuple(params.y),
                    c=params.c, k=params.k)
 
 
-def _check_budget(nodes, labels):
-    """Raise QuadratureError naming labels if a rule of this many nodes,
-    which may be inf or NaN, would exceed NODE_BUDGET."""
+def _label(lam, name="") -> str:
+    return ("lambda=%r %s" % (complex(lam), name)).rstrip()
+
+
+def _named(lams, names=("",), failing=None):
+    """Text naming the solutions that failing marks: an (L, G) mask over
+    the lambdas lams and the row groups names, every solution by default.
+    It names those of the first three lambdas that have one, and the
+    count of all when that is more, so a refusal stays one short line
+    however long the grid."""
+    rows = [[_label(lam, name) for g, name in enumerate(names)
+             if failing is None or failing[i][g]] for i, lam in enumerate(lams)]
+    rows = [row for row in rows if row]
+    shown = [label for row in rows[:3] for label in row]
+    total = sum(map(len, rows))
+    more = " and %d more (%d solutions in all)" % (total - len(shown), total)
+    return ", ".join(shown) + (more if total > len(shown) else "")
+
+
+def _check_budget(nodes, lams, names=("",), failing=None):
+    """Raise QuadratureError naming the failing solutions (_named) if a
+    rule of this many nodes, which may be inf or NaN, would exceed
+    NODE_BUDGET."""
     if not nodes <= NODE_BUDGET:
         raise QuadratureError("%s: the rule needs %.3g nodes, above the budget of %d"
-                              % (", ".join(labels), nodes, NODE_BUDGET))
+                              % (_named(lams, names, failing), nodes, NODE_BUDGET))
 
 
-def _check_finite(sums, weight_sum, labels):
-    """Raise QuadratureError naming each label whose row sums or weight sum
-    are not finite: a sum can overflow while every term is finite."""
-    finite = (np.all(np.isfinite(sums), axis=-1) & np.isfinite(weight_sum)).ravel()
+def _check_finite(sums, weight_sum, lams, names):
+    """Raise QuadratureError naming the solutions whose row sums or weight
+    sum are not finite: a sum can overflow while every term is finite."""
+    finite = np.all(np.isfinite(sums), axis=-1) & np.isfinite(weight_sum)
     if not np.all(finite):
-        raise QuadratureError("%s: the integral is not finite on the contour" % ", ".join(
-            label for label, ok in zip(labels, finite) if not ok))
+        raise QuadratureError("%s: the integral is not finite on the contour"
+                              % _named(lams, names, ~finite))
 
 
 # Nodes per array evaluation; bounds the working arrays of a sweep.
@@ -592,9 +620,8 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
     h = min(1.0 / params.panels_per_unit, rec["min_gap_above"],
             rec["min_gap_below"])
     line = 1j * contour.delta
-    labels = ["lambda=%r %s" % (complex(lam), name) for lam in lams for name in names]
     # The first sweep's nodes, checked before ceil, which fails on inf.
-    _check_budget(4 * sum(contour.extents) / h, labels)
+    _check_budget(4 * sum(contour.extents) / h, lams, names)
     # The first grid's band b holds the nodes j h with b _BAND <= j < (b + 1) _BAND.
     # [lo, hi) are the bands evaluated, and new[side] counts that side's
     # newest bands, the outer half of what it has evaluated.
@@ -602,16 +629,16 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
     lo, hi = -4 * left, 4 * right
     new = [2 * left, 2 * right]
     nodes = _band_nodes(lo, hi)
-    _check_budget(len(nodes), labels)
+    _check_budget(len(nodes), lams, names)
     sums, weight_sum, top = _sweep(values, nodes * h + line, bands=True)
     evaluated = len(nodes)
     while True:
-        finite = np.all(np.isfinite(top), axis=-1).ravel()
+        finite = np.all(np.isfinite(top), axis=-1)
         if not np.all(finite):
-            raise QuadratureError("%s: the integrand is not finite on the contour" % ", ".join(
-                label for label, ok in zip(labels, finite) if not ok))
+            raise QuadratureError("%s: the integrand is not finite on the contour"
+                                  % _named(lams, names, ~finite))
         total = weight_sum.sum(axis=-1)
-        _check_finite(sums.sum(axis=-1), total, labels)
+        _check_finite(sums.sum(axis=-1), total, lams, names)
         bound = params.atol * total[..., None]
         # A side doubles while its newest bands hold a term above atol.
         new = [-lo if new[0] and np.any(top[..., :new[0]] > bound) else 0,
@@ -619,7 +646,7 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
         if not any(new):
             break
         nodes = np.concatenate((_band_nodes(lo - new[0], lo), _band_nodes(hi, hi + new[1])))
-        _check_budget(evaluated + len(nodes), labels)
+        _check_budget(evaluated + len(nodes), lams, names)
         s, a, m = _sweep(values, nodes * h + line, bands=True)
         evaluated += len(nodes)
         sums, weight_sum, top = (
@@ -638,15 +665,15 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
     # The window's nodes are j h for start <= j < stop, at every level.
     start, stop = (lo + first) * _BAND, (lo + last) * _BAND
     ests = [h * sums]
-    failing = labels
+    failing = None
     for step in range(1, params.max_refine + 1):
         mids = (np.arange(start, stop) + 0.5) * h + line
-        _check_budget(evaluated + len(mids), failing)
+        _check_budget(evaluated + len(mids), lams, names, failing)
         s, a, _ = _sweep(values, mids)
         evaluated += len(mids)
         sums, weight_sum, h = sums + s, weight_sum + a, h / 2
         start, stop = 2 * start, 2 * stop
-        _check_finite(sums, weight_sum, labels)
+        _check_finite(sums, weight_sum, lams, names)
         est, scale = h * sums, h * weight_sum
         err = np.max(np.abs(est - ests[-1]), axis=-1)
         ests.append(est)
@@ -657,11 +684,12 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
                           refinements=step, kernel_evals=evaluated)
             return est, [dict(shared, quad_error=float(np.max(e)), scale=float(g[0]))
                          for e, g in zip(err, scale)]
-        failing = [label for label, ok in zip(labels, done.ravel()) if not ok]
+        failing = ~done
+    i, g = (0, 0) if failing is None else np.argwhere(failing)[0]
     raise QuadratureError(
-        "%s: no convergence after %d halvings; last two estimates %r"
-        % (", ".join(failing), params.max_refine,
-           [e.tolist() for e in ests[-2:]])
+        "%s: no convergence after %d halvings; last two estimates of %s %r"
+        % (_named(lams, names, failing), params.max_refine, _label(lams[i], names[g]),
+           [e[i, g].tolist() for e in ests[-2:]])
     )
 
 
@@ -766,7 +794,8 @@ def grid_solutions(points) -> list:
     _, first = points[0]
     for W, p in points:
         W.validate(p)
-    contour = _line(first, np.max([_initial_extents(W, p) for W, p in points], axis=0))
+    contour = _line(first, [_initial_extents(W, p) for W, p in points],
+                    [p.lam for _, p in points])
     names = ("base", "derivative") + tuple(
         "shift-%d" % m for m in range(1, first.n + 1))
     est, diags = _trapezoid(_report_values(points), first, contour,

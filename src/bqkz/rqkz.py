@@ -106,12 +106,8 @@ def op_dT_dx(x: Sequence, a: int) -> LinOp:
     return reflection_op(0, flips)
 
 
-def op_R(lam, params: ModelParams) -> LinOp:
-    """Two-site exchange operator (lam + k P)/(lam + k)."""
-    return op_R_k(lam, params.k, params.space.half_dim)
-
-
 def op_R_k(lam, k, half_dim: int) -> LinOp:
+    """Two-site exchange operator (lam + k P)/(lam + k)."""
     norm = lam + k
     if norm == 0:
         raise PoleError("exchange operator pole: argument equals -coupling")
@@ -175,7 +171,7 @@ def _factor_op(desc, x: Sequence, y: Sequence, params: ModelParams) -> Placed:
     space = params.space
     arg = _factor_arg(desc, y, params.c)
     if kind == "R":
-        return Placed(op_R(arg, params), sites, space)
+        return Placed(op_R_k(arg, params.k, space.half_dim), sites, space)
     if kind == "Kx":
         return Placed(op_K(arg, x, params.beta), sites, space)
     if kind == "K1":

@@ -23,9 +23,13 @@ per run and runs the point-free checks, the identities between fixed
 operators that read no point.  Those operators (matrix units, label-only
 sums, left-action images, orbit states) are cached by the module that
 builds them, once per process, so no suite holds them.  The builder, which
-`sample_point` calls, draws the point, runs the checks that read it and
-returns (failing names, point).  It takes the point's stream and the
-column stream, from which the transport suites draw v.
+`sample_point` calls, draws the point from the point's stream, runs the
+checks that read it and returns (failing names, point).  It also takes the
+column stream.  Most suites are built by `_model_suite` or
+`_sized_model_suite`, whose checks(x, y, params, vr) all get that stream;
+the transport suites draw v from it as the first statement of their
+checks, before any factor is built, so each redraw of a point draws a new
+v, and the other checks leave it unread.
 
 One runner loops over the sizes and draws the points.  A sample with any
 failing check counts as one failure; its notes read "<size label> <name>
@@ -51,16 +55,6 @@ from .tensor_ops import LinOp, Space, commutator
 from .sampling import child_seed, make_rng, rand_column, rand_rational, rand_tuple, sample_point
 from . import compat_ops, hecke_module, rqkz
 from .rqkz import ModelParams
-
-__all__ = [
-    "SuiteResult",
-    "anchor_map",
-    "check_name",
-    "run_suite",
-    "run_suites",
-    "suite_names",
-]
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -145,18 +139,17 @@ def _unitarity(half):
     return [], build
 
 
-def _model_suite(checks, draw_x=True, column=False):
+def _model_suite(checks, draw_x=True):
     """builder_for of a suite drawn at random model parameters, coordinates x
     (when draw_x) and arguments y on Space(n, half); a size is (n, half), or
-    n for half = n.  checks(x, y, params) yields (name, defect) pairs."""
-    return _sized_model_suite(lambda space: ([], checks), draw_x, column=column)
+    n for half = n.  checks(x, y, params, vr) yields (name, defect) pairs;
+    vr is the column stream."""
+    return _sized_model_suite(lambda space: ([], checks), draw_x)
 
 
-def _sized_model_suite(setup, draw_x=True, column=False):
+def _sized_model_suite(setup, draw_x=True):
     """The same, with point-free checks: setup(space) returns the
-    point-free (name, defect) pairs and the checks.  With column the checks
-    take a fourth argument, the start: one random integer column drawn
-    from the column stream."""
+    point-free (name, defect) pairs and the checks."""
 
     def builder_for(size):
         n, half = size if isinstance(size, tuple) else (size, size)
@@ -167,8 +160,7 @@ def _sized_model_suite(setup, draw_x=True, column=False):
             params = ModelParams.random(r, space)
             x = _rand_x(r, half) if draw_x else None
             y = rand_tuple(r, n)
-            start = (_start(space, rand_column(vr, range(space.dim))),) if column else ()
-            return _failing(checks(x, y, params, *start)), ((x, y) if draw_x else y)
+            return _failing(checks(x, y, params, vr)), ((x, y) if draw_x else y)
 
         return _failing(point_free), build
 
@@ -179,7 +171,8 @@ def _qkz_consistency(space):
     sites = range(1, space.n + 1)
     point_free = [("split-%d" % m, rqkz.q_split_defect(m, space.n)) for m in sites]
 
-    def checks(x, y, params, v):
+    def checks(x, y, params, vr):
+        v = _start(space, rand_column(vr, range(space.dim)))
         qs = [rqkz.compose_descs(rqkz.q_factor_list(m, space.n), x, y, params, start=v)
               for m in sites]
         for m, q_m in enumerate(qs, start=1):
@@ -194,14 +187,14 @@ def _qkz_consistency(space):
     return point_free, checks
 
 
-def _lemma_aa(x, y, params):
+def _lemma_aa(x, y, params, _):
     half = params.space.half_dim
     for a in range(1, half + 1):
         for b in range(a + 1, half + 1):
             yield "pair-%d-%d" % (a, b), compat_ops.comm_AA_defect(a, b, y, params)
 
 
-def _lemma_ll(x, y, params):
+def _lemma_ll(x, y, params, _):
     half = params.space.half_dim
     ls = [compat_ops.op_L(a, x, y, params) for a in range(1, half + 1)]
     for a, l_a in enumerate(ls, start=1):
@@ -210,14 +203,15 @@ def _lemma_ll(x, y, params):
             yield "pair-%d-%d" % (a, b), commutator(l_a, ls[b - 1])
 
 
-def _cross_derivative(x, y, params):
+def _cross_derivative(x, y, params, _):
     half = params.space.half_dim
     for a in range(1, half + 1):
         for b in range(a + 1, half + 1):
             yield "pair-%d-%d" % (a, b), compat_ops.check_cross_derivative(a, b, x, y, params)
 
 
-def _compatibility(x, y, params, v):
+def _compatibility(x, y, params, vr):
+    v = _start(params.space, rand_column(vr, range(params.space.dim)))
     sites = range(1, params.space.n + 1)
     direct = [compat_ops.direct_parts(m, x, y, params, v) for m in sites]
     split = [compat_ops.three_term_parts(m, x, y, params, v) for m in sites]
@@ -234,7 +228,7 @@ def _compatibility(x, y, params, v):
 
 def _aha(space):
     start = hecke_module.orbit_start(space)
-    return [], lambda x, y, params: hecke_module.check_AHA_relations(y, params, start)
+    return [], lambda x, y, params, _: hecke_module.check_AHA_relations(y, params, start)
 
 
 def _l_restriction(space):
@@ -247,7 +241,7 @@ def _l_restriction(space):
         for name, defect in hecke_module.pair_sum_identities(a, space, images[a - 1])
     ]
 
-    def checks(x, y, params):
+    def checks(x, y, params, _):
         for a in labels:
             yield "assembled-%d" % a, hecke_module.check_L_restriction(
                 a, x, params, images[a - 1])
@@ -308,27 +302,17 @@ def _phi_iso(n):
     return point_free, build
 
 
-def _cbar_qinv(n):
-    space = Space(n, n)
-    orbit = hecke_module.orbit_states(space)
-
-    def build(r, vr):
-        params = ModelParams.random(r, space)
-        x = _rand_x(r, n)
-        y = rand_tuple(r, n)
-        # Column 0 is a full column for the grouped check, column 1 one on
-        # the orbit states for the orbit check.
-        start = _start(space, rand_column(vr, range(space.dim)), rand_column(vr, orbit))
-        out = []
-        for m in range(1, n + 1):
-            cbar = hecke_module.op_Cbar(m, x, y, params, start)
-            if hecke_module.cbar_vs_inverse_transport_defects(m, x, y, params, cbar, start, (1,)):
-                out.append("site-%d" % m)
-            if cbar != hecke_module.cbar_grouped(m, x, y, params, start):
-                out.append("grouped-%d" % m)
-        return out, (x, y)
-
-    return [], build
+def _cbar_qinv(x, y, params, vr):
+    space = params.space
+    # Column 0 is a full column for the grouped check, column 1 one on the
+    # orbit states for the orbit check.
+    start = _start(space, rand_column(vr, range(space.dim)),
+                   rand_column(vr, hecke_module.orbit_states(space)))
+    for m in range(1, space.n + 1):
+        cbar = hecke_module.op_Cbar(m, x, y, params, start)
+        yield "site-%d" % m, bool(hecke_module.cbar_vs_inverse_transport_defects(
+            m, x, y, params, cbar, start, (1,)))
+        yield "grouped-%d" % m, cbar != hecke_module.cbar_grouped(m, x, y, params, start)
 
 
 class _Suite(NamedTuple):
@@ -355,7 +339,7 @@ _SUITES = {
     ),
     "qkz-consistency": _Suite(
         "transport family shift consistency", _PAIR, ((2, 2), (3, 2), (2, 3)), 100,
-        _sized_model_suite(_qkz_consistency, column=True),
+        _sized_model_suite(_qkz_consistency),
     ),
     "lemma-AA": _Suite(
         "polynomial coefficient family commutes", _PAIR, _PAIR_SIZES, 100,
@@ -373,7 +357,7 @@ _SUITES = {
     ),
     "compatibility": _Suite(
         "difference and differential operators are compatible", _PAIR,
-        ((1, 1), (2, 2), (3, 2), (2, 3)), 100, _model_suite(_compatibility, column=True),
+        ((1, 1), (2, 2), (3, 2), (2, 3)), 100, _model_suite(_compatibility),
     ),
     "aha-relations": _Suite(
         "degenerate cross relations on the orbit", _ORBIT, (2, 3), 100,
@@ -381,7 +365,8 @@ _SUITES = {
     ),
     "phi-iso": _Suite("group element to orbit vector isomorphism", _ORBIT, (2, 3), 50, _phi_iso),
     "cbar-qinv": _Suite(
-        "degenerate product equals inverse transport on the orbit", _ORBIT, (2, 3), 50, _cbar_qinv
+        "degenerate product equals inverse transport on the orbit", _ORBIT, (2, 3), 50,
+        _model_suite(_cbar_qinv),
     ),
     "l-restriction": _Suite(
         "pair-sum restriction identities on the orbit", _ORBIT, (2, 3), 100,
@@ -392,10 +377,6 @@ _SUITES = {
 
 def suite_names() -> tuple:
     return tuple(_SUITES)
-
-
-def anchor_map() -> dict:
-    return {name: suite.anchor for name, suite in _SUITES.items()}
 
 
 def check_name(name):

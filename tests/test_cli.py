@@ -710,7 +710,8 @@ def test_the_node_budget_stops_a_rule_between_sweeps(tmp_path, capsys, monkeypat
     """The default grid's rule evaluates 1,048 nodes, 320 of them in its
     first sweep and 104 in its second: under a budget of 400 the first
     sweep passes its check and the rule stops before the second, naming
-    every solution of the grid and the budget."""
+    the solutions of the grid's first three lambdas, the count of all 15
+    solutions, and the budget."""
     assert integral_solver.NODE_BUDGET == 1 << 17
     monkeypatch.setattr(integral_solver, "NODE_BUDGET", 400)
     assert cli.main(["solve", "--out-csv", str(tmp_path / "c.csv"),
@@ -718,7 +719,45 @@ def test_the_node_budget_stops_a_rule_between_sweeps(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("error: lambda=(-0.7+0j) base, lambda=(-0.7+0j) derivative")
     assert err.endswith("the rule needs 424 nodes, above the budget of 400\n"), err
+    assert "lambda=(-0.1+0j) shift-1 and 6 more (15 solutions in all): " in err, err
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("grid, named", [
+    # 1 - frac(lambda) = 1e-8 stretches the left tail of the default cycle:
+    # that lambda alone needs 5.13e8 nodes, wherever it sits in the grid.
+    ([0.15, 0.99999999], "lambda=(0.99999999+0j)"),
+    ([0.99999999, 0.15], "lambda=(0.99999999+0j)"),
+    # With the cycle fixed at degree 1, 0.999936 stretches the left side
+    # and -0.999936 the right side; each alone needs about 8e4 nodes, the
+    # line over both widest sides 1.6e5.
+    ([0.15, 0.999936, -0.999936], "lambda=(0.999936+0j), lambda=(-0.999936+0j)"),
+])
+def test_a_node_budget_refusal_names_the_lambdas_that_need_the_nodes(
+        tmp_path, capsys, grid, named):
+    solve = {"lambda_grid": grid}
+    if len(grid) == 3:
+        solve["degrees"] = [[1, 1]]
+    path = write_json(tmp_path / "cfg.json", {"model": {"n": 1}, "solve": solve})
+    assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: the rule needs " % named), err
+
+
+def test_a_rule_refusal_on_a_long_grid_stays_one_short_line(tmp_path, capsys):
+    """With no halving allowed none of the 32 solutions of an 8-lambda
+    n = 2 grid converges; the refusal names those of the first three
+    lambdas and the estimates of the first only."""
+    grid = [0.05 + 0.1 * i for i in range(8)]
+    path = write_json(tmp_path / "cfg.json",
+                      {"model": {"n": 2}, "solve": {"lambda_grid": grid, "max_refine": 0}})
+    assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda=(0.05+0j) base, ") and err.count("\n") == 1, err
+    assert "and 20 more (32 solutions in all): no convergence" in err, err
+    assert len(err) < 2000, len(err)
 
 
 # -------------------------------------------------------------- refinement
@@ -769,8 +808,6 @@ def test_suite_registry_is_complete():
             "l-restriction",
         ]
     )
-    anchors = suites.anchor_map()
-    assert set(anchors) == set(names)
-    values = list(anchors.values())
+    values = [suite.anchor for suite in suites._SUITES.values()]
     assert all(values)
     assert len(set(values)) == len(values)

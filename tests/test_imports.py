@@ -61,7 +61,9 @@ def test_no_unused_imports():
 
 def statement_reads(source: str) -> list:
     """(line, names) of each top-level statement of a module: every name
-    it reads, imports or writes in a string other than a docstring."""
+    it reads, imports or writes in a string other than a docstring.  An
+    `__all__` assignment lists what a module exports, not what it reads,
+    so it reads nothing."""
     tree = ast.parse(source)
     docstrings = {
         id(node.body[0].value) for node in ast.walk(tree)
@@ -71,6 +73,10 @@ def statement_reads(source: str) -> list:
     out = []
     for statement in tree.body:
         names = set()
+        targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+        if any(getattr(target, "id", None) == "__all__" for target in targets):
+            out.append((statement.lineno, names))
+            continue
         for node in ast.walk(statement):
             if id(node) in docstrings:
                 continue
@@ -110,12 +116,13 @@ def test_checker_flags_an_unreferenced_definition():
         "class Kept:\n    pass\n"
         "class Gone:\n    def used(self):\n        pass\n"
         "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
+        "__all__ = ['exported']\ndef exported():\n    pass\n"
     )
     others = ["from m import used\n", "TRACED = ('m.traced',)\n",
               "def traced():\n    pass\n"]
     definers = {"m": package, "t": others[2]}
     assert unreferenced_definitions(definers, [package] + others) == [
-        ("m", 3, "unused"), ("m", 7, "Gone"), ("m", 10, "recursive")]
+        ("m", 3, "unused"), ("m", 7, "Gone"), ("m", 10, "recursive"), ("m", 13, "exported")]
 
 
 def test_every_package_definition_is_referenced():

@@ -18,7 +18,7 @@ import pytest
 from fractions import Fraction
 
 from _oracles import _kernel_cycle, residuals_oracle, simpson_oracle
-from bqkz.rqkz import ones, op_K, op_P, op_R, op_T, q_factor_list, shift_y
+from bqkz.rqkz import ones, op_K, op_P, op_R_k, op_T, q_factor_list, shift_y
 from bqkz.tensor_ops import LinOp, Placed, Space
 import bqkz.cli as cli
 import bqkz.compat_ops as compat_ops
@@ -338,7 +338,7 @@ def test_gtilde_intertwining():
                     ysw = list(y)
                     ysw[l - 1], ysw[l] = ysw[l], ysw[l - 1]
                     swap_op = Placed(op_P(2), (l, l + 1), sp).embedded() @ Placed(
-                        op_R(y[l - 1] - y[l], model), (l, l + 1), sp
+                        op_R_k(y[l - 1] - y[l], model.k, p.half_dim), (l, l + 1), sp
                     ).embedded()
                     lhs = swap_op.apply(gt)
                     rhs = gtilde_vec(t, tuple(ysw), p)

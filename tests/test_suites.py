@@ -52,6 +52,29 @@ def test_draws_match_the_golden_digest(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DRAWS
 
 
+# sha256 of the random columns the three transport suites draw at samples=2,
+# seed 6 (24 columns, redraws included), as
+# json.dumps([sorted(column.items()) for column in drawn]).
+GOLDEN_COLUMNS = "679b395b7c707bc02c35f6c4ba145f5c5d1f8f5d058e21feacf18dd071b7f9d6"
+
+
+def test_column_draws_match_the_golden_digest(monkeypatch):
+    drawn = []
+    real = suites.rand_column
+
+    def recording(rng, indices):
+        column = real(rng, indices)
+        drawn.append(column)
+        return column
+
+    monkeypatch.setattr(suites, "rand_column", recording)
+    for name in ("qkz-consistency", "compatibility", "cbar-qinv"):
+        assert suites.run_suite(name, samples=2, seed=6).exact_zero, name
+    assert len(drawn) == 24
+    text = json.dumps([sorted(column.items()) for column in drawn])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_COLUMNS
+
+
 # sha256 of body["suites"] of `bqkz verify --samples 1 --seed 6` over all 13
 # suites, as json.dumps(..., sort_keys=True), on the fractions backend (the
 # notes carry the repr of the points): as it is, and with op_B's first
