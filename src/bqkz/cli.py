@@ -366,8 +366,9 @@ def cmd_verify(args) -> int:
         timing[result.name] = elapsed
         flag = "pass" if result.exact_zero else "FAIL"
         print(
-            "%-4s %-18s exact_zero=%-5s samples=%-4d [%s]"
-            % (flag, result.name, result.exact_zero, result.samples, result.anchor)
+            "%-4s %-18s exact_zero=%-5s samples=%-4d s_per_sample=%-9.3g [%s]"
+            % (flag, result.name, result.exact_zero, result.samples,
+               elapsed / result.samples, result.anchor)
         )
         for note in result.notes:
             print("     defect: %s" % note)

@@ -16,10 +16,13 @@ first route sums its terms in one `tensor_ops.lincomb`; the second builds
 each block once per point and sums the blocks embedded whole where they
 act, one embedding per site and per site pair.
 
-The two compatibility residuals are read on a start, one seeded random
-integer column in the suite (Freivalds' check) or the identity for the
-whole operator.  They take the operators of their point as arguments: L_a
-at y and each shifted y (`op_L_shifts`, once per a), and the a-independent
+The two compatibility residuals are read on a start: a `tensor_ops.Block`
+holding one seeded random integer column in the suite (Freivalds' check),
+or the identity for the whole operator.  On a block the transport factors
+are applied by their gather and L_a and the derivative terms entry by
+entry; each residual is one `lincomb` of its terms.  They take the
+operators of their point as arguments: L_a at y and each shifted y
+(`op_L_shifts`, once per a, with op_B summed once), and the a-independent
 transport parts of each form, built once per m and already applied to
 the start.  The split form takes `three_term_parts(m, ...)`: the inverse
 head factors, the head product H applied to the start, the middle and
@@ -57,6 +60,7 @@ from .rqkz import (
 )
 from .scalar_field import PoleError, div, inv
 from .tensor_ops import (
+    Block,
     LinOp,
     Placed,
     Space,
@@ -247,10 +251,11 @@ def op_L(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
 
 
 def op_L_shifts(a: int, x: Sequence, y: Sequence, params: ModelParams) -> list:
-    """L_a at y, then at shift_y(y, m, c) for each site m; op_B's terms are listed once."""
-    b_terms = op_B_terms(a, x, params)
+    """L_a at y, then at shift_y(y, m, c) for each site m; op_B, which
+    reads no y, is summed once."""
+    b = op_B(a, x, params)
     ys = [y] + [shift_y(y, m, params.c) for m in range(1, params.space.n + 1)]
-    return [lincomb(params.space, op_A_terms(a, yy, params) + b_terms) for yy in ys]
+    return [lincomb(params.space, op_A_terms(a, yy, params) + [(1, b)]) for yy in ys]
 
 
 def op_I(a: int, lam, gamma, params: ModelParams) -> LinOp:
@@ -519,7 +524,7 @@ def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:
     return lhs - _block_sum(a, x, args, pairs, params, op_M(a, x, params))
 
 
-def three_term_parts(m: int, x, y, params: ModelParams, start: LinOp) -> tuple:
+def three_term_parts(m: int, x, y, params: ModelParams, start: Block) -> tuple:
     """The a-independent inputs of `compat_three_term` for site m on a
     start: (start, inverse head factors, H applied to start, middle and
     tail factors, the inverted middle and tail factors applied to
@@ -535,7 +540,7 @@ def three_term_parts(m: int, x, y, params: ModelParams, start: LinOp) -> tuple:
 
 
 def compat_three_term(a: int, m: int, x, y, params: ModelParams,
-                      l_a: LinOp, l_a_shifted: LinOp, parts: tuple) -> LinOp:
+                      l_a: LinOp, l_a_shifted: LinOp, parts: tuple) -> Block:
     """Split-form compatibility residual on a start, given L_a at y and at y
     with its m-th argument shifted, and `three_term_parts(m, x, y, params,
     start)`.
@@ -546,13 +551,13 @@ def compat_three_term(a: int, m: int, x, y, params: ModelParams,
     conjugated by middle reflection times trailing part.
     """
     start, head_inv, head, mid_tail, mid_tail_inv = parts
-    piece1 = op_dK_term(m, a, x, y, params).compose(start)
+    piece1 = product([op_dK_term(m, a, x, y, params), start])
     piece2 = product(head_inv + [l_a_shifted, head])
     piece3 = product(mid_tail + [l_a, mid_tail_inv])
-    return piece1 + piece2 - piece3
+    return lincomb(params.space, [(1, piece1), (1, piece2), (-1, piece3)])
 
 
-def direct_parts(m: int, x, y, params: ModelParams, start: LinOp) -> tuple:
+def direct_parts(m: int, x, y, params: ModelParams, start: Block) -> tuple:
     """The a-independent inputs of `compat_direct` for site m on a start:
     (start, transport factors, Q_m applied to start, trailing product T_m
     applied to start)."""
@@ -563,12 +568,14 @@ def direct_parts(m: int, x, y, params: ModelParams, start: LinOp) -> tuple:
 
 
 def compat_direct(a: int, m: int, x, y, params: ModelParams,
-                  l_a: LinOp, l_a_shifted: LinOp, parts: tuple) -> LinOp:
+                  l_a: LinOp, l_a_shifted: LinOp, parts: tuple) -> Block:
     """Commutator-form compatibility residual on a start, built only from
     `direct_parts(m, x, y, params, start)`, the matrix parts L_a and
     L_a(shifted), and the analytic transport derivative."""
     x = tuple(x)
     start, ops, q_start, tail = parts
-    return l_a_shifted @ q_start - product(ops + [l_a @ start]) + op_dQ_dx(
-        m, x, y, params, a, tail
-    ).scale(params.c * x[a - 1])
+    return lincomb(params.space, [
+        (1, product([l_a_shifted, q_start])),
+        (-1, product(ops + [l_a, start])),
+        (params.c * x[a - 1], op_dQ_dx(m, x, y, params, a, tail)),
+    ])

@@ -22,12 +22,14 @@ weights and sums them; the point-free pair-sum identities
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
-into one scalar.  Each computes its own factors' scalars and order; the
-`tensor_ops` writer of each factor's shape (`exchange_op` on two sites,
-`reflection_op` on one), the only code the two share, writes it, and the
-placed factors are applied to a start: the suite's start holds a seeded
-random integer column and one supported on the orbit states (Freivalds'
-check), a test's the identity.  A caller applies Cbar_m once per point;
+into one scalar.  Each computes its own factors' scalars and order and
+keeps each factor as a `tensor_ops.Factor` of its shape (exchange on two
+sites, reflection on one), the only code the two share; the factors are
+applied to a start by their gather, and no factor operator is written.
+The suite's start is a `tensor_ops.Block` holding a seeded random integer
+column and one supported on the orbit states (Freivalds' check); a test
+may pass the identity block, or a whole operator, which gets the whole
+product through `_compose_at`.  A caller applies Cbar_m once per point;
 the orbit check compares it with the inverse transport operator applied
 to the start's orbit-supported columns only.
 
@@ -57,7 +59,7 @@ from .rqkz import (
     q_factor_list,
 )
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import LinOp, Placed, Space, exchange_op, lincomb, product, reflection_op
+from .tensor_ops import Block, Factor, LinOp, Placed, Space, lincomb, product
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,7 @@ def cbar_factor_list(m: int, n: int):
     return fs
 
 
-def _cbar_factor(desc, x, y, params: ModelParams) -> Placed:
+def _cbar_factor(desc, x, y, params: ModelParams) -> Factor:
     """One degenerate factor, written on one or two sites by the writer of
     its shape and placed at its slots."""
     kind, slot, yterms, cmult = desc
@@ -265,7 +267,7 @@ def _cbar_factor(desc, x, y, params: ModelParams) -> Placed:
             raise PoleError("slot-swap factor pole")
         # (arg P + k)/(arg + k) fixes a column with equal codes.
         keep, swap = div(params.k, den), div(arg, den)
-        return Placed(exchange_op(n, 1, keep, swap), (slot, slot + 1), space)
+        return Factor.exchange(1, keep, swap, (slot, slot + 1), space)
     if kind == "Kn":
         den = arg - params.alpha
         if den == 0:
@@ -285,10 +287,10 @@ def _cbar_factor(desc, x, y, params: ModelParams) -> Placed:
         diag, site = div(params.beta, den), 1
     else:
         raise ValueError("unknown factor kind %r" % (kind,))
-    return Placed(reflection_op(diag, flips), (site,), space)
+    return Factor.reflection(diag, flips, site, space)
 
 
-def op_Cbar(m: int, x: Sequence, y: Sequence, params: ModelParams, start: LinOp) -> LinOp:
+def op_Cbar(m: int, x: Sequence, y: Sequence, params: ModelParams, start: Block) -> Block:
     """Degenerate transport product for site m applied to start: the
     product of the factors of cbar_factor_list, leftmost first, each
     written by _cbar_factor."""
@@ -310,19 +312,19 @@ def p_m_scalar(m: int, y: Sequence, params: ModelParams):
     return out
 
 
-def _grouped_swap(arg, k, slot: int, space: Space) -> Placed:
+def _grouped_swap(arg, k, slot: int, space: Space) -> Factor:
     """arg P - k at slots slot, slot + 1: a linear factor of the grouped form."""
-    return Placed(exchange_op(space.n, arg - k, -k, arg), (slot, slot + 1), space)
+    return Factor.exchange(arg - k, -k, arg, (slot, slot + 1), space)
 
 
-def _grouped_end(weight, coords, shift, site: int, space: Space) -> Placed:
+def _grouped_end(weight, coords, shift, site: int, space: Space) -> Factor:
     """weight T(coords) - shift at a site: a linear factor of the grouped form."""
     flips = [(weight * inv(xa), weight * xa) for xa in coordinates(coords)]
-    return Placed(reflection_op(-shift, flips), (site,), space)
+    return Factor.reflection(-shift, flips, site, space)
 
 
 def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams,
-                 start: LinOp) -> LinOp:
+                 start: Block) -> Block:
     """Same product applied to start, with every denominator pulled into
     one scalar; each linear factor is written by _grouped_swap or
     _grouped_end."""
@@ -349,24 +351,21 @@ def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams,
     return product(factors + [start]).scale(inv(p))
 
 
-def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: LinOp,
-                                      start: LinOp, columns) -> list:
-    """The columns, among `columns`, of start on which the site-m degenerate
-    product and the inverse transport operator differ; cbar is
-    `op_Cbar(m, x, y, params, start)`.
+def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: Block,
+                                      start: Block, columns) -> list:
+    """The columns, among the positions `columns` of the block start, on
+    which the site-m degenerate product and the inverse transport operator
+    differ; cbar is `op_Cbar(m, x, y, params, start)`.
 
     The inverse transport factors are applied to those columns of start
-    only, and the difference is read on them alone: with the identity as
-    start and the orbit states as columns, this is the whole
+    only, and the difference is read on them alone: with the identity
+    block as start and the orbit states as columns, this is the whole
     operator on the orbit.
     """
-    space = params.space
-    picked = LinOp.of(space, {c: start.cols[c] for c in columns if c in start.cols}, start.den)
-    inverse = compose_descs(
-        invert_descs(q_factor_list(m, space.n)), x, y, params, start=picked
-    )
-    diff = cbar - inverse
-    return [c for c in columns if c in diff.cols]
+    inverse = compose_descs(invert_descs(q_factor_list(m, params.space.n)), x, y, params,
+                            start=start.take(columns))
+    diff = cbar.take(columns) - inverse
+    return [c for c, col in zip(columns, diff.cols) if any(col)]
 
 
 def pair_sum_identities(a: int, space: Space, images: list) -> list:

@@ -10,33 +10,37 @@ family is consistent: shifting the l-th argument in the m-th operator and
 composing commutes with doing it the other way around.
 
 Each exchange and reflection factor computes its few distinct scalars
-from its argument and hands them to the `tensor_ops` writer of its shape
-(`exchange_op` on two sites, `reflection_op` on one), which clears them
-once and writes the index-keyed entries; the factor is then placed at its
-sites (`tensor_ops.Placed`), not embedded.  The braid defects pass placed
-factors to `tensor_ops.product` too, which embeds only the last factor of
-each side.
+from its argument: those of lam + k P or lam T(x) + beta and the divisor
+lam + k or lam + beta (`r_scalars`, `k_scalars`).  A chain factor keeps
+them as a `tensor_ops.Factor` placed at its sites; `op_R_k` and `op_K`
+hand them to the `tensor_ops` writer of their shape (`exchange_op` on two
+sites, `reflection_op` on one) for a whole operator.  The braid defects
+pass placed factors to `tensor_ops.product`, which embeds only the last
+factor of each side.
 
-The consistency checks read their transport operators on one start: a
-caller applies each chain of factors to a start (`compose_descs` with
-`start`) and compares the images; `tensor_ops.product` applies each
-placed factor where it acts and reduces each partial product by one gcd.
-The suites start from one seeded random integer column v, so a pass
-proves D(p) v = 0 for the point's defect D(p) (Freivalds' check); a test
-that starts from the identity, or a chain with no start, gets the whole
-operator from the same code.  The inverse check applies the inverse
+The consistency checks read their transport operators on one start:
+a caller applies each chain of factors to a `tensor_ops.Block` start
+(`compose_descs` with `start`) and compares the images; each factor
+reaches the block's columns by its gather, no factor operator is written,
+and each partial product is reduced by one gcd.  The suites start from
+one seeded random integer column v, so a pass proves D(p) v = 0 for the
+point's defect D(p) (Freivalds' check).  An exact chain with no start is
+applied to the identity block and returned as the whole operator; a test
+may pass a whole operator as the start, which `_compose_at` composes with
+each factor's written operator.  The inverse check applies the inverse
 factors to Q_m v, and each pair check applies the shifted factors of one
 transport operator to the other's image.  The x-derivative likewise takes
 the trailing product T_m applied to the start and applies the head
-factors and one middle derivative to it.  Whether the split into (head,
-middle, tail) keeps every factor in order reads no point, so
-`q_split_defect` checks it once per size.
+factors and the middle derivative, a general placed site operator, to it.
+Whether the split into (head, middle, tail) keeps every factor in order
+reads no point, so `q_split_defect` checks it once per size.
 
 The contour solver's residual pass uses the same factor builders in
 floating point (`factor_ops`): per lambda grid it builds the factors on
 either side of the coordinate reflection Kx, the only factor that reads
 x, and per lambda just the Kx factors; it applies each one's local
-matrix on its own sites, without composing them.
+matrix (`Factor.local`, written in floating point) on its own sites,
+without composing them.
 
 Every factor checks its own denominator at build time, so a pole in any
 requested construction raises PoleError immediately with the offending
@@ -49,8 +53,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .sampling import rand_rational
-from .scalar_field import PoleError, div, inv, rat
-from .tensor_ops import LinOp, Placed, Space, exchange_op, lincomb, product, reflection_op
+from .scalar_field import PoleError, inv, rat
+from .tensor_ops import (
+    Block, Factor, LinOp, Placed, Space, exchange_op, lincomb, product, reflection_op,
+)
 
 
 @dataclass(frozen=True)
@@ -98,31 +104,45 @@ def op_T(x: Sequence) -> LinOp:
     return reflection_op(0, [(inv(xa), xa) for xa in coordinates(x)])
 
 
-def op_dT_dx(x: Sequence, a: int) -> LinOp:
-    """Derivative of op_T in the a-th coordinate (a is 1-based)."""
+def op_dT_dx(x: Sequence, a: int, weight=1, over=1) -> LinOp:
+    """Derivative of op_T in the a-th coordinate (a is 1-based), times
+    weight / over."""
     x = coordinates(x)
     flips = [(0, 0)] * len(x)
-    flips[a - 1] = (-inv(x[a - 1] * x[a - 1]), 1)
-    return reflection_op(0, flips)
+    flips[a - 1] = (-weight * inv(x[a - 1] * x[a - 1]), weight)
+    return reflection_op(0, flips, over)
+
+
+def r_scalars(lam, k) -> tuple:
+    """((diag, keep, swap), over) of the exchange operator
+    (lam + k P)/(lam + k): the scalars of lam + k P and the divisor."""
+    norm = lam + k
+    if norm == 0:
+        raise PoleError("exchange operator pole: argument equals -coupling")
+    return (norm, lam, k), norm
 
 
 def op_R_k(lam, k, half_dim: int) -> LinOp:
     """Two-site exchange operator (lam + k P)/(lam + k)."""
-    norm = lam + k
+    scalars, norm = r_scalars(lam, k)
+    return exchange_op(half_dim, *scalars, over=norm)
+
+
+def k_scalars(lam, x: Sequence, beta) -> tuple:
+    """((diag, flips), over) of the reflection factor
+    (lam T(x) + beta)/(lam + beta): the scalars of lam T(x) + beta and the
+    divisor."""
+    norm = lam + beta
     if norm == 0:
-        raise PoleError("exchange operator pole: argument equals -coupling")
-    s = inv(norm)
-    return exchange_op(half_dim, s * norm, s * lam, s * k)
+        raise PoleError("reflection factor pole: argument equals -strength")
+    flips = [(lam, lam) if xa == 1 else (lam * inv(xa), lam * xa) for xa in coordinates(x)]
+    return (beta, flips), norm
 
 
 def op_K(lam, x: Sequence, beta) -> LinOp:
     """Site reflection factor (lam T(x) + beta)/(lam + beta)."""
-    norm = lam + beta
-    if norm == 0:
-        raise PoleError("reflection factor pole: argument equals -strength")
-    s = inv(norm)
-    flips = [(s * (lam * inv(xa)), s * (lam * xa)) for xa in coordinates(x)]
-    return reflection_op(s * beta, flips)
+    scalars, norm = k_scalars(lam, x, beta)
+    return reflection_op(*scalars, over=norm)
 
 
 def op_dK_dx(lam, x: Sequence, beta, a: int) -> LinOp:
@@ -130,7 +150,7 @@ def op_dK_dx(lam, x: Sequence, beta, a: int) -> LinOp:
     den = lam + beta
     if den == 0:
         raise PoleError("reflection factor pole: argument equals -strength")
-    return op_dT_dx(x, a).scale(div(lam, den))
+    return op_dT_dx(x, a, lam, den)
 
 
 def q_factor_list(m: int, n: int):
@@ -159,24 +179,34 @@ def q_factor_list(m: int, n: int):
 
 
 def _factor_arg(desc, y: Sequence, c):
+    """cmult * c + sum(coef * y[idx]) in that order, a zero cmult left out
+    and a unit coefficient read as a sign; a descriptor has at least one y
+    term."""
     _, _, yterms, cmult = desc
-    arg = cmult * c
+    arg = cmult * c if cmult else None
     for idx, coef in yterms:
-        arg = arg + coef * y[idx - 1]
+        v = y[idx - 1]
+        if arg is None:
+            arg = v if coef == 1 else -v if coef == -1 else coef * v
+        else:
+            arg = arg + v if coef == 1 else arg - v if coef == -1 else arg + coef * v
     return arg
 
 
-def _factor_op(desc, x: Sequence, y: Sequence, params: ModelParams) -> Placed:
+def _factor_op(desc, x: Sequence, y: Sequence, params: ModelParams) -> Factor:
     kind, sites, _, _ = desc
     space = params.space
     arg = _factor_arg(desc, y, params.c)
     if kind == "R":
-        return Placed(op_R_k(arg, params.k, space.half_dim), sites, space)
+        scalars, norm = r_scalars(arg, params.k)
+        return Factor.exchange(*scalars, sites, space, over=norm)
     if kind == "Kx":
-        return Placed(op_K(arg, x, params.beta), sites, space)
-    if kind == "K1":
-        return Placed(op_K(arg, ones(space.half_dim), params.alpha), sites, space)
-    raise ValueError("unknown factor kind %r" % (kind,))
+        scalars, norm = k_scalars(arg, x, params.beta)
+    elif kind == "K1":
+        scalars, norm = k_scalars(arg, ones(space.half_dim), params.alpha)
+    else:
+        raise ValueError("unknown factor kind %r" % (kind,))
+    return Factor.reflection(*scalars, sites[0], space, over=norm)
 
 
 def invert_descs(descs):
@@ -196,11 +226,14 @@ def factor_ops(descs, x, y, params: ModelParams) -> list:
     return [_factor_op(desc, x, y, params) for desc in descs]
 
 
-def compose_descs(descs, x, y, params: ModelParams, start: LinOp | None = None) -> LinOp:
-    """Product of the factor descriptors applied to start (the identity when
-    omitted), leftmost descriptor applied last."""
-    ops = factor_ops(descs, x, y, params) + ([] if start is None else [start])
-    return product(ops or [LinOp.identity(params.space)])
+def compose_descs(descs, x, y, params: ModelParams, start=None):
+    """Product of the factor descriptors applied to start, leftmost
+    descriptor applied last.  Without a start the factors are applied to
+    the identity block and the product is returned as a LinOp."""
+    ops = factor_ops(descs, x, y, params)
+    if start is None:
+        return product(ops + [Block.identity(params.space)]).linop()
+    return product(ops + [start])
 
 
 def q_split_descs(m: int, n: int):
@@ -217,7 +250,7 @@ def op_Q(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
 
 
 def op_dQ_dx(m: int, x: Sequence, y: Sequence, params: ModelParams, a: int,
-             tail: LinOp) -> LinOp:
+             tail: Block) -> Block:
     """Derivative of the transport operator in the a-th coordinate applied
     to a start, given `tail`, its trailing factors applied to that start.
 
@@ -288,7 +321,7 @@ def flip_factor_defect(lam, x: Sequence, beta) -> LinOp:
 
 
 def transport_consistency_defect(m: int, l: int, x, y, params: ModelParams,
-                                 q_m: LinOp, q_l: LinOp) -> LinOp:
+                                 q_m: Block, q_l: Block) -> Block:
     """Exchange of two shifted transport operators on a start, given Q_m and
     Q_l at y applied to that start; zero iff consistent there."""
     if m == l:
@@ -307,7 +340,7 @@ def q_split_defect(m: int, n: int) -> bool:
     return head + [mid] + tail != q_factor_list(m, n)
 
 
-def q_inverse_defect(m: int, x, y, params: ModelParams, q: LinOp, start: LinOp) -> LinOp:
+def q_inverse_defect(m: int, x, y, params: ModelParams, q: Block, start: Block) -> Block:
     """Inverse transport factors applied to q, Q_m applied to start, minus
     start."""
     inverse = invert_descs(q_factor_list(m, params.space.n))

@@ -7,14 +7,19 @@ small floats; there is no tolerance anywhere in this module.
 
 The three transport suites (qkz-consistency, compatibility, cbar-qinv)
 never form their products: each applies every factor chain to one seeded
-random integer column v (Freivalds' check) and tests D(p) v = 0 for the
-point's defect D(p).  A nonzero D(p) passes one sample with probability at
-most 1/101 on top of the point's own chance of sitting on a zero of D.
-aha-relations and l-restriction hold on the orbit only: they test D(p) P
-= 0 for the orbit projector P (`hecke_module.orbit_start`, built once per
-size).  The other suites evaluate their defects as whole operators and
-build each operator of a point once, such as L_a or comm-IM's pair block
-M_a once per label for every check that reads it.
+random integer column v (Freivalds' check), held as a dense
+`tensor_ops.Block`, and tests D(p) v = 0 for the point's defect D(p).  On
+the block each exchange and reflection factor is one gather over the
+column and every other operator (L_a, the derivative terms) is applied
+entry by entry; no factor operator is written.  A nonzero D(p) passes one
+sample with probability at most 1/101 on top of the point's own chance of
+sitting on a zero of D.  aha-relations and l-restriction hold on the orbit
+only: they test D(p) P = 0 for the orbit projector P
+(`hecke_module.orbit_start`, built once per size), a sparse operator that
+`tensor_ops._compose_at` composes with.  The other suites evaluate their
+defects as whole operators by the same kernel and build each operator of
+a point once, such as L_a or comm-IM's pair block M_a once per label for
+every check that reads it.
 
 A suite is one row of a table: its anchor, the label of a size, its sizes,
 its default sample count, and `builder_for`, which maps a size to a pair
@@ -51,7 +56,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .tensor_ops import LinOp, Space, commutator
+from .tensor_ops import Block, LinOp, Space, commutator
 from .sampling import child_seed, make_rng, rand_column, rand_rational, rand_tuple, sample_point
 from . import compat_ops, hecke_module, rqkz
 from .rqkz import ModelParams
@@ -89,11 +94,6 @@ def _failing(checks) -> list:
     point-free check's defect may be a bool, True when it fails."""
     return [name for name, defect in checks
             if (defect if isinstance(defect, bool) else not defect.is_zero())]
-
-
-def _start(space: Space, *columns) -> LinOp:
-    """Operator whose i-th column is the i-th given {index: entry} column."""
-    return LinOp.of(space, {i: col for i, col in enumerate(columns) if col})
 
 
 # Builders of the braid suites name no check: their notes read
@@ -172,7 +172,7 @@ def _qkz_consistency(space):
     point_free = [("split-%d" % m, rqkz.q_split_defect(m, space.n)) for m in sites]
 
     def checks(x, y, params, vr):
-        v = _start(space, rand_column(vr, range(space.dim)))
+        v = Block.of(space, rand_column(vr, range(space.dim)))
         qs = [rqkz.compose_descs(rqkz.q_factor_list(m, space.n), x, y, params, start=v)
               for m in sites]
         for m, q_m in enumerate(qs, start=1):
@@ -211,7 +211,7 @@ def _cross_derivative(x, y, params, _):
 
 
 def _compatibility(x, y, params, vr):
-    v = _start(params.space, rand_column(vr, range(params.space.dim)))
+    v = Block.of(params.space, rand_column(vr, range(params.space.dim)))
     sites = range(1, params.space.n + 1)
     direct = [compat_ops.direct_parts(m, x, y, params, v) for m in sites]
     split = [compat_ops.three_term_parts(m, x, y, params, v) for m in sites]
@@ -287,7 +287,7 @@ def _phi_iso(n):
         if not (lhs - rhs).is_zero():
             out.append("reversal word=%r+%r" % (word1, word2))
         w = hecke_module.SignedPerm.identity(n)
-        vec = _start(space, {hecke_module.phi(w, space): 1})
+        vec = LinOp.of(space, {0: {hecke_module.phi(w, space): 1}})
         for g in word1:
             vec = hecke_module.rhoR_generator(g, x, space).compose(vec)
             w = w * (
@@ -306,8 +306,8 @@ def _cbar_qinv(x, y, params, vr):
     space = params.space
     # Column 0 is a full column for the grouped check, column 1 one on the
     # orbit states for the orbit check.
-    start = _start(space, rand_column(vr, range(space.dim)),
-                   rand_column(vr, hecke_module.orbit_states(space)))
+    start = Block.of(space, rand_column(vr, range(space.dim)),
+                     rand_column(vr, hecke_module.orbit_states(space)))
     for m in range(1, space.n + 1):
         cbar = hecke_module.op_Cbar(m, x, y, params, start)
         yield "site-%d" % m, bool(hecke_module.cbar_vs_inverse_transport_defects(

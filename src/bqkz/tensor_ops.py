@@ -9,32 +9,49 @@ significant, which is the order `Space.states` yields.
 Operators are stored column-major as {col_index: {row_index: entry}}, keyed
 by linear state index, with no explicitly stored zeros.  A vector is one
 such column, {index: value}, and `apply` maps columns to columns.  The
-package writes index keys only.  Every exchange and reflection factor is
+package writes index keys only.  Every exchange and reflection operator is
 written by the writer of its shape, `exchange_op` on two sites or
-`reflection_op` on one, which clears its few scalars once and stores no
-zero entry or empty column; other operators come from `LinOp.of`,
-`lincomb`, `compose` or `Placed.embedded`.  `entry` reads by state, and
-the constructor converts state keys once, for operators written by hand.
+`reflection_op` on one, which clears its few scalars (divided by an
+optional `over`) once and stores no zero entry or empty column; other
+operators come from `LinOp.of`, `lincomb`, `compose` or `Placed.embedded`.
+`entry` reads by state, and the constructor converts state keys once, for
+operators written by hand.
 
-One loop, `_compose_at`, multiplies operator entries.  It composes an
-operator placed on some sites with one on the whole space, reading each
-index as a local code and a base index (the digits at every other site)
-from a table cached per placement.  `Placed.compose` runs it at a one- or
-two-site placement, `LinOp.compose` at the whole-space one (every site,
-each index its own code, every base 0), `apply` on a one-column operator
-and `site_tensor` with op1 placed at site 1; `Placed.embedded` writes a
-whole operator from a placed one by the same table.
+A factor chain starts from a `Block`: dense columns of int numerators over
+one positive den, reduced as an exact operator is.  Two kernels apply
+operators, and the type of the last operand of `product` picks one:
+
+* On a block, a `Factor` (an exchange- or reflection-shaped factor kept as
+  its writer's scalars and placed at its sites) is applied by one gather:
+  index i with local code c gets a[c] w[i] + b[c] w[src i], where src
+  swaps the two sites' digits or flips the bar, from a table cached per
+  placement.  No factor operator is written and a factor reads no dict.  Any
+  other operator (a whole `LinOp`, or a general `Placed` one) is applied
+  to the columns entry by entry (`on_block`).  `lincomb` sums blocks
+  column by column.
+* On anything else, one loop, `_compose_at`, multiplies operator entries.
+  It composes an operator placed on some sites with one on the whole
+  space, reading each index as a local code and a base index (the digits
+  at every other site) from a table cached per placement.
+  `Placed.compose` runs it at a one- or two-site placement,
+  `LinOp.compose` at the whole-space one (every site, each index its own
+  code, every base 0), `apply` on a one-column operator and `site_tensor`
+  with op1 placed at site 1; `Placed.embedded` writes a whole operator
+  from a placed one by the same table.  A `Factor` writes its operator
+  only here, when a whole operator is asked for.
 
 An exact operator holds int numerators over one positive int denominator,
 reduced so that the two share no factor; a floating-point operator (the
 contour solver's) holds complex values over 1.  Equality of exact operators
-is therefore structural equality of numerators and denominator.
+and of blocks is therefore structural equality of numerators and
+denominator.  Blocks are exact only.
 
 Exact arithmetic never leaves the integers: a linear combination
 (`lincomb`, and `+`, `-` and `scale` through it) meets over one lcm and
-reduces once by the gcd, `compose` multiplies numerators and denominators
-and reduces once, and `product` (or `@`) folds `compose`, placed ones too,
-embedding only a placed last factor.
+reduces once by the gcd, `compose` and each application to a block
+multiply numerators and denominators and reduce once, and `product` (or
+`@`) folds them, embedding only a placed last factor of an operator
+product.
 Values are read as rationals only at the edges: `entry`, `to_dense`,
 `apply` and `max_abs`.
 """
@@ -45,6 +62,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import gcd, lcm
+from operator import add, floordiv, itemgetter, mul
 
 from .scalar_field import inv as _inv_scalar, is_exact, rat
 
@@ -165,8 +183,11 @@ class LinOp:
         """self o other (apply other first): the product kernel with self
         placed on every site, where each index is its own local code and
         every base index is 0."""
-        space = self.space
-        return _compose_at(self, tuple(map(space.stride, range(1, space.n + 1))), space, other)
+        return _compose_at(self, _whole(self.space), self.space, other)
+
+    def on_block(self, block: "Block") -> "Block":
+        """self applied to every column of an exact block."""
+        return _sparse_on_block(self, _whole(self.space), self.space, block)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -210,21 +231,35 @@ class LinOp:
         return cls(space, {c: col for c, col in cols.items() if col})
 
 
-def clear(values):
-    """(numerators, den, exact): exact scalars as ints over their least
-    common denominator, which shares no factor with them all; with any float
-    among them, the values as given over 1."""
-    if not all(map(is_exact, values)):
+def clear(values, over=1):
+    """(numerators, den, exact): exact scalars divided by `over` as ints
+    over one positive den that shares no factor with them all; with any
+    float among them, the values divided by `over`, over 1."""
+    try:
+        den = lcm(*(v.denominator for v in values))
+        p, q = over.numerator, over.denominator
+    except AttributeError:  # a float or complex value
+        if over != 1:
+            s = _inv_scalar(over)
+            values = [s * v for v in values]
         return list(values), 1, False
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den, True
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    if over == 1:
+        return nums, den, True
+    # Dividing by over = p/q multiplies the numerators by q and den by p.
+    if p < 0:
+        p, q = -p, -q
+    nums, den = [q * v for v in nums], den * p
+    g = gcd(den, *nums)
+    return [v // g for v in nums], den // g, True
 
 
-def exchange_op(half: int, diag, keep, swap) -> LinOp:
-    """Two-site operator of the exchange shape: column a*d + b holds diag
-    when a == b, else keep at a*d + b and then swap at b*d + a.  The three
-    scalars are cleared once; no zero entry or empty column is stored."""
-    (diag, keep, swap), den, exact = clear((diag, keep, swap))
+def exchange_op(half: int, diag, keep, swap, over=1) -> LinOp:
+    """Two-site operator of the exchange shape, divided by `over`: column
+    a*d + b holds diag when a == b, else keep at a*d + b and then swap at
+    b*d + a.  The three scalars are cleared once; no zero entry or empty
+    column is stored."""
+    (diag, keep, swap), den, exact = clear((diag, keep, swap), over)
     d = 2 * half
     cols = {}
     for a in range(d):
@@ -243,12 +278,12 @@ def exchange_op(half: int, diag, keep, swap) -> LinOp:
     return LinOp.of(Space(2, half), cols, den, exact)
 
 
-def reflection_op(diag, flips) -> LinOp:
-    """One-site operator of the reflection shape, one (down, up) pair of
-    flips per label a: column a holds down at abar, column abar up at a,
-    and each then diag on itself.  The scalars are cleared once; no zero
-    entry or empty column is stored."""
-    (diag, *ends), den, exact = clear([diag, *itertools.chain.from_iterable(flips)])
+def reflection_op(diag, flips, over=1) -> LinOp:
+    """One-site operator of the reflection shape, divided by `over`, one
+    (down, up) pair of flips per label a: column a holds down at abar,
+    column abar up at a, and each then diag on itself.  The scalars are
+    cleared once; no zero entry or empty column is stored."""
+    (diag, *ends), den, exact = clear([diag, *itertools.chain.from_iterable(flips)], over)
     half = len(ends) // 2
     cols = {}
     for a in range(half):
@@ -263,7 +298,11 @@ def lincomb(space: Space, terms) -> LinOp:
     """sum(coef * op) over (coef, op) pairs on `space`, in one pass: exact
     terms meet over the lcm of every op.den * coef.denominator and the sum
     is reduced once; with any inexact term the values are summed in term
-    order.  No term's columns are modified or shared by the result."""
+    order.  No term's columns are modified or shared by the result.  Terms
+    that are blocks are summed column by column (`_block_lincomb`)."""
+    terms = list(terms)
+    if terms and isinstance(terms[0][1], Block):
+        return _block_lincomb(space, terms)
     live = []
     for a, op in terms:
         if op.space != space:
@@ -320,9 +359,18 @@ def _operands(*ops):
     return [(op._values(), 1) for op in ops] + [False]
 
 
-def product(ops) -> LinOp:
-    """ops[0] o ops[1] o ... o ops[-1], the last applied first (embedded if placed)."""
+def product(ops):
+    """ops[0] o ops[1] o ... o ops[-1], the last applied first.  The last
+    one's type picks the kernel: each operator is applied to the columns of
+    a `Block` by its `on_block`, and composed with anything else, which is
+    embedded first when placed."""
     *rest, out = ops
+    if isinstance(out, Block):
+        for op in reversed(rest):
+            if op.space != out.space:
+                raise ValueError("space mismatch in product")
+            out = op.on_block(out)
+        return out
     out = out.embedded() if isinstance(out, Placed) else out
     for op in reversed(rest):
         out = op.compose(out)
@@ -337,7 +385,7 @@ def _embedded(op: LinOp, strides, space: Space) -> LinOp:
     """op acting on the sites whose index strides are given, in slot order:
     each index's local code picks op's column, and its base index, the
     digits at every other site, is added to each row's offset."""
-    shift, codes, bases = _placement(strides, space)
+    shift, codes, bases, _ = _placement(strides, space)
     local = {c: [(shift[r], v) for r, v in col.items()] for c, col in op.cols.items()}
     cols = {}
     for c, (code, base) in enumerate(zip(codes, bases)):
@@ -347,20 +395,37 @@ def _embedded(op: LinOp, strides, space: Space) -> LinOp:
     return LinOp.of(space, cols, op.den, op.exact)
 
 
+@cache
+def _strides(sites: tuple, space: Space) -> tuple:
+    """The index strides of distinct in-range sites, in slot order."""
+    if len(set(sites)) != len(sites) or not all(1 <= j <= space.n for j in sites):
+        raise ValueError("need distinct sites in range")
+    return tuple(map(space.stride, sites))
+
+
+def _whole(space: Space) -> tuple:
+    """The strides of every site: an operator on the whole space placed on it."""
+    return tuple(map(space.stride, range(1, space.n + 1)))
+
+
 class Placed:
     """A one- or two-site operator at given sites (slot order), applied
     without embedding: `compose` runs the product kernel at this placement,
-    with the result `embedded().compose` would give."""
+    with the result `embedded().compose` would give, and `on_block` applies
+    the local entries to a block's columns at this placement."""
 
-    __slots__ = ("local", "strides", "space")
+    __slots__ = ("_local", "strides", "space")
 
     def __init__(self, local: LinOp, sites: tuple, space: Space):
         sites = tuple(sites)
         if local.space.n != len(sites) or local.space.half_dim != space.half_dim:
             raise ValueError("need a %d-site operator over the same labels" % len(sites))
-        if len(set(sites)) != len(sites) or not all(1 <= j <= space.n for j in sites):
-            raise ValueError("need distinct sites in range")
-        self.local, self.strides, self.space = local, tuple(map(space.stride, sites)), space
+        self._local, self.strides, self.space = local, _strides(sites, space), space
+
+    @property
+    def local(self) -> LinOp:
+        """The operator on its own sites."""
+        return self._local
 
     def embedded(self) -> LinOp:
         """The whole operator on the space."""
@@ -368,6 +433,85 @@ class Placed:
 
     def compose(self, other: LinOp) -> LinOp:
         return _compose_at(self.local, self.strides, self.space, other)
+
+    def on_block(self, block: "Block") -> "Block":
+        return _sparse_on_block(self.local, self.strides, self.space, block)
+
+
+class Factor(Placed):
+    """A factor of the exchange shape on two sites or of the reflection
+    shape on one, kept as the scalars its writer takes: (diag, keep, swap)
+    for `exchange_op`, (diag, flips) for `reflection_op`, and the divisor
+    `over` of them all.
+
+    On a column w each index i, with local code c, is
+        out[i] = a[c] w[i] + b[c] w[src[i]],
+    where src[i] swaps the digits at the two sites (exchange) or flips the
+    bar at the site (reflection): `on_block` applies the factor to a block
+    by that one gather, reading its cleared scalars and a source table
+    cached per placement.  The local operator is written by its shape's
+    writer only when asked for (`local`, `embedded`, `compose`)."""
+
+    __slots__ = ("scalars", "over")
+
+    def __init__(self, scalars: tuple, over, sites: tuple, space: Space):
+        self._local, self.scalars, self.over = None, scalars, over
+        self.strides, self.space = _strides(tuple(sites), space), space
+
+    @classmethod
+    def exchange(cls, diag, keep, swap, sites: tuple, space: Space, over=1) -> "Factor":
+        return cls((diag, keep, swap), over, sites, space)
+
+    @classmethod
+    def reflection(cls, diag, flips, site: int, space: Space, over=1) -> "Factor":
+        return cls((diag, flips), over, (site,), space)
+
+    @property
+    def local(self) -> LinOp:
+        if self._local is None:
+            if len(self.strides) == 2:
+                self._local = exchange_op(self.space.half_dim, *self.scalars, over=self.over)
+            else:
+                self._local = reflection_op(*self.scalars, over=self.over)
+        return self._local
+
+    def on_block(self, block: "Block") -> "Block":
+        """The gather: per index two products of int numerators, over the
+        block's den times the factor's, reduced once."""
+        if len(self.strides) == 2:
+            (diag, keep, swap), den, exact = clear(self.scalars, self.over)
+            a, b = (diag, keep), (0, swap)
+        else:
+            diag, flips = self.scalars
+            (diag, *ends), den, exact = clear([diag, *itertools.chain.from_iterable(flips)],
+                                              self.over)
+            # Row a reads up_a at abar, row abar down_a at a.
+            a, b = (diag,) * len(ends), ends[1::2] + ends[::2]
+        if not exact:
+            raise ValueError("a block takes exact factors only")
+        pick, src = _gather(self.strides, self.space)
+        a, b = pick(a), pick(b)
+        cols = [list(map(add, map(mul, a, w), map(mul, b, src(w)))) for w in block.cols]
+        return _reduced(self.space, cols, block.den * den)
+
+
+@cache
+def _gather(strides: tuple, space: Space) -> tuple:
+    """(pick, src) of the gather at these strides, each an itemgetter over
+    the indices: pick(coefs) lists each index's coefficient (exchange: 0
+    where the two digits agree, else 1; reflection: its local code) and
+    src(w) the entry each index reads besides its own.  Reads no point:
+    cached."""
+    shift, codes, bases, _ = _placement(strides, space)
+    d = space.site_dim
+    if len(strides) == 2:
+        coef = [0 if c // d == c % d else 1 for c in range(d * d)]
+        other = [shift[(c % d) * d + c // d] for c in range(d * d)]
+    else:
+        coef = list(range(d))
+        other = [shift[(c + d // 2) % d] for c in range(d)]
+    return (itemgetter(*(coef[c] for c in codes)),
+            itemgetter(*(base + other[c] for c, base in zip(codes, bases))))
 
 
 def _compose_at(local: LinOp, strides: tuple, space: Space, other: LinOp) -> LinOp:
@@ -380,7 +524,7 @@ def _compose_at(local: LinOp, strides: tuple, space: Space, other: LinOp) -> Lin
     if space != other.space:
         raise ValueError("space mismatch in compose")
     (acols, da), (bcols, db), exact = _operands(local, other)
-    shift, codes, bases = _placement(strides, space)
+    shift, codes, bases, _ = _placement(strides, space)
     out = {}
     for c, bcol in bcols.items():
         acc = {}
@@ -400,6 +544,31 @@ def _compose_at(local: LinOp, strides: tuple, space: Space, other: LinOp) -> Lin
     return _built(space, out, da * db, exact)
 
 
+def _sparse_on_block(local: LinOp, strides: tuple, space: Space, block: "Block") -> "Block":
+    """An exact operator, acting on the sites whose index strides are
+    given, applied to each column of a block: at every origin (the digits
+    at every other site) the column's entry at each local code spreads
+    over local's column there, each index read as the origin plus a local
+    code's shift (its own index on the whole space)."""
+    shift, _, _, origins = _placement(strides, space)
+    if strides == _whole(space):
+        lcols = [(c, col.items()) for c, col in local.cols.items()]
+    else:
+        lcols = [(shift[c], [(shift[r], v) for r, v in col.items()])
+                 for c, col in local.cols.items()]
+    cols = []
+    for w in block.cols:
+        out = [0] * space.dim
+        for base in origins:
+            for dc, rows in lcols:
+                wc = w[base + dc]
+                if wc:
+                    for dr, v in rows:
+                        out[base + dr] += v * wc
+        cols.append(out)
+    return _reduced(space, cols, block.den * local.den)
+
+
 def _offsets(strides, d: int) -> list:
     """Index offset of every digit tuple over the given strides, first
     stride most significant."""
@@ -411,17 +580,18 @@ def _offsets(strides, d: int) -> list:
 
 @cache
 def _placement(strides: tuple, space: Space) -> tuple:
-    """(shift, codes, bases) at these strides: shift[code] is a local code's
-    index offset; index i has local code codes[i] and base index bases[i],
-    the offset of its digits at every other site.  Reads no point: cached."""
+    """(shift, codes, bases, origins) at these strides: shift[code] is a
+    local code's index offset; index i has local code codes[i] and base
+    index bases[i], the offset of its digits at every other site; origins
+    lists every base index once.  Reads no point: cached."""
     d = space.site_dim
     shift = _offsets(strides, d)
-    others = [t for t in map(space.stride, range(1, space.n + 1)) if t not in strides]
+    origins = _offsets([t for t in _whole(space) if t not in strides], d)
     codes, bases = [0] * space.dim, [0] * space.dim
-    for base in _offsets(others, d):
+    for base in origins:
         for code, s in enumerate(shift):
             codes[base + s], bases[base + s] = code, base
-    return tuple(shift), tuple(codes), tuple(bases)
+    return tuple(shift), tuple(codes), tuple(bases), tuple(origins)
 
 
 def site_tensor(op1: LinOp, op2: LinOp) -> LinOp:
@@ -429,6 +599,94 @@ def site_tensor(op1: LinOp, op2: LinOp) -> LinOp:
     site 1 composed with op2 embedded at site 2."""
     sp = Space(2, op1.space.half_dim)
     return Placed(op1, (1,), sp).compose(Placed(op2, (2,), sp).embedded())
+
+
+class Block:
+    """A dense block of exact columns, the start of a factor chain: `cols`
+    holds each column as a list of `space.dim` int numerators over the one
+    positive int `den`, reduced so that gcd(den, every numerator) is 1 (a
+    zero block has den 1).  Column j of a block is column j of the operator
+    it stands for; no operation modifies a block in place."""
+
+    __slots__ = ("space", "cols", "den")
+
+    def __init__(self, space: Space, cols, den=1):
+        """A block from columns already in canonical form, unchecked."""
+        self.space, self.cols, self.den = space, tuple(cols), den
+
+    @classmethod
+    def of(cls, space: Space, *columns) -> "Block":
+        """The block of exact {index: value} columns, in order."""
+        den = lcm(*(v.denominator for column in columns for v in column.values()))
+        cols = []
+        for column in columns:
+            col = [0] * space.dim
+            for i, v in column.items():
+                col[i] = v.numerator * (den // v.denominator)
+            cols.append(col)
+        return _reduced(space, cols, den)
+
+    @classmethod
+    def identity(cls, space: Space) -> "Block":
+        dim = space.dim
+        return cls(space, ([int(i == j) for i in range(dim)] for j in range(dim)))
+
+    def is_zero(self) -> bool:
+        return not any(map(any, self.cols))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Block)
+            and self.space == other.space
+            and self.den == other.den
+            and self.cols == other.cols
+        )
+
+    def __repr__(self):
+        return "Block(dim=%d, width=%d)" % (self.space.dim, len(self.cols))
+
+    def __sub__(self, other):
+        return _block_lincomb(self.space, ((1, self), (-1, other)))
+
+    def scale(self, a) -> "Block":
+        return _block_lincomb(self.space, ((a, self),))
+
+    def take(self, columns) -> "Block":
+        """The block of the given columns, in that order."""
+        return _reduced(self.space, [self.cols[j] for j in columns], self.den)
+
+    def linop(self) -> LinOp:
+        """The operator whose column j is the block's column j."""
+        cols = {j: {i: v for i, v in enumerate(col) if v} for j, col in enumerate(self.cols)}
+        return LinOp.of(self.space, {j: col for j, col in cols.items() if col}, self.den)
+
+
+def _block_lincomb(space: Space, terms) -> Block:
+    """sum(coef * block) over (coef, block) pairs of one width on `space`,
+    with exact coefficients: the blocks meet over the lcm of every
+    block.den * coef.denominator and the sum is reduced once."""
+    width = len(terms[0][1].cols)
+    if any(b.space != space or len(b.cols) != width for _, b in terms):
+        raise ValueError("shape mismatch in lincomb")
+    den = lcm(*(b.den * a.denominator for a, b in terms))
+    cols = None
+    for a, b in terms:
+        f = a.numerator * (den // (b.den * a.denominator))
+        scaled = b.cols if f == 1 else [list(map(mul, itertools.repeat(f), col)) for col in b.cols]
+        cols = scaled if cols is None else [list(map(add, x, y)) for x, y in zip(cols, scaled)]
+    return _reduced(space, cols, den)
+
+
+def _reduced(space: Space, cols, den) -> Block:
+    """Block from int numerator columns over den > 0, divided by their gcd."""
+    g = den
+    for col in cols:
+        if g == 1:
+            break
+        g = gcd(g, *col)
+    if g != 1:
+        cols = [list(map(floordiv, col, itertools.repeat(g))) for col in cols]
+    return Block(space, cols, den // g)
 
 
 class PoleSingular(ZeroDivisionError):

@@ -17,8 +17,9 @@ import numpy as np
 
 from bqkz import compat_ops
 from bqkz.integral_solver import TWO_PI_I, func_g, kernel_log_phi, vec_u
-from bqkz.rqkz import compose_descs, q_factor_list
+from bqkz.rqkz import factor_ops, q_factor_list
 from bqkz.scalar_field import log1m_exp
+from bqkz.tensor_ops import product
 
 # The oracle's first line is |Re t| <= _REACH, widened by doubling; a line
 # that never settles by _MAX_REACH is an error of the oracle, not an answer.
@@ -130,7 +131,7 @@ def residuals_oracle(points, solved):
     """The qKZ, ODE and gauge residuals of each (W, params) point of a grid
     from its (solution, derivative, [shifted solutions]), by whole
     operators: per lambda, each transport operator Q_m as one dense
-    floating-point product of all its factors (`compose_descs` over
+    floating-point product of all its factors (`product` of `factor_ops` over
     `q_factor_list`), and dense op_A and op_B, applied to the dense
     solution vectors.  The package's residual pass applies each factor on
     its own sites instead."""
@@ -151,7 +152,7 @@ def residuals_oracle(points, solved):
         norm = np.max(np.abs(vec))
         qkz = {}
         for m, sol in enumerate(shifted, start=1):
-            q_m = dense(compose_descs(q_factor_list(m, p.n), x, p.y, model))
+            q_m = dense(product(factor_ops(q_factor_list(m, p.n), x, p.y, model)))
             qkz[m] = float(np.max(np.abs(vector(sol) - q_m @ vec)) / norm)
         lvec = (dense(compat_ops.op_A(1, p.y, model)) + dense(compat_ops.op_B(1, x, model))) @ vec
         ex = p.big_e

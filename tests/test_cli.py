@@ -3,6 +3,7 @@
 import collections
 import csv
 import json
+import re
 import time
 
 import pytest
@@ -77,6 +78,24 @@ def test_verify_runs_named_suites(tmp_path, capsys):
         assert entry["exact_zero"] is True
         assert entry["failures"] == 0
     assert report["body"]["versions"]["schema"] == cli.SCHEMA_VERSION
+
+
+def test_verify_line_prints_seconds_per_sample_and_the_body_holds_no_time(tmp_path, capsys):
+    """Each suite's line ends its counts with s_per_sample, its timing entry
+    over its sample count; the report body holds no time."""
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "ybe", "--suite", "phi-iso",
+                     "--samples", "3", "--seed", "7", "--out", str(out)]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("pass")]
+    with open(out) as fh:
+        report = json.load(fh)
+    for line, name in zip(lines, ("ybe", "phi-iso"), strict=True):
+        printed = re.search(r" samples=3 +s_per_sample=(\S+) +\[", line).group(1)
+        assert float(printed) > 0
+        assert printed == "%.3g" % (report["timing"][name] / 3)
+    assert "s_per_sample" not in json.dumps(report["body"])
+    assert all(sorted(entry) == ["anchor", "exact_zero", "failures", "name", "notes",
+                                 "samples", "sizes"] for entry in report["body"]["suites"])
 
 
 def test_verify_is_deterministic(tmp_path):

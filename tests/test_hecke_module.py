@@ -5,7 +5,7 @@ import pytest
 
 from bqkz.sampling import make_rng, rand_tuple, sample_point
 from bqkz.scalar_field import inv, rat
-from bqkz.tensor_ops import LinOp, Space
+from bqkz.tensor_ops import Block, LinOp, Space
 from bqkz.rqkz import ModelParams, compose_descs, invert_descs, q_factor_list
 from bqkz.compat_ops import coll_YZ, op_A
 from bqkz.hecke_module import (
@@ -334,7 +334,7 @@ def test_cbar_equals_inverse_transport_on_orbit():
     for n in (2, 3):
         space = Space(n, n)
         orbit = orbit_states(space)
-        ident = LinOp.identity(space)
+        ident = Block.identity(space)
 
         def body(r):
             params = rand_params(r, space)

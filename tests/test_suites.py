@@ -9,7 +9,7 @@ import pytest
 
 from bqkz import cli, compat_ops, hecke_module, rqkz, suites, tensor_ops
 from bqkz.scalar_field import RATIONAL_BACKEND, rat
-from bqkz.tensor_ops import LinOp, Space
+from bqkz.tensor_ops import Factor, LinOp, Space
 
 
 def _plain(value):
@@ -285,25 +285,31 @@ def test_cbar_qinv_builds_each_degenerate_product_once(monkeypatch):
 def test_the_transport_chains_embed_no_factor(monkeypatch):
     """qkz-consistency, compatibility and cbar-qinv apply every factor and
     derivative term where it acts: once the point-free caches are warm, a
-    one-sample run embeds no operator into the whole space."""
+    one-sample run embeds no operator into the whole space, and writes no
+    exchange or reflection factor as an operator: each is applied to the
+    columns by its gather."""
     names = ("qkz-consistency", "compatibility", "cbar-qinv")
     for name in names:
         suites.run_suite(name, samples=1, seed=0)
-    embedded = []
-    real = tensor_ops._embedded
+    embedded, written = [], []
 
-    def counted(*args):
-        embedded.append(args)
-        return real(*args)
+    def counted(calls, real):
+        return lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
 
-    monkeypatch.setattr(tensor_ops, "_embedded", counted)
+    monkeypatch.setattr(tensor_ops, "_embedded", counted(embedded, tensor_ops._embedded))
+    for writer in ("exchange_op", "reflection_op"):
+        monkeypatch.setattr(tensor_ops, writer, counted(written, getattr(tensor_ops, writer)))
     for name in names:
         assert suites.run_suite(name, samples=1, seed=1).exact_zero, name
     assert embedded == []
-    # The counter sees an embedding made on the whole space.
-    rqkz.compose_descs(rqkz.q_factor_list(1, 2), (rat(7), rat(11)), (rat(1), rat(2)),
-                       rqkz.ModelParams(rat(1), rat(2), rat(3), rat(5), Space(2, 2)))
+    assert written == []
+    # The counters see an embedding made on the whole space and the factors
+    # written for it: a product of placed factors with no start.
+    tensor_ops.product(rqkz.factor_ops(
+        rqkz.q_factor_list(1, 2), (rat(7), rat(11)), (rat(1), rat(2)),
+        rqkz.ModelParams(rat(1), rat(2), rat(3), rat(5), Space(2, 2))))
     assert len(embedded) == 1
+    assert len(written) == 4
 
 
 def test_the_orbit_suites_compose_nothing_wider_than_the_orbit(monkeypatch):
@@ -419,6 +425,42 @@ def test_a_perturbed_transport_factor_fails_both_transport_suites(monkeypatch):
     for name in ("qkz-consistency", "compatibility"):
         result = suites.run_suite(name, samples=1, seed=0, sizes=((2, 2),))
         assert result.failures == 1, name
+
+
+def test_one_exchange_scalar_off_by_one_fails_both_transport_suites(monkeypatch):
+    """The exchange factors reach the columns by their gather, not as
+    operators: one factor's swap scalar off by one fails qkz-consistency
+    and compatibility once each."""
+    target = rqkz.q_factor_list(1, 2)[1]
+    assert target[0] == "R"
+
+    def perturbed(desc, x, y, params, real=rqkz._factor_op):
+        op = real(desc, x, y, params)
+        if desc != target:
+            return op
+        diag, keep, swap = op.scalars
+        return Factor.exchange(diag, keep, swap + 1, desc[1], op.space, over=op.over)
+
+    monkeypatch.setattr(rqkz, "_factor_op", perturbed)
+    for name in ("qkz-consistency", "compatibility"):
+        result = suites.run_suite(name, samples=1, seed=0, sizes=((2, 2),))
+        assert result.failures == 1, name
+
+
+def test_one_degenerate_flip_scalar_off_by_one_fails_both_cbar_checks(monkeypatch):
+    target = hecke_module.cbar_factor_list(1, 2)[-1]
+    assert target[0] == "K0"
+
+    def perturbed(desc, x, y, params, real=hecke_module._cbar_factor):
+        op = real(desc, x, y, params)
+        if desc != target:
+            return op
+        diag, ((down, up), *flips) = op.scalars
+        return Factor.reflection(diag, [(down + 1, up), *flips], 1, op.space, over=op.over)
+
+    monkeypatch.setattr(hecke_module, "_cbar_factor", perturbed)
+    notes = suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes
+    assert [note.split(" point=")[0] for note in notes] == ["n=2 site-1", "n=2 grouped-1"]
 
 
 def _perturbed_inverse_transport(monkeypatch, m, index):

@@ -6,9 +6,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bqkz.hecke_module import orbit_states
 from bqkz.scalar_field import rat
 from bqkz.tensor_ops import (
+    Block,
+    Factor,
     LinOp,
     Placed,
     PoleSingular,
@@ -247,6 +251,85 @@ def test_placed_factors_compose_like_embedded_ones(n, half):
                 assert_dense_equal(got, dense_mul(dense, start.to_dense()), (at, exact_local))
             assert placed.compose(starts[2]).is_zero()
             assert list(placed.compose(starts[1]).cols) == [0]
+
+
+# Every one- and two-site placement at n <= 3 and half <= 3.
+PLACEMENTS = [
+    (n, half, sites)
+    for n in (1, 2, 3)
+    for half in (1, 2, 3)
+    for sites in [(j,) for j in range(1, n + 1)]
+    + [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+]
+ENTRIES = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+def _random_op(data, space):
+    """A sparse exact operator with drawn entries, zeros among them."""
+    cols = {}
+    for (c, r), v in data.draw(st.dictionaries(
+            st.tuples(st.integers(0, space.dim - 1), st.integers(0, space.dim - 1)),
+            ENTRIES, max_size=12)).items():
+        cols.setdefault(c, {})[r] = v
+    return LinOp(space, cols)
+
+
+@pytest.mark.parametrize("n,half,sites", PLACEMENTS, ids=[
+    "n%d-half%d-at%s" % (n, half, "".join(map(str, sites))) for n, half, sites in PLACEMENTS])
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_block_gets_what_the_embedded_operator_gives(n, half, sites, data):
+    """An exchange- or reflection-shaped factor applied to a block by its
+    gather, and a general placed or whole operator applied to it entry by
+    entry, equal the embedded operator composed with the block's columns,
+    in canonical form: for zero and negative scalars, and for columns with
+    zeros, an orbit-supported one among them where the orbit exists."""
+    space = Space(n, half)
+    columns = [data.draw(st.dictionaries(st.integers(0, space.dim - 1), ENTRIES,
+                                         max_size=space.dim))
+               for _ in range(data.draw(st.integers(1, 2)))]
+    if n == half:
+        columns.append({i: data.draw(ENTRIES) for i in orbit_states(space)})
+    block = Block.of(space, *columns)
+    over = data.draw(ENTRIES.filter(bool))
+    if len(sites) == 2:
+        factor = Factor.exchange(*data.draw(st.tuples(ENTRIES, ENTRIES, ENTRIES)), sites, space,
+                                 over=over)
+    else:
+        flips = data.draw(st.lists(st.tuples(ENTRIES, ENTRIES), min_size=half, max_size=half))
+        factor = Factor.reflection(data.draw(ENTRIES), flips, sites[0], space, over=over)
+    local = _random_op(data, Space(len(sites), half))
+    for op, whole in ((factor, Placed(factor.local, sites, space).embedded()),
+                      (Placed(local, sites, space), Placed(local, sites, space).embedded()),
+                      (_random_op(data, space),) * 2):
+        got = product([op, block])
+        assert math.gcd(got.den, *itertools.chain(*got.cols)) == 1 and got.den > 0
+        assert got.linop() == whole @ block.linop()
+
+
+def test_block_arithmetic_matches_the_operator_arithmetic():
+    """Differences, scalings, sums and column picks of blocks are those of
+    the operators holding the same columns, and a sum that cancels is the
+    canonical zero block."""
+    space = Space(2, 2)
+    r = random.Random(3)
+    b1, b2 = (Block.of(space, *({i: rand_rat(r) for i in r.sample(range(16), 6)}
+                                for _ in range(3))) for _ in range(2))
+    q = rat(-5, 3)
+    assert (b1 - b2).linop() == b1.linop() - b2.linop()
+    assert b1.scale(q).linop() == b1.linop().scale(q)
+    assert lincomb(space, [(q, b1), (1, b2)]).linop() == lincomb(space, [(q, b1.linop()),
+                                                                         (1, b2.linop())])
+    values = b1.linop()._values()
+    assert b1.take((2, 0)).linop() == LinOp(space, {0: values[2], 1: values[0]})
+    zero = b1 - b1
+    assert zero.is_zero() and zero.den == 1 and zero == Block(space, [[0] * 16] * 3)
+    assert Block.identity(space).linop() == LinOp.identity(space)
+    with pytest.raises(ValueError):
+        b1 - b1.take((0,))
+    # A block is exact: a floating-point factor is refused, not rounded in.
+    with pytest.raises(ValueError):
+        product([Factor.exchange(0.5, 0.25, 1.0, (1, 2), space), b1])
 
 
 def test_embed_site_wrong_half_dim():
