@@ -18,25 +18,20 @@ act, one embedding per site and per site pair.
 
 The two compatibility residuals are read on a start: a `tensor_ops.Block`
 holding one seeded random integer column in the suite (Freivalds' check),
-or the identity for the whole operator.  On a block the transport factors
-are applied by their gather and L_a and the derivative terms entry by
-entry; each residual is one `lincomb` of its terms.  They take the
-operators of their point as arguments: L_a at y and each shifted y
-(`op_L_shifts`, once per a, with op_B summed once), and the a-independent
-transport parts of each form, built once per m and already applied to
-the start.  The split form takes `three_term_parts(m, ...)`: the inverse
-head factors, the head product H applied to the start, the middle and
-tail factors, and their inverses applied to the start; it folds them
-around L_a(shifted) and L_a exactly as the factor lists would.  The direct
-form takes `direct_parts(m, ...)`: the transport factors, Q_m and its
-trailing product T_m applied to the start; `op_dQ_dx` applies the head
-factors and the a-th middle derivative to the latter.  Like the factors,
-the derivative terms are one-site operators placed at site m: the split
-form's `op_dK_term` compares its two routes on the site.  The two forms
-share L_a and L_a(shifted) and nothing else: each builds its own
-transport factors, and neither form's transport parts feed the other.
-The block assembly check likewise takes L_a, which the lemma-LL suite
-also uses for the commutators of the family.
+or the identity for the whole operator.  Each form takes a site m, builds
+its own transport factors once, and returns every label's residual side
+by side in label order: each chain carries every label's columns joined
+in one block (`Block.join`).  Factors reach a block by their gather, L_a
+and the derivative terms entry by entry, and each residual is one
+`lincomb`.  Both forms take L_a (`op_L`, once per label) and L_a at y
+with y_m shifted (`op_L_shifted`, three terms added to L_a), and share
+nothing else: the split form's `op_dK_term` compares two routes to each
+label's site-m derivative term, and the direct form takes every L_a
+applied to the start, and its `op_dQ_dx` applies the head factors once to
+every label's middle derivative.  The block assembly check likewise takes
+L_a, which the lemma-LL suite also uses for the commutators of the family.
+Every two-sided check here compares its sides, canonical exact operators,
+and returns True when they differ.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ from .rqkz import (
     op_R_k,
     q_factor_list,
     q_split_descs,
-    shift_y,
 )
 from .scalar_field import PoleError, div, inv
 from .tensor_ops import (
@@ -64,7 +58,6 @@ from .tensor_ops import (
     LinOp,
     Placed,
     Space,
-    commutator,
     lincomb,
     product,
     site_tensor,
@@ -250,12 +243,11 @@ def op_L(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
     return lincomb(params.space, op_A_terms(a, y, params) + op_B_terms(a, x, params))
 
 
-def op_L_shifts(a: int, x: Sequence, y: Sequence, params: ModelParams) -> list:
-    """L_a at y, then at shift_y(y, m, c) for each site m; op_B, which
-    reads no y, is summed once."""
-    b = op_B(a, x, params)
-    ys = [y] + [shift_y(y, m, params.c) for m in range(1, params.space.n + 1)]
-    return [lincomb(params.space, op_A_terms(a, yy, params) + [(1, b)]) for yy in ys]
+def op_L_shifted(a: int, m: int, l_a: LinOp, params: ModelParams) -> LinOp:
+    """L_a at shift_y(y, m, c) from l_a, L_a at y: y_m enters op_A only as
+    y_m (e_aa - e_abar,abar) at site m."""
+    e_aa, e_bb, _, _ = site_units(a, m, params.space)
+    return lincomb(params.space, [(1, l_a), (-params.c, e_aa), (params.c, e_bb)])
 
 
 def op_I(a: int, lam, gamma, params: ModelParams) -> LinOp:
@@ -334,11 +326,11 @@ def op_M_swapped(a: int, x: Sequence, params: ModelParams) -> LinOp:
     return lincomb(Space(2, half), terms)
 
 
-def m_conjugation_defect(a: int, x: Sequence, params: ModelParams, m_a: LinOp) -> LinOp:
-    """Slot-exchanged pair block minus the flip conjugate of the direct one,
-    m_a = `op_M(a, x, params)`."""
+def m_conjugation_defect(a: int, x: Sequence, params: ModelParams, m_a: LinOp) -> bool:
+    """Whether the slot-exchanged pair block differs from the flip conjugate
+    of the direct one, m_a = `op_M(a, x, params)`."""
     flip = op_P(params.space.half_dim)
-    return op_M_swapped(a, x, params) - product((flip, m_a, flip))
+    return op_M_swapped(a, x, params) != product((flip, m_a, flip))
 
 
 def _block_sum(a: int, x: Sequence, args: Sequence, pairs, params: ModelParams,
@@ -363,13 +355,16 @@ def op_L_from_blocks(a: int, x: Sequence, y: Sequence, params: ModelParams) -> L
     return _block_sum(a, x, y, _site_pairs(params.space.n), params, op_M(a, x, params))
 
 
-def comm_AA_defect(a: int, b: int, y: Sequence, params: ModelParams) -> LinOp:
-    return commutator(op_A(a, y, params), op_A(b, y, params))
+def comm_AA_defect(a: int, b: int, y: Sequence, params: ModelParams) -> bool:
+    """Whether A_a and A_b fail to commute."""
+    a_a, a_b = op_A(a, y, params), op_A(b, y, params)
+    return a_a @ a_b != a_b @ a_a
 
 
-def block_assembly_defect(a: int, x, y, params: ModelParams, l_a: LinOp) -> LinOp:
-    """L_a, as built by op_L, minus its assembly from the blocks."""
-    return l_a - op_L_from_blocks(a, x, y, params)
+def block_assembly_defect(a: int, x, y, params: ModelParams, l_a: LinOp) -> bool:
+    """Whether L_a, as built by op_L, differs from its assembly from the
+    blocks."""
+    return l_a != op_L_from_blocks(a, x, y, params)
 
 
 def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
@@ -406,14 +401,15 @@ def check_cross_derivative(a: int, b: int, x, y, params: ModelParams) -> LinOp:
                                   (-x[b - 1], op_dB_dx(a, b, x, params))])
 
 
-def check_comm_IM(a: int, x, y1, y2, params: ModelParams, m_a: LinOp) -> LinOp:
-    """Exchange conjugation of the block sum versus slot-swapped blocks on
-    the two-site space of params, m_a = `op_M(a, x, params)`."""
+def check_comm_IM(a: int, x, y1, y2, params: ModelParams, m_a: LinOp) -> bool:
+    """Whether the exchange conjugation of the block sum differs from the
+    slot-swapped blocks on the two-site space of params, m_a =
+    `op_M(a, x, params)`."""
     half = params.space.half_dim
     r = op_R_k(y1 - y2, params.k, half)
     rinv = op_R_k(y2 - y1, params.k, half)
     lhs = product((r, _block_sum(a, x, (y1, y2), [(1, 2)], params, m_a), rinv))
-    return lhs - _block_sum(a, x, (y1, y2), [(2, 1)], params, m_a)
+    return lhs != _block_sum(a, x, (y1, y2), [(2, 1)], params, m_a)
 
 
 def intertwining_defects(lam, k, half: int, l_code: int, m_code: int):
@@ -482,30 +478,30 @@ def ad_coordinate_on_I_defect(a: int, gamma, x, params: ModelParams) -> LinOp:
     return lhs - op_I(a, xa, gamma, params) - _dk_correction(a, gamma, x, params)
 
 
-def op_dK_term(m: int, a: int, x, y, params: ModelParams) -> Placed:
+def op_dK_term(m: int, x, y, params: ModelParams) -> list:
     """c x_a (d/dx_a of the middle reflection) composed with its inverse,
-    placed at site m.
+    placed at site m, for each label a in order.
 
     Computed two ways on the site, derivative route and closed form; raises
     RouteMismatch unless they agree exactly.
     """
     half = params.space.half_dim
     x = tuple(x)
-    xa = x[a - 1]
     lam = y[m - 1] - div(params.c, 2)
     den = lam * lam - params.beta * params.beta
     if den == 0:
         raise PoleError("middle reflection argument hits the strength")
-
-    route1 = (op_dK_dx(lam, x, params.beta, a) @ op_K(-lam, x, params.beta)).scale(params.c * xa)
-
+    k_inv = op_K(-lam, x, params.beta)
     w = div(params.c * lam, den)
-    weights = (w * lam, -w * lam, w * params.beta * inv(xa), -w * params.beta * xa)
-    route2 = lincomb(Space(1, half), zip(weights, _units(half, a)))
-
-    if route1 != route2:
-        raise RouteMismatch("derivative route and closed form disagree")
-    return Placed(route2, (m,), params.space)
+    terms = []
+    for a, xa in enumerate(x, start=1):
+        route1 = op_dK_dx(lam, x, params.beta, a, params.c * xa) @ k_inv
+        weights = (w * lam, -w * lam, w * params.beta * inv(xa), -w * params.beta * xa)
+        route2 = lincomb(Space(1, half), zip(weights, _units(half, a)))
+        if route1 != route2:
+            raise RouteMismatch("derivative route and closed form disagree")
+        terms.append(Placed(route2, (m,), params.space))
+    return terms
 
 
 def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:
@@ -524,58 +520,42 @@ def ad_tail_defect(a: int, m: int, x, y, params: ModelParams) -> LinOp:
     return lhs - _block_sum(a, x, args, pairs, params, op_M(a, x, params))
 
 
-def three_term_parts(m: int, x, y, params: ModelParams, start: Block) -> tuple:
-    """The a-independent inputs of `compat_three_term` for site m on a
-    start: (start, inverse head factors, H applied to start, middle and
-    tail factors, the inverted middle and tail factors applied to
-    start)."""
-    head, mid, tail = q_split_descs(m, params.space.n)
-    return (
-        start,
-        factor_ops(invert_descs(head), x, y, params),
-        product(factor_ops(head, x, y, params) + [start]),
-        factor_ops([mid] + tail, x, y, params),
-        product(factor_ops(invert_descs([mid] + tail), x, y, params) + [start]),
-    )
-
-
-def compat_three_term(a: int, m: int, x, y, params: ModelParams,
-                      l_a: LinOp, l_a_shifted: LinOp, parts: tuple) -> Block:
-    """Split-form compatibility residual on a start, given L_a at y and at y
-    with its m-th argument shifted, and `three_term_parts(m, x, y, params,
-    start)`.
+def compat_three_term(m: int, x, y, params: ModelParams, ls: Sequence,
+                      shifted: Sequence, start: Block) -> Block:
+    """Split-form compatibility residual of site m on a start, every label's
+    side by side, given ls[a - 1], L_a at y, and shifted[a - 1], L_a at y
+    with its m-th argument shifted.
 
     piece one: the middle-reflection derivative term (closed form, cross
     checked); piece two: the shifted operator conjugated by the inverse of
     the leading exchange product; piece three: minus the unshifted operator
     conjugated by middle reflection times trailing part.
     """
-    start, head_inv, head, mid_tail, mid_tail_inv = parts
-    piece1 = product([op_dK_term(m, a, x, y, params), start])
-    piece2 = product(head_inv + [l_a_shifted, head])
-    piece3 = product(mid_tail + [l_a, mid_tail_inv])
+    head, mid, tail = q_split_descs(m, params.space.n)
+    mid_tail = [mid] + tail
+    head_start = product(factor_ops(head, x, y, params) + [start])
+    mid_tail_start = product(factor_ops(invert_descs(mid_tail), x, y, params) + [start])
+    piece1 = Block.join([term.on_block(start) for term in op_dK_term(m, x, y, params)])
+    piece2 = product(factor_ops(invert_descs(head), x, y, params)
+                     + [Block.join([op.on_block(head_start) for op in shifted])])
+    piece3 = product(factor_ops(mid_tail, x, y, params)
+                     + [Block.join([op.on_block(mid_tail_start) for op in ls])])
     return lincomb(params.space, [(1, piece1), (1, piece2), (-1, piece3)])
 
 
-def direct_parts(m: int, x, y, params: ModelParams, start: Block) -> tuple:
-    """The a-independent inputs of `compat_direct` for site m on a start:
-    (start, transport factors, Q_m applied to start, trailing product T_m
-    applied to start)."""
-    ops = factor_ops(q_factor_list(m, params.space.n), x, y, params)
-    lead = len(q_split_descs(m, params.space.n)[0]) + 1
+def compat_direct(m: int, x, y, params: ModelParams, l_start: Block, shifted: Sequence,
+                  start: Block) -> Block:
+    """Commutator-form compatibility residual of site m on a start, every
+    label's side by side, built only from the transport factors, l_start
+    (every L_a applied to start, side by side), shifted as in
+    `compat_three_term`, and the analytic transport derivative."""
+    n = params.space.n
+    ops = factor_ops(q_factor_list(m, n), x, y, params)
+    lead = len(q_split_descs(m, n)[0]) + 1
     tail = product(ops[lead:] + [start])
-    return start, ops, product(ops[:lead] + [tail]), tail
-
-
-def compat_direct(a: int, m: int, x, y, params: ModelParams,
-                  l_a: LinOp, l_a_shifted: LinOp, parts: tuple) -> Block:
-    """Commutator-form compatibility residual on a start, built only from
-    `direct_parts(m, x, y, params, start)`, the matrix parts L_a and
-    L_a(shifted), and the analytic transport derivative."""
-    x = tuple(x)
-    start, ops, q_start, tail = parts
+    q_start = product(ops[:lead] + [tail])
     return lincomb(params.space, [
-        (1, product([l_a_shifted, q_start])),
-        (-1, product(ops + [l_a, start])),
-        (params.c * x[a - 1], op_dQ_dx(m, x, y, params, a, tail)),
+        (1, Block.join([op.on_block(q_start) for op in shifted])),
+        (-1, product(ops + [l_start])),
+        (1, op_dQ_dx(m, x, y, params, tail, [params.c * xa for xa in x])),
     ])

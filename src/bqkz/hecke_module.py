@@ -13,12 +13,14 @@ label) and `elem_s` (swap two) write that tuple directly; a word's element
 is the product of its generators (`SignedPerm.from_word`).
 
 The interesting identities of this module hold on the orbit subspace only,
-so each check returns its residual applied to a start, each term composed
-with it before the one sum: on `orbit_start`, the orbit projector, it must
-vanish.  The restriction check's terms read no point, so they are composed
-with the start once per space (`restriction_images`) and each point only
-weights and sums them; the point-free pair-sum identities
-(`pair_sum_identities`) sum the same images.
+so each check reads its identity applied to a start, `orbit_start`, the
+orbit projector: a residual, each term composed with the start before the
+one sum, must vanish on it, and a two-sided identity compares its two
+sides applied to it, True when they differ.  The restriction check's
+terms read no point, so they are composed with the start once per space
+(`restriction_images`) and each point only weights and sums them; the
+point-free pair-sum identities (`pair_sum_identities`) read the same
+images.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -206,8 +208,9 @@ def rhoR_word(word, x: Sequence, space: Space) -> LinOp:
 
 
 def check_AHA_relations(y: Sequence, params: ModelParams, start: LinOp):
-    """Residuals of the degenerate cross relations applied to start; zero
-    on the orbit only.  Yields (name, residual LinOp).  Each product
+    """The degenerate cross relations applied to start, which hold on the
+    orbit only: yields (name, residual LinOp) of each three-term relation
+    and (name, whether its sides differ) of each commutation.  Each product
     applies its right factor to start first, so none is wider than start."""
     space = params.space
     n = space.n
@@ -225,7 +228,7 @@ def check_AHA_relations(y: Sequence, params: ModelParams, start: LinOp):
         for jj in range(1, n + 1):
             if abs(i - jj) > 1 or (i, jj) == (n - 1, n):
                 yield ("comm-%d-%d" % (i, jj),
-                       ops_a[i] @ s_start[jj - 1] - gens[jj - 1] @ a_start[i])
+                       ops_a[i] @ s_start[jj - 1] != gens[jj - 1] @ a_start[i])
 
 
 def cbar_factor_list(m: int, n: int):
@@ -351,29 +354,24 @@ def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams,
     return product(factors + [start]).scale(inv(p))
 
 
-def cbar_vs_inverse_transport_defects(m: int, x, y, params: ModelParams, cbar: Block,
-                                      start: Block, columns) -> list:
-    """The columns, among the positions `columns` of the block start, on
-    which the site-m degenerate product and the inverse transport operator
-    differ; cbar is `op_Cbar(m, x, y, params, start)`.
-
-    The inverse transport factors are applied to those columns of start
-    only, and the difference is read on them alone: with the identity
-    block as start and the orbit states as columns, this is the whole
-    operator on the orbit.
-    """
+def cbar_vs_inverse_transport_defect(m: int, x, y, params: ModelParams, cbar: Block,
+                                     start: Block, columns) -> bool:
+    """Whether the site-m degenerate product, cbar = `op_Cbar(m, x, y,
+    params, start)`, and the inverse transport operator differ on the
+    positions `columns` of the block start, to which alone the inverse
+    factors are applied.  With the identity block as start and the orbit
+    states as columns, this compares the whole operators on the orbit."""
     inverse = compose_descs(invert_descs(q_factor_list(m, params.space.n)), x, y, params,
                             start=start.take(columns))
-    diff = cbar.take(columns) - inverse
-    return [c for c, col in zip(columns, diff.cols) if any(col)]
+    return cbar.take(columns) != inverse
 
 
 def pair_sum_identities(a: int, space: Space, images: list) -> list:
-    """Residuals of the point-free restriction identities for label a on a
-    start, given restriction_images(a, space, start): (name, residual)
-    pairs between fixed integer operators, zero on the orbit only.  They
-    sum the images of check_L_restriction, so no operator is composed with
-    the start twice."""
+    """The point-free restriction identities for label a on a start, given
+    restriction_images(a, space, start), which hold on the orbit only:
+    (name, residual) of the reflection sum and the self pair, (name,
+    whether its sides differ) of each swap pair.  They read the images of
+    check_L_restriction, so no operator is composed with the start twice."""
     n = space.n
     # rhoL(r_a), then rhoL(s_ab) and rhoL(s~_ab) for each b != a; then
     # op_B_ops: op_Ebar(a, a) at each site, and for each label b
@@ -387,7 +385,7 @@ def pair_sum_identities(a: int, space: Space, images: list) -> list:
     others = [b for b in range(1, n + 1) if b != a]
     for b, s, s_tilde in zip(others, pairs[::2], pairs[1::2], strict=True):
         swap, yz = swap_yz[b]
-        out += [("swap-pair-%d" % b, swap - s), ("signed-swap-pair-%d" % b, yz - s_tilde)]
+        out += [("swap-pair-%d" % b, swap != s), ("signed-swap-pair-%d" % b, yz != s_tilde)]
     return out
 
 

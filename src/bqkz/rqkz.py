@@ -29,11 +29,13 @@ applied to the identity block and returned as the whole operator; a test
 may pass a whole operator as the start, which `_compose_at` composes with
 each factor's written operator.  The inverse check applies the inverse
 factors to Q_m v, and each pair check applies the shifted factors of one
-transport operator to the other's image.  The x-derivative likewise takes
-the trailing product T_m applied to the start and applies the head
-factors and the middle derivative, a general placed site operator, to it.
-Whether the split into (head, middle, tail) keeps every factor in order
-reads no point, so `q_split_defect` checks it once per size.
+transport operator to the other's image; each compares its two sides and
+returns True when they differ, as the braid and unitarity checks do.  The
+x-derivatives take T_m applied to the start, apply each coordinate's
+middle derivative (a general placed site operator) to it, and the head
+factors once to all of them.  Whether the split into (head, middle, tail)
+keeps every factor in order reads no point, so `q_split_defect` checks it
+once per size.
 
 The contour solver's residual pass uses the same factor builders in
 floating point (`factor_ops`): per lambda grid it builds the factors on
@@ -145,12 +147,12 @@ def op_K(lam, x: Sequence, beta) -> LinOp:
     return reflection_op(*scalars, over=norm)
 
 
-def op_dK_dx(lam, x: Sequence, beta, a: int) -> LinOp:
-    """Derivative of op_K in the a-th reflection coordinate."""
+def op_dK_dx(lam, x: Sequence, beta, a: int, weight=1) -> LinOp:
+    """Derivative of op_K in the a-th reflection coordinate, times weight."""
     den = lam + beta
     if den == 0:
         raise PoleError("reflection factor pole: argument equals -strength")
-    return op_dT_dx(x, a, lam, den)
+    return op_dT_dx(x, a, weight * lam, den)
 
 
 def q_factor_list(m: int, n: int):
@@ -249,18 +251,20 @@ def op_Q(m: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
     return compose_descs(q_factor_list(m, params.space.n), x, y, params)
 
 
-def op_dQ_dx(m: int, x: Sequence, y: Sequence, params: ModelParams, a: int,
-             tail: Block) -> Block:
-    """Derivative of the transport operator in the a-th coordinate applied
-    to a start, given `tail`, its trailing factors applied to that start.
+def op_dQ_dx(m: int, x: Sequence, y: Sequence, params: ModelParams, tail: Block,
+             weights: Sequence) -> Block:
+    """weights[a - 1] times the x_a-derivative of the transport operator
+    applied to a start, for each a side by side, given `tail`, the trailing
+    factors applied to that start.
 
-    Only the middle reflection factor depends on x, so the derivative is
+    Only the middle reflection factor depends on x, so each derivative is
     (leading part) o (middle derivative) o (trailing part).
     """
     head, mid, _ = q_split_descs(m, params.space.n)
     arg = _factor_arg(mid, y, params.c)
-    dmid = Placed(op_dK_dx(arg, x, params.beta, a), (m,), params.space)
-    return product(factor_ops(head, x, y, params) + [dmid, tail])
+    dmids = [Placed(op_dK_dx(arg, x, params.beta, a, w), (m,), params.space).on_block(tail)
+             for a, w in enumerate(weights, start=1)]
+    return product(factor_ops(head, x, y, params) + [Block.join(dmids)])
 
 
 def shift_y(y: Sequence, m: int, c) -> tuple:
@@ -269,8 +273,8 @@ def shift_y(y: Sequence, m: int, c) -> tuple:
     return y[: m - 1] + (y[m - 1] - c,) + y[m:]
 
 
-def ybe_defect(k, l1, l2, l3, half_dim: int) -> LinOp:
-    """Yang-Baxter defect on three sites; zero iff the equation holds."""
+def ybe_defect(k, l1, l2, l3, half_dim: int) -> bool:
+    """Whether the Yang-Baxter equation on three sites fails."""
     sp = Space(3, half_dim)
 
     def r(i, j, arg):
@@ -278,11 +282,11 @@ def ybe_defect(k, l1, l2, l3, half_dim: int) -> LinOp:
 
     lhs = product((r(1, 2, l1 - l2), r(1, 3, l1 - l3), r(2, 3, l2 - l3)))
     rhs = product((r(2, 3, l2 - l3), r(1, 3, l1 - l3), r(1, 2, l1 - l2)))
-    return lhs - rhs
+    return lhs != rhs
 
 
-def bybe_defect(k, beta, x: Sequence, l1, l2) -> LinOp:
-    """Boundary Yang-Baxter defect on two sites; zero iff the equation holds."""
+def bybe_defect(k, beta, x: Sequence, l1, l2) -> bool:
+    """Whether the boundary Yang-Baxter equation on two sites fails."""
     half = len(x)
     sp = Space(2, half)
 
@@ -293,17 +297,17 @@ def bybe_defect(k, beta, x: Sequence, l1, l2) -> LinOp:
     k2 = Placed(op_K(l2, x, beta), (2,), sp)
     lhs = product((r(1, 2, l1 - l2), k1, r(2, 1, l1 + l2), k2))
     rhs = product((k2, r(2, 1, l1 + l2), k1, r(1, 2, l1 - l2)))
-    return lhs - rhs
+    return lhs != rhs
 
 
-def r_unitarity_defect(k, lam, half_dim: int) -> LinOp:
+def r_unitarity_defect(k, lam, half_dim: int) -> bool:
     sp = Space(2, half_dim)
-    return op_R_k(lam, k, half_dim) @ op_R_k(-lam, k, half_dim) - LinOp.identity(sp)
+    return op_R_k(lam, k, half_dim) @ op_R_k(-lam, k, half_dim) != LinOp.identity(sp)
 
 
-def k_unitarity_defect(lam, x: Sequence, beta) -> LinOp:
+def k_unitarity_defect(lam, x: Sequence, beta) -> bool:
     sp = Space(1, len(x))
-    return op_K(lam, x, beta) @ op_K(-lam, x, beta) - LinOp.identity(sp)
+    return op_K(lam, x, beta) @ op_K(-lam, x, beta) != LinOp.identity(sp)
 
 
 def swap_factor_defect(k, lam, half_dim: int) -> LinOp:
@@ -321,16 +325,16 @@ def flip_factor_defect(lam, x: Sequence, beta) -> LinOp:
 
 
 def transport_consistency_defect(m: int, l: int, x, y, params: ModelParams,
-                                 q_m: Block, q_l: Block) -> Block:
-    """Exchange of two shifted transport operators on a start, given Q_m and
-    Q_l at y applied to that start; zero iff consistent there."""
+                                 q_m: Block, q_l: Block) -> bool:
+    """Whether the two orders of two shifted transport operators differ on
+    a start, given Q_m and Q_l at y applied to that start."""
     if m == l:
         raise ValueError("need two distinct sites")
     c = params.c
     n = params.space.n
     lhs = compose_descs(q_factor_list(m, n), x, shift_y(y, l, c), params, start=q_l)
     rhs = compose_descs(q_factor_list(l, n), x, shift_y(y, m, c), params, start=q_m)
-    return lhs - rhs
+    return lhs != rhs
 
 
 def q_split_defect(m: int, n: int) -> bool:
@@ -340,8 +344,8 @@ def q_split_defect(m: int, n: int) -> bool:
     return head + [mid] + tail != q_factor_list(m, n)
 
 
-def q_inverse_defect(m: int, x, y, params: ModelParams, q: Block, start: Block) -> Block:
-    """Inverse transport factors applied to q, Q_m applied to start, minus
-    start."""
+def q_inverse_defect(m: int, x, y, params: ModelParams, q: Block, start: Block) -> bool:
+    """Whether the inverse transport factors applied to q, Q_m applied to
+    start, differ from start."""
     inverse = invert_descs(q_factor_list(m, params.space.n))
-    return compose_descs(inverse, x, y, params, start=q) - start
+    return compose_descs(inverse, x, y, params, start=q) != start

@@ -1,9 +1,10 @@
 """Named certification suites over seeded random rational points.
 
 Each suite bundles a family of exact identities: one sample draws a random
-rational parameter point, evaluates every residual in the family, and
-passes only if all of them vanish identically.  Results are booleans, not
-small floats; there is no tolerance anywhere in this module.
+rational parameter point and passes only if every residual of the family
+vanishes identically and both sides of every two-sided identity, compared
+as canonical exact values, are equal.  Results are booleans, not small
+floats; there is no tolerance anywhere in this module.
 
 The three transport suites (qkz-consistency, compatibility, cbar-qinv)
 never form their products: each applies every factor chain to one seeded
@@ -11,7 +12,9 @@ random integer column v (Freivalds' check), held as a dense
 `tensor_ops.Block`, and tests D(p) v = 0 for the point's defect D(p).  On
 the block each exchange and reflection factor is one gather over the
 column and every other operator (L_a, the derivative terms) is applied
-entry by entry; no factor operator is written.  A nonzero D(p) passes one
+entry by entry; no factor operator is written.  Compatibility carries
+every label's image of v through each chain of a site as one block, and
+reads label a's verdict from its column a - 1.  A nonzero D(p) passes one
 sample with probability at most 1/101 on top of the point's own chance of
 sitting on a zero of D.  aha-relations and l-restriction hold on the orbit
 only: they test D(p) P = 0 for the orbit projector P
@@ -56,7 +59,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .tensor_ops import Block, LinOp, Space, commutator
+from .tensor_ops import Block, LinOp, Space
 from .sampling import child_seed, make_rng, rand_column, rand_rational, rand_tuple, sample_point
 from . import compat_ops, hecke_module, rqkz
 from .rqkz import ModelParams
@@ -90,8 +93,9 @@ def _rand_x(rng, count: int) -> tuple:
 
 
 def _failing(checks) -> list:
-    """Names of the (name, defect) pairs whose defect does not vanish.  A
-    point-free check's defect may be a bool, True when it fails."""
+    """Names of the failing (name, defect) pairs: a residual fails unless it
+    vanishes, and a bool, from a point-free or a per-point check (two sides
+    compared), when True."""
     return [name for name, defect in checks
             if (defect if isinstance(defect, bool) else not defect.is_zero())]
 
@@ -200,7 +204,7 @@ def _lemma_ll(x, y, params, _):
     for a, l_a in enumerate(ls, start=1):
         yield "assembly-%d" % a, compat_ops.block_assembly_defect(a, x, y, params, l_a)
         for b in range(a + 1, half + 1):
-            yield "pair-%d-%d" % (a, b), commutator(l_a, ls[b - 1])
+            yield "pair-%d-%d" % (a, b), l_a @ ls[b - 1] != ls[b - 1] @ l_a
 
 
 def _cross_derivative(x, y, params, _):
@@ -211,19 +215,20 @@ def _cross_derivative(x, y, params, _):
 
 
 def _compatibility(x, y, params, vr):
-    v = Block.of(params.space, rand_column(vr, range(params.space.dim)))
-    sites = range(1, params.space.n + 1)
-    direct = [compat_ops.direct_parts(m, x, y, params, v) for m in sites]
-    split = [compat_ops.three_term_parts(m, x, y, params, v) for m in sites]
-    for a in range(1, params.space.half_dim + 1):
-        l_a, *shifts = compat_ops.op_L_shifts(a, x, y, params)
-        for m, shifted in zip(sites, shifts):
-            yield "split-%d-%d" % (a, m), compat_ops.compat_three_term(
-                a, m, x, y, params, l_a, shifted, split[m - 1]
-            )
-            yield "direct-%d-%d" % (a, m), compat_ops.compat_direct(
-                a, m, x, y, params, l_a, shifted, direct[m - 1]
-            )
+    space = params.space
+    v = Block.of(space, rand_column(vr, range(space.dim)))
+    labels = range(1, space.half_dim + 1)
+    ls = [compat_ops.op_L(a, x, y, params) for a in labels]
+    l_v = Block.join([l_a.on_block(v) for l_a in ls])
+    forms = []
+    for m in range(1, space.n + 1):
+        shifted = [compat_ops.op_L_shifted(a, m, l_a, params) for a, l_a in zip(labels, ls)]
+        forms.append((compat_ops.compat_three_term(m, x, y, params, ls, shifted, v),
+                      compat_ops.compat_direct(m, x, y, params, l_v, shifted, v)))
+    for a in labels:
+        for m, (split, direct) in enumerate(forms, start=1):
+            yield "split-%d-%d" % (a, m), any(split.cols[a - 1])
+            yield "direct-%d-%d" % (a, m), any(direct.cols[a - 1])
 
 
 def _aha(space):
@@ -281,10 +286,9 @@ def _phi_iso(n):
                  (r.randint(0, n) for _ in range(r.randint(0, 4)))]
         out = []
         lhs = hecke_module.rhoR_word(word1 + word2, x, space)
-        rhs = hecke_module.rhoR_word(word2, x, space) @ hecke_module.rhoR_word(
-            word1, x, space
-        )
-        if not (lhs - rhs).is_zero():
+        rhs = (hecke_module.rhoR_word(word2, x, space)
+               @ hecke_module.rhoR_word(word1, x, space))
+        if lhs != rhs:
             out.append("reversal word=%r+%r" % (word1, word2))
         w = hecke_module.SignedPerm.identity(n)
         vec = LinOp.of(space, {0: {hecke_module.phi(w, space): 1}})
@@ -310,8 +314,8 @@ def _cbar_qinv(x, y, params, vr):
                      rand_column(vr, hecke_module.orbit_states(space)))
     for m in range(1, space.n + 1):
         cbar = hecke_module.op_Cbar(m, x, y, params, start)
-        yield "site-%d" % m, bool(hecke_module.cbar_vs_inverse_transport_defects(
-            m, x, y, params, cbar, start, (1,)))
+        yield "site-%d" % m, hecke_module.cbar_vs_inverse_transport_defect(
+            m, x, y, params, cbar, start, (1,))
         yield "grouped-%d" % m, cbar != hecke_module.cbar_grouped(m, x, y, params, start)
 
 

@@ -18,8 +18,10 @@ operators come from `LinOp.of`, `lincomb`, `compose` or `Placed.embedded`.
 operators written by hand.
 
 A factor chain starts from a `Block`: dense columns of int numerators over
-one positive den, reduced as an exact operator is.  Two kernels apply
-operators, and the type of the last operand of `product` picks one:
+one positive den, reduced as an exact operator is; `Block.join` sets
+blocks side by side, so one chain carries the columns of several starts.
+Two kernels apply operators, and the type of the last operand of `product`
+picks one:
 
 * On a block, a `Factor` (an exchange- or reflection-shaped factor kept as
   its writer's scalars and placed at its sites) is applied by one gather:
@@ -44,7 +46,8 @@ An exact operator holds int numerators over one positive int denominator,
 reduced so that the two share no factor; a floating-point operator (the
 contour solver's) holds complex values over 1.  Equality of exact operators
 and of blocks is therefore structural equality of numerators and
-denominator.  Blocks are exact only.
+denominator, and a two-sided identity is decided by comparing its sides
+with `==`.  Blocks are exact only.
 
 Exact arithmetic never leaves the integers: a linear combination
 (`lincomb`, and `+`, `-` and `scale` through it) meets over one lcm and
@@ -118,8 +121,8 @@ class LinOp:
         """cols may be keyed by linear index or by state tuple (converted
         here, once) and may hold ints, rationals (cleared here, once) or
         floats (an operator with any float entry keeps every entry as
-        given).  The package writes index keys (`of` and the shape
-        writers); state keys remain for operators written by hand in tests."""
+        given); zero entries and empty columns are dropped.  State keys
+        are for operators written by hand in tests."""
         cols = {} if cols is None else cols
         nums, self.den, self.exact = clear([v for col in cols.values() for v in col.values()])
         it = iter(nums)
@@ -128,7 +131,8 @@ class LinOp:
         def key(k):
             return k if type(k) is int else space.index(k)
 
-        self.cols = {key(c): {key(r): next(it) for r in col} for c, col in cols.items()}
+        cols = [(c, {key(r): v for r in col if (v := next(it)) != 0}) for c, col in cols.items()]
+        self.cols = {key(c): col for c, col in cols if col}
 
     @classmethod
     def of(cls, space: Space, cols, den=1, exact=True) -> "LinOp":
@@ -227,8 +231,7 @@ class LinOp:
     @classmethod
     def from_dense(cls, space: Space, dense) -> "LinOp":
         dim = space.dim
-        cols = {j: {i: dense[i][j] for i in range(dim) if dense[i][j] != 0} for j in range(dim)}
-        return cls(space, {c: col for c, col in cols.items() if col})
+        return cls(space, {j: {i: dense[i][j] for i in range(dim)} for j in range(dim)})
 
 
 def clear(values, over=1):
@@ -375,10 +378,6 @@ def product(ops):
     for op in reversed(rest):
         out = op.compose(out)
     return out
-
-
-def commutator(a: LinOp, b: LinOp) -> LinOp:
-    return a @ b - b @ a
 
 
 def _embedded(op: LinOp, strides, space: Space) -> LinOp:
@@ -630,6 +629,18 @@ class Block:
     def identity(cls, space: Space) -> "Block":
         dim = space.dim
         return cls(space, ([int(i == j) for i in range(dim)] for j in range(dim)))
+
+    @classmethod
+    def join(cls, blocks) -> "Block":
+        """The blocks of one space side by side, in order, over the lcm of
+        their dens: reduced, as a block whose den holds a prime's full power
+        has a numerator the prime does not divide."""
+        space, den = blocks[0].space, lcm(*(b.den for b in blocks))
+        if any(b.space != space for b in blocks):
+            raise ValueError("space mismatch in join")
+        return cls(space, [col if b.den == den
+                           else list(map(mul, itertools.repeat(den // b.den), col))
+                           for b in blocks for col in b.cols], den)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.cols))

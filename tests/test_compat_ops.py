@@ -10,7 +10,7 @@ import pytest
 
 from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, div, rat
-from bqkz.tensor_ops import LinOp, Space, commutator
+from bqkz.tensor_ops import Block, LinOp, Space
 from bqkz.rqkz import ModelParams, compose_descs, op_Q, op_dQ_dx, q_split_descs, shift_y
 from bqkz.compat_ops import (
     RouteMismatch,
@@ -24,7 +24,6 @@ from bqkz.compat_ops import (
     comm_AA_defect,
     compat_direct,
     compat_three_term,
-    direct_parts,
     intertwining_defects,
     m_conjugation_defect,
     op_A,
@@ -32,12 +31,12 @@ from bqkz.compat_ops import (
     op_I,
     op_L,
     op_L_from_blocks,
+    op_L_shifted,
     op_M,
     op_M_swapped,
     op_dB_dx,
     op_dK_term,
     site_unit,
-    three_term_parts,
 )
 
 rng = make_rng(908070)
@@ -155,7 +154,7 @@ def test_comm_aa_samples():
                 y = rand_tuple(r, n)
                 for a in range(1, half + 1):
                     for b in range(a + 1, half + 1):
-                        assert comm_AA_defect(a, b, y, params).is_zero()
+                        assert not comm_AA_defect(a, b, y, params)
                 return True
 
             sample_point(rng, body)
@@ -172,9 +171,9 @@ def test_comm_ll_and_assembly_samples():
                 y = rand_tuple(r, n)
                 ls = [op_L(a, x, y, params) for a in range(1, half + 1)]
                 for a in range(1, half + 1):
-                    assert block_assembly_defect(a, x, y, params, ls[a - 1]).is_zero()
+                    assert not block_assembly_defect(a, x, y, params, ls[a - 1])
                     for b in range(a + 1, half + 1):
-                        assert commutator(ls[a - 1], ls[b - 1]).is_zero()
+                        assert (ls[a - 1] @ ls[b - 1] - ls[b - 1] @ ls[a - 1]).is_zero()
                 return True
 
             sample_point(rng, body)
@@ -205,8 +204,8 @@ def test_comm_im_and_slot_swap_samples():
                 y1, y2 = rand_tuple(r, 2)
                 for a in range(1, half + 1):
                     m_a = op_M(a, x, params)
-                    assert check_comm_IM(a, x, y1, y2, params, m_a).is_zero()
-                    assert m_conjugation_defect(a, x, params, m_a).is_zero()
+                    assert not check_comm_IM(a, x, y1, y2, params, m_a)
+                    assert not m_conjugation_defect(a, x, params, m_a)
                 return True
 
             sample_point(rng, body)
@@ -309,8 +308,11 @@ def test_dq_dx_interpolation_oracle():
 
         want = derivative_by_interpolation(at, q, ts, t_hold, space.dim)
         x_hold = tuple(t_hold if i == a - 1 else v for i, v in enumerate(x))
-        tail = compose_descs(q_split_descs(m, n)[2], x_hold, y, params)
-        got = op_dQ_dx(m, x_hold, y, params, a, tail).to_dense()
+        tail = compose_descs(q_split_descs(m, n)[2], x_hold, y, params,
+                             start=Block.identity(space))
+        # Coordinate a's block of columns, with unit weights.
+        every = op_dQ_dx(m, x_hold, y, params, tail, (1,) * half)
+        got = every.take(range((a - 1) * space.dim, a * space.dim)).linop().to_dense()
         assert got == want
         return True
 
@@ -382,16 +384,45 @@ def test_dk_term_dual_route_agrees():
         params = rand_params(r, space)
         x = generic_x(r, half)
         y = rand_tuple(r, n)
-        for a in (1, 2):
-            for m in (1, 2):
-                op_dK_term(m, a, x, y, params)
+        for m in (1, 2):
+            assert len(op_dK_term(m, x, y, params)) == half
         return True
 
     for _ in range(3):
         sample_point(rng, body)
 
 
+def _forms(m, x, y, params, start):
+    """Both compatibility residuals of site m on a start, each operator
+    built as the suite builds it."""
+    ls = [op_L(a, x, y, params) for a in range(1, len(x) + 1)]
+    shifted = [op_L_shifted(a, m, l_a, params) for a, l_a in enumerate(ls, start=1)]
+    l_start = Block.join([l_a.on_block(start) for l_a in ls])
+    return (compat_three_term(m, x, y, params, ls, shifted, start),
+            compat_direct(m, x, y, params, l_start, shifted, start))
+
+
+def test_the_shifted_matrix_part_is_the_matrix_part_at_the_shifted_point():
+    for n, half in ((1, 1), (2, 2), (3, 2)):
+        space = Space(n, half)
+
+        def body(r):
+            params = rand_params(r, space)
+            x = generic_x(r, half)
+            y = rand_tuple(r, n)
+            for a in range(1, half + 1):
+                l_a = op_L(a, x, y, params)
+                for m in range(1, n + 1):
+                    assert op_L_shifted(a, m, l_a, params) == op_L(
+                        a, x, shift_y(y, m, params.c), params)
+            return True
+
+        sample_point(rng, body)
+
+
 def test_compatibility_both_forms():
+    """On the identity block each form's residual is every label's whole
+    operator side by side, and each vanishes."""
     for n, half in ((1, 1), (2, 2), (3, 2), (2, 3)):
         space = Space(n, half)
         reps = 3 if (n, half) == (2, 2) else 1
@@ -401,19 +432,11 @@ def test_compatibility_both_forms():
                 params = rand_params(r, space)
                 x = generic_x(r, half)
                 y = rand_tuple(r, n)
-                ident = LinOp.identity(space)
-                for a in range(1, half + 1):
-                    l_a = op_L(a, x, y, params)
-                    for m in range(1, n + 1):
-                        shifted = op_L(a, x, shift_y(y, m, params.c), params)
-                        parts = three_term_parts(m, x, y, params, ident)
-                        split = compat_three_term(a, m, x, y, params, l_a, shifted, parts)
-                        direct = compat_direct(
-                            a, m, x, y, params, l_a, shifted,
-                            direct_parts(m, x, y, params, ident),
-                        )
-                        assert split.is_zero(), (n, half, a, m)
-                        assert direct.is_zero(), (n, half, a, m)
+                ident = Block.identity(space)
+                for m in range(1, n + 1):
+                    for form in _forms(m, x, y, params, ident):
+                        assert len(form.cols) == half * space.dim
+                        assert form.is_zero(), (n, half, m)
                 return True
 
             sample_point(rng, body)
@@ -434,22 +457,20 @@ def test_compat_forms_are_independent_routes(monkeypatch):
         return params, x, y
 
     params, x, y = sample_point(rng, body)
-    ident = LinOp.identity(space)
-    l_a = op_L(1, x, y, params)
-    shifted = op_L(1, x, shift_y(y, 1, params.c), params)
-    direct = direct_parts(1, x, y, params, ident)
-    split = three_term_parts(1, x, y, params, ident)
+    ident = Block.identity(space)
 
     real_dq = co.op_dQ_dx
-    monkeypatch.setattr(co, "op_dQ_dx", lambda *a, **kw: real_dq(*a, **kw) + ident)
-    assert not compat_direct(1, 1, x, y, params, l_a, shifted, direct).is_zero()
-    assert compat_three_term(1, 1, x, y, params, l_a, shifted, split).is_zero()
+    monkeypatch.setattr(co, "op_dQ_dx", lambda *a, **kw: real_dq(*a, **kw).scale(2))
+    split, direct = _forms(1, x, y, params, ident)
+    assert split.is_zero() and not direct.is_zero()
     monkeypatch.setattr(co, "op_dQ_dx", real_dq)
 
     real_dk = co.op_dK_term
-    monkeypatch.setattr(co, "op_dK_term", lambda *a, **kw: real_dk(*a, **kw).embedded() + ident)
-    assert not compat_three_term(1, 1, x, y, params, l_a, shifted, split).is_zero()
-    assert compat_direct(1, 1, x, y, params, l_a, shifted, direct).is_zero()
+    whole = LinOp.identity(space)
+    monkeypatch.setattr(co, "op_dK_term",
+                        lambda *a, **kw: [t.embedded() + whole for t in real_dk(*a, **kw)])
+    split, direct = _forms(1, x, y, params, ident)
+    assert not split.is_zero() and direct.is_zero()
 
 
 def test_each_operator_is_one_linear_combination(monkeypatch):

@@ -198,7 +198,7 @@ def test_ybe_samples():
                 l1, l2, l3 = rand_tuple(r, 3)
                 return ybe_defect(k, l1, l2, l3, half)
 
-            assert sample_point(rng, body).is_zero()
+            assert not sample_point(rng, body)
 
 
 def test_bybe_samples():
@@ -212,7 +212,7 @@ def test_bybe_samples():
                 l1, l2 = rand_tuple(r, 2)
                 return bybe_defect(k, beta, x, l1, l2)
 
-            assert sample_point(rng, body).is_zero()
+            assert not sample_point(rng, body)
 
 
 def test_unitarity_samples():
@@ -231,8 +231,9 @@ def test_unitarity_samples():
                     flip_factor_defect(lam, x, beta),
                 )
 
-            for defect in sample_point(rng, body):
-                assert defect.is_zero()
+            r_inverse, k_inverse, swap, flip = sample_point(rng, body)
+            assert not r_inverse and not k_inverse
+            assert swap.is_zero() and flip.is_zero()
 
 
 def test_consistency_and_split_samples():
@@ -251,12 +252,12 @@ def test_consistency_and_split_samples():
                     head, mid, tail = q_split_descs(m, n)
                     grouped = [compose_descs(part, x, y, params) for part in (head, [mid], tail)]
                     assert product(grouped) == qs[m]
-                    assert q_inverse_defect(m, x, y, params, qs[m], ident).is_zero()
+                    assert not q_inverse_defect(m, x, y, params, qs[m], ident)
                     for l in range(1, n + 1):
                         if l != m:
-                            assert transport_consistency_defect(
+                            assert not transport_consistency_defect(
                                 m, l, x, y, params, qs[m], qs[l]
-                            ).is_zero()
+                            )
                 return True
 
             sample_point(rng, body)

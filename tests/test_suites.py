@@ -222,36 +222,35 @@ def test_qkz_consistency_builds_each_transport_operator_once(monkeypatch):
 
 
 def test_compatibility_builds_each_operator_once(monkeypatch):
-    """Each form builds its own transport chains once per site: the direct
-    form the transport factors, plus the head for each a's derivative; the
-    split form the head, the middle and tail, and their inverses.  L_a is
-    built once per a and per shifted y, from op_A's terms at that y and
-    op_B's terms, which read no y and are listed once per a."""
+    """Each form builds its own transport chains once per site, for every
+    label at once: the direct form the transport factors and the head of
+    the derivatives; the split form the head, the middle and tail, and
+    their inverses.  L_a is built once per label, at y only, from op_A's
+    and op_B's terms, and L_a at each shifted y once per label and site,
+    from L_a."""
     points = _calls_at_each_point(
         monkeypatch, "compatibility",
-        [(rqkz, "_factor_op"), (compat_ops, "op_A_terms"), (compat_ops, "op_B_terms")],
+        [(rqkz, "_factor_op"), (compat_ops, "op_A_terms"), (compat_ops, "op_B_terms"),
+         (compat_ops, "op_L_shifted")],
     )
     assert len(points) == 4
     for calls in points:
         _, x, y, params = calls["_factor_op"][0]
         n, half = params.space.n, params.space.half_dim
+        labels = range(1, half + 1)
         chains = []
         for m in range(1, n + 1):
             head, mid, tail = rqkz.q_split_descs(m, n)
-            chains += [(rqkz.q_factor_list(m, n), y)] + [(head, y)] * half
+            chains += [(rqkz.q_factor_list(m, n), y), (head, y)]
             chains += [(head, y), (rqkz.invert_descs(head), y), ([mid] + tail, y),
                        (rqkz.invert_descs([mid] + tail), y)]
         assert _builds(calls) == _chains(chains)
-        assert sorted(a for a, xx, _ in calls["op_B_terms"]) == list(range(1, half + 1))
+        assert sorted(a for a, xx, _ in calls["op_B_terms"]) == list(labels)
         assert all(tuple(xx) == tuple(x) for _, xx, _ in calls["op_B_terms"])
-        inputs = [(a, tuple(yy)) for a, yy, _ in calls["op_A_terms"]]
-        wanted = {(a, tuple(y)) for a in range(1, half + 1)} | {
-            (a, rqkz.shift_y(y, m, params.c))
-            for a in range(1, half + 1)
-            for m in range(1, n + 1)
-        }
-        assert len(inputs) == len(wanted) == half * (n + 1)
-        assert set(inputs) == wanted
+        assert sorted((a, tuple(yy)) for a, yy, _ in calls["op_A_terms"]) == [
+            (a, tuple(y)) for a in labels]
+        assert sorted((a, m) for a, m, _, _ in calls["op_L_shifted"]) == [
+            (a, m) for a in labels for m in range(1, n + 1)]
 
 
 def test_lemma_ll_builds_each_matrix_part_once(monkeypatch):
@@ -360,9 +359,9 @@ def test_the_braid_and_word_chains_embed_one_factor_per_side(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(tensor_ops, "_embedded", counted)
-    assert rqkz.ybe_defect(rat(2), rat(1), rat(5), rat(11), 2).is_zero()
+    assert not rqkz.ybe_defect(rat(2), rat(1), rat(5), rat(11), 2)
     assert len(embedded) == 2
-    assert rqkz.bybe_defect(rat(2), rat(3), (rat(7), rat(-4)), rat(1), rat(5)).is_zero()
+    assert not rqkz.bybe_defect(rat(2), rat(3), (rat(7), rat(-4)), rat(1), rat(5))
     assert len(embedded) == 4
     word, x, space = ["s0", 1, 2, 3, 1], (rat(2), rat(3), rat(5)), Space(3, 3)
     image = hecke_module.rhoR_word(word, x, space)
@@ -445,6 +444,40 @@ def test_one_exchange_scalar_off_by_one_fails_both_transport_suites(monkeypatch)
     for name in ("qkz-consistency", "compatibility"):
         result = suites.run_suite(name, samples=1, seed=0, sizes=((2, 2),))
         assert result.failures == 1, name
+
+
+def test_one_exchange_scalar_off_by_one_fails_the_braid_and_unitarity_suites(monkeypatch):
+    """The braid and unitarity checks compare their two sides: every whole
+    exchange operator with its swap scalar off by one fails ybe, bybe and
+    unitarity's exchange checks."""
+
+    def perturbed(lam, k, half_dim):
+        (diag, keep, swap), norm = rqkz.r_scalars(lam, k)
+        return tensor_ops.exchange_op(half_dim, diag, keep, swap + 1, over=norm)
+
+    monkeypatch.setattr(rqkz, "op_R_k", perturbed)
+    for name in ("ybe", "bybe"):
+        result = suites.run_suite(name, samples=1, seed=0)
+        assert result.failures == 1, name
+        assert result.notes[0].startswith("half=1 point="), name
+    notes = suites.run_suite("unitarity", samples=1, seed=0).notes
+    assert [note.split(" point=")[0] for note in notes] == [
+        "half=1 exchange-inverse", "half=1 swap-factor"]
+
+
+def test_one_pair_block_entry_off_by_one_fails_comm_im(monkeypatch):
+    """comm-IM compares the sides of both of its identities: one diagonal
+    entry of op_M off by one, at a state whose two sites differ, fails
+    both checks."""
+
+    def perturbed(a, x, params, real=compat_ops.op_M):
+        op = real(a, x, params)
+        return _bump(op, op.space.index((0, 1)))
+
+    monkeypatch.setattr(compat_ops, "op_M", perturbed)
+    notes = suites.run_suite("comm-IM", samples=1, seed=0).notes
+    assert [note.split(" point=")[0] for note in notes] == [
+        "half=1 conjugation-1", "half=1 slot-swap-1"]
 
 
 def test_one_degenerate_flip_scalar_off_by_one_fails_both_cbar_checks(monkeypatch):

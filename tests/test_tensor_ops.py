@@ -17,10 +17,11 @@ from bqkz.tensor_ops import (
     Placed,
     PoleSingular,
     Space,
-    commutator,
+    exchange_op,
     invert,
     lincomb,
     product,
+    reflection_op,
     site_tensor,
 )
 
@@ -174,7 +175,7 @@ def test_algebra_ops():
     assert (-a) + a == LinOp.zero(sp)
     assert a @ ident == a
     assert ident @ a == a
-    assert commutator(a, a).is_zero()
+    assert (a @ a - a @ a).is_zero()
     assert a.scale(0).is_zero()
 
 
@@ -407,6 +408,68 @@ def test_exact_arithmetic_matches_the_fraction_oracle_in_canonical_form():
         for col in states:
             for row in states:
                 assert a.entry(row, col) == da[states.index(row)][states.index(col)]
+
+
+def _equal_exactly_when_the_difference_vanishes(items):
+    for p, q in itertools.product(items, repeat=2):
+        assert (p == q) == (p - q).is_zero(), (p, q)
+
+
+@pytest.mark.parametrize("n,half", [(1, 1), (1, 2), (2, 1)])
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_equal_exactly_when_the_difference_vanishes(n, half, data):
+    """Exact operators and blocks are canonical whatever builds them, so
+    two are equal exactly when their difference is zero: for operators
+    from every constructor, hand-written entries with zeros and empty
+    columns among them, and for blocks from every constructor."""
+    space = Space(n, half)
+    dim = space.dim
+    a, b = _random_op(data, space), _random_op(data, space)
+    values = a._values()
+    zero_rows = data.draw(st.lists(st.integers(0, dim - 1), max_size=3))
+    padded = {c: {**dict.fromkeys(zero_rows, 0), **values.get(c, {})} for c in range(dim)}
+    states = list(space.states())
+    ops = [
+        a, b, LinOp(space, padded),
+        LinOp(space, {states[c]: {states[r]: v for r, v in col.items()}
+                      for c, col in values.items()}),
+        LinOp.from_dense(space, a.to_dense()),
+        LinOp.zero(space), LinOp(space, {0: {0: 0}}), LinOp(space, {dim - 1: {}}),
+        LinOp.identity(space), LinOp(space, {i: {i: rat(2, 2)} for i in range(dim)}),
+        lincomb(space, [(2, a), (-1, a)]), (a - b) + b, a @ LinOp.identity(space), a @ b,
+        Block.of(space, *(values.get(c, {}) for c in range(dim))).linop(),
+    ]
+    scalars = data.draw(st.lists(ENTRIES, min_size=4, max_size=4))
+    over = data.draw(ENTRIES.filter(bool))
+    if n == 2:
+        local = _random_op(data, Space(1, half))
+        ops += [exchange_op(half, *scalars[:3], over=over), site_tensor(local, local),
+                Placed(local, (2,), space).embedded(), invert(LinOp.identity(space))]
+    else:
+        flips = [tuple(scalars[1:3])] * half
+        ops += [reflection_op(scalars[0], flips, over), reflection_op(scalars[0], flips, 1)]
+    _equal_exactly_when_the_difference_vanishes(ops)
+    for op in ops:
+        assert_canonical(op)
+
+    width = 2
+    columns = [{data.draw(st.integers(0, dim - 1)): data.draw(ENTRIES) for _ in range(3)}
+               for _ in range(width)]
+    block = Block.of(space, *columns)
+    zeros = [{**dict.fromkeys(range(dim), 0), **column} for column in columns]
+    blocks = [
+        block, Block.of(space, *zeros), Block.of(space, *([{}] * width)), block - block,
+        Block.join([block.take([0]), block.take([1])]), block.scale(1), block.scale(scalars[3]),
+        lincomb(space, [(2, block), (-1, block)]), Block.identity(space).take(range(width)),
+        Block.join([Block.identity(space).take([0]), block.take([1])]),
+        a.on_block(block), product([Placed(a, tuple(range(1, n + 1)), space), block]),
+    ]
+    if n == 2:
+        blocks.append(product([Factor.exchange(*scalars[:3], (1, 2), space, over=over), block]))
+    else:
+        blocks.append(product([Factor.reflection(scalars[0], flips, 1, space, over=over), block]))
+    _equal_exactly_when_the_difference_vanishes(blocks)
 
 
 def test_sum_cancelling_across_denominators_is_the_canonical_zero():
