@@ -1,8 +1,9 @@
 """Command line front end.
 
-Three modes: `verify` runs the exact-arithmetic suites, `solve` evaluates
-the contour-integral solution over a lambda grid, `residuals` recomputes
-residuals for an earlier solve report or an inline configuration.
+Three subcommands: `verify` runs the exact-arithmetic suites, `solve`
+evaluates the contour-integral solution over a lambda grid, `residuals`
+recomputes residuals for an earlier solve report or an inline
+configuration.
 
 Configuration is a JSON file parsed strictly: unknown keys are rejected so
 a typo cannot silently fall back to a default.  Command line flags override
@@ -91,7 +92,6 @@ def _as_complex(value, where: str) -> complex:
 
 def default_config() -> dict:
     return {
-        "mode": "verify",
         "model": {
             "n": 1,
             "half_dim": 2,
@@ -131,12 +131,8 @@ def load_config(path: str | None) -> dict:
         return merged
     raw = _read_json(path, "config file")
     _check_keys(raw, set(merged), "config")
-    if "mode" in raw:
-        if raw["mode"] not in ("verify", "solve", "residuals"):
-            raise ConfigError("mode must be verify, solve or residuals")
-        merged["mode"] = raw["mode"]
     for section in merged:
-        if section != "mode" and section in raw:
+        if section in raw:
             _check_keys(raw[section], set(merged[section]), section)
             merged[section].update(raw[section])
     _validate_config(merged)
@@ -387,6 +383,9 @@ def cmd_solve(args) -> int:
         raise ConfigError("solve needs --out-csv and --out-json (or output.csv/output.report)")
     for key in ("csv", "report"):
         _check_output(cfg["output"][key], "output." + key)
+    if os.path.realpath(cfg["output"]["csv"]) == os.path.realpath(cfg["output"]["report"]):
+        raise ConfigError("output.csv and output.report are the same file, %s"
+                          % cfg["output"]["csv"])
 
     grid, solutions, timing = _solve_grid(cfg)
     table = io.StringIO()

@@ -3,10 +3,12 @@ operators, and exact certification of the identities behind it.
 
 The matrix part of the a-th differential operator is L_a = A_a(y) + B_a(x):
 A_a collects the site arguments y and the all-ones boundary strength, B_a
-the reflection coordinates x.  The full differential operator adds the
-scaling derivative c x_a d/dx_a, which never appears as a matrix here;
-derivative terms enter the checks through hand-coded coefficient
-derivatives only.
+the reflection coordinates x, each a list of exact terms (`op_A_terms`,
+`op_B_terms`) that the checks sum with `lincomb` and the contour solver
+sums in numpy with its complex coefficients.  The full differential
+operator adds the scaling derivative c x_a d/dx_a, which never appears
+as a matrix here; derivative terms enter the checks through hand-coded
+coefficient derivatives only.
 
 The same L_a has a second construction from a one-site block I_a and a
 two-site block M_a summed over sites and site pairs.  Keeping both routes
@@ -159,14 +161,14 @@ def coll_Y(a: int, b: int, space: Space) -> LinOp:
 
 @cache
 def coll_X_swap(a: int, b: int, space: Space) -> LinOp:
-    """coll_X(a, b) + coll_X(b, a): op_B, op_dB_dx and the point-free
+    """coll_X(a, b) + coll_X(b, a): op_B_terms, op_dB_dx and the point-free
     restriction identities read only this sum."""
     return coll_X(a, b, space) + coll_X(b, a, space)
 
 
 @cache
 def coll_YZ(a: int, b: int, space: Space) -> LinOp:
-    """coll_Y(a, b) plus its barred-row counterpart: op_B, op_dB_dx and
+    """coll_Y(a, b) plus its barred-row counterpart: op_B_terms, op_dB_dx and
     the point-free restriction identities read only this sum."""
     half = space.half_dim
     two = (site_tensor(_eu(half, a, True, b, False), op_Ebar(half, b, a))
@@ -232,11 +234,6 @@ def op_B_terms(a: int, x: Sequence, params: ModelParams) -> list:
             coeffs.append(k * div(xa if p < a else xp, xa - xp))
         coeffs.append(k * inv(xa * xp - 1))
     return list(zip(coeffs, op_B_ops(a, space), strict=True))
-
-
-def op_B(a: int, x: Sequence, params: ModelParams) -> LinOp:
-    """Coordinate part of the a-th differential operator family."""
-    return lincomb(params.space, op_B_terms(a, x, params))
 
 
 def op_L(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
@@ -368,7 +365,7 @@ def block_assembly_defect(a: int, x, y, params: ModelParams, l_a: LinOp) -> bool
 
 
 def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
-    """Closed-form derivative of op_B(b) in the a-th coordinate.
+    """Closed-form derivative of the sum of op_B_terms(b) in coordinate a.
 
     Coefficient derivatives are hand-coded; no finite differences.
     """

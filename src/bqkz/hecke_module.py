@@ -408,8 +408,8 @@ def check_L_restriction(a: int, x, params: ModelParams, images: list) -> LinOp:
 
     Both sides of the identity hold the argument part op_A(a, y); exact
     addition cancels it, so the residual is the group part minus the
-    coordinate part op_B(a, x) and reads no y: one `lincomb` of the
-    images weighted at x.
+    coordinate part B_a(x), the terms of op_B_terms(a, x), and reads no
+    y: one `lincomb` of the images weighted at x.
     """
     n = params.space.n
     k = params.k

@@ -53,10 +53,11 @@ with one axis per site.  Along a grid only x_1 = e^{2 pi i lam} moves, so
 every operator part that does not read x (the transport factors around
 the coordinate reflection Kx, op_A and the coefficient-to-state matrix)
 is built once per grid; each lambda builds only its n Kx factors and
-op_B.  Each transport factor is applied as its local matrix on its own
-sites' axes, so no whole-space transport operator is formed.  A grid
-refuses a lambda with e^{2 pi i lam} near -1 before any quadrature; the
-pairing alone (`solve_f`) is regular there.
+op_B, in numpy, as the operators of `tensor_ops` are exact.  Each
+transport factor is applied as its local matrix on its own sites' axes,
+so no whole-space transport operator is formed.  A grid refuses a lambda
+with e^{2 pi i lam} near -1 before any quadrature; the pairing alone
+(`solve_f`) is regular there.
 """
 
 from __future__ import annotations
@@ -66,14 +67,15 @@ import itertools
 import math
 import string
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 from . import compat_ops
 from .rqkz import ModelParams, factor_ops, q_split_descs, shift_y
-from .scalar_field import _LOG_HALF_I, _LOG_PI, _lanczos_half_plane, cpow, log_gamma
-from .tensor_ops import Space
+from .scalar_field import _LOG_HALF_I, _LOG_PI, _lanczos_half_plane, cpow, inv, log_gamma
+from .tensor_ops import Space, exchange_op, reflection_op
 
 TWO_PI_I = 2j * math.pi
 # The array kernel sets terms whose exponent has real part below this to
@@ -809,21 +811,52 @@ def grid_solutions(points) -> list:
     return out
 
 
-def _dense(op) -> np.ndarray:
-    """The operator as a dense complex array, written entry by entry from
-    its stored columns."""
-    dim = op.space.dim
-    cols = op._values()
+def _dense_sum(rows) -> np.ndarray:
+    """Each row's sum(coef * op) over its (coef, op) terms, in term order,
+    as an (R, dim, dim) complex stack: the rows hold the same exact
+    operators, and each adds at its stored entries only."""
+    coefs = np.array([[coef for coef, _ in row] for row in rows], dtype=complex)
+    dim = rows[0][0][1].space.dim
+    out = np.zeros((len(rows), dim * dim), dtype=complex)
+    for t, (_, op) in enumerate(rows[0]):
+        cols = op._values()
+        out[:, [r * dim + c for c, col in cols.items() for r in col]] += coefs[:, t, None] * (
+            np.array([v for col in cols.values() for v in col.values()], dtype=complex))
+    return out.reshape(len(rows), dim, dim)
+
+
+@cache
+def _slots(sites: int, half: int) -> tuple:
+    """The flat positions in a factor's local matrix of each of its
+    scalars, in the order _local_matrix lists them: where its shape's
+    writer puts that scalar when it alone is 1.  Reads no point: cached."""
+    count = 3 if sites == 2 else 1 + 2 * half
+    units = [[int(i == j) for j in range(count)] for i in range(count)]
+    if sites == 2:
+        patterns = [exchange_op(half, *unit) for unit in units]
+    else:
+        patterns = [reflection_op(unit[0], list(zip(unit[1::2], unit[2::2]))) for unit in units]
+    return tuple(np.flatnonzero(_dense_sum([[(1, op)]])) for op in patterns)
+
+
+def _local_matrix(factor) -> np.ndarray:
+    """A transport factor's d x d or d^2 x d^2 complex matrix on its own
+    sites: each of its scalars times 1/over, placed on its slots."""
+    sites, scalars = len(factor.strides), factor.scalars
+    if sites == 1:
+        scalars = (scalars[0], *itertools.chain.from_iterable(scalars[1]))
+    s = inv(factor.over)
+    dim = factor.space.site_dim ** sites
     out = np.zeros(dim * dim, dtype=complex)
-    out[[r * dim + c for c, col in cols.items() for r in col]] = [
-        v for col in cols.values() for v in col.values()]
+    for slots, v in zip(_slots(sites, factor.space.half_dim), scalars, strict=True):
+        out[slots] = s * v
     return out.reshape(dim, dim)
 
 
 def _local_factors(descs, x, y, model) -> list:
     """(local matrix, sites) of each transport factor of a descriptor list,
     leftmost first: its d x d or d^2 x d^2 matrix on its own sites."""
-    return [(_dense(f.local), desc[1]) for desc, f in zip(descs, factor_ops(descs, x, y, model))]
+    return [(_local_matrix(f), desc[1]) for desc, f in zip(descs, factor_ops(descs, x, y, model))]
 
 
 def _at_sites(matrix, sites, vecs):
@@ -851,10 +884,12 @@ def grid_residuals(points, solved) -> list:
     op_B(1, x) depend on x.  So every other transport factor and op_A(1, y)
     U are built once per grid, and each lambda builds its n Kx factors and
     op_B(1, x).  Each transport factor is its local d x d or d^2 x d^2
-    matrix, applied on its own site axes of the (L, d, ..., d) stack of
-    vectors (`_at_sites`), the Kx factors as one (L, d, d) stack; no
-    whole-space transport operator is formed.  Every operator comes from its
-    one builder in rqkz or compat_ops, and the split of Q_m around Kx from
+    matrix (`_local_matrix`), applied on its own site axes of the
+    (L, d, ..., d) stack of vectors (`_at_sites`), the Kx factors as one
+    (L, d, d) stack; no whole-space transport operator is formed.  op_A
+    and op_B are the dense sums of their terms (`_dense_sum`), whose
+    operators read no point.  Every term comes from its one builder in
+    rqkz or compat_ops, and the split of Q_m around Kx from
     `rqkz.q_split_descs`.  The lambdas are taken in batches of at most
     _CHUNK lambda-state pairs, which bounds the stack of op_B matrices.
 
@@ -865,9 +900,9 @@ def grid_residuals(points, solved) -> list:
     (e^{2 pi i lam} - 1)^{k/c} of the gauge uses the principal branch, and
     any other branch differs by a lambda-independent constant and solves
     the same equation.  Returns one (qkz residuals by site, ode residual,
-    gauge residual) per point.  A point whose solution vector is zero, or
-    one of whose residuals is not finite, raises QuadratureError naming
-    its lambda.
+    gauge residual) per point.  A point whose every coefficient underflowed
+    to zero, or one of whose residuals is not finite, raises
+    QuadratureError naming its lambda.
     """
     points = _grid_points(points)
     _, p = points[0]
@@ -881,7 +916,8 @@ def grid_residuals(points, solved) -> list:
         # Only the Kx factor reads x, so the first point's x serves the grid.
         head, tail = (_local_factors(part, p.x_point(), y, model) for part in (head, tail))
         transports.append((head, mid, tail))
-    a_states = np.einsum("ij,jk->ik", _dense(compat_ops.op_A(1, y, model)), states)
+    a_states = np.einsum("ij,jk->ik", _dense_sum([compat_ops.op_A_terms(1, y, model)])[0], states)
+    b_terms = [compat_ops.op_B_terms(1, q.x_point(), model) for _, q in points]
     coeffs = np.array([[base.coeffs, deriv.coeffs] + [sol.coeffs for sol in shifted]
                        for base, deriv, shifted in solved])
     out = []
@@ -898,7 +934,7 @@ def grid_residuals(points, solved) -> list:
             for matrix, sites in reversed(head + [(kx, (m,))] + tail):
                 image = _at_sites(matrix, sites, image)
             qkz.append(np.max(np.abs(shifted[:, m - 1] - image.reshape(vec.shape)), axis=-1))
-        b = np.array([_dense(compat_ops.op_B(1, x, model)) for x in xs])
+        b = _dense_sum(b_terms[lo:lo + step])
         lvec = np.einsum("ij,lj->li", a_states, a[:, 0]) + np.einsum("lij,lj->li", b, vec)
         exs = [q.big_e for _, q in batch]
         ex = np.array(exs)[:, None]
@@ -912,8 +948,8 @@ def grid_residuals(points, solved) -> list:
         for i, (_, q) in enumerate(batch):
             norm = float(np.max(np.abs(vec[i])))
             if norm == 0:
-                raise QuadratureError("lambda=%r: every coefficient of the solution is zero, "
-                                      "so its relative residuals are undefined" % q.lam)
+                raise QuadratureError("lambda=%r: every coefficient of the solution underflowed "
+                                      "to zero, so its relative residuals are undefined" % q.lam)
             res = ({m: float(top[i]) / norm for m, top in enumerate(qkz, start=1)},
                    float(ode[i]) / norm, float(gauge[i]) / norm)
             # Checked one by one: a max over them could drop a NaN.

@@ -37,12 +37,12 @@ factors once to all of them.  Whether the split into (head, middle, tail)
 keeps every factor in order reads no point, so `q_split_defect` checks it
 once per size.
 
-The contour solver's residual pass uses the same factor builders in
-floating point (`factor_ops`): per lambda grid it builds the factors on
+The contour solver's residual pass uses the same factor builders with
+complex scalars (`factor_ops`): per lambda grid it builds the factors on
 either side of the coordinate reflection Kx, the only factor that reads
-x, and per lambda just the Kx factors; it applies each one's local
-matrix (`Factor.local`, written in floating point) on its own sites,
-without composing them.
+x, and per lambda just the Kx factors.  It writes each one's local
+matrix in numpy from the factor's scalars and divisor, as `tensor_ops`
+operators are exact, and applies it on its own sites without composing.
 
 Every factor checks its own denominator at build time, so a pole in any
 requested construction raises PoleError immediately with the offending

@@ -1,11 +1,12 @@
-"""Scalar arithmetic for the exact and the floating-point verification paths.
+"""Scalars: exact rationals, and the complex helpers of the contour solver.
 
-Two scalar domains are used throughout the package:
-
-* exact rationals with arbitrary-precision integer numerator/denominator,
-  used for every identity that must hold as a matrix identity over Q;
-* complex double precision, used by the contour-integral solver; its
-  array forms live in `integral_solver`, so this module imports no numpy.
+Every operator identity is certified over exact rationals with
+arbitrary-precision integer numerator and denominator; the operators of
+`tensor_ops` hold nothing else.  The contour-integral solver computes in
+complex double precision: its scalar log Gamma and powers live here, and
+their array forms in `integral_solver`, so this module imports no numpy.
+The factor builders of `rqkz` take either kind of scalar, through `inv`
+and `div`.
 
 Rationals are gmpy2.mpq when available (much faster), falling back to
 fractions.Fraction.  Both keep gcd-reduced canonical form with a positive
@@ -35,11 +36,6 @@ def rat(num, den=1):
     if den == 0:
         raise PoleError("zero denominator in rational %r/%r" % (num, den))
     return Rational(num, den)
-
-
-def is_exact(x) -> bool:
-    """True for scalars living in the exact rational domain."""
-    return not isinstance(x, (complex, float))
 
 
 def inv(v):

@@ -42,12 +42,12 @@ picks one:
   from a placed one by the same table.  A `Factor` writes its operator
   only here, when a whole operator is asked for.
 
-An exact operator holds int numerators over one positive int denominator,
-reduced so that the two share no factor; a floating-point operator (the
-contour solver's) holds complex values over 1.  Equality of exact operators
-and of blocks is therefore structural equality of numerators and
-denominator, and a two-sided identity is decided by comparing its sides
-with `==`.  Blocks are exact only.
+Every operator is exact: it holds int numerators over one positive int
+denominator, reduced so that the two share no factor, and no operation
+takes a float or complex entry.  Equality of operators and of blocks is
+therefore structural equality of numerators and denominator, and a
+two-sided identity is decided by comparing its sides with `==`.  The
+contour solver writes its few complex matrices in numpy instead.
 
 Exact arithmetic never leaves the integers: a linear combination
 (`lincomb`, and `+`, `-` and `scale` through it) meets over one lcm and
@@ -55,8 +55,8 @@ reduces once by the gcd, `compose` and each application to a block
 multiply numerators and denominators and reduce once, and `product` (or
 `@`) folds them, embedding only a placed last factor of an operator
 product.
-Values are read as rationals only at the edges: `entry`, `to_dense`,
-`apply` and `max_abs`.
+Values are read as rationals only at the edges: `entry`, `to_dense` and
+`apply`.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from functools import cache
 from math import gcd, lcm
 from operator import add, floordiv, itemgetter, mul
 
-from .scalar_field import inv as _inv_scalar, is_exact, rat
+from .scalar_field import inv as _inv_scalar, rat
 
 
 @dataclass(frozen=True)
@@ -108,23 +108,21 @@ class Space:
 class LinOp:
     """Sparse operator on a Space, column-major, no stored zeros.
 
-    `cols` is keyed by linear state index.  An exact operator stores int
-    numerators in `cols` over the positive int `den`, reduced so that
-    gcd(den, every numerator) is 1; the zero operator has den 1.  A
-    floating-point operator stores its values, with den 1.  No operation
-    modifies an operator in place, so operators may be shared.
+    `cols` is keyed by linear state index and stores int numerators over
+    the positive int `den`, reduced so that gcd(den, every numerator) is 1;
+    the zero operator has den 1.  No operation modifies an operator in
+    place, so operators may be shared.
     """
 
-    __slots__ = ("space", "cols", "den", "exact")
+    __slots__ = ("space", "cols", "den")
 
     def __init__(self, space: Space, cols=None):
         """cols may be keyed by linear index or by state tuple (converted
-        here, once) and may hold ints, rationals (cleared here, once) or
-        floats (an operator with any float entry keeps every entry as
-        given); zero entries and empty columns are dropped.  State keys
-        are for operators written by hand in tests."""
+        here, once) and holds ints or rationals, cleared here once; zero
+        entries and empty columns are dropped.  State keys are for
+        operators written by hand in tests."""
         cols = {} if cols is None else cols
-        nums, self.den, self.exact = clear([v for col in cols.values() for v in col.values()])
+        nums, self.den = clear([v for col in cols.values() for v in col.values()])
         it = iter(nums)
         self.space = space
 
@@ -135,10 +133,10 @@ class LinOp:
         self.cols = {key(c): col for c, col in cols if col}
 
     @classmethod
-    def of(cls, space: Space, cols, den=1, exact=True) -> "LinOp":
+    def of(cls, space: Space, cols, den=1) -> "LinOp":
         """Operator from entries already in canonical form, unchecked."""
         op = object.__new__(cls)
-        op.space, op.cols, op.den, op.exact = space, cols, den, exact
+        op.space, op.cols, op.den = space, cols, den
         return op
 
     @classmethod
@@ -210,15 +208,6 @@ class LinOp:
     def __neg__(self):
         return self.scale(-1)
 
-    def max_abs(self) -> float:
-        m = 0.0
-        for col in self._values().values():
-            for v in col.values():
-                a = abs(complex(v))
-                if a > m:
-                    m = a
-        return m
-
     def to_dense(self):
         """Nested row-major list of values (ints where unset)."""
         dim = self.space.dim
@@ -235,26 +224,23 @@ class LinOp:
 
 
 def clear(values, over=1):
-    """(numerators, den, exact): exact scalars divided by `over` as ints
-    over one positive den that shares no factor with them all; with any
-    float among them, the values divided by `over`, over 1."""
+    """(numerators, den): exact scalars divided by `over` as ints over one
+    positive den that shares no factor with them all.  A float or complex
+    scalar has no numerator and is refused."""
     try:
         den = lcm(*(v.denominator for v in values))
         p, q = over.numerator, over.denominator
-    except AttributeError:  # a float or complex value
-        if over != 1:
-            s = _inv_scalar(over)
-            values = [s * v for v in values]
-        return list(values), 1, False
+    except AttributeError:
+        raise TypeError("an operator takes exact scalars only") from None
     nums = [v.numerator * (den // v.denominator) for v in values]
     if over == 1:
-        return nums, den, True
+        return nums, den
     # Dividing by over = p/q multiplies the numerators by q and den by p.
     if p < 0:
         p, q = -p, -q
     nums, den = [q * v for v in nums], den * p
     g = gcd(den, *nums)
-    return [v // g for v in nums], den // g, True
+    return [v // g for v in nums], den // g
 
 
 def exchange_op(half: int, diag, keep, swap, over=1) -> LinOp:
@@ -262,7 +248,7 @@ def exchange_op(half: int, diag, keep, swap, over=1) -> LinOp:
     a*d + b holds diag when a == b, else keep at a*d + b and then swap at
     b*d + a.  The three scalars are cleared once; no zero entry or empty
     column is stored."""
-    (diag, keep, swap), den, exact = clear((diag, keep, swap), over)
+    (diag, keep, swap), den = clear((diag, keep, swap), over)
     d = 2 * half
     cols = {}
     for a in range(d):
@@ -278,7 +264,7 @@ def exchange_op(half: int, diag, keep, swap, over=1) -> LinOp:
                     col[b * d + a] = swap
             if col:
                 cols[a * d + b] = col
-    return LinOp.of(Space(2, half), cols, den, exact)
+    return LinOp.of(Space(2, half), cols, den)
 
 
 def reflection_op(diag, flips, over=1) -> LinOp:
@@ -286,7 +272,7 @@ def reflection_op(diag, flips, over=1) -> LinOp:
     (down, up) pair of flips per label a: column a holds down at abar,
     column abar up at a, and each then diag on itself.  The scalars are
     cleared once; no zero entry or empty column is stored."""
-    (diag, *ends), den, exact = clear([diag, *itertools.chain.from_iterable(flips)], over)
+    (diag, *ends), den = clear([diag, *itertools.chain.from_iterable(flips)], over)
     half = len(ends) // 2
     cols = {}
     for a in range(half):
@@ -294,15 +280,15 @@ def reflection_op(diag, flips, over=1) -> LinOp:
             entries = {r: w for r, w in ((row, v), (col, diag)) if w != 0}
             if entries:
                 cols[col] = entries
-    return LinOp.of(Space(1, half), cols, den, exact)
+    return LinOp.of(Space(1, half), cols, den)
 
 
 def lincomb(space: Space, terms) -> LinOp:
-    """sum(coef * op) over (coef, op) pairs on `space`, in one pass: exact
+    """sum(coef * op) over (coef, op) pairs on `space`, in one pass: the
     terms meet over the lcm of every op.den * coef.denominator and the sum
-    is reduced once; with any inexact term the values are summed in term
-    order.  No term's columns are modified or shared by the result.  Terms
-    that are blocks are summed column by column (`_block_lincomb`)."""
+    is reduced once.  No term's columns are modified or shared by the
+    result.  Terms that are blocks are summed column by column
+    (`_block_lincomb`)."""
     terms = list(terms)
     if terms and isinstance(terms[0][1], Block):
         return _block_lincomb(space, terms)
@@ -312,13 +298,8 @@ def lincomb(space: Space, terms) -> LinOp:
             raise ValueError("space mismatch in lincomb")
         if a != 0:
             live.append((a, op))
-    exact = all(op.exact and is_exact(a) for a, op in live)
-    if exact:
-        den = lcm(*(op.den * a.denominator for a, op in live))
-        live = [(a.numerator * (den // (op.den * a.denominator)), op.cols) for a, op in live]
-    else:
-        den = 1
-        live = [(a, op._values()) for a, op in live]
+    den = lcm(*(op.den * a.denominator for a, op in live))
+    live = [(a.numerator * (den // (op.den * a.denominator)), op.cols) for a, op in live]
     out = {}
     for f, cols in live:
         for c, col in cols.items():
@@ -338,12 +319,11 @@ def lincomb(space: Space, terms) -> LinOp:
             out[c] = col = {r: v for r, v in col.items() if v != 0}
             if not col:
                 del out[c]
-    return _built(space, out, den, exact)
+    return _built(space, out, den)
 
 
-def _built(space: Space, cols, den, exact) -> LinOp:
-    """Exact operator from int numerators over den > 0, divided by their
-    gcd; a floating-point one from its values (den is then 1)."""
+def _built(space: Space, cols, den) -> LinOp:
+    """Operator from int numerators over den > 0, divided by their gcd."""
     g = den
     for col in cols.values():
         if g == 1:
@@ -351,15 +331,7 @@ def _built(space: Space, cols, den, exact) -> LinOp:
         g = gcd(g, *col.values())
     if g != 1:
         cols = {c: {r: v // g for r, v in col.items()} for c, col in cols.items()}
-    return LinOp.of(space, cols, den // g, exact)
-
-
-def _operands(*ops):
-    """((cols, den) of each operand, exact): the stored numerators when
-    every operand is exact, else every operand's values over 1."""
-    if all(op.exact for op in ops):
-        return [(op.cols, op.den) for op in ops] + [True]
-    return [(op._values(), 1) for op in ops] + [False]
+    return LinOp.of(space, cols, den // g)
 
 
 def product(ops):
@@ -391,7 +363,7 @@ def _embedded(op: LinOp, strides, space: Space) -> LinOp:
         rows = local.get(code)
         if rows is not None:
             cols[c] = {base + dr: v for dr, v in rows}
-    return LinOp.of(space, cols, op.den, op.exact)
+    return LinOp.of(space, cols, op.den)
 
 
 @cache
@@ -478,16 +450,13 @@ class Factor(Placed):
         """The gather: per index two products of int numerators, over the
         block's den times the factor's, reduced once."""
         if len(self.strides) == 2:
-            (diag, keep, swap), den, exact = clear(self.scalars, self.over)
+            (diag, keep, swap), den = clear(self.scalars, self.over)
             a, b = (diag, keep), (0, swap)
         else:
             diag, flips = self.scalars
-            (diag, *ends), den, exact = clear([diag, *itertools.chain.from_iterable(flips)],
-                                              self.over)
+            (diag, *ends), den = clear([diag, *itertools.chain.from_iterable(flips)], self.over)
             # Row a reads up_a at abar, row abar down_a at a.
             a, b = (diag,) * len(ends), ends[1::2] + ends[::2]
-        if not exact:
-            raise ValueError("a block takes exact factors only")
         pick, src = _gather(self.strides, self.space)
         a, b = pick(a), pick(b)
         cols = [list(map(add, map(mul, a, w), map(mul, b, src(w)))) for w in block.cols]
@@ -517,12 +486,11 @@ def _compose_at(local: LinOp, strides: tuple, space: Space, other: LinOp) -> Lin
     """The one product kernel: local, acting on the sites of `space` whose
     index strides are given, composed with other.  Each index k of a
     column of other picks local's column codes[k], read in place; each of
-    its rows adds at bases[k] plus that row's shift.  Exact operands
-    multiply numerators and denominators and reduce once; with a
-    floating-point operand the values are multiplied."""
+    its rows adds at bases[k] plus that row's shift.  Numerators and
+    denominators multiply, and the product is reduced once."""
     if space != other.space:
         raise ValueError("space mismatch in compose")
-    (acols, da), (bcols, db), exact = _operands(local, other)
+    acols, bcols = local.cols, other.cols
     shift, codes, bases, _ = _placement(strides, space)
     out = {}
     for c, bcol in bcols.items():
@@ -540,12 +508,12 @@ def _compose_at(local: LinOp, strides: tuple, space: Space, other: LinOp) -> Lin
             acc = {r: w for r, w in acc.items() if w != 0}
         if acc:
             out[c] = acc
-    return _built(space, out, da * db, exact)
+    return _built(space, out, local.den * other.den)
 
 
 def _sparse_on_block(local: LinOp, strides: tuple, space: Space, block: "Block") -> "Block":
-    """An exact operator, acting on the sites whose index strides are
-    given, applied to each column of a block: at every origin (the digits
+    """An operator, acting on the sites whose index strides are given,
+    applied to each column of a block: at every origin (the digits
     at every other site) the column's entry at each local code spreads
     over local's column there, each index read as the origin plus a local
     code's shift (its own index on the whole space)."""
@@ -705,42 +673,20 @@ class PoleSingular(ZeroDivisionError):
 
 
 def invert(op: LinOp) -> LinOp:
-    """Inverse by Gauss-Jordan elimination.
-
-    Exact over rationals (any nonzero pivot); over complex floats uses
-    partial pivoting and treats pivots below 1e-12 * max|entry| as singular.
-    """
+    """Inverse by Gauss-Jordan elimination over the rationals, each pivot
+    the first nonzero entry of its column."""
     space = op.space
     dim = space.dim
     a = op.to_dense()
-    exact = op.exact
-    tol = 0.0 if exact else 1e-12 * max(op.max_abs(), 1e-300)
-
-    inv = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        inv[i][i] = 1
-
+    inv = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for col in range(dim):
-        piv_row = -1
-        if exact:
-            for r in range(col, dim):
-                if a[r][col] != 0:
-                    piv_row = r
-                    break
-        else:
-            best = tol
-            for r in range(col, dim):
-                m = abs(complex(a[r][col]))
-                if m > best:
-                    best = m
-                    piv_row = r
-        if piv_row < 0:
+        piv_row = next((r for r in range(col, dim) if a[r][col] != 0), None)
+        if piv_row is None:
             raise PoleSingular("operator is singular at column %d" % col)
         if piv_row != col:
             a[piv_row], a[col] = a[col], a[piv_row]
             inv[piv_row], inv[col] = inv[col], inv[piv_row]
-        piv = a[col][col]
-        rp = _inv_scalar(piv)
+        rp = _inv_scalar(a[col][col])
         a[col] = [v * rp if v != 0 else v for v in a[col]]
         inv[col] = [v * rp if v != 0 else v for v in inv[col]]
         for r in range(dim):

@@ -12,6 +12,7 @@ pass (`residuals_oracle`).
 """
 
 import cmath
+import functools
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from bqkz import compat_ops
 from bqkz.integral_solver import TWO_PI_I, func_g, kernel_log_phi, vec_u
 from bqkz.rqkz import factor_ops, q_factor_list
 from bqkz.scalar_field import log1m_exp
-from bqkz.tensor_ops import product
+from bqkz.tensor_ops import Placed, exchange_op, reflection_op
 
 # The oracle's first line is |Re t| <= _REACH, widened by doubling; a line
 # that never settles by _MAX_REACH is an error of the oracle, not an answer.
@@ -127,20 +128,45 @@ def simpson_oracle(j, W, params, eps=None):
     return _line_integral(f, _RTOL * size)
 
 
+def _dense(op):
+    return np.array(op.to_dense(), dtype=complex)
+
+
+def _whole_factor(factor, sites, space):
+    """A transport factor as one dense whole-space complex matrix: each of
+    its scalars over its divisor times the embedded exact 0/1 pattern its
+    shape's writer gives with that scalar 1 and the others 0."""
+    if len(sites) == 2:
+        scalars = list(factor.scalars)
+
+        def pattern(unit):
+            return exchange_op(space.half_dim, *unit)
+    else:
+        diag, flips = factor.scalars
+        scalars = [diag] + [v for pair in flips for v in pair]
+
+        def pattern(unit):
+            return reflection_op(unit[0], list(zip(unit[1::2], unit[2::2])))
+
+    out = 0
+    for i, v in enumerate(scalars):
+        unit = [int(i == j) for j in range(len(scalars))]
+        out = out + v / factor.over * _dense(Placed(pattern(unit), sites, space).embedded())
+    return out
+
+
 def residuals_oracle(points, solved):
     """The qKZ, ODE and gauge residuals of each (W, params) point of a grid
     from its (solution, derivative, [shifted solutions]), by whole
-    operators: per lambda, each transport operator Q_m as one dense
-    floating-point product of all its factors (`product` of `factor_ops` over
-    `q_factor_list`), and dense op_A and op_B, applied to the dense
-    solution vectors.  The package's residual pass applies each factor on
-    its own sites instead."""
+    operators: per lambda, each transport operator Q_m as the matrix
+    product of all its factors (`factor_ops` over `q_factor_list`), each
+    factor a dense whole-space matrix (`_whole_factor`), and dense op_A and
+    op_B, the sums of their terms, applied to the dense solution vectors.
+    The package's residual pass applies each factor on its own sites
+    instead."""
     out = []
     for (_, p), (base, deriv, shifted) in zip(points, solved):
         model, x, c, k = p.model(), p.x_point(), p.c, p.k
-
-        def dense(op):
-            return np.array(op.to_dense(), dtype=complex)
 
         def vector(sol):
             v = np.zeros(p.space.dim, dtype=complex)
@@ -152,9 +178,13 @@ def residuals_oracle(points, solved):
         norm = np.max(np.abs(vec))
         qkz = {}
         for m, sol in enumerate(shifted, start=1):
-            q_m = dense(product(factor_ops(q_factor_list(m, p.n), x, p.y, model)))
+            descs = q_factor_list(m, p.n)
+            q_m = functools.reduce(np.matmul, [
+                _whole_factor(f, desc[1], p.space)
+                for desc, f in zip(descs, factor_ops(descs, x, p.y, model))])
             qkz[m] = float(np.max(np.abs(vector(sol) - q_m @ vec)) / norm)
-        lvec = (dense(compat_ops.op_A(1, p.y, model)) + dense(compat_ops.op_B(1, x, model))) @ vec
+        terms = compat_ops.op_A_terms(1, p.y, model) + compat_ops.op_B_terms(1, x, model)
+        lvec = sum(coef * _dense(op) for coef, op in terms) @ vec
         ex = p.big_e
         ode = np.max(np.abs(dvec * c / TWO_PI_I + lvec + vec * k * ex / (ex - 1))) / norm
         # The gauge prefactor s = (e - 1)^{k/c} on the principal branch and its

@@ -47,6 +47,7 @@ def test_config_value_validation(tmp_path):
         {"solve": {"degrees": [[1.5, 1.0]]}},
         {"output": {"csv": 7}},
         {"mode": "other"},
+        {"mode": "solve"},
     ]
     for i, raw in enumerate(bad):
         path = write_json(tmp_path / ("bad%d.json" % i), raw)
@@ -324,6 +325,28 @@ def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err.startswith("error: cannot write output.report to ")
 
 
+def test_solve_refuses_one_file_for_the_table_and_the_report(tmp_path, capsys, monkeypatch):
+    """A CSV path and a report path that resolve to the same file, by
+    flags, by config or through a link, exit 2 naming both keys before any
+    quadrature, and nothing is written."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("quadrature started before the output paths were checked")
+
+    monkeypatch.setattr(integral_solver, "grid_solutions", no_work)
+    out = tmp_path / "out"
+    (tmp_path / "link").symlink_to(tmp_path)
+    config = write_json(tmp_path / "cfg.json", {"output": {"csv": str(out), "report": str(out)}})
+    for argv in (["solve", "--out-csv", str(out), "--out-json", str(out)],
+                 ["solve", "--out-csv", str(out), "--out-json", str(tmp_path / "link" / "out")],
+                 ["solve", "--config", config]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: output.csv and output.report "), argv
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+
 # ------------------------------------------------------------------- solve
 
 
@@ -436,9 +459,9 @@ def test_solve_integrates_the_grid_on_one_rule(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_builds_the_lambda_independent_operators_once(tmp_path, capsys, monkeypatch):
-    """A 4-lambda n = 2 `bqkz solve` builds op_A and every transport factor
-    but the coordinate reflection Kx once for the grid, and n Kx factors
-    and one op_B for each lambda."""
+    """A 4-lambda n = 2 `bqkz solve` builds op_A's terms and every transport
+    factor but the coordinate reflection Kx once for the grid, and n Kx
+    factors and op_B's terms once for each lambda."""
     builds = collections.Counter()
 
     def counted(name, real):
@@ -448,14 +471,14 @@ def test_solve_builds_the_lambda_independent_operators_once(tmp_path, capsys, mo
         return wrapper
 
     monkeypatch.setattr(rqkz, "_factor_op", counted(lambda args: args[0], rqkz._factor_op))
-    for name in ("op_A", "op_B"):
+    for name in ("op_A_terms", "op_B_terms"):
         monkeypatch.setattr(compat_ops, name, counted(lambda args, name=name: name,
                                                       getattr(compat_ops, name)))
     grid, n = [-0.8, -0.35, 0.25, 0.7], 2
     path = write_json(tmp_path / "cfg.json", {"model": {"n": n}, "solve": {"lambda_grid": grid}})
     assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
                      "--out-json", str(tmp_path / "r.json")]) == 0
-    want = collections.Counter(op_A=1, op_B=len(grid))
+    want = collections.Counter(op_A_terms=1, op_B_terms=len(grid))
     for m in range(1, n + 1):
         for desc in rqkz.q_factor_list(m, n):
             want[desc] += len(grid) if desc[0] == "Kx" else 1
@@ -513,6 +536,24 @@ def test_residuals_recompute_matches(tmp_path, capsys):
     assert code == 0
     assert out.count("matches") == 2
     assert "DIFFERS" not in out
+
+
+def test_a_stored_report_holding_the_removed_mode_key_still_rechecks(tmp_path, capsys):
+    """Reports written before the config lost its `mode` key record it in
+    body.config; `residuals --in` reads only the model and solve sections
+    and rechecks such a report."""
+    json_path = tmp_path / "solve.json"
+    assert cli.main(["solve", "--config", write_json(tmp_path / "cfg.json",
+                                                     {"solve": {"lambda_grid": [0.25]}}),
+                     "--out-csv", str(tmp_path / "c.csv"), "--out-json", str(json_path)]) == 0
+    report = json.loads(json_path.read_text())
+    assert "mode" not in report["body"]["config"]
+    report["body"]["config"] = {"mode": "verify", **report["body"]["config"]}
+    json_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert cli.main(["residuals", "--in", str(json_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("matches") == 1 and "DIFFERS" not in out
 
 
 def test_residuals_rebuilds_the_solve_params(tmp_path, capsys, monkeypatch):
@@ -687,20 +728,28 @@ def test_an_unbounded_quadrature_exits_two_within_seconds(tmp_path, capsys, raw,
 @pytest.mark.parametrize("model", [{"n": 1, "y": [1e300]}, {"n": 2, "y": [0.3, 1e200]}])
 def test_a_vanishing_solution_exits_two(tmp_path, capsys, model):
     """Every coefficient underflows to zero, so no residual relative to the
-    solution exists: the run names its lambda and writes no output."""
+    solution exists: the run names its lambda, says that the coefficients
+    underflowed and writes no output."""
     path = write_json(tmp_path / "cfg.json", {"model": model, "solve": {"lambda_grid": [0.25]}})
     assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
                      "--out-json", str(tmp_path / "s.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: lambda=(0.25+0j): every coefficient") and err.count("\n") == 1
+    assert "underflowed" in err
     assert not (tmp_path / "c.csv").exists() and not (tmp_path / "s.json").exists()
 
 
 def test_a_non_finite_residual_exits_two(tmp_path, capsys, monkeypatch):
-    """A NaN in op_B makes the ODE residuals NaN while the qKZ residuals
-    stay finite; a max over the three would hide it, so the run fails."""
-    real = compat_ops.op_B
-    monkeypatch.setattr(compat_ops, "op_B", lambda *args: real(*args).scale(float("nan")))
+    """A NaN coefficient of op_B makes the ODE residuals NaN while the qKZ
+    residuals stay finite; a max over the three would hide it, so the run
+    fails."""
+    real = compat_ops.op_B_terms
+
+    def nan_first(*args):
+        (_, op), *rest = real(*args)
+        return [(float("nan"), op)] + rest
+
+    monkeypatch.setattr(compat_ops, "op_B_terms", nan_first)
     assert cli.main(["solve", "--out-csv", str(tmp_path / "c.csv"),
                      "--out-json", str(tmp_path / "s.json")]) == 2
     assert capsys.readouterr().err == "error: lambda=(-0.7+0j): a residual is not finite\n"

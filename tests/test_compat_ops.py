@@ -10,7 +10,7 @@ import pytest
 
 from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, div, rat
-from bqkz.tensor_ops import Block, LinOp, Space
+from bqkz.tensor_ops import Block, LinOp, Space, lincomb
 from bqkz.rqkz import ModelParams, compose_descs, op_Q, op_dQ_dx, q_split_descs, shift_y
 from bqkz.compat_ops import (
     RouteMismatch,
@@ -27,7 +27,7 @@ from bqkz.compat_ops import (
     intertwining_defects,
     m_conjugation_defect,
     op_A,
-    op_B,
+    op_B_terms,
     op_I,
     op_L,
     op_L_from_blocks,
@@ -40,6 +40,11 @@ from bqkz.compat_ops import (
 )
 
 rng = make_rng(908070)
+
+
+def op_B(a, x, params):
+    """The coordinate part B_a(x), the sum of its terms."""
+    return lincomb(params.space, op_B_terms(a, x, params))
 
 
 def rand_params(r, space):

@@ -8,6 +8,7 @@ are written down state tuple by state tuple.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from bqkz.compat_ops import op_L, site_unit
@@ -22,9 +23,10 @@ from bqkz.hecke_module import (
     orbit_states,
     rhoL,
 )
-from bqkz.rqkz import ModelParams, op_dT_dx, op_K, op_P, op_Q, op_R_k, op_T
+from bqkz.integral_solver import _local_matrix
+from bqkz.rqkz import ModelParams, k_scalars, op_dT_dx, op_K, op_P, op_Q, op_R_k, op_T, r_scalars
 from bqkz.scalar_field import inv, rat
-from bqkz.tensor_ops import LinOp, Placed, Space, exchange_op, reflection_op, site_tensor
+from bqkz.tensor_ops import Factor, LinOp, Placed, Space, exchange_op, reflection_op, site_tensor
 
 SIZES = [(n, half) for n in (1, 2, 3) for half in (1, 2, 3)]
 X = (rat(2), rat(3), rat(5))
@@ -141,21 +143,20 @@ def test_orbit_check_reads_orbit_states_by_index():
     assert (LinOp(space, {off: {on: 1}}) @ start).is_zero()
 
 
-@pytest.mark.parametrize("scalar", [rat, lambda v: complex(v) * (0.5 + 0.25j)])
+@pytest.mark.parametrize("scalar", [rat, lambda v: rat(v, 3)])
 def test_compose_stores_no_zero_and_drops_an_emptied_column(scalar):
-    """Exact and floating point: a cancelled entry is not stored, and a
+    """Over den 1 and over den 9: a cancelled entry is not stored, and a
     column that cancels entirely is dropped."""
     sp = Space(1, 1)
     one = scalar(1)
     a = LinOp(sp, {(0,): {(0,): one, (1,): one}, (1,): {(0,): one, (1,): one + one}})
     b = LinOp(sp, {(0,): {(0,): one, (1,): -one}, (1,): {(1,): one}})
-    assert a.exact == b.exact == (scalar is rat)
     partly = a @ b
-    assert partly.cols[0] == {1: -(one * one)}
+    assert partly.cols[0] == {1: -1} and partly.den == 1 / (one * one)
     assert all(v != 0 for col in partly.cols.values() for v in col.values())
     whole = LinOp(sp, {(0,): {(0,): one}, (1,): {(0,): one}})
     emptied = whole @ b
-    assert emptied.cols == {1: {0: one * one}}
+    assert emptied.cols == {1: {0: 1}} and emptied.den == partly.den
 
 
 def test_apply_reads_and_returns_index_columns():
@@ -173,15 +174,17 @@ def test_apply_reads_and_returns_index_columns():
             assert out.get(i, 0) == want
 
 
-# Layout writers: exchange_op and reflection_op, and the builders that
-# write their factors through them, against oracles written state by state.
+# Layout writers: exchange_op and reflection_op, the builders that write
+# their factors through them, and the contour solver's complex local
+# matrices, against oracles written state by state.
 
 HALVES = (1, 2, 3)
 
 
-def _exchange_oracle(half, diag, keep, swap):
-    """(diag on a state of two equal codes, else keep) on every state, plus
-    swap from each state (a, b) with a != b to (b, a)."""
+def _exchange_cols(half, diag, keep, swap):
+    """(space, {col state: {row state: value}}): diag on a state of two
+    equal codes, else keep, on every state, plus swap from each state
+    (a, b) with a != b to (b, a)."""
     space = Space(2, half)
     cols = {}
     for col in space.states():
@@ -192,12 +195,13 @@ def _exchange_oracle(half, diag, keep, swap):
                 v = swap if row == col[::-1] else 0
             if v != 0:
                 cols.setdefault(col, {})[row] = v
-    return LinOp(space, cols)
+    return space, cols
 
 
-def _reflection_oracle(diag, flips):
-    """diag on every state, plus down from label a to abar and up from abar
-    to a, for each label's (down, up) pair."""
+def _reflection_cols(diag, flips):
+    """(space, {col state: {row state: value}}): diag on every state, plus
+    down from label a to abar and up from abar to a, for each label's
+    (down, up) pair."""
     half = len(flips)
     space = Space(1, half)
     cols = {}
@@ -213,18 +217,43 @@ def _reflection_oracle(diag, flips):
                 v = 0
             if v != 0:
                 cols.setdefault((col,), {})[(row,)] = v
-    return LinOp(space, cols)
+    return space, cols
+
+
+def _exchange_oracle(*scalars):
+    return LinOp(*_exchange_cols(*scalars))
+
+
+def _reflection_oracle(diag, flips):
+    return LinOp(*_reflection_cols(diag, flips))
 
 
 def _assert_written(op, oracle):
     """op equals the oracle built through the state-keyed constructor (the
     canonical form) and stores no zero entry and no empty column."""
-    assert op == oracle and op.exact == oracle.exact
+    assert op == oracle
     assert all(op.cols.values())
     assert all(v != 0 for col in op.cols.values() for v in col.values())
 
 
-# (diag, keep or down, swap or up): exact, float, and with zeros.
+def _assert_matrix(factor, oracle):
+    """The solver's complex local matrix of a factor is the oracle's
+    (space, cols), each state at its position in Space.states()."""
+    space, cols = oracle
+    position = {s: i for i, s in enumerate(space.states())}
+    want = np.zeros((space.dim, space.dim), dtype=complex)
+    for col, rows in cols.items():
+        for row, v in rows.items():
+            want[position[row], position[col]] = v
+    assert np.array_equal(_local_matrix(factor), want)
+
+
+def _rational(*values):
+    return not any(isinstance(v, (float, complex)) for v in values)
+
+
+# (diag, keep or down, swap or up): exact, float, and with zeros.  The
+# float rows reach only the solver's complex local matrices.
 SCALARS = [
     (rat(2, 3), rat(-5, 7), rat(1, 4)),
     (0.5, -1.25 + 0.5j, 3.0),
@@ -239,16 +268,23 @@ SCALARS = [
 @pytest.mark.parametrize("half", HALVES)
 @pytest.mark.parametrize("diag,first,second", SCALARS)
 def test_layout_writers_match_their_oracles(half, diag, first, second):
-    _assert_written(exchange_op(half, diag, first, second),
-                    _exchange_oracle(half, diag, first, second))
-    flips = [(first * (a + 1), second * (a + 2)) for a in range(half)]
-    _assert_written(reflection_op(diag, flips), _reflection_oracle(diag, flips))
-    # Only the last label flips, as in a coordinate derivative.
-    flips = [(0, 0)] * (half - 1) + [(first, second)]
-    _assert_written(reflection_op(diag, flips), _reflection_oracle(diag, flips))
+    rational = _rational(diag, first, second)
+    _assert_matrix(Factor.exchange(diag, first, second, (1, 2), Space(2, half)),
+                   _exchange_cols(half, diag, first, second))
+    if rational:
+        _assert_written(exchange_op(half, diag, first, second),
+                        _exchange_oracle(half, diag, first, second))
+    # Every label flips, or only the last, as in a coordinate derivative.
+    for flips in ([(first * (a + 1), second * (a + 2)) for a in range(half)],
+                  [(0, 0)] * (half - 1) + [(first, second)]):
+        _assert_matrix(Factor.reflection(diag, flips, 1, Space(1, half)),
+                       _reflection_cols(diag, flips))
+        if rational:
+            _assert_written(reflection_op(diag, flips), _reflection_oracle(diag, flips))
 
 
-# (x, lam, k, beta), exact and float.
+# (x, lam, k, beta), exact and float; the float row reaches only the
+# solver's complex local matrices.
 POINTS = [((rat(2), rat(-3, 4), rat(5, 7)), rat(5, 2), rat(2, 3), rat(-4, 7)),
           ((0.5, -2.0, 1.5 + 0.5j), 0.75, -1.5, 2.5)]
 
@@ -257,18 +293,26 @@ POINTS = [((rat(2), rat(-3, 4), rat(5, 7)), rat(5, 2), rat(2, 3), rat(-4, 7)),
 @pytest.mark.parametrize("x,lam,k,beta", POINTS)
 def test_transport_builders_match_their_oracles(half, x, lam, k, beta):
     x = x[:half]
+    rational = _rational(*x, lam, k, beta)
     for arg in (lam, 0 * lam):
         s = inv(arg + k)
-        want = _exchange_oracle(half, s * (arg + k), s * arg, s * k)
-        _assert_written(op_R_k(arg, k, half), want)
+        want = _exchange_cols(half, s * (arg + k), s * arg, s * k)
+        scalars, norm = r_scalars(arg, k)
+        _assert_matrix(Factor.exchange(*scalars, (1, 2), Space(2, half), over=norm), want)
+        if rational:
+            _assert_written(op_R_k(arg, k, half), LinOp(*want))
     _assert_written(op_P(half), _exchange_oracle(half, 1, 0, 1))
+    s = inv(lam + beta)
+    want = _reflection_cols(s * beta, [(s * (lam * inv(xa)), s * (lam * xa)) for xa in x])
+    (diag, flips), norm = k_scalars(lam, x, beta)
+    _assert_matrix(Factor.reflection(diag, flips, 1, Space(1, half), over=norm), want)
+    if not rational:
+        return
+    _assert_written(op_K(lam, x, beta), LinOp(*want))
     _assert_written(op_T(x), _reflection_oracle(0, [(inv(xa), xa) for xa in x]))
     for a in range(1, half + 1):
         flips = [(-inv(xa * xa), 1) if b == a else (0, 0) for b, xa in enumerate(x, start=1)]
         _assert_written(op_dT_dx(x, a), _reflection_oracle(0, flips))
-    s = inv(lam + beta)
-    flips = [(s * (lam * inv(xa)), s * (lam * xa)) for xa in x]
-    _assert_written(op_K(lam, x, beta), _reflection_oracle(s * beta, flips))
 
 
 @pytest.mark.parametrize("n", HALVES)

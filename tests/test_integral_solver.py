@@ -18,8 +18,8 @@ import pytest
 from fractions import Fraction
 
 from _oracles import _kernel_cycle, residuals_oracle, simpson_oracle
-from bqkz.rqkz import ones, op_K, op_P, op_R_k, op_T, q_factor_list, shift_y
-from bqkz.tensor_ops import LinOp, Placed, Space
+from bqkz.rqkz import ones, op_P, op_T, q_factor_list, shift_y
+from bqkz.tensor_ops import Placed, Space
 import bqkz.cli as cli
 import bqkz.compat_ops as compat_ops
 import bqkz.integral_solver as solver
@@ -74,15 +74,6 @@ def report_of(W, p, solutions):
     return residual_report(W, p, solutions, res)
 
 
-def vec_norm(vec):
-    return max((abs(complex(v)) for v in vec.values()), default=0.0)
-
-
-def vec_diff(a, b):
-    """a - b for {index: value} columns."""
-    return {i: a.get(i, 0) - b.get(i, 0) for i in a.keys() | b.keys()}
-
-
 def vec_u_all(params):
     return [vec_u(j, params) for j in range(1, 2 * params.n + 1)]
 
@@ -112,13 +103,17 @@ def func_h(j, t, y, lam, k):
 
 def gtilde_vec(t, y, params):
     """Vector-valued weight function: sum of g_j(t) times the j-th basis
-    vector of the target subspace."""
-    out = {}
+    vector of the target subspace, as a dense array."""
+    out = np.zeros(params.space.dim, dtype=complex)
     for j in range(1, 2 * params.n + 1):
-        g = func_g(j, t, y, params.k)
-        for i, v in vec_u(j, params).items():
-            out[i] = out.get(i, 0) + v * g
+        out[list(vec_u(j, params))] += func_g(j, t, y, params.k)
     return out
+
+
+def dense_at(op, sites, space):
+    """An exact operator on the given sites, embedded whole, as a dense
+    complex matrix."""
+    return np.array(Placed(op, sites, space).embedded().to_dense(), dtype=complex)
 
 
 # ---------------------------------------------------------------- regime
@@ -324,11 +319,15 @@ def test_kernel_symmetries():
 
 
 def test_gtilde_intertwining():
+    """P R(y_l - y_{l+1}) on sites l, l + 1 swaps y_l and y_{l+1} in the
+    vector weight function, and K(y_n | 1, k/2) on site n negates y_n:
+    R = (lam + k P)/(lam + k) and K = (lam T(1) + beta)/(lam + beta) as
+    dense matrices from the exact P and T(1)."""
     for n in (2, 3):
         y = tuple(0.21 + 0.19 * i for i in range(n))
         p = mkparams(n, 0.37 + 0.11j, y)
-        model = p.model()
         sp = p.space
+        one = np.eye(sp.dim)
         hits = 0
         while hits < 15:
             t = rand_t(rng)
@@ -337,16 +336,14 @@ def test_gtilde_intertwining():
                 for l in range(1, n):
                     ysw = list(y)
                     ysw[l - 1], ysw[l] = ysw[l], ysw[l - 1]
-                    swap_op = Placed(op_P(2), (l, l + 1), sp).embedded() @ Placed(
-                        op_R_k(y[l - 1] - y[l], model.k, p.half_dim), (l, l + 1), sp
-                    ).embedded()
-                    lhs = swap_op.apply(gt)
+                    swap, lam = dense_at(op_P(2), (l, l + 1), sp), y[l - 1] - y[l]
+                    lhs = swap @ ((lam * one + K * swap) / (lam + K)) @ gt
                     rhs = gtilde_vec(t, tuple(ysw), p)
-                    assert vec_norm(vec_diff(lhs, rhs)) <= 1e-10 * max(1.0, vec_norm(rhs)), (n, l)
-                flip_op = Placed(op_K(y[-1], ones(2), K / 2), (n,), sp).embedded()
-                lhs = flip_op.apply(gt)
+                    assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs))), (n, l)
+                flip = dense_at(op_T(ones(2)), (n,), sp)
+                lhs = (y[-1] * flip + K / 2 * one) / (y[-1] + K / 2) @ gt
                 rhs = gtilde_vec(t, y[:-1] + (-y[-1],), p)
-                assert vec_norm(vec_diff(lhs, rhs)) <= 1e-10 * max(1.0, vec_norm(rhs)), n
+                assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs))), n
             except ZeroDivisionError:
                 continue
             hits += 1
@@ -539,24 +536,22 @@ def test_ode_and_gauge_residuals_small():
         assert rep["ftilde_residual"] <= 1e-7
 
 
-def _bumped(op, c, size=1e-6):
-    """op with size added to its diagonal entry at index c."""
-    cols = {key: dict(col) for key, col in op._values().items()}
-    col = cols.setdefault(c, {})
-    col[c] = col.get(c, 0) + size
-    return LinOp.of(op.space, cols, 1, False)
-
-
 def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
-    """A change of about 1e-6 in one diagonal entry of a transport
-    factor's local matrix (the coordinate reflection Kx or an exchange
-    factor R), at the top state's codes on its sites, of op_B, or of one
-    coefficient of a shifted solution lifts the residuals built from it
-    above 1e-7.  A transport factor lifts the qKZ residual of every Q_m
-    that contains it; a shift-m coefficient lifts qkz_residuals[m] and
-    changes nothing else; op_B lifts both differential residuals."""
+    """A change of 1e-6 in one diagonal entry of a transport factor's
+    local matrix (the coordinate reflection Kx or an exchange factor R),
+    at the top state's codes on its sites, in the first coefficient of
+    op_B, or of about 1e-6 in one coefficient of a shifted solution lifts
+    the residuals built from it above 1e-7.  A transport factor lifts the
+    qKZ residual of every Q_m that contains it; a shift-m coefficient
+    lifts qkz_residuals[m] and changes nothing else; op_B lifts both
+    differential residuals."""
     W = CycleW.monomial(1)
-    real_factor, real_b = rqkz._factor_op, compat_ops.op_B
+    real_local, real_b = solver._local_factors, compat_ops.op_B_terms
+
+    def bumped_b(*args):
+        (coef, op), *rest = real_b(*args)
+        return [(coef + 1e-6, op)] + rest
+
     for n, lam, y in ((1, 0.25, (0.3,)), (2, 0.31, (0.3, -0.2))):
         p = mkparams(n, lam, y)
         sites = [str(m) for m in range(1, n + 1)]
@@ -573,15 +568,18 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
                 digit = index // p.space.stride(site) % p.space.site_dim
                 code = code * p.space.site_dim + digit
 
-            def bumped_factor(desc, *args, target=target, code=code):
-                op = real_factor(desc, *args)
-                if desc != target:
-                    return op
-                return Placed(_bumped(op.local, code), desc[1], op.space)
+            def bumped_local(descs, *args, target=target, code=code):
+                out = []
+                for desc, (matrix, at) in zip(descs, real_local(descs, *args)):
+                    if desc == target:
+                        matrix = matrix.copy()
+                        matrix[code, code] += 1e-6
+                    out.append((matrix, at))
+                return out
 
-            monkeypatch.setattr(rqkz, "_factor_op", bumped_factor)
+            monkeypatch.setattr(solver, "_local_factors", bumped_local)
             rep = report_of(W, p, solutions)
-            monkeypatch.setattr(rqkz, "_factor_op", real_factor)
+            monkeypatch.setattr(solver, "_local_factors", real_local)
             for m in sites:
                 if target in q_factor_list(int(m), n):
                     assert rep["qkz_residuals"][m] > 1e-7, (n, target, m)
@@ -602,9 +600,9 @@ def test_residuals_see_a_small_error_in_each_of_their_inputs(monkeypatch):
                     assert rep["qkz_residuals"][key] == clean["qkz_residuals"][key], (n, m)
             for key in ("ode_residual", "ftilde_residual"):
                 assert rep[key] == clean[key], (n, m, key)
-        monkeypatch.setattr(compat_ops, "op_B", lambda *args: _bumped(real_b(*args), index))
+        monkeypatch.setattr(compat_ops, "op_B_terms", bumped_b)
         rep = report_of(W, p, solutions)
-        monkeypatch.setattr(compat_ops, "op_B", real_b)
+        monkeypatch.setattr(compat_ops, "op_B_terms", real_b)
         assert rep["ode_residual"] > 1e-7 and rep["ftilde_residual"] > 1e-7, n
         assert rep["qkz_residuals"] == clean["qkz_residuals"], n
 
@@ -628,6 +626,26 @@ def _cli_grid(n, grid):
 
 def _flat_residuals(residuals):
     return [v for qkz, ode, gauge in residuals for v in [*qkz.values(), ode, gauge]]
+
+
+def test_local_matrices_at_a_rational_point_are_the_exact_factors():
+    """At a rational point every local matrix of the residual pass, of
+    the exchange, Kx and K1 factors of each Q_m, is the complex cast of
+    the exact operator the factor writes (`Factor.local`)."""
+    space = Space(3, 2)
+    model = rqkz.ModelParams(c=Fraction(1, 3), k=Fraction(2, 5), alpha=Fraction(-3, 7),
+                             beta=Fraction(5, 4), space=space)
+    x, y = (Fraction(2), Fraction(-3, 4)), (Fraction(1, 2), Fraction(-5, 3), Fraction(7, 5))
+    kinds = set()
+    for m in range(1, space.n + 1):
+        descs = q_factor_list(m, space.n)
+        factors = rqkz.factor_ops(descs, x, y, model)
+        for desc, f, (matrix, sites) in zip(descs, factors,
+                                             solver._local_factors(descs, x, y, model)):
+            assert sites == desc[1]
+            assert np.array_equal(matrix, np.array(f.local.to_dense(), dtype=complex)), desc
+            kinds.add(desc[0])
+    assert kinds == {"R", "Kx", "K1"}
 
 
 @pytest.mark.parametrize("name", sorted(RESIDUAL_GRIDS))

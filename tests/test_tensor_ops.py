@@ -1,6 +1,5 @@
 """Sparse tensor-space linear algebra against dense oracles."""
 
-import cmath
 import itertools
 import math
 import random
@@ -56,22 +55,6 @@ def dense_mul(a, b):
     return out
 
 
-def as_floats(op):
-    """op with every value turned into a complex float."""
-    return LinOp.from_dense(op.space, [[complex(v) * (1 + 0.5j) for v in row]
-                                       for row in op.to_dense()])
-
-
-def assert_dense_equal(got, want, label=None):
-    """got's dense form is want: exactly when got is exact, else to rounding."""
-    dense = got.to_dense()
-    if got.exact:
-        assert dense == want, label
-    else:
-        assert all(g == w or cmath.isclose(g, w, abs_tol=1e-12)
-                   for gr, wr in zip(dense, want) for g, w in zip(gr, wr)), label
-
-
 def test_space_dimensions():
     sp = Space(3, 2)
     assert sp.site_dim == 4
@@ -83,8 +66,7 @@ def test_space_dimensions():
 
 
 def test_compose_matches_dense_oracle():
-    """Exact, floating-point and mixed operands, with a whole and with a
-    one-column right operand."""
+    """With a whole and with a one-column right operand."""
     sp = Space(2, 1)
     for trial in range(8):
         a = rand_op(sp, rng)
@@ -95,10 +77,8 @@ def test_compose_matches_dense_oracle():
     for sp in (Space(2, 2), Space(3, 2)):
         a, b = rand_op(sp, rng, fill=0.1), rand_op(sp, rng, fill=0.2)
         one = LinOp(sp, {5: b.cols.get(9, {0: rat(3, 7)})})
-        for left, right in itertools.product((a, as_floats(a)), (b, as_floats(b), one)):
-            got = left @ right
-            assert got.exact == (left.exact and right.exact)
-            assert_dense_equal(got, dense_mul(left.to_dense(), right.to_dense()), sp)
+        for right in (b, one):
+            assert (a @ right).to_dense() == dense_mul(a.to_dense(), right.to_dense()), sp
 
 
 def dense_product(ops):
@@ -129,21 +109,6 @@ def test_product_matches_dense_oracle():
             assert got == LinOp.from_dense(sp, dense_product(ops))
         assert product(with_zero).is_zero()
         assert all(isinstance(v, int) for col in product(ints).cols.values() for v in col.values())
-
-
-def test_product_of_floats_is_the_compose_fold():
-    sp = Space(2, 1)
-    ops = [
-        LinOp(sp, {c: {r: complex(v) + 0.5j * float(v) for r, v in col.items()}
-                   for c, col in rand_op(sp, rng, fill=0.5).cols.items()})
-        for _ in range(3)
-    ]
-    ops.append(rand_op(sp, rng, fill=0.5))
-    fold = ops[-1]
-    for op in reversed(ops[:-1]):
-        fold = op.compose(fold)
-    assert product(ops) == fold
-    assert product(ops[:2]) == ops[0] @ ops[1] == ops[0].compose(ops[1])
 
 
 def test_apply_matches_dense():
@@ -187,6 +152,21 @@ def test_no_stored_zeros():
     assert b.nnz() == 0
 
 
+def test_an_operator_refuses_a_float_or_complex_scalar():
+    """Every operator is exact: a float or complex entry, a writer's
+    scalar or divisor, or a factor's scalar on a block raises TypeError
+    instead of being rounded in."""
+    sp = Space(2, 1)
+    for build in (lambda: LinOp(sp, {0: {0: 0.5}}),
+                  lambda: LinOp(sp, {(0, 1): {(1, 0): rat(1, 2), (0, 0): 1j}}),
+                  lambda: exchange_op(1, 0.5, 0, 1),
+                  lambda: reflection_op(1, [(1 + 2j, 2)]),
+                  lambda: reflection_op(1, [(1, 2)], over=1.5),
+                  lambda: product([Factor.exchange(1, 0.25, 1, (1, 2), sp), Block.identity(sp)])):
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_embed_pair_equals_embedded_product():
     sp = Space(3, 1)
     a = rand_op(Space(1, 1), rng)
@@ -198,26 +178,13 @@ def test_embed_pair_equals_embedded_product():
         assert lhs == rhs, (i, j)
 
 
-def _twin_op(space, r, exact):
+def _twin_op(space, r):
     """Random sparse operator whose columns 0 and 1 are equal, so it kills
-    the difference of basis vectors 0 and 1; complex floats unless exact."""
-
-    def value():
-        v = rand_rat(r)
-        return v if exact else complex(float(v), r.randint(-9, 9) / 7)
-
-    cols = {c: {row: value() for row in range(space.dim) if r.random() < 0.4}
+    the difference of basis vectors 0 and 1."""
+    cols = {c: {row: rand_rat(r) for row in range(space.dim) if r.random() < 0.4}
             for c in range(1, space.dim)}
     cols[0] = dict(cols[1])
     return LinOp(space, {c: col for c, col in cols.items() if col})
-
-
-def _start(space, cols, exact):
-    """Operator with the given rational columns, as complex floats unless
-    exact; the common factor keeps opposite entries opposite."""
-    if not exact:
-        cols = {c: {i: float(v) * (1 + 0.5j) for i, v in col.items()} for c, col in cols.items()}
-    return LinOp(space, cols)
 
 
 @pytest.mark.parametrize("n,half", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -225,33 +192,30 @@ def test_placed_factors_compose_like_embedded_ones(n, half):
     """At every site and ordered site pair, a placed factor composed with a
     one-column start, a two-column start, a start it cancels to zero and
     the identity equals the embedded factor composed with it, in canonical
-    form, and the dense product of the two, for exact, floating-point and
-    mixed operands."""
+    form, and the dense product of the two."""
     r = random.Random(10 * n + half)
     space = Space(n, half)
     sites = range(1, n + 1)
     where = [(j,) for j in sites]
     where += [(i, j) for i in sites for j in sites if i != j]
-    for exact_local, exact_start in itertools.product((True, False), repeat=2):
-        for at in where:
-            local = _twin_op(Space(len(at), half), r, exact_local)
-            placed = Placed(local, at, space)
-            whole = placed.embedded()
-            dense = whole.to_dense()
-            # Local codes 0 and 1 differ in the last slot's digit only.
-            cancel = {0: 1, space.stride(at[-1]): -1}
-            column = {i: rand_rat(r) for i in r.sample(range(space.dim), 5)}
-            column = {i: v for i, v in column.items() if v != 0}
-            starts = [_start(space, cols, exact_start)
-                      for cols in ({7: column}, {0: column, 3: cancel}, {2: cancel})]
-            ident = LinOp.identity(space)
-            starts.append(ident if exact_start else ident.scale(1.0))
-            for start in starts:
-                got = placed.compose(start)
-                assert got == whole.compose(start), (at, exact_local)
-                assert_dense_equal(got, dense_mul(dense, start.to_dense()), (at, exact_local))
-            assert placed.compose(starts[2]).is_zero()
-            assert list(placed.compose(starts[1]).cols) == [0]
+    for at in where:
+        local = _twin_op(Space(len(at), half), r)
+        placed = Placed(local, at, space)
+        whole = placed.embedded()
+        dense = whole.to_dense()
+        # Local codes 0 and 1 differ in the last slot's digit only.
+        cancel = {0: 1, space.stride(at[-1]): -1}
+        column = {i: rand_rat(r) for i in r.sample(range(space.dim), 5)}
+        column = {i: v for i, v in column.items() if v != 0}
+        starts = [LinOp(space, cols)
+                  for cols in ({7: column}, {0: column, 3: cancel}, {2: cancel})]
+        starts.append(LinOp.identity(space))
+        for start in starts:
+            got = placed.compose(start)
+            assert got == whole.compose(start), at
+            assert got.to_dense() == dense_mul(dense, start.to_dense()), at
+        assert placed.compose(starts[2]).is_zero()
+        assert list(placed.compose(starts[1]).cols) == [0]
 
 
 # Every one- and two-site placement at n <= 3 and half <= 3.
@@ -328,9 +292,6 @@ def test_block_arithmetic_matches_the_operator_arithmetic():
     assert Block.identity(space).linop() == LinOp.identity(space)
     with pytest.raises(ValueError):
         b1 - b1.take((0,))
-    # A block is exact: a floating-point factor is refused, not rounded in.
-    with pytest.raises(ValueError):
-        product([Factor.exchange(0.5, 0.25, 1.0, (1, 2), space), b1])
 
 
 def test_embed_site_wrong_half_dim():
@@ -343,9 +304,8 @@ def test_embed_site_wrong_half_dim():
 
 
 def assert_canonical(op):
-    """Exact form: int numerators, no stored zero, positive int den sharing
-    no factor with them, den 1 for the zero operator."""
-    assert op.exact
+    """Canonical form: int numerators, no stored zero, positive int den
+    sharing no factor with them, den 1 for the zero operator."""
     assert type(op.den) is int and op.den > 0
     values = [v for col in op.cols.values() for v in col.values()]
     assert all(op.cols.values())
@@ -487,30 +447,6 @@ def test_sum_cancelling_across_denominators_is_the_canonical_zero():
     assert partial.entry((1,), (0,)) == rat(-1, 2)
 
 
-def test_mixed_float_and_exact_give_the_fraction_values():
-    sp = Space(2, 1)
-    r = random.Random(12)
-    exact = rand_op(sp, r, fill=0.6)
-    floats = LinOp.from_dense(sp, [[complex(v) * (1 + 0.25j) for v in row]
-                                   for row in rand_op(sp, r, fill=0.6).to_dense()])
-    assert not floats.exact and floats.den == 1
-    de, df = exact.to_dense(), floats.to_dense()
-    assert (floats + exact).to_dense() == dense_add(df, de)
-    assert (exact + floats).to_dense() == dense_add(de, df)
-    got = product([floats, exact, floats]).to_dense()
-    want = dense_mul(df, dense_mul(de, df))
-    assert all(cmath.isclose(g, w, abs_tol=1e-12)
-               for gr, wr in zip(got, want) for g, w in zip(gr, wr))
-    vec = {i: rand_rat(r) for i in range(sp.dim) if r.random() < 0.7}
-    col = [vec.get(j, 0) for j in range(sp.dim)]
-    for op, dense in ((exact, de), (floats, df)):
-        out = op.apply(vec)
-        for i in range(sp.dim):
-            want = sum(dense[i][j] * col[j] for j in range(sp.dim))
-            got = out.get(i, 0)
-            assert got == want if op.exact else cmath.isclose(got, want, abs_tol=1e-12)
-
-
 # ------------------------------------------------------ linear combination
 
 
@@ -578,27 +514,6 @@ def test_lincomb_cancels_to_the_canonical_zero():
     assert snapshot([a, b]) == before
 
 
-def test_lincomb_of_float_terms_sums_in_term_order():
-    sp = Space(2, 1)
-    r = random.Random(14)
-    exact = rand_op(sp, r, fill=0.6)
-    floats = [LinOp.from_dense(sp, [[complex(v) * w for v in row]
-                                    for row in rand_op(sp, r, fill=0.6).to_dense()])
-              for w in (1 + 0.25j, 0.3 - 1.1j)]
-    before = snapshot([exact] + floats)
-    got = lincomb(sp, [(1, floats[0]), (1, floats[1])])
-    assert not got.exact and got == floats[0].add(floats[1])
-    assert got.to_dense() == dense_add(floats[0].to_dense(), floats[1].to_dense())
-    terms = [(0.5 + 1j, floats[0]), (rat(2, 3), exact), (-1, floats[1]), (2.5, exact)]
-    got = lincomb(sp, terms)
-    assert not got.exact and got.den == 1
-    want = dense_lincomb(sp, terms)
-    assert all(cmath.isclose(g, w, abs_tol=1e-12)
-               for gr, wr in zip(got.to_dense(), want) for g, w in zip(gr, wr))
-    assert lincomb(sp, [(0.5, floats[0]), (-0.5, floats[0])]).is_zero()
-    assert snapshot([exact] + floats) == before
-
-
 def test_lincomb_leaves_shared_units_unchanged():
     from bqkz.compat_ops import op_E, site_unit
 
@@ -607,7 +522,7 @@ def test_lincomb_leaves_shared_units_unchanged():
     before = snapshot([unit, pair])
     sp = unit.space
     for terms in ([(1, unit), (1, pair)], [(rat(3, 7), unit), (2, pair), (-1, unit)],
-                  [(1, unit)], [(1j, unit), (1, pair)]):
+                  [(1, unit)]):
         lincomb(sp, terms)
     assert unit + pair - pair == unit
     assert snapshot([unit, pair]) == before
@@ -642,18 +557,3 @@ def test_invert_singular():
     op = LinOp(Space(1, 2), {(0,): {(0,): 1}})
     with pytest.raises(PoleSingular):
         invert(op)
-
-
-def test_invert_complex():
-    sp = Space(1, 2)
-    r = random.Random(5)
-    cols = {}
-    for col in sp.states():
-        for row in sp.states():
-            cols.setdefault(col, {})[row] = complex(r.uniform(-1, 1), r.uniform(-1, 1))
-    op = LinOp(sp, cols)
-    iop = invert(op)
-    prod = (iop @ op).to_dense()
-    for i in range(sp.dim):
-        for j in range(sp.dim):
-            assert cmath.isclose(prod[i][j], 1.0 if i == j else 0.0, rel_tol=1e-9, abs_tol=1e-9)
