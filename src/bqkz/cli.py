@@ -454,8 +454,8 @@ def _recheck(path: str) -> int:
 
 
 def cmd_residuals(args) -> int:
-    if args.infile is None and args.config is None:
-        raise ConfigError("residuals needs --in <report> or --config <file>")
+    if (args.infile is None) == (args.config is None):
+        raise ConfigError("residuals takes exactly one of --in <report> and --config <file>")
     if args.infile is not None:
         return _recheck(args.infile)
     cfg = load_config(args.config)

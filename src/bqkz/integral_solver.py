@@ -310,15 +310,6 @@ def func_g(j: int, t: complex, y: Sequence, k: complex) -> complex:
     return out
 
 
-def prod_ratio_full(t: complex, y: Sequence, k: complex) -> complex:
-    """Product of (t -+ y_p - k)/(t -+ y_p) over all 2n pole centers."""
-    out = 1
-    for yp in y:
-        out = out * (t - yp - k) / (t - yp)
-        out = out * (t + yp - k) / (t + yp)
-    return out
-
-
 def kernel_log_phi(t: complex, y: Sequence, params: SolverParams) -> complex:
     """Logarithm of the kernel: exponential prefactor plus gamma ratios."""
     c, k = params.c, params.k
@@ -957,26 +948,6 @@ def grid_residuals(points, solved) -> list:
                 raise QuadratureError("lambda=%r: a residual is not finite" % q.lam)
             out.append(res)
     return out
-
-
-def vanishing_integral(W: CycleW, params: SolverParams,
-                       contour: Contour = None):
-    """The kernel-cycle integral against 1 minus the shifted-kernel ratio.
-
-    Returns (value, scale); the value is an exact zero of the calculus and
-    should vanish to quadrature accuracy relative to the scale.
-    """
-    if contour is None:
-        contour = build_contour(params, W=W)
-    ex = params.big_e
-
-    def values(t):
-        ratio = prod_ratio_full(t, params.y, params.k)
-        return ((1 - ex * ratio)[None, None], np.ones((1, len(t))),
-                [_kernel_cycle_array(t, params.y, W, params)])
-
-    est, (diag,) = _trapezoid(values, params, contour, [params.lam])
-    return complex(est[0, 0, 0]), diag["scale"]
 
 
 def residual_report(W: CycleW, params: SolverParams, solutions,

@@ -43,8 +43,8 @@ One runner loops over the sizes and draws the points.  A sample with any
 failing check counts as one failure; its notes read "<size label> <name>
 point=<point>".  A size with a failing point-free check counts as one
 failure of the run, whatever the sample count, with one note "<size label>
-<name>"; its samples are drawn all the same.  A route mismatch inside a
-check becomes a failure note, not an exception.
+<name>"; its samples are drawn all the same.  Every verdict is a named
+check, such as compatibility's dk-route-<m> (`compat_ops.op_dK_term`).
 
 Samples are independently seeded from the run seed and the pair
 (suite name, sample index), so a suite's body depends only on the suite,
@@ -223,7 +223,9 @@ def _compatibility(x, y, params, vr):
     forms = []
     for m in range(1, space.n + 1):
         shifted = [compat_ops.op_L_shifted(a, m, l_a, params) for a, l_a in zip(labels, ls)]
-        forms.append((compat_ops.compat_three_term(m, x, y, params, ls, shifted, v),
+        dk, differs = compat_ops.op_dK_term(m, x, y, params)
+        yield "dk-route-%d" % m, differs
+        forms.append((compat_ops.compat_three_term(m, x, y, params, ls, shifted, dk, v),
                       compat_ops.compat_direct(m, x, y, params, l_v, shifted, v)))
     for a in labels:
         for m, (split, direct) in enumerate(forms, start=1):
@@ -407,11 +409,7 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None) 
         vr = make_rng(child_seed(seed, "%s:%d:v" % (name, index)))
         sample_notes = []
         for label, (_, build) in zip(labels, sized):
-            try:
-                names, point = sample_point(rng, lambda r: build(r, vr))
-            except compat_ops.RouteMismatch as exc:
-                sample_notes.append("%s route-mismatch: %s" % (label, exc))
-                continue
+            names, point = sample_point(rng, lambda r: build(r, vr))
             for nm in names:
                 sample_notes.append("%s point=%r" % (" ".join(filter(None, (label, nm))), point))
         if sample_notes:

@@ -223,6 +223,14 @@ class LinOp:
         return cls(space, {j: {i: dense[i][j] for i in range(dim)} for j in range(dim)})
 
 
+def _exact_lcm(dens):
+    """lcm(*dens); as in `clear`, a float or complex scalar is refused."""
+    try:
+        return lcm(*dens)
+    except AttributeError:
+        raise TypeError("an operator takes exact scalars only") from None
+
+
 def clear(values, over=1):
     """(numerators, den): exact scalars divided by `over` as ints over one
     positive den that shares no factor with them all.  A float or complex
@@ -298,7 +306,7 @@ def lincomb(space: Space, terms) -> LinOp:
             raise ValueError("space mismatch in lincomb")
         if a != 0:
             live.append((a, op))
-    den = lcm(*(op.den * a.denominator for a, op in live))
+    den = _exact_lcm(op.den * a.denominator for a, op in live)
     live = [(a.numerator * (den // (op.den * a.denominator)), op.cols) for a, op in live]
     out = {}
     for f, cols in live:
@@ -584,7 +592,7 @@ class Block:
     @classmethod
     def of(cls, space: Space, *columns) -> "Block":
         """The block of exact {index: value} columns, in order."""
-        den = lcm(*(v.denominator for column in columns for v in column.values()))
+        den = _exact_lcm(v.denominator for column in columns for v in column.values())
         cols = []
         for column in columns:
             col = [0] * space.dim
@@ -647,7 +655,7 @@ def _block_lincomb(space: Space, terms) -> Block:
     width = len(terms[0][1].cols)
     if any(b.space != space or len(b.cols) != width for _, b in terms):
         raise ValueError("shape mismatch in lincomb")
-    den = lcm(*(b.den * a.denominator for a, b in terms))
+    den = _exact_lcm(b.den * a.denominator for a, b in terms)
     cols = None
     for a, b in terms:
         f = a.numerator * (den // (b.den * a.denominator))

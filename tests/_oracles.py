@@ -8,11 +8,14 @@ its integrand is assembled here one sample at a time, in log space, from
 the package's scalar kernel `kernel_log_phi`, weight function `func_g`
 and `log1m_exp`, where the package evaluates the integrand only over
 arrays of nodes.  It also owns the whole-operator route of the residual
-pass (`residuals_oracle`).
+pass (`residuals_oracle`), and the full pole ratio `prod_ratio_full`, which
+the kernel's shift relation and the weight functions' telescoping are
+compared with.
 """
 
 import cmath
 import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +50,15 @@ def _kernel_cycle(t, y, W, params):
     out = 0
     for d, cf in W.terms:
         out += cf * cmath.exp(base + d * logz)
+    return out
+
+
+def prod_ratio_full(t: complex, y: Sequence, k: complex) -> complex:
+    """Product of (t -+ y_p - k)/(t -+ y_p) over all 2n pole centers."""
+    out = 1
+    for yp in y:
+        out = out * (t - yp - k) / (t - yp)
+        out = out * (t + yp - k) / (t + yp)
     return out
 
 

@@ -614,6 +614,17 @@ def test_residuals_requires_some_input(capsys):
     assert "--in" in capsys.readouterr().err
 
 
+def test_residuals_refuses_a_report_and_a_config_together(tmp_path, capsys, monkeypatch):
+    """A config beside --in would be ignored, so the pair is refused before
+    any work, even when the config is malformed."""
+    monkeypatch.setattr(cli, "_recheck", lambda path: pytest.fail("rechecked"))
+    report = write_json(tmp_path / "solve.json", {})
+    config = write_json(tmp_path / "cfg.json", {"bogus": 1})
+    assert cli.main(["residuals", "--in", report, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "--in" in err and "--config" in err
+
+
 def test_residuals_rejects_malformed_report(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{\"schema_version\": 1}")

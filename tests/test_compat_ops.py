@@ -8,23 +8,18 @@ numerator gives the derivative without any finite differencing.
 
 import pytest
 
+import bqkz.compat_ops as co
 from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, div, rat
 from bqkz.tensor_ops import Block, LinOp, Space, lincomb
 from bqkz.rqkz import ModelParams, compose_descs, op_Q, op_dQ_dx, q_split_descs, shift_y
 from bqkz.compat_ops import (
-    RouteMismatch,
-    ad_coordinate_on_I_defect,
-    ad_ones_on_I_defect,
-    ad_reflection_on_M_defects,
-    ad_tail_defect,
     block_assembly_defect,
     check_comm_IM,
     check_cross_derivative,
     comm_AA_defect,
     compat_direct,
     compat_three_term,
-    intertwining_defects,
     m_conjugation_defect,
     op_A,
     op_B_terms,
@@ -325,63 +320,9 @@ def test_dq_dx_interpolation_oracle():
         sample_point(rng, body)
 
 
-def test_intertwining_defects_zero():
-    for half in (1, 2):
-        for _ in range(4):
-
-            def body(r):
-                lam = rand_rational(r)
-                k = rand_rational(r, nonzero=True)
-                l_code = r.randrange(2 * half)
-                m_code = r.randrange(2 * half)
-                d1, d2 = intertwining_defects(lam, k, half, l_code, m_code)
-                assert d1.is_zero() and d2.is_zero()
-                return True
-
-            sample_point(rng, body)
-
-
-def test_ad_identities_zero():
-    half = 2
-    space = Space(2, half)
-    for _ in range(4):
-
-        def body(r):
-            params = rand_params(r, space)
-            x = generic_x(r, half)
-            lam = rand_rational(r, nonzero=True)
-            gamma = rand_rational(r, nonzero=True)
-            a = r.choice((1, 2))
-            assert ad_ones_on_I_defect(a, lam, gamma, params).is_zero()
-            d1, d2 = ad_reflection_on_M_defects(a, x, gamma, params)
-            assert d1.is_zero() and d2.is_zero()
-            assert ad_coordinate_on_I_defect(a, gamma, x, params).is_zero()
-            return True
-
-        sample_point(rng, body)
-
-
-def test_ad_tail_defect_zero():
-    n, half = 2, 2
-    space = Space(n, half)
-    for _ in range(3):
-
-        def body(r):
-            params = rand_params(r, space)
-            x = generic_x(r, half)
-            y = rand_tuple(r, n)
-            for a in (1, 2):
-                for m in (1, 2):
-                    assert ad_tail_defect(a, m, x, y, params).is_zero()
-            return True
-
-        sample_point(rng, body)
-
-
-def test_dk_term_dual_route_agrees():
-    """op_dK_term raises RouteMismatch internally when its two builds
-    disagree, so returning at all is the dual-route certificate."""
-    assert issubclass(RouteMismatch, AssertionError)
+def test_dk_term_dual_route_agrees(monkeypatch):
+    """op_dK_term's two routes to the derivative terms agree at random
+    points, and its verdict turns True when one route is perturbed."""
     n, half = 2, 2
     space = Space(n, half)
 
@@ -390,11 +331,15 @@ def test_dk_term_dual_route_agrees():
         x = generic_x(r, half)
         y = rand_tuple(r, n)
         for m in (1, 2):
-            assert len(op_dK_term(m, x, y, params)) == half
-        return True
+            terms, differs = op_dK_term(m, x, y, params)
+            assert len(terms) == half and differs is False
+        return params, x, y
 
     for _ in range(3):
-        sample_point(rng, body)
+        params, x, y = sample_point(rng, body)
+    real = co.op_dK_dx
+    monkeypatch.setattr(co, "op_dK_dx", lambda *args: real(*args).scale(2))
+    assert all(op_dK_term(m, x, y, params)[1] for m in (1, 2))
 
 
 def _forms(m, x, y, params, start):
@@ -403,7 +348,8 @@ def _forms(m, x, y, params, start):
     ls = [op_L(a, x, y, params) for a in range(1, len(x) + 1)]
     shifted = [op_L_shifted(a, m, l_a, params) for a, l_a in enumerate(ls, start=1)]
     l_start = Block.join([l_a.on_block(start) for l_a in ls])
-    return (compat_three_term(m, x, y, params, ls, shifted, start),
+    dk, _ = co.op_dK_term(m, x, y, params)
+    return (compat_three_term(m, x, y, params, ls, shifted, dk, start),
             compat_direct(m, x, y, params, l_start, shifted, start))
 
 
@@ -451,8 +397,6 @@ def test_compat_forms_are_independent_routes(monkeypatch):
     """Corrupting the transport derivative breaks only the direct form;
     corrupting the middle-reflection term breaks only the split form.
     That fails unless the two residuals really use disjoint ingredients."""
-    import bqkz.compat_ops as co
-
     space = Space(2, 2)
 
     def body(r):
@@ -472,8 +416,12 @@ def test_compat_forms_are_independent_routes(monkeypatch):
 
     real_dk = co.op_dK_term
     whole = LinOp.identity(space)
-    monkeypatch.setattr(co, "op_dK_term",
-                        lambda *a, **kw: [t.embedded() + whole for t in real_dk(*a, **kw)])
+
+    def corrupted(*args):
+        terms, differs = real_dk(*args)
+        return [t.embedded() + whole for t in terms], differs
+
+    monkeypatch.setattr(co, "op_dK_term", corrupted)
     split, direct = _forms(1, x, y, params, ident)
     assert not split.is_zero() and direct.is_zero()
 

@@ -9,8 +9,8 @@ it binds nothing the module reads.  Likewise it fails on a module-level
 or the benchmark reads outside the definition's own body, by name,
 attribute, import or string (the benchmark's tracer patches functions
 named in strings).  Counting reads
-from the package alone, the definitions that only the tests or the
-benchmark keep are exactly an allow-list, each entry with its reason.
+from the package alone, a definition that only the tests or the benchmark
+keep must be one that the benchmark's tracer patches by name.
 """
 
 import ast
@@ -19,6 +19,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from test_bench_tracer import load_tracer
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "bqkz").glob("*.py"))
@@ -131,36 +133,18 @@ def test_every_package_definition_is_referenced():
     assert not unreferenced_definitions(definers, readers)
 
 
-# The module-level definitions of the package that no package module reads,
-# each with the reason it is kept.  Counting only reads from the package, the
-# check below must find exactly these: a new definition that only tests or
-# the benchmark read fails it, and so does an entry whose name is gone or
-# has found a reader in the package.
-_LEMMA = ("a compatibility proof lemma, checked by the tests until a suite certifies it"
-          " (ROADMAP item 6)")
-_TRACED = "named in bench/tracer.py's TRACED, which must drop it first (ROADMAP item 11)"
-READ_OUTSIDE_THE_PACKAGE = {
-    "compat_ops.intertwining_defects": _LEMMA,
-    "compat_ops.ad_ones_on_I_defect": _LEMMA,
-    "compat_ops.ad_reflection_on_M_defects": _LEMMA,
-    "compat_ops.ad_coordinate_on_I_defect": _LEMMA,
-    "compat_ops.ad_tail_defect": _LEMMA,
-    "integral_solver.vanishing_integral":
-        "the cycle check, to be reported by each solve or deleted (ROADMAP item 6)",
-    "integral_solver.func_g": _TRACED,
-    "integral_solver.kernel_log_phi": _TRACED,
-    "integral_solver.solve_f": _TRACED,
-    "rqkz.op_Q": _TRACED,
-    "tensor_ops.invert": _TRACED,
-}
-
-
 def test_only_the_allowed_definitions_are_read_outside_the_package():
+    """A module-level definition that no package module reads is kept only
+    while the benchmark tracer patches it by name; once TRACED drops it, or
+    a new definition only tests read, this fails."""
     readers = [path.read_text() for path in PACKAGE]
     definers = {path.stem: path.read_text() for path in PACKAGE}
     found = {"%s.%s" % (module, name)
              for module, _, name in unreferenced_definitions(definers, readers)}
-    assert found == set(READ_OUTSIDE_THE_PACKAGE)
+    traced = {"%s.%s" % (module.split(".", 1)[1], attr)
+              for module, attr, _, _ in load_tracer().TRACED}
+    assert found <= traced, ("no package module reads these; delete them or "
+                             "move them into tests/: %s" % sorted(found - traced))
 
 
 def test_the_cli_imports_no_process_pool():

@@ -122,10 +122,10 @@ def test_failure_notes_name_the_size_and_the_check(monkeypatch):
 
 
 def test_route_mismatch_is_a_suite_failure(tmp_path, monkeypatch, capsys):
-    def mismatch(*args):
-        raise compat_ops.RouteMismatch("derivative route and closed form disagree")
-
-    monkeypatch.setattr(compat_ops, "op_dK_term", mismatch)
+    """A disagreement between op_dK_term's two routes is a named check's
+    failure, noted with its size and point, not an exception."""
+    real = compat_ops.op_dK_dx
+    monkeypatch.setattr(compat_ops, "op_dK_dx", lambda *args: real(*args).scale(2))
     out = tmp_path / "report.json"
     code = cli.main(
         ["verify", "--suite", "compatibility", "--samples", "1", "--out", str(out)]
@@ -135,10 +135,8 @@ def test_route_mismatch_is_a_suite_failure(tmp_path, monkeypatch, capsys):
         (entry,) = json.load(fh)["body"]["suites"]
     assert entry["exact_zero"] is False
     assert entry["failures"] == 1
-    assert entry["notes"][0] == (
-        "n=1 half=1 route-mismatch: derivative route and closed form disagree"
-    )
-    assert "route-mismatch" in capsys.readouterr().out
+    assert entry["notes"][0].startswith("n=1 half=1 dk-route-1 point=")
+    assert "FAIL" in capsys.readouterr().out
 
 
 def _patch_everywhere(monkeypatch, module, attr, replacement):

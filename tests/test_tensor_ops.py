@@ -154,15 +154,20 @@ def test_no_stored_zeros():
 
 def test_an_operator_refuses_a_float_or_complex_scalar():
     """Every operator is exact: a float or complex entry, a writer's
-    scalar or divisor, or a factor's scalar on a block raises TypeError
-    instead of being rounded in."""
+    scalar or divisor, a factor's scalar on a block, a linear combination's
+    coefficient, a scale or a block's entry raises TypeError instead of
+    being rounded in."""
     sp = Space(2, 1)
     for build in (lambda: LinOp(sp, {0: {0: 0.5}}),
                   lambda: LinOp(sp, {(0, 1): {(1, 0): rat(1, 2), (0, 0): 1j}}),
                   lambda: exchange_op(1, 0.5, 0, 1),
                   lambda: reflection_op(1, [(1 + 2j, 2)]),
                   lambda: reflection_op(1, [(1, 2)], over=1.5),
-                  lambda: product([Factor.exchange(1, 0.25, 1, (1, 2), sp), Block.identity(sp)])):
+                  lambda: product([Factor.exchange(1, 0.25, 1, (1, 2), sp), Block.identity(sp)]),
+                  lambda: lincomb(Space(1, 1), [(0.5, LinOp.identity(Space(1, 1)))]),
+                  lambda: LinOp.identity(sp).scale(0.5),
+                  lambda: Block.identity(sp).scale(0.5),
+                  lambda: Block.of(sp, {0: 0.5})):
         with pytest.raises(TypeError):
             build()
 
