@@ -15,12 +15,21 @@ two-site block M_a summed over sites and site pairs.  Keeping both routes
 alive (no shared code paths beyond the matrix units) is deliberate: each
 certification below compares structurally different computations.  The
 first route sums its terms in one `tensor_ops.lincomb`; the second builds
-each block once per point and sums the blocks embedded whole where they
-act, one embedding per site and per site pair.
+each block once per point, applies each where it acts to a start (a
+`tensor_ops.Placed` block; nothing is embedded) and sums the images in
+one `lincomb`.
 
-The two compatibility residuals are read on a start: a `tensor_ops.Block`
-holding one seeded random integer column in the suite (Freivalds' check),
-or the identity for the whole operator.  Each form takes a site m, builds
+Every check here that forms a product reads it on a start: a
+`tensor_ops.Block` holding one seeded random integer column in the suite
+(Freivalds' check), or the identity for the whole operator, each product
+formed by `tensor_ops.product`.  The two compatibility residuals are read
+so, and so are the lemma checks: lemma-AA compares A_a (A_b v) with
+A_b (A_a v), and the block assembly check compares L_a v with the block
+sum on v.  comm-IM's two identities apply the exchange factors and the
+swap by their gather (`rqkz.r_factor`, `rqkz.p_factor`) and the blocks
+where they act; its two block sums share the one-site blocks.  The
+cross-derivative residual forms no product: it is one `lincomb` of whole
+operators.  Each compatibility form takes a site m, builds
 its own transport factors once, and returns every label's residual side
 by side in label order: each chain carries every label's columns joined
 in one block (`Block.join`).  Factors reach a block by their gather, L_a
@@ -32,10 +41,10 @@ from `op_dK_term`, which also says whether its two routes to the term
 differ (the suite's dk-route-<m> check), and the direct form takes every
 L_a applied to the start, and its `op_dQ_dx` applies the head factors
 once to every label's middle derivative.  The block assembly check
-likewise takes L_a, which the lemma-LL suite also uses for the
-commutators of the family.
-Every two-sided check here compares its sides, canonical exact operators,
-and returns True when they differ.
+likewise takes L_a applied to the start, which the lemma-LL suite also
+reads for the commutators of the family.
+Every two-sided check here compares its sides, canonical exact blocks or
+operators, and returns True when they differ.
 """
 
 from __future__ import annotations
@@ -50,10 +59,10 @@ from .rqkz import (
     op_dK_dx,
     op_dQ_dx,
     op_K,
-    op_P,
-    op_R_k,
+    p_factor,
     q_factor_list,
     q_split_descs,
+    r_factor,
 )
 from .scalar_field import PoleError, div, inv
 from .tensor_ops import (
@@ -320,45 +329,50 @@ def op_M_swapped(a: int, x: Sequence, params: ModelParams) -> LinOp:
     return lincomb(Space(2, half), terms)
 
 
-def m_conjugation_defect(a: int, x: Sequence, params: ModelParams, m_a: LinOp) -> bool:
-    """Whether the slot-exchanged pair block differs from the flip conjugate
-    of the direct one, m_a = `op_M(a, x, params)`."""
-    flip = op_P(params.space.half_dim)
-    return op_M_swapped(a, x, params) != product((flip, m_a, flip))
+def m_conjugation_defect(a: int, x: Sequence, params: ModelParams, m_a: LinOp, start) -> bool:
+    """Whether the slot-exchanged pair block differs on start from the flip
+    conjugate of the direct one, m_a = `op_M(a, x, params)`."""
+    flip = p_factor((1, 2), params.space)
+    return product((op_M_swapped(a, x, params), start)) != product((flip, m_a, flip, start))
 
 
-def _block_sum(a: int, x: Sequence, args: Sequence, pairs, params: ModelParams,
-               m_a: LinOp) -> LinOp:
-    """op_I(a, x_a, args[j - 1]) at every site j plus m_a = op_M(a, x) on
-    every site pair (i, j) of pairs, i in its first slot: each block is
-    built once and embedded whole, and the embeddings are summed in one
-    `lincomb`."""
-    space = params.space
+def _site_blocks(a: int, x: Sequence, args: Sequence, params: ModelParams) -> list:
+    """op_I(a, x_a, args[j - 1]) placed at every site j."""
     xa = tuple(x)[a - 1]
-    blocks = [Placed(op_I(a, xa, arg, params), (j,), space) for j, arg in enumerate(args, start=1)]
-    blocks += [Placed(m_a, sites, space) for sites in pairs]
-    return lincomb(space, [(1, block.embedded()) for block in blocks])
+    return [Placed(op_I(a, xa, arg, params), (j,), params.space)
+            for j, arg in enumerate(args, start=1)]
 
 
-def op_L_from_blocks(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
-    """L_a assembled from the one-site and two-site blocks.
+def _block_sum(blocks: list, start):
+    """The sum of the placed blocks applied to start: each block is applied
+    where it acts (`product`), and the images are summed in one `lincomb`.
+    Nothing is embedded."""
+    return lincomb(start.space, [(1, product((block, start))) for block in blocks])
+
+
+def op_L_from_blocks(a: int, x: Sequence, y: Sequence, params: ModelParams, start):
+    """L_a assembled from the one-site and two-site blocks, applied to
+    start: op_I at every site plus op_M on every site pair.
 
     Independent route kept separate from op_L on purpose; their equality is
     a certified identity, not a refactoring opportunity.
     """
-    return _block_sum(a, x, y, _site_pairs(params.space.n), params, op_M(a, x, params))
+    m_a = op_M(a, x, params)
+    pairs = [Placed(m_a, sites, params.space) for sites in _site_pairs(params.space.n)]
+    return _block_sum(_site_blocks(a, x, y, params) + pairs, start)
 
 
-def comm_AA_defect(a: int, b: int, y: Sequence, params: ModelParams) -> bool:
-    """Whether A_a and A_b fail to commute."""
+def comm_AA_defect(a: int, b: int, y: Sequence, params: ModelParams, start) -> bool:
+    """Whether A_a and A_b fail to commute on start."""
     a_a, a_b = op_A(a, y, params), op_A(b, y, params)
-    return a_a @ a_b != a_b @ a_a
+    return product((a_a, a_b, start)) != product((a_b, a_a, start))
 
 
-def block_assembly_defect(a: int, x, y, params: ModelParams, l_a: LinOp) -> bool:
-    """Whether L_a, as built by op_L, differs from its assembly from the
-    blocks."""
-    return l_a != op_L_from_blocks(a, x, y, params)
+def block_assembly_defect(a: int, x, y, params: ModelParams, l_start, start) -> bool:
+    """Whether L_a, as built by op_L, differs on start from its assembly
+    from the blocks, given l_start, `op_L(a, x, y, params)` applied to
+    start."""
+    return l_start != op_L_from_blocks(a, x, y, params, start)
 
 
 def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
@@ -395,15 +409,16 @@ def check_cross_derivative(a: int, b: int, x, y, params: ModelParams) -> LinOp:
                                   (-x[b - 1], op_dB_dx(a, b, x, params))])
 
 
-def check_comm_IM(a: int, x, y1, y2, params: ModelParams, m_a: LinOp) -> bool:
-    """Whether the exchange conjugation of the block sum differs from the
-    slot-swapped blocks on the two-site space of params, m_a =
-    `op_M(a, x, params)`."""
-    half = params.space.half_dim
-    r = op_R_k(y1 - y2, params.k, half)
-    rinv = op_R_k(y2 - y1, params.k, half)
-    lhs = product((r, _block_sum(a, x, (y1, y2), [(1, 2)], params, m_a), rinv))
-    return lhs != _block_sum(a, x, (y1, y2), [(2, 1)], params, m_a)
+def check_comm_IM(a: int, x, y1, y2, params: ModelParams, m_a: LinOp, start) -> bool:
+    """Whether the exchange conjugation of the block sum differs on start
+    from the slot-swapped blocks on the two-site space of params, m_a =
+    `op_M(a, x, params)`.  Both sums share the one-site blocks."""
+    space = params.space
+    one_site = _site_blocks(a, x, (y1, y2), params)
+    r = r_factor(y1 - y2, params.k, (1, 2), space)
+    rinv = r_factor(y2 - y1, params.k, (1, 2), space)
+    conjugated = _block_sum(one_site + [Placed(m_a, (1, 2), space)], product((rinv, start)))
+    return product((r, conjugated)) != _block_sum(one_site + [Placed(m_a, (2, 1), space)], start)
 
 
 def op_dK_term(m: int, x, y, params: ModelParams) -> tuple:

@@ -13,14 +13,19 @@ label) and `elem_s` (swap two) write that tuple directly; a word's element
 is the product of its generators (`SignedPerm.from_word`).
 
 The interesting identities of this module hold on the orbit subspace only,
-so each check reads its identity applied to a start, `orbit_start`, the
-orbit projector: a residual, each term composed with the start before the
-one sum, must vanish on it, and a two-sided identity compares its two
-sides applied to it, True when they differ.  The restriction check's
-terms read no point, so they are composed with the start once per space
-(`restriction_images`) and each point only weights and sums them; the
-point-free pair-sum identities (`pair_sum_identities`) read the same
-images.
+so each check reads its identity applied to a start on the orbit: a
+residual, each term applied to the start before the one sum, must vanish
+on it, and a two-sided identity compares its two sides applied to it,
+True when they differ.  The degenerate cross relations
+(`check_AHA_relations`) form each product through `tensor_ops.product`
+on the start the suite passes, one `tensor_ops.Block` holding a seeded
+random integer column supported on the orbit states (Freivalds' check),
+so every operator is applied to it entry by entry; a test may pass
+`orbit_start`, the orbit projector, to prove the relations on the whole
+orbit.  The restriction check's terms read no point, so they are composed
+with `orbit_start` once per space (`restriction_images`) and each point
+only weights and sums them; the point-free pair-sum identities
+(`pair_sum_identities`) read the same images.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -207,28 +212,30 @@ def rhoR_word(word, x: Sequence, space: Space) -> LinOp:
     return product(images or [LinOp.identity(space)])
 
 
-def check_AHA_relations(y: Sequence, params: ModelParams, start: LinOp):
+def check_AHA_relations(y: Sequence, params: ModelParams, start):
     """The degenerate cross relations applied to start, which hold on the
-    orbit only: yields (name, residual LinOp) of each three-term relation
-    and (name, whether its sides differ) of each commutation.  Each product
-    applies its right factor to start first, so none is wider than start."""
+    orbit only: yields (name, residual) of each three-term relation and
+    (name, whether its sides differ) of each commutation.  Each product
+    applies its right factor to start first (`product`), so none is wider
+    than start."""
     space = params.space
     n = space.n
     gens = [rhoL(SignedPerm.generator(n, i), space) for i in range(1, n + 1)]
     ops_a = {i: compat_ops.op_A(i, y, params) for i in range(1, n + 1)}
-    a_start = {i: op_a @ start for i, op_a in ops_a.items()}
-    s_start = [s_i @ start for s_i in gens]
+    a_start = {i: product((op_a, start)) for i, op_a in ops_a.items()}
+    s_start = [product((s_i, start)) for s_i in gens]
     for i in range(1, n):
-        yield ("lower-%d" % i, lincomb(space, [(1, ops_a[i] @ s_start[i - 1]),
-                                               (-1, gens[i - 1] @ a_start[i + 1]),
+        yield ("lower-%d" % i, lincomb(space, [(1, product((ops_a[i], s_start[i - 1]))),
+                                               (-1, product((gens[i - 1], a_start[i + 1]))),
                                                (-params.k, start)]))
-    yield ("top", lincomb(space, [(1, ops_a[n] @ s_start[n - 1]), (1, gens[n - 1] @ a_start[n]),
+    yield ("top", lincomb(space, [(1, product((ops_a[n], s_start[n - 1]))),
+                                  (1, product((gens[n - 1], a_start[n]))),
                                   (-2 * params.alpha, start)]))
     for i in range(1, n + 1):
         for jj in range(1, n + 1):
             if abs(i - jj) > 1 or (i, jj) == (n - 1, n):
-                yield ("comm-%d-%d" % (i, jj),
-                       ops_a[i] @ s_start[jj - 1] != gens[jj - 1] @ a_start[i])
+                yield ("comm-%d-%d" % (i, jj), product((ops_a[i], s_start[jj - 1]))
+                       != product((gens[jj - 1], a_start[i])))
 
 
 def cbar_factor_list(m: int, n: int):

@@ -11,31 +11,35 @@ composing commutes with doing it the other way around.
 
 Each exchange and reflection factor computes its few distinct scalars
 from its argument: those of lam + k P or lam T(x) + beta and the divisor
-lam + k or lam + beta (`r_scalars`, `k_scalars`).  A chain factor keeps
-them as a `tensor_ops.Factor` placed at its sites; `op_R_k` and `op_K`
-hand them to the `tensor_ops` writer of their shape (`exchange_op` on two
-sites, `reflection_op` on one) for a whole operator.  The braid defects
-pass placed factors to `tensor_ops.product`, which embeds only the last
-factor of each side.
+lam + k or lam + beta (`r_scalars`, `k_scalars`).  A factor of a chain
+keeps them as a `tensor_ops.Factor` placed at its sites (`r_factor`,
+`k_factor`, and `p_factor` and `t_factor` for P and T(x)).  For a whole
+operator the same scalars go to the `tensor_ops` writer of their shape
+(`exchange_op` on two sites, `reflection_op` on one): `op_P` and `op_T`
+write their factor's local operator, and `op_K` hands `k_scalars` to the
+writer.
 
-The consistency checks read their transport operators on one start:
-a caller applies each chain of factors to a `tensor_ops.Block` start
-(`compose_descs` with `start`) and compares the images; each factor
-reaches the block's columns by its gather, no factor operator is written,
-and each partial product is reduced by one gcd.  The suites start from
-one seeded random integer column v, so a pass proves D(p) v = 0 for the
-point's defect D(p) (Freivalds' check).  An exact chain with no start is
-applied to the identity block and returned as the whole operator; a test
-may pass a whole operator as the start, which `_compose_at` composes with
-each factor's written operator.  The inverse check applies the inverse
+Every check reads its chains on a start: it applies each chain of placed
+factors to a `tensor_ops.Block` start through `tensor_ops.product`; each
+factor reaches the block's columns by its gather, no factor operator is
+written, and each partial product is reduced by one gcd.  The suites
+start from one seeded random integer column v, so a pass proves
+D(p) v = 0 for the point's defect D(p) (Freivalds' check).  A test may
+pass a whole operator as the start, the identity to prove D(p) = 0,
+which `_compose_at` composes with each factor's written operator; an
+exact chain with no start (`compose_descs`) is applied to the identity
+block and returned as the whole operator.  The braid and inverse checks
+compare the two sides of their identity and return True when they
+differ; the two factor identities (`swap_factor_defect`,
+`flip_factor_defect`) return their residual on the start.  For the
+consistency checks a caller applies each transport chain to the start
+(`compose_descs` with `start`): the inverse check applies the inverse
 factors to Q_m v, and each pair check applies the shifted factors of one
-transport operator to the other's image; each compares its two sides and
-returns True when they differ, as the braid and unitarity checks do.  The
-x-derivatives take T_m applied to the start, apply each coordinate's
-middle derivative (a general placed site operator) to it, and the head
-factors once to all of them.  Whether the split into (head, middle, tail)
-keeps every factor in order reads no point, so `q_split_defect` checks it
-once per size.
+transport operator to the other's image.  The x-derivatives take T_m
+applied to the start, apply each coordinate's middle derivative (a
+general placed site operator) to it, and the head factors once to all of
+them.  Whether the split into (head, middle, tail) keeps every factor in
+order reads no point, so `q_split_defect` checks it once per size.
 
 The contour solver's residual pass uses the same factor builders with
 complex scalars (`factor_ops`): per lambda grid it builds the factors on
@@ -57,7 +61,7 @@ from typing import Sequence
 from .sampling import rand_rational
 from .scalar_field import PoleError, inv, rat
 from .tensor_ops import (
-    Block, Factor, LinOp, Placed, Space, exchange_op, lincomb, product, reflection_op,
+    Block, Factor, LinOp, Placed, Space, lincomb, product, reflection_op,
 )
 
 
@@ -88,9 +92,14 @@ def ones(count: int) -> tuple:
     return (1,) * count
 
 
+def p_factor(sites: tuple, space: Space) -> Factor:
+    """The two-site swap P placed at two sites."""
+    return Factor.exchange(1, 0, 1, sites, space)
+
+
 def op_P(half_dim: int) -> LinOp:
     """Two-site swap."""
-    return exchange_op(half_dim, 1, 0, 1)
+    return p_factor((1, 2), Space(2, half_dim)).local
 
 
 def coordinates(x: Sequence) -> tuple:
@@ -101,9 +110,15 @@ def coordinates(x: Sequence) -> tuple:
     return tuple(x)
 
 
+def t_factor(x: Sequence, site: int, space: Space) -> Factor:
+    """The site reflection T(x), v_a -> x_a^{-1} v_abar and v_abar ->
+    x_a v_a, placed at a site."""
+    return Factor.reflection(0, [(inv(xa), xa) for xa in coordinates(x)], site, space)
+
+
 def op_T(x: Sequence) -> LinOp:
     """Site reflection: v_a -> x_a^{-1} v_abar, v_abar -> x_a v_a."""
-    return reflection_op(0, [(inv(xa), xa) for xa in coordinates(x)])
+    return t_factor(x, 1, Space(1, len(x))).local
 
 
 def op_dT_dx(x: Sequence, a: int, weight=1, over=1) -> LinOp:
@@ -124,10 +139,10 @@ def r_scalars(lam, k) -> tuple:
     return (norm, lam, k), norm
 
 
-def op_R_k(lam, k, half_dim: int) -> LinOp:
-    """Two-site exchange operator (lam + k P)/(lam + k)."""
+def r_factor(lam, k, sites: tuple, space: Space) -> Factor:
+    """The exchange operator (lam + k P)/(lam + k) placed at two sites."""
     scalars, norm = r_scalars(lam, k)
-    return exchange_op(half_dim, *scalars, over=norm)
+    return Factor.exchange(*scalars, sites, space, over=norm)
 
 
 def k_scalars(lam, x: Sequence, beta) -> tuple:
@@ -139,6 +154,12 @@ def k_scalars(lam, x: Sequence, beta) -> tuple:
         raise PoleError("reflection factor pole: argument equals -strength")
     flips = [(lam, lam) if xa == 1 else (lam * inv(xa), lam * xa) for xa in coordinates(x)]
     return (beta, flips), norm
+
+
+def k_factor(lam, x: Sequence, beta, site: int, space: Space) -> Factor:
+    """The reflection factor (lam T(x) + beta)/(lam + beta) placed at a site."""
+    scalars, norm = k_scalars(lam, x, beta)
+    return Factor.reflection(*scalars, site, space, over=norm)
 
 
 def op_K(lam, x: Sequence, beta) -> LinOp:
@@ -200,15 +221,12 @@ def _factor_op(desc, x: Sequence, y: Sequence, params: ModelParams) -> Factor:
     space = params.space
     arg = _factor_arg(desc, y, params.c)
     if kind == "R":
-        scalars, norm = r_scalars(arg, params.k)
-        return Factor.exchange(*scalars, sites, space, over=norm)
+        return r_factor(arg, params.k, sites, space)
     if kind == "Kx":
-        scalars, norm = k_scalars(arg, x, params.beta)
-    elif kind == "K1":
-        scalars, norm = k_scalars(arg, ones(space.half_dim), params.alpha)
-    else:
-        raise ValueError("unknown factor kind %r" % (kind,))
-    return Factor.reflection(*scalars, sites[0], space, over=norm)
+        return k_factor(arg, x, params.beta, sites[0], space)
+    if kind == "K1":
+        return k_factor(arg, ones(space.half_dim), params.alpha, sites[0], space)
+    raise ValueError("unknown factor kind %r" % (kind,))
 
 
 def invert_descs(descs):
@@ -273,55 +291,53 @@ def shift_y(y: Sequence, m: int, c) -> tuple:
     return y[: m - 1] + (y[m - 1] - c,) + y[m:]
 
 
-def ybe_defect(k, l1, l2, l3, half_dim: int) -> bool:
-    """Whether the Yang-Baxter equation on three sites fails."""
-    sp = Space(3, half_dim)
-
-    def r(i, j, arg):
-        return Placed(op_R_k(arg, k, half_dim), (i, j), sp)
-
-    lhs = product((r(1, 2, l1 - l2), r(1, 3, l1 - l3), r(2, 3, l2 - l3)))
-    rhs = product((r(2, 3, l2 - l3), r(1, 3, l1 - l3), r(1, 2, l1 - l2)))
-    return lhs != rhs
+def ybe_defect(k, l1, l2, l3, start) -> bool:
+    """Whether the two sides of the Yang-Baxter equation differ on start,
+    a start on three sites."""
+    sp = start.space
+    r12, r13, r23 = (r_factor(l1 - l2, k, (1, 2), sp), r_factor(l1 - l3, k, (1, 3), sp),
+                     r_factor(l2 - l3, k, (2, 3), sp))
+    return product((r12, r13, r23, start)) != product((r23, r13, r12, start))
 
 
-def bybe_defect(k, beta, x: Sequence, l1, l2) -> bool:
-    """Whether the boundary Yang-Baxter equation on two sites fails."""
-    half = len(x)
-    sp = Space(2, half)
-
-    def r(i, j, arg):
-        return Placed(op_R_k(arg, k, half), (i, j), sp)
-
-    k1 = Placed(op_K(l1, x, beta), (1,), sp)
-    k2 = Placed(op_K(l2, x, beta), (2,), sp)
-    lhs = product((r(1, 2, l1 - l2), k1, r(2, 1, l1 + l2), k2))
-    rhs = product((k2, r(2, 1, l1 + l2), k1, r(1, 2, l1 - l2)))
-    return lhs != rhs
+def bybe_defect(k, beta, x: Sequence, l1, l2, start) -> bool:
+    """Whether the two sides of the boundary Yang-Baxter equation differ on
+    start, a start on two sites."""
+    sp = start.space
+    r12, r21 = r_factor(l1 - l2, k, (1, 2), sp), r_factor(l1 + l2, k, (2, 1), sp)
+    k1, k2 = k_factor(l1, x, beta, 1, sp), k_factor(l2, x, beta, 2, sp)
+    return product((r12, k1, r21, k2, start)) != product((k2, r21, k1, r12, start))
 
 
-def r_unitarity_defect(k, lam, half_dim: int) -> bool:
-    sp = Space(2, half_dim)
-    return op_R_k(lam, k, half_dim) @ op_R_k(-lam, k, half_dim) != LinOp.identity(sp)
+def r_unitarity_defect(k, lam, start) -> bool:
+    """Whether R(lam) R(-lam) differs from the identity on start, a start
+    on two sites."""
+    sp = start.space
+    return product((r_factor(lam, k, (1, 2), sp), r_factor(-lam, k, (1, 2), sp), start)) != start
 
 
-def k_unitarity_defect(lam, x: Sequence, beta) -> bool:
-    sp = Space(1, len(x))
-    return op_K(lam, x, beta) @ op_K(-lam, x, beta) != LinOp.identity(sp)
+def k_unitarity_defect(lam, x: Sequence, beta, start) -> bool:
+    """Whether K(lam) K(-lam) differs from the identity on start, a start
+    on one site."""
+    sp = start.space
+    return product((k_factor(lam, x, beta, 1, sp), k_factor(-lam, x, beta, 1, sp), start)) != start
 
 
-def swap_factor_defect(k, lam, half_dim: int) -> LinOp:
-    """(lam P - k) - (lam - k) P R(lam)^{-1}; zero at every regular point."""
-    p = op_P(half_dim)
-    return lincomb(p.space, [(lam, p), (-k, LinOp.identity(p.space)),
-                             (k - lam, p @ op_R_k(-lam, k, half_dim))])
+def swap_factor_defect(k, lam, start):
+    """(lam P - k) - (lam - k) P R(lam)^{-1} applied to start, a start on
+    two sites; zero at every regular point."""
+    sp = start.space
+    p = p_factor((1, 2), sp)
+    return lincomb(sp, [(lam, product((p, start))), (-k, start),
+                        (k - lam, product((p, r_factor(-lam, k, (1, 2), sp), start)))])
 
 
-def flip_factor_defect(lam, x: Sequence, beta) -> LinOp:
-    """(lam T(x) - beta) - (lam - beta) K(lam|x,beta)^{-1}; zero when regular."""
-    t = op_T(x)
-    return lincomb(t.space, [(lam, t), (-beta, LinOp.identity(t.space)),
-                             (beta - lam, op_K(-lam, x, beta))])
+def flip_factor_defect(lam, x: Sequence, beta, start):
+    """(lam T(x) - beta) - (lam - beta) K(lam|x,beta)^{-1} applied to
+    start, a start on one site; zero when regular."""
+    sp = start.space
+    return lincomb(sp, [(lam, product((t_factor(x, 1, sp), start))), (-beta, start),
+                        (beta - lam, product((k_factor(-lam, x, beta, 1, sp), start)))])
 
 
 def transport_consistency_defect(m: int, l: int, x, y, params: ModelParams,

@@ -7,22 +7,27 @@ as canonical exact values, are equal.  Results are booleans, not small
 floats; there is no tolerance anywhere in this module.
 
 The three transport suites (qkz-consistency, compatibility, cbar-qinv)
-never form their products: each applies every factor chain to one seeded
-random integer column v (Freivalds' check), held as a dense
-`tensor_ops.Block`, and tests D(p) v = 0 for the point's defect D(p).  On
-the block each exchange and reflection factor is one gather over the
-column and every other operator (L_a, the derivative terms) is applied
-entry by entry; no factor operator is written.  Compatibility carries
-every label's image of v through each chain of a site as one block, and
-reads label a's verdict from its column a - 1.  A nonzero D(p) passes one
+and seven of the ten light suites (ybe, bybe, unitarity, lemma-AA,
+lemma-LL, comm-IM, aha-relations) never form their products: each
+applies every factor chain and every operator to one seeded random
+integer column v (Freivalds' check), held as a dense `tensor_ops.Block`,
+and tests D(p) v = 0 for the point's defect D(p).  On the block each
+exchange and reflection factor is one gather over the column and every
+other operator (L_a, A_a, the blocks I_a and M_a, the left-action images,
+the derivative terms) is applied entry by entry where it acts; no factor
+operator is written and nothing is embedded.  Each operator of a point is
+built once, such as L_a or comm-IM's pair block M_a once per label for
+every check that reads it.  Compatibility carries every label's image of
+v through each chain of a site as one block, and reads label a's verdict
+from its column a - 1.  unitarity draws two columns, one on two sites for
+its exchange checks and one on one site for its reflection checks, and
+aha-relations and cbar-qinv's orbit check draw theirs on the orbit
+states only, where their identities hold.  A nonzero D(p) passes one
 sample with probability at most 1/101 on top of the point's own chance of
-sitting on a zero of D.  aha-relations and l-restriction hold on the orbit
-only: they test D(p) P = 0 for the orbit projector P
-(`hecke_module.orbit_start`, built once per size), a sparse operator that
-`tensor_ops._compose_at` composes with.  The other suites evaluate their
-defects as whole operators by the same kernel and build each operator of
-a point once, such as L_a or comm-IM's pair block M_a once per label for
-every check that reads it.
+sitting on a zero of D.  The other three light suites keep their own
+routes, for the reasons given above the suite table: cross-derivative and
+phi-iso prove D(p) = 0 on whole operators, and l-restriction D(p) P = 0
+for the orbit projector P (`hecke_module.orbit_start`).
 
 A suite is one row of a table: its anchor, the label of a size, its sizes,
 its default sample count, and `builder_for`, which maps a size to a pair
@@ -34,10 +39,10 @@ builds them, once per process, so no suite holds them.  The builder, which
 `sample_point` calls, draws the point from the point's stream, runs the
 checks that read it and returns (failing names, point).  It also takes the
 column stream.  Most suites are built by `_model_suite` or
-`_sized_model_suite`, whose checks(x, y, params, vr) all get that stream;
-the transport suites draw v from it as the first statement of their
-checks, before any factor is built, so each redraw of a point draws a new
-v, and the other checks leave it unread.
+`_sized_model_suite`, whose checks(x, y, params, vr) all get that stream.
+Every suite that reads a column draws it from the stream as the first
+statement of its builder or of its checks, before any factor is built, so
+each redraw of a point draws a new v; the other three leave it unread.
 
 One runner loops over the sizes and draws the points.  A sample with any
 failing check counts as one failure; its notes read "<size label> <name>
@@ -59,7 +64,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .tensor_ops import Block, LinOp, Space
+from .tensor_ops import Block, LinOp, Space, product
 from .sampling import child_seed, make_rng, rand_column, rand_rational, rand_tuple, sample_point
 from . import compat_ops, hecke_module, rqkz
 from .rqkz import ModelParams
@@ -100,43 +105,58 @@ def _failing(checks) -> list:
             if (defect if isinstance(defect, bool) else not defect.is_zero())]
 
 
+def _column(vr, space: Space, indices=None) -> Block:
+    """The block of one random integer column of the column stream on the
+    given indices of space, every index by default."""
+    return Block.of(space, rand_column(vr, range(space.dim) if indices is None else indices))
+
+
 # Builders of the braid suites name no check: their notes read
 # "<size label> point=<point>".  Like every builder_for without point-free
-# checks, each returns ([], builder).  Only the transport suites read the
-# column stream.
+# checks, each returns ([], builder).
 
 
 def _ybe(half):
-    def build(r, _):
+    space = Space(3, half)
+
+    def build(r, vr):
+        v = _column(vr, space)
         k = rand_rational(r, nonzero=True)
         l1, l2, l3 = rand_tuple(r, 3)
-        return _failing([("", rqkz.ybe_defect(k, l1, l2, l3, half))]), (k, l1, l2, l3)
+        return _failing([("", rqkz.ybe_defect(k, l1, l2, l3, v))]), (k, l1, l2, l3)
 
     return [], build
 
 
 def _bybe(half):
-    def build(r, _):
+    space = Space(2, half)
+
+    def build(r, vr):
+        v = _column(vr, space)
         k = rand_rational(r, nonzero=True)
         beta = rand_rational(r, nonzero=True)
         x = _rand_x(r, half)
         l1, l2 = rand_tuple(r, 2)
-        return _failing([("", rqkz.bybe_defect(k, beta, x, l1, l2))]), (k, beta, x, l1, l2)
+        return _failing([("", rqkz.bybe_defect(k, beta, x, l1, l2, v))]), (k, beta, x, l1, l2)
 
     return [], build
 
 
 def _unitarity(half):
-    def build(r, _):
+    pair, site = Space(2, half), Space(1, half)
+
+    def build(r, vr):
+        # The exchange checks act on two sites, the reflection checks on one.
+        v2, v1 = _column(vr, pair), _column(vr, site)
         k = rand_rational(r, nonzero=True)
         beta = rand_rational(r, nonzero=True)
         lam = rand_rational(r, nonzero=True)
         x = _rand_x(r, half)
         checks = [
-            ("exchange-inverse", rqkz.r_unitarity_defect(k, lam, half)),
-            ("reflection-inverse", rqkz.k_unitarity_defect(lam, x, beta)),
-            ("swap-factor", rqkz.swap_factor_defect(k, lam, half)),
-            ("flip-factor", rqkz.flip_factor_defect(lam, x, beta)),
+            ("exchange-inverse", rqkz.r_unitarity_defect(k, lam, v2)),
+            ("reflection-inverse", rqkz.k_unitarity_defect(lam, x, beta, v1)),
+            ("swap-factor", rqkz.swap_factor_defect(k, lam, v2)),
+            ("flip-factor", rqkz.flip_factor_defect(lam, x, beta, v1)),
         ]
         return _failing(checks), (k, beta, lam, x)
 
@@ -176,7 +196,7 @@ def _qkz_consistency(space):
     point_free = [("split-%d" % m, rqkz.q_split_defect(m, space.n)) for m in sites]
 
     def checks(x, y, params, vr):
-        v = Block.of(space, rand_column(vr, range(space.dim)))
+        v = _column(vr, space)
         qs = [rqkz.compose_descs(rqkz.q_factor_list(m, space.n), x, y, params, start=v)
               for m in sites]
         for m, q_m in enumerate(qs, start=1):
@@ -191,20 +211,24 @@ def _qkz_consistency(space):
     return point_free, checks
 
 
-def _lemma_aa(x, y, params, _):
+def _lemma_aa(x, y, params, vr):
+    v = _column(vr, params.space)
     half = params.space.half_dim
     for a in range(1, half + 1):
         for b in range(a + 1, half + 1):
-            yield "pair-%d-%d" % (a, b), compat_ops.comm_AA_defect(a, b, y, params)
+            yield "pair-%d-%d" % (a, b), compat_ops.comm_AA_defect(a, b, y, params, v)
 
 
-def _lemma_ll(x, y, params, _):
+def _lemma_ll(x, y, params, vr):
+    v = _column(vr, params.space)
     half = params.space.half_dim
     ls = [compat_ops.op_L(a, x, y, params) for a in range(1, half + 1)]
+    l_v = [product((l_a, v)) for l_a in ls]
     for a, l_a in enumerate(ls, start=1):
-        yield "assembly-%d" % a, compat_ops.block_assembly_defect(a, x, y, params, l_a)
+        yield "assembly-%d" % a, compat_ops.block_assembly_defect(a, x, y, params, l_v[a - 1], v)
         for b in range(a + 1, half + 1):
-            yield "pair-%d-%d" % (a, b), l_a @ ls[b - 1] != ls[b - 1] @ l_a
+            yield "pair-%d-%d" % (a, b), (product((l_a, l_v[b - 1]))
+                                          != product((ls[b - 1], l_v[a - 1])))
 
 
 def _cross_derivative(x, y, params, _):
@@ -216,7 +240,7 @@ def _cross_derivative(x, y, params, _):
 
 def _compatibility(x, y, params, vr):
     space = params.space
-    v = Block.of(space, rand_column(vr, range(space.dim)))
+    v = _column(vr, space)
     labels = range(1, space.half_dim + 1)
     ls = [compat_ops.op_L(a, x, y, params) for a in labels]
     l_v = Block.join([l_a.on_block(v) for l_a in ls])
@@ -234,8 +258,11 @@ def _compatibility(x, y, params, vr):
 
 
 def _aha(space):
-    start = hecke_module.orbit_start(space)
-    return [], lambda x, y, params, _: hecke_module.check_AHA_relations(y, params, start)
+    def checks(x, y, params, vr):
+        v = _column(vr, space, hecke_module.orbit_states(space))
+        return hecke_module.check_AHA_relations(y, params, v)
+
+    return [], checks
 
 
 def _l_restriction(space):
@@ -259,7 +286,8 @@ def _l_restriction(space):
 def _comm_im(half):
     space = Space(2, half)
 
-    def build(r, _):
+    def build(r, vr):
+        v = _column(vr, space)
         params = ModelParams.random(r, space)
         x = _rand_x(r, half)
         y1 = rand_rational(r)
@@ -267,8 +295,10 @@ def _comm_im(half):
         checks = []
         for a in range(1, half + 1):
             m_a = compat_ops.op_M(a, x, params)
-            checks += [("conjugation-%d" % a, compat_ops.check_comm_IM(a, x, y1, y2, params, m_a)),
-                       ("slot-swap-%d" % a, compat_ops.m_conjugation_defect(a, x, params, m_a))]
+            checks += [
+                ("conjugation-%d" % a, compat_ops.check_comm_IM(a, x, y1, y2, params, m_a, v)),
+                ("slot-swap-%d" % a, compat_ops.m_conjugation_defect(a, x, params, m_a, v)),
+            ]
         return _failing(checks), (x, y1, y2)
 
     return [], build
@@ -331,6 +361,12 @@ class _Suite(NamedTuple):
     builder_for: Callable
 
 
+# Every suite but three reads its identities on a column.  cross-derivative
+# stays whole: its defect is one lincomb with no product, so a column would
+# save nothing.  phi-iso stays whole: on a column both sides of its
+# reversal check run the same gathers, so the check would prove nothing.
+# l-restriction stays on the orbit projector: its per-point work is already
+# a weighted sum of images composed once per size, and reads no product.
 _HALF = "half=%d"
 _PAIR = "n=%d half=%d"
 _ORBIT = "n=%d"

@@ -40,7 +40,11 @@ picks one:
   code, every base 0), `apply` on a one-column operator and `site_tensor`
   with op1 placed at site 1; `Placed.embedded` writes a whole operator
   from a placed one by the same table.  A `Factor` writes its operator
-  only here, when a whole operator is asked for.
+  only here, when a whole operator is asked for.  The suites' per-point
+  checks reach this kernel only through phi-iso's words and the
+  derivative route of compatibility's dk-route check; it otherwise builds
+  the point-free operators (pair blocks, left-action images on the orbit)
+  and serves tests that pass a whole start.
 
 Every operator is exact: it holds int numerators over one positive int
 denominator, reduced so that the two share no factor, and no operation
@@ -300,14 +304,13 @@ def lincomb(space: Space, terms) -> LinOp:
     terms = list(terms)
     if terms and isinstance(terms[0][1], Block):
         return _block_lincomb(space, terms)
-    live = []
-    for a, op in terms:
-        if op.space != space:
-            raise ValueError("space mismatch in lincomb")
-        if a != 0:
-            live.append((a, op))
-    den = _exact_lcm(op.den * a.denominator for a, op in live)
-    live = [(a.numerator * (den // (op.den * a.denominator)), op.cols) for a, op in live]
+    if any(op.space != space for _, op in terms):
+        raise ValueError("space mismatch in lincomb")
+    # A zero term adds nothing, but its coefficient's denominator is read
+    # all the same, so a float or complex zero is refused like any other.
+    den = _exact_lcm(a.denominator * op.den if a != 0 else a.denominator for a, op in terms)
+    live = [(a.numerator * (den // (op.den * a.denominator)), op.cols)
+            for a, op in terms if a != 0]
     out = {}
     for f, cols in live:
         for c, col in cols.items():

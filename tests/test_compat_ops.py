@@ -9,9 +9,9 @@ numerator gives the derivative without any finite differencing.
 import pytest
 
 import bqkz.compat_ops as co
-from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
+from bqkz.sampling import make_rng, rand_column, rand_rational, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, div, rat
-from bqkz.tensor_ops import Block, LinOp, Space, lincomb
+from bqkz.tensor_ops import Block, LinOp, Space, lincomb, product
 from bqkz.rqkz import ModelParams, compose_descs, op_Q, op_dQ_dx, q_split_descs, shift_y
 from bqkz.compat_ops import (
     block_assembly_defect,
@@ -35,6 +35,12 @@ from bqkz.compat_ops import (
 )
 
 rng = make_rng(908070)
+
+
+def starts(space):
+    """The whole start and one random integer column: a defect that
+    vanishes on the identity vanishes on every column."""
+    return LinOp.identity(space), Block.of(space, rand_column(rng, range(space.dim)))
 
 
 def op_B(a, x, params):
@@ -147,36 +153,40 @@ def test_op_a_smallest_case_entries():
 def test_comm_aa_samples():
     for n, half in ((2, 2), (3, 2), (2, 3)):
         space = Space(n, half)
-        for _ in range(5):
+        for start in starts(space):
+            for _ in range(3):
 
-            def body(r):
-                params = rand_params(r, space)
-                y = rand_tuple(r, n)
-                for a in range(1, half + 1):
-                    for b in range(a + 1, half + 1):
-                        assert not comm_AA_defect(a, b, y, params)
-                return True
+                def body(r):
+                    params = rand_params(r, space)
+                    y = rand_tuple(r, n)
+                    for a in range(1, half + 1):
+                        for b in range(a + 1, half + 1):
+                            assert not comm_AA_defect(a, b, y, params, start)
+                    return True
 
-            sample_point(rng, body)
+                sample_point(rng, body)
 
 
 def test_comm_ll_and_assembly_samples():
     for n, half in ((2, 2), (3, 2)):
         space = Space(n, half)
-        for _ in range(3):
+        for start in starts(space):
+            for _ in range(2):
 
-            def body(r):
-                params = rand_params(r, space)
-                x = generic_x(r, half)
-                y = rand_tuple(r, n)
-                ls = [op_L(a, x, y, params) for a in range(1, half + 1)]
-                for a in range(1, half + 1):
-                    assert not block_assembly_defect(a, x, y, params, ls[a - 1])
-                    for b in range(a + 1, half + 1):
-                        assert (ls[a - 1] @ ls[b - 1] - ls[b - 1] @ ls[a - 1]).is_zero()
-                return True
+                def body(r):
+                    params = rand_params(r, space)
+                    x = generic_x(r, half)
+                    y = rand_tuple(r, n)
+                    ls = [op_L(a, x, y, params) for a in range(1, half + 1)]
+                    l_start = [product((l_a, start)) for l_a in ls]
+                    for a in range(1, half + 1):
+                        assert not block_assembly_defect(a, x, y, params, l_start[a - 1], start)
+                        for b in range(a + 1, half + 1):
+                            assert (product((ls[a - 1], l_start[b - 1]))
+                                    - product((ls[b - 1], l_start[a - 1]))).is_zero()
+                    return True
 
-            sample_point(rng, body)
+                sample_point(rng, body)
 
 
 def test_cross_derivative_samples():
@@ -196,19 +206,20 @@ def test_cross_derivative_samples():
 def test_comm_im_and_slot_swap_samples():
     for half in (1, 2, 3):
         space = Space(2, half)
-        for _ in range(4):
+        for start in starts(space):
+            for _ in range(2):
 
-            def body(r):
-                params = rand_params(r, space)
-                x = generic_x(r, half)
-                y1, y2 = rand_tuple(r, 2)
-                for a in range(1, half + 1):
-                    m_a = op_M(a, x, params)
-                    assert not check_comm_IM(a, x, y1, y2, params, m_a)
-                    assert not m_conjugation_defect(a, x, params, m_a)
-                return True
+                def body(r):
+                    params = rand_params(r, space)
+                    x = generic_x(r, half)
+                    y1, y2 = rand_tuple(r, 2)
+                    for a in range(1, half + 1):
+                        m_a = op_M(a, x, params)
+                        assert not check_comm_IM(a, x, y1, y2, params, m_a, start)
+                        assert not m_conjugation_defect(a, x, params, m_a, start)
+                    return True
 
-            sample_point(rng, body)
+                sample_point(rng, body)
 
 
 def test_block_pole_guards():
@@ -430,8 +441,9 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
     """Every builder of the family sums its terms in one `lincomb`: with
     the label-only caches warm, one call reduces exactly once.  The block
     route builds each of its n one-site blocks and its one pair block once
-    (one reduction each) and sums their embeddings once, so it reduces
-    n + 2 times.  The restriction residual's terms are composed with its
+    (one reduction each), composes each with the whole start where it acts
+    (one each) and sums the images once, so it reduces 2n + 3 times.  The
+    restriction residual's terms are composed with its
     start once per space, so at a point it only sums them, once.  Matrix
     units are built once and shared."""
     import bqkz.tensor_ops as to
@@ -450,13 +462,13 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
         "op_I": lambda: op_I(2, x[1], gamma, params),
         "op_M": lambda: op_M(1, x, params),
         "op_M_swapped": lambda: op_M_swapped(2, x, params),
-        "op_L_from_blocks": lambda: op_L_from_blocks(1, x, y, params),
+        "op_L_from_blocks": lambda: op_L_from_blocks(1, x, y, params, LinOp.identity(space)),
         "op_dB_dx same": lambda: op_dB_dx(1, 1, x, params),
         "op_dB_dx cross": lambda: op_dB_dx(1, 2, x, params),
         "check_L_restriction": lambda: check_L_restriction(2, x, params, images),
     }
     reductions = {name: 1 for name in calls}
-    reductions["op_L_from_blocks"] = space.n + 2
+    reductions["op_L_from_blocks"] = 2 * space.n + 3
     for call in calls.values():
         call()
     real = to._built

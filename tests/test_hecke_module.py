@@ -3,7 +3,7 @@ orbit isomorphism, and the degenerate product identities."""
 
 import pytest
 
-from bqkz.sampling import make_rng, rand_tuple, sample_point
+from bqkz.sampling import make_rng, rand_column, rand_tuple, sample_point
 from bqkz.scalar_field import inv, rat
 from bqkz.tensor_ops import Block, LinOp, Space
 from bqkz.rqkz import ModelParams, compose_descs, invert_descs, q_factor_list
@@ -167,20 +167,23 @@ def test_phi_equivariance_exact_scalars():
 
 
 def test_aha_relations_on_orbit():
+    """On the orbit projector, and on one random column supported on the
+    orbit states."""
     for n in (2, 3):
         space = Space(n, n)
-        start = orbit_start(space)
+        column = Block.of(space, rand_column(rng, orbit_states(space)))
+        for start in (orbit_start(space), column):
 
-        def body(r):
-            params = rand_params(r, space)
-            y = rand_tuple(r, n)
-            for name, defect in check_AHA_relations(y, params, start):
-                # A commutation compares its sides: True when they differ.
-                assert (not defect) if isinstance(defect, bool) else defect.is_zero(), name
-            return True
+            def body(r):
+                params = rand_params(r, space)
+                y = rand_tuple(r, n)
+                for name, defect in check_AHA_relations(y, params, start):
+                    # A commutation compares its sides: True when they differ.
+                    assert (not defect) if isinstance(defect, bool) else defect.is_zero(), name
+                return True
 
-        for _ in range(3):
-            sample_point(rng, body)
+            for _ in range(3):
+                sample_point(rng, body)
 
 
 def test_aha_needs_orbit_restriction():

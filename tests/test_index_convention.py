@@ -24,7 +24,9 @@ from bqkz.hecke_module import (
     rhoL,
 )
 from bqkz.integral_solver import _local_matrix
-from bqkz.rqkz import ModelParams, k_scalars, op_dT_dx, op_K, op_P, op_Q, op_R_k, op_T, r_scalars
+from bqkz.rqkz import (
+    ModelParams, k_factor, op_dT_dx, op_K, op_P, op_Q, op_T, p_factor, r_factor, t_factor,
+)
 from bqkz.scalar_field import inv, rat
 from bqkz.tensor_ops import Factor, LinOp, Placed, Space, exchange_op, reflection_op, site_tensor
 
@@ -46,11 +48,11 @@ def _built_operators(n, half):
         ops += [op_T(x), op_dT_dx(x, half), op_K(rat(7, 3), x, rat(1, 2)),
                 site_unit(half, 0, 2 * half - 1)]
     if n == 2:
-        ops += [op_P(half), op_R_k(rat(5, 2), rat(2, 3), half),
+        ops += [op_P(half), r_factor(rat(5, 2), rat(2, 3), (1, 2), space).local,
                 site_tensor(op_T(x), site_unit(half, 1, 0))]
     ops += [Placed(op_K(rat(7, 3), x, rat(1, 2)), (j,), space).embedded() for j in range(1, n + 1)]
     if n >= 2:
-        r = op_R_k(rat(5, 2), rat(2, 3), half)
+        r = r_factor(rat(5, 2), rat(2, 3), (1, 2), Space(2, half)).local
         ops += [Placed(r, (1, n), space).embedded(), Placed(r, (n, 1), space).embedded()]
     ops += [op_Q(m, x, y, params) for m in range(1, n + 1)]
     ops += [op_L(half, x, y, params)]
@@ -297,19 +299,21 @@ def test_transport_builders_match_their_oracles(half, x, lam, k, beta):
     for arg in (lam, 0 * lam):
         s = inv(arg + k)
         want = _exchange_cols(half, s * (arg + k), s * arg, s * k)
-        scalars, norm = r_scalars(arg, k)
-        _assert_matrix(Factor.exchange(*scalars, (1, 2), Space(2, half), over=norm), want)
+        r = r_factor(arg, k, (1, 2), Space(2, half))
+        _assert_matrix(r, want)
         if rational:
-            _assert_written(op_R_k(arg, k, half), LinOp(*want))
-    _assert_written(op_P(half), _exchange_oracle(half, 1, 0, 1))
+            _assert_written(r.local, LinOp(*want))
+    for swap in (op_P(half), p_factor((1, 2), Space(2, half)).local):
+        _assert_written(swap, _exchange_oracle(half, 1, 0, 1))
     s = inv(lam + beta)
     want = _reflection_cols(s * beta, [(s * (lam * inv(xa)), s * (lam * xa)) for xa in x])
-    (diag, flips), norm = k_scalars(lam, x, beta)
-    _assert_matrix(Factor.reflection(diag, flips, 1, Space(1, half), over=norm), want)
+    _assert_matrix(k_factor(lam, x, beta, 1, Space(1, half)), want)
     if not rational:
         return
     _assert_written(op_K(lam, x, beta), LinOp(*want))
-    _assert_written(op_T(x), _reflection_oracle(0, [(inv(xa), xa) for xa in x]))
+    _assert_written(k_factor(lam, x, beta, 1, Space(1, half)).local, LinOp(*want))
+    for flip in (op_T(x), t_factor(x, 1, Space(1, half)).local):
+        _assert_written(flip, _reflection_oracle(0, [(inv(xa), xa) for xa in x]))
     for a in range(1, half + 1):
         flips = [(-inv(xa * xa), 1) if b == a else (0, 0) for b, xa in enumerate(x, start=1)]
         _assert_written(op_dT_dx(x, a), _reflection_oracle(0, flips))

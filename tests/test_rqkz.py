@@ -2,9 +2,9 @@
 
 import pytest
 
-from bqkz.sampling import make_rng, rand_rational, rand_tuple, sample_point
+from bqkz.sampling import make_rng, rand_column, rand_rational, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, inv, rat
-from bqkz.tensor_ops import LinOp, Space, product
+from bqkz.tensor_ops import Block, LinOp, Space, product
 from bqkz.rqkz import (
     ModelParams,
     bybe_defect,
@@ -17,7 +17,6 @@ from bqkz.rqkz import (
     op_K,
     op_P,
     op_Q,
-    op_R_k,
     op_T,
     op_dK_dx,
     op_dT_dx,
@@ -25,6 +24,7 @@ from bqkz.rqkz import (
     q_inverse_defect,
     q_split_defect,
     q_split_descs,
+    r_factor,
     r_unitarity_defect,
     shift_y,
     swap_factor_defect,
@@ -33,6 +33,17 @@ from bqkz.rqkz import (
 )
 
 rng = make_rng(414243)
+
+
+def op_R_k(lam, k, half):
+    """The two-site exchange operator written whole."""
+    return r_factor(lam, k, (1, 2), Space(2, half)).local
+
+
+def starts(space):
+    """The whole start and one random integer column: a defect that
+    vanishes on the identity vanishes on every column."""
+    return LinOp.identity(space), Block.of(space, rand_column(rng, range(space.dim)))
 
 
 def rand_params(space):
@@ -191,49 +202,52 @@ def test_transport_n1_is_two_reflections():
 
 def test_ybe_samples():
     for half in (1, 2, 3):
-        for _ in range(10):
+        for start in starts(Space(3, half)):
+            for _ in range(5):
 
-            def body(r):
-                k = rand_rational(r, nonzero=True)
-                l1, l2, l3 = rand_tuple(r, 3)
-                return ybe_defect(k, l1, l2, l3, half)
+                def body(r):
+                    k = rand_rational(r, nonzero=True)
+                    l1, l2, l3 = rand_tuple(r, 3)
+                    return ybe_defect(k, l1, l2, l3, start)
 
-            assert not sample_point(rng, body)
+                assert not sample_point(rng, body)
 
 
 def test_bybe_samples():
     for half in (1, 2, 3):
-        for _ in range(10):
+        for start in starts(Space(2, half)):
+            for _ in range(5):
 
-            def body(r):
-                k = rand_rational(r, nonzero=True)
-                beta = rand_rational(r, nonzero=True)
-                x = rand_tuple(r, half, nonzero=True)
-                l1, l2 = rand_tuple(r, 2)
-                return bybe_defect(k, beta, x, l1, l2)
+                def body(r):
+                    k = rand_rational(r, nonzero=True)
+                    beta = rand_rational(r, nonzero=True)
+                    x = rand_tuple(r, half, nonzero=True)
+                    l1, l2 = rand_tuple(r, 2)
+                    return bybe_defect(k, beta, x, l1, l2, start)
 
-            assert not sample_point(rng, body)
+                assert not sample_point(rng, body)
 
 
 def test_unitarity_samples():
     for half in (1, 2, 3):
-        for _ in range(10):
+        for pair, site in zip(starts(Space(2, half)), starts(Space(1, half))):
+            for _ in range(5):
 
-            def body(r):
-                k = rand_rational(r, nonzero=True)
-                beta = rand_rational(r, nonzero=True)
-                lam = rand_rational(r, nonzero=True)
-                x = rand_tuple(r, half, nonzero=True)
-                return (
-                    r_unitarity_defect(k, lam, half),
-                    k_unitarity_defect(lam, x, beta),
-                    swap_factor_defect(k, lam, half),
-                    flip_factor_defect(lam, x, beta),
-                )
+                def body(r):
+                    k = rand_rational(r, nonzero=True)
+                    beta = rand_rational(r, nonzero=True)
+                    lam = rand_rational(r, nonzero=True)
+                    x = rand_tuple(r, half, nonzero=True)
+                    return (
+                        r_unitarity_defect(k, lam, pair),
+                        k_unitarity_defect(lam, x, beta, site),
+                        swap_factor_defect(k, lam, pair),
+                        flip_factor_defect(lam, x, beta, site),
+                    )
 
-            r_inverse, k_inverse, swap, flip = sample_point(rng, body)
-            assert not r_inverse and not k_inverse
-            assert swap.is_zero() and flip.is_zero()
+                r_inverse, k_inverse, swap, flip = sample_point(rng, body)
+                assert not r_inverse and not k_inverse
+                assert swap.is_zero() and flip.is_zero()
 
 
 def test_consistency_and_split_samples():

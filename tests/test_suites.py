@@ -52,6 +52,12 @@ def test_draws_match_the_golden_digest(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DRAWS
 
 
+# The suites that read their identities on one random column and write no
+# operator per point; cross-derivative, phi-iso and l-restriction keep their
+# own routes.
+COLUMN_SUITES = ("ybe", "bybe", "unitarity", "lemma-AA", "lemma-LL", "comm-IM", "aha-relations")
+
+
 # sha256 of the random columns the three transport suites draw at samples=2,
 # seed 6 (24 columns, redraws included), as
 # json.dumps([sorted(column.items()) for column in drawn]).
@@ -73,6 +79,29 @@ def test_column_draws_match_the_golden_digest(monkeypatch):
     assert len(drawn) == 24
     text = json.dumps([sorted(column.items()) for column in drawn])
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_COLUMNS
+
+
+# sha256 of the random columns the light suites that read a column draw at
+# samples=2, seed 6 (42 columns: one per size and sample, two for
+# unitarity, which checks on two sites and on one), in the same form.
+GOLDEN_LIGHT_COLUMNS = "3f17ac1ef5b0884a92f88277096de71cf49a0163e11ef6107351285166db89db"
+
+
+def test_light_column_draws_match_the_golden_digest(monkeypatch):
+    drawn = []
+    real = suites.rand_column
+
+    def recording(rng, indices):
+        column = real(rng, indices)
+        drawn.append(column)
+        return column
+
+    monkeypatch.setattr(suites, "rand_column", recording)
+    for name in COLUMN_SUITES:
+        assert suites.run_suite(name, samples=2, seed=6).exact_zero, name
+    assert len(drawn) == 42
+    text = json.dumps([sorted(column.items()) for column in drawn])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LIGHT_COLUMNS
 
 
 # sha256 of body["suites"] of `bqkz verify --samples 1 --seed 6` over all 13
@@ -113,8 +142,7 @@ def test_failing_verify_body_matches_the_golden_digest(tmp_path, capsys, monkeyp
 
 
 def test_failure_notes_name_the_size_and_the_check(monkeypatch):
-    nonzero = LinOp.identity(Space(1, 1))
-    monkeypatch.setattr(compat_ops, "comm_AA_defect", lambda *args: nonzero)
+    monkeypatch.setattr(compat_ops, "comm_AA_defect", lambda *args: True)
     result = suites.run_suite("lemma-AA", samples=1, seed=0)
     assert not result.exact_zero
     assert result.failures == 1
@@ -309,10 +337,39 @@ def test_the_transport_chains_embed_no_factor(monkeypatch):
     assert len(written) == 4
 
 
+def test_the_light_chains_embed_write_and_compose_nothing(monkeypatch):
+    """The light suites that read their identities on a column apply every
+    factor and block where it acts: once the point-free caches are warm, a
+    one-sample run embeds no operator into the whole space, writes no
+    exchange or reflection factor as an operator and runs no product of
+    operators; each factor reaches the column by its gather and every other
+    operator entry by entry."""
+    for name in COLUMN_SUITES:
+        suites.run_suite(name, samples=1, seed=0)
+    calls = {"_embedded": [], "exchange_op": [], "reflection_op": [], "_compose_at": []}
+
+    def counted(seen, real):
+        return lambda *args, **kwargs: seen.append(args) or real(*args, **kwargs)
+
+    for attr, seen in calls.items():
+        monkeypatch.setattr(tensor_ops, attr, counted(seen, getattr(tensor_ops, attr)))
+    for name in COLUMN_SUITES:
+        assert suites.run_suite(name, samples=1, seed=1).exact_zero, name
+    assert {attr: len(seen) for attr, seen in calls.items()} == dict.fromkeys(calls, 0)
+    # The counters see a defect given the whole start, which composes each
+    # factor with it, written where it acts.
+    assert not rqkz.ybe_defect(rat(2), rat(1), rat(5), rat(11), LinOp.identity(Space(3, 1)))
+    assert len(calls["_compose_at"]) == 6
+    assert len(calls["exchange_op"]) == 3
+    assert calls["_embedded"] == []
+
+
 def test_the_orbit_suites_compose_nothing_wider_than_the_orbit(monkeypatch):
-    """aha-relations and l-restriction read their identities on the orbit
-    start: once the point-free caches are warm, no product of a one-sample
-    run at n = 3 has a right operand wider than the 48 orbit columns."""
+    """aha-relations reads its identities on one orbit column and composes
+    nothing; l-restriction composes its point-free images with the orbit
+    start once per size: once the point-free caches are warm, no product of
+    a one-sample run at n = 3 has a right operand wider than the 48 orbit
+    columns."""
     names = ("aha-relations", "l-restriction")
     for name in names:
         suites.run_suite(name, samples=1, seed=0, sizes=(3,))
@@ -345,10 +402,11 @@ def test_l_restriction_composes_each_point_free_operator_once(monkeypatch):
     assert len(calls) == sum(n * (5 * n - 2) for n in (2, 3)) == 55
 
 
-def test_the_braid_and_word_chains_embed_one_factor_per_side(monkeypatch):
-    """The braid defects and the right-action word pass placed factors to
-    `product`, which embeds only the factor applied first: one embedding
-    per side of a braid, one per word."""
+def test_the_word_chain_embeds_one_factor_and_the_braid_chains_none(monkeypatch):
+    """The right-action word passes placed factors to `product`, which
+    embeds only the factor applied first: one embedding per word.  The
+    braid defects end in their start, so even on the whole start they
+    embed nothing."""
     embedded = []
     real = tensor_ops._embedded
 
@@ -357,48 +415,52 @@ def test_the_braid_and_word_chains_embed_one_factor_per_side(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(tensor_ops, "_embedded", counted)
-    assert not rqkz.ybe_defect(rat(2), rat(1), rat(5), rat(11), 2)
-    assert len(embedded) == 2
-    assert not rqkz.bybe_defect(rat(2), rat(3), (rat(7), rat(-4)), rat(1), rat(5))
-    assert len(embedded) == 4
+    assert not rqkz.ybe_defect(rat(2), rat(1), rat(5), rat(11), LinOp.identity(Space(3, 2)))
+    assert not rqkz.bybe_defect(rat(2), rat(3), (rat(7), rat(-4)), rat(1), rat(5),
+                                LinOp.identity(Space(2, 2)))
+    assert embedded == []
     word, x, space = ["s0", 1, 2, 3, 1], (rat(2), rat(3), rat(5)), Space(3, 3)
     image = hecke_module.rhoR_word(word, x, space)
-    assert len(embedded) == 5
+    assert len(embedded) == 1
     whole = [hecke_module.rhoR_generator(g, x, space).embedded() for g in reversed(word)]
     assert image == tensor_ops.product(whole)
 
 
-def test_the_blocks_are_built_once_per_point_and_embedded_whole(monkeypatch):
+def test_the_blocks_are_built_once_per_point_and_never_embedded(monkeypatch):
     """The block route builds each one-site block and the pair block once
-    and embeds each whole where it acts: once the point-free caches are
-    warm, a block sum over n sites and a list of site pairs makes
-    n + |pairs| embeddings (3 at n = 2).  comm-IM builds op_M once per
-    label and point and hands it to both of its checks; op_M reads
+    per point and applies each to the column where it acts: once the
+    point-free caches are warm, nothing is embedded.  lemma-LL builds op_I
+    once per label and site; comm-IM builds op_M once per label and point
+    and hands it to both of its checks, and its two block sums share the
+    one-site blocks, so op_I is built at 2 sites per label; op_M reads
     pair_J once per label, so a build is half reads."""
     for name in ("lemma-LL", "comm-IM"):
         suites.run_suite(name, samples=1, seed=0)
     with monkeypatch.context() as patch:
         points = _calls_at_each_point(
-            patch, "lemma-LL", [(tensor_ops, "_embedded"), (compat_ops, "op_L_from_blocks")]
+            patch, "lemma-LL", [(tensor_ops, "_embedded"), (compat_ops, "op_L_from_blocks"),
+                                (compat_ops, "op_I")]
         )
     assert len(points) == 2
     for calls in points:
-        _, _, _, params = calls["op_L_from_blocks"][0]
+        params = calls["op_L_from_blocks"][0][3]
         n, half = params.space.n, params.space.half_dim
         assert _sites(calls["op_L_from_blocks"]) == list(range(1, half + 1))
-        assert len(calls["_embedded"]) == half * (n + n * (n - 1) // 2)
+        assert len(calls["op_I"]) == half * n
+        assert calls["_embedded"] == []
     with monkeypatch.context() as patch:
         points = _calls_at_each_point(
             patch, "comm-IM", [(tensor_ops, "_embedded"), (compat_ops, "op_M"),
-                               (compat_ops, "pair_J"), (compat_ops, "check_comm_IM")]
+                               (compat_ops, "pair_J"), (compat_ops, "check_comm_IM"),
+                               (compat_ops, "op_I")]
         )
     assert len(points) == 3
     for calls in points:
         half = calls["op_M"][0][2].space.half_dim
         assert _sites(calls["op_M"]) == _sites(calls["check_comm_IM"]) == list(range(1, half + 1))
         assert len(calls["pair_J"]) == half * half
-        # Two block sums per check, each over 2 sites and 1 pair.
-        assert len(calls["_embedded"]) == half * 2 * 3
+        assert len(calls["op_I"]) == 2 * half
+        assert calls["_embedded"] == []
 
 
 def _bump(op: LinOp, i: int) -> LinOp:
@@ -445,15 +507,16 @@ def test_one_exchange_scalar_off_by_one_fails_both_transport_suites(monkeypatch)
 
 
 def test_one_exchange_scalar_off_by_one_fails_the_braid_and_unitarity_suites(monkeypatch):
-    """The braid and unitarity checks compare their two sides: every whole
-    exchange operator with its swap scalar off by one fails ybe, bybe and
-    unitarity's exchange checks."""
+    """The braid and unitarity checks compare their two sides on a column:
+    every exchange factor their chains read (`rqkz.r_factor`) with its swap
+    scalar off by one fails ybe, bybe and unitarity's exchange checks."""
 
-    def perturbed(lam, k, half_dim):
-        (diag, keep, swap), norm = rqkz.r_scalars(lam, k)
-        return tensor_ops.exchange_op(half_dim, diag, keep, swap + 1, over=norm)
+    def perturbed(lam, k, sites, space, real=rqkz.r_factor):
+        factor = real(lam, k, sites, space)
+        diag, keep, swap = factor.scalars
+        return Factor.exchange(diag, keep, swap + 1, sites, space, over=factor.over)
 
-    monkeypatch.setattr(rqkz, "op_R_k", perturbed)
+    monkeypatch.setattr(rqkz, "r_factor", perturbed)
     for name in ("ybe", "bybe"):
         result = suites.run_suite(name, samples=1, seed=0)
         assert result.failures == 1, name
@@ -464,18 +527,46 @@ def test_one_exchange_scalar_off_by_one_fails_the_braid_and_unitarity_suites(mon
 
 
 def test_one_pair_block_entry_off_by_one_fails_comm_im(monkeypatch):
-    """comm-IM compares the sides of both of its identities: one diagonal
-    entry of op_M off by one, at a state whose two sites differ, fails
-    both checks."""
+    """comm-IM compares the sides of both of its identities on a column v:
+    one diagonal entry of op_M off by one, at the state (0, 1) whose two
+    sites differ, fails the conjugation check for every label at every
+    size.  The flip conjugate P op_M P reads that entry only through v's
+    entry at the swapped state (1, 0), so the slot-swap check fails exactly
+    where that entry is nonzero.  At seed 0 it is 0 at half = 1: the
+    Freivalds miss that a nonzero defect meets with probability at most
+    1/101, shown here, not drawn away."""
 
     def perturbed(a, x, params, real=compat_ops.op_M):
         op = real(a, x, params)
         return _bump(op, op.space.index((0, 1)))
 
     monkeypatch.setattr(compat_ops, "op_M", perturbed)
+    drawn, seen = [], []
+    real_column, real_sample_point = suites.rand_column, suites.sample_point
+
+    def recording_column(rng, indices):
+        drawn.append(real_column(rng, indices))
+        return drawn[-1]
+
+    def recording_point(rng, builder):
+        # The column is drawn first, so the last one drawn is the point's.
+        names, point = real_sample_point(rng, builder)
+        seen.append((drawn[-1], names))
+        return names, point
+
+    monkeypatch.setattr(suites, "rand_column", recording_column)
+    monkeypatch.setattr(suites, "sample_point", recording_point)
     notes = suites.run_suite("comm-IM", samples=1, seed=0).notes
     assert [note.split(" point=")[0] for note in notes] == [
-        "half=1 conjugation-1", "half=1 slot-swap-1"]
+        "half=1 conjugation-1", "half=2 conjugation-1"]
+    swapped = [Space(2, half).index((1, 0)) for half in (1, 2, 3)]
+    assert swapped[0] == 2 and 2 not in seen[0][0]
+    for half, (column, names), index in zip((1, 2, 3), seen, swapped, strict=True):
+        read = index in column
+        assert read or half == 1
+        assert names == [name for a in range(1, half + 1)
+                         for name in ("conjugation-%d" % a, "slot-swap-%d" % a)
+                         if read or name.startswith("conjugation")], half
 
 
 def test_one_degenerate_flip_scalar_off_by_one_fails_both_cbar_checks(monkeypatch):

@@ -156,7 +156,7 @@ def test_an_operator_refuses_a_float_or_complex_scalar():
     """Every operator is exact: a float or complex entry, a writer's
     scalar or divisor, a factor's scalar on a block, a linear combination's
     coefficient, a scale or a block's entry raises TypeError instead of
-    being rounded in."""
+    being rounded in, a float or complex zero too."""
     sp = Space(2, 1)
     for build in (lambda: LinOp(sp, {0: {0: 0.5}}),
                   lambda: LinOp(sp, {(0, 1): {(1, 0): rat(1, 2), (0, 0): 1j}}),
@@ -165,7 +165,9 @@ def test_an_operator_refuses_a_float_or_complex_scalar():
                   lambda: reflection_op(1, [(1, 2)], over=1.5),
                   lambda: product([Factor.exchange(1, 0.25, 1, (1, 2), sp), Block.identity(sp)]),
                   lambda: lincomb(Space(1, 1), [(0.5, LinOp.identity(Space(1, 1)))]),
+                  lambda: lincomb(Space(1, 1), [(0.0, LinOp.identity(Space(1, 1)))]),
                   lambda: LinOp.identity(sp).scale(0.5),
+                  lambda: LinOp.identity(Space(1, 1)).scale(0.0),
                   lambda: Block.identity(sp).scale(0.5),
                   lambda: Block.of(sp, {0: 0.5})):
         with pytest.raises(TypeError):
