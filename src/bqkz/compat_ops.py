@@ -56,9 +56,9 @@ from .rqkz import (
     ModelParams,
     factor_ops,
     invert_descs,
+    k_factor,
     op_dK_dx,
     op_dQ_dx,
-    op_K,
     p_factor,
     q_factor_list,
     q_split_descs,
@@ -431,7 +431,7 @@ def op_dK_term(m: int, x, y, params: ModelParams) -> tuple:
     den = lam * lam - params.beta * params.beta
     if den == 0:
         raise PoleError("middle reflection argument hits the strength")
-    k_inv = op_K(-lam, x, params.beta)
+    k_inv = k_factor(-lam, x, params.beta, 1, Space(1, half)).local
     w = div(params.c * lam, den)
     terms, differs = [], False
     for a, xa in enumerate(x, start=1):

@@ -4,13 +4,14 @@ transport factors, with every identity tied back to the transport operators.
 Here the label count equals the site count (N = n).  The signed permutation
 group acts on site labels (left action, sitewise relabeling); a second,
 anti-homomorphic action works by slot swaps and reflection operators (right
-action).  The orbit of v_1 x ... x v_n under the left action spans a
-coordinate subspace whose basis vectors are indexed by group elements:
-`phi` maps an element to its basis vector's linear index, and
-`orbit_states` lists those indices.  A group element is its tuple of
-images of the labels 1..n: `SignedPerm.generator`, `elem_r` (negate one
-label) and `elem_s` (swap two) write that tuple directly; a word's element
-is the product of its generators (`SignedPerm.from_word`).
+action), each generator's image the placed factor `rqkz.p_factor` or
+`rqkz.t_factor` (`rhoR_generator`).  The orbit of v_1 x ... x v_n under
+the left action spans a coordinate subspace whose basis vectors are
+indexed by group elements: `phi` maps an element to its basis vector's
+linear index, and `orbit_states` lists those indices.  A group element is
+its tuple of images of the labels 1..n: `SignedPerm.generator`, `elem_r`
+(negate one label) and `elem_s` (swap two) write that tuple directly; a
+word's element is the product of its generators (`SignedPerm.from_word`).
 
 The interesting identities of this module hold on the orbit subspace only,
 so each check reads its identity applied to a start on the orbit: a
@@ -61,12 +62,12 @@ from .rqkz import (
     coordinates,
     invert_descs,
     ones,
-    op_P,
-    op_T,
+    p_factor,
     q_factor_list,
+    t_factor,
 )
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import Block, Factor, LinOp, Placed, Space, lincomb, product
+from .tensor_ops import Block, Factor, LinOp, Space, lincomb, product
 
 
 @dataclass(frozen=True)
@@ -188,19 +189,19 @@ def orbit_start(space: Space) -> LinOp:
     return LinOp.of(space, {i: {i: 1} for i in orbit_states(space)})
 
 
-def rhoR_generator(g, x: Sequence, space: Space) -> Placed:
-    """Right-action image of one generator, placed where it acts: "s0" ->
-    coordinate reflection at site 1, integer i in 1..n-1 -> swap of slots
-    i, i+1, n (or "sn") -> the all-ones reflection at site n."""
+def rhoR_generator(g, x: Sequence, space: Space) -> Factor:
+    """Right-action image of one generator, the factor placed where it
+    acts: "s0" -> coordinate reflection at site 1, integer i in 1..n-1 ->
+    swap of slots i, i+1, n (or "sn") -> the all-ones reflection at site n."""
     n = space.n
     if space.half_dim != n:
         raise ValueError("right action needs label count equal to site count")
     if g == "s0":
-        return Placed(op_T(x), (1,), space)
+        return t_factor(x, 1, space)
     if g == "sn" or g == n:
-        return Placed(op_T(ones(n)), (n,), space)
+        return t_factor(ones(n), n, space)
     if isinstance(g, int) and 1 <= g < n:
-        return Placed(op_P(n), (g, g + 1), space)
+        return p_factor((g, g + 1), space)
     raise ValueError("unknown generator %r" % (g,))
 
 

@@ -55,7 +55,9 @@ the coordinate reflection Kx, op_A and the coefficient-to-state matrix)
 is built once per grid; each lambda builds only its n Kx factors and
 op_B, in numpy, as the operators of `tensor_ops` are exact.  Each
 transport factor is applied as its local matrix on its own sites' axes,
-so no whole-space transport operator is formed.  A grid refuses a lambda
+written from the factor's scalars by its shape's table
+(`tensor_ops.factor_shape`, which the exact operators read too), so no
+whole-space transport operator is formed.  A grid refuses a lambda
 with e^{2 pi i lam} near -1 before any quadrature; the pairing alone
 (`solve_f`) is regular there.
 """
@@ -67,7 +69,6 @@ import itertools
 import math
 import string
 from dataclasses import dataclass, replace
-from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +76,7 @@ import numpy as np
 from . import compat_ops
 from .rqkz import ModelParams, factor_ops, q_split_descs, shift_y
 from .scalar_field import _LOG_HALF_I, _LOG_PI, _lanczos_half_plane, cpow, inv, log_gamma
-from .tensor_ops import Space, exchange_op, reflection_op
+from .tensor_ops import Space, factor_shape
 
 TWO_PI_I = 2j * math.pi
 # The array kernel sets terms whose exponent has real part below this to
@@ -816,32 +817,19 @@ def _dense_sum(rows) -> np.ndarray:
     return out.reshape(len(rows), dim, dim)
 
 
-@cache
-def _slots(sites: int, half: int) -> tuple:
-    """The flat positions in a factor's local matrix of each of its
-    scalars, in the order _local_matrix lists them: where its shape's
-    writer puts that scalar when it alone is 1.  Reads no point: cached."""
-    count = 3 if sites == 2 else 1 + 2 * half
-    units = [[int(i == j) for j in range(count)] for i in range(count)]
-    if sites == 2:
-        patterns = [exchange_op(half, *unit) for unit in units]
-    else:
-        patterns = [reflection_op(unit[0], list(zip(unit[1::2], unit[2::2]))) for unit in units]
-    return tuple(np.flatnonzero(_dense_sum([[(1, op)]])) for op in patterns)
-
-
 def _local_matrix(factor) -> np.ndarray:
     """A transport factor's d x d or d^2 x d^2 complex matrix on its own
-    sites: each of its scalars times 1/over, placed on its slots."""
-    sites, scalars = len(factor.strides), factor.scalars
-    if sites == 1:
-        scalars = (scalars[0], *itertools.chain.from_iterable(scalars[1]))
+    sites, from its shape's table: row c holds its scalars times 1/over,
+    slot other[c] at column partner[c] and then slot own[c] at c itself,
+    slot -1 reading zero."""
+    own, other, partner = factor_shape(len(factor.strides), factor.space.half_dim)
     s = inv(factor.over)
-    dim = factor.space.site_dim ** sites
-    out = np.zeros(dim * dim, dtype=complex)
-    for slots, v in zip(_slots(sites, factor.space.half_dim), scalars, strict=True):
-        out[slots] = s * v
-    return out.reshape(dim, dim)
+    values = np.array([s * v for v in factor.scalars] + [0], dtype=complex)
+    rows = np.arange(len(partner))
+    out = np.zeros((len(partner), len(partner)), dtype=complex)
+    out[rows, partner] = values[list(other)]
+    out[rows, rows] = values[list(own)]
+    return out
 
 
 def _local_factors(descs, x, y, model) -> list:

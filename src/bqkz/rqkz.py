@@ -10,14 +10,12 @@ family is consistent: shifting the l-th argument in the m-th operator and
 composing commutes with doing it the other way around.
 
 Each exchange and reflection factor computes its few distinct scalars
-from its argument: those of lam + k P or lam T(x) + beta and the divisor
-lam + k or lam + beta (`r_scalars`, `k_scalars`).  A factor of a chain
-keeps them as a `tensor_ops.Factor` placed at its sites (`r_factor`,
-`k_factor`, and `p_factor` and `t_factor` for P and T(x)).  For a whole
-operator the same scalars go to the `tensor_ops` writer of their shape
-(`exchange_op` on two sites, `reflection_op` on one): `op_P` and `op_T`
-write their factor's local operator, and `op_K` hands `k_scalars` to the
-writer.
+from its argument, those of lam + k P or lam T(x) + beta, and the divisor
+lam + k or lam + beta, and keeps them as a `tensor_ops.Factor` placed at
+its sites (`r_factor`, `k_factor`, and `p_factor` and `t_factor` for P and
+T(x)).  Where a whole operator is needed, a factor writes it from its
+shape's table (`Factor.local`); `op_dT_dx` writes the one-site derivative
+of T(x) the same way.
 
 Every check reads its chains on a start: it applies each chain of placed
 factors to a `tensor_ops.Block` start through `tensor_ops.product`; each
@@ -60,9 +58,7 @@ from typing import Sequence
 
 from .sampling import rand_rational
 from .scalar_field import PoleError, inv, rat
-from .tensor_ops import (
-    Block, Factor, LinOp, Placed, Space, lincomb, product, reflection_op,
-)
+from .tensor_ops import Block, Factor, LinOp, Placed, Space, lincomb, product
 
 
 @dataclass(frozen=True)
@@ -97,11 +93,6 @@ def p_factor(sites: tuple, space: Space) -> Factor:
     return Factor.exchange(1, 0, 1, sites, space)
 
 
-def op_P(half_dim: int) -> LinOp:
-    """Two-site swap."""
-    return p_factor((1, 2), Space(2, half_dim)).local
-
-
 def coordinates(x: Sequence) -> tuple:
     """The reflection coordinates; a zero one is a pole of T(x)."""
     for a, xa in enumerate(x, start=1):
@@ -116,60 +107,38 @@ def t_factor(x: Sequence, site: int, space: Space) -> Factor:
     return Factor.reflection(0, [(inv(xa), xa) for xa in coordinates(x)], site, space)
 
 
-def op_T(x: Sequence) -> LinOp:
-    """Site reflection: v_a -> x_a^{-1} v_abar, v_abar -> x_a v_a."""
-    return t_factor(x, 1, Space(1, len(x))).local
-
-
 def op_dT_dx(x: Sequence, a: int, weight=1, over=1) -> LinOp:
-    """Derivative of op_T in the a-th coordinate (a is 1-based), times
-    weight / over."""
+    """Derivative of T(x) in the a-th coordinate (a is 1-based), times
+    weight / over, on one site."""
     x = coordinates(x)
     flips = [(0, 0)] * len(x)
     flips[a - 1] = (-weight * inv(x[a - 1] * x[a - 1]), weight)
-    return reflection_op(0, flips, over)
-
-
-def r_scalars(lam, k) -> tuple:
-    """((diag, keep, swap), over) of the exchange operator
-    (lam + k P)/(lam + k): the scalars of lam + k P and the divisor."""
-    norm = lam + k
-    if norm == 0:
-        raise PoleError("exchange operator pole: argument equals -coupling")
-    return (norm, lam, k), norm
+    return Factor.reflection(0, flips, 1, Space(1, len(x)), over).local
 
 
 def r_factor(lam, k, sites: tuple, space: Space) -> Factor:
-    """The exchange operator (lam + k P)/(lam + k) placed at two sites."""
-    scalars, norm = r_scalars(lam, k)
-    return Factor.exchange(*scalars, sites, space, over=norm)
+    """The exchange operator (lam + k P)/(lam + k) placed at two sites: the
+    scalars (lam + k, lam, k) of lam + k P over the divisor lam + k."""
+    norm = lam + k
+    if norm == 0:
+        raise PoleError("exchange operator pole: argument equals -coupling")
+    return Factor.exchange(norm, lam, k, sites, space, over=norm)
 
 
-def k_scalars(lam, x: Sequence, beta) -> tuple:
-    """((diag, flips), over) of the reflection factor
-    (lam T(x) + beta)/(lam + beta): the scalars of lam T(x) + beta and the
-    divisor."""
+def k_factor(lam, x: Sequence, beta, site: int, space: Space) -> Factor:
+    """The reflection factor (lam T(x) + beta)/(lam + beta) placed at a
+    site: the scalars of lam T(x) + beta, beta and each label's flips
+    (lam / x_a, lam x_a), over the divisor lam + beta."""
     norm = lam + beta
     if norm == 0:
         raise PoleError("reflection factor pole: argument equals -strength")
     flips = [(lam, lam) if xa == 1 else (lam * inv(xa), lam * xa) for xa in coordinates(x)]
-    return (beta, flips), norm
-
-
-def k_factor(lam, x: Sequence, beta, site: int, space: Space) -> Factor:
-    """The reflection factor (lam T(x) + beta)/(lam + beta) placed at a site."""
-    scalars, norm = k_scalars(lam, x, beta)
-    return Factor.reflection(*scalars, site, space, over=norm)
-
-
-def op_K(lam, x: Sequence, beta) -> LinOp:
-    """Site reflection factor (lam T(x) + beta)/(lam + beta)."""
-    scalars, norm = k_scalars(lam, x, beta)
-    return reflection_op(*scalars, over=norm)
+    return Factor.reflection(beta, flips, site, space, over=norm)
 
 
 def op_dK_dx(lam, x: Sequence, beta, a: int, weight=1) -> LinOp:
-    """Derivative of op_K in the a-th reflection coordinate, times weight."""
+    """Derivative of the reflection factor K(lam|x, beta) in the a-th
+    reflection coordinate, times weight, on one site."""
     den = lam + beta
     if den == 0:
         raise PoleError("reflection factor pole: argument equals -strength")

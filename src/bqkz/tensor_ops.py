@@ -10,10 +10,13 @@ Operators are stored column-major as {col_index: {row_index: entry}}, keyed
 by linear state index, with no explicitly stored zeros.  A vector is one
 such column, {index: value}, and `apply` maps columns to columns.  The
 package writes index keys only.  Every exchange and reflection operator is
-written by the writer of its shape, `exchange_op` on two sites or
-`reflection_op` on one, which clears its few scalars (divided by an
-optional `over`) once and stores no zero entry or empty column; other
-operators come from `LinOp.of`, `lincomb`, `compose` or `Placed.embedded`.
+a `Factor`: one flat tuple of scalars, divided by an optional `over`,
+whose layout, the slot each local code reads on itself and on its
+partner, is the one cached table of its shape (`factor_shape`), two-site
+exchange or one-site reflection.  `Factor.local` writes the operator from
+that table, clearing the scalars once and storing no zero entry or empty
+column; other operators come from `LinOp.of`, `lincomb`, `compose` or
+`Placed.embedded`.
 `entry` reads by state, and the constructor converts state keys once, for
 operators written by hand.
 
@@ -23,11 +26,11 @@ blocks side by side, so one chain carries the columns of several starts.
 Two kernels apply operators, and the type of the last operand of `product`
 picks one:
 
-* On a block, a `Factor` (an exchange- or reflection-shaped factor kept as
-  its writer's scalars and placed at its sites) is applied by one gather:
-  index i with local code c gets a[c] w[i] + b[c] w[src i], where src
-  swaps the two sites' digits or flips the bar, from a table cached per
-  placement.  No factor operator is written and a factor reads no dict.  Any
+* On a block, a `Factor` (kept as its scalars and placed at its sites) is
+  applied by one gather: index i with local code c gets own[c] w[i] +
+  other[c] w[src i], where src swaps the two sites' digits or flips the
+  bar, from its shape's table read at each index, cached per placement.
+  No factor operator is written and a factor reads no dict.  Any
   other operator (a whole `LinOp`, or a general `Placed` one) is applied
   to the columns entry by entry (`on_block`).  `lincomb` sums blocks
   column by column.
@@ -51,7 +54,8 @@ denominator, reduced so that the two share no factor, and no operation
 takes a float or complex entry.  Equality of operators and of blocks is
 therefore structural equality of numerators and denominator, and a
 two-sided identity is decided by comparing its sides with `==`.  The
-contour solver writes its few complex matrices in numpy instead.
+contour solver writes its few complex matrices in numpy instead, each
+factor's from its shape's table.
 
 Exact arithmetic never leaves the integers: a linear combination
 (`lincomb`, and `+`, `-` and `scale` through it) meets over one lcm and
@@ -255,46 +259,6 @@ def clear(values, over=1):
     return [v // g for v in nums], den // g
 
 
-def exchange_op(half: int, diag, keep, swap, over=1) -> LinOp:
-    """Two-site operator of the exchange shape, divided by `over`: column
-    a*d + b holds diag when a == b, else keep at a*d + b and then swap at
-    b*d + a.  The three scalars are cleared once; no zero entry or empty
-    column is stored."""
-    (diag, keep, swap), den = clear((diag, keep, swap), over)
-    d = 2 * half
-    cols = {}
-    for a in range(d):
-        for b in range(d):
-            col = {}
-            if a == b:
-                if diag != 0:
-                    col[a * d + b] = diag
-            else:
-                if keep != 0:
-                    col[a * d + b] = keep
-                if swap != 0:
-                    col[b * d + a] = swap
-            if col:
-                cols[a * d + b] = col
-    return LinOp.of(Space(2, half), cols, den)
-
-
-def reflection_op(diag, flips, over=1) -> LinOp:
-    """One-site operator of the reflection shape, divided by `over`, one
-    (down, up) pair of flips per label a: column a holds down at abar,
-    column abar up at a, and each then diag on itself.  The scalars are
-    cleared once; no zero entry or empty column is stored."""
-    (diag, *ends), den = clear([diag, *itertools.chain.from_iterable(flips)], over)
-    half = len(ends) // 2
-    cols = {}
-    for a in range(half):
-        for col, row, v in ((a, half + a, ends[2 * a]), (half + a, a, ends[2 * a + 1])):
-            entries = {r: w for r, w in ((row, v), (col, diag)) if w != 0}
-            if entries:
-                cols[col] = entries
-    return LinOp.of(Space(1, half), cols, den)
-
-
 def lincomb(space: Space, terms) -> LinOp:
     """sum(coef * op) over (coef, op) pairs on `space`, in one pass: the
     terms meet over the lcm of every op.den * coef.denominator and the sum
@@ -420,23 +384,45 @@ class Placed:
         return _sparse_on_block(self.local, self.strides, self.space, block)
 
 
+@cache
+def factor_shape(sites: int, half: int) -> tuple:
+    """(own, other, partner), the layout of the factor shape on one or two
+    sites over `half` labels, by local code c: row c reads scalar slot
+    own[c] at column c and slot other[c] at column partner[c], and slot -1
+    reads zero.  An exchange factor's scalars are (diag, keep, swap): code
+    a*d + b has partner b*d + a and reads diag when a == b, else keep, and
+    swap at its partner.  A reflection factor's are (diag, down_1, up_1,
+    ..., down_h, up_h): code a has partner abar, the bar flipped, and reads
+    diag, and at its partner up_a if a is unbarred, down_a if barred.  The
+    layout of both shapes is written here only.  Reads no point: cached."""
+    d = 2 * half
+    if sites == 2:
+        codes = range(d * d)
+        return (tuple(0 if c // d == c % d else 1 for c in codes),
+                tuple(-1 if c // d == c % d else 2 for c in codes),
+                tuple((c % d) * d + c // d for c in codes))
+    return ((0,) * d,
+            tuple(2 + 2 * c if c < half else 1 + 2 * (c - half) for c in range(d)),
+            tuple((c + half) % d for c in range(d)))
+
+
 class Factor(Placed):
     """A factor of the exchange shape on two sites or of the reflection
-    shape on one, kept as the scalars its writer takes: (diag, keep, swap)
-    for `exchange_op`, (diag, flips) for `reflection_op`, and the divisor
-    `over` of them all.
+    shape on one, kept as one flat tuple of the scalars its shape reads
+    (`factor_shape`), each divided by `over`.
 
     On a column w each index i, with local code c, is
-        out[i] = a[c] w[i] + b[c] w[src[i]],
+        out[i] = own[c] w[i] + other[c] w[src[i]],
     where src[i] swaps the digits at the two sites (exchange) or flips the
     bar at the site (reflection): `on_block` applies the factor to a block
-    by that one gather, reading its cleared scalars and a source table
-    cached per placement.  The local operator is written by its shape's
-    writer only when asked for (`local`, `embedded`, `compose`)."""
+    by that one gather, reading its cleared scalars and a table cached per
+    placement.  The local operator is written from the same shape table
+    only when asked for (`local`, `embedded`, `compose`)."""
 
     __slots__ = ("scalars", "over")
 
     def __init__(self, scalars: tuple, over, sites: tuple, space: Space):
+        """A factor from the flat scalars of its shape, unchecked."""
         self._local, self.scalars, self.over = None, scalars, over
         self.strides, self.space = _strides(tuple(sites), space), space
 
@@ -446,51 +432,52 @@ class Factor(Placed):
 
     @classmethod
     def reflection(cls, diag, flips, site: int, space: Space, over=1) -> "Factor":
-        return cls((diag, flips), over, (site,), space)
+        """flips holds one (down, up) pair per label of the space."""
+        if len(flips) != space.half_dim:
+            raise ValueError("need one (down, up) pair per label")
+        return cls((diag, *itertools.chain.from_iterable(flips)), over, (site,), space)
+
+    def _cleared(self) -> tuple:
+        """(numerators, den) of the scalars over `over`, with a trailing 0
+        for slot -1."""
+        nums, den = clear(self.scalars, self.over)
+        return nums + [0], den
 
     @property
     def local(self) -> LinOp:
+        """Each column c holds other[partner[c]] at row partner[c] and then
+        own[c] on itself, no zero entry or empty column stored."""
         if self._local is None:
-            if len(self.strides) == 2:
-                self._local = exchange_op(self.space.half_dim, *self.scalars, over=self.over)
-            else:
-                self._local = reflection_op(*self.scalars, over=self.over)
+            nums, den = self._cleared()
+            own, other, partner = factor_shape(len(self.strides), self.space.half_dim)
+            cols = {}
+            for c, p in enumerate(partner):
+                col = {r: v for r, v in ((p, nums[other[p]]), (c, nums[own[c]])) if v}
+                if col:
+                    cols[c] = col
+            self._local = LinOp.of(Space(len(self.strides), self.space.half_dim), cols, den)
         return self._local
 
     def on_block(self, block: "Block") -> "Block":
         """The gather: per index two products of int numerators, over the
         block's den times the factor's, reduced once."""
-        if len(self.strides) == 2:
-            (diag, keep, swap), den = clear(self.scalars, self.over)
-            a, b = (diag, keep), (0, swap)
-        else:
-            diag, flips = self.scalars
-            (diag, *ends), den = clear([diag, *itertools.chain.from_iterable(flips)], self.over)
-            # Row a reads up_a at abar, row abar down_a at a.
-            a, b = (diag,) * len(ends), ends[1::2] + ends[::2]
-        pick, src = _gather(self.strides, self.space)
-        a, b = pick(a), pick(b)
+        nums, den = self._cleared()
+        own, other, src = _gather(self.strides, self.space)
+        a, b = own(nums), other(nums)
         cols = [list(map(add, map(mul, a, w), map(mul, b, src(w)))) for w in block.cols]
         return _reduced(self.space, cols, block.den * den)
 
 
 @cache
 def _gather(strides: tuple, space: Space) -> tuple:
-    """(pick, src) of the gather at these strides, each an itemgetter over
-    the indices: pick(coefs) lists each index's coefficient (exchange: 0
-    where the two digits agree, else 1; reflection: its local code) and
-    src(w) the entry each index reads besides its own.  Reads no point:
-    cached."""
+    """(own, other, src) of the gather at these strides, each an itemgetter
+    over the indices: own(nums) and other(nums) list the scalar each index
+    reads at itself and at its partner (`factor_shape`), and src(w) the
+    entry of w at each index's partner.  Reads no point: cached."""
     shift, codes, bases, _ = _placement(strides, space)
-    d = space.site_dim
-    if len(strides) == 2:
-        coef = [0 if c // d == c % d else 1 for c in range(d * d)]
-        other = [shift[(c % d) * d + c // d] for c in range(d * d)]
-    else:
-        coef = list(range(d))
-        other = [shift[(c + d // 2) % d] for c in range(d)]
-    return (itemgetter(*(coef[c] for c in codes)),
-            itemgetter(*(base + other[c] for c, base in zip(codes, bases))))
+    own, other, partner = factor_shape(len(strides), space.half_dim)
+    return (itemgetter(*(own[c] for c in codes)), itemgetter(*(other[c] for c in codes)),
+            itemgetter(*(base + shift[partner[c]] for c, base in zip(codes, bases))))
 
 
 def _compose_at(local: LinOp, strides: tuple, space: Space, other: LinOp) -> LinOp:

@@ -8,9 +8,12 @@ its integrand is assembled here one sample at a time, in log space, from
 the package's scalar kernel `kernel_log_phi`, weight function `func_g`
 and `log1m_exp`, where the package evaluates the integrand only over
 arrays of nodes.  It also owns the whole-operator route of the residual
-pass (`residuals_oracle`), and the full pole ratio `prod_ratio_full`, which
-the kernel's shift relation and the weight functions' telescoping are
-compared with.
+pass (`residuals_oracle`), which writes each transport factor state by
+state from the layout oracles of the two factor shapes (`_exchange_cols`,
+`_reflection_cols`, which the index-convention tests read too) and reads
+nothing of the package's layout, and the full pole ratio
+`prod_ratio_full`, which the kernel's shift relation and the weight
+functions' telescoping are compared with.
 """
 
 import cmath
@@ -23,7 +26,7 @@ from bqkz import compat_ops
 from bqkz.integral_solver import TWO_PI_I, func_g, kernel_log_phi, vec_u
 from bqkz.rqkz import factor_ops, q_factor_list
 from bqkz.scalar_field import log1m_exp
-from bqkz.tensor_ops import Placed, exchange_op, reflection_op
+from bqkz.tensor_ops import Space
 
 # The oracle's first line is |Re t| <= _REACH, widened by doubling; a line
 # that never settles by _MAX_REACH is an error of the oracle, not an answer.
@@ -144,26 +147,64 @@ def _dense(op):
     return np.array(op.to_dense(), dtype=complex)
 
 
+def _exchange_cols(half, diag, keep, swap):
+    """(space, {col state: {row state: value}}): diag on a state of two
+    equal codes, else keep, on every state, plus swap from each state
+    (a, b) with a != b to (b, a)."""
+    space = Space(2, half)
+    cols = {}
+    for col in space.states():
+        for row in space.states():
+            if row == col:
+                v = diag if col[0] == col[1] else keep
+            else:
+                v = swap if row == col[::-1] else 0
+            if v != 0:
+                cols.setdefault(col, {})[row] = v
+    return space, cols
+
+
+def _reflection_cols(diag, flips):
+    """(space, {col state: {row state: value}}): diag on every state, plus
+    down from label a to abar and up from abar to a, for each label's
+    (down, up) pair."""
+    half = len(flips)
+    space = Space(1, half)
+    cols = {}
+    for (col,) in space.states():
+        for (row,) in space.states():
+            if row == col:
+                v = diag
+            elif col < half and row == col + half:
+                v = flips[col][0]
+            elif col >= half and row == col - half:
+                v = flips[col - half][1]
+            else:
+                v = 0
+            if v != 0:
+                cols.setdefault((col,), {})[(row,)] = v
+    return space, cols
+
+
 def _whole_factor(factor, sites, space):
-    """A transport factor as one dense whole-space complex matrix: each of
-    its scalars over its divisor times the embedded exact 0/1 pattern its
-    shape's writer gives with that scalar 1 and the others 0."""
+    """A transport factor as one dense whole-space complex matrix, written
+    state by state: its scalars over its divisor laid out on its own sites
+    by the oracle of its shape, and each whole state's digits at `sites`
+    read as the local state, every other digit kept."""
+    scalars = [v / factor.over for v in factor.scalars]
     if len(sites) == 2:
-        scalars = list(factor.scalars)
-
-        def pattern(unit):
-            return exchange_op(space.half_dim, *unit)
+        _, local = _exchange_cols(space.half_dim, *scalars)
     else:
-        diag, flips = factor.scalars
-        scalars = [diag] + [v for pair in flips for v in pair]
-
-        def pattern(unit):
-            return reflection_op(unit[0], list(zip(unit[1::2], unit[2::2])))
-
-    out = 0
-    for i, v in enumerate(scalars):
-        unit = [int(i == j) for j in range(len(scalars))]
-        out = out + v / factor.over * _dense(Placed(pattern(unit), sites, space).embedded())
+        _, local = _reflection_cols(scalars[0], list(zip(scalars[1::2], scalars[2::2])))
+    at = [site - 1 for site in sites]
+    position = {s: i for i, s in enumerate(space.states())}
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for col, j in position.items():
+        for local_row, v in local.get(tuple(col[p] for p in at), {}).items():
+            row = list(col)
+            for p, digit in zip(at, local_row):
+                row[p] = digit
+            out[position[tuple(row)], j] = v
     return out
 
 

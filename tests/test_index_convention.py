@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from _oracles import _exchange_cols, _reflection_cols
 from bqkz.compat_ops import op_L, site_unit
 from bqkz.hecke_module import (
     SignedPerm,
@@ -24,11 +25,9 @@ from bqkz.hecke_module import (
     rhoL,
 )
 from bqkz.integral_solver import _local_matrix
-from bqkz.rqkz import (
-    ModelParams, k_factor, op_dT_dx, op_K, op_P, op_Q, op_T, p_factor, r_factor, t_factor,
-)
+from bqkz.rqkz import ModelParams, k_factor, op_dT_dx, op_Q, p_factor, r_factor, t_factor
 from bqkz.scalar_field import inv, rat
-from bqkz.tensor_ops import Factor, LinOp, Placed, Space, exchange_op, reflection_op, site_tensor
+from bqkz.tensor_ops import Block, Factor, LinOp, Placed, Space, site_tensor
 
 SIZES = [(n, half) for n in (1, 2, 3) for half in (1, 2, 3)]
 X = (rat(2), rat(3), rat(5))
@@ -44,13 +43,14 @@ def _built_operators(n, half):
     space = Space(n, half)
     x, y, params = X[:half], Y[:n], _params(space)
     ops = [LinOp.identity(space)]
+    t = t_factor(x, 1, Space(1, half)).local
     if n == 1:
-        ops += [op_T(x), op_dT_dx(x, half), op_K(rat(7, 3), x, rat(1, 2)),
+        ops += [t, op_dT_dx(x, half), k_factor(rat(7, 3), x, rat(1, 2), 1, space).local,
                 site_unit(half, 0, 2 * half - 1)]
     if n == 2:
-        ops += [op_P(half), r_factor(rat(5, 2), rat(2, 3), (1, 2), space).local,
-                site_tensor(op_T(x), site_unit(half, 1, 0))]
-    ops += [Placed(op_K(rat(7, 3), x, rat(1, 2)), (j,), space).embedded() for j in range(1, n + 1)]
+        ops += [p_factor((1, 2), space).local, r_factor(rat(5, 2), rat(2, 3), (1, 2), space).local,
+                site_tensor(t, site_unit(half, 1, 0))]
+    ops += [k_factor(rat(7, 3), x, rat(1, 2), j, space).embedded() for j in range(1, n + 1)]
     if n >= 2:
         r = r_factor(rat(5, 2), rat(2, 3), (1, 2), Space(2, half)).local
         ops += [Placed(r, (1, n), space).embedded(), Placed(r, (n, 1), space).embedded()]
@@ -176,50 +176,12 @@ def test_apply_reads_and_returns_index_columns():
             assert out.get(i, 0) == want
 
 
-# Layout writers: exchange_op and reflection_op, the builders that write
-# their factors through them, and the contour solver's complex local
-# matrices, against oracles written state by state.
+# Factor layout: each shape's table as its three readers see it (the exact
+# operator, the gather on a block and the contour solver's complex local
+# matrix), and the builders of factors, against the oracles written state
+# by state in _oracles.
 
 HALVES = (1, 2, 3)
-
-
-def _exchange_cols(half, diag, keep, swap):
-    """(space, {col state: {row state: value}}): diag on a state of two
-    equal codes, else keep, on every state, plus swap from each state
-    (a, b) with a != b to (b, a)."""
-    space = Space(2, half)
-    cols = {}
-    for col in space.states():
-        for row in space.states():
-            if row == col:
-                v = diag if col[0] == col[1] else keep
-            else:
-                v = swap if row == col[::-1] else 0
-            if v != 0:
-                cols.setdefault(col, {})[row] = v
-    return space, cols
-
-
-def _reflection_cols(diag, flips):
-    """(space, {col state: {row state: value}}): diag on every state, plus
-    down from label a to abar and up from abar to a, for each label's
-    (down, up) pair."""
-    half = len(flips)
-    space = Space(1, half)
-    cols = {}
-    for (col,) in space.states():
-        for (row,) in space.states():
-            if row == col:
-                v = diag
-            elif col < half and row == col + half:
-                v = flips[col][0]
-            elif col >= half and row == col - half:
-                v = flips[col - half][1]
-            else:
-                v = 0
-            if v != 0:
-                cols.setdefault((col,), {})[(row,)] = v
-    return space, cols
 
 
 def _exchange_oracle(*scalars):
@@ -270,19 +232,21 @@ SCALARS = [
 @pytest.mark.parametrize("half", HALVES)
 @pytest.mark.parametrize("diag,first,second", SCALARS)
 def test_layout_writers_match_their_oracles(half, diag, first, second):
-    rational = _rational(diag, first, second)
-    _assert_matrix(Factor.exchange(diag, first, second, (1, 2), Space(2, half)),
-                   _exchange_cols(half, diag, first, second))
-    if rational:
-        _assert_written(exchange_op(half, diag, first, second),
-                        _exchange_oracle(half, diag, first, second))
+    """Each factor's operator (`Factor.local`) and gather on the identity
+    block (`Factor.on_block`), on rational rows, and its complex local
+    matrix (`_local_matrix`), on every row, are its shape's oracle."""
+    factors = [(Factor.exchange(diag, first, second, (1, 2), Space(2, half)),
+                _exchange_cols(half, diag, first, second))]
     # Every label flips, or only the last, as in a coordinate derivative.
     for flips in ([(first * (a + 1), second * (a + 2)) for a in range(half)],
                   [(0, 0)] * (half - 1) + [(first, second)]):
-        _assert_matrix(Factor.reflection(diag, flips, 1, Space(1, half)),
-                       _reflection_cols(diag, flips))
-        if rational:
-            _assert_written(reflection_op(diag, flips), _reflection_oracle(diag, flips))
+        factors.append((Factor.reflection(diag, flips, 1, Space(1, half)),
+                        _reflection_cols(diag, flips)))
+    for factor, oracle in factors:
+        _assert_matrix(factor, oracle)
+        if _rational(diag, first, second):
+            _assert_written(factor.local, LinOp(*oracle))
+            _assert_written(factor.on_block(Block.identity(factor.space)).linop(), LinOp(*oracle))
 
 
 # (x, lam, k, beta), exact and float; the float row reaches only the
@@ -303,17 +267,15 @@ def test_transport_builders_match_their_oracles(half, x, lam, k, beta):
         _assert_matrix(r, want)
         if rational:
             _assert_written(r.local, LinOp(*want))
-    for swap in (op_P(half), p_factor((1, 2), Space(2, half)).local):
-        _assert_written(swap, _exchange_oracle(half, 1, 0, 1))
+    _assert_written(p_factor((1, 2), Space(2, half)).local, _exchange_oracle(half, 1, 0, 1))
     s = inv(lam + beta)
     want = _reflection_cols(s * beta, [(s * (lam * inv(xa)), s * (lam * xa)) for xa in x])
     _assert_matrix(k_factor(lam, x, beta, 1, Space(1, half)), want)
     if not rational:
         return
-    _assert_written(op_K(lam, x, beta), LinOp(*want))
     _assert_written(k_factor(lam, x, beta, 1, Space(1, half)).local, LinOp(*want))
-    for flip in (op_T(x), t_factor(x, 1, Space(1, half)).local):
-        _assert_written(flip, _reflection_oracle(0, [(inv(xa), xa) for xa in x]))
+    _assert_written(t_factor(x, 1, Space(1, half)).local,
+                    _reflection_oracle(0, [(inv(xa), xa) for xa in x]))
     for a in range(1, half + 1):
         flips = [(-inv(xa * xa), 1) if b == a else (0, 0) for b, xa in enumerate(x, start=1)]
         _assert_written(op_dT_dx(x, a), _reflection_oracle(0, flips))

@@ -18,8 +18,8 @@ import pytest
 from fractions import Fraction
 
 from _oracles import _kernel_cycle, prod_ratio_full, residuals_oracle, simpson_oracle
-from bqkz.rqkz import ones, op_P, op_T, q_factor_list, shift_y
-from bqkz.tensor_ops import Placed, Space
+from bqkz.rqkz import ones, p_factor, q_factor_list, shift_y, t_factor
+from bqkz.tensor_ops import Space
 import bqkz.cli as cli
 import bqkz.compat_ops as compat_ops
 import bqkz.integral_solver as solver
@@ -108,10 +108,9 @@ def gtilde_vec(t, y, params):
     return out
 
 
-def dense_at(op, sites, space):
-    """An exact operator on the given sites, embedded whole, as a dense
-    complex matrix."""
-    return np.array(Placed(op, sites, space).embedded().to_dense(), dtype=complex)
+def dense_whole(factor):
+    """An exact placed factor, embedded whole, as a dense complex matrix."""
+    return np.array(factor.embedded().to_dense(), dtype=complex)
 
 
 # ---------------------------------------------------------------- regime
@@ -179,9 +178,9 @@ def test_filler_conditions_and_rank():
         fv = filler_vector(p)
         sp = Space(n - 1, p.half_dim)
         for i in range(1, n - 1):
-            assert Placed(op_P(2), (i, i + 1), sp).embedded().apply(fv) == fv
+            assert p_factor((i, i + 1), sp).embedded().apply(fv) == fv
         for i in range(1, n):
-            assert Placed(op_T(ones(2)), (i,), sp).embedded().apply(fv) == fv
+            assert t_factor(ones(2), i, sp).embedded().apply(fv) == fv
         us = vec_u_all(p)
         assert len(us) == 2 * n
         states = sorted({i for u in us for i in u})
@@ -334,11 +333,11 @@ def test_gtilde_intertwining():
                 for l in range(1, n):
                     ysw = list(y)
                     ysw[l - 1], ysw[l] = ysw[l], ysw[l - 1]
-                    swap, lam = dense_at(op_P(2), (l, l + 1), sp), y[l - 1] - y[l]
+                    swap, lam = dense_whole(p_factor((l, l + 1), sp)), y[l - 1] - y[l]
                     lhs = swap @ ((lam * one + K * swap) / (lam + K)) @ gt
                     rhs = gtilde_vec(t, tuple(ysw), p)
                     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs))), (n, l)
-                flip = dense_at(op_T(ones(2)), (n,), sp)
+                flip = dense_whole(t_factor(ones(2), n, sp))
                 lhs = (y[-1] * flip + K / 2 * one) / (y[-1] + K / 2) @ gt
                 rhs = gtilde_vec(t, y[:-1] + (-y[-1],), p)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs))), n

@@ -12,14 +12,13 @@ from bqkz.rqkz import (
     factor_ops,
     flip_factor_defect,
     invert_descs,
+    k_factor,
     k_unitarity_defect,
     ones,
-    op_K,
-    op_P,
     op_Q,
-    op_T,
     op_dK_dx,
     op_dT_dx,
+    p_factor,
     q_factor_list,
     q_inverse_defect,
     q_split_defect,
@@ -28,6 +27,7 @@ from bqkz.rqkz import (
     r_unitarity_defect,
     shift_y,
     swap_factor_defect,
+    t_factor,
     transport_consistency_defect,
     ybe_defect,
 )
@@ -38,6 +38,21 @@ rng = make_rng(414243)
 def op_R_k(lam, k, half):
     """The two-site exchange operator written whole."""
     return r_factor(lam, k, (1, 2), Space(2, half)).local
+
+
+def op_P(half):
+    """The two-site swap written whole."""
+    return p_factor((1, 2), Space(2, half)).local
+
+
+def op_T(x):
+    """The site reflection T(x) written whole."""
+    return t_factor(x, 1, Space(1, len(x))).local
+
+
+def op_K(lam, x, beta):
+    """The site reflection factor K(lam|x, beta) written whole."""
+    return k_factor(lam, x, beta, 1, Space(1, len(x))).local
 
 
 def starts(space):

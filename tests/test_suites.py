@@ -307,29 +307,53 @@ def test_cbar_qinv_builds_each_degenerate_product_once(monkeypatch):
         assert _builds(calls) == _chains(inverse)
 
 
+def _counted(seen, real):
+    return lambda *args, **kwargs: seen.append(args) or real(*args, **kwargs)
+
+
+def _factor_writes(monkeypatch) -> list:
+    """The list that records (factor, name of the function that asked) for
+    each factor as its operator is written by `Factor.local`, the one
+    writer of an exchange- or reflection-shaped operator, whichever module
+    asks for it."""
+    written = []
+    real = Factor.local.fget
+
+    def local(factor):
+        if factor._local is None:
+            written.append((factor, sys._getframe(1).f_code.co_name))
+        return real(factor)
+
+    monkeypatch.setattr(Factor, "local", property(local))
+    return written
+
+
 def test_the_transport_chains_embed_no_factor(monkeypatch):
     """qkz-consistency, compatibility and cbar-qinv apply every factor and
     derivative term where it acts: once the point-free caches are warm, a
-    one-sample run embeds no operator into the whole space, and writes no
-    exchange or reflection factor as an operator: each is applied to the
-    columns by its gather."""
+    one-sample run embeds no operator into the whole space, and no chain
+    writes a factor as an operator: each is applied to the columns by its
+    gather.  The only factors written are compatibility's one-site
+    derivative terms: each dK/dx_a (`rqkz.op_dT_dx`), applied entry by
+    entry by the direct form (`op_dQ_dx`) and composed with K(-lam) in
+    the derivative route of the dk-route check, and that K(-lam)
+    (`compat_ops.op_dK_term`)."""
     names = ("qkz-consistency", "compatibility", "cbar-qinv")
     for name in names:
         suites.run_suite(name, samples=1, seed=0)
-    embedded, written = [], []
-
-    def counted(calls, real):
-        return lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
-
-    monkeypatch.setattr(tensor_ops, "_embedded", counted(embedded, tensor_ops._embedded))
-    for writer in ("exchange_op", "reflection_op"):
-        monkeypatch.setattr(tensor_ops, writer, counted(written, getattr(tensor_ops, writer)))
+    embedded = []
+    monkeypatch.setattr(tensor_ops, "_embedded", _counted(embedded, tensor_ops._embedded))
+    written = _factor_writes(monkeypatch)
     for name in names:
         assert suites.run_suite(name, samples=1, seed=1).exact_zero, name
     assert embedded == []
-    assert written == []
+    assert all(len(factor.strides) == 1 for factor, _ in written)
+    # Eight op_dK_term calls over 17 labels, redraws included: one K(-lam)
+    # per call, and one dK/dx_a per label there and in op_dQ_dx.
+    assert Counter(caller for _, caller in written) == {"op_dK_term": 8, "op_dT_dx": 34}
     # The counters see an embedding made on the whole space and the factors
     # written for it: a product of placed factors with no start.
+    written.clear()
     tensor_ops.product(rqkz.factor_ops(
         rqkz.q_factor_list(1, 2), (rat(7), rat(11)), (rat(1), rat(2)),
         rqkz.ModelParams(rat(1), rat(2), rat(3), rat(5), Space(2, 2))))
@@ -346,21 +370,19 @@ def test_the_light_chains_embed_write_and_compose_nothing(monkeypatch):
     operator entry by entry."""
     for name in COLUMN_SUITES:
         suites.run_suite(name, samples=1, seed=0)
-    calls = {"_embedded": [], "exchange_op": [], "reflection_op": [], "_compose_at": []}
-
-    def counted(seen, real):
-        return lambda *args, **kwargs: seen.append(args) or real(*args, **kwargs)
-
+    calls = {"_embedded": [], "_compose_at": []}
     for attr, seen in calls.items():
-        monkeypatch.setattr(tensor_ops, attr, counted(seen, getattr(tensor_ops, attr)))
+        monkeypatch.setattr(tensor_ops, attr, _counted(seen, getattr(tensor_ops, attr)))
+    written = _factor_writes(monkeypatch)
     for name in COLUMN_SUITES:
         assert suites.run_suite(name, samples=1, seed=1).exact_zero, name
     assert {attr: len(seen) for attr, seen in calls.items()} == dict.fromkeys(calls, 0)
+    assert written == []
     # The counters see a defect given the whole start, which composes each
     # factor with it, written where it acts.
     assert not rqkz.ybe_defect(rat(2), rat(1), rat(5), rat(11), LinOp.identity(Space(3, 1)))
     assert len(calls["_compose_at"]) == 6
-    assert len(calls["exchange_op"]) == 3
+    assert len(written) == 3
     assert calls["_embedded"] == []
 
 
@@ -577,8 +599,8 @@ def test_one_degenerate_flip_scalar_off_by_one_fails_both_cbar_checks(monkeypatc
         op = real(desc, x, y, params)
         if desc != target:
             return op
-        diag, ((down, up), *flips) = op.scalars
-        return Factor.reflection(diag, [(down + 1, up), *flips], 1, op.space, over=op.over)
+        diag, down, up, *flips = op.scalars
+        return Factor((diag, down + 1, up, *flips), op.over, (1,), op.space)
 
     monkeypatch.setattr(hecke_module, "_cbar_factor", perturbed)
     notes = suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes

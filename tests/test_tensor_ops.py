@@ -16,11 +16,9 @@ from bqkz.tensor_ops import (
     Placed,
     PoleSingular,
     Space,
-    exchange_op,
     invert,
     lincomb,
     product,
-    reflection_op,
     site_tensor,
 )
 
@@ -153,16 +151,17 @@ def test_no_stored_zeros():
 
 
 def test_an_operator_refuses_a_float_or_complex_scalar():
-    """Every operator is exact: a float or complex entry, a writer's
-    scalar or divisor, a factor's scalar on a block, a linear combination's
-    coefficient, a scale or a block's entry raises TypeError instead of
-    being rounded in, a float or complex zero too."""
+    """Every operator is exact: a float or complex entry, a factor's
+    scalar or divisor as its operator is written or as it is applied to a
+    block, a linear combination's coefficient, a scale or a block's entry
+    raises TypeError instead of being rounded in, a float or complex zero
+    too."""
     sp = Space(2, 1)
     for build in (lambda: LinOp(sp, {0: {0: 0.5}}),
                   lambda: LinOp(sp, {(0, 1): {(1, 0): rat(1, 2), (0, 0): 1j}}),
-                  lambda: exchange_op(1, 0.5, 0, 1),
-                  lambda: reflection_op(1, [(1 + 2j, 2)]),
-                  lambda: reflection_op(1, [(1, 2)], over=1.5),
+                  lambda: Factor.exchange(0.5, 0, 1, (1, 2), sp).local,
+                  lambda: Factor.reflection(1, [(1 + 2j, 2)], 1, Space(1, 1)).local,
+                  lambda: Factor.reflection(1, [(1, 2)], 1, Space(1, 1), over=1.5).local,
                   lambda: product([Factor.exchange(1, 0.25, 1, (1, 2), sp), Block.identity(sp)]),
                   lambda: lincomb(Space(1, 1), [(0.5, LinOp.identity(Space(1, 1)))]),
                   lambda: lincomb(Space(1, 1), [(0.0, LinOp.identity(Space(1, 1)))]),
@@ -305,6 +304,9 @@ def test_embed_site_wrong_half_dim():
     op = LinOp.identity(Space(1, 1))
     with pytest.raises(ValueError):
         Placed(op, (1,), Space(2, 2))
+    # A reflection factor takes one pair of flips per label of its space.
+    with pytest.raises(ValueError):
+        Factor.reflection(0, [(1, 1)], 1, Space(2, 2))
 
 
 # ------------------------------------------------- numerators over one den
@@ -411,11 +413,13 @@ def test_equal_exactly_when_the_difference_vanishes(n, half, data):
     over = data.draw(ENTRIES.filter(bool))
     if n == 2:
         local = _random_op(data, Space(1, half))
-        ops += [exchange_op(half, *scalars[:3], over=over), site_tensor(local, local),
+        ops += [Factor.exchange(*scalars[:3], (1, 2), space, over=over).local,
+                site_tensor(local, local),
                 Placed(local, (2,), space).embedded(), invert(LinOp.identity(space))]
     else:
         flips = [tuple(scalars[1:3])] * half
-        ops += [reflection_op(scalars[0], flips, over), reflection_op(scalars[0], flips, 1)]
+        ops += [Factor.reflection(scalars[0], flips, 1, space, over).local,
+                Factor.reflection(scalars[0], flips, 1, space).local]
     _equal_exactly_when_the_difference_vanishes(ops)
     for op in ops:
         assert_canonical(op)
