@@ -56,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .sampling import rand_rational
 from .scalar_field import PoleError, inv, rat
 from .tensor_ops import Block, Factor, LinOp, Placed, Space, lincomb, product
 
@@ -72,16 +71,6 @@ class ModelParams:
     alpha: object
     beta: object
     space: Space
-
-    @classmethod
-    def random(cls, rng, space: Space) -> "ModelParams":
-        return cls(
-            c=rand_rational(rng, nonzero=True),
-            k=rand_rational(rng, nonzero=True),
-            alpha=rand_rational(rng, nonzero=True),
-            beta=rand_rational(rng, nonzero=True),
-            space=space,
-        )
 
 
 def ones(count: int) -> tuple:

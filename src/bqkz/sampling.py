@@ -2,9 +2,9 @@
 
 Every check in the exact suites is evaluated at random rational parameter
 points.  Candidates are drawn with numerators in [-50, 50] and denominators
-in [1, 20]; a builder that hits a pole raises PoleError and the point is
-redrawn.  Child generators are derived with a stable hash so a run is
-reproducible from its seed regardless of process layout.
+in [1, 20]; a builder that hits a pole raises PoleError and the runner
+redraws every declared variable.  Child streams come from a stable hash,
+so a run is reproducible from its seed regardless of process layout.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def sample_point(rng: random.Random, builder):
     """Draw points, at most MAX_RETRIES, until builder(rng) returns without
     a PoleError.
 
-    builder draws its own coordinates from rng and either returns a value
-    or raises PoleError when the draw sits on a pole.
+    builder draws a point from rng and either returns a value or raises
+    PoleError when the point sits on a pole.
     """
     for _ in range(MAX_RETRIES):
         try:

@@ -30,19 +30,20 @@ phi-iso prove D(p) = 0 on whole operators, and l-restriction D(p) P = 0
 for the orbit projector P (`hecke_module.orbit_start`).
 
 A suite is one row of a table: its anchor, the label of a size, its sizes,
-its default sample count, and `builder_for`, which maps a size to a pair
-(failing point-free checks, builder).  `builder_for` runs once per size
-per run and runs the point-free checks, the identities between fixed
-operators that read no point.  Those operators (matrix units, label-only
-sums, left-action images, orbit states) are cached by the module that
-builds them, once per process, so no suite holds them.  The builder, which
-`sample_point` calls, draws the point from the point's stream, runs the
-checks that read it and returns (failing names, point).  It also takes the
-column stream.  Most suites are built by `_model_suite` or
-`_sized_model_suite`, whose checks(x, y, params, vr) all get that stream.
-Every suite that reads a column draws it from the stream as the first
-statement of its builder or of its checks, before any factor is built, so
-each redraw of a point draws a new v; the other three leave it unread.
+its default sample count, the variables a point draws, and `builder_for`,
+which maps a size to a pair (failing point-free checks, builder).
+`builder_for` runs once per size per run and runs the point-free checks,
+the identities between fixed operators that read no point.  Those
+operators (matrix units, label-only sums, left-action images, orbit
+states) are cached by the module that builds them, once per process, so
+no suite holds them.  In each `sample_point` attempt the runner draws the
+row's variables from the point's stream into one record (`_draw`), so a
+pole redraw redraws them all.  The builder takes the record, the point's
+stream (which only phi-iso reads) and the column stream, runs the checks
+and returns (failing names, point); `_model_suite` builds most of them.
+Every suite that reads a column draws it from the column stream first in
+its builder or its checks, before any factor is built, so each redraw of
+a point draws a new v; the other three leave it unread.
 
 One runner loops over the sizes and draws the points.  A sample with any
 failing check counts as one failure; its notes read "<size label> <name>
@@ -93,16 +94,27 @@ class SuiteResult:
         }
 
 
-def _rand_x(rng, count: int) -> tuple:
-    return rand_tuple(rng, count, nonzero=True)
-
-
 def _failing(checks) -> list:
     """Names of the failing (name, defect) pairs: a residual fails unless it
     vanishes, and a bool, from a point-free or a per-point check (two sides
     compared), when True."""
     return [name for name, defect in checks
             if (defect if isinstance(defect, bool) else not defect.is_zero())]
+
+
+def _dims(size) -> tuple:
+    """(n, half) of a size: a pair, or one number that stands for both."""
+    return size if isinstance(size, tuple) else (size, size)
+
+
+def _draw(r, variables, size) -> dict:
+    """The point record {name: value} of the (name, count, nonzero)
+    variables, drawn from the point stream r in order: one rational when
+    count is None, else a tuple of count, or of the size's n or half."""
+    counts = dict(zip(("n", "half"), _dims(size)))
+    return {name: rand_rational(r, nonzero) if count is None
+            else rand_tuple(r, counts.get(count, count), nonzero)
+            for name, count, nonzero in variables}
 
 
 def _column(vr, space: Space, indices=None) -> Block:
@@ -119,11 +131,10 @@ def _column(vr, space: Space, indices=None) -> Block:
 def _ybe(half):
     space = Space(3, half)
 
-    def build(r, vr):
+    def build(p, _, vr):
         v = _column(vr, space)
-        k = rand_rational(r, nonzero=True)
-        l1, l2, l3 = rand_tuple(r, 3)
-        return _failing([("", rqkz.ybe_defect(k, l1, l2, l3, v))]), (k, l1, l2, l3)
+        point = p["k"], *p["l"]
+        return _failing([("", rqkz.ybe_defect(*point, v))]), point
 
     return [], build
 
@@ -131,13 +142,10 @@ def _ybe(half):
 def _bybe(half):
     space = Space(2, half)
 
-    def build(r, vr):
+    def build(p, _, vr):
         v = _column(vr, space)
-        k = rand_rational(r, nonzero=True)
-        beta = rand_rational(r, nonzero=True)
-        x = _rand_x(r, half)
-        l1, l2 = rand_tuple(r, 2)
-        return _failing([("", rqkz.bybe_defect(k, beta, x, l1, l2, v))]), (k, beta, x, l1, l2)
+        point = p["k"], p["beta"], p["x"], *p["l"]
+        return _failing([("", rqkz.bybe_defect(*point, v))]), point
 
     return [], build
 
@@ -145,13 +153,10 @@ def _bybe(half):
 def _unitarity(half):
     pair, site = Space(2, half), Space(1, half)
 
-    def build(r, vr):
+    def build(p, _, vr):
         # The exchange checks act on two sites, the reflection checks on one.
         v2, v1 = _column(vr, pair), _column(vr, site)
-        k = rand_rational(r, nonzero=True)
-        beta = rand_rational(r, nonzero=True)
-        lam = rand_rational(r, nonzero=True)
-        x = _rand_x(r, half)
+        k, beta, lam, x = p["k"], p["beta"], p["lam"], p["x"]
         checks = [
             ("exchange-inverse", rqkz.r_unitarity_defect(k, lam, v2)),
             ("reflection-inverse", rqkz.k_unitarity_defect(lam, x, beta, v1)),
@@ -163,28 +168,20 @@ def _unitarity(half):
     return [], build
 
 
-def _model_suite(checks, draw_x=True):
-    """builder_for of a suite drawn at random model parameters, coordinates x
-    (when draw_x) and arguments y on Space(n, half); a size is (n, half), or
-    n for half = n.  checks(x, y, params, vr) yields (name, defect) pairs;
-    vr is the column stream."""
-    return _sized_model_suite(lambda space: ([], checks), draw_x)
-
-
-def _sized_model_suite(setup, draw_x=True):
-    """The same, with point-free checks: setup(space) returns the
-    point-free (name, defect) pairs and the checks."""
+def _model_suite(setup):
+    """builder_for of a suite at model parameters, arguments y and, where
+    its row declares them, coordinates x on Space(n, half).  setup(space)
+    returns the point-free (name, defect) pairs and checks(x, y, params,
+    vr), which yields (name, defect) pairs; vr is the column stream."""
 
     def builder_for(size):
-        n, half = size if isinstance(size, tuple) else (size, size)
-        space = Space(n, half)
+        space = Space(*_dims(size))
         point_free, checks = setup(space)
 
-        def build(r, vr):
-            params = ModelParams.random(r, space)
-            x = _rand_x(r, half) if draw_x else None
-            y = rand_tuple(r, n)
-            return _failing(checks(x, y, params, vr)), ((x, y) if draw_x else y)
+        def build(p, _, vr):
+            params = ModelParams(p["c"], p["k"], p["alpha"], p["beta"], space)
+            x, y = p["x"] if "x" in p else None, p["y"]
+            return _failing(checks(x, y, params, vr)), (y if x is None else (x, y))
 
         return _failing(point_free), build
 
@@ -257,12 +254,9 @@ def _compatibility(x, y, params, vr):
             yield "direct-%d-%d" % (a, m), any(direct.cols[a - 1])
 
 
-def _aha(space):
-    def checks(x, y, params, vr):
-        v = _column(vr, space, hecke_module.orbit_states(space))
-        return hecke_module.check_AHA_relations(y, params, v)
-
-    return [], checks
+def _aha(x, y, params, vr):
+    v = _column(vr, params.space, hecke_module.orbit_states(params.space))
+    return hecke_module.check_AHA_relations(y, params, v)
 
 
 def _l_restriction(space):
@@ -286,12 +280,10 @@ def _l_restriction(space):
 def _comm_im(half):
     space = Space(2, half)
 
-    def build(r, vr):
+    def build(p, _, vr):
         v = _column(vr, space)
-        params = ModelParams.random(r, space)
-        x = _rand_x(r, half)
-        y1 = rand_rational(r)
-        y2 = rand_rational(r)
+        params = ModelParams(p["c"], p["k"], p["alpha"], p["beta"], space)
+        x, (y1, y2) = p["x"], p["y"]
         checks = []
         for a in range(1, half + 1):
             m_a = compat_ops.op_M(a, x, params)
@@ -310,8 +302,8 @@ def _phi_iso(n):
     images = {hecke_module.phi(w, space) for w in elements}
     point_free = ["images-collide"] if len(images) != len(elements) else []
 
-    def build(r, _):
-        x = _rand_x(r, n)
+    def build(p, r, _):
+        x = p["x"]
         word1 = [("s0" if g == 0 else g) for g in
                  (r.randint(0, n) for _ in range(r.randint(0, 4)))]
         word2 = [("s0" if g == 0 else g) for g in
@@ -358,6 +350,7 @@ class _Suite(NamedTuple):
     label: str
     sizes: tuple
     samples: int
+    variables: tuple
     builder_for: Callable
 
 
@@ -367,52 +360,67 @@ class _Suite(NamedTuple):
 # reversal check run the same gathers, so the check would prove nothing.
 # l-restriction stays on the orbit projector: its per-point work is already
 # a weighted sum of images composed once per size, and reads no product.
+#
+# A row declares the rational scalars its points draw as (name, count,
+# nonzero), in draw order (`_draw`).  The model suites draw c, k, alpha,
+# beta, then x where they read it, then y.  phi-iso declares only x: its
+# words are generator lists of random length, not scalars, so its builder
+# draws them from the point stream after x.
 _HALF = "half=%d"
 _PAIR = "n=%d half=%d"
 _ORBIT = "n=%d"
 _HALF_SIZES = (1, 2, 3)
 _PAIR_SIZES = ((2, 2), (3, 2))
+_MODEL = tuple((name, None, True) for name in ("c", "k", "alpha", "beta"))
+_X, _Y = ("x", "half", True), ("y", "n", False)
 
 _SUITES = {
-    "ybe": _Suite("two-site exchange braid identity", _HALF, _HALF_SIZES, 100, _ybe),
-    "bybe": _Suite("boundary reflection braid identity", _HALF, _HALF_SIZES, 100, _bybe),
+    "ybe": _Suite("two-site exchange braid identity", _HALF, _HALF_SIZES, 100,
+                  (("k", None, True), ("l", 3, False)), _ybe),
+    "bybe": _Suite("boundary reflection braid identity", _HALF, _HALF_SIZES, 100,
+                   (("k", None, True), ("beta", None, True), _X, ("l", 2, False)), _bybe),
     "unitarity": _Suite(
-        "exchange and reflection inverse identities", _HALF, _HALF_SIZES, 100, _unitarity
+        "exchange and reflection inverse identities", _HALF, _HALF_SIZES, 100,
+        (("k", None, True), ("beta", None, True), ("lam", None, True), _X), _unitarity,
     ),
     "qkz-consistency": _Suite(
         "transport family shift consistency", _PAIR, ((2, 2), (3, 2), (2, 3)), 100,
-        _sized_model_suite(_qkz_consistency),
+        _MODEL + (_X, _Y), _model_suite(_qkz_consistency),
     ),
     "lemma-AA": _Suite(
         "polynomial coefficient family commutes", _PAIR, _PAIR_SIZES, 100,
-        _model_suite(_lemma_aa, draw_x=False),
+        _MODEL + (_Y,), _model_suite(lambda _: ([], _lemma_aa)),
     ),
     "lemma-LL": _Suite(
-        "matrix part family commutes", _PAIR, _PAIR_SIZES, 100, _model_suite(_lemma_ll)
+        "matrix part family commutes", _PAIR, _PAIR_SIZES, 100,
+        _MODEL + (_X, _Y), _model_suite(lambda _: ([], _lemma_ll)),
     ),
     "cross-derivative": _Suite(
         "coordinate part cross derivatives agree", _PAIR, _PAIR_SIZES, 100,
-        _model_suite(_cross_derivative),
+        _MODEL + (_X, _Y), _model_suite(lambda _: ([], _cross_derivative)),
     ),
     "comm-IM": _Suite(
-        "exchange conjugation of one-site plus pair blocks", _HALF, _HALF_SIZES, 100, _comm_im
+        "exchange conjugation of one-site plus pair blocks", _HALF, _HALF_SIZES, 100,
+        _MODEL + (_X, ("y", 2, False)), _comm_im,
     ),
     "compatibility": _Suite(
         "difference and differential operators are compatible", _PAIR,
-        ((1, 1), (2, 2), (3, 2), (2, 3)), 100, _model_suite(_compatibility),
+        ((1, 1), (2, 2), (3, 2), (2, 3)), 100,
+        _MODEL + (_X, _Y), _model_suite(lambda _: ([], _compatibility)),
     ),
     "aha-relations": _Suite(
         "degenerate cross relations on the orbit", _ORBIT, (2, 3), 100,
-        _sized_model_suite(_aha, draw_x=False),
+        _MODEL + (_Y,), _model_suite(lambda _: ([], _aha)),
     ),
-    "phi-iso": _Suite("group element to orbit vector isomorphism", _ORBIT, (2, 3), 50, _phi_iso),
+    "phi-iso": _Suite("group element to orbit vector isomorphism", _ORBIT, (2, 3), 50,
+                      (("x", "n", True),), _phi_iso),
     "cbar-qinv": _Suite(
         "degenerate product equals inverse transport on the orbit", _ORBIT, (2, 3), 50,
-        _model_suite(_cbar_qinv),
+        _MODEL + (_X, _Y), _model_suite(lambda _: ([], _cbar_qinv)),
     ),
     "l-restriction": _Suite(
         "pair-sum restriction identities on the orbit", _ORBIT, (2, 3), 100,
-        _sized_model_suite(_l_restriction),
+        _MODEL + (_X, _Y), _model_suite(_l_restriction),
     ),
 }
 
@@ -444,8 +452,9 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None) 
         rng = make_rng(child_seed(seed, "%s:%d" % (name, index)))
         vr = make_rng(child_seed(seed, "%s:%d:v" % (name, index)))
         sample_notes = []
-        for label, (_, build) in zip(labels, sized):
-            names, point = sample_point(rng, lambda r: build(r, vr))
+        for size, label, (_, build) in zip(used_sizes, labels, sized):
+            names, point = sample_point(
+                rng, lambda r: build(_draw(r, suite.variables, size), r, vr))
             for nm in names:
                 sample_notes.append("%s point=%r" % (" ".join(filter(None, (label, nm))), point))
         if sample_notes:

@@ -49,7 +49,7 @@ def op_B(a, x, params):
 
 
 def rand_params(r, space):
-    return ModelParams.random(r, space)
+    return ModelParams(*rand_tuple(r, 4, nonzero=True), space)
 
 
 def generic_x(r, count):

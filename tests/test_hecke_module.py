@@ -34,7 +34,7 @@ rng = make_rng(616263)
 
 
 def rand_params(r, space):
-    return ModelParams.random(r, space)
+    return ModelParams(*rand_tuple(r, 4, nonzero=True), space)
 
 
 def test_group_order():

@@ -62,7 +62,7 @@ def starts(space):
 
 
 def rand_params(space):
-    return ModelParams.random(rng, space)
+    return ModelParams(*rand_tuple(rng, 4, nonzero=True), space)
 
 
 def test_op_p_swaps():
@@ -203,7 +203,7 @@ def test_transport_n1_is_two_reflections():
     space = Space(1, 1)
 
     def body(r):
-        params = ModelParams.random(r, space)
+        params = ModelParams(*rand_tuple(r, 4, nonzero=True), space)
         x = rand_tuple(r, 1, nonzero=True)
         y = rand_tuple(r, 1)
         mid = op_K(y[0] - params.c * rat(1, 2), x, params.beta)
@@ -271,7 +271,7 @@ def test_consistency_and_split_samples():
         for _ in range(3):
 
             def body(r):
-                params = ModelParams.random(r, space)
+                params = ModelParams(*rand_tuple(r, 4, nonzero=True), space)
                 x = rand_tuple(r, half, nonzero=True)
                 y = rand_tuple(r, n)
                 ident = LinOp.identity(space)
@@ -300,7 +300,7 @@ def test_chain_defect_of_differing_chains_is_the_dense_difference():
         space = Space(n, half)
 
         def body(r):
-            params = ModelParams.random(r, space)
+            params = ModelParams(*rand_tuple(r, 4, nonzero=True), space)
             x = rand_tuple(r, half, nonzero=True)
             y = rand_tuple(r, n)
             m, l = 1, 2
@@ -335,7 +335,7 @@ def test_q_inverse_matches_invert():
     space = Space(2, 2)
 
     def body(r):
-        params = ModelParams.random(r, space)
+        params = ModelParams(*rand_tuple(r, 4, nonzero=True), space)
         x = rand_tuple(r, 2, nonzero=True)
         y = rand_tuple(r, 2)
         q = op_Q(1, x, y, params)
@@ -357,7 +357,7 @@ def test_shift_y():
 
 def test_model_params_random_nonzero():
     space = Space(2, 2)
-    params = ModelParams.random(rng, space)
+    params = ModelParams(*rand_tuple(rng, 4, nonzero=True), space)
     assert params.c != 0 and params.k != 0
     assert params.alpha != 0 and params.beta != 0
     assert params.space is space

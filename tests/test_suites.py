@@ -24,7 +24,9 @@ def _plain(value):
 
 # sha256 of the recorded (draw count, point) list of all 13 suites at
 # samples=1, seed 6 (33 points, 35 draws), taken when each suite still had
-# its own sampler function.
+# its own sampler function.  The runner draws each row's declared
+# variables (`suites._draw`) and phi-iso's builder its words after them, in
+# the order those samplers drew.
 GOLDEN_DRAWS = "35a705bbffe3122a1717f13e014571c1d6e72510ce37da15c5b8cf3caadb0745"
 
 
@@ -50,6 +52,42 @@ def test_draws_match_the_golden_digest(monkeypatch):
     assert sum(draws for draws, _ in recorded) == 35
     text = json.dumps(recorded, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DRAWS
+
+
+class _ReadLog:
+    """A point record that logs each name read and refuses an undeclared
+    one; a membership test reads nothing."""
+
+    def __init__(self, values):
+        self.values, self.read = values, set()
+
+    def __contains__(self, name):
+        return name in self.values
+
+    def __getitem__(self, name):
+        if name not in self.values:
+            raise LookupError("undeclared variable %r" % name)
+        self.read.add(name)
+        return self.values[name]
+
+
+def test_every_builder_reads_exactly_the_variables_its_row_declares(monkeypatch):
+    """The table is the list of what a point draws: at every suite and
+    size, the accepted point's builder reads every declared variable and
+    asks for no other."""
+    records = []
+    real = suites._draw
+
+    def logged(r, variables, size):
+        records.append(_ReadLog(real(r, variables, size)))
+        return records[-1]
+
+    monkeypatch.setattr(suites, "_draw", logged)
+    for name, suite in suites._SUITES.items():
+        declared = {variable for variable, _, _ in suite.variables}
+        for size in suite.sizes:
+            assert suites.run_suite(name, samples=1, seed=0, sizes=(size,)).exact_zero
+            assert records[-1].read == declared, (name, size)
 
 
 # The suites that read their identities on one random column and write no
