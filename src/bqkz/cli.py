@@ -205,12 +205,14 @@ def _versions() -> dict:
 
 
 def _check_output(path: str | None, key: str):
-    """Refuse an output path whose file cannot be written, before any work."""
+    """Refuse an empty output path, or one whose file cannot be written,
+    before any work."""
     if path is None:
         return
     folder = os.path.dirname(path) or "."
-    if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        raise ConfigError("cannot write %s to %s" % (key, path))
+    writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+    if not path or os.path.isdir(path) or not writable:
+        raise ConfigError("cannot write %s to %s" % (key, path or "an empty path"))
 
 
 def _write_output(path: str, key: str, text: str):

@@ -424,21 +424,26 @@ def check_comm_IM(a: int, x, y1, y2, params: ModelParams, m_a: LinOp, start) -> 
 def op_dK_term(m: int, x, y, params: ModelParams) -> tuple:
     """c x_a (d/dx_a of the middle reflection) composed with its inverse,
     placed at site m, for each label a in order, in closed form, and
-    whether the derivative route differs from it for any label."""
+    whether the derivative route differs from it for any label.  The
+    derivative route applies the two reflection-shaped factors by their
+    gather to the one-site identity block, and the closed form is read on
+    the same block."""
     half = params.space.half_dim
     x = tuple(x)
     lam = y[m - 1] - div(params.c, 2)
     den = lam * lam - params.beta * params.beta
     if den == 0:
         raise PoleError("middle reflection argument hits the strength")
-    k_inv = k_factor(-lam, x, params.beta, 1, Space(1, half)).local
+    site = Space(1, half)
+    ident = Block.identity(site)
+    k_inv = k_factor(-lam, x, params.beta, 1, site)
     w = div(params.c * lam, den)
     terms, differs = [], False
     for a, xa in enumerate(x, start=1):
-        route1 = op_dK_dx(lam, x, params.beta, a, params.c * xa) @ k_inv
+        route1 = product((op_dK_dx(lam, x, params.beta, a, 1, site, params.c * xa), k_inv, ident))
         weights = (w * lam, -w * lam, w * params.beta * inv(xa), -w * params.beta * xa)
-        route2 = lincomb(Space(1, half), zip(weights, _units(half, a)))
-        differs |= route1 != route2
+        route2 = lincomb(site, zip(weights, _units(half, a)))
+        differs |= route1 != route2.on_block(ident)
         terms.append(Placed(route2, (m,), params.space))
     return terms, differs
 

@@ -21,12 +21,14 @@ True when they differ.  The degenerate cross relations
 (`check_AHA_relations`) form each product through `tensor_ops.product`
 on the start the suite passes, one `tensor_ops.Block` holding a seeded
 random integer column supported on the orbit states (Freivalds' check),
-so every operator is applied to it entry by entry; a test may pass
-`orbit_start`, the orbit projector, to prove the relations on the whole
-orbit.  The restriction check's terms read no point, so they are composed
-with `orbit_start` once per space (`restriction_images`) and each point
-only weights and sums them; the point-free pair-sum identities
-(`pair_sum_identities`) read the same images.
+so every operator is applied to it entry by entry; a test may pass the
+orbit block, the identity's columns at the orbit states, to prove the
+relations on the whole orbit.  The restriction check's terms read no
+point, so they are composed with `orbit_start`, the orbit projector, once
+per space (`restriction_images`, the one caller outside `tensor_ops` that
+composes operators) and each point only weights and sums them; the
+point-free pair-sum identities (`pair_sum_identities`) read the same
+images.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -36,10 +38,9 @@ sites, reflection on one), the only code the two share; the factors are
 applied to a start by their gather, and no factor operator is written.
 The suite's start is a `tensor_ops.Block` holding a seeded random integer
 column and one supported on the orbit states (Freivalds' check); a test
-may pass the identity block, or a whole operator, which gets the whole
-product through `_compose_at`.  A caller applies Cbar_m once per point;
-the orbit check compares it with the inverse transport operator applied
-to the start's orbit-supported columns only.
+may pass the identity block to get the whole product.  A caller applies
+Cbar_m once per point; the orbit check compares it with the inverse
+transport operator applied to the start's orbit-supported columns only.
 
 Left-action images and the orbit states depend on the space alone, so
 `rhoL` and `orbit_states` are cached: each is built once per process, as
@@ -205,14 +206,6 @@ def rhoR_generator(g, x: Sequence, space: Space) -> Factor:
     raise ValueError("unknown generator %r" % (g,))
 
 
-def rhoR_word(word, x: Sequence, space: Space) -> LinOp:
-    """Right-action image of a word: the placed generator images composed
-    in reversed order (anti-homomorphism), embedding only the one applied
-    first."""
-    images = [rhoR_generator(g, x, space) for g in reversed(word)]
-    return product(images or [LinOp.identity(space)])
-
-
 def check_AHA_relations(y: Sequence, params: ModelParams, start):
     """The degenerate cross relations applied to start, which hold on the
     orbit only: yields (name, residual) of each three-term relation and
@@ -264,8 +257,8 @@ def cbar_factor_list(m: int, n: int):
 
 
 def _cbar_factor(desc, x, y, params: ModelParams) -> Factor:
-    """One degenerate factor, written on one or two sites by the writer of
-    its shape and placed at its slots."""
+    """One degenerate factor, kept as the scalars of its shape and placed
+    at its slots."""
     kind, slot, yterms, cmult = desc
     space = params.space
     n = space.n
@@ -304,7 +297,7 @@ def _cbar_factor(desc, x, y, params: ModelParams) -> Factor:
 def op_Cbar(m: int, x: Sequence, y: Sequence, params: ModelParams, start: Block) -> Block:
     """Degenerate transport product for site m applied to start: the
     product of the factors of cbar_factor_list, leftmost first, each
-    written by _cbar_factor."""
+    built by _cbar_factor."""
     return product([_cbar_factor(desc, x, y, params)
                     for desc in cbar_factor_list(m, params.space.n)] + [start])
 
@@ -337,7 +330,7 @@ def _grouped_end(weight, coords, shift, site: int, space: Space) -> Factor:
 def cbar_grouped(m: int, x: Sequence, y: Sequence, params: ModelParams,
                  start: Block) -> Block:
     """Same product applied to start, with every denominator pulled into
-    one scalar; each linear factor is written by _grouped_swap or
+    one scalar; each linear factor is built by _grouped_swap or
     _grouped_end."""
     space = params.space
     n = space.n

@@ -13,31 +13,28 @@ Each exchange and reflection factor computes its few distinct scalars
 from its argument, those of lam + k P or lam T(x) + beta, and the divisor
 lam + k or lam + beta, and keeps them as a `tensor_ops.Factor` placed at
 its sites (`r_factor`, `k_factor`, and `p_factor` and `t_factor` for P and
-T(x)).  Where a whole operator is needed, a factor writes it from its
-shape's table (`Factor.local`); `op_dT_dx` writes the one-site derivative
-of T(x) the same way.
+T(x)); the x-derivatives of T(x) and of the reflection factor are
+reflection-shaped factors too (`op_dT_dx`, `op_dK_dx`).
 
 Every check reads its chains on a start: it applies each chain of placed
 factors to a `tensor_ops.Block` start through `tensor_ops.product`; each
 factor reaches the block's columns by its gather, no factor operator is
 written, and each partial product is reduced by one gcd.  The suites
 start from one seeded random integer column v, so a pass proves
-D(p) v = 0 for the point's defect D(p) (Freivalds' check).  A test may
-pass a whole operator as the start, the identity to prove D(p) = 0,
-which `_compose_at` composes with each factor's written operator; an
-exact chain with no start (`compose_descs`) is applied to the identity
-block and returned as the whole operator.  The braid and inverse checks
-compare the two sides of their identity and return True when they
-differ; the two factor identities (`swap_factor_defect`,
-`flip_factor_defect`) return their residual on the start.  For the
-consistency checks a caller applies each transport chain to the start
-(`compose_descs` with `start`): the inverse check applies the inverse
-factors to Q_m v, and each pair check applies the shifted factors of one
-transport operator to the other's image.  The x-derivatives take T_m
-applied to the start, apply each coordinate's middle derivative (a
-general placed site operator) to it, and the head factors once to all of
-them.  Whether the split into (head, middle, tail) keeps every factor in
-order reads no point, so `q_split_defect` checks it once per size.
+D(p) v = 0 for the point's defect D(p) (Freivalds' check); a test may
+start from the identity block to prove D(p) = 0.  An exact chain with no
+start (`compose_descs`) is applied to the identity block and returned as
+the whole operator.  The braid and inverse checks compare the two sides
+of their identity and return True when they differ; the two factor
+identities (`swap_factor_defect`, `flip_factor_defect`) return their
+residual on the start.  For the consistency checks a caller applies each
+transport chain to the start (`compose_descs` with `start`): the inverse
+check applies the inverse factors to Q_m v, and each pair check applies
+the shifted factors of one transport operator to the other's image.  The x-derivatives take T_m
+applied to the start, apply each coordinate's middle derivative factor to
+it by its gather, and the head factors once to all of them.  Whether the
+split into (head, middle, tail) keeps every factor in order reads no
+point, so `q_split_defect` checks it once per size.
 
 The contour solver's residual pass uses the same factor builders with
 complex scalars (`factor_ops`): per lambda grid it builds the factors on
@@ -57,7 +54,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .scalar_field import PoleError, inv, rat
-from .tensor_ops import Block, Factor, LinOp, Placed, Space, lincomb, product
+from .tensor_ops import Block, Factor, LinOp, Space, lincomb, product
 
 
 @dataclass(frozen=True)
@@ -96,13 +93,13 @@ def t_factor(x: Sequence, site: int, space: Space) -> Factor:
     return Factor.reflection(0, [(inv(xa), xa) for xa in coordinates(x)], site, space)
 
 
-def op_dT_dx(x: Sequence, a: int, weight=1, over=1) -> LinOp:
+def op_dT_dx(x: Sequence, a: int, site: int, space: Space, weight=1, over=1) -> Factor:
     """Derivative of T(x) in the a-th coordinate (a is 1-based), times
-    weight / over, on one site."""
+    weight / over, placed at a site."""
     x = coordinates(x)
     flips = [(0, 0)] * len(x)
     flips[a - 1] = (-weight * inv(x[a - 1] * x[a - 1]), weight)
-    return Factor.reflection(0, flips, 1, Space(1, len(x)), over).local
+    return Factor.reflection(0, flips, site, space, over)
 
 
 def r_factor(lam, k, sites: tuple, space: Space) -> Factor:
@@ -125,13 +122,13 @@ def k_factor(lam, x: Sequence, beta, site: int, space: Space) -> Factor:
     return Factor.reflection(beta, flips, site, space, over=norm)
 
 
-def op_dK_dx(lam, x: Sequence, beta, a: int, weight=1) -> LinOp:
+def op_dK_dx(lam, x: Sequence, beta, a: int, site: int, space: Space, weight=1) -> Factor:
     """Derivative of the reflection factor K(lam|x, beta) in the a-th
-    reflection coordinate, times weight, on one site."""
+    reflection coordinate, times weight, placed at a site."""
     den = lam + beta
     if den == 0:
         raise PoleError("reflection factor pole: argument equals -strength")
-    return op_dT_dx(x, a, weight * lam, den)
+    return op_dT_dx(x, a, site, space, weight * lam, den)
 
 
 def q_factor_list(m: int, n: int):
@@ -238,7 +235,7 @@ def op_dQ_dx(m: int, x: Sequence, y: Sequence, params: ModelParams, tail: Block,
     """
     head, mid, _ = q_split_descs(m, params.space.n)
     arg = _factor_arg(mid, y, params.c)
-    dmids = [Placed(op_dK_dx(arg, x, params.beta, a, w), (m,), params.space).on_block(tail)
+    dmids = [op_dK_dx(arg, x, params.beta, a, m, params.space, w).on_block(tail)
              for a, w in enumerate(weights, start=1)]
     return product(factor_ops(head, x, y, params) + [Block.join(dmids)])
 

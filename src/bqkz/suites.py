@@ -25,9 +25,11 @@ aha-relations and cbar-qinv's orbit check draw theirs on the orbit
 states only, where their identities hold.  A nonzero D(p) passes one
 sample with probability at most 1/101 on top of the point's own chance of
 sitting on a zero of D.  The other three light suites keep their own
-routes, for the reasons given above the suite table: cross-derivative and
-phi-iso prove D(p) = 0 on whole operators, and l-restriction D(p) P = 0
-for the orbit projector P (`hecke_module.orbit_start`).
+routes, for the reasons given above the suite table: cross-derivative
+proves D(p) = 0 on whole operators, phi-iso applies each generator's
+factor by its gather to the unit column of phi(id) and reads the image's
+support exactly, and l-restriction proves D(p) P = 0 for the orbit
+projector P (`hecke_module.orbit_start`).
 
 A suite is one row of a table: its anchor, the label of a size, its sizes,
 its default sample count, the variables a point draws, and `builder_for`,
@@ -65,7 +67,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .tensor_ops import Block, LinOp, Space, product
+from .tensor_ops import Block, Space, product
 from .sampling import child_seed, make_rng, rand_column, rand_rational, rand_tuple, sample_point
 from . import compat_ops, hecke_module, rqkz
 from .rqkz import ModelParams
@@ -304,28 +306,20 @@ def _phi_iso(n):
 
     def build(p, r, _):
         x = p["x"]
-        word1 = [("s0" if g == 0 else g) for g in
-                 (r.randint(0, n) for _ in range(r.randint(0, 4)))]
-        word2 = [("s0" if g == 0 else g) for g in
-                 (r.randint(0, n) for _ in range(r.randint(0, 4)))]
-        out = []
-        lhs = hecke_module.rhoR_word(word1 + word2, x, space)
-        rhs = (hecke_module.rhoR_word(word2, x, space)
-               @ hecke_module.rhoR_word(word1, x, space))
-        if lhs != rhs:
-            out.append("reversal word=%r+%r" % (word1, word2))
+        word = [("s0" if g == 0 else g) for g in
+                (r.randint(0, n) for _ in range(r.randint(0, 4)))]
         w = hecke_module.SignedPerm.identity(n)
-        vec = LinOp.of(space, {0: {hecke_module.phi(w, space): 1}})
-        for g in word1:
-            vec = hecke_module.rhoR_generator(g, x, space).compose(vec)
+        image = Block.of(space, {hecke_module.phi(w, space): 1})
+        for g in word:
+            image = hecke_module.rhoR_generator(g, x, space).on_block(image)
             w = w * (
                 hecke_module.elem_r(1, n)
                 if g == "s0"
                 else hecke_module.SignedPerm.generator(n, g)
             )
-        if set(vec.cols.get(0, ())) != {hecke_module.phi(w, space)}:
-            out.append("equivariance word=%r" % (word1,))
-        return out, (x, word1, word2)
+        support = {i for i, v in enumerate(image.cols[0]) if v}
+        failing = support != {hecke_module.phi(w, space)}
+        return ["equivariance word=%r" % (word,)] if failing else [], (x, word)
 
     return point_free, build
 
@@ -354,18 +348,18 @@ class _Suite(NamedTuple):
     builder_for: Callable
 
 
-# Every suite but three reads its identities on a column.  cross-derivative
-# stays whole: its defect is one lincomb with no product, so a column would
-# save nothing.  phi-iso stays whole: on a column both sides of its
-# reversal check run the same gathers, so the check would prove nothing.
+# Every suite but three reads its identities on a random column.
+# cross-derivative stays whole: its defect is one lincomb with no product,
+# so a column would save nothing.  phi-iso reads its word on the unit column
+# of phi(id): its claim is the support of the image, which is exact there.
 # l-restriction stays on the orbit projector: its per-point work is already
 # a weighted sum of images composed once per size, and reads no product.
 #
 # A row declares the rational scalars its points draw as (name, count,
 # nonzero), in draw order (`_draw`).  The model suites draw c, k, alpha,
 # beta, then x where they read it, then y.  phi-iso declares only x: its
-# words are generator lists of random length, not scalars, so its builder
-# draws them from the point stream after x.
+# word is a generator list of random length, not a scalar, so its builder
+# draws it from the point stream after x.
 _HALF = "half=%d"
 _PAIR = "n=%d half=%d"
 _ORBIT = "n=%d"

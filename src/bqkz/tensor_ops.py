@@ -9,45 +9,35 @@ significant, which is the order `Space.states` yields.
 Operators are stored column-major as {col_index: {row_index: entry}}, keyed
 by linear state index, with no explicitly stored zeros.  A vector is one
 such column, {index: value}, and `apply` maps columns to columns.  The
-package writes index keys only.  Every exchange and reflection operator is
-a `Factor`: one flat tuple of scalars, divided by an optional `over`,
-whose layout, the slot each local code reads on itself and on its
-partner, is the one cached table of its shape (`factor_shape`), two-site
-exchange or one-site reflection.  `Factor.local` writes the operator from
-that table, clearing the scalars once and storing no zero entry or empty
-column; other operators come from `LinOp.of`, `lincomb`, `compose` or
-`Placed.embedded`.
-`entry` reads by state, and the constructor converts state keys once, for
-operators written by hand.
+package writes index keys only; operators come from `LinOp.of`, `lincomb`,
+`compose`, `site_tensor` and `Placed.embedded`.  `entry` reads by state,
+and the constructor converts state keys once, for operators written by
+hand.
 
-A factor chain starts from a `Block`: dense columns of int numerators over
-one positive den, reduced as an exact operator is; `Block.join` sets
-blocks side by side, so one chain carries the columns of several starts.
-Two kernels apply operators, and the type of the last operand of `product`
-picks one:
+Every exchange and reflection factor is a `Factor`: one flat tuple of
+scalars, divided by an optional `over` and placed at its sites, whose
+layout, the slot each local code reads on itself and on its partner, is
+the one cached table of its shape (`factor_shape`), two-site exchange or
+one-site reflection.  No exact code writes a factor as an operator.
 
-* On a block, a `Factor` (kept as its scalars and placed at its sites) is
-  applied by one gather: index i with local code c gets own[c] w[i] +
-  other[c] w[src i], where src swaps the two sites' digits or flips the
-  bar, from its shape's table read at each index, cached per placement.
-  No factor operator is written and a factor reads no dict.  Any
-  other operator (a whole `LinOp`, or a general `Placed` one) is applied
-  to the columns entry by entry (`on_block`).  `lincomb` sums blocks
-  column by column.
-* On anything else, one loop, `_compose_at`, multiplies operator entries.
-  It composes an operator placed on some sites with one on the whole
-  space, reading each index as a local code and a base index (the digits
-  at every other site) from a table cached per placement.
-  `Placed.compose` runs it at a one- or two-site placement,
-  `LinOp.compose` at the whole-space one (every site, each index its own
-  code, every base 0), `apply` on a one-column operator and `site_tensor`
-  with op1 placed at site 1; `Placed.embedded` writes a whole operator
-  from a placed one by the same table.  A `Factor` writes its operator
-  only here, when a whole operator is asked for.  The suites' per-point
-  checks reach this kernel only through phi-iso's words and the
-  derivative route of compatibility's dk-route check; it otherwise builds
-  the point-free operators (pair blocks, left-action images on the orbit)
-  and serves tests that pass a whole start.
+A chain starts from a `Block`: dense columns of int numerators over one
+positive den, reduced as an exact operator is; `Block.join` sets blocks
+side by side, so one chain carries the columns of several starts.
+`product` applies a chain to its start, the last operator first, each by
+its `on_block`, and refuses any other start:
+
+* A `Factor` is applied by one gather: index i with local code c gets
+  own[c] w[i] + other[c] w[src i], where src swaps the two sites' digits or
+  flips the bar, from its shape's table read at each index, cached per
+  placement.  A factor reads no dict.
+* Any other operator (a whole `LinOp`, or a `Placed` one on one or two
+  sites) is applied to the columns entry by entry (`on_block`).
+  `lincomb` sums blocks column by column.
+
+`LinOp.compose` (or `@`) is the one product of two operators, a plain
+sparse product of two whole operators.  It builds the point-free
+operators that a caller composes once per space, such as the left-action
+images on the orbit, and no suite's per-point check calls it.
 
 Every operator is exact: it holds int numerators over one positive int
 denominator, reduced so that the two share no factor, and no operation
@@ -59,10 +49,8 @@ factor's from its shape's table.
 
 Exact arithmetic never leaves the integers: a linear combination
 (`lincomb`, and `+`, `-` and `scale` through it) meets over one lcm and
-reduces once by the gcd, `compose` and each application to a block
-multiply numerators and denominators and reduce once, and `product` (or
-`@`) folds them, embedding only a placed last factor of an operator
-product.
+reduces once by the gcd, and `compose` and each application to a block
+multiply numerators and denominators and reduce once.
 Values are read as rationals only at the edges: `entry`, `to_dense` and
 `apply`.
 """
@@ -190,10 +178,27 @@ class LinOp:
         return self.compose(LinOp(self.space, {0: column}))._values().get(0, {})
 
     def compose(self, other: "LinOp") -> "LinOp":
-        """self o other (apply other first): the product kernel with self
-        placed on every site, where each index is its own local code and
-        every base index is 0."""
-        return _compose_at(self, _whole(self.space), self.space, other)
+        """self o other (apply other first), two whole operators: each entry
+        of a column of other spreads over self's column at its row.
+        Numerators and denominators multiply, and the product is reduced
+        once."""
+        if self.space != other.space:
+            raise ValueError("space mismatch in compose")
+        acols = self.cols
+        out = {}
+        for c, bcol in other.cols.items():
+            acc = {}
+            get = acc.get
+            for k, bkc in bcol.items():
+                acol = acols.get(k)
+                if acol is not None:
+                    for r, ark in acol.items():
+                        acc[r] = get(r, 0) + ark * bkc
+            if 0 in acc.values():
+                acc = {r: w for r, w in acc.items() if w != 0}
+            if acc:
+                out[c] = acc
+        return _built(self.space, out, self.den * other.den)
 
     def on_block(self, block: "Block") -> "Block":
         """self applied to every column of an exact block."""
@@ -310,20 +315,16 @@ def _built(space: Space, cols, den) -> LinOp:
 
 
 def product(ops):
-    """ops[0] o ops[1] o ... o ops[-1], the last applied first.  The last
-    one's type picks the kernel: each operator is applied to the columns of
-    a `Block` by its `on_block`, and composed with anything else, which is
-    embedded first when placed."""
+    """ops[0] o ops[1] o ... o ops[-2] applied to the start ops[-1], a
+    `Block`: the last operator first, each by its `on_block`.  Any other
+    start is refused."""
     *rest, out = ops
-    if isinstance(out, Block):
-        for op in reversed(rest):
-            if op.space != out.space:
-                raise ValueError("space mismatch in product")
-            out = op.on_block(out)
-        return out
-    out = out.embedded() if isinstance(out, Placed) else out
+    if not isinstance(out, Block):
+        raise TypeError("a chain starts from a Block, not a %s" % type(out).__name__)
     for op in reversed(rest):
-        out = op.compose(out)
+        if op.space != out.space:
+            raise ValueError("space mismatch in product")
+        out = op.on_block(out)
     return out
 
 
@@ -355,30 +356,20 @@ def _whole(space: Space) -> tuple:
 
 
 class Placed:
-    """A one- or two-site operator at given sites (slot order), applied
-    without embedding: `compose` runs the product kernel at this placement,
-    with the result `embedded().compose` would give, and `on_block` applies
-    the local entries to a block's columns at this placement."""
+    """A one- or two-site operator `local` at given sites (slot order):
+    `on_block` applies its entries to a block's columns at this placement,
+    and `embedded` writes the whole operator on the space."""
 
-    __slots__ = ("_local", "strides", "space")
+    __slots__ = ("local", "strides", "space")
 
     def __init__(self, local: LinOp, sites: tuple, space: Space):
         sites = tuple(sites)
         if local.space.n != len(sites) or local.space.half_dim != space.half_dim:
             raise ValueError("need a %d-site operator over the same labels" % len(sites))
-        self._local, self.strides, self.space = local, _strides(sites, space), space
-
-    @property
-    def local(self) -> LinOp:
-        """The operator on its own sites."""
-        return self._local
+        self.local, self.strides, self.space = local, _strides(sites, space), space
 
     def embedded(self) -> LinOp:
-        """The whole operator on the space."""
         return _embedded(self.local, self.strides, self.space)
-
-    def compose(self, other: LinOp) -> LinOp:
-        return _compose_at(self.local, self.strides, self.space, other)
 
     def on_block(self, block: "Block") -> "Block":
         return _sparse_on_block(self.local, self.strides, self.space, block)
@@ -406,24 +397,23 @@ def factor_shape(sites: int, half: int) -> tuple:
             tuple((c + half) % d for c in range(d)))
 
 
-class Factor(Placed):
+class Factor:
     """A factor of the exchange shape on two sites or of the reflection
     shape on one, kept as one flat tuple of the scalars its shape reads
-    (`factor_shape`), each divided by `over`.
+    (`factor_shape`), each divided by `over`, and placed at its sites.
 
     On a column w each index i, with local code c, is
         out[i] = own[c] w[i] + other[c] w[src[i]],
     where src[i] swaps the digits at the two sites (exchange) or flips the
     bar at the site (reflection): `on_block` applies the factor to a block
     by that one gather, reading its cleared scalars and a table cached per
-    placement.  The local operator is written from the same shape table
-    only when asked for (`local`, `embedded`, `compose`)."""
+    placement."""
 
-    __slots__ = ("scalars", "over")
+    __slots__ = ("scalars", "over", "strides", "space")
 
     def __init__(self, scalars: tuple, over, sites: tuple, space: Space):
         """A factor from the flat scalars of its shape, unchecked."""
-        self._local, self.scalars, self.over = None, scalars, over
+        self.scalars, self.over = scalars, over
         self.strides, self.space = _strides(tuple(sites), space), space
 
     @classmethod
@@ -437,31 +427,11 @@ class Factor(Placed):
             raise ValueError("need one (down, up) pair per label")
         return cls((diag, *itertools.chain.from_iterable(flips)), over, (site,), space)
 
-    def _cleared(self) -> tuple:
-        """(numerators, den) of the scalars over `over`, with a trailing 0
-        for slot -1."""
-        nums, den = clear(self.scalars, self.over)
-        return nums + [0], den
-
-    @property
-    def local(self) -> LinOp:
-        """Each column c holds other[partner[c]] at row partner[c] and then
-        own[c] on itself, no zero entry or empty column stored."""
-        if self._local is None:
-            nums, den = self._cleared()
-            own, other, partner = factor_shape(len(self.strides), self.space.half_dim)
-            cols = {}
-            for c, p in enumerate(partner):
-                col = {r: v for r, v in ((p, nums[other[p]]), (c, nums[own[c]])) if v}
-                if col:
-                    cols[c] = col
-            self._local = LinOp.of(Space(len(self.strides), self.space.half_dim), cols, den)
-        return self._local
-
     def on_block(self, block: "Block") -> "Block":
         """The gather: per index two products of int numerators, over the
-        block's den times the factor's, reduced once."""
-        nums, den = self._cleared()
+        block's den times the factor's, reduced once; slot -1 reads 0."""
+        nums, den = clear(self.scalars, self.over)
+        nums.append(0)
         own, other, src = _gather(self.strides, self.space)
         a, b = own(nums), other(nums)
         cols = [list(map(add, map(mul, a, w), map(mul, b, src(w)))) for w in block.cols]
@@ -478,35 +448,6 @@ def _gather(strides: tuple, space: Space) -> tuple:
     own, other, partner = factor_shape(len(strides), space.half_dim)
     return (itemgetter(*(own[c] for c in codes)), itemgetter(*(other[c] for c in codes)),
             itemgetter(*(base + shift[partner[c]] for c, base in zip(codes, bases))))
-
-
-def _compose_at(local: LinOp, strides: tuple, space: Space, other: LinOp) -> LinOp:
-    """The one product kernel: local, acting on the sites of `space` whose
-    index strides are given, composed with other.  Each index k of a
-    column of other picks local's column codes[k], read in place; each of
-    its rows adds at bases[k] plus that row's shift.  Numerators and
-    denominators multiply, and the product is reduced once."""
-    if space != other.space:
-        raise ValueError("space mismatch in compose")
-    acols, bcols = local.cols, other.cols
-    shift, codes, bases, _ = _placement(strides, space)
-    out = {}
-    for c, bcol in bcols.items():
-        acc = {}
-        get = acc.get
-        for k, bkc in bcol.items():
-            acol = acols.get(codes[k])
-            if acol is None:
-                continue
-            base = bases[k]
-            for lr, ark in acol.items():
-                r = base + shift[lr]
-                acc[r] = get(r, 0) + ark * bkc
-        if 0 in acc.values():
-            acc = {r: w for r, w in acc.items() if w != 0}
-        if acc:
-            out[c] = acc
-    return _built(space, out, local.den * other.den)
 
 
 def _sparse_on_block(local: LinOp, strides: tuple, space: Space, block: "Block") -> "Block":
@@ -560,10 +501,12 @@ def _placement(strides: tuple, space: Space) -> tuple:
 
 
 def site_tensor(op1: LinOp, op2: LinOp) -> LinOp:
-    """Two-site operator op1 (x) op2 from two site operators: op1 placed at
-    site 1 composed with op2 embedded at site 2."""
-    sp = Space(2, op1.space.half_dim)
-    return Placed(op1, (1,), sp).compose(Placed(op2, (2,), sp).embedded())
+    """Two-site operator op1 (x) op2 from two site operators, written
+    directly: entry (a d + b, c d + e) is op1's (a, c) times op2's (b, e)."""
+    d = op1.space.site_dim
+    cols = {c * d + e: {a * d + b: u * v for a, u in col1.items() for b, v in col2.items()}
+            for c, col1 in op1.cols.items() for e, col2 in op2.cols.items()}
+    return _built(Space(2, op1.space.half_dim), cols, op1.den * op2.den)
 
 
 class Block:

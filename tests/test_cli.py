@@ -325,6 +325,26 @@ def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err.startswith("error: cannot write output.report to ")
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["verify", "--suite", "ybe", "--samples", "1", "--out", ""], "output.report"),
+    (["verify", "--suite", "ybe", "--samples", "1", "--config", "{empty}"], "output.report"),
+    (["solve", "--out-csv", "", "--out-json", "{good}"], "output.csv"),
+    (["solve", "--out-csv", "{good}", "--out-json", ""], "output.report"),
+    (["residuals", "--config", "{empty}"], "output.report"),
+], ids=["verify-flag", "verify-config", "solve-csv", "solve-report", "residuals-config"])
+def test_an_empty_output_path_exits_two_before_any_work(tmp_path, capsys, argv, key):
+    """An empty output path, by flag or by config, exits 2 naming its key
+    before any suite or quadrature runs: no suite line and no lambda line
+    is printed."""
+    paths = {"good": str(tmp_path / "ok"),
+             "empty": write_json(tmp_path / "cfg.json", {"output": {"report": ""}})}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write %s to " % key)
+    assert not [line for line in captured.out.splitlines()
+                if line.startswith(("pass", "FAIL")) or "lambda=" in line]
+
+
 def test_solve_refuses_one_file_for_the_table_and_the_report(tmp_path, capsys, monkeypatch):
     """A CSV path and a report path that resolve to the same file, by
     flags, by config or through a link, exit 2 naming both keys before any

@@ -38,9 +38,9 @@ rng = make_rng(908070)
 
 
 def starts(space):
-    """The whole start and one random integer column: a defect that
+    """The identity block and one random integer column: a defect that
     vanishes on the identity vanishes on every column."""
-    return LinOp.identity(space), Block.of(space, rand_column(rng, range(space.dim)))
+    return Block.identity(space), Block.of(space, rand_column(rng, range(space.dim)))
 
 
 def op_B(a, x, params):
@@ -349,7 +349,8 @@ def test_dk_term_dual_route_agrees(monkeypatch):
     for _ in range(3):
         params, x, y = sample_point(rng, body)
     real = co.op_dK_dx
-    monkeypatch.setattr(co, "op_dK_dx", lambda *args: real(*args).scale(2))
+    # The last argument is the weight: the derivative route doubles.
+    monkeypatch.setattr(co, "op_dK_dx", lambda *args: real(*args[:-1], 2 * args[-1]))
     assert all(op_dK_term(m, x, y, params)[1] for m in (1, 2))
 
 
@@ -441,7 +442,7 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
     """Every builder of the family sums its terms in one `lincomb`: with
     the label-only caches warm, one call reduces exactly once.  The block
     route builds each of its n one-site blocks and its one pair block once
-    (one reduction each), composes each with the whole start where it acts
+    (one reduction each), applies each to the identity block where it acts
     (one each) and sums the images once, so it reduces 2n + 3 times.  The
     restriction residual's terms are composed with its
     start once per space, so at a point it only sums them, once.  Matrix
@@ -462,7 +463,7 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
         "op_I": lambda: op_I(2, x[1], gamma, params),
         "op_M": lambda: op_M(1, x, params),
         "op_M_swapped": lambda: op_M_swapped(2, x, params),
-        "op_L_from_blocks": lambda: op_L_from_blocks(1, x, y, params, LinOp.identity(space)),
+        "op_L_from_blocks": lambda: op_L_from_blocks(1, x, y, params, Block.identity(space)),
         "op_dB_dx same": lambda: op_dB_dx(1, 1, x, params),
         "op_dB_dx cross": lambda: op_dB_dx(1, 2, x, params),
         "check_L_restriction": lambda: check_L_restriction(2, x, params, images),
@@ -471,14 +472,11 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
     reductions["op_L_from_blocks"] = 2 * space.n + 3
     for call in calls.values():
         call()
-    real = to._built
     built = []
-
-    def counted(*args):
-        built.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(to, "_built", counted)
+    # An operator is reduced by _built and a block by _reduced.
+    for name in ("_built", "_reduced"):
+        real = getattr(to, name)
+        monkeypatch.setattr(to, name, lambda *args, real=real: built.append(1) or real(*args))
     for name, call in calls.items():
         built.clear()
         call()

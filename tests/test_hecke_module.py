@@ -27,7 +27,6 @@ from bqkz.hecke_module import (
     restriction_images,
     rhoL,
     rhoR_generator,
-    rhoR_word,
 )
 
 rng = make_rng(616263)
@@ -111,32 +110,20 @@ def test_phi_bijective_onto_orbit():
         assert states == set(orbit_states(space))
 
 
-def test_rho_r_reverses_words():
-    n = 3
-    space = Space(n, n)
-
-    def body(r):
-        x = rand_tuple(r, n, nonzero=True)
-        w1 = [r.choice(["s0", 1, 2, 3]) for _ in range(r.randint(0, 4))]
-        w2 = [r.choice(["s0", 1, 2, 3]) for _ in range(r.randint(0, 4))]
-        lhs = rhoR_word(w1 + w2, x, space)
-        rhs = rhoR_word(w2, x, space) @ rhoR_word(w1, x, space)
-        assert lhs == rhs
-        return True
-
-    for _ in range(8):
-        sample_point(rng, body)
+def _whole(factor):
+    """A placed factor's whole operator: its gather on the identity block."""
+    return factor.on_block(Block.identity(factor.space)).linop()
 
 
 def test_rho_r_generator_images():
     n = 2
     space = Space(n, n)
     x = (rat(2, 3), rat(5, 4))
-    s1 = rhoR_generator(1, x, space).embedded()
+    s1 = _whole(rhoR_generator(1, x, space))
     assert s1 @ s1 == LinOp.identity(space)
-    tn = rhoR_generator(n, x, space).embedded()
+    tn = _whole(rhoR_generator(n, x, space))
     assert tn @ tn == LinOp.identity(space)
-    t0 = rhoR_generator("s0", x, space).embedded()
+    t0 = _whole(rhoR_generator("s0", x, space))
     assert t0 @ t0 == LinOp.identity(space)
     with pytest.raises(ValueError):
         rhoR_generator(5, x, space)
@@ -154,11 +141,11 @@ def test_phi_equivariance_exact_scalars():
             w = SignedPerm.from_word(n, word)
             base = {phi(w, space): 1}
             for i in range(1, n + 1):
-                img = rhoR_generator(i if i < n else n, x, space).embedded().apply(base)
+                img = _whole(rhoR_generator(i if i < n else n, x, space)).apply(base)
                 assert img == {phi(w * SignedPerm.generator(n, i), space): 1}, (word, i)
             j = w.apply(1)
             scale = inv(x[j - 1]) if j > 0 else x[-j - 1]
-            img0 = rhoR_generator("s0", x, space).embedded().apply(base)
+            img0 = _whole(rhoR_generator("s0", x, space)).apply(base)
             assert img0 == {phi(w * elem_r(1, n), space): scale}, word
             return True
 
@@ -167,12 +154,12 @@ def test_phi_equivariance_exact_scalars():
 
 
 def test_aha_relations_on_orbit():
-    """On the orbit projector, and on one random column supported on the
-    orbit states."""
+    """On the orbit block, the identity's columns at the orbit states, and
+    on one random column supported on the orbit states."""
     for n in (2, 3):
         space = Space(n, n)
         column = Block.of(space, rand_column(rng, orbit_states(space)))
-        for start in (orbit_start(space), column):
+        for start in (Block.identity(space).take(orbit_states(space)), column):
 
             def body(r):
                 params = rand_params(r, space)
@@ -192,9 +179,9 @@ def test_aha_needs_orbit_restriction():
     space = Space(2, 2)
     params = ModelParams(rat(1), rat(2, 3), rat(5, 7), rat(3, 4), space)
     y = (rat(1, 2), rat(-2, 5))
-    defects = dict(check_AHA_relations(y, params, LinOp.identity(space)))
+    defects = dict(check_AHA_relations(y, params, Block.identity(space)))
     repeated = space.index((0, 0))
-    assert defects["lower-1"].apply({repeated: 1}) == {repeated: -params.k}
+    assert defects["lower-1"].linop().apply({repeated: 1}) == {repeated: -params.k}
 
 
 def eta_L_push(a, word, y, params):
@@ -324,7 +311,7 @@ def test_cbar_grouped_matches_product():
             params = rand_params(r, space)
             x = rand_tuple(r, n, nonzero=True)
             y = rand_tuple(r, n)
-            ident = LinOp.identity(space)
+            ident = Block.identity(space)
             for m in range(1, n + 1):
                 assert (
                     op_Cbar(m, x, y, params, ident) - cbar_grouped(m, x, y, params, ident)
@@ -365,9 +352,9 @@ def test_cbar_n1_closed_form_everywhere():
         params = rand_params(r, space)
         x = rand_tuple(r, 1, nonzero=True)
         y = rand_tuple(r, 1)
-        lhs = op_Cbar(1, x, y, params, LinOp.identity(space))
+        lhs = op_Cbar(1, x, y, params, Block.identity(space))
         inverse = compose_descs(invert_descs(q_factor_list(1, 1)), x, y, params)
-        assert (lhs - inverse).is_zero()
+        assert (lhs.linop() - inverse).is_zero()
         return True
 
     for _ in range(4):

@@ -208,3 +208,38 @@ def test_only_tensor_ops_calls_the_state_keyed_constructor():
     found = ["%s:%d" % (path.name, line) for path in PACKAGE if path.name != "tensor_ops.py"
              for line in constructor_calls(path.read_text(), "LinOp")]
     assert not found, found
+
+
+def composing_definitions(source: str) -> list:
+    """Names of the module-level definitions, or "line <n>" of other
+    module-level statements, that call `.compose(` or use `@` anywhere in
+    their body."""
+    found = []
+    for node in ast.parse(source).body:
+        if any(isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "compose"
+               or isinstance(sub, (ast.BinOp, ast.AugAssign)) and isinstance(sub.op, ast.MatMult)
+               for sub in ast.walk(node)):
+            found.append(getattr(node, "name", "line %d" % node.lineno))
+    return found
+
+
+def test_checker_flags_a_composing_definition():
+    source = (
+        "def a(x, y):\n    return x @ y\n"
+        "def b(x, y):\n    return x.compose(y)\n"
+        "def c(x):\n    def inner(y):\n        y @= x\n    return inner\n"
+        "def d(x, y):\n    return x.apply(y) * y\n"
+        "e = f @ g\n"
+    )
+    assert composing_definitions(source) == ["a", "b", "c", "line 11"]
+
+
+def test_only_the_restriction_images_compose_outside_tensor_ops():
+    """`tensor_ops` owns the one product of two operators, `LinOp.compose`:
+    outside it, only `hecke_module.restriction_images`, which composes the
+    point-free operators with the orbit projector once per space, calls
+    `.compose(` or uses `@`.  Every other product is a chain applied to a
+    block."""
+    found = ["%s.%s" % (path.stem, name) for path in PACKAGE if path.stem != "tensor_ops"
+             for name in composing_definitions(path.read_text())]
+    assert found == ["hecke_module.restriction_images"], found

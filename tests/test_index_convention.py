@@ -38,27 +38,43 @@ def _params(space):
     return ModelParams(c=rat(1, 2), k=rat(2, 3), alpha=rat(3, 5), beta=rat(-4, 7), space=space)
 
 
+def _whole(factor):
+    """A placed factor's whole operator: its gather on the identity block."""
+    return factor.on_block(Block.identity(factor.space)).linop()
+
+
+def _local(factor):
+    """A factor's operator on its own sites: the gather, on the identity
+    block there, of the same scalars placed on sites 1 (and 2)."""
+    sites = tuple(range(1, len(factor.strides) + 1))
+    return _whole(Factor(factor.scalars, factor.over, sites,
+                         Space(len(sites), factor.space.half_dim)))
+
+
 def _built_operators(n, half):
     """Every builder's output that lives on Space(n, half)."""
     space = Space(n, half)
     x, y, params = X[:half], Y[:n], _params(space)
     ops = [LinOp.identity(space)]
-    t = t_factor(x, 1, Space(1, half)).local
+    t = _local(t_factor(x, 1, space))
     if n == 1:
-        ops += [t, op_dT_dx(x, half), k_factor(rat(7, 3), x, rat(1, 2), 1, space).local,
+        ops += [t, _whole(op_dT_dx(x, half, 1, space)),
+                _whole(k_factor(rat(7, 3), x, rat(1, 2), 1, space)),
                 site_unit(half, 0, 2 * half - 1)]
     if n == 2:
-        ops += [p_factor((1, 2), space).local, r_factor(rat(5, 2), rat(2, 3), (1, 2), space).local,
+        ops += [_whole(p_factor((1, 2), space)),
+                _whole(r_factor(rat(5, 2), rat(2, 3), (1, 2), space)),
                 site_tensor(t, site_unit(half, 1, 0))]
-    ops += [k_factor(rat(7, 3), x, rat(1, 2), j, space).embedded() for j in range(1, n + 1)]
+    ops += [_whole(k_factor(rat(7, 3), x, rat(1, 2), j, space)) for j in range(1, n + 1)]
     if n >= 2:
-        r = r_factor(rat(5, 2), rat(2, 3), (1, 2), Space(2, half)).local
+        r = _local(r_factor(rat(5, 2), rat(2, 3), (1, 2), space))
         ops += [Placed(r, (1, n), space).embedded(), Placed(r, (n, 1), space).embedded()]
     ops += [op_Q(m, x, y, params) for m in range(1, n + 1)]
     ops += [op_L(half, x, y, params)]
     if n == half:
-        ops += [rhoL(SignedPerm.generator(n, n), space), op_Cbar(1, x, y, params, LinOp.identity(space))]
-        ops += [_cbar_factor(desc, x, y, params).embedded() for desc in cbar_factor_list(n, n)]
+        ops += [rhoL(SignedPerm.generator(n, n), space),
+                op_Cbar(1, x, y, params, Block.identity(space)).linop()]
+        ops += [_whole(_cbar_factor(desc, x, y, params)) for desc in cbar_factor_list(n, n)]
     return space, ops
 
 
@@ -176,10 +192,10 @@ def test_apply_reads_and_returns_index_columns():
             assert out.get(i, 0) == want
 
 
-# Factor layout: each shape's table as its three readers see it (the exact
-# operator, the gather on a block and the contour solver's complex local
-# matrix), and the builders of factors, against the oracles written state
-# by state in _oracles.
+# Factor layout: each shape's table as its two readers see it (the gather
+# on a block and the contour solver's complex local matrix), and the
+# builders of factors, against the oracles written state by state in
+# _oracles.
 
 HALVES = (1, 2, 3)
 
@@ -232,9 +248,9 @@ SCALARS = [
 @pytest.mark.parametrize("half", HALVES)
 @pytest.mark.parametrize("diag,first,second", SCALARS)
 def test_layout_writers_match_their_oracles(half, diag, first, second):
-    """Each factor's operator (`Factor.local`) and gather on the identity
-    block (`Factor.on_block`), on rational rows, and its complex local
-    matrix (`_local_matrix`), on every row, are its shape's oracle."""
+    """Each factor's gather on the identity block (`Factor.on_block`), on
+    rational rows, and its complex local matrix (`_local_matrix`), on
+    every row, are its shape's oracle."""
     factors = [(Factor.exchange(diag, first, second, (1, 2), Space(2, half)),
                 _exchange_cols(half, diag, first, second))]
     # Every label flips, or only the last, as in a coordinate derivative.
@@ -245,8 +261,7 @@ def test_layout_writers_match_their_oracles(half, diag, first, second):
     for factor, oracle in factors:
         _assert_matrix(factor, oracle)
         if _rational(diag, first, second):
-            _assert_written(factor.local, LinOp(*oracle))
-            _assert_written(factor.on_block(Block.identity(factor.space)).linop(), LinOp(*oracle))
+            _assert_written(_whole(factor), LinOp(*oracle))
 
 
 # (x, lam, k, beta), exact and float; the float row reaches only the
@@ -266,19 +281,19 @@ def test_transport_builders_match_their_oracles(half, x, lam, k, beta):
         r = r_factor(arg, k, (1, 2), Space(2, half))
         _assert_matrix(r, want)
         if rational:
-            _assert_written(r.local, LinOp(*want))
-    _assert_written(p_factor((1, 2), Space(2, half)).local, _exchange_oracle(half, 1, 0, 1))
+            _assert_written(_whole(r), LinOp(*want))
+    _assert_written(_whole(p_factor((1, 2), Space(2, half))), _exchange_oracle(half, 1, 0, 1))
     s = inv(lam + beta)
     want = _reflection_cols(s * beta, [(s * (lam * inv(xa)), s * (lam * xa)) for xa in x])
     _assert_matrix(k_factor(lam, x, beta, 1, Space(1, half)), want)
     if not rational:
         return
-    _assert_written(k_factor(lam, x, beta, 1, Space(1, half)).local, LinOp(*want))
-    _assert_written(t_factor(x, 1, Space(1, half)).local,
+    _assert_written(_whole(k_factor(lam, x, beta, 1, Space(1, half))), LinOp(*want))
+    _assert_written(_whole(t_factor(x, 1, Space(1, half))),
                     _reflection_oracle(0, [(inv(xa), xa) for xa in x]))
     for a in range(1, half + 1):
         flips = [(-inv(xa * xa), 1) if b == a else (0, 0) for b, xa in enumerate(x, start=1)]
-        _assert_written(op_dT_dx(x, a), _reflection_oracle(0, flips))
+        _assert_written(_whole(op_dT_dx(x, a, 1, Space(1, half))), _reflection_oracle(0, flips))
 
 
 @pytest.mark.parametrize("n", HALVES)
@@ -292,22 +307,22 @@ def test_degenerate_builders_match_their_oracles(n):
         if n > 1:
             rb = _cbar_factor(("Rb", 1, ((1, 1),), 0), x, y, params)
             assert rb.strides == (space.stride(1), space.stride(2))
-            _assert_written(rb.local, _exchange_oracle(n, 1, k / (arg + k), arg / (arg + k)))
+            _assert_written(_local(rb), _exchange_oracle(n, 1, k / (arg + k), arg / (arg + k)))
             swap = _grouped_swap(arg, k, 1, space)
             assert swap.strides == rb.strides
-            _assert_written(swap.local, _exchange_oracle(n, arg - k, -k, arg))
+            _assert_written(_local(swap), _exchange_oracle(n, arg - k, -k, arg))
         kn = _cbar_factor(("Kn", None, ((1, 1),), 0), x, y, params)
         assert kn.strides == (space.stride(n),)
         w = arg / (arg - alpha)
-        _assert_written(kn.local, _reflection_oracle(-alpha / (arg - alpha), [(w, w)] * n))
+        _assert_written(_local(kn), _reflection_oracle(-alpha / (arg - alpha), [(w, w)] * n))
         k0 = _cbar_factor(("K0", None, ((1, 1),), 0), x, y, params)
         assert k0.strides == (space.stride(1),)
         den = arg + beta + c / 2
         w = (arg + c / 2) / den
-        _assert_written(k0.local, _reflection_oracle(beta / den, [(w / xa, w * xa) for xa in x]))
+        _assert_written(_local(k0), _reflection_oracle(beta / den, [(w / xa, w * xa) for xa in x]))
         end = _grouped_end(arg, x, beta, 1, space)
         assert end.strides == k0.strides
-        _assert_written(end.local, _reflection_oracle(-beta, [(arg / xa, arg * xa) for xa in x]))
+        _assert_written(_local(end), _reflection_oracle(-beta, [(arg / xa, arg * xa) for xa in x]))
 
 
 @pytest.mark.parametrize("half", HALVES)

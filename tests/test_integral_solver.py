@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from _oracles import _kernel_cycle, prod_ratio_full, residuals_oracle, simpson_oracle
 from bqkz.rqkz import ones, p_factor, q_factor_list, shift_y, t_factor
-from bqkz.tensor_ops import Space
+from bqkz.tensor_ops import Block, Factor, Space
 import bqkz.cli as cli
 import bqkz.compat_ops as compat_ops
 import bqkz.integral_solver as solver
@@ -108,9 +108,15 @@ def gtilde_vec(t, y, params):
     return out
 
 
+def whole(factor):
+    """An exact placed factor's whole operator: its gather on the identity
+    block."""
+    return factor.on_block(Block.identity(factor.space)).linop()
+
+
 def dense_whole(factor):
-    """An exact placed factor, embedded whole, as a dense complex matrix."""
-    return np.array(factor.embedded().to_dense(), dtype=complex)
+    """An exact placed factor's whole operator as a dense complex matrix."""
+    return np.array(whole(factor).to_dense(), dtype=complex)
 
 
 # ---------------------------------------------------------------- regime
@@ -178,9 +184,9 @@ def test_filler_conditions_and_rank():
         fv = filler_vector(p)
         sp = Space(n - 1, p.half_dim)
         for i in range(1, n - 1):
-            assert p_factor((i, i + 1), sp).embedded().apply(fv) == fv
+            assert whole(p_factor((i, i + 1), sp)).apply(fv) == fv
         for i in range(1, n):
-            assert t_factor(ones(2), i, sp).embedded().apply(fv) == fv
+            assert whole(t_factor(ones(2), i, sp)).apply(fv) == fv
         us = vec_u_all(p)
         assert len(us) == 2 * n
         states = sorted({i for u in us for i in u})
@@ -628,7 +634,9 @@ def _flat_residuals(residuals):
 def test_local_matrices_at_a_rational_point_are_the_exact_factors():
     """At a rational point every local matrix of the residual pass, of
     the exchange, Kx and K1 factors of each Q_m, is the complex cast of
-    the exact operator the factor writes (`Factor.local`)."""
+    the exact operator on the factor's own sites: the gather of its
+    scalars, placed on sites 1 (and 2) of their own space, on the
+    identity block there."""
     space = Space(3, 2)
     model = rqkz.ModelParams(c=Fraction(1, 3), k=Fraction(2, 5), alpha=Fraction(-3, 7),
                              beta=Fraction(5, 4), space=space)
@@ -640,7 +648,8 @@ def test_local_matrices_at_a_rational_point_are_the_exact_factors():
         for desc, f, (matrix, sites) in zip(descs, factors,
                                              solver._local_factors(descs, x, y, model)):
             assert sites == desc[1]
-            assert np.array_equal(matrix, np.array(f.local.to_dense(), dtype=complex)), desc
+            own = Factor(f.scalars, f.over, range(1, len(sites) + 1), Space(len(sites), 2))
+            assert np.array_equal(matrix, dense_whole(own)), desc
             kinds.add(desc[0])
     assert kinds == {"R", "Kx", "K1"}
 
@@ -1010,16 +1019,16 @@ def test_kernel_batches_stay_within_the_chunk(monkeypatch):
 
 def test_the_residual_pass_forms_no_whole_space_operator(monkeypatch):
     """Once the point-free caches are warm, the residual pass of a 4-lambda
-    n = 2 grid applies each transport factor as its local matrix: it makes
-    no product call and embeds no placed factor."""
+    n = 2 grid applies each transport factor as its local matrix: it
+    composes no operators and embeds no placed one."""
     points = [(CycleW.monomial(int(np.floor(lam)) + 1), mkparams(2, lam, (0.3, -0.15)))
               for lam in (-0.7, -0.35, 0.25, 0.31)]
     solved = grid_solutions(points)
     want = grid_residuals(points, solved)
     calls = []
-    for name in ("_compose_at", "_embedded"):
-        real = getattr(tensor_ops, name)
-        monkeypatch.setattr(tensor_ops, name,
+    for owner, name in ((tensor_ops.LinOp, "compose"), (tensor_ops, "_embedded")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
                             lambda *args, name=name, real=real: calls.append(name) or real(*args))
     assert grid_residuals(points, solved) == want
     assert calls == []

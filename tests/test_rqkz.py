@@ -35,30 +35,36 @@ from bqkz.rqkz import (
 rng = make_rng(414243)
 
 
+def _local(factor):
+    """A factor on its own sites, written whole: its gather on the identity
+    block."""
+    return factor.on_block(Block.identity(factor.space)).linop()
+
+
 def op_R_k(lam, k, half):
     """The two-site exchange operator written whole."""
-    return r_factor(lam, k, (1, 2), Space(2, half)).local
+    return _local(r_factor(lam, k, (1, 2), Space(2, half)))
 
 
 def op_P(half):
     """The two-site swap written whole."""
-    return p_factor((1, 2), Space(2, half)).local
+    return _local(p_factor((1, 2), Space(2, half)))
 
 
 def op_T(x):
     """The site reflection T(x) written whole."""
-    return t_factor(x, 1, Space(1, len(x))).local
+    return _local(t_factor(x, 1, Space(1, len(x))))
 
 
 def op_K(lam, x, beta):
     """The site reflection factor K(lam|x, beta) written whole."""
-    return k_factor(lam, x, beta, 1, Space(1, len(x))).local
+    return _local(k_factor(lam, x, beta, 1, Space(1, len(x))))
 
 
 def starts(space):
-    """The whole start and one random integer column: a defect that
+    """The identity block and one random integer column: a defect that
     vanishes on the identity vanishes on every column."""
-    return LinOp.identity(space), Block.of(space, rand_column(rng, range(space.dim)))
+    return Block.identity(space), Block.of(space, rand_column(rng, range(space.dim)))
 
 
 def rand_params(space):
@@ -139,15 +145,16 @@ def test_derivative_of_reflection_scales_with_spectral_weight():
     """K is affine in T, so dK/dx_a = lam/(lam+beta) dT/dx_a exactly."""
     x = (rat(3, 2), rat(4, 9), rat(-5, 3))
     lam, beta = rat(1, 6), rat(2, 7)
+    site = Space(1, 3)
     for a in (1, 2, 3):
-        got = op_dK_dx(lam, x, beta, a)
-        want = op_dT_dx(x, a).scale(lam * inv(lam + beta))
+        got = _local(op_dK_dx(lam, x, beta, a, 1, site))
+        want = _local(op_dT_dx(x, a, 1, site)).scale(lam * inv(lam + beta))
         assert got == want
 
 
 def test_op_dt_dx_closed_form():
     x = (rat(2, 3),)
-    d = op_dT_dx(x, 1)
+    d = _local(op_dT_dx(x, 1, 1, Space(1, 1)))
     assert d.apply({0: 1}) == {1: -inv(x[0] * x[0])}
     assert d.apply({1: 1}) == {0: 1}
 
@@ -274,13 +281,14 @@ def test_consistency_and_split_samples():
                 params = ModelParams(*rand_tuple(r, 4, nonzero=True), space)
                 x = rand_tuple(r, half, nonzero=True)
                 y = rand_tuple(r, n)
-                ident = LinOp.identity(space)
-                qs = {m: op_Q(m, x, y, params) for m in range(1, n + 1)}
+                ident = Block.identity(space)
+                qs = {m: compose_descs(q_factor_list(m, n), x, y, params, start=ident)
+                      for m in range(1, n + 1)}
                 for m in range(1, n + 1):
                     assert not q_split_defect(m, n)
                     head, mid, tail = q_split_descs(m, n)
                     grouped = [compose_descs(part, x, y, params) for part in (head, [mid], tail)]
-                    assert product(grouped) == qs[m]
+                    assert grouped[0] @ grouped[1] @ grouped[2] == qs[m].linop()
                     assert not q_inverse_defect(m, x, y, params, qs[m], ident)
                     for l in range(1, n + 1):
                         if l != m:
@@ -306,15 +314,16 @@ def test_chain_defect_of_differing_chains_is_the_dense_difference():
             m, l = 1, 2
             qm, ql = q_factor_list(m, n), q_factor_list(l, n)
             shifted = shift_y(y, l, params.c)
-            got = product(factor_ops(qm, x, y, params) + factor_ops(ql, x, y, params)) - product(
-                factor_ops(qm, x, shifted, params) + factor_ops(ql, x, y, params)
-            )
+            ident = Block.identity(space)
+            chain_l = factor_ops(ql, x, y, params) + [ident]
+            got = (product(factor_ops(qm, x, y, params) + chain_l)
+                   - product(factor_ops(qm, x, shifted, params) + chain_l))
             q_l = op_Q(l, x, y, params)
             # compose multiplies the rational entries directly: the oracle.
             dense = op_Q(m, x, y, params).compose(q_l) - op_Q(m, x, shifted, params).compose(q_l)
             assert not got.is_zero()
-            assert got == dense
-            assert compose_descs(qm, x, shifted, params, start=q_l) == (
+            assert got.linop() == dense
+            assert compose_descs(qm, x, shifted, params, start=q_l.on_block(ident)).linop() == (
                 op_Q(m, x, shifted, params).compose(q_l)
             )
             return True

@@ -9,7 +9,7 @@ import pytest
 
 from bqkz import cli, compat_ops, hecke_module, rqkz, suites, tensor_ops
 from bqkz.scalar_field import RATIONAL_BACKEND, rat
-from bqkz.tensor_ops import Factor, LinOp, Space
+from bqkz.tensor_ops import Block, Factor, LinOp, Space
 
 
 def _plain(value):
@@ -25,9 +25,11 @@ def _plain(value):
 # sha256 of the recorded (draw count, point) list of all 13 suites at
 # samples=1, seed 6 (33 points, 35 draws), taken when each suite still had
 # its own sampler function.  The runner draws each row's declared
-# variables (`suites._draw`) and phi-iso's builder its words after them, in
-# the order those samplers drew.
-GOLDEN_DRAWS = "35a705bbffe3122a1717f13e014571c1d6e72510ce37da15c5b8cf3caadb0745"
+# variables (`suites._draw`) in the order those samplers drew.  Only
+# phi-iso's entries have changed since: its builder draws one word after x,
+# where it drew two, so its points are (x, word) and its n = 3 point, drawn
+# from the same stream after the n = 2 one, has a new x.
+GOLDEN_DRAWS = "138bd6889de7c353f0d87549d7a59947630f1a26901a5ce4b9d644a8ba0ac959"
 
 
 def test_draws_match_the_golden_digest(monkeypatch):
@@ -191,7 +193,8 @@ def test_route_mismatch_is_a_suite_failure(tmp_path, monkeypatch, capsys):
     """A disagreement between op_dK_term's two routes is a named check's
     failure, noted with its size and point, not an exception."""
     real = compat_ops.op_dK_dx
-    monkeypatch.setattr(compat_ops, "op_dK_dx", lambda *args: real(*args).scale(2))
+    # The last argument is the weight: the derivative route doubles.
+    monkeypatch.setattr(compat_ops, "op_dK_dx", lambda *args: real(*args[:-1], 2 * args[-1]))
     out = tmp_path / "report.json"
     code = cli.main(
         ["verify", "--suite", "compatibility", "--samples", "1", "--out", str(out)]
@@ -345,83 +348,67 @@ def test_cbar_qinv_builds_each_degenerate_product_once(monkeypatch):
         assert _builds(calls) == _chains(inverse)
 
 
-def _counted(seen, real):
-    return lambda *args, **kwargs: seen.append(args) or real(*args, **kwargs)
+def _composes_and_embeddings(monkeypatch, names) -> dict:
+    """Run one sample of each named suite to warm the point-free caches,
+    then one more at another seed, which must pass; the names of the
+    `LinOp.compose` and `tensor_ops._embedded` calls of that second run,
+    under True when made inside a `sample_point` attempt, else under
+    False."""
+    for name in names:
+        suites.run_suite(name, samples=1, seed=0)
+    inside, calls = [False], {True: [], False: []}
+    for owner, attr in ((LinOp, "compose"), (tensor_ops, "_embedded")):
+        real = getattr(owner, attr)
+
+        def counted(*args, attr=attr, real=real):
+            calls[inside[0]].append(attr)
+            return real(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    real_sample_point = suites.sample_point
+
+    def attempts(rng, builder):
+        def flagged(r):
+            inside[0] = True
+            try:
+                return builder(r)
+            finally:
+                inside[0] = False
+
+        return real_sample_point(rng, flagged)
+
+    monkeypatch.setattr(suites, "sample_point", attempts)
+    for name in names:
+        assert suites.run_suite(name, samples=1, seed=1).exact_zero, name
+    return calls
 
 
-def _factor_writes(monkeypatch) -> list:
-    """The list that records (factor, name of the function that asked) for
-    each factor as its operator is written by `Factor.local`, the one
-    writer of an exchange- or reflection-shaped operator, whichever module
-    asks for it."""
-    written = []
-    real = Factor.local.fget
-
-    def local(factor):
-        if factor._local is None:
-            written.append((factor, sys._getframe(1).f_code.co_name))
-        return real(factor)
-
-    monkeypatch.setattr(Factor, "local", property(local))
-    return written
+TRANSPORT_SUITES = ("qkz-consistency", "compatibility", "cbar-qinv")
 
 
 def test_the_transport_chains_embed_no_factor(monkeypatch):
     """qkz-consistency, compatibility and cbar-qinv apply every factor and
     derivative term where it acts: once the point-free caches are warm, a
-    one-sample run embeds no operator into the whole space, and no chain
-    writes a factor as an operator: each is applied to the columns by its
-    gather.  The only factors written are compatibility's one-site
-    derivative terms: each dK/dx_a (`rqkz.op_dT_dx`), applied entry by
-    entry by the direct form (`op_dQ_dx`) and composed with K(-lam) in
-    the derivative route of the dk-route check, and that K(-lam)
-    (`compat_ops.op_dK_term`)."""
-    names = ("qkz-consistency", "compatibility", "cbar-qinv")
-    for name in names:
-        suites.run_suite(name, samples=1, seed=0)
-    embedded = []
-    monkeypatch.setattr(tensor_ops, "_embedded", _counted(embedded, tensor_ops._embedded))
-    written = _factor_writes(monkeypatch)
-    for name in names:
-        assert suites.run_suite(name, samples=1, seed=1).exact_zero, name
-    assert embedded == []
-    assert all(len(factor.strides) == 1 for factor, _ in written)
-    # Eight op_dK_term calls over 17 labels, redraws included: one K(-lam)
-    # per call, and one dK/dx_a per label there and in op_dQ_dx.
-    assert Counter(caller for _, caller in written) == {"op_dK_term": 8, "op_dT_dx": 34}
-    # The counters see an embedding made on the whole space and the factors
-    # written for it: a product of placed factors with no start.
-    written.clear()
-    tensor_ops.product(rqkz.factor_ops(
-        rqkz.q_factor_list(1, 2), (rat(7), rat(11)), (rat(1), rat(2)),
-        rqkz.ModelParams(rat(1), rat(2), rat(3), rat(5), Space(2, 2))))
-    assert len(embedded) == 1
-    assert len(written) == 4
+    one-sample run composes no two operators and embeds none into the
+    whole space.  Each dK/dx_a is a reflection-shaped factor that reaches
+    its block by the gather, both in the direct form (`op_dQ_dx`) and in
+    the derivative route of the dk-route check (`op_dK_term`)."""
+    assert _composes_and_embeddings(monkeypatch, TRANSPORT_SUITES) == {True: [], False: []}
 
 
 def test_the_light_chains_embed_write_and_compose_nothing(monkeypatch):
-    """The light suites that read their identities on a column apply every
-    factor and block where it acts: once the point-free caches are warm, a
-    one-sample run embeds no operator into the whole space, writes no
-    exchange or reflection factor as an operator and runs no product of
-    operators; each factor reaches the column by its gather and every other
-    operator entry by entry."""
-    for name in COLUMN_SUITES:
-        suites.run_suite(name, samples=1, seed=0)
-    calls = {"_embedded": [], "_compose_at": []}
-    for attr, seen in calls.items():
-        monkeypatch.setattr(tensor_ops, attr, _counted(seen, getattr(tensor_ops, attr)))
-    written = _factor_writes(monkeypatch)
-    for name in COLUMN_SUITES:
-        assert suites.run_suite(name, samples=1, seed=1).exact_zero, name
-    assert {attr: len(seen) for attr, seen in calls.items()} == dict.fromkeys(calls, 0)
-    assert written == []
-    # The counters see a defect given the whole start, which composes each
-    # factor with it, written where it acts.
-    assert not rqkz.ybe_defect(rat(2), rat(1), rat(5), rat(11), LinOp.identity(Space(3, 1)))
-    assert len(calls["_compose_at"]) == 6
-    assert len(written) == 3
-    assert calls["_embedded"] == []
+    """The ten light suites apply every factor and block where it acts:
+    once the point-free caches are warm, no `sample_point` attempt of a
+    one-sample run composes two operators or embeds one into the whole
+    space.  phi-iso applies its generators' factors to a unit column by
+    their gather.  The counters do see l-restriction's set-up, which
+    composes its point-free images with the orbit start outside the
+    attempts."""
+    light = [name for name in suites.suite_names() if name not in TRANSPORT_SUITES]
+    assert len(light) == 10
+    calls = _composes_and_embeddings(monkeypatch, light)
+    assert calls[True] == []
+    assert "compose" in calls[False]
 
 
 def test_the_orbit_suites_compose_nothing_wider_than_the_orbit(monkeypatch):
@@ -434,13 +421,13 @@ def test_the_orbit_suites_compose_nothing_wider_than_the_orbit(monkeypatch):
     for name in names:
         suites.run_suite(name, samples=1, seed=0, sizes=(3,))
     widths = []
-    real = tensor_ops._compose_at
+    real = LinOp.compose
 
-    def recorded(local, strides, space, other):
+    def recorded(op, other):
         widths.append(len(other.cols))
-        return real(local, strides, space, other)
+        return real(op, other)
 
-    monkeypatch.setattr(tensor_ops, "_compose_at", recorded)
+    monkeypatch.setattr(LinOp, "compose", recorded)
     for name in names:
         assert suites.run_suite(name, samples=1, seed=1, sizes=(3,)).exact_zero, name
     assert len(hecke_module.orbit_states(Space(3, 3))) == 48
@@ -455,35 +442,11 @@ def test_l_restriction_composes_each_point_free_operator_once(monkeypatch):
     for n in (2, 3):
         suites._l_restriction(Space(n, n))
     calls = []
-    real = tensor_ops._compose_at
-    monkeypatch.setattr(tensor_ops, "_compose_at", lambda *args: calls.append(1) or real(*args))
+    real = LinOp.compose
+    monkeypatch.setattr(LinOp, "compose", lambda *args: calls.append(1) or real(*args))
     for n in (2, 3):
         suites._l_restriction(Space(n, n))
     assert len(calls) == sum(n * (5 * n - 2) for n in (2, 3)) == 55
-
-
-def test_the_word_chain_embeds_one_factor_and_the_braid_chains_none(monkeypatch):
-    """The right-action word passes placed factors to `product`, which
-    embeds only the factor applied first: one embedding per word.  The
-    braid defects end in their start, so even on the whole start they
-    embed nothing."""
-    embedded = []
-    real = tensor_ops._embedded
-
-    def counted(*args):
-        embedded.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(tensor_ops, "_embedded", counted)
-    assert not rqkz.ybe_defect(rat(2), rat(1), rat(5), rat(11), LinOp.identity(Space(3, 2)))
-    assert not rqkz.bybe_defect(rat(2), rat(3), (rat(7), rat(-4)), rat(1), rat(5),
-                                LinOp.identity(Space(2, 2)))
-    assert embedded == []
-    word, x, space = ["s0", 1, 2, 3, 1], (rat(2), rat(3), rat(5)), Space(3, 3)
-    image = hecke_module.rhoR_word(word, x, space)
-    assert len(embedded) == 1
-    whole = [hecke_module.rhoR_generator(g, x, space).embedded() for g in reversed(word)]
-    assert image == tensor_ops.product(whole)
 
 
 def test_the_blocks_are_built_once_per_point_and_never_embedded(monkeypatch):
@@ -528,6 +491,11 @@ def _bump(op: LinOp, i: int) -> LinOp:
     return op + LinOp.of(op.space, {i: {i: 1}})
 
 
+def _whole(factor) -> LinOp:
+    """A placed factor's whole operator: its gather on the identity block."""
+    return factor.on_block(Block.identity(factor.space)).linop()
+
+
 def test_a_perturbed_transport_factor_fails_both_transport_suites(monkeypatch):
     """One exchange-reflection factor is wrong wherever it is built; the
     reused transport operators must not hide it."""
@@ -536,7 +504,7 @@ def test_a_perturbed_transport_factor_fails_both_transport_suites(monkeypatch):
     def replacement(real):
         def perturbed(desc, x, y, params):
             op = real(desc, x, y, params)
-            return _bump(op.embedded(), 0) if desc == target else op
+            return _bump(_whole(op), 0) if desc == target else op
 
         return perturbed
 
@@ -653,7 +621,7 @@ def _perturbed_inverse_transport(monkeypatch, m, index):
 
     def perturbed(desc, x, y, params, real=rqkz._factor_op):
         op = real(desc, x, y, params)
-        return _bump(op.embedded(), index) if desc == target else op
+        return _bump(_whole(op), index) if desc == target else op
 
     monkeypatch.setattr(rqkz, "_factor_op", perturbed)
     return suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes
@@ -702,7 +670,7 @@ def test_a_perturbed_degenerate_factor_fails_both_cbar_checks(monkeypatch):
 
     def perturbed(desc, x, y, params, real=hecke_module._cbar_factor):
         op = real(desc, x, y, params)
-        return _bump(op.embedded(), orbit_index) if desc == target else op
+        return _bump(_whole(op), orbit_index) if desc == target else op
 
     monkeypatch.setattr(hecke_module, "_cbar_factor", perturbed)
     notes = suites.run_suite("cbar-qinv", samples=1, seed=0, sizes=(2,)).notes
@@ -766,3 +734,30 @@ def test_colliding_images_count_once_per_size_and_sampling_goes_on(monkeypatch):
     assert result.failures == 1
     assert result.notes == ("n=2 images-collide",)
     assert len(drawn) == 3
+
+
+def test_a_swap_generator_that_keeps_its_column_fails_exactly_its_words(monkeypatch):
+    """phi-iso reads the support of each word's image on the unit column of
+    phi(id): a swap generator s_1 that also keeps its column spreads the
+    image over a second state, so exactly the words that hold s_1 fail the
+    equivariance check."""
+    real = hecke_module.rhoR_generator
+
+    def leaky(g, x, space):
+        return Factor.exchange(1, 1, 1, (1, 2), space) if g == 1 else real(g, x, space)
+
+    monkeypatch.setattr(hecke_module, "rhoR_generator", leaky)
+    seen = []
+    real_sample_point = suites.sample_point
+
+    def recording(rng, builder, *args, **kwargs):
+        names, (x, word) = real_sample_point(rng, builder, *args, **kwargs)
+        seen.append((names, word))
+        return names, (x, word)
+
+    monkeypatch.setattr(suites, "sample_point", recording)
+    result = suites.run_suite("phi-iso", samples=10, seed=0)
+    assert any(1 in word for _, word in seen) and any(1 not in word for _, word in seen)
+    for names, word in seen:
+        assert names == (["equivariance word=%r" % (word,)] if 1 in word else []), word
+    assert result.failures == len({i // 2 for i, (names, _) in enumerate(seen) if names})

@@ -93,20 +93,35 @@ def rand_int_op(space, r, fill=0.3):
 
 
 def test_product_matches_dense_oracle():
-    """product is exact: one, two and four operands, rational, integer-only
-    and mixed, with and without a zero operator."""
+    """product is exact: one, two and four operands applied to the identity
+    block, rational, integer-only and mixed, with and without a zero
+    operator."""
     sp = Space(2, 1)
+    ident = Block.identity(sp)
     for trial in range(6):
         rats = [rand_op(sp, rng) for _ in range(4)]
         ints = [rand_int_op(sp, rng, fill=0.6) for _ in range(4)]
         mixed = [rats[0], ints[1], rats[2], ints[3]]
         with_zero = [rats[0], LinOp.zero(sp), rats[2], rats[3]]
         for ops in (rats[:1], rats[:2], rats, ints[:1], ints[:2], ints, mixed, with_zero):
-            got = product(ops)
-            assert got.to_dense() == dense_product(ops), trial
-            assert got == LinOp.from_dense(sp, dense_product(ops))
-        assert product(with_zero).is_zero()
-        assert all(isinstance(v, int) for col in product(ints).cols.values() for v in col.values())
+            got = product(ops + [ident])
+            assert got.linop().to_dense() == dense_product(ops), trial
+            assert got.linop() == LinOp.from_dense(sp, dense_product(ops))
+        assert product(with_zero + [ident]).is_zero()
+        assert product(ints + [ident]).den == 1
+
+
+def test_product_refuses_a_start_that_is_not_a_block():
+    """A chain starts from a Block: an operator or a placed factor as the
+    start is refused with a TypeError naming its type, before any operator
+    is applied."""
+    sp = Space(2, 1)
+    for start in (LinOp.identity(sp), Factor.exchange(1, 0, 1, (1, 2), sp),
+                  Placed(LinOp.identity(Space(1, 1)), (1,), sp)):
+        with pytest.raises(TypeError, match=type(start).__name__):
+            product([LinOp.identity(sp), start])
+        with pytest.raises(TypeError, match=type(start).__name__):
+            product([start])
 
 
 def test_apply_matches_dense():
@@ -152,16 +167,18 @@ def test_no_stored_zeros():
 
 def test_an_operator_refuses_a_float_or_complex_scalar():
     """Every operator is exact: a float or complex entry, a factor's
-    scalar or divisor as its operator is written or as it is applied to a
-    block, a linear combination's coefficient, a scale or a block's entry
-    raises TypeError instead of being rounded in, a float or complex zero
-    too."""
+    scalar or divisor as it is applied to a block, a linear combination's
+    coefficient, a scale or a block's entry raises TypeError instead of
+    being rounded in, a float or complex zero too."""
     sp = Space(2, 1)
+    site = Space(1, 1)
     for build in (lambda: LinOp(sp, {0: {0: 0.5}}),
                   lambda: LinOp(sp, {(0, 1): {(1, 0): rat(1, 2), (0, 0): 1j}}),
-                  lambda: Factor.exchange(0.5, 0, 1, (1, 2), sp).local,
-                  lambda: Factor.reflection(1, [(1 + 2j, 2)], 1, Space(1, 1)).local,
-                  lambda: Factor.reflection(1, [(1, 2)], 1, Space(1, 1), over=1.5).local,
+                  lambda: Factor.exchange(0.5, 0, 1, (1, 2), sp).on_block(Block.identity(sp)),
+                  lambda: Factor.reflection(1, [(1 + 2j, 2)], 1, site).on_block(
+                      Block.identity(site)),
+                  lambda: Factor.reflection(1, [(1, 2)], 1, site, over=1.5).on_block(
+                      Block.identity(site)),
                   lambda: product([Factor.exchange(1, 0.25, 1, (1, 2), sp), Block.identity(sp)]),
                   lambda: lincomb(Space(1, 1), [(0.5, LinOp.identity(Space(1, 1)))]),
                   lambda: lincomb(Space(1, 1), [(0.0, LinOp.identity(Space(1, 1)))]),
@@ -182,46 +199,6 @@ def test_embed_pair_equals_embedded_product():
         lhs = Placed(two, (i, j), sp).embedded()
         rhs = Placed(a, (i,), sp).embedded() @ Placed(b, (j,), sp).embedded()
         assert lhs == rhs, (i, j)
-
-
-def _twin_op(space, r):
-    """Random sparse operator whose columns 0 and 1 are equal, so it kills
-    the difference of basis vectors 0 and 1."""
-    cols = {c: {row: rand_rat(r) for row in range(space.dim) if r.random() < 0.4}
-            for c in range(1, space.dim)}
-    cols[0] = dict(cols[1])
-    return LinOp(space, {c: col for c, col in cols.items() if col})
-
-
-@pytest.mark.parametrize("n,half", [(2, 2), (3, 2), (2, 3), (3, 3)])
-def test_placed_factors_compose_like_embedded_ones(n, half):
-    """At every site and ordered site pair, a placed factor composed with a
-    one-column start, a two-column start, a start it cancels to zero and
-    the identity equals the embedded factor composed with it, in canonical
-    form, and the dense product of the two."""
-    r = random.Random(10 * n + half)
-    space = Space(n, half)
-    sites = range(1, n + 1)
-    where = [(j,) for j in sites]
-    where += [(i, j) for i in sites for j in sites if i != j]
-    for at in where:
-        local = _twin_op(Space(len(at), half), r)
-        placed = Placed(local, at, space)
-        whole = placed.embedded()
-        dense = whole.to_dense()
-        # Local codes 0 and 1 differ in the last slot's digit only.
-        cancel = {0: 1, space.stride(at[-1]): -1}
-        column = {i: rand_rat(r) for i in r.sample(range(space.dim), 5)}
-        column = {i: v for i, v in column.items() if v != 0}
-        starts = [LinOp(space, cols)
-                  for cols in ({7: column}, {0: column, 3: cancel}, {2: cancel})]
-        starts.append(LinOp.identity(space))
-        for start in starts:
-            got = placed.compose(start)
-            assert got == whole.compose(start), at
-            assert got.to_dense() == dense_mul(dense, start.to_dense()), at
-        assert placed.compose(starts[2]).is_zero()
-        assert list(placed.compose(starts[1]).cols) == [0]
 
 
 # Every one- and two-site placement at n <= 3 and half <= 3.
@@ -269,8 +246,11 @@ def test_a_block_gets_what_the_embedded_operator_gives(n, half, sites, data):
     else:
         flips = data.draw(st.lists(st.tuples(ENTRIES, ENTRIES), min_size=half, max_size=half))
         factor = Factor.reflection(data.draw(ENTRIES), flips, sites[0], space, over=over)
-    local = _random_op(data, Space(len(sites), half))
-    for op, whole in ((factor, Placed(factor.local, sites, space).embedded()),
+    own = Space(len(sites), half)
+    written = Factor(factor.scalars, factor.over, range(1, len(sites) + 1), own)
+    local = _random_op(data, own)
+    for op, whole in ((factor, Placed(written.on_block(Block.identity(own)).linop(), sites,
+                                      space).embedded()),
                       (Placed(local, sites, space), Placed(local, sites, space).embedded()),
                       (_random_op(data, space),) * 2):
         got = product([op, block])
@@ -363,7 +343,7 @@ def test_exact_arithmetic_matches_the_fraction_oracle_in_canonical_form():
             (-a, [[-v for v in row] for row in da]),
             (a.scale(q), [[q * v for v in row] for row in da]),
             (a.scale(7), [[7 * v for v in row] for row in da]),
-            (product([a, b, a]), dense_mul(da, dense_mul(db, da))),
+            (a @ b @ a, dense_mul(dense_mul(da, db), da)),
             (site_tensor(s1, s2), [[d1[i // 2][j // 2] * d2[i % 2][j % 2] for j in range(4)]
                                    for i in range(4)]),
             (Placed(s1, (2,), three).embedded(), dense_embed(s1.to_dense(), (1,), three)),
@@ -413,13 +393,14 @@ def test_equal_exactly_when_the_difference_vanishes(n, half, data):
     over = data.draw(ENTRIES.filter(bool))
     if n == 2:
         local = _random_op(data, Space(1, half))
-        ops += [Factor.exchange(*scalars[:3], (1, 2), space, over=over).local,
-                site_tensor(local, local),
-                Placed(local, (2,), space).embedded(), invert(LinOp.identity(space))]
+        factors = [Factor.exchange(*scalars[:3], (1, 2), space, over=over)]
+        ops += [site_tensor(local, local), Placed(local, (2,), space).embedded(),
+                invert(LinOp.identity(space))]
     else:
         flips = [tuple(scalars[1:3])] * half
-        ops += [Factor.reflection(scalars[0], flips, 1, space, over).local,
-                Factor.reflection(scalars[0], flips, 1, space).local]
+        factors = [Factor.reflection(scalars[0], flips, 1, space, over),
+                   Factor.reflection(scalars[0], flips, 1, space)]
+    ops += [factor.on_block(Block.identity(space)).linop() for factor in factors]
     _equal_exactly_when_the_difference_vanishes(ops)
     for op in ops:
         assert_canonical(op)
@@ -436,10 +417,7 @@ def test_equal_exactly_when_the_difference_vanishes(n, half, data):
         Block.join([Block.identity(space).take([0]), block.take([1])]),
         a.on_block(block), product([Placed(a, tuple(range(1, n + 1)), space), block]),
     ]
-    if n == 2:
-        blocks.append(product([Factor.exchange(*scalars[:3], (1, 2), space, over=over), block]))
-    else:
-        blocks.append(product([Factor.reflection(scalars[0], flips, 1, space, over=over), block]))
+    blocks.append(product([factors[0], block]))
     _equal_exactly_when_the_difference_vanishes(blocks)
 
 
