@@ -34,11 +34,11 @@ from . import suites as suite_mod
 
 SCHEMA_VERSION = 1
 MATCH_TOLERANCE = 1e-12
-# Input bounds, checked before any work starts: the dimension (2*half_dim)^n
-# of the space the solver builds operators over, the halvings of the
-# trapezoidal step (each doubles the node count), verify's samples per suite
-# and the lambdas of a solve grid or of a stored report's solutions.
-DIM_BUDGET = 256
+# Input bounds, checked before any work starts: the sites of the solver's
+# space, of dimension 4^n (at most 256), the halvings of the trapezoidal
+# step (each doubles the node count), verify's samples per suite and the
+# lambdas of a solve grid or of a stored report's solutions.
+MAX_N = 4
 MAX_REFINE_CAP = 6
 SAMPLE_BUDGET = 10_000
 GRID_BUDGET = 256
@@ -94,7 +94,6 @@ def default_config() -> dict:
     return {
         "model": {
             "n": 1,
-            "half_dim": 2,
             "c": [0.1, 0.2],
             "k": [0.05, 1.0],
             "y": None,
@@ -143,16 +142,8 @@ def _validate_config(cfg: dict):
     model = cfg["model"]
     if not _is_int(model["n"]) or model["n"] < 1:
         raise ConfigError("model.n must be a positive integer")
-    if not _is_int(model["half_dim"]) or model["half_dim"] < 1:
-        raise ConfigError("model.half_dim must be a positive integer")
-    dim = 1
-    for _ in range(model["n"]):
-        dim *= 2 * model["half_dim"]
-        if dim > DIM_BUDGET:
-            raise ConfigError(
-                "model.n and model.half_dim give a space of dimension (2*half_dim)^n "
-                "above the budget of %d" % DIM_BUDGET
-            )
+    if model["n"] > MAX_N:
+        raise ConfigError("model.n must be at most %d: the space has dimension 4^n <= 256" % MAX_N)
     _as_complex(model["c"], "model.c")
     _as_complex(model["k"], "model.k")
     if model["y"] is not None:
@@ -186,10 +177,8 @@ def _validate_config(cfg: dict):
     for field in ("rtol", "atol", "tolerance", "panels_per_unit"):
         if not _is_real(sol[field]) or sol[field] <= 0:
             raise ConfigError("solve.%s must be a positive number" % field)
-    if not _is_int(sol["max_refine"]) or sol["max_refine"] < 0:
-        raise ConfigError("solve.max_refine must be a non-negative integer")
-    if sol["max_refine"] > MAX_REFINE_CAP:
-        raise ConfigError("solve.max_refine must be at most %d" % MAX_REFINE_CAP)
+    if not _is_int(sol["max_refine"]) or not 1 <= sol["max_refine"] <= MAX_REFINE_CAP:
+        raise ConfigError("solve.max_refine must be an integer from 1 to %d" % MAX_REFINE_CAP)
     for field in ("report", "csv"):
         if cfg["output"][field] is not None and not isinstance(cfg["output"][field], str):
             raise ConfigError("output.%s must be a path string" % field)
@@ -260,7 +249,6 @@ def _solver_params(cfg: dict, lam: complex):
         c=_as_complex(model["c"], "model.c"),
         k=_as_complex(model["k"], "model.k"),
         y=tuple(y),
-        half_dim=model["half_dim"],
         panels_per_unit=float(sol["panels_per_unit"]),
         max_refine=sol["max_refine"],
         rtol=float(sol["rtol"]),
@@ -277,7 +265,11 @@ def _as_cycle(terms, where: str):
     for term in terms:
         if not (isinstance(term, list) and len(term) == 2 and _is_int(term[0])):
             raise ConfigError("%s entries must be [degree, coefficient]" % where)
-    return CycleW(tuple((d, _as_complex(cf, where + " coefficients")) for d, cf in terms))
+    terms = tuple((d, _as_complex(cf, where + " coefficients")) for d, cf in terms)
+    try:
+        return CycleW(terms)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (where, exc)) from None
 
 
 def _cycle_for(cfg: dict, lam: complex):
@@ -289,9 +281,10 @@ def _cycle_for(cfg: dict, lam: complex):
 
 def _grid_reports(points):
     """Integrate the (cycle, params) points of a lambda grid on one rule,
-    compute their residuals in one pass and assemble each point's report;
-    returns (reports, timing).  The only route by which the CLI runs the
-    solver, so only a solve or a recheck loads numpy."""
+    compute their residuals in one pass from its coefficient array and
+    assemble each point's report from its rows; returns (reports, timing).
+    The only route by which the CLI runs the solver, so only a solve or a
+    recheck loads numpy."""
     import numpy as np
 
     from .integral_solver import grid_residuals, grid_solutions, residual_report
@@ -300,15 +293,15 @@ def _grid_reports(points):
     # so numpy's per-operation warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         start = time.perf_counter()
-        solved = grid_solutions(points)
+        coeffs, diags = grid_solutions(points)
         timing = {"quadrature": time.perf_counter() - start}
         start = time.perf_counter()
-        residuals = grid_residuals(points, solved)
+        residuals = grid_residuals(points, coeffs)
         timing["residuals"] = time.perf_counter() - start
         reports = []
-        for (cycle, params), sols, res in zip(points, solved, residuals):
+        for (cycle, params), a, diag, res in zip(points, coeffs, diags, residuals):
             start = time.perf_counter()
-            reports.append(residual_report(cycle, params, sols, res))
+            reports.append(residual_report(cycle, params, a, diag, res))
             timing["lambda=%r" % params.lam] = time.perf_counter() - start
     return reports, timing
 

@@ -376,30 +376,19 @@ def block_assembly_defect(a: int, x, y, params: ModelParams, l_start, start) -> 
 
 
 def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
-    """Closed-form derivative of the sum of op_B_terms(b) in coordinate a.
+    """Closed-form derivative of the sum of op_B_terms(b) in a coordinate
+    a != b, the only one check_cross_derivative reads.
 
     Coefficient derivatives are hand-coded; no finite differences.
     """
+    if a == b:
+        raise ValueError("op_dB_dx takes a != b")
     space = params.space
-    half = space.half_dim
     x = tuple(x)
     _check_x_generic(b, x)
-    xb = x[b - 1]
-    k = params.k
-    if a != b:
-        xa = x[a - 1]
-        return lincomb(space, [(k * div(xb, (xb - xa) ** 2), coll_X_swap(b, a, space)),
-                               (k * div(-xb, (xb * xa - 1) ** 2), coll_YZ(b, a, space))])
-    alpha, beta = params.alpha, params.beta
-    d0 = div(2 * (-beta * xb * xb - 2 * alpha * xb - beta), (xb * xb - 1) * (xb * xb - 1))
-    terms = [(d0, site_units(b, j, space)[3]) for j in range(1, space.n + 1)]
-    for p in range(1, half + 1):
-        xp = x[p - 1]
-        if p != b:
-            terms.append((k * div(-xp, (xb - xp) ** 2), coll_X_swap(b, p, space)))
-        d = div(-2 * xb, (xb * xb - 1) ** 2) if p == b else div(-xp, (xb * xp - 1) ** 2)
-        terms.append((k * d, coll_YZ(b, p, space)))
-    return lincomb(space, terms)
+    xb, xa, k = x[b - 1], x[a - 1], params.k
+    return lincomb(space, [(k * div(xb, (xb - xa) ** 2), coll_X_swap(b, a, space)),
+                           (k * div(-xb, (xb * xa - 1) ** 2), coll_YZ(b, a, space))])
 
 
 def check_cross_derivative(a: int, b: int, x, y, params: ModelParams) -> LinOp:

@@ -3,7 +3,9 @@ in the symmetric-parameter regime, with quadrature diagnostics and residual
 checks.
 
 The solution lives on the hyperplane x = (e^{2 pi i lambda}, 1, ..., 1) with
-both reflection weights equal to k/2.  Its coefficients are pairings of
+both reflection weights equal to k/2.  Its 2n target states use labels 1
+and 2 alone, so the solver works on Space(n, 2) at x = (e^{2 pi i lambda},
+1).  Its coefficients are pairings of
 rational weight functions against a fixed cycle, integrated over a horizontal
 contour that separates two families of gamma poles.  All heavy evaluation is
 done in log space: one complex exponential at the very end per integrand
@@ -46,13 +48,13 @@ NODE_BUDGET nodes.
 
 The solution vector is the sum of the coefficients times the 2n target
 basis vectors u_j; `vec_u` gives u_j as an {index: 1} column, and the
-coefficient-to-state matrix has these columns.  The residuals of a grid
-(`grid_residuals`) are computed on one (L, n + 2, 2n) array of
-coefficients and the stack of their solution vectors, each an array
-with one axis per site.  Along a grid only x_1 = e^{2 pi i lam} moves, so
-every operator part that does not read x (the transport factors around
-the coordinate reflection Kx, op_A and the coefficient-to-state matrix)
-is built once per grid; each lambda builds only its n Kx factors and
+coefficient-to-state matrix has these columns.  A grid's coefficients are
+the rule's (L, n + 2, 2n) array (`grid_solutions`), which its residuals
+(`grid_residuals`) and reports read as it is, with the stack of their
+solution vectors, each an array with one axis per site.  Along a grid only
+x_1 = e^{2 pi i lam} moves, so every operator part that does not read x
+(the transport factors around the coordinate reflection Kx, op_A and the
+coefficient-to-state matrix) is built once per grid; each lambda builds only its n Kx factors and
 op_B, in numpy, as the operators of `tensor_ops` are exact.  Each
 transport factor is applied as its local matrix on its own sites' axes,
 written from the factor's scalars by its shape's table
@@ -140,8 +142,9 @@ def log_gamma_array(z):
 class SolverParams:
     """Evaluation point and quadrature configuration.
 
-    Both reflection weights are pinned to k/2; the first coordinate is
-    e^{2 pi i lam} and the remaining ones are 1.
+    Both reflection weights are pinned to k/2.  The solve uses labels 1
+    and 2 alone, so its space is Space(n, 2) and its point x is
+    (e^{2 pi i lam}, 1).
     """
 
     n: int
@@ -149,7 +152,6 @@ class SolverParams:
     c: complex
     k: complex
     y: tuple
-    half_dim: int = 2
     panels_per_unit: float = 4.0
     max_refine: int = 5
     rtol: float = 1e-9
@@ -160,8 +162,8 @@ class SolverParams:
             raise ValueError("need at least one site")
         if len(self.y) != self.n:
             raise ValueError("y must have one entry per site")
-        if self.n >= 2 and self.half_dim < 2:
-            raise ValueError("need at least two labels when n >= 2")
+        if self.max_refine < 1:
+            raise ValueError("need max_refine >= 1: the rule compares two estimates")
         if not (self.c.imag > 0 and self.k.imag > 0):
             raise ValueError("need Im c > 0 and Im k > 0")
         if not (self.c.imag < self.k.imag / 2):
@@ -198,10 +200,10 @@ class SolverParams:
 
     @property
     def space(self) -> Space:
-        return Space(self.n, self.half_dim)
+        return Space(self.n, 2)
 
     def x_point(self) -> tuple:
-        return (self.big_e,) + (1,) * (self.half_dim - 1)
+        return (self.big_e, 1)
 
     def model(self) -> ModelParams:
         return ModelParams(
@@ -233,8 +235,8 @@ class CycleW:
         for d, _ in self.terms:
             if not (lo < d < hi):
                 raise DegreeError(
-                    "cycle degree %d outside the convergence window (%g, %g)"
-                    % (d, lo, hi)
+                    "%s: cycle degree %d outside the convergence window (%g, %g)"
+                    % (_label(params.lam), d, lo, hi)
                 )
 
 
@@ -263,17 +265,6 @@ class Contour:
         return replace(self, extents=extents, record=record)
 
 
-@dataclass(frozen=True)
-class SolutionVector:
-    """Pairing coefficients with the evaluation point and diagnostics; the
-    solution vector is the sum of coeffs[j - 1] vec_u(j)."""
-
-    coeffs: tuple
-    lam: complex
-    y: tuple
-    diagnostics: dict
-
-
 def vec_u(j: int, params: SolverParams) -> dict:
     """Basis vector of the 2n-dimensional target subspace, as an
     {index: 1} column.
@@ -285,11 +276,10 @@ def vec_u(j: int, params: SolverParams) -> dict:
     n = params.n
     if not 1 <= j <= 2 * n:
         raise ValueError("index out of range")
-    half = params.half_dim
-    site, code = (j, 0) if j <= n else (2 * n + 1 - j, half)
+    site, code = (j, 0) if j <= n else (2 * n + 1 - j, 2)
     index = params.space.index
     return {index(fill[:site - 1] + (code,) + fill[site - 1:]): 1
-            for fill in itertools.product((1, half + 1), repeat=n - 1)}
+            for fill in itertools.product((1, 3), repeat=n - 1)}
 
 
 def func_g(j: int, t: complex, y: Sequence, k: complex) -> complex:
@@ -679,7 +669,7 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
             return est, [dict(shared, quad_error=float(np.max(e)), scale=float(g[0]))
                          for e, g in zip(err, scale)]
         failing = ~done
-    i, g = (0, 0) if failing is None else np.argwhere(failing)[0]
+    i, g = np.argwhere(failing)[0]
     raise QuadratureError(
         "%s: no convergence after %d halvings; last two estimates of %s %r"
         % (_named(lams, names, failing), params.max_refine, _label(lams[i], names[g]),
@@ -687,15 +677,11 @@ def _trapezoid(values, params: SolverParams, contour: Contour, lams,
     )
 
 
-def _solution(p: SolverParams, vals, diag: dict) -> SolutionVector:
-    return SolutionVector(coeffs=tuple(vals), lam=p.lam, y=p.y, diagnostics=diag)
-
-
 def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
-            contour: Contour = None) -> SolutionVector:
+            contour: Contour = None) -> tuple:
     """All 2n pairing coefficients, on one trapezoidal rule whose rows are
     the weight functions g_j at the nodes and whose kernel is the
-    kernel-cycle."""
+    kernel-cycle; returns (coeffs, diagnostics)."""
     p = replace(params, lam=complex(lam), y=tuple(y))
     W.validate(p)
     if contour is None:
@@ -706,7 +692,7 @@ def solve_f(lam: complex, y, W: CycleW, params: SolverParams,
         return block, np.ones((1, len(t))), [_kernel_cycle_array(t, p.y, W, p)]
 
     est, (diag,) = _trapezoid(values, p, contour, [p.lam])
-    return _solution(p, [complex(v) for v in est[0, 0]], diag)
+    return est[0, 0], diag
 
 
 def _report_values(points):
@@ -769,7 +755,7 @@ def _grid_points(points) -> list:
     return points
 
 
-def grid_solutions(points) -> list:
+def grid_solutions(points) -> tuple:
     """The solution, its lambda derivative and the n shifted solutions at
     every point of a lambda grid, all on one trapezoidal rule.
 
@@ -781,8 +767,9 @@ def grid_solutions(points) -> list:
     shared node set.  The contour starts from the widest initial extent
     of each side over the grid and is validated, for the base and every
     shifted pole configuration, before the rule and again out to its
-    furthest node.  Returns one (solution, derivative, [shifted
-    solutions]) per point.
+    furthest node.  Returns (coeffs, diagnostics): the complex (L, n + 2, 2n)
+    array of each point's base, derivative and shift-1 .. shift-n rows,
+    entry j - 1 of a row the coefficient of vec_u(j), and one dict per point.
     """
     points = _grid_points(points)
     _, first = points[0]
@@ -792,15 +779,8 @@ def grid_solutions(points) -> list:
                     [p.lam for _, p in points])
     names = ("base", "derivative") + tuple(
         "shift-%d" % m for m in range(1, first.n + 1))
-    est, diags = _trapezoid(_report_values(points), first, contour,
-                            [p.lam for _, p in points], names)
-    out = []
-    for (_, p), parts, diag in zip(points, est, diags):
-        parts = [[complex(v) for v in row] for row in parts]
-        shifted = [SolutionVector(tuple(part), p.lam, shift_y(p.y, m, p.c), diag)
-                   for m, part in enumerate(parts[2:], start=1)]
-        out.append((_solution(p, parts[0], diag), _solution(p, parts[1], diag), shifted))
-    return out
+    return _trapezoid(_report_values(points), first, contour,
+                      [p.lam for _, p in points], names)
 
 
 def _dense_sum(rows) -> np.ndarray:
@@ -852,12 +832,13 @@ def _at_sites(matrix, sites, vecs):
     return np.einsum("%s%s%s,Z%s->Z%s" % (stack, outs, ins, axes, result), local, vecs)
 
 
-def grid_residuals(points, solved) -> list:
+def grid_residuals(points, coeffs) -> list:
     """The qKZ, ODE and gauge residuals of every point of a lambda grid:
-    points as passed to grid_solutions, solved as it returned them.
+    points as passed to grid_solutions and coeffs the (L, n + 2, 2n)
+    array it returned.
 
-    The grid's coefficients are one (L, n + 2, 2n) array, and its solution
-    vectors, U times them, one array whose columns U are the vec_u(j).  On
+    Its solution vectors, U times the coefficients, are one array whose
+    columns U are the vec_u(j).  On
     a grid only x_1 = e^{2 pi i lam} changes, and of the operators only the
     coordinate reflection factor Kx of each transport operator Q_m and
     op_B(1, x) depend on x.  So every other transport factor and op_A(1, y)
@@ -897,8 +878,6 @@ def grid_residuals(points, solved) -> list:
         transports.append((head, mid, tail))
     a_states = np.einsum("ij,jk->ik", _dense_sum([compat_ops.op_A_terms(1, y, model)])[0], states)
     b_terms = [compat_ops.op_B_terms(1, q.x_point(), model) for _, q in points]
-    coeffs = np.array([[base.coeffs, deriv.coeffs] + [sol.coeffs for sol in shifted]
-                       for base, deriv, shifted in solved])
     out = []
     step = max(1, _CHUNK // space.dim)
     for lo in range(0, len(points), step):
@@ -938,14 +917,15 @@ def grid_residuals(points, solved) -> list:
     return out
 
 
-def residual_report(W: CycleW, params: SolverParams, solutions,
+def residual_report(W: CycleW, params: SolverParams, coeffs, diag: dict,
                     residuals) -> dict:
     """Machine-readable summary of one lambda of a grid: coefficients,
     residuals, diagnostics.
 
-    solutions is the point's (solution, derivative, [shifted solutions])
-    from grid_solutions and residuals its (qkz residuals, ode residual,
-    gauge residual) from grid_residuals.  The base point, its lambda
+    coeffs is the point's (n + 2, 2n) rows of the grid_solutions array,
+    whose base row the report keeps, diag its diagnostics and residuals
+    its (qkz residuals, ode residual, gauge residual) from grid_residuals.
+    The base point, its lambda
     derivative and the n shifted points come from one node set with one
     kernel evaluation per node: the shifted kernels follow from the base
     kernel by the Gamma recurrence and the c-periodic cycle denominator,
@@ -956,18 +936,16 @@ def residual_report(W: CycleW, params: SolverParams, solutions,
     first grid's outside the window too), "lambdas" (the points of its
     grid) and "solves" (the n + 1 points solved at this lambda).
     """
-    base, _, shifted = solutions
     qkz, ode, ftilde = residuals
-    diag = base.diagnostics
     contour = diag["contour"]
-    report = {
+    return {
         "n": params.n,
         "lambda": [params.lam.real, params.lam.imag],
         "c": [params.c.real, params.c.imag],
         "k": [params.k.real, params.k.imag],
         "y": [[complex(v).real, complex(v).imag] for v in params.y],
         "cycle": [[d, [cf.real, cf.imag]] for d, cf in W.terms],
-        "coefficients": [[v.real, v.imag] for v in base.coeffs],
+        "coefficients": [[v.real, v.imag] for v in coeffs[0].tolist()],
         "qkz_residuals": {str(m): qkz[m] for m in sorted(qkz)},
         "ode_residual": ode,
         "ftilde_residual": ftilde,
@@ -989,14 +967,14 @@ def residual_report(W: CycleW, params: SolverParams, solutions,
             # evaluates, for all of its lambdas together.
             "kernel_evals": diag["kernel_evals"],
             "lambdas": diag["lambdas"],
-            "solves": 1 + len(shifted),
+            "solves": params.n + 1,
         },
     }
-    return report
 
 
 def ftilde_residual(W: CycleW, params: SolverParams) -> float:
     """Relative residual of the gauge-transformed, parameter-free equation
     at params, solved as its own grid."""
     points = [(W, params)]
-    return grid_residuals(points, grid_solutions(points))[0][2]
+    coeffs, _ = grid_solutions(points)
+    return grid_residuals(points, coeffs)[0][2]

@@ -208,34 +208,35 @@ def _whole_factor(factor, sites, space):
     return out
 
 
-def residuals_oracle(points, solved):
+def residuals_oracle(points, coeffs):
     """The qKZ, ODE and gauge residuals of each (W, params) point of a grid
-    from its (solution, derivative, [shifted solutions]), by whole
-    operators: per lambda, each transport operator Q_m as the matrix
-    product of all its factors (`factor_ops` over `q_factor_list`), each
-    factor a dense whole-space matrix (`_whole_factor`), and dense op_A and
-    op_B, the sums of their terms, applied to the dense solution vectors.
+    from its rows of the (L, n + 2, 2n) coefficient array (solution,
+    derivative, shift-1 .. shift-n), by whole operators: per lambda, each
+    transport operator Q_m as the matrix product of all its factors
+    (`factor_ops` over `q_factor_list`), each factor a dense whole-space
+    matrix (`_whole_factor`), and dense op_A and op_B, the sums of their
+    terms, applied to the dense solution vectors.
     The package's residual pass applies each factor on its own sites
     instead."""
     out = []
-    for (_, p), (base, deriv, shifted) in zip(points, solved):
+    for (_, p), (base, deriv, *shifted) in zip(points, coeffs):
         model, x, c, k = p.model(), p.x_point(), p.c, p.k
 
-        def vector(sol):
+        def vector(row):
             v = np.zeros(p.space.dim, dtype=complex)
-            for j, a in enumerate(sol.coeffs, start=1):
+            for j, a in enumerate(row, start=1):
                 v[list(vec_u(j, p))] += a
             return v
 
         vec, dvec = vector(base), vector(deriv)
         norm = np.max(np.abs(vec))
         qkz = {}
-        for m, sol in enumerate(shifted, start=1):
+        for m, row in enumerate(shifted, start=1):
             descs = q_factor_list(m, p.n)
             q_m = functools.reduce(np.matmul, [
                 _whole_factor(f, desc[1], p.space)
                 for desc, f in zip(descs, factor_ops(descs, x, p.y, model))])
-            qkz[m] = float(np.max(np.abs(vector(sol) - q_m @ vec)) / norm)
+            qkz[m] = float(np.max(np.abs(vector(row) - q_m @ vec)) / norm)
         terms = compat_ops.op_A_terms(1, p.y, model) + compat_ops.op_B_terms(1, x, model)
         lvec = sum(coef * _dense(op) for coef, op in terms) @ vec
         ex = p.big_e

@@ -86,7 +86,7 @@ def test_criterion_6_contour_solution_residuals():
         (2, 0.31, (0.3, -0.2), CycleW.monomial(1)),
     ):
         p = SolverParams(n=n, lam=lam, c=c, k=k, y=y)
-        coeffs = solve_f(p.lam, p.y, W, p).coeffs
+        coeffs, _ = solve_f(p.lam, p.y, W, p)
         for j in (1, 2 * n):
             got = coeffs[j - 1]
             want = simpson_oracle(j, W, p)

@@ -244,7 +244,8 @@ def test_a_stored_grid_above_the_budget_exits_two_before_any_quadrature(
 @pytest.mark.parametrize("raw,message", [
     ({"model": {"n": True}, "verify": {"samples": True, "seed": False}},
      "model.n must be a positive integer"),
-    ({"model": {"half_dim": True}}, "model.half_dim must be a positive integer"),
+    ({"solve": {"degrees": [[1, True]]}},
+     "solve.degrees coefficients must be a number or a [re, im] pair"),
     ({"model": {"n": 1, "y": [True]}}, "model.y must be a list of real numbers"),
     ({"model": {"c": True}}, "model.c must be a number or a [re, im] pair"),
     ({"model": {"k": [0.05, True]}}, "model.k must be a number or a [re, im] pair"),
@@ -253,7 +254,7 @@ def test_a_stored_grid_above_the_budget_exits_two_before_any_quadrature(
     ({"solve": {"lambda_grid": [True]}},
      "solve.lambda_grid entries must be a number or a [re, im] pair"),
     ({"solve": {"degrees": [[True, 1.0]]}}, "solve.degrees entries must be [degree, coefficient]"),
-    ({"solve": {"max_refine": True}}, "solve.max_refine must be a non-negative integer"),
+    ({"solve": {"max_refine": True}}, "solve.max_refine must be an integer from 1 to 6"),
     ({"solve": {"rtol": True}}, "solve.rtol must be a positive number"),
     ({"solve": {"atol": True}}, "solve.atol must be a positive number"),
     ({"solve": {"tolerance": True}}, "solve.tolerance must be a positive number"),
@@ -578,16 +579,17 @@ def test_a_stored_report_holding_the_removed_mode_key_still_rechecks(tmp_path, c
 
 def test_residuals_rebuilds_the_solve_params(tmp_path, capsys, monkeypatch):
     """`residuals --in` rebuilds the exact SolverParams of the solve from the
-    stored config, half_dim included."""
+    stored config, n, y and the quadrature settings included."""
     seen = []
 
-    def recording_report(cycle, params, solutions, residuals):
+    def recording_report(cycle, params, coeffs, diag, residuals):
         seen.append(params)
-        return real_report(cycle, params, solutions, residuals)
+        return real_report(cycle, params, coeffs, diag, residuals)
 
     real_report = integral_solver.residual_report
     monkeypatch.setattr(integral_solver, "residual_report", recording_report)
-    cfg = {"model": {"n": 2, "half_dim": 3}, "solve": {"lambda_grid": [0.31]}}
+    cfg = {"model": {"n": 2, "y": [0.25, -0.4]},
+           "solve": {"lambda_grid": [0.31], "max_refine": 4, "rtol": 1e-8}}
     path = write_json(tmp_path / "cfg.json", cfg)
     json_path = tmp_path / "solve.json"
     assert cli.main(
@@ -597,8 +599,29 @@ def test_residuals_rebuilds_the_solve_params(tmp_path, capsys, monkeypatch):
     assert cli.main(["residuals", "--in", str(json_path)]) == 0
     assert "DIFFERS" not in capsys.readouterr().out
     assert len(seen) == 2
-    assert seen[0].half_dim == 3
+    assert (seen[0].n, seen[0].y, seen[0].max_refine, seen[0].rtol) == (
+        2, (0.25, -0.4), 4, 1e-8)
     assert seen[1] == seen[0]
+
+
+def test_a_report_that_stores_half_dim_still_rechecks(tmp_path, capsys):
+    """model.half_dim has left the config schema, so a config file naming
+    it is refused as an unknown key.  A report written while the key
+    existed stores it in body.config; `residuals --in` reads only the keys
+    the solve uses and reproduces every stored residual exactly."""
+    with pytest.raises(ConfigError, match="unknown key in model: half_dim"):
+        load_config(write_json(tmp_path / "old.json", {"model": {"half_dim": 2}}))
+    path = write_json(tmp_path / "cfg.json",
+                      {"model": {"n": 2}, "solve": {"lambda_grid": [0.31, -0.35]}})
+    json_path = tmp_path / "solve.json"
+    assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(json_path)]) == 0
+    report = json.loads(json_path.read_text())
+    report["body"]["config"]["model"]["half_dim"] = 2
+    json_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert cli.main(["residuals", "--in", str(json_path)]) == 0
+    assert capsys.readouterr().out.count("recompute drift 0.000e+00 matches") == 2
 
 
 def test_recheck_integrates_the_stored_grid_as_one_rule(tmp_path, capsys):
@@ -690,7 +713,8 @@ def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch)
                      ("qkz_residuals", "ab"), ("qkz_residuals", {"2": 0.0}),
                      ("qkz_residuals", {"1": "x"}), ("ode_residual", [0.0]),
                      ("ftilde_residual", "x"), ("ode_residual", float("nan")),
-                     ("qkz_residuals", {"1": float("inf")})):
+                     ("qkz_residuals", {"1": float("inf")}),
+                     ("cycle", [[1, [1.0, 0.0]], [1, [2.0, 0.0]]])):
         entry = dict(good, **{key: bad})
         report = {"schema_version": cli.SCHEMA_VERSION,
                   "body": {"config": default_config(), "solutions": [good, entry]}}
@@ -701,13 +725,16 @@ def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch)
 
 
 def test_oversized_config_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
-    """A space above the dimension budget or a refinement count above the cap
-    exits 2 with a message naming the key and the bound; nothing is solved."""
-    monkeypatch.setattr(integral_solver, "residual_report", None)
+    """More sites than the space of dimension 4^n <= 256 allows, or a
+    refinement count outside 1 .. 6, exits 2 with a message naming the key
+    and the bound; no rule runs and no lambda is named.  The rule compares
+    two estimates, so max_refine = 0 could never converge: it once
+    integrated the first grid and then refused every solution by lambda."""
+    rules = _count_rules(monkeypatch)
     cases = (
-        ({"model": {"n": 5, "half_dim": 2}}, ("model.n", "model.half_dim", "256")),
-        ({"model": {"n": 1, "half_dim": 129}}, ("model.n", "model.half_dim", "256")),
-        ({"solve": {"max_refine": 7}}, ("solve.max_refine", "at most 6")),
+        ({"model": {"n": 5}}, ("model.n", "at most 4", "4^n", "256")),
+        ({"solve": {"max_refine": 7}}, ("solve.max_refine", "from 1 to 6")),
+        ({"solve": {"max_refine": 0}}, ("solve.max_refine", "from 1 to 6")),
     )
     for raw, words in cases:
         path = write_json(tmp_path / "big.json", raw)
@@ -715,14 +742,47 @@ def test_oversized_config_is_rejected_before_any_work(tmp_path, capsys, monkeypa
             ["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
              "--out-json", str(tmp_path / "s.json")]
         ) == 2, raw
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.startswith("error:") and "lambda=" not in captured.out + err, (raw, err)
         for word in words:
             assert word in err, (raw, err)
-    assert (cli.DIM_BUDGET, cli.MAX_REFINE_CAP) == (256, 6)
-    for raw in ({"model": {"n": 4, "half_dim": 2}}, {"model": {"n": 3, "half_dim": 3}},
-                {"solve": {"max_refine": 6}}):
+    assert rules == []
+    assert (cli.MAX_N, cli.MAX_REFINE_CAP) == (4, 6)
+    for raw in ({"model": {"n": 4}}, {"solve": {"max_refine": 6}}, {"solve": {"max_refine": 1}}):
         load_config(write_json(tmp_path / "edge.json", raw))
+
+
+def test_the_largest_space_solves_within_tolerance(tmp_path, capsys):
+    """At n = 4 the solver's space has the largest dimension the bound
+    allows, 4^4 = 256; one lambda solves there with every residual within
+    the default tolerance."""
+    path = write_json(tmp_path / "cfg.json",
+                      {"model": {"n": 4}, "solve": {"lambda_grid": [0.25]}})
+    json_path = tmp_path / "s.json"
+    assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(json_path)]) == 0
+    (entry,) = json.loads(json_path.read_text())["body"]["solutions"]
+    assert len(entry["coefficients"]) == 8 and sorted(entry["qkz_residuals"]) == list("1234")
+    assert "worst residual" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("solve,message", [
+    ({"degrees": [[1, 1], [1, 2]]}, "solve.degrees: duplicate monomial degree"),
+    ({"lambda_grid": [0.25], "degrees": [[5, 1]]},
+     "lambda=(0.25+0j): cycle degree 5 outside the convergence window (0.25, 2.25)"),
+], ids=["duplicate", "window"])
+def test_a_cycle_refusal_names_its_input(tmp_path, capsys, monkeypatch, solve, message):
+    """A cycle with a repeated degree is refused naming its key, and a
+    degree outside a lambda's convergence window naming that lambda, each
+    in one line and before any rule runs."""
+    rules = _count_rules(monkeypatch)
+    path = write_json(tmp_path / "cfg.json", {"solve": solve})
+    assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(tmp_path / "s.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s\n" % message
+    assert captured.out == "" and rules == []
 
 
 @pytest.mark.parametrize("raw,words", [
@@ -845,12 +905,13 @@ def test_a_node_budget_refusal_names_the_lambdas_that_need_the_nodes(
 
 
 def test_a_rule_refusal_on_a_long_grid_stays_one_short_line(tmp_path, capsys):
-    """With no halving allowed none of the 32 solutions of an 8-lambda
-    n = 2 grid converges; the refusal names those of the first three
-    lambdas and the estimates of the first only."""
+    """With one halving allowed and tolerances no estimate can meet, none
+    of the 32 solutions of an 8-lambda n = 2 grid converges; the refusal
+    names those of the first three lambdas and the estimates of the first
+    only."""
     grid = [0.05 + 0.1 * i for i in range(8)]
-    path = write_json(tmp_path / "cfg.json",
-                      {"model": {"n": 2}, "solve": {"lambda_grid": grid, "max_refine": 0}})
+    solve = {"lambda_grid": grid, "max_refine": 1, "rtol": 1e-300, "atol": 1e-300}
+    path = write_json(tmp_path / "cfg.json", {"model": {"n": 2}, "solve": solve})
     assert cli.main(["solve", "--config", path, "--out-csv", str(tmp_path / "c.csv"),
                      "--out-json", str(tmp_path / "s.json")]) == 2
     err = capsys.readouterr().err

@@ -54,7 +54,6 @@ LAMBDAS = [0.15, -0.35, 0.4, [0.2, 0.1], 1e15, -1e-308, [0.25, -300]]
 KEYS = {
     "model": {
         "n": _values([1, 2]),
-        "half_dim": _values([1, 2]),
         "c": _values([[0.1, 0.2], [0.1, 1e-9], [1e6, 0.2], 0.5]),
         "k": _values([[0.05, 1.0], [1e8, 1.0], 2]),
         "y": _values([[0.3], [0.3, -0.15], [1e300], [3.0], None]),

@@ -237,36 +237,6 @@ def test_block_pole_guards():
         op_B(1, (rat(3), rat(1, 3)), params)
 
 
-def test_db_dx_interpolation_oracle_same_coordinate():
-    """dB_b/dx_b against exact numerator interpolation, t = x_b."""
-    half, n = 2, 2
-    space = Space(n, half)
-
-    def body(r):
-        params = rand_params(r, space)
-        x = generic_x(r, half)
-        b = r.choice((1, 2))
-        other = x[1] if b == 1 else x[0]
-        # q(t) = (t^2 - 1)(t - other)(t*other - 1)
-        q = poly_mul(poly_mul([-1, 0, 1], [-other, 1]), [-1, other])
-        banned = [other]
-        ts = distinct_points(r, len(q) + 1, banned)
-        t_hold = distinct_points(r, 1, banned + ts)[0]
-
-        def at(t):
-            xt = (t, x[1]) if b == 1 else (x[0], t)
-            return op_B(b, xt, params)
-
-        want = derivative_by_interpolation(at, q, ts, t_hold, space.dim)
-        x_hold = (t_hold, x[1]) if b == 1 else (x[0], t_hold)
-        got = op_dB_dx(b, b, x_hold, params).to_dense()
-        assert got == want
-        return True
-
-    for _ in range(3):
-        sample_point(rng, body)
-
-
 def test_db_dx_interpolation_oracle_cross_coordinate():
     """dB_b/dx_a for a != b against the same oracle, t = x_a."""
     half, n = 2, 2
@@ -295,6 +265,15 @@ def test_db_dx_interpolation_oracle_cross_coordinate():
 
     for _ in range(3):
         sample_point(rng, body)
+
+
+def test_db_dx_refuses_the_same_coordinate():
+    """check_cross_derivative reads dB_b/dx_a at a != b only, and op_dB_dx
+    builds no other."""
+    space = Space(2, 2)
+    params = rand_params(make_rng(516), space)
+    with pytest.raises(ValueError, match="a != b"):
+        op_dB_dx(1, 1, (rat(3), rat(5)), params)
 
 
 def test_dq_dx_interpolation_oracle():
@@ -464,8 +443,7 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
         "op_M": lambda: op_M(1, x, params),
         "op_M_swapped": lambda: op_M_swapped(2, x, params),
         "op_L_from_blocks": lambda: op_L_from_blocks(1, x, y, params, Block.identity(space)),
-        "op_dB_dx same": lambda: op_dB_dx(1, 1, x, params),
-        "op_dB_dx cross": lambda: op_dB_dx(1, 2, x, params),
+        "op_dB_dx": lambda: op_dB_dx(1, 2, x, params),
         "check_L_restriction": lambda: check_L_restriction(2, x, params, images),
     }
     reductions = {name: 1 for name in calls}
