@@ -400,9 +400,16 @@ def _recheck(path: str) -> int:
     try:
         cfg = prior["body"]["config"]
         entries = prior["body"]["solutions"]
-        _validate_config(cfg)
     except (KeyError, TypeError):
         raise ConfigError("input report lacks body.config / body.solutions")
+    # Every key of the defaults must be stored; extra keys are accepted.
+    for section, keys in default_config().items():
+        if not isinstance(cfg, dict) or not isinstance(cfg.get(section), dict):
+            raise ConfigError("input report body.config.%s must be an object" % section)
+        for key in keys:
+            if key not in cfg[section]:
+                raise ConfigError("input report body.config lacks %s.%s" % (section, key))
+    _validate_config(cfg)
     if not isinstance(entries, list):
         raise ConfigError("input report body.solutions must be a list")
     if not entries:

@@ -24,11 +24,10 @@ random integer column supported on the orbit states (Freivalds' check),
 so every operator is applied to it entry by entry; a test may pass the
 orbit block, the identity's columns at the orbit states, to prove the
 relations on the whole orbit.  The restriction check's terms read no
-point, so they are composed with `orbit_start`, the orbit projector, once
-per space (`restriction_images`, the one caller outside `tensor_ops` that
-composes operators) and each point only weights and sums them; the
-point-free pair-sum identities (`pair_sum_identities`) read the same
-images.
+point, so each keeps only its orbit columns (`LinOp.restricted`), once
+per process (`restriction_images`), and each point only weights and sums
+them; the point-free pair-sum identities (`pair_sum_identities`) read the
+same images.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -42,11 +41,12 @@ may pass the identity block to get the whole product.  A caller applies
 Cbar_m once per point; the orbit check compares it with the inverse
 transport operator applied to the start's orbit-supported columns only.
 
-Left-action images and the orbit states depend on the space alone, so
-`rhoL` and `orbit_states` are cached: each is built once per process, as
-`compat_ops` builds its matrix units, and every check reads them from
-there.  The pair-sum identities between fixed operators read no point at
-all, so one check per space proves them.
+Left-action images, the orbit states and the restriction images depend
+on the space alone, so `rhoL`, `orbit_states` and `restriction_images`
+are cached: each is built once per process, as `compat_ops` builds its
+matrix units, and every check reads them from there.  The pair-sum
+identities between fixed operators read no point at all, so one check per
+space proves them.
 """
 
 from __future__ import annotations
@@ -182,12 +182,6 @@ def phi(w: SignedPerm, space: Space) -> int:
 def orbit_states(space: Space) -> tuple:
     """Indices of the orbit subspace's basis vectors, one per group element."""
     return tuple(phi(w, space) for w in all_elements(space.n))
-
-
-def orbit_start(space: Space) -> LinOp:
-    """Projector onto the orbit columns: a residual applied to it vanishes
-    exactly when it kills every orbit basis vector."""
-    return LinOp.of(space, {i: {i: 1} for i in orbit_states(space)})
 
 
 def rhoR_generator(g, x: Sequence, space: Space) -> Factor:
@@ -367,13 +361,14 @@ def cbar_vs_inverse_transport_defect(m: int, x, y, params: ModelParams, cbar: Bl
     return cbar.take(columns) != inverse
 
 
-def pair_sum_identities(a: int, space: Space, images: list) -> list:
-    """The point-free restriction identities for label a on a start, given
-    restriction_images(a, space, start), which hold on the orbit only:
-    (name, residual) of the reflection sum and the self pair, (name,
-    whether its sides differ) of each swap pair.  They read the images of
-    check_L_restriction, so no operator is composed with the start twice."""
+def pair_sum_identities(a: int, space: Space) -> list:
+    """The point-free restriction identities for label a on the orbit
+    columns, where alone they hold: (name, residual) of the reflection sum
+    and the self pair, (name, whether its sides differ) of each swap pair.
+    They sum the images that check_L_restriction weights
+    (`restriction_images`), so no operator is built twice."""
     n = space.n
+    images = restriction_images(a, space)
     # rhoL(r_a), then rhoL(s_ab) and rhoL(s~_ab) for each b != a; then
     # op_B_ops: op_Ebar(a, a) at each site, and for each label b
     # coll_X_swap(a, b) unless b == a, then coll_YZ(a, b).
@@ -390,22 +385,24 @@ def pair_sum_identities(a: int, space: Space, images: list) -> list:
     return out
 
 
-def restriction_images(a: int, space: Space, start: LinOp) -> list:
-    """The operators of check_L_restriction for label a applied to start,
-    in the order of its weights: the left-action images of r_a, then of
+@cache
+def restriction_images(a: int, space: Space) -> tuple:
+    """The orbit columns of the operators of check_L_restriction for label
+    a, in the order of its weights: the left-action images of r_a, then of
     s_ap and s~_ap for each p != a, then op_B's operators.  None of them
-    reads a point, so a caller composes them once per space."""
+    reads a point, so each is built once per process."""
     n = space.n
     ops = [rhoL(elem_r(a, n), space)]
     for p in range(1, n + 1):
         if p != a:
             ops += [rhoL(elem_s(a, p, n), space), rhoL(elem_s_tilde(a, p, n), space)]
-    return [op @ start for op in ops + list(compat_ops.op_B_ops(a, space))]
+    states = orbit_states(space)
+    return tuple(op.restricted(states) for op in ops + list(compat_ops.op_B_ops(a, space)))
 
 
 def check_L_restriction(a: int, x, params: ModelParams, images: list) -> LinOp:
-    """Residual of L_a against its group-algebra form applied to a start,
-    given restriction_images(a, space, start); zero on the orbit only.
+    """Residual of L_a against its group-algebra form on the orbit columns,
+    given images = restriction_images(a, space); zero on the orbit only.
 
     Both sides of the identity hold the argument part op_A(a, y); exact
     addition cancels it, so the residual is the group part minus the

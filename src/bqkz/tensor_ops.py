@@ -10,9 +10,9 @@ Operators are stored column-major as {col_index: {row_index: entry}}, keyed
 by linear state index, with no explicitly stored zeros.  A vector is one
 such column, {index: value}, and `apply` maps columns to columns.  The
 package writes index keys only; operators come from `LinOp.of`, `lincomb`,
-`compose`, `site_tensor` and `Placed.embedded`.  `entry` reads by state,
-and the constructor converts state keys once, for operators written by
-hand.
+`compose`, `restricted`, `site_tensor` and `Placed.embedded`.  `entry`
+reads by state, and the constructor converts state keys once, for
+operators written by hand.
 
 Every exchange and reflection factor is a `Factor`: one flat tuple of
 scalars, divided by an optional `over` and placed at its sites, whose
@@ -35,9 +35,9 @@ its `on_block`, and refuses any other start:
   `lincomb` sums blocks column by column.
 
 `LinOp.compose` (or `@`) is the one product of two operators, a plain
-sparse product of two whole operators.  It builds the point-free
-operators that a caller composes once per space, such as the left-action
-images on the orbit, and no suite's per-point check calls it.
+sparse product of two whole operators.  Only `apply` calls it: no other
+module composes, and an operator read on some columns only, such as a
+left-action image on the orbit, keeps them by `restricted`.
 
 Every operator is exact: it holds int numerators over one positive int
 denominator, reduced so that the two share no factor, and no operation
@@ -199,6 +199,11 @@ class LinOp:
             if acc:
                 out[c] = acc
         return _built(self.space, out, self.den * other.den)
+
+    def restricted(self, columns) -> "LinOp":
+        """self composed with the projector onto the given columns: those
+        columns kept, the rest dropped, and the result reduced."""
+        return _built(self.space, {c: self.cols[c] for c in columns if c in self.cols}, self.den)
 
     def on_block(self, block: "Block") -> "Block":
         """self applied to every column of an exact block."""

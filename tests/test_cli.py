@@ -702,6 +702,28 @@ def test_residuals_names_a_missing_stored_key(tmp_path, capsys):
         assert key in err
 
 
+def test_residuals_names_the_first_key_a_stored_config_lacks(tmp_path, capsys, monkeypatch):
+    """A stored config that lacks a key of the defaults, or holds a section
+    that is no object, is an exit-2 message naming that key or section,
+    given before anything is recomputed."""
+    monkeypatch.setattr(integral_solver, "residual_report", None)
+    good = {"lambda": [0.25, 0.0], "cycle": [[1, [1.0, 0.0]]],
+            "qkz_residuals": {"1": 0.0}, "ode_residual": 0.0}
+    lacking = default_config()
+    del lacking["solve"]["max_refine"]
+    no_section = default_config()
+    del no_section["output"]
+    cases = ((lacking, "input report body.config lacks solve.max_refine"),
+             (dict(default_config(), solve="x"), "input report body.config.solve must be an object"),
+             (no_section, "input report body.config.output must be an object"))
+    for cfg, message in cases:
+        report = {"schema_version": cli.SCHEMA_VERSION,
+                  "body": {"config": cfg, "solutions": [good]}}
+        path = write_json(tmp_path / "bad.json", report)
+        assert cli.main(["residuals", "--in", path]) == 2, message
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch):
     """A stored value of the wrong shape, or a non-finite one, is an exit-2
     message that names the key, given before anything is recomputed."""

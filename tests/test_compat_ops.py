@@ -427,14 +427,14 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
     start once per space, so at a point it only sums them, once.  Matrix
     units are built once and shared."""
     import bqkz.tensor_ops as to
-    from bqkz.hecke_module import check_L_restriction, orbit_start, restriction_images
+    from bqkz.hecke_module import check_L_restriction, restriction_images
 
     space = Space(2, 2)
     r = make_rng(515)
     params = rand_params(r, space)
     x, y = generic_x(r, 2), rand_tuple(r, 2)
     gamma = rand_rational(r)
-    images = restriction_images(2, space, orbit_start(space))
+    images = restriction_images(2, space)
     calls = {
         "op_A": lambda: op_A(1, y, params),
         "op_B": lambda: op_B(2, x, params),

@@ -234,12 +234,22 @@ def test_checker_flags_a_composing_definition():
     assert composing_definitions(source) == ["a", "b", "c", "line 11"]
 
 
-def test_only_the_restriction_images_compose_outside_tensor_ops():
+def test_nothing_composes_outside_tensor_ops():
     """`tensor_ops` owns the one product of two operators, `LinOp.compose`:
-    outside it, only `hecke_module.restriction_images`, which composes the
-    point-free operators with the orbit projector once per space, calls
-    `.compose(` or uses `@`.  Every other product is a chain applied to a
-    block."""
+    no other package module calls `.compose(` or uses `@`.  Every product
+    is a chain applied to a block, and the restriction images keep their
+    orbit columns by selection (`LinOp.restricted`)."""
     found = ["%s.%s" % (path.stem, name) for path in PACKAGE if path.stem != "tensor_ops"
              for name in composing_definitions(path.read_text())]
-    assert found == ["hecke_module.restriction_images"], found
+    assert found == [], found
+
+
+def test_every_suite_row_holds_module_level_check_functions():
+    """A suite row holds its checks, not a builder of them: every row's
+    `checks` and `fixed` is a function defined at the top level of
+    `suites`, so no suite builds a closure per run."""
+    from bqkz import suites
+
+    for name, suite in suites._SUITES.items():
+        for fn in filter(None, (suite.checks, suite.fixed)):
+            assert getattr(suites, getattr(fn, "__qualname__", ""), None) is fn, (name, fn)

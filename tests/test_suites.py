@@ -8,13 +8,17 @@ from collections import Counter
 import pytest
 
 from bqkz import cli, compat_ops, hecke_module, rqkz, suites, tensor_ops
-from bqkz.scalar_field import RATIONAL_BACKEND, rat
+from bqkz.sampling import make_rng
+from bqkz.scalar_field import RATIONAL_BACKEND, Rational, rat
 from bqkz.tensor_ops import Block, Factor, LinOp, Space
 
 
 def _plain(value):
-    """A backend-independent form of a point: rationals become
-    (numerator, denominator), sequences become lists."""
+    """A backend-independent form of a point record: rationals become
+    (numerator, denominator), sequences become lists, and a record the
+    list of its (name, value) pairs in draw order."""
+    if isinstance(value, dict):
+        return [[name, _plain(v)] for name, v in value.items()]
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, str):
@@ -22,14 +26,14 @@ def _plain(value):
     return [int(value.numerator), int(value.denominator)]
 
 
-# sha256 of the recorded (draw count, point) list of all 13 suites at
-# samples=1, seed 6 (33 points, 35 draws), taken when each suite still had
-# its own sampler function.  The runner draws each row's declared
-# variables (`suites._draw`) in the order those samplers drew.  Only
-# phi-iso's entries have changed since: its builder draws one word after x,
-# where it drew two, so its points are (x, word) and its n = 3 point, drawn
-# from the same stream after the n = 2 one, has a new x.
-GOLDEN_DRAWS = "138bd6889de7c353f0d87549d7a59947630f1a26901a5ce4b9d644a8ba0ac959"
+# sha256 of the recorded (draw count, point record) list of all 13 suites
+# at samples=1, seed 6 (33 points, 35 draws).  The runner draws each row's
+# declared variables (`suites._draw`) in the order the suites' former
+# sampler functions drew; phi-iso's checks draw one word after x.  The
+# records are those that `_draw` returned for the accepted attempts when
+# each suite still assembled a point tuple of its own: the same draws,
+# written as records.
+GOLDEN_DRAWS = "585207c2eeb3c6dd81cdd76d59407e3aeca6dff90ed30eef68c1f66f2fd4ef42"
 
 
 def test_draws_match_the_golden_digest(monkeypatch):
@@ -58,13 +62,10 @@ def test_draws_match_the_golden_digest(monkeypatch):
 
 class _ReadLog:
     """A point record that logs each name read and refuses an undeclared
-    one; a membership test reads nothing."""
+    one."""
 
     def __init__(self, values):
         self.values, self.read = values, set()
-
-    def __contains__(self, name):
-        return name in self.values
 
     def __getitem__(self, name):
         if name not in self.values:
@@ -73,23 +74,27 @@ class _ReadLog:
         return self.values[name]
 
 
-def test_every_builder_reads_exactly_the_variables_its_row_declares(monkeypatch):
+def test_every_row_reads_exactly_the_variables_it_declares(monkeypatch):
     """The table is the list of what a point draws: at every suite and
-    size, the accepted point's builder reads every declared variable and
-    asks for no other."""
+    size, the row's checks read every declared variable of the accepted
+    point and ask for no other; the runner reads the record only to write
+    a failing note.  The one exception is l-restriction's y: its residual
+    cancels the argument part, so y is drawn, and named in a note, to keep
+    the model suites' point, and never read."""
     records = []
     real = suites._draw
 
-    def logged(r, variables, size):
-        records.append(_ReadLog(real(r, variables, size)))
+    def logged(r, variables, space):
+        records.append(_ReadLog(real(r, variables, space)))
         return records[-1]
 
     monkeypatch.setattr(suites, "_draw", logged)
     for name, suite in suites._SUITES.items():
         declared = {variable for variable, _, _ in suite.variables}
+        unread = {"y"} if name == "l-restriction" else set()
         for size in suite.sizes:
             assert suites.run_suite(name, samples=1, seed=0, sizes=(size,)).exact_zero
-            assert records[-1].read == declared, (name, size)
+            assert records[-1].read == declared - unread, (name, size)
 
 
 # The suites that read their identities on one random column and write no
@@ -146,11 +151,11 @@ def test_light_column_draws_match_the_golden_digest(monkeypatch):
 
 # sha256 of body["suites"] of `bqkz verify --samples 1 --seed 6` over all 13
 # suites, as json.dumps(..., sort_keys=True), on the fractions backend (the
-# notes carry the repr of the points): as it is, and with op_B's first
-# coefficient 2 (alpha + beta x_a) / (x_a^2 - 1) taken 3/2 times, which
-# fails lemma-LL, compatibility and l-restriction with notes.
+# notes carry the repr of the point records): as it is, and with op_B's
+# first coefficient 2 (alpha + beta x_a) / (x_a^2 - 1) taken 3/2 times,
+# which fails lemma-LL, compatibility and l-restriction with notes.
 GOLDEN_BODY = "e810261f8bce0ca6c20478dca9f90a4ceae7bd5e56260b80b8b8128df02a9570"
-GOLDEN_PERTURBED_BODY = "32ce9dd9543d92cacd9058e931c334ca8334e4bdaa26dafed5e5639f5c7fd096"
+GOLDEN_PERTURBED_BODY = "6f903fcb495d51624db12fc6113e224e13c7e899e0635c1644b7fb85c2066a7a"
 
 
 def _verify_body_digest(tmp_path, capsys):
@@ -168,8 +173,8 @@ def test_verify_body_matches_the_golden_digest(tmp_path, capsys):
     assert _verify_body_digest(tmp_path, capsys) == (0, GOLDEN_BODY)
 
 
-@pytest.mark.skipif(RATIONAL_BACKEND != "fractions", reason="notes carry Fraction reprs")
-def test_failing_verify_body_matches_the_golden_digest(tmp_path, capsys, monkeypatch):
+def _perturb_op_b(monkeypatch):
+    """Take op_B's first coefficient 3/2 times."""
     real = compat_ops.op_B_terms
 
     def perturbed(a, x, params):
@@ -178,7 +183,30 @@ def test_failing_verify_body_matches_the_golden_digest(tmp_path, capsys, monkeyp
         return [(coef * rat(3, 2), op) for coef, op in terms[:n]] + terms[n:]
 
     monkeypatch.setattr(compat_ops, "op_B_terms", perturbed)
+
+
+@pytest.mark.skipif(RATIONAL_BACKEND != "fractions", reason="notes carry Fraction reprs")
+def test_failing_verify_body_matches_the_golden_digest(tmp_path, capsys, monkeypatch):
+    _perturb_op_b(monkeypatch)
     assert _verify_body_digest(tmp_path, capsys) == (1, GOLDEN_PERTURBED_BODY)
+
+
+def test_a_failing_note_names_the_whole_point_and_replays(monkeypatch):
+    """Under the perturbed op_B every lemma-LL note names each variable its
+    row declares, in draw order, and the row's checks run at the noted
+    record fail the noted check."""
+    _perturb_op_b(monkeypatch)
+    suite = suites._SUITES["lemma-LL"]
+    notes = suites.run_suite("lemma-LL", samples=1, seed=6).notes
+    assert notes
+    sizes = {suite.label % size: size for size in suite.sizes}
+    for note in notes:
+        head, written = note.split(" point=")
+        label, check = head.rsplit(" ", 1)
+        point = eval(written, {Rational.__name__: Rational})
+        assert list(point) == [name for name, _, _ in suite.variables], note
+        space = suite.space(sizes[label])
+        assert check in suites._failing(suite.checks(point, space, make_rng(0), make_rng(1)))
 
 
 def test_failure_notes_name_the_size_and_the_check(monkeypatch):
@@ -398,55 +426,45 @@ def test_the_transport_chains_embed_no_factor(monkeypatch):
 
 def test_the_light_chains_embed_write_and_compose_nothing(monkeypatch):
     """The ten light suites apply every factor and block where it acts:
-    once the point-free caches are warm, no `sample_point` attempt of a
-    one-sample run composes two operators or embeds one into the whole
-    space.  phi-iso applies its generators' factors to a unit column by
-    their gather.  The counters do see l-restriction's set-up, which
-    composes its point-free images with the orbit start outside the
-    attempts."""
+    once the point-free caches are warm, a one-sample run composes no two
+    operators and embeds none into the whole space, inside a
+    `sample_point` attempt or out of it.  phi-iso applies its generators'
+    factors to a unit column by their gather, and l-restriction reads its
+    images from the cache."""
     light = [name for name in suites.suite_names() if name not in TRANSPORT_SUITES]
     assert len(light) == 10
-    calls = _composes_and_embeddings(monkeypatch, light)
-    assert calls[True] == []
-    assert "compose" in calls[False]
+    assert _composes_and_embeddings(monkeypatch, light) == {True: [], False: []}
 
 
-def test_the_orbit_suites_compose_nothing_wider_than_the_orbit(monkeypatch):
-    """aha-relations reads its identities on one orbit column and composes
-    nothing; l-restriction composes its point-free images with the orbit
-    start once per size: once the point-free caches are warm, no product of
-    a one-sample run at n = 3 has a right operand wider than the 48 orbit
-    columns."""
-    names = ("aha-relations", "l-restriction")
-    for name in names:
-        suites.run_suite(name, samples=1, seed=0, sizes=(3,))
-    widths = []
-    real = LinOp.compose
-
-    def recorded(op, other):
-        widths.append(len(other.cols))
-        return real(op, other)
-
-    monkeypatch.setattr(LinOp, "compose", recorded)
-    for name in names:
-        assert suites.run_suite(name, samples=1, seed=1, sizes=(3,)).exact_zero, name
-    assert len(hecke_module.orbit_states(Space(3, 3))) == 48
-    assert max(widths) == 48
-
-
-def test_l_restriction_composes_each_point_free_operator_once(monkeypatch):
-    """Setting up l-restriction at sizes 2 and 3 composes each of its 5n - 2
-    point-free operators per label with the orbit start once, 55 composes
-    in all: the pair-sum identities sum the images the assembled check
-    weights, and compose none of their own."""
-    for n in (2, 3):
-        suites._l_restriction(Space(n, n))
-    calls = []
-    real = LinOp.compose
+def test_the_orbit_suites_compose_nothing_wider_than_the_orbit(fresh_caches, monkeypatch):
+    """aha-relations reads its identities on one orbit column, and
+    l-restriction keeps the orbit columns of its images: from cold caches,
+    a one-sample run at n = 3 composes nothing, and every image holds at
+    most the 48 orbit columns."""
+    calls, real = [], LinOp.compose
     monkeypatch.setattr(LinOp, "compose", lambda *args: calls.append(1) or real(*args))
-    for n in (2, 3):
-        suites._l_restriction(Space(n, n))
-    assert len(calls) == sum(n * (5 * n - 2) for n in (2, 3)) == 55
+    for name in ("aha-relations", "l-restriction"):
+        assert suites.run_suite(name, samples=1, seed=1, sizes=(3,)).exact_zero, name
+    assert calls == []
+    space = Space(3, 3)
+    orbit = set(hecke_module.orbit_states(space))
+    assert len(orbit) == 48
+    images = [op for a in (1, 2, 3) for op in hecke_module.restriction_images(a, space)]
+    assert all(set(op.cols) <= orbit for op in images)
+    assert max(len(op.cols) for op in images) == 48
+
+
+def test_l_restriction_builds_each_point_free_image_once(fresh_caches):
+    """l-restriction at sizes 2 and 3 builds the tuple of its 5n - 2
+    point-free images of each label once per process, 55 images in all,
+    however many samples and runs read them: the pair-sum identities sum
+    the images the assembled check weights."""
+    for samples in (1, 4, 2):
+        assert suites.run_suite("l-restriction", samples=samples, seed=0).exact_zero
+    info = hecke_module.restriction_images.cache_info()
+    assert info.misses == info.currsize == 2 + 3
+    assert sum(len(hecke_module.restriction_images(a, Space(n, n)))
+               for n in (2, 3) for a in range(1, n + 1)) == 55
 
 
 def test_the_blocks_are_built_once_per_point_and_never_embedded(monkeypatch):
@@ -484,6 +502,19 @@ def test_the_blocks_are_built_once_per_point_and_never_embedded(monkeypatch):
         assert len(calls["pair_J"]) == half * half
         assert len(calls["op_I"]) == 2 * half
         assert calls["_embedded"] == []
+
+
+@pytest.fixture
+def fresh_caches():
+    """Clear the point-free caches of `hecke_module` before a test and
+    after it, so that a test that patches what they are built from neither
+    reads a stale entry nor leaves a wrong one."""
+    caches = (hecke_module.rhoL, hecke_module.orbit_states, hecke_module.restriction_images)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 def _bump(op: LinOp, i: int) -> LinOp:
@@ -677,7 +708,7 @@ def test_a_perturbed_degenerate_factor_fails_both_cbar_checks(monkeypatch):
     assert [note.split(" point=")[0] for note in notes] == ["n=2 site-1", "n=2 grouped-1"]
 
 
-def test_size_level_operators_are_built_once_per_run():
+def test_size_level_operators_are_built_once_per_run(fresh_caches):
     """The left-action images and the orbit states are cached: with the
     caches cleared first, the builds of one run do not grow with the
     sample count."""
@@ -687,14 +718,15 @@ def test_size_level_operators_are_built_once_per_run():
     expected = {"l-restriction": 13, "aha-relations": 5, "cbar-qinv": 0}
     for name, images in expected.items():
         for samples in (1, 4):
-            for builder in builders:
+            for builder in builders + (hecke_module.restriction_images,):
                 builder.cache_clear()
             assert suites.run_suite(name, samples=samples, seed=0).exact_zero
             misses = [builder.cache_info().misses for builder in builders]
             assert misses == [images, 2], (name, samples)
 
 
-def test_one_wrong_left_image_fails_a_point_free_and_the_assembled_check(monkeypatch):
+def test_one_wrong_left_image_fails_a_point_free_and_the_assembled_check(fresh_caches,
+                                                                          monkeypatch):
     """A wrong rhoL(s_12) entry on the orbit shows in the pair-sum identity
     proved once per size and in the assembled form checked at the point."""
     target = hecke_module.elem_s(1, 2, 2)
@@ -711,7 +743,7 @@ def test_one_wrong_left_image_fails_a_point_free_and_the_assembled_check(monkeyp
     assert any(note.startswith("n=2 assembled-1 point=") for note in result.notes[1:])
 
 
-def test_colliding_images_count_once_per_size_and_sampling_goes_on(monkeypatch):
+def test_colliding_images_count_once_per_size_and_sampling_goes_on(fresh_caches, monkeypatch):
     """phi sends s_1 onto the identity's basis vector.  The three words of
     seed 0 never reach s_1, so only the size-level image check fails, once
     for the size, while all three samples are still drawn."""
@@ -742,18 +774,23 @@ def test_a_swap_generator_that_keeps_its_column_fails_exactly_its_words(monkeypa
     image over a second state, so exactly the words that hold s_1 fail the
     equivariance check."""
     real = hecke_module.rhoR_generator
+    words, seen = [], []
 
     def leaky(g, x, space):
+        words[-1].append(g)
         return Factor.exchange(1, 1, 1, (1, 2), space) if g == 1 else real(g, x, space)
 
     monkeypatch.setattr(hecke_module, "rhoR_generator", leaky)
-    seen = []
     real_sample_point = suites.sample_point
 
     def recording(rng, builder, *args, **kwargs):
-        names, (x, word) = real_sample_point(rng, builder, *args, **kwargs)
-        seen.append((names, word))
-        return names, (x, word)
+        def fresh(r):
+            words.append([])
+            return builder(r)
+
+        names, point = real_sample_point(rng, fresh, *args, **kwargs)
+        seen.append((names, words[-1]))
+        return names, point
 
     monkeypatch.setattr(suites, "sample_point", recording)
     result = suites.run_suite("phi-iso", samples=10, seed=0)

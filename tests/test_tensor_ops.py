@@ -79,6 +79,24 @@ def test_compose_matches_dense_oracle():
             assert (a @ right).to_dense() == dense_mul(a.to_dense(), right.to_dense()), sp
 
 
+def test_restricted_equals_composing_with_the_column_projector():
+    """Keeping some columns is composing with the projector onto them, in
+    canonical form: a kept set whose entries share a factor with the den
+    reduces, and an empty one gives the zero operator."""
+    sp = Space(2, 2)
+
+    def projector(cols):
+        return LinOp.of(sp, {c: {c: 1} for c in cols})
+
+    for trial in range(6):
+        op = rand_op(sp, rng, fill=0.1)
+        cols = rng.sample(range(sp.dim), rng.randint(0, sp.dim))
+        assert op.restricted(cols) == op @ projector(cols), trial
+    halves = LinOp(sp, {0: {0: rat(1, 2)}, 1: {1: rat(1, 3)}})
+    assert halves.restricted([1]).den == 3 == (halves @ projector([1])).den
+    assert halves.restricted([]) == LinOp.zero(sp)
+
+
 def dense_product(ops):
     out = ops[-1].to_dense()
     for op in reversed(ops[:-1]):
