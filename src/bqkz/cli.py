@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 
 # Keys `residuals --in` reads from each stored solution.
-_STORED_KEYS = ("lambda", "cycle", "qkz_residuals", "ode_residual")
+_STORED_KEYS = ("lambda", "cycle", "coefficients", "qkz_residuals", "ode_residual")
 
 _DEFAULT_LAMBDA_GRID = (-0.7, -0.35, -0.1, 0.15, 0.4)
 _DEFAULT_Y = (0.3, -0.15, 0.2)
@@ -395,7 +395,8 @@ def cmd_solve(args) -> int:
 
 def _recheck(path: str) -> int:
     """Recompute every solution stored in a solve report, its lambdas as one
-    grid; exit 0 iff each matches its stored residuals."""
+    grid; exit 0 iff each matches its stored residuals and, exactly, its
+    stored coefficients, as a rerun of the same grid is bit-identical."""
     prior = _read_json(path, "input report")
     try:
         cfg = prior["body"]["config"]
@@ -431,6 +432,10 @@ def _recheck(path: str) -> int:
         for key in ("ode_residual", "ftilde_residual"):
             if key in entry and not _is_real(entry[key]):
                 raise ConfigError("stored solution %s must be a number" % key)
+        coeffs = entry["coefficients"]
+        if not (isinstance(coeffs, list) and all(isinstance(v, list) and len(v) == 2
+                                                 and all(map(_is_real, v)) for v in coeffs)):
+            raise ConfigError("stored solution coefficients must be a list of [re, im] pairs")
         stored.append((entry, lam, _as_cycle(entry["cycle"], "stored solution cycle")))
     # The stored grid is integrated again as one rule, so the recheck
     # evaluates the same node set as the solve.
@@ -445,12 +450,13 @@ def _recheck(path: str) -> int:
         drift = max(drift, abs(fresh["ode_residual"] - entry["ode_residual"]))
         if "ftilde_residual" in entry:
             drift = max(drift, abs(fresh["ftilde_residual"] - entry["ftilde_residual"]))
-        matched = drift <= MATCH_TOLERANCE
+        same = fresh["coefficients"] == entry["coefficients"]
+        matched = drift <= MATCH_TOLERANCE and same
         ok = ok and matched
         print(
-            "lambda=%g%+gi recompute drift %.3e %s"
+            "lambda=%g%+gi recompute drift %.3e%s %s"
             % (params.lam.real, params.lam.imag, drift,
-               "matches" if matched else "DIFFERS")
+               "" if same else ", coefficients differ", "matches" if matched else "DIFFERS")
         )
     return 0 if ok else 1
 

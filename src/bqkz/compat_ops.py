@@ -20,7 +20,7 @@ each block once per point, applies each where it acts to a start (a
 one `lincomb`.
 
 Every check here that forms a product reads it on a start: a
-`tensor_ops.Block` holding one seeded random integer column in the suite
+`tensor_ops.Block` holding one seeded random column over F_p in the suite
 (Freivalds' check), or the identity for the whole operator, each product
 formed by `tensor_ops.product`.  The two compatibility residuals are read
 so, and so are the lemma checks: lemma-AA compares A_a (A_b v) with

@@ -20,7 +20,7 @@ on it, and a two-sided identity compares its two sides applied to it,
 True when they differ.  The degenerate cross relations
 (`check_AHA_relations`) form each product through `tensor_ops.product`
 on the start the suite passes, one `tensor_ops.Block` holding a seeded
-random integer column supported on the orbit states (Freivalds' check),
+random column over F_p supported on the orbit states (Freivalds' check),
 so every operator is applied to it entry by entry; a test may pass the
 orbit block, the identity's columns at the orbit states, to prove the
 relations on the whole orbit.  The restriction check's terms read no

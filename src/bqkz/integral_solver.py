@@ -77,7 +77,7 @@ import numpy as np
 
 from . import compat_ops
 from .rqkz import ModelParams, factor_ops, q_split_descs, shift_y
-from .scalar_field import _LOG_HALF_I, _LOG_PI, _lanczos_half_plane, cpow, inv, log_gamma
+from .scalar_field import _LOG_HALF_I, _LOG_PI, _lanczos_half_plane, cpow, lift, log_gamma
 from .tensor_ops import Space, factor_shape
 
 TWO_PI_I = 2j * math.pi
@@ -785,15 +785,16 @@ def grid_solutions(points) -> tuple:
 
 def _dense_sum(rows) -> np.ndarray:
     """Each row's sum(coef * op) over its (coef, op) terms, in term order,
-    as an (R, dim, dim) complex stack: the rows hold the same exact
-    operators, and each adds at its stored entries only."""
+    as an (R, dim, dim) complex stack: the rows hold the same fixed
+    integer operators, each read by the balanced lift of its residues, and
+    each adds at its stored entries only."""
     coefs = np.array([[coef for coef, _ in row] for row in rows], dtype=complex)
     dim = rows[0][0][1].space.dim
     out = np.zeros((len(rows), dim * dim), dtype=complex)
     for t, (_, op) in enumerate(rows[0]):
-        cols = op._values()
+        cols = op.cols
         out[:, [r * dim + c for c, col in cols.items() for r in col]] += coefs[:, t, None] * (
-            np.array([v for col in cols.values() for v in col.values()], dtype=complex))
+            np.array([lift(v) for col in cols.values() for v in col.values()], dtype=complex))
     return out.reshape(len(rows), dim, dim)
 
 
@@ -803,7 +804,7 @@ def _local_matrix(factor) -> np.ndarray:
     slot other[c] at column partner[c] and then slot own[c] at c itself,
     slot -1 reading zero."""
     own, other, partner = factor_shape(len(factor.strides), factor.space.half_dim)
-    s = inv(factor.over)
+    s = 1 / factor.over
     values = np.array([s * v for v in factor.scalars] + [0], dtype=complex)
     rows = np.arange(len(partner))
     out = np.zeros((len(partner), len(partner)), dtype=complex)

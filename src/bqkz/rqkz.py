@@ -19,8 +19,8 @@ reflection-shaped factors too (`op_dT_dx`, `op_dK_dx`).
 Every check reads its chains on a start: it applies each chain of placed
 factors to a `tensor_ops.Block` start through `tensor_ops.product`; each
 factor reaches the block's columns by its gather, no factor operator is
-written, and each partial product is reduced by one gcd.  The suites
-start from one seeded random integer column v, so a pass proves
+written, and each partial product is reduced once mod P.  The suites
+start from one seeded random column v over F_p, so a pass proves
 D(p) v = 0 for the point's defect D(p) (Freivalds' check); a test may
 start from the identity block to prove D(p) = 0.  An exact chain with no
 start (`compose_descs`) is applied to the identity block and returned as
@@ -51,9 +51,10 @@ factor identified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
-from .scalar_field import PoleError, inv, rat
+from .scalar_field import PoleError, inv
 from .tensor_ops import Block, Factor, LinOp, Space, lincomb, product
 
 
@@ -138,14 +139,16 @@ def q_factor_list(m: int, n: int):
     Each entry is (kind, sites, yterms, cmult): kind "R" (exchange, two
     sites), "Kx" (coordinate reflection, strength beta) or "K1" (all-ones
     reflection, strength alpha); the factor argument is
-    sum(coef * y[idx] for (idx, coef) in yterms) + cmult * c.
+    sum(coef * y[idx] for (idx, coef) in yterms) + cmult * c.  A cmult is
+    an exact constant, an int or the Fraction -1/2, that a residue and a
+    complex c both accept.
     """
     if not 1 <= m <= n:
         raise ValueError("site index out of range")
     factors = []
     for j in range(m - 1, 0, -1):
         factors.append(("R", (m, j), ((m, 1), (j, -1)), -1))
-    factors.append(("Kx", (m,), ((m, 1),), rat(-1, 2)))
+    factors.append(("Kx", (m,), ((m, 1),), Fraction(-1, 2)))
     for j in range(1, m):
         factors.append(("R", (j, m), ((j, 1), (m, 1)), 0))
     for j in range(m + 1, n + 1):

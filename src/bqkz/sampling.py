@@ -1,10 +1,16 @@
-"""Seeded random rational points for certification runs.
+"""Seeded random points of F_p for certification runs.
 
-Every check in the exact suites is evaluated at random rational parameter
-points.  Candidates are drawn with numerators in [-50, 50] and denominators
-in [1, 20]; a builder that hits a pole raises PoleError and the runner
-redraws every declared variable.  Child streams come from a stable hash,
-so a run is reproducible from its seed regardless of process layout.
+Every check in the exact suites is evaluated at random points of F_p,
+p = `scalar_field.P`: each drawn scalar is uniform on F_p, or on its
+nonzero elements where a row asks for that.  A builder that hits a pole
+mod p raises PoleError and the runner redraws every declared variable.
+Child streams come from a stable hash, so a run is reproducible from its
+seed regardless of process layout.
+
+A nonzero polynomial defect of degree d in the drawn scalars vanishes at
+a uniform point with probability at most d/p (Schwartz, J. ACM 27, 1980),
+so each drawn scalar adds at most 1/p per degree.  The fixed p cannot see
+a defect whose every coefficient it divides.
 """
 
 from __future__ import annotations
@@ -12,10 +18,8 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .scalar_field import PoleError, rat
+from .scalar_field import P, PoleError, Residue, rat
 
-NUM_BOUND = 50
-DEN_BOUND = 20
 MAX_RETRIES = 200
 
 
@@ -33,28 +37,24 @@ def make_rng(seed: int, tag: str = "") -> random.Random:
     return random.Random(child_seed(seed, tag) if tag else seed)
 
 
-def rand_rational(rng: random.Random, nonzero: bool = False):
-    while True:
-        num = rng.randint(-NUM_BOUND, NUM_BOUND)
-        if nonzero and num == 0:
-            continue
-        return rat(num, rng.randint(1, DEN_BOUND))
+def rand_scalar(rng: random.Random, nonzero: bool = False) -> Residue:
+    """A uniform element of F_p, or of its nonzero elements."""
+    return rat(rng.randrange(1 if nonzero else 0, P))
 
 
 def rand_tuple(rng: random.Random, count: int, nonzero: bool = False):
-    return tuple(rand_rational(rng, nonzero=nonzero) for _ in range(count))
+    return tuple(rand_scalar(rng, nonzero=nonzero) for _ in range(count))
 
 
 def rand_column(rng: random.Random, indices) -> dict:
-    """{index: entry} of a random integer column on the given indices, each
-    entry uniform in [-NUM_BOUND, NUM_BOUND], zeros left out.  A matrix D
-    with a nonzero entry in one of these columns has D v = 0 with
-    probability at most 1/(2 NUM_BOUND + 1) (Freivalds, IFIP 1977): a row
-    of D with a nonzero entry at j is orthogonal to v for at most one value
-    of v_j."""
+    """{index: entry} of a random column on the given indices, each entry
+    uniform on F_p, zeros left out.  A matrix D over F_p with a nonzero
+    entry in one of these columns has D v = 0 with probability at most 1/p
+    (Freivalds, IFIP 1977): a row of D with a nonzero entry at j is
+    orthogonal to v for exactly one value of v_j."""
     column = {}
     for i in indices:
-        v = rng.randint(-NUM_BOUND, NUM_BOUND)
+        v = rng.randrange(P)
         if v:
             column[i] = v
     return column
@@ -72,7 +72,4 @@ def sample_point(rng: random.Random, builder):
             return builder(rng)
         except PoleError:
             continue
-    raise SamplingExhausted(
-        "no pole-free point in %d draws (numerators within %d, denominators within %d)"
-        % (MAX_RETRIES, NUM_BOUND, DEN_BOUND)
-    )
+    raise SamplingExhausted("no pole-free point of F_%d in %d draws" % (P, MAX_RETRIES))

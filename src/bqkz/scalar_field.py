@@ -1,58 +1,127 @@
-"""Scalars: exact rationals, and the complex helpers of the contour solver.
+"""Scalars: residues of the prime field F_p, and the complex helpers of
+the contour solver.
 
-Every operator identity is certified over exact rationals with
-arbitrary-precision integer numerator and denominator; the operators of
-`tensor_ops` hold nothing else.  The contour-integral solver computes in
-complex double precision: its scalar log Gamma and powers live here, and
-their array forms in `integral_solver`, so this module imports no numpy.
-The factor builders of `rqkz` take either kind of scalar, through `inv`
-and `div`.
+Every operator identity is certified over F_p with the one fixed prime
+P = 2^30 - 35: a residue is one canonical int in [0, P), a single 30-bit
+CPython digit, so a product of two stays two digits.  The operators of
+`tensor_ops` hold nothing else.  A `Residue` is a scalar of the factor
+builders: its arithmetic with residues and ints, and with a Fraction such
+as the transport's constant -1/2, is reduced mod P, and it compares equal
+to every int of its class.  `rat(num, den)` and `inv` give residues, and
+a denominator divisible by P raises PoleError, so a drawn point that sits
+on a pole mod P is redrawn as any other pole is.
 
-Rationals are gmpy2.mpq when available (much faster), falling back to
-fractions.Fraction.  Both keep gcd-reduced canonical form with a positive
-denominator and raise ZeroDivisionError on a zero denominator, and both
-hash/compare interchangeably with ints.
+The contour-integral solver computes in complex double precision: its
+scalar log Gamma and powers live here, and their array forms in
+`integral_solver`, so this module imports no numpy.  The factor builders
+of `rqkz` take either kind of scalar, through `inv` and `div`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rational
-
-RATIONAL_BACKEND = Rational.__module__
+P = 2**30 - 35
+RATIONAL_BACKEND = "F_%d" % P
 
 
 class PoleError(ZeroDivisionError):
     """A construction hit a vanishing denominator or a function pole."""
 
 
-def rat(num, den=1):
-    """Exact rational num/den."""
-    if den == 0:
-        raise PoleError("zero denominator in rational %r/%r" % (num, den))
-    return Rational(num, den)
+def residue(v) -> int:
+    """The canonical int in [0, P) of an exact scalar: a residue, an int or
+    a Fraction.  A float or complex scalar has no residue and is refused."""
+    if type(v) is Residue:
+        return v.v
+    if isinstance(v, int):
+        return v % P
+    if isinstance(v, Fraction):
+        return v.numerator * _inverse(v.denominator % P) % P
+    raise TypeError("an operator takes exact scalars only, not %s" % type(v).__name__)
+
+
+def _inverse(r: int) -> int:
+    """The inverse of a canonical residue; zero is a pole."""
+    if not r:
+        raise PoleError("zero denominator mod %d" % P)
+    return pow(r, -1, P)
+
+
+def lift(r: int) -> int:
+    """The balanced representative in (-P/2, P/2) of a canonical residue:
+    the integer itself for an integer entry that small."""
+    return r - P if r > P >> 1 else r
+
+
+class Residue:
+    """An element of F_p, held as its canonical int `v` in [0, P)."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v % P
+
+    def __add__(self, other):
+        return Residue(self.v + residue(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Residue(self.v - residue(other))
+
+    def __rsub__(self, other):
+        return Residue(residue(other) - self.v)
+
+    def __mul__(self, other):
+        return Residue(self.v * residue(other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Residue(-self.v)
+
+    def __pow__(self, e: int):
+        return Residue(pow(self.v, e, P))
+
+    def __eq__(self, other):
+        try:
+            return self.v == residue(other)
+        except TypeError:
+            return NotImplemented
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __int__(self):
+        return self.v
+
+    def __repr__(self):
+        return repr(self.v)
+
+
+def rat(num, den=1) -> Residue:
+    """The residue of num/den; a den divisible by P is a pole."""
+    return Residue(residue(num) * _inverse(residue(den)))
 
 
 def inv(v):
-    """Reciprocal that keeps exact scalars exact.
-
-    Bare 1/v on a Python int truncates to float; route integer inputs
-    through the rational constructor instead.
-    """
-    if isinstance(v, int):
-        return rat(1, v)
+    """Reciprocal in F_p of an exact scalar, and 1/v for the solver's
+    complex ones; zero is a pole either way."""
+    if isinstance(v, (int, Residue)):
+        return Residue(_inverse(residue(v)))
     if v == 0:
         raise PoleError("reciprocal of zero")
     return 1 / v
 
 
 def div(a, b):
-    """a/b through inv, so int/int stays rational."""
+    """a/b through inv, so int/int is a residue."""
     return a * inv(b)
 
 

@@ -1,16 +1,22 @@
-"""Named certification suites over seeded random rational points.
+"""Named certification suites over seeded random points of F_p.
 
 Each suite bundles a family of exact identities: one sample draws a random
-rational parameter point and passes only if every residual of the family
-vanishes identically and both sides of every two-sided identity, compared
-as canonical exact values, are equal.  Results are booleans, not small
-floats; there is no tolerance anywhere in this module.
+parameter point of F_p (p = `scalar_field.P`) and passes only if every
+residual of the family vanishes there and both sides of every two-sided
+identity, compared as canonical residues, are equal.  Results are
+booleans, not small floats; there is no tolerance anywhere in this module.
+A nonzero defect D of degree d in the drawn scalars vanishes at the point
+with probability at most d/p, and D v = 0 for a random column v with
+probability at most 1/p; a fixed p cannot see a defect whose every
+coefficient it divides.  The fixed checks read no point and are proofs:
+their integer entries lie far inside (-p/2, p/2), so they are equal over
+the integers exactly when they are equal mod p.
 
 The three transport suites (qkz-consistency, compatibility, cbar-qinv)
 and seven of the ten light suites (ybe, bybe, unitarity, lemma-AA,
 lemma-LL, comm-IM, aha-relations) never form their products: each
 applies every factor chain and every operator to one seeded random
-integer column v (Freivalds' check), held as a dense `tensor_ops.Block`,
+column v over F_p (Freivalds' check), held as a dense `tensor_ops.Block`,
 and tests D(p) v = 0 for the point's defect D(p).  On the block each
 exchange and reflection factor is one gather over the column and every
 other operator (L_a, A_a, the blocks I_a and M_a, the left-action images,
@@ -23,7 +29,7 @@ from its column a - 1.  unitarity draws two columns, one on two sites for
 its exchange checks and one on one site for its reflection checks, and
 aha-relations and cbar-qinv's orbit check draw theirs on the orbit
 states only, where their identities hold.  A nonzero D(p) passes one
-sample with probability at most 1/101 on top of the point's own chance of
+sample with probability at most 1/p on top of the point's own chance of
 sitting on a zero of D.  The other three light suites keep their own
 routes, for the reasons given above the suite table: cross-derivative
 proves D(p) = 0 on whole operators, phi-iso applies each generator's
@@ -56,11 +62,13 @@ sample count, with one note "<size label> <name>"; its samples are drawn
 all the same.  Every verdict is a named check, such as compatibility's
 dk-route-<m> (`compat_ops.op_dK_term`).
 
-Samples are independently seeded from the run seed and the pair
-(suite name, sample index), so a suite's body depends only on the suite,
-the seed and the sample count, not on what else runs; v comes from its
-own stream, seeded from the same pair and the tag "v", so the points and
-their redraws do not depend on it.
+Each size of a sample draws from its own streams, seeded from the run
+seed and the triple (suite name, sample index, size label), so a suite's
+body depends only on the suite, the seed and the sample count, not on
+what else runs, and a size draws the same points whether it runs alone
+or with the rest of its row; v comes from its own stream, seeded from the
+same triple and the tag "v", so the points and their redraws do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 from .tensor_ops import Block, Space, product
-from .sampling import make_rng, rand_column, rand_rational, rand_tuple, sample_point
+from .sampling import make_rng, rand_column, rand_scalar, rand_tuple, sample_point
 from . import compat_ops, hecke_module, rqkz
 from .rqkz import ModelParams
 
@@ -110,16 +118,16 @@ def _failing(checks) -> list:
 
 def _draw(r, variables, space: Space) -> dict:
     """The point record {name: value} of the (name, count, nonzero)
-    variables, drawn from the point stream r in order: one rational when
+    variables, drawn from the point stream r in order: one scalar when
     count is None, else a tuple of count, or of the space's n or half."""
     counts = {"n": space.n, "half": space.half_dim}
-    return {name: rand_rational(r, nonzero) if count is None
+    return {name: rand_scalar(r, nonzero) if count is None
             else rand_tuple(r, counts.get(count, count), nonzero)
             for name, count, nonzero in variables}
 
 
 def _column(vr, space: Space, indices=None) -> Block:
-    """The block of one random integer column of the column stream on the
+    """The block of one random column over F_p of the column stream on the
     given indices of space, every index by default."""
     return Block.of(space, rand_column(vr, range(space.dim) if indices is None else indices))
 
@@ -270,7 +278,6 @@ def _pair_sums(space):
 
 
 def _l_restriction(point, space, _, __):
-    # The residual cancels y, so the point's y is drawn and left unread.
     params, x = _model(point, space), point["x"]
     for a in range(1, space.n + 1):
         yield "assembled-%d" % a, hecke_module.check_L_restriction(
@@ -305,9 +312,10 @@ class _Suite(NamedTuple):
 # is already a weighted sum of images built once per process, and reads no
 # product.
 #
-# A row declares the rational scalars its points draw as (name, count,
-# nonzero), in draw order (`_draw`).  The model suites draw c, k, alpha,
-# beta, then x where they read it, then y.  phi-iso declares only x: its
+# A row declares the scalars its points draw as (name, count, nonzero), in
+# draw order (`_draw`).  The model suites draw c, k, alpha, beta, then x
+# where they read it, then y where they read it: l-restriction's residual
+# cancels y, so it draws none.  phi-iso declares only x: its
 # word is a generator list of random length, not a scalar, so its checks
 # draw it from the point stream after x.
 _HALF = "half=%d"
@@ -366,7 +374,7 @@ _SUITES = {
     ),
     "l-restriction": _Suite(
         "pair-sum restriction identities on the orbit", _ORBIT, (2, 3), 100,
-        _MODEL + (_X, _Y), _sized, _l_restriction, _pair_sums,
+        _MODEL + (_X,), _sized, _l_restriction, _pair_sums,
     ),
 }
 
@@ -400,11 +408,12 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, sizes=None) 
              if suite.fixed and (failing := _failing(suite.fixed(space)))]
     failures = len(notes)
     for index in range(count):
-        tag = "%s:%d" % (name, index)
-        rng, vr = make_rng(seed, tag), make_rng(seed, tag + ":v")
         sample_notes = []
         for label, space in sized:
-            names, point = sample_point(rng, lambda r: _attempt(suite, space, r, vr))
+            tag = "%s:%d:%s" % (name, index, label)
+            vr = make_rng(seed, tag + ":v")
+            names, point = sample_point(make_rng(seed, tag),
+                                        lambda r: _attempt(suite, space, r, vr))
             for nm in names:
                 sample_notes.append("%s point=%r" % (" ".join(filter(None, (label, nm))), point))
         if sample_notes:

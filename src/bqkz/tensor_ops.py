@@ -20,16 +20,16 @@ layout, the slot each local code reads on itself and on its partner, is
 the one cached table of its shape (`factor_shape`), two-site exchange or
 one-site reflection.  No exact code writes a factor as an operator.
 
-A chain starts from a `Block`: dense columns of int numerators over one
-positive den, reduced as an exact operator is; `Block.join` sets blocks
-side by side, so one chain carries the columns of several starts.
+A chain starts from a `Block`: dense columns of canonical residues;
+`Block.join` sets blocks side by side, so one chain carries the columns
+of several starts.
 `product` applies a chain to its start, the last operator first, each by
 its `on_block`, and refuses any other start:
 
 * A `Factor` is applied by one gather: index i with local code c gets
-  own[c] w[i] + other[c] w[src i], where src swaps the two sites' digits or
-  flips the bar, from its shape's table read at each index, cached per
-  placement.  A factor reads no dict.
+  own[c] w[i] + other[c] w[src i] mod P, where src swaps the two sites'
+  digits or flips the bar, from its shape's table read at each index,
+  cached per placement.  A factor reads no dict.
 * Any other operator (a whole `LinOp`, or a `Placed` one on one or two
   sites) is applied to the columns entry by entry (`on_block`).
   `lincomb` sums blocks column by column.
@@ -39,20 +39,16 @@ sparse product of two whole operators.  Only `apply` calls it: no other
 module composes, and an operator read on some columns only, such as a
 left-action image on the orbit, keeps them by `restricted`.
 
-Every operator is exact: it holds int numerators over one positive int
-denominator, reduced so that the two share no factor, and no operation
-takes a float or complex entry.  Equality of operators and of blocks is
-therefore structural equality of numerators and denominator, and a
-two-sided identity is decided by comparing its sides with `==`.  The
-contour solver writes its few complex matrices in numpy instead, each
-factor's from its shape's table.
-
-Exact arithmetic never leaves the integers: a linear combination
-(`lincomb`, and `+`, `-` and `scale` through it) meets over one lcm and
-reduces once by the gcd, and `compose` and each application to a block
-multiply numerators and denominators and reduce once.
-Values are read as rationals only at the edges: `entry`, `to_dense` and
-`apply`.
+Every operator is exact over F_p (`scalar_field.P`): it holds canonical
+ints in [0, P) with no stored zero, and no operation takes a float or
+complex entry.  Equality of operators and of blocks is therefore
+structural equality of their entries, and a two-sided identity is
+decided by comparing its sides with `==`.  A linear combination
+(`lincomb`, and `+`, `-` and `scale` through it), `compose` and each
+application to a block sum int products and reduce each entry once with
+`%`.  The contour solver writes its few complex matrices in numpy
+instead, each factor's from its shape's table, and reads a fixed integer
+operator by the balanced lift of its entries (`scalar_field.lift`).
 """
 
 from __future__ import annotations
@@ -60,10 +56,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from math import gcd, lcm
-from operator import add, floordiv, itemgetter, mul
+from operator import add, itemgetter, mod, mul
 
-from .scalar_field import inv as _inv_scalar, rat
+from .scalar_field import P, inv, residue
 
 
 @dataclass(frozen=True)
@@ -104,35 +99,32 @@ class Space:
 class LinOp:
     """Sparse operator on a Space, column-major, no stored zeros.
 
-    `cols` is keyed by linear state index and stores int numerators over
-    the positive int `den`, reduced so that gcd(den, every numerator) is 1;
-    the zero operator has den 1.  No operation modifies an operator in
-    place, so operators may be shared.
+    `cols` is keyed by linear state index and stores canonical residues in
+    [0, P).  No operation modifies an operator in place, so operators may
+    be shared.
     """
 
-    __slots__ = ("space", "cols", "den")
+    __slots__ = ("space", "cols")
 
     def __init__(self, space: Space, cols=None):
         """cols may be keyed by linear index or by state tuple (converted
-        here, once) and holds ints or rationals, cleared here once; zero
+        here, once) and holds exact scalars, reduced here once; zero
         entries and empty columns are dropped.  State keys are for
         operators written by hand in tests."""
-        cols = {} if cols is None else cols
-        nums, self.den = clear([v for col in cols.values() for v in col.values()])
-        it = iter(nums)
         self.space = space
 
         def key(k):
             return k if type(k) is int else space.index(k)
 
-        cols = [(c, {key(r): v for r in col if (v := next(it)) != 0}) for c, col in cols.items()]
-        self.cols = {key(c): col for c, col in cols if col}
+        cols = ((key(c), {key(r): w for r, v in col.items() if (w := residue(v))})
+                for c, col in ({} if cols is None else cols).items())
+        self.cols = {c: col for c, col in cols if col}
 
     @classmethod
-    def of(cls, space: Space, cols, den=1) -> "LinOp":
+    def of(cls, space: Space, cols) -> "LinOp":
         """Operator from entries already in canonical form, unchecked."""
         op = object.__new__(cls)
-        op.space, op.cols, op.den = space, cols, den
+        op.space, op.cols = space, cols
         return op
 
     @classmethod
@@ -143,17 +135,10 @@ class LinOp:
     def identity(cls, space: Space) -> "LinOp":
         return cls.of(space, {i: {i: 1} for i in range(space.dim)})
 
-    def _values(self):
-        """The column map with every entry read as its value."""
-        if self.den == 1:
-            return self.cols
-        return {c: {r: rat(v, self.den) for r, v in col.items()} for c, col in self.cols.items()}
-
-    def entry(self, row, col):
-        """Value at a (row state, col state) pair."""
+    def entry(self, row, col) -> int:
+        """Residue at a (row state, col state) pair."""
         index = self.space.index
-        v = self.cols.get(index(col), {}).get(index(row), 0)
-        return v if self.den == 1 else rat(v, self.den)
+        return self.cols.get(index(col), {}).get(index(row), 0)
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols.values())
@@ -162,26 +147,20 @@ class LinOp:
         return not self.cols
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LinOp)
-            and self.space == other.space
-            and self.den == other.den
-            and self.cols == other.cols
-        )
+        return isinstance(other, LinOp) and self.space == other.space and self.cols == other.cols
 
     def __repr__(self):
         return "LinOp(dim=%d, nnz=%d)" % (self.space.dim, self.nnz())
 
     def apply(self, column: dict) -> dict:
         """The image of an {index: value} column, zero-free: self composed
-        with the one-column operator that holds it, read as values."""
-        return self.compose(LinOp(self.space, {0: column}))._values().get(0, {})
+        with the one-column operator that holds it."""
+        return self.compose(LinOp(self.space, {0: column})).cols.get(0, {})
 
     def compose(self, other: "LinOp") -> "LinOp":
         """self o other (apply other first), two whole operators: each entry
-        of a column of other spreads over self's column at its row.
-        Numerators and denominators multiply, and the product is reduced
-        once."""
+        of a column of other spreads over self's column at its row, and
+        each entry of the product is reduced once."""
         if self.space != other.space:
             raise ValueError("space mismatch in compose")
         acols = self.cols
@@ -194,16 +173,13 @@ class LinOp:
                 if acol is not None:
                     for r, ark in acol.items():
                         acc[r] = get(r, 0) + ark * bkc
-            if 0 in acc.values():
-                acc = {r: w for r, w in acc.items() if w != 0}
-            if acc:
-                out[c] = acc
-        return _built(self.space, out, self.den * other.den)
+            out[c] = acc
+        return _built(self.space, out)
 
     def restricted(self, columns) -> "LinOp":
         """self composed with the projector onto the given columns: those
-        columns kept, the rest dropped, and the result reduced."""
-        return _built(self.space, {c: self.cols[c] for c in columns if c in self.cols}, self.den)
+        columns kept and the rest dropped."""
+        return LinOp.of(self.space, {c: self.cols[c] for c in columns if c in self.cols})
 
     def on_block(self, block: "Block") -> "Block":
         """self applied to every column of an exact block."""
@@ -227,10 +203,10 @@ class LinOp:
         return self.scale(-1)
 
     def to_dense(self):
-        """Nested row-major list of values (ints where unset)."""
+        """Nested row-major list of residues."""
         dim = self.space.dim
         dense = [[0] * dim for _ in range(dim)]
-        for c, col in self._values().items():
+        for c, col in self.cols.items():
             for r, v in col.items():
                 dense[r][c] = v
         return dense
@@ -241,50 +217,30 @@ class LinOp:
         return cls(space, {j: {i: dense[i][j] for i in range(dim)} for j in range(dim)})
 
 
-def _exact_lcm(dens):
-    """lcm(*dens); as in `clear`, a float or complex scalar is refused."""
-    try:
-        return lcm(*dens)
-    except AttributeError:
-        raise TypeError("an operator takes exact scalars only") from None
-
-
-def clear(values, over=1):
-    """(numerators, den): exact scalars divided by `over` as ints over one
-    positive den that shares no factor with them all.  A float or complex
-    scalar has no numerator and is refused."""
-    try:
-        den = lcm(*(v.denominator for v in values))
-        p, q = over.numerator, over.denominator
-    except AttributeError:
-        raise TypeError("an operator takes exact scalars only") from None
-    nums = [v.numerator * (den // v.denominator) for v in values]
-    if over == 1:
-        return nums, den
-    # Dividing by over = p/q multiplies the numerators by q and den by p.
-    if p < 0:
-        p, q = -p, -q
-    nums, den = [q * v for v in nums], den * p
-    g = gcd(den, *nums)
-    return [v // g for v in nums], den // g
+def _built(space: Space, cols) -> LinOp:
+    """Operator from int columns, each entry reduced mod P once, zeros and
+    empty columns dropped."""
+    out = {}
+    for c, col in cols.items():
+        col = {r: w for r, v in col.items() if (w := v % P)}
+        if col:
+            out[c] = col
+    return LinOp.of(space, out)
 
 
 def lincomb(space: Space, terms) -> LinOp:
-    """sum(coef * op) over (coef, op) pairs on `space`, in one pass: the
-    terms meet over the lcm of every op.den * coef.denominator and the sum
-    is reduced once.  No term's columns are modified or shared by the
-    result.  Terms that are blocks are summed column by column
-    (`_block_lincomb`)."""
+    """sum(coef * op) over (coef, op) pairs on `space`, in one pass, each
+    entry of the sum reduced once.  No term's columns are modified or
+    shared by the result.  Terms that are blocks are summed column by
+    column (`_block_lincomb`)."""
     terms = list(terms)
     if terms and isinstance(terms[0][1], Block):
         return _block_lincomb(space, terms)
     if any(op.space != space for _, op in terms):
         raise ValueError("space mismatch in lincomb")
-    # A zero term adds nothing, but its coefficient's denominator is read
-    # all the same, so a float or complex zero is refused like any other.
-    den = _exact_lcm(a.denominator * op.den if a != 0 else a.denominator for a, op in terms)
-    live = [(a.numerator * (den // (op.den * a.denominator)), op.cols)
-            for a, op in terms if a != 0]
+    # A zero term adds nothing, but its coefficient is read all the same,
+    # so a float or complex zero is refused like any other.
+    live = [(f, op.cols) for f, op in ((residue(a), op) for a, op in terms) if f]
     out = {}
     for f, cols in live:
         for c, col in cols.items():
@@ -299,24 +255,7 @@ def lincomb(space: Space, terms) -> LinOp:
                 for r, v in col.items():
                     w = dst.get(r)
                     dst[r] = f * v if w is None else w + f * v
-    for c, col in list(out.items()):
-        if 0 in col.values():
-            out[c] = col = {r: v for r, v in col.items() if v != 0}
-            if not col:
-                del out[c]
-    return _built(space, out, den)
-
-
-def _built(space: Space, cols, den) -> LinOp:
-    """Operator from int numerators over den > 0, divided by their gcd."""
-    g = den
-    for col in cols.values():
-        if g == 1:
-            break
-        g = gcd(g, *col.values())
-    if g != 1:
-        cols = {c: {r: v // g for r, v in col.items()} for c, col in cols.items()}
-    return LinOp.of(space, cols, den // g)
+    return _built(space, out)
 
 
 def product(ops):
@@ -344,7 +283,7 @@ def _embedded(op: LinOp, strides, space: Space) -> LinOp:
         rows = local.get(code)
         if rows is not None:
             cols[c] = {base + dr: v for dr, v in rows}
-    return LinOp.of(space, cols, op.den)
+    return LinOp.of(space, cols)
 
 
 @cache
@@ -411,8 +350,8 @@ class Factor:
         out[i] = own[c] w[i] + other[c] w[src[i]],
     where src[i] swaps the digits at the two sites (exchange) or flips the
     bar at the site (reflection): `on_block` applies the factor to a block
-    by that one gather, reading its cleared scalars and a table cached per
-    placement."""
+    by that one gather, reading its scalars as residues and a table cached
+    per placement."""
 
     __slots__ = ("scalars", "over", "strides", "space")
 
@@ -433,14 +372,16 @@ class Factor:
         return cls((diag, *itertools.chain.from_iterable(flips)), over, (site,), space)
 
     def on_block(self, block: "Block") -> "Block":
-        """The gather: per index two products of int numerators, over the
-        block's den times the factor's, reduced once; slot -1 reads 0."""
-        nums, den = clear(self.scalars, self.over)
+        """The gather: per index two products of residues, summed and
+        reduced once; slot -1 reads 0.  A divisor that is 0 mod P is a
+        pole."""
+        scale = residue(inv(self.over))
+        nums = [residue(v) * scale % P for v in self.scalars]
         nums.append(0)
         own, other, src = _gather(self.strides, self.space)
         a, b = own(nums), other(nums)
-        cols = [list(map(add, map(mul, a, w), map(mul, b, src(w)))) for w in block.cols]
-        return _reduced(self.space, cols, block.den * den)
+        return _reduced(self.space, (map(add, map(mul, a, w), map(mul, b, src(w)))
+                                     for w in block.cols))
 
 
 @cache
@@ -477,7 +418,7 @@ def _sparse_on_block(local: LinOp, strides: tuple, space: Space, block: "Block")
                     for dr, v in rows:
                         out[base + dr] += v * wc
         cols.append(out)
-    return _reduced(space, cols, block.den * local.den)
+    return _reduced(space, cols)
 
 
 def _offsets(strides, d: int) -> list:
@@ -507,37 +448,36 @@ def _placement(strides: tuple, space: Space) -> tuple:
 
 def site_tensor(op1: LinOp, op2: LinOp) -> LinOp:
     """Two-site operator op1 (x) op2 from two site operators, written
-    directly: entry (a d + b, c d + e) is op1's (a, c) times op2's (b, e)."""
+    directly: entry (a d + b, c d + e) is op1's (a, c) times op2's (b, e),
+    nonzero as P is prime."""
     d = op1.space.site_dim
-    cols = {c * d + e: {a * d + b: u * v for a, u in col1.items() for b, v in col2.items()}
+    cols = {c * d + e: {a * d + b: u * v % P for a, u in col1.items() for b, v in col2.items()}
             for c, col1 in op1.cols.items() for e, col2 in op2.cols.items()}
-    return _built(Space(2, op1.space.half_dim), cols, op1.den * op2.den)
+    return LinOp.of(Space(2, op1.space.half_dim), cols)
 
 
 class Block:
     """A dense block of exact columns, the start of a factor chain: `cols`
-    holds each column as a list of `space.dim` int numerators over the one
-    positive int `den`, reduced so that gcd(den, every numerator) is 1 (a
-    zero block has den 1).  Column j of a block is column j of the operator
-    it stands for; no operation modifies a block in place."""
+    holds each column as a list of `space.dim` canonical residues.  Column
+    j of a block is column j of the operator it stands for; no operation
+    modifies a block in place."""
 
-    __slots__ = ("space", "cols", "den")
+    __slots__ = ("space", "cols")
 
-    def __init__(self, space: Space, cols, den=1):
+    def __init__(self, space: Space, cols):
         """A block from columns already in canonical form, unchecked."""
-        self.space, self.cols, self.den = space, tuple(cols), den
+        self.space, self.cols = space, tuple(cols)
 
     @classmethod
     def of(cls, space: Space, *columns) -> "Block":
         """The block of exact {index: value} columns, in order."""
-        den = _exact_lcm(v.denominator for column in columns for v in column.values())
         cols = []
         for column in columns:
             col = [0] * space.dim
             for i, v in column.items():
-                col[i] = v.numerator * (den // v.denominator)
+                col[i] = residue(v)
             cols.append(col)
-        return _reduced(space, cols, den)
+        return cls(space, cols)
 
     @classmethod
     def identity(cls, space: Space) -> "Block":
@@ -546,26 +486,17 @@ class Block:
 
     @classmethod
     def join(cls, blocks) -> "Block":
-        """The blocks of one space side by side, in order, over the lcm of
-        their dens: reduced, as a block whose den holds a prime's full power
-        has a numerator the prime does not divide."""
-        space, den = blocks[0].space, lcm(*(b.den for b in blocks))
+        """The blocks of one space side by side, in order."""
+        space = blocks[0].space
         if any(b.space != space for b in blocks):
             raise ValueError("space mismatch in join")
-        return cls(space, [col if b.den == den
-                           else list(map(mul, itertools.repeat(den // b.den), col))
-                           for b in blocks for col in b.cols], den)
+        return cls(space, [col for b in blocks for col in b.cols])
 
     def is_zero(self) -> bool:
         return not any(map(any, self.cols))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Block)
-            and self.space == other.space
-            and self.den == other.den
-            and self.cols == other.cols
-        )
+        return isinstance(other, Block) and self.space == other.space and self.cols == other.cols
 
     def __repr__(self):
         return "Block(dim=%d, width=%d)" % (self.space.dim, len(self.cols))
@@ -578,40 +509,31 @@ class Block:
 
     def take(self, columns) -> "Block":
         """The block of the given columns, in that order."""
-        return _reduced(self.space, [self.cols[j] for j in columns], self.den)
+        return Block(self.space, [self.cols[j] for j in columns])
 
     def linop(self) -> LinOp:
         """The operator whose column j is the block's column j."""
         cols = {j: {i: v for i, v in enumerate(col) if v} for j, col in enumerate(self.cols)}
-        return LinOp.of(self.space, {j: col for j, col in cols.items() if col}, self.den)
+        return LinOp.of(self.space, {j: col for j, col in cols.items() if col})
 
 
 def _block_lincomb(space: Space, terms) -> Block:
     """sum(coef * block) over (coef, block) pairs of one width on `space`,
-    with exact coefficients: the blocks meet over the lcm of every
-    block.den * coef.denominator and the sum is reduced once."""
+    with exact coefficients, each entry of the sum reduced once."""
     width = len(terms[0][1].cols)
     if any(b.space != space or len(b.cols) != width for _, b in terms):
         raise ValueError("shape mismatch in lincomb")
-    den = _exact_lcm(b.den * a.denominator for a, b in terms)
     cols = None
     for a, b in terms:
-        f = a.numerator * (den // (b.den * a.denominator))
+        f = residue(a)
         scaled = b.cols if f == 1 else [list(map(mul, itertools.repeat(f), col)) for col in b.cols]
         cols = scaled if cols is None else [list(map(add, x, y)) for x, y in zip(cols, scaled)]
-    return _reduced(space, cols, den)
+    return _reduced(space, cols)
 
 
-def _reduced(space: Space, cols, den) -> Block:
-    """Block from int numerator columns over den > 0, divided by their gcd."""
-    g = den
-    for col in cols:
-        if g == 1:
-            break
-        g = gcd(g, *col)
-    if g != 1:
-        cols = [list(map(floordiv, col, itertools.repeat(g))) for col in cols]
-    return Block(space, cols, den // g)
+def _reduced(space: Space, cols) -> Block:
+    """Block from int columns, each entry reduced mod P once."""
+    return Block(space, [list(map(mod, col, itertools.repeat(P))) for col in cols])
 
 
 class PoleSingular(ZeroDivisionError):
@@ -619,32 +541,26 @@ class PoleSingular(ZeroDivisionError):
 
 
 def invert(op: LinOp) -> LinOp:
-    """Inverse by Gauss-Jordan elimination over the rationals, each pivot
-    the first nonzero entry of its column."""
+    """Inverse by Gauss-Jordan elimination over F_p, each pivot the first
+    nonzero entry of its column."""
     space = op.space
     dim = space.dim
     a = op.to_dense()
-    inv = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    out = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for col in range(dim):
         piv_row = next((r for r in range(col, dim) if a[r][col] != 0), None)
         if piv_row is None:
             raise PoleSingular("operator is singular at column %d" % col)
         if piv_row != col:
             a[piv_row], a[col] = a[col], a[piv_row]
-            inv[piv_row], inv[col] = inv[col], inv[piv_row]
-        rp = _inv_scalar(a[col][col])
-        a[col] = [v * rp if v != 0 else v for v in a[col]]
-        inv[col] = [v * rp if v != 0 else v for v in inv[col]]
+            out[piv_row], out[col] = out[col], out[piv_row]
+        rp = pow(a[col][col], -1, P)
+        a[col] = [v * rp % P for v in a[col]]
+        out[col] = [v * rp % P for v in out[col]]
         for r in range(dim):
-            if r == col:
-                continue
             f = a[r][col]
-            if f == 0:
+            if r == col or f == 0:
                 continue
-            ar, ac, ir, ic = a[r], a[col], inv[r], inv[col]
-            for j in range(dim):
-                if ac[j] != 0:
-                    ar[j] = ar[j] - f * ac[j]
-                if ic[j] != 0:
-                    ir[j] = ir[j] - f * ic[j]
-    return LinOp.from_dense(space, inv)
+            a[r] = [(x - f * y) % P for x, y in zip(a[r], a[col])]
+            out[r] = [(x - f * y) % P for x, y in zip(out[r], out[col])]
+    return LinOp.from_dense(space, out)

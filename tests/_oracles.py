@@ -13,11 +13,13 @@ state from the layout oracles of the two factor shapes (`_exchange_cols`,
 `_reflection_cols`, which the index-convention tests read too) and reads
 nothing of the package's layout, and the full pole ratio
 `prod_ratio_full`, which the kernel's shift relation and the weight
-functions' telescoping are compared with.
+functions' telescoping are compared with.  The exact tests' Fraction
+oracles reduce their results mod P by `mod_p`, their own map.
 """
 
 import cmath
 import functools
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from bqkz import compat_ops
 from bqkz.integral_solver import TWO_PI_I, func_g, kernel_log_phi, vec_u
 from bqkz.rqkz import factor_ops, q_factor_list
-from bqkz.scalar_field import log1m_exp
+from bqkz.scalar_field import P, log1m_exp
 from bqkz.tensor_ops import Space
 
 # The oracle's first line is |Re t| <= _REACH, widened by doubling; a line
@@ -36,6 +38,12 @@ _MAX_REACH = 1 << 12
 # compare at, and far enough above the integrand's rounding that a piece
 # settles before full depth unless the integral cancels strongly.
 _RTOL = 1e-10
+
+
+def mod_p(v) -> int:
+    """The canonical residue mod P of a rational, by its own inverse."""
+    v = Fraction(v)
+    return v.numerator * pow(v.denominator, -1, P) % P
 
 
 def _log_cycle_denominator(t, y, c):

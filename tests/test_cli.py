@@ -559,6 +559,28 @@ def test_residuals_recompute_matches(tmp_path, capsys):
     assert "DIFFERS" not in out
 
 
+def test_residuals_recheck_compares_the_stored_coefficients_exactly(tmp_path, capsys):
+    """A default solve report whose coefficients are doubled keeps its
+    residuals, and `residuals --in` still reports it as DIFFERS, naming
+    each lambda, and exits 1: a rerun reproduces the coefficients bit for
+    bit."""
+    json_path = tmp_path / "solve.json"
+    assert cli.main(["solve", "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-json", str(json_path)]) == 0
+    report = json.loads(json_path.read_text())
+    lams = [entry["lambda"] for entry in report["body"]["solutions"]]
+    for entry in report["body"]["solutions"]:
+        entry["coefficients"] = [[2 * re, 2 * im] for re, im in entry["coefficients"]]
+    json_path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert cli.main(["residuals", "--in", str(json_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(lams) == 5
+    for line, (re, im) in zip(lines, lams):
+        assert line.startswith("lambda=%g%+gi recompute drift 0.000e+00" % (re, im)), line
+        assert line.endswith(", coefficients differ DIFFERS"), line
+
+
 def test_a_stored_report_holding_the_removed_mode_key_still_rechecks(tmp_path, capsys):
     """Reports written before the config lost its `mode` key record it in
     body.config; `residuals --in` reads only the model and solve sections
@@ -728,9 +750,11 @@ def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch)
     """A stored value of the wrong shape, or a non-finite one, is an exit-2
     message that names the key, given before anything is recomputed."""
     monkeypatch.setattr(integral_solver, "residual_report", None)
-    good = {"lambda": [0.25, 0.0], "cycle": [[1, [1.0, 0.0]]],
+    good = {"lambda": [0.25, 0.0], "cycle": [[1, [1.0, 0.0]]], "coefficients": [[1.0, 0.0]],
             "qkz_residuals": {"1": 0.0}, "ode_residual": 0.0}
     for key, bad in (("lambda", "ab"), ("lambda", [1.0]), ("cycle", "ab"),
+                     ("coefficients", "ab"), ("coefficients", [[1.0]]),
+                     ("coefficients", [1.0, 0.0]), ("coefficients", [["x", 0.0]]),
                      ("cycle", [[1, "x"]]), ("cycle", [["one", [1.0, 0.0]]]),
                      ("qkz_residuals", "ab"), ("qkz_residuals", {"2": 0.0}),
                      ("qkz_residuals", {"1": "x"}), ("ode_residual", [0.0]),

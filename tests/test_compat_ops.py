@@ -9,7 +9,7 @@ numerator gives the derivative without any finite differencing.
 import pytest
 
 import bqkz.compat_ops as co
-from bqkz.sampling import make_rng, rand_column, rand_rational, rand_tuple, sample_point
+from bqkz.sampling import make_rng, rand_column, rand_scalar, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, div, rat
 from bqkz.tensor_ops import Block, LinOp, Space, lincomb, product
 from bqkz.rqkz import ModelParams, compose_descs, op_Q, op_dQ_dx, q_split_descs, shift_y
@@ -128,7 +128,7 @@ def derivative_by_interpolation(sample_op, q_coeffs, ts, t_hold, dim):
 def distinct_points(r, count, banned):
     pts = []
     while len(pts) < count:
-        t = rand_rational(r)
+        t = rand_scalar(r)
         if t in banned or t in pts:
             continue
         if any(t * b == 1 for b in banned if b != 0):
@@ -433,7 +433,7 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
     r = make_rng(515)
     params = rand_params(r, space)
     x, y = generic_x(r, 2), rand_tuple(r, 2)
-    gamma = rand_rational(r)
+    gamma = rand_scalar(r)
     images = restriction_images(2, space)
     calls = {
         "op_A": lambda: op_A(1, y, params),

@@ -149,9 +149,9 @@ def test_only_the_allowed_definitions_are_read_outside_the_package():
 
 def test_only_the_suite_drawer_names_the_scalar_drawers():
     """`suites` decides what a point is: outside `sampling`, which defines
-    them, only `suites` names `rand_rational` and `rand_tuple`, in its
+    them, only `suites` names `rand_scalar` and `rand_tuple`, in its
     import and in the one drawer that its runner calls."""
-    drawers = {"rand_rational", "rand_tuple"}
+    drawers = {"rand_scalar", "rand_tuple"}
     found = {"%s:%d" % (path.stem, line) for path in PACKAGE if path.stem != "sampling"
              for line, names in statement_reads(path.read_text()) if names & drawers}
     tree = ast.parse((ROOT / "src" / "bqkz" / "suites.py").read_text())

@@ -7,11 +7,12 @@ are written down state tuple by state tuple.
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from _oracles import _exchange_cols, _reflection_cols
+from _oracles import _exchange_cols, _reflection_cols, mod_p
 from bqkz.compat_ops import op_L, site_unit
 from bqkz.hecke_module import (
     SignedPerm,
@@ -29,12 +30,13 @@ from bqkz.scalar_field import inv, rat
 from bqkz.tensor_ops import Block, Factor, LinOp, Placed, Space, site_tensor
 
 SIZES = [(n, half) for n in (1, 2, 3) for half in (1, 2, 3)]
-X = (rat(2), rat(3), rat(5))
-Y = (rat(1, 3), rat(2, 7), rat(-5, 4))
+X = (Fraction(2), Fraction(3), Fraction(5))
+Y = (Fraction(1, 3), Fraction(2, 7), Fraction(-5, 4))
 
 
 def _params(space):
-    return ModelParams(c=rat(1, 2), k=rat(2, 3), alpha=rat(3, 5), beta=rat(-4, 7), space=space)
+    return ModelParams(c=Fraction(1, 2), k=Fraction(2, 3), alpha=Fraction(3, 5),
+                       beta=Fraction(-4, 7), space=space)
 
 
 def _whole(factor):
@@ -58,15 +60,15 @@ def _built_operators(n, half):
     t = _local(t_factor(x, 1, space))
     if n == 1:
         ops += [t, _whole(op_dT_dx(x, half, 1, space)),
-                _whole(k_factor(rat(7, 3), x, rat(1, 2), 1, space)),
+                _whole(k_factor(Fraction(7, 3), x, Fraction(1, 2), 1, space)),
                 site_unit(half, 0, 2 * half - 1)]
     if n == 2:
         ops += [_whole(p_factor((1, 2), space)),
-                _whole(r_factor(rat(5, 2), rat(2, 3), (1, 2), space)),
+                _whole(r_factor(Fraction(5, 2), Fraction(2, 3), (1, 2), space)),
                 site_tensor(t, site_unit(half, 1, 0))]
-    ops += [_whole(k_factor(rat(7, 3), x, rat(1, 2), j, space)) for j in range(1, n + 1)]
+    ops += [_whole(k_factor(Fraction(7, 3), x, Fraction(1, 2), j, space)) for j in range(1, n + 1)]
     if n >= 2:
-        r = _local(r_factor(rat(5, 2), rat(2, 3), (1, 2), space))
+        r = _local(r_factor(Fraction(5, 2), Fraction(2, 3), (1, 2), space))
         ops += [Placed(r, (1, n), space).embedded(), Placed(r, (n, 1), space).embedded()]
     ops += [op_Q(m, x, y, params) for m in range(1, n + 1)]
     ops += [op_L(half, x, y, params)]
@@ -100,15 +102,15 @@ def _tuple_op(space, r):
     for c in states:
         for row in states:
             if r.random() < 0.4:
-                out.setdefault(c, {})[row] = rat(r.randint(-9, 9) or 1, r.randint(1, 4))
+                out.setdefault(c, {})[row] = Fraction(r.randint(-9, 9) or 1, r.randint(1, 4))
     return out
 
 
 def _dense_from_tuples(space, value_at):
     """Dense matrix whose (row, col) entry is value_at(row_state,
-    col_state), positions read from the list of states."""
+    col_state) reduced mod P, positions read from the list of states."""
     states = list(space.states())
-    return [[value_at(row, col) for col in states] for row in states]
+    return [[mod_p(value_at(row, col)) for col in states] for row in states]
 
 
 def _read(cols, row, col):
@@ -161,18 +163,18 @@ def test_orbit_check_reads_orbit_states_by_index():
 
 @pytest.mark.parametrize("scalar", [rat, lambda v: rat(v, 3)])
 def test_compose_stores_no_zero_and_drops_an_emptied_column(scalar):
-    """Over den 1 and over den 9: a cancelled entry is not stored, and a
-    column that cancels entirely is dropped."""
+    """With unit entries and with entries 1/3: a cancelled entry is not
+    stored, and a column that cancels entirely is dropped."""
     sp = Space(1, 1)
     one = scalar(1)
     a = LinOp(sp, {(0,): {(0,): one, (1,): one}, (1,): {(0,): one, (1,): one + one}})
     b = LinOp(sp, {(0,): {(0,): one, (1,): -one}, (1,): {(1,): one}})
     partly = a @ b
-    assert partly.cols[0] == {1: -1} and partly.den == 1 / (one * one)
+    assert partly.cols[0] == {1: -(one * one)}
     assert all(v != 0 for col in partly.cols.values() for v in col.values())
     whole = LinOp(sp, {(0,): {(0,): one}, (1,): {(0,): one}})
     emptied = whole @ b
-    assert emptied.cols == {1: {0: 1}} and emptied.den == partly.den
+    assert emptied.cols == {1: {0: one * one}}
 
 
 def test_apply_reads_and_returns_index_columns():
@@ -230,14 +232,16 @@ def _rational(*values):
     return not any(isinstance(v, (float, complex)) for v in values)
 
 
-# (diag, keep or down, swap or up): exact, float, and with zeros.  The
-# float rows reach only the solver's complex local matrices.
+# (diag, keep or down, swap or up): rational, float, and with zeros.  A
+# rational row reaches both readers, the gather as the residues of its
+# Fractions; the float rows reach only the solver's complex local
+# matrices.
 SCALARS = [
-    (rat(2, 3), rat(-5, 7), rat(1, 4)),
+    (Fraction(2, 3), Fraction(-5, 7), Fraction(1, 4)),
     (0.5, -1.25 + 0.5j, 3.0),
-    (0, rat(3, 4), rat(-1, 6)),
-    (rat(1, 2), 0, rat(1, 3)),
-    (rat(1, 2), rat(1, 3), 0),
+    (0, Fraction(3, 4), Fraction(-1, 6)),
+    (Fraction(1, 2), 0, Fraction(1, 3)),
+    (Fraction(1, 2), Fraction(1, 3), 0),
     (0.0, 0.25, 0.0),
     (0, 0, 0),
 ]
@@ -264,7 +268,8 @@ def test_layout_writers_match_their_oracles(half, diag, first, second):
 
 # (x, lam, k, beta), exact and float; the float row reaches only the
 # solver's complex local matrices.
-POINTS = [((rat(2), rat(-3, 4), rat(5, 7)), rat(5, 2), rat(2, 3), rat(-4, 7)),
+POINTS = [((Fraction(2), Fraction(-3, 4), Fraction(5, 7)), Fraction(5, 2), Fraction(2, 3),
+           Fraction(-4, 7)),
           ((0.5, -2.0, 1.5 + 0.5j), 0.75, -1.5, 2.5)]
 
 
@@ -300,7 +305,7 @@ def test_degenerate_builders_match_their_oracles(n):
     params = _params(space)
     c, k, alpha, beta = params.c, params.k, params.alpha, params.beta
     x = X[:n]
-    for arg in (rat(5, 3), rat(0)):
+    for arg in (Fraction(5, 3), Fraction(0)):
         y = (arg,) + Y[1:n]
         if n > 1:
             rb = _cbar_factor(("Rb", 1, ((1, 1),), 0), x, y, params)

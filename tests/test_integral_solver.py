@@ -17,7 +17,7 @@ import pytest
 
 from fractions import Fraction
 
-from _oracles import _kernel_cycle, prod_ratio_full, residuals_oracle, simpson_oracle
+from _oracles import _kernel_cycle, mod_p, prod_ratio_full, residuals_oracle, simpson_oracle
 from bqkz.rqkz import ones, p_factor, q_factor_list, shift_y, t_factor
 from bqkz.tensor_ops import Block, Factor, Space
 import bqkz.cli as cli
@@ -637,10 +637,11 @@ def _flat_residuals(residuals):
 
 def test_local_matrices_at_a_rational_point_are_the_exact_factors():
     """At a rational point every local matrix of the residual pass, of
-    the exchange, Kx and K1 factors of each Q_m, is the complex cast of
-    the exact operator on the factor's own sites: the gather of its
-    scalars, placed on sites 1 (and 2) of their own space, on the
-    identity block there."""
+    the exchange, Kx and K1 factors of each Q_m, is the complex image of
+    the exact operator on the factor's own sites: each entry, read back
+    as the nearest rational of small denominator and reduced mod P, is
+    the gather of the factor's scalars, placed on sites 1 (and 2) of
+    their own space, on the identity block there."""
     space = Space(3, 2)
     model = rqkz.ModelParams(c=Fraction(1, 3), k=Fraction(2, 5), alpha=Fraction(-3, 7),
                              beta=Fraction(5, 4), space=space)
@@ -653,7 +654,10 @@ def test_local_matrices_at_a_rational_point_are_the_exact_factors():
                                              solver._local_factors(descs, x, y, model)):
             assert sites == desc[1]
             own = Factor(f.scalars, f.over, range(1, len(sites) + 1), Space(len(sites), 2))
-            assert np.array_equal(matrix, dense_whole(own)), desc
+            assert not matrix.imag.any(), desc
+            read = [[mod_p(Fraction(v).limit_denominator(10**4)) for v in row]
+                    for row in matrix.real.tolist()]
+            assert read == whole(own).to_dense(), desc
             kinds.add(desc[0])
     assert kinds == {"R", "Kx", "K1"}
 

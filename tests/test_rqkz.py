@@ -2,7 +2,7 @@
 
 import pytest
 
-from bqkz.sampling import make_rng, rand_column, rand_rational, rand_tuple, sample_point
+from bqkz.sampling import make_rng, rand_column, rand_scalar, rand_tuple, sample_point
 from bqkz.scalar_field import PoleError, inv, rat
 from bqkz.tensor_ops import Block, LinOp, Space, product
 from bqkz.rqkz import (
@@ -228,7 +228,7 @@ def test_ybe_samples():
             for _ in range(5):
 
                 def body(r):
-                    k = rand_rational(r, nonzero=True)
+                    k = rand_scalar(r, nonzero=True)
                     l1, l2, l3 = rand_tuple(r, 3)
                     return ybe_defect(k, l1, l2, l3, start)
 
@@ -241,8 +241,8 @@ def test_bybe_samples():
             for _ in range(5):
 
                 def body(r):
-                    k = rand_rational(r, nonzero=True)
-                    beta = rand_rational(r, nonzero=True)
+                    k = rand_scalar(r, nonzero=True)
+                    beta = rand_scalar(r, nonzero=True)
                     x = rand_tuple(r, half, nonzero=True)
                     l1, l2 = rand_tuple(r, 2)
                     return bybe_defect(k, beta, x, l1, l2, start)
@@ -256,9 +256,9 @@ def test_unitarity_samples():
             for _ in range(5):
 
                 def body(r):
-                    k = rand_rational(r, nonzero=True)
-                    beta = rand_rational(r, nonzero=True)
-                    lam = rand_rational(r, nonzero=True)
+                    k = rand_scalar(r, nonzero=True)
+                    beta = rand_scalar(r, nonzero=True)
+                    lam = rand_scalar(r, nonzero=True)
                     x = rand_tuple(r, half, nonzero=True)
                     return (
                         r_unitarity_defect(k, lam, pair),

@@ -1,9 +1,10 @@
-"""Exact rational arithmetic and the complex log-gamma kernel helpers."""
+"""Residue arithmetic in F_p and the complex log-gamma kernel helpers."""
 
 import cmath
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,15 +12,22 @@ from hypothesis import given, strategies as st
 
 import mpmath
 
+from bqkz import rqkz
+from bqkz.sampling import make_rng, rand_scalar, sample_point
 from bqkz.scalar_field import (
+    P,
     PoleError,
     RATIONAL_BACKEND,
+    Residue,
     cpow,
     div,
     inv,
     log_gamma,
+    lift,
     rat,
+    residue,
 )
+from bqkz.tensor_ops import Block, Space
 from bqkz.integral_solver import log1m_exp_array, log_gamma_array
 
 rationals = st.builds(
@@ -28,7 +36,28 @@ rationals = st.builds(
 
 
 def test_backend_is_reported():
-    assert RATIONAL_BACKEND in ("gmpy2", "fractions")
+    assert RATIONAL_BACKEND == "F_1073741789" == "F_%d" % P
+    assert P == 2**30 - 35 and P.bit_length() == 30
+    assert all(P % q for q in range(2, math.isqrt(P) + 1))
+
+
+def test_a_residue_takes_exact_scalars_only():
+    """An int, a residue and a Fraction reduce to one canonical int, and
+    the balanced lift returns a small integer; a float is refused, not
+    turned into an int."""
+    from fractions import Fraction
+
+    assert residue(-1) == P - 1 == residue(rat(-1)) == residue(Fraction(-2, 2))
+    assert residue(Fraction(1, 2)) * 2 % P == 1
+    assert [lift(residue(v)) for v in (-7, 0, 7)] == [-7, 0, 7]
+    assert rat(-1, 2) * Fraction(-2) == 1 and Fraction(-2) * rat(-1, 2) == 1
+    for bad in (0.5, 2.0, 1j):
+        with pytest.raises(TypeError):
+            residue(bad)
+        with pytest.raises(TypeError):
+            rat(bad)
+        with pytest.raises(TypeError):
+            Residue(3) + bad
 
 
 def test_rat_reduces():
@@ -64,6 +93,32 @@ def test_inv_of_int_stays_exact():
 def test_div_pole():
     with pytest.raises(PoleError):
         div(rat(1, 2), rat(0))
+
+
+def test_a_denominator_divisible_by_p_is_a_pole_and_is_redrawn():
+    """A denominator that is a nonzero integer divisible by P is a pole mod
+    P: in rat, inv and div, and in a factor's divisor as it is applied to
+    a block.  sample_point redraws a point that hits one."""
+    for den in (P, -3 * P, rat(P + 0), rat(5) - 5):
+        with pytest.raises(PoleError):
+            rat(1, den)
+        with pytest.raises(PoleError):
+            inv(den)
+        with pytest.raises(PoleError):
+            div(2, den)
+    sp = Space(2, 1)
+    # lam + k = P as integers: the factor's divisor vanishes mod P.
+    factor = rqkz.r_factor(P - 5, 5, (1, 2), sp)
+    with pytest.raises(PoleError):
+        factor.on_block(Block.identity(sp))
+    drawn = []
+
+    def builder(r):
+        drawn.append(rand_scalar(r, nonzero=True))
+        return rat(1, P * (len(drawn) < 3) or drawn[-1])
+
+    got = sample_point(make_rng(4, "pole"), builder)
+    assert len(drawn) == 3 and got * drawn[-1] == 1
 
 
 def test_pole_error_is_zero_division():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 
@@ -9,31 +10,29 @@ import pytest
 
 from bqkz import cli, compat_ops, hecke_module, rqkz, suites, tensor_ops
 from bqkz.sampling import make_rng
-from bqkz.scalar_field import RATIONAL_BACKEND, Rational, rat
+from bqkz.scalar_field import rat
 from bqkz.tensor_ops import Block, Factor, LinOp, Space
 
 
 def _plain(value):
-    """A backend-independent form of a point record: rationals become
-    (numerator, denominator), sequences become lists, and a record the
-    list of its (name, value) pairs in draw order."""
+    """A plain form of a point record: residues become their canonical
+    ints, sequences become lists, and a record the list of its (name,
+    value) pairs in draw order."""
     if isinstance(value, dict):
         return [[name, _plain(v)] for name, v in value.items()]
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, str):
         return value
-    return [int(value.numerator), int(value.denominator)]
+    return int(value)
 
 
 # sha256 of the recorded (draw count, point record) list of all 13 suites
-# at samples=1, seed 6 (33 points, 35 draws).  The runner draws each row's
-# declared variables (`suites._draw`) in the order the suites' former
-# sampler functions drew; phi-iso's checks draw one word after x.  The
-# records are those that `_draw` returned for the accepted attempts when
-# each suite still assembled a point tuple of its own: the same draws,
-# written as records.
-GOLDEN_DRAWS = "585207c2eeb3c6dd81cdd76d59407e3aeca6dff90ed30eef68c1f66f2fd4ef42"
+# at samples=1, seed 6 (33 points, 33 draws: no point of F_p hit a pole).
+# The runner draws each row's declared variables (`suites._draw`), each
+# uniform on F_p, from the stream of its (suite, sample, size); phi-iso's
+# checks draw one word after x.
+GOLDEN_DRAWS = "3cc48ebd54bd2b4b5f96bc6ccea5ada1157af6c46b88cc88953f69b8972b38b2"
 
 
 def test_draws_match_the_golden_digest(monkeypatch):
@@ -55,7 +54,7 @@ def test_draws_match_the_golden_digest(monkeypatch):
     for name in suites.suite_names():
         assert suites.run_suite(name, samples=1, seed=6).exact_zero, name
     assert len(recorded) == 33
-    assert sum(draws for draws, _ in recorded) == 35
+    assert sum(draws for draws, _ in recorded) == 33
     text = json.dumps(recorded, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DRAWS
 
@@ -78,9 +77,7 @@ def test_every_row_reads_exactly_the_variables_it_declares(monkeypatch):
     """The table is the list of what a point draws: at every suite and
     size, the row's checks read every declared variable of the accepted
     point and ask for no other; the runner reads the record only to write
-    a failing note.  The one exception is l-restriction's y: its residual
-    cancels the argument part, so y is drawn, and named in a note, to keep
-    the model suites' point, and never read."""
+    a failing note."""
     records = []
     real = suites._draw
 
@@ -91,10 +88,41 @@ def test_every_row_reads_exactly_the_variables_it_declares(monkeypatch):
     monkeypatch.setattr(suites, "_draw", logged)
     for name, suite in suites._SUITES.items():
         declared = {variable for variable, _, _ in suite.variables}
-        unread = {"y"} if name == "l-restriction" else set()
         for size in suite.sizes:
             assert suites.run_suite(name, samples=1, seed=0, sizes=(size,)).exact_zero
-            assert records[-1].read == declared - unread, (name, size)
+            assert records[-1].read == declared, (name, size)
+
+
+def test_a_size_draws_the_same_points_alone_or_with_its_row(monkeypatch):
+    """Each size of a sample draws its point and its column from streams of
+    its own: run alone (`sizes=`) or with the rest of its row, a size
+    accepts the same point after the same columns at every sample."""
+    recorded, columns = [], []
+    real_sample_point, real_column = suites.sample_point, suites.rand_column
+
+    def recording(rng, builder):
+        out = real_sample_point(rng, builder)
+        recorded.append((_plain(out[1]), list(columns)))
+        columns.clear()
+        return out
+
+    def column(rng, indices):
+        columns.append(sorted(real_column(rng, indices).items()))
+        return columns[-1]
+
+    monkeypatch.setattr(suites, "sample_point", recording)
+    monkeypatch.setattr(suites, "rand_column", lambda rng, indices: dict(column(rng, indices)))
+    for name in ("unitarity", "qkz-consistency", "cbar-qinv"):
+        sizes = suites._SUITES[name].sizes
+        alone = []
+        for size in sizes:
+            recorded.clear()
+            suites.run_suite(name, samples=2, seed=9, sizes=(size,))
+            alone.append(list(recorded))
+        recorded.clear()
+        suites.run_suite(name, samples=2, seed=9)
+        # With the row, each sample runs every size in turn.
+        assert recorded == [runs[i] for i in range(2) for runs in alone], name
 
 
 # The suites that read their identities on one random column and write no
@@ -104,9 +132,9 @@ COLUMN_SUITES = ("ybe", "bybe", "unitarity", "lemma-AA", "lemma-LL", "comm-IM", 
 
 
 # sha256 of the random columns the three transport suites draw at samples=2,
-# seed 6 (24 columns, redraws included), as
+# seed 6 (22 columns: no point of F_p hit a pole), as
 # json.dumps([sorted(column.items()) for column in drawn]).
-GOLDEN_COLUMNS = "679b395b7c707bc02c35f6c4ba145f5c5d1f8f5d058e21feacf18dd071b7f9d6"
+GOLDEN_COLUMNS = "631aacf65e2790f48eea6772d107564a8c296e39067418e596b7562efc72744f"
 
 
 def test_column_draws_match_the_golden_digest(monkeypatch):
@@ -121,7 +149,7 @@ def test_column_draws_match_the_golden_digest(monkeypatch):
     monkeypatch.setattr(suites, "rand_column", recording)
     for name in ("qkz-consistency", "compatibility", "cbar-qinv"):
         assert suites.run_suite(name, samples=2, seed=6).exact_zero, name
-    assert len(drawn) == 24
+    assert len(drawn) == 22
     text = json.dumps([sorted(column.items()) for column in drawn])
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_COLUMNS
 
@@ -129,7 +157,7 @@ def test_column_draws_match_the_golden_digest(monkeypatch):
 # sha256 of the random columns the light suites that read a column draw at
 # samples=2, seed 6 (42 columns: one per size and sample, two for
 # unitarity, which checks on two sites and on one), in the same form.
-GOLDEN_LIGHT_COLUMNS = "3f17ac1ef5b0884a92f88277096de71cf49a0163e11ef6107351285166db89db"
+GOLDEN_LIGHT_COLUMNS = "e59c5cb43d4c4334b6f125b779fabc3f3069387b713b6e09c34776593762e05f"
 
 
 def test_light_column_draws_match_the_golden_digest(monkeypatch):
@@ -150,12 +178,12 @@ def test_light_column_draws_match_the_golden_digest(monkeypatch):
 
 
 # sha256 of body["suites"] of `bqkz verify --samples 1 --seed 6` over all 13
-# suites, as json.dumps(..., sort_keys=True), on the fractions backend (the
-# notes carry the repr of the point records): as it is, and with op_B's
+# suites, as json.dumps(..., sort_keys=True) (the notes carry the point
+# records, each residue as its canonical int): as it is, and with op_B's
 # first coefficient 2 (alpha + beta x_a) / (x_a^2 - 1) taken 3/2 times,
 # which fails lemma-LL, compatibility and l-restriction with notes.
 GOLDEN_BODY = "e810261f8bce0ca6c20478dca9f90a4ceae7bd5e56260b80b8b8128df02a9570"
-GOLDEN_PERTURBED_BODY = "6f903fcb495d51624db12fc6113e224e13c7e899e0635c1644b7fb85c2066a7a"
+GOLDEN_PERTURBED_BODY = "5c7788536509729bda4c7773b992f78232040c91024f6d97c294a773bb2a9369"
 
 
 def _verify_body_digest(tmp_path, capsys):
@@ -168,7 +196,6 @@ def _verify_body_digest(tmp_path, capsys):
     return code, hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.skipif(RATIONAL_BACKEND != "fractions", reason="notes carry Fraction reprs")
 def test_verify_body_matches_the_golden_digest(tmp_path, capsys):
     assert _verify_body_digest(tmp_path, capsys) == (0, GOLDEN_BODY)
 
@@ -185,7 +212,6 @@ def _perturb_op_b(monkeypatch):
     monkeypatch.setattr(compat_ops, "op_B_terms", perturbed)
 
 
-@pytest.mark.skipif(RATIONAL_BACKEND != "fractions", reason="notes carry Fraction reprs")
 def test_failing_verify_body_matches_the_golden_digest(tmp_path, capsys, monkeypatch):
     _perturb_op_b(monkeypatch)
     assert _verify_body_digest(tmp_path, capsys) == (1, GOLDEN_PERTURBED_BODY)
@@ -193,8 +219,8 @@ def test_failing_verify_body_matches_the_golden_digest(tmp_path, capsys, monkeyp
 
 def test_a_failing_note_names_the_whole_point_and_replays(monkeypatch):
     """Under the perturbed op_B every lemma-LL note names each variable its
-    row declares, in draw order, and the row's checks run at the noted
-    record fail the noted check."""
+    row declares, in draw order, each residue as its canonical int, and
+    the row's checks run at the noted record fail the noted check."""
     _perturb_op_b(monkeypatch)
     suite = suites._SUITES["lemma-LL"]
     notes = suites.run_suite("lemma-LL", samples=1, seed=6).notes
@@ -203,7 +229,8 @@ def test_a_failing_note_names_the_whole_point_and_replays(monkeypatch):
     for note in notes:
         head, written = note.split(" point=")
         label, check = head.rsplit(" ", 1)
-        point = eval(written, {Rational.__name__: Rational})
+        point = {name: tuple(map(rat, v)) if isinstance(v, tuple) else rat(v)
+                 for name, v in eval(written).items()}
         assert list(point) == [name for name, _, _ in suite.variables], note
         space = suite.space(sizes[label])
         assert check in suites._failing(suite.checks(point, space, make_rng(0), make_rng(1)))
@@ -591,41 +618,44 @@ def test_one_pair_block_entry_off_by_one_fails_comm_im(monkeypatch):
     sites differ, fails the conjugation check for every label at every
     size.  The flip conjugate P op_M P reads that entry only through v's
     entry at the swapped state (1, 0), so the slot-swap check fails exactly
-    where that entry is nonzero.  At seed 0 it is 0 at half = 1: the
-    Freivalds miss that a nonzero defect meets with probability at most
-    1/101, shown here, not drawn away."""
+    where that entry is nonzero: at every size at seed 0, and nowhere once
+    that entry is taken out of every column, the Freivalds miss that a
+    nonzero defect meets with probability at most 1/p."""
 
     def perturbed(a, x, params, real=compat_ops.op_M):
         op = real(a, x, params)
         return _bump(op, op.space.index((0, 1)))
 
     monkeypatch.setattr(compat_ops, "op_M", perturbed)
-    drawn, seen = [], []
     real_column, real_sample_point = suites.rand_column, suites.sample_point
+    for drop in (False, True):
+        drawn, seen = [], []
 
-    def recording_column(rng, indices):
-        drawn.append(real_column(rng, indices))
-        return drawn[-1]
+        def recording_column(rng, indices, drop=drop, drawn=drawn):
+            column = real_column(rng, indices)
+            if drop:
+                # On Space(2, half) the state (1, 0) has index d = 2 half.
+                column.pop(math.isqrt(len(indices)), None)
+            drawn.append(column)
+            return column
 
-    def recording_point(rng, builder):
-        # The column is drawn first, so the last one drawn is the point's.
-        names, point = real_sample_point(rng, builder)
-        seen.append((drawn[-1], names))
-        return names, point
+        def recording_point(rng, builder, drawn=drawn, seen=seen):
+            # The column is drawn first, so the last one drawn is the point's.
+            names, point = real_sample_point(rng, builder)
+            seen.append((drawn[-1], names))
+            return names, point
 
-    monkeypatch.setattr(suites, "rand_column", recording_column)
-    monkeypatch.setattr(suites, "sample_point", recording_point)
-    notes = suites.run_suite("comm-IM", samples=1, seed=0).notes
-    assert [note.split(" point=")[0] for note in notes] == [
-        "half=1 conjugation-1", "half=2 conjugation-1"]
-    swapped = [Space(2, half).index((1, 0)) for half in (1, 2, 3)]
-    assert swapped[0] == 2 and 2 not in seen[0][0]
-    for half, (column, names), index in zip((1, 2, 3), seen, swapped, strict=True):
-        read = index in column
-        assert read or half == 1
-        assert names == [name for a in range(1, half + 1)
-                         for name in ("conjugation-%d" % a, "slot-swap-%d" % a)
-                         if read or name.startswith("conjugation")], half
+        monkeypatch.setattr(suites, "rand_column", recording_column)
+        monkeypatch.setattr(suites, "sample_point", recording_point)
+        notes = suites.run_suite("comm-IM", samples=1, seed=0).notes
+        assert [note.split(" point=")[0] for note in notes] == [
+            "half=1 conjugation-1", "half=2 conjugation-1" if drop else "half=1 slot-swap-1"]
+        swapped = [Space(2, half).index((1, 0)) for half in (1, 2, 3)]
+        for half, (column, names), index in zip((1, 2, 3), seen, swapped, strict=True):
+            assert (index in column) != drop
+            assert names == [name for a in range(1, half + 1)
+                             for name in ("conjugation-%d" % a, "slot-swap-%d" % a)
+                             if not drop or name.startswith("conjugation")], half
 
 
 def test_one_degenerate_flip_scalar_off_by_one_fails_both_cbar_checks(monkeypatch):

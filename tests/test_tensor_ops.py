@@ -1,14 +1,20 @@
-"""Sparse tensor-space linear algebra against dense oracles."""
+"""Sparse tensor-space linear algebra against dense oracles.
+
+The oracles compute over the rationals with `Fraction` and reduce their
+result mod P by their own map (`_oracles.mod_p`), so they share no
+arithmetic with the F_p code they check.
+"""
 
 import itertools
-import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import mod_p
 from bqkz.hecke_module import orbit_states
-from bqkz.scalar_field import rat
+from bqkz.scalar_field import P, lift, rat
 from bqkz.tensor_ops import (
     Block,
     Factor,
@@ -25,19 +31,23 @@ from bqkz.tensor_ops import (
 rng = random.Random(20260818)
 
 
-def rand_rat(r):
-    return rat(r.randint(-9, 9), r.randint(1, 5))
+def reduced(dense):
+    """A dense Fraction matrix reduced mod P entry by entry."""
+    return [[mod_p(v) for v in row] for row in dense]
+
+
+def rand_frac(r):
+    return Fraction(r.randint(-9, 9), r.randint(1, 5))
+
+
+def rand_dense(space, r, fill=0.3):
+    """A dense Fraction matrix with about `fill` of its entries drawn."""
+    return [[rand_frac(r) if r.random() < fill else Fraction(0) for _ in range(space.dim)]
+            for _ in range(space.dim)]
 
 
 def rand_op(space, r, fill=0.3):
-    cols = {}
-    for col in space.states():
-        for row in space.states():
-            if r.random() < fill:
-                v = rand_rat(r)
-                if v != 0:
-                    cols.setdefault(col, {})[row] = v
-    return LinOp(space, cols)
+    return LinOp.from_dense(space, rand_dense(space, r, fill))
 
 
 def dense_mul(a, b):
@@ -67,22 +77,23 @@ def test_compose_matches_dense_oracle():
     """With a whole and with a one-column right operand."""
     sp = Space(2, 1)
     for trial in range(8):
-        a = rand_op(sp, rng)
-        b = rand_op(sp, rng)
-        got = (a @ b).to_dense()
-        want = dense_mul(a.to_dense(), b.to_dense())
-        assert got == want, trial
+        da, db = rand_dense(sp, rng), rand_dense(sp, rng)
+        got = (LinOp.from_dense(sp, da) @ LinOp.from_dense(sp, db)).to_dense()
+        assert got == reduced(dense_mul(da, db)), trial
     for sp in (Space(2, 2), Space(3, 2)):
-        a, b = rand_op(sp, rng, fill=0.1), rand_op(sp, rng, fill=0.2)
-        one = LinOp(sp, {5: b.cols.get(9, {0: rat(3, 7)})})
-        for right in (b, one):
-            assert (a @ right).to_dense() == dense_mul(a.to_dense(), right.to_dense()), sp
+        da, db = rand_dense(sp, rng, fill=0.1), rand_dense(sp, rng, fill=0.2)
+        column = [row[9] for row in db] if any(row[9] for row in db) else [Fraction(3, 7)]
+        dense_one = [[column[i] if j == 5 and i < len(column) else 0 for j in range(sp.dim)]
+                     for i in range(sp.dim)]
+        a = LinOp.from_dense(sp, da)
+        for right in (db, dense_one):
+            got = (a @ LinOp.from_dense(sp, right)).to_dense()
+            assert got == reduced(dense_mul(da, right)), sp
 
 
 def test_restricted_equals_composing_with_the_column_projector():
     """Keeping some columns is composing with the projector onto them, in
-    canonical form: a kept set whose entries share a factor with the den
-    reduces, and an empty one gives the zero operator."""
+    canonical form, and keeping none gives the zero operator."""
     sp = Space(2, 2)
 
     def projector(cols):
@@ -93,40 +104,40 @@ def test_restricted_equals_composing_with_the_column_projector():
         cols = rng.sample(range(sp.dim), rng.randint(0, sp.dim))
         assert op.restricted(cols) == op @ projector(cols), trial
     halves = LinOp(sp, {0: {0: rat(1, 2)}, 1: {1: rat(1, 3)}})
-    assert halves.restricted([1]).den == 3 == (halves @ projector([1])).den
+    assert halves.restricted([1]).cols == {1: {1: mod_p(Fraction(1, 3))}}
+    assert halves.restricted([1]) == halves @ projector([1])
     assert halves.restricted([]) == LinOp.zero(sp)
 
 
-def dense_product(ops):
-    out = ops[-1].to_dense()
-    for op in reversed(ops[:-1]):
-        out = dense_mul(op.to_dense(), out)
+def dense_product(dense):
+    out = dense[-1]
+    for d in reversed(dense[:-1]):
+        out = dense_mul(d, out)
     return out
-
-
-def rand_int_op(space, r, fill=0.3):
-    return LinOp.from_dense(space, [
-        [v.numerator for v in row] for row in rand_op(space, r, fill).to_dense()
-    ])
 
 
 def test_product_matches_dense_oracle():
     """product is exact: one, two and four operands applied to the identity
     block, rational, integer-only and mixed, with and without a zero
-    operator."""
+    operator.  A product of small integer operators has entries far inside
+    (-P/2, P/2), so the balanced lift of its residues is the integer
+    product itself."""
     sp = Space(2, 1)
     ident = Block.identity(sp)
+    zero = [[Fraction(0)] * sp.dim for _ in range(sp.dim)]
     for trial in range(6):
-        rats = [rand_op(sp, rng) for _ in range(4)]
-        ints = [rand_int_op(sp, rng, fill=0.6) for _ in range(4)]
+        rats = [rand_dense(sp, rng) for _ in range(4)]
+        ints = [[[v.numerator for v in row] for row in rand_dense(sp, rng, fill=0.6)]
+                for _ in range(4)]
         mixed = [rats[0], ints[1], rats[2], ints[3]]
-        with_zero = [rats[0], LinOp.zero(sp), rats[2], rats[3]]
-        for ops in (rats[:1], rats[:2], rats, ints[:1], ints[:2], ints, mixed, with_zero):
-            got = product(ops + [ident])
-            assert got.linop().to_dense() == dense_product(ops), trial
-            assert got.linop() == LinOp.from_dense(sp, dense_product(ops))
-        assert product(with_zero + [ident]).is_zero()
-        assert product(ints + [ident]).den == 1
+        with_zero = [rats[0], zero, rats[2], rats[3]]
+        for dense in (rats[:1], rats[:2], rats, ints[:1], ints[:2], ints, mixed, with_zero):
+            got = product([LinOp.from_dense(sp, d) for d in dense] + [ident])
+            assert got.linop().to_dense() == reduced(dense_product(dense)), trial
+            assert got.linop() == LinOp.from_dense(sp, dense_product(dense))
+        assert product([LinOp.from_dense(sp, d) for d in with_zero] + [ident]).is_zero()
+        got = product([LinOp.from_dense(sp, d) for d in ints] + [ident]).linop().to_dense()
+        assert [[lift(v) for v in row] for row in got] == dense_product(ints)
 
 
 def test_product_refuses_a_start_that_is_not_a_block():
@@ -144,15 +155,14 @@ def test_product_refuses_a_start_that_is_not_a_block():
 
 def test_apply_matches_dense():
     sp = Space(2, 1)
-    op = rand_op(sp, rng)
-    vec = {i: rand_rat(rng) for i in range(sp.dim) if rng.random() < 0.5}
-    out = op.apply(vec)
-    dense = op.to_dense()
+    dense = rand_dense(sp, rng)
+    vec = {i: rand_frac(rng) for i in range(sp.dim) if rng.random() < 0.5}
+    out = LinOp.from_dense(sp, dense).apply(vec)
     col = [vec.get(j, 0) for j in range(sp.dim)]
     want = [sum(dense[i][j] * col[j] for j in range(sp.dim)) for i in range(sp.dim)]
     assert 0 not in out.values()
     for i in range(sp.dim):
-        assert out.get(i, 0) == want[i]
+        assert out.get(i, 0) == mod_p(want[i])
 
 
 def test_from_dense_roundtrip():
@@ -272,7 +282,7 @@ def test_a_block_gets_what_the_embedded_operator_gives(n, half, sites, data):
                       (Placed(local, sites, space), Placed(local, sites, space).embedded()),
                       (_random_op(data, space),) * 2):
         got = product([op, block])
-        assert math.gcd(got.den, *itertools.chain(*got.cols)) == 1 and got.den > 0
+        assert_canonical_block(got)
         assert got.linop() == whole @ block.linop()
 
 
@@ -282,17 +292,17 @@ def test_block_arithmetic_matches_the_operator_arithmetic():
     canonical zero block."""
     space = Space(2, 2)
     r = random.Random(3)
-    b1, b2 = (Block.of(space, *({i: rand_rat(r) for i in r.sample(range(16), 6)}
+    b1, b2 = (Block.of(space, *({i: rand_frac(r) for i in r.sample(range(16), 6)}
                                 for _ in range(3))) for _ in range(2))
     q = rat(-5, 3)
     assert (b1 - b2).linop() == b1.linop() - b2.linop()
     assert b1.scale(q).linop() == b1.linop().scale(q)
     assert lincomb(space, [(q, b1), (1, b2)]).linop() == lincomb(space, [(q, b1.linop()),
                                                                          (1, b2.linop())])
-    values = b1.linop()._values()
+    values = b1.linop().cols
     assert b1.take((2, 0)).linop() == LinOp(space, {0: values[2], 1: values[0]})
     zero = b1 - b1
-    assert zero.is_zero() and zero.den == 1 and zero == Block(space, [[0] * 16] * 3)
+    assert zero.is_zero() and zero == Block(space, [[0] * 16] * 3)
     assert Block.identity(space).linop() == LinOp.identity(space)
     with pytest.raises(ValueError):
         b1 - b1.take((0,))
@@ -307,19 +317,20 @@ def test_embed_site_wrong_half_dim():
         Factor.reflection(0, [(1, 1)], 1, Space(2, 2))
 
 
-# ------------------------------------------------- numerators over one den
+# ------------------------------------------------------ canonical residues
 
 
 def assert_canonical(op):
-    """Canonical form: int numerators, no stored zero, positive int den
-    sharing no factor with them, den 1 for the zero operator."""
-    assert type(op.den) is int and op.den > 0
-    values = [v for col in op.cols.values() for v in col.values()]
+    """Canonical form: every stored entry an int in [1, P), no empty
+    column."""
     assert all(op.cols.values())
-    assert all(type(v) is int and v != 0 for v in values)
-    assert math.gcd(op.den, *values) == 1
-    if not values:
-        assert op.den == 1
+    assert all(type(v) is int and 0 < v < P for col in op.cols.values() for v in col.values())
+
+
+def assert_canonical_block(block):
+    """Canonical form: every entry of every column an int in [0, P)."""
+    assert all(len(col) == block.space.dim for col in block.cols)
+    assert all(type(v) is int and 0 <= v < P for col in block.cols for v in col)
 
 
 def dense_add(a, b, fb=1):
@@ -351,10 +362,11 @@ def test_exact_arithmetic_matches_the_fraction_oracle_in_canonical_form():
     site, pair, three = Space(1, 1), Space(2, 1), Space(3, 1)
     r = random.Random(11)
     for trial in range(10):
-        a, b = rand_op(pair, r, fill=0.5), rand_op(pair, r, fill=0.5)
-        s1, s2 = rand_op(site, r, fill=0.7), rand_op(site, r, fill=0.7)
-        q = rand_rat(r) or rat(2, 3)
-        da, db, d1, d2 = a.to_dense(), b.to_dense(), s1.to_dense(), s2.to_dense()
+        da, db = rand_dense(pair, r, fill=0.5), rand_dense(pair, r, fill=0.5)
+        d1, d2 = rand_dense(site, r, fill=0.7), rand_dense(site, r, fill=0.7)
+        a, b, s1, s2 = (LinOp.from_dense(sp, d) for sp, d in
+                        ((pair, da), (pair, db), (site, d1), (site, d2)))
+        q = rand_frac(r) or Fraction(2, 3)
         cases = [
             (a + b, dense_add(da, db)),
             (a - b, dense_add(da, db, -1)),
@@ -364,17 +376,66 @@ def test_exact_arithmetic_matches_the_fraction_oracle_in_canonical_form():
             (a @ b @ a, dense_mul(dense_mul(da, db), da)),
             (site_tensor(s1, s2), [[d1[i // 2][j // 2] * d2[i % 2][j % 2] for j in range(4)]
                                    for i in range(4)]),
-            (Placed(s1, (2,), three).embedded(), dense_embed(s1.to_dense(), (1,), three)),
+            (Placed(s1, (2,), three).embedded(), dense_embed(d1, (1,), three)),
             (Placed(a, (3, 1), three).embedded(), dense_embed(da, (2, 0), three)),
         ]
         for got, want in cases:
             assert_canonical(got)
-            assert got.to_dense() == want, trial
+            assert got.to_dense() == reduced(want), trial
             assert got == LinOp.from_dense(got.space, want)
         states = list(pair.states())
         for col in states:
             for row in states:
-                assert a.entry(row, col) == da[states.index(row)][states.index(col)]
+                assert a.entry(row, col) == mod_p(da[states.index(row)][states.index(col)])
+
+
+# Residues anywhere in F_p, the largest among them, so that sums and
+# products wrap.
+RESIDUES = st.sampled_from([1, 2, P - 1, P - 2, P // 2]) | st.integers(0, P - 1)
+
+
+@pytest.mark.parametrize("n,half", [(1, 2), (2, 1), (2, 2)])
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_every_operation_leaves_canonical_residues(n, half, data):
+    """Every Block and LinOp that the gather, the entry-by-entry
+    application, lincomb, compose, restricted, join and take return holds
+    ints in [0, P) only, and an operator no stored zero, for entries and
+    scalars drawn anywhere in F_p."""
+    space = Space(n, half)
+    dim = space.dim
+
+    def op():
+        entries = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), RESIDUES, max_size=12))
+        cols = {}
+        for (c, r), v in entries.items():
+            cols.setdefault(c, {})[r] = v
+        return LinOp(space, cols)
+
+    def column():
+        return data.draw(st.dictionaries(st.integers(0, dim - 1), RESIDUES, max_size=dim))
+
+    a, b = op(), op()
+    block, other = Block.of(space, column(), column()), Block.of(space, column(), column())
+    over = data.draw(RESIDUES.filter(bool))
+    if n == 2:
+        factor = Factor.exchange(*data.draw(st.tuples(RESIDUES, RESIDUES, RESIDUES)), (2, 1),
+                                 space, over=over)
+    else:
+        flips = data.draw(st.lists(st.tuples(RESIDUES, RESIDUES), min_size=half, max_size=half))
+        factor = Factor.reflection(data.draw(RESIDUES), flips, 1, space, over=over)
+    local = LinOp(Space(1, half), {0: {0: P - 1, 1: data.draw(RESIDUES)}})
+    coefs = data.draw(st.tuples(RESIDUES, RESIDUES))
+    for got in (factor.on_block(block), a.on_block(block), Placed(local, (n,), space).on_block(block),
+                lincomb(space, zip(coefs, (block, other))), block - other,
+                Block.join([block, other]), block.take((1, 0, 1))):
+        assert_canonical_block(got)
+    columns = data.draw(st.lists(st.integers(0, dim - 1), max_size=dim))
+    for got in (a @ b, a.restricted(columns), lincomb(space, zip(coefs, (a, b))), a - b,
+                a.scale(P - 1) + a):
+        assert_canonical(got)
+    assert (a.scale(P - 1) + a).is_zero()
 
 
 def _equal_exactly_when_the_difference_vanishes(items):
@@ -393,7 +454,7 @@ def test_equal_exactly_when_the_difference_vanishes(n, half, data):
     space = Space(n, half)
     dim = space.dim
     a, b = _random_op(data, space), _random_op(data, space)
-    values = a._values()
+    values = a.cols
     zero_rows = data.draw(st.lists(st.integers(0, dim - 1), max_size=3))
     padded = {c: {**dict.fromkeys(zero_rows, 0), **values.get(c, {})} for c in range(dim)}
     states = list(space.states())
@@ -450,7 +511,7 @@ def test_sum_cancelling_across_denominators_is_the_canonical_zero():
     assert total == LinOp.zero(sp)
     partial = third + sixth
     assert_canonical(partial)
-    assert partial.den == 2 and partial.cols == {sp.index((0,)): {sp.index((1,)): -1}}
+    assert partial.cols == {sp.index((0,)): {sp.index((1,)): mod_p(Fraction(-1, 2))}}
     assert partial.entry((1,), (0,)) == rat(-1, 2)
 
 
@@ -458,50 +519,50 @@ def test_sum_cancelling_across_denominators_is_the_canonical_zero():
 
 
 def dense_lincomb(space, terms):
-    """Fraction oracle: sum of coef * (dense op) over the terms."""
+    """Fraction oracle: sum of coef * (dense op) over (coef, dense) terms."""
     dim = space.dim
     out = [[0] * dim for _ in range(dim)]
-    for a, op in terms:
-        for i, row in enumerate(op.to_dense()):
+    for a, dense in terms:
+        for i, row in enumerate(dense):
             for j, v in enumerate(row):
                 out[i][j] += a * v
     return out
 
 
 def snapshot(ops):
-    """Deep copies of every operator's columns and denominator."""
-    return [({c: dict(col) for c, col in op.cols.items()}, op.den) for op in ops]
+    """Deep copies of every operator's columns."""
+    return [{c: dict(col) for c, col in op.cols.items()} for op in ops]
 
 
 def test_lincomb_matches_the_fraction_oracle_in_canonical_form():
     sp = Space(2, 1)
     r = random.Random(13)
     for trial in range(12):
-        ops = [rand_op(sp, r, fill=0.4).scale(rat(1, r.randint(1, 6))) for _ in range(4)]
-        coefs = [rand_rat(r) for _ in ops]
+        dense = [[[v / r.randint(1, 6) for v in row] for row in rand_dense(sp, r, fill=0.4)]
+                 for _ in range(4)]
+        ops = [LinOp.from_dense(sp, d) for d in dense]
+        coefs = [rand_frac(r) for _ in ops]
         coefs[trial % 4] = 0
-        terms = list(zip(coefs, ops))
         before = snapshot(ops)
-        got = lincomb(sp, iter(terms))
+        got = lincomb(sp, iter(zip(coefs, ops)))
         assert_canonical(got)
-        assert got.to_dense() == dense_lincomb(sp, terms), trial
+        assert got.to_dense() == reduced(dense_lincomb(sp, zip(coefs, dense))), trial
         assert snapshot(ops) == before
 
 
-def test_lincomb_meets_over_one_lcm_and_reduces():
+def test_lincomb_sums_the_residues_of_rational_terms():
     sp = Space(1, 1)
     sixth = LinOp(sp, {(0,): {(1,): rat(1, 6)}, (1,): {(0,): rat(1, 4)}})
     third = LinOp(sp, {(0,): {(1,): rat(1, 3)}})
     got = lincomb(sp, [(1, sixth), (rat(1, 2), third), (rat(2, 3), sixth)])
     assert_canonical(got)
-    # 1/6 + 1/6 + 1/9 = 4/9 and 1/4 + 1/6 = 5/12, over the lcm 36.
-    assert got.den == 36
-    assert got.to_dense() == [[0, rat(5, 12)], [rat(4, 9), 0]]
-    # (3/2)(1/6) - (1/2)(1/2) empties column 0; 3/8 is left over the lcm 24.
+    # 1/6 + 1/6 + 1/9 = 4/9 and 1/4 + 1/6 = 5/12.
+    assert got.to_dense() == [[0, mod_p(Fraction(5, 12))], [mod_p(Fraction(4, 9)), 0]]
+    # (3/2)(1/6) - (1/2)(1/2) empties column 0; 3/8 is left.
     half = LinOp(sp, {(0,): {(1,): rat(1, 2)}})
     got = lincomb(sp, [(rat(3, 2), sixth), (rat(-1, 2), half)])
     assert_canonical(got)
-    assert got.den == 8 and got.cols == {1: {0: 3}}
+    assert got.cols == {1: {0: mod_p(Fraction(3, 8))}}
 
 
 def test_lincomb_cancels_to_the_canonical_zero():
