@@ -49,7 +49,8 @@ class ConfigError(ValueError):
 
 
 # Keys `residuals --in` reads from each stored solution.
-_STORED_KEYS = ("lambda", "cycle", "coefficients", "qkz_residuals", "ode_residual")
+_STORED_KEYS = ("lambda", "cycle", "coefficients", "qkz_residuals", "ode_residual", "contour",
+                "quadrature")
 
 _DEFAULT_LAMBDA_GRID = (-0.7, -0.35, -0.1, 0.15, 0.4)
 _DEFAULT_Y = (0.3, -0.15, 0.2)
@@ -396,7 +397,8 @@ def cmd_solve(args) -> int:
 def _recheck(path: str) -> int:
     """Recompute every solution stored in a solve report, its lambdas as one
     grid; exit 0 iff each matches its stored residuals and, exactly, its
-    stored coefficients, as a rerun of the same grid is bit-identical."""
+    stored coefficients and its contour and quadrature records, as a rerun
+    of the same grid is bit-identical."""
     prior = _read_json(path, "input report")
     try:
         cfg = prior["body"]["config"]
@@ -450,13 +452,17 @@ def _recheck(path: str) -> int:
         drift = max(drift, abs(fresh["ode_residual"] - entry["ode_residual"]))
         if "ftilde_residual" in entry:
             drift = max(drift, abs(fresh["ftilde_residual"] - entry["ftilde_residual"]))
-        same = fresh["coefficients"] == entry["coefficients"]
-        matched = drift <= MATCH_TOLERANCE and same
+        # The stored records went through JSON, and so do the fresh ones.
+        differ = [key for key in ("coefficients", "contour", "quadrature")
+                  if json.loads(json.dumps(fresh[key])) != entry[key]]
+        matched = drift <= MATCH_TOLERANCE and not differ
         ok = ok and matched
         print(
             "lambda=%g%+gi recompute drift %.3e%s %s"
             % (params.lam.real, params.lam.imag, drift,
-               "" if same else ", coefficients differ", "matches" if matched else "DIFFERS")
+               "".join(", %s differ%s" % (key, "" if key == "coefficients" else "s")
+                       for key in differ),
+               "matches" if matched else "DIFFERS")
         )
     return 0 if ok else 1
 

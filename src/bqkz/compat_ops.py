@@ -4,7 +4,7 @@ operators, and exact certification of the identities behind it.
 The matrix part of the a-th differential operator is L_a = A_a(y) + B_a(x):
 A_a collects the site arguments y and the all-ones boundary strength, B_a
 the reflection coordinates x, each a list of exact terms (`op_A_terms`,
-`op_B_terms`) that the checks sum with `lincomb` and the contour solver
+`op_B_terms`) that the checks sum by a fixed sum and the contour solver
 sums in numpy with its complex coefficients.  The full differential
 operator adds the scaling derivative c x_a d/dx_a, which never appears
 as a matrix here; derivative terms enter the checks through hand-coded
@@ -13,9 +13,11 @@ coefficient derivatives only.
 The same L_a has a second construction from a one-site block I_a and a
 two-site block M_a summed over sites and site pairs.  Keeping both routes
 alive (no shared code paths beyond the matrix units) is deliberate: each
-certification below compares structurally different computations.  The
-first route sums its terms in one `tensor_ops.lincomb`; the second builds
-each block once per point, applies each where it acts to a start (a
+certification below compares structurally different computations.
+Every builder whose terms are fixed operators (op_A, op_L, op_I, op_M,
+op_M_swapped, op_dB_dx, op_dK_term's closed form) keeps its own term list
+and sums it by its own `tensor_ops.fixed_sum`, as it would by `lincomb`;
+the block route applies each block where it acts to a start (a
 `tensor_ops.Placed` block; nothing is embedded) and sums the images in
 one `lincomb`.
 
@@ -29,12 +31,12 @@ sum on v.  comm-IM's two identities apply the exchange factors and the
 swap by their gather (`rqkz.r_factor`, `rqkz.p_factor`) and the blocks
 where they act; its two block sums share the one-site blocks.  The
 cross-derivative residual forms no product: it is one `lincomb` of whole
-operators.  Each compatibility form takes a site m, builds
-its own transport factors once, and returns every label's residual side
-by side in label order: each chain carries every label's columns joined
-in one block (`Block.join`).  Factors reach a block by their gather, L_a
-and the derivative terms entry by entry, and each residual is one
-`lincomb`.  Both forms take L_a (`op_L`, once per label) and L_a at y
+operators.  Each compatibility form takes a site m, builds its own
+transport factors once, and returns every label's residual side by side
+in label order, each chain carrying every label's columns in one block
+(`Block.join`): factors by their gather, L_a and the derivative terms
+entry by entry, each residual one `lincomb`.  Both forms take L_a
+(`op_L`, once per label) and L_a at y
 with y_m shifted (`op_L_shifted`, three terms added to L_a), and share
 nothing else: the split form takes each label's site-m derivative term
 from `op_dK_term`, which also says whether its two routes to the term
@@ -70,6 +72,7 @@ from .tensor_ops import (
     LinOp,
     Placed,
     Space,
+    fixed_sum,
     lincomb,
     product,
     site_tensor,
@@ -197,9 +200,10 @@ def op_A_terms(a: int, y: Sequence, params: ModelParams) -> list:
     return terms
 
 
-def op_A(a: int, y: Sequence, params: ModelParams) -> LinOp:
-    """Argument part of the a-th differential operator family."""
-    return lincomb(params.space, op_A_terms(a, y, params))
+def op_A(a: int, y: Sequence, params: ModelParams, columns=None) -> LinOp:
+    """Argument part of the a-th differential operator family, on the
+    given tuple of columns only if any."""
+    return fixed_sum(("op_A", a), params.space, op_A_terms(a, y, params), columns)
 
 
 def _check_x_generic(a: int, x: Sequence):
@@ -243,7 +247,8 @@ def op_B_terms(a: int, x: Sequence, params: ModelParams) -> list:
 
 
 def op_L(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
-    return lincomb(params.space, op_A_terms(a, y, params) + op_B_terms(a, x, params))
+    return fixed_sum(("op_L", a), params.space,
+                     op_A_terms(a, y, params) + op_B_terms(a, x, params))
 
 
 def op_L_shifted(a: int, m: int, l_a: LinOp, params: ModelParams) -> LinOp:
@@ -261,7 +266,8 @@ def op_I(a: int, lam, gamma, params: ModelParams) -> LinOp:
     ilam = inv(lam)
     lower = div(2 * (params.alpha + params.beta * lam), lam * lam - 1)
     upper = div(2 * (params.alpha + params.beta * ilam), 1 - ilam * ilam)
-    return lincomb(Space(1, half), zip((gamma, -gamma, lower, upper), _units(half, a)))
+    return fixed_sum(("op_I", a), Space(1, half),
+                     zip((gamma, -gamma, lower, upper), _units(half, a)))
 
 
 def op_M(a: int, x: Sequence, params: ModelParams) -> LinOp:
@@ -286,7 +292,7 @@ def op_M(a: int, x: Sequence, params: ModelParams) -> LinOp:
         if p != a:
             terms += [(div(k * xa, xa - xp), pair_U(half, a, p)),
                       (div(k * xp, xa - xp), pair_U(half, p, a))]
-    return lincomb(Space(2, half), terms)
+    return fixed_sum(("op_M", a), Space(2, half), terms)
 
 
 @cache
@@ -326,7 +332,7 @@ def op_M_swapped(a: int, x: Sequence, params: ModelParams) -> LinOp:
         if p != a:
             wa, wp = div(k * xa, xa - xp), div(k * xp, xa - xp)
             terms += zip((wa, wa, wp, wp), ops[4:])
-    return lincomb(Space(2, half), terms)
+    return fixed_sum(("op_M_swapped", a), Space(2, half), terms)
 
 
 def m_conjugation_defect(a: int, x: Sequence, params: ModelParams, m_a: LinOp, start) -> bool:
@@ -387,8 +393,9 @@ def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
     x = tuple(x)
     _check_x_generic(b, x)
     xb, xa, k = x[b - 1], x[a - 1], params.k
-    return lincomb(space, [(k * div(xb, (xb - xa) ** 2), coll_X_swap(b, a, space)),
-                           (k * div(-xb, (xb * xa - 1) ** 2), coll_YZ(b, a, space))])
+    return fixed_sum(("op_dB_dx", b, a), space,
+                     [(k * div(xb, (xb - xa) ** 2), coll_X_swap(b, a, space)),
+                      (k * div(-xb, (xb * xa - 1) ** 2), coll_YZ(b, a, space))])
 
 
 def check_cross_derivative(a: int, b: int, x, y, params: ModelParams) -> LinOp:
@@ -431,7 +438,7 @@ def op_dK_term(m: int, x, y, params: ModelParams) -> tuple:
     for a, xa in enumerate(x, start=1):
         route1 = product((op_dK_dx(lam, x, params.beta, a, 1, site, params.c * xa), k_inv, ident))
         weights = (w * lam, -w * lam, w * params.beta * inv(xa), -w * params.beta * xa)
-        route2 = lincomb(site, zip(weights, _units(half, a)))
+        route2 = fixed_sum(("op_dK_term", a), site, zip(weights, _units(half, a)))
         differs |= route1 != route2.on_block(ident)
         terms.append(Placed(route2, (m,), params.space))
     return terms, differs

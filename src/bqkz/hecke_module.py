@@ -13,21 +13,19 @@ its tuple of images of the labels 1..n: `SignedPerm.generator`, `elem_r`
 (negate one label) and `elem_s` (swap two) write that tuple directly; a
 word's element is the product of its generators (`SignedPerm.from_word`).
 
-The interesting identities of this module hold on the orbit subspace only,
-so each check reads its identity applied to a start on the orbit: a
-residual, each term applied to the start before the one sum, must vanish
-on it, and a two-sided identity compares its two sides applied to it,
+The interesting identities of this module hold on the orbit subspace
+only, which every operator they read keeps, so each check reads its
+operators on their orbit columns only, applied to a start on the orbit: a
+residual must vanish there, and a two-sided identity compares its sides,
 True when they differ.  The degenerate cross relations
-(`check_AHA_relations`) form each product through `tensor_ops.product`
-on the start the suite passes, one `tensor_ops.Block` holding a seeded
-random column over F_p supported on the orbit states (Freivalds' check),
-so every operator is applied to it entry by entry; a test may pass the
-orbit block, the identity's columns at the orbit states, to prove the
-relations on the whole orbit.  The restriction check's terms read no
-point, so each keeps only its orbit columns (`LinOp.restricted`), once
-per process (`restriction_images`), and each point only weights and sums
-them; the point-free pair-sum identities (`pair_sum_identities`) read the
-same images.
+(`check_AHA_relations`) apply op_A's fixed sum on the orbit columns and
+the generators' orbit images (`orbit_generators`) to the suite's start, a
+`tensor_ops.Block` holding a seeded random column over F_p on the orbit
+states (Freivalds' check), and refuse a start off the orbit; a test may
+pass the identity's orbit columns to prove them on the whole orbit.  The
+restriction check weights the orbit columns of its terms
+(`restriction_images`) by one fixed sum per point, and the point-free
+pair-sum identities (`pair_sum_identities`) read the same images.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -41,12 +39,10 @@ may pass the identity block to get the whole product.  A caller applies
 Cbar_m once per point; the orbit check compares it with the inverse
 transport operator applied to the start's orbit-supported columns only.
 
-Left-action images, the orbit states and the restriction images depend
-on the space alone, so `rhoL`, `orbit_states` and `restriction_images`
-are cached: each is built once per process, as `compat_ops` builds its
-matrix units, and every check reads them from there.  The pair-sum
-identities between fixed operators read no point at all, so one check per
-space proves them.
+Whatever reads no point (`rhoL`, `orbit_states`, `orbit_generators`,
+`restriction_images`) is cached, built once per process as `compat_ops`
+builds its matrix units, and one check per space proves the pair-sum
+identities between fixed operators.
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ from .rqkz import (
     t_factor,
 )
 from .scalar_field import PoleError, div, inv
-from .tensor_ops import Block, Factor, LinOp, Space, lincomb, product
+from .tensor_ops import Block, Factor, LinOp, Space, fixed_sum, lincomb, product
 
 
 @dataclass(frozen=True)
@@ -200,16 +196,28 @@ def rhoR_generator(g, x: Sequence, space: Space) -> Factor:
     raise ValueError("unknown generator %r" % (g,))
 
 
-def check_AHA_relations(y: Sequence, params: ModelParams, start):
+@cache
+def orbit_generators(space: Space) -> tuple:
+    """The orbit columns of rhoL(s_1), ..., rhoL(s_n), built once per process."""
+    states = orbit_states(space)
+    return tuple(rhoL(SignedPerm.generator(space.n, i), space).restricted(states)
+                 for i in range(1, space.n + 1))
+
+
+def check_AHA_relations(y: Sequence, params: ModelParams, start: Block):
     """The degenerate cross relations applied to start, which hold on the
     orbit only: yields (name, residual) of each three-term relation and
     (name, whether its sides differ) of each commutation.  Each product
     applies its right factor to start first (`product`), so none is wider
-    than start."""
+    than start.  A_i and the left action keep the orbit, so each is read on
+    its orbit columns only, and a start off the orbit is a ValueError."""
     space = params.space
     n = space.n
-    gens = [rhoL(SignedPerm.generator(n, i), space) for i in range(1, n + 1)]
-    ops_a = {i: compat_ops.op_A(i, y, params) for i in range(1, n + 1)}
+    states = orbit_states(space)
+    if any(col[i] for col in start.cols for i in set(range(space.dim)).difference(states)):
+        raise ValueError("the relations hold on the orbit only: start has an entry off it")
+    gens = orbit_generators(space)
+    ops_a = {i: compat_ops.op_A(i, y, params, states) for i in range(1, n + 1)}
     a_start = {i: product((op_a, start)) for i, op_a in ops_a.items()}
     s_start = [product((s_i, start)) for s_i in gens]
     for i in range(1, n):
@@ -420,4 +428,4 @@ def check_L_restriction(a: int, x, params: ModelParams, images: list) -> LinOp:
         w = div(xa, xa - x[p - 1]) if p < a else div(x[p - 1], xa - x[p - 1])
         weights += [k * w, k * inv(xa * x[p - 1] - 1)]
     weights += [-w for w, _ in compat_ops.op_B_terms(a, x, params)]
-    return lincomb(params.space, list(zip(weights, images, strict=True)))
+    return fixed_sum(("check_L_restriction", a), params.space, zip(weights, images, strict=True))

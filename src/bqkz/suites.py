@@ -31,12 +31,7 @@ aha-relations and cbar-qinv's orbit check draw theirs on the orbit
 states only, where their identities hold.  A nonzero D(p) passes one
 sample with probability at most 1/p on top of the point's own chance of
 sitting on a zero of D.  The other three light suites keep their own
-routes, for the reasons given above the suite table: cross-derivative
-proves D(p) = 0 on whole operators, phi-iso applies each generator's
-factor by its gather to the unit column of phi(id) and reads the image's
-support exactly, and l-restriction proves that D(p) kills every orbit
-column, reading only those columns of its terms
-(`hecke_module.restriction_images`).
+routes, for the reasons given above the suite table.
 
 A suite is one row of a table: its anchor, the label of a size, its sizes,
 its default sample count, the variables a point draws, the Space a size
@@ -308,9 +303,9 @@ class _Suite(NamedTuple):
 # cross-derivative stays whole: its defect is one lincomb with no product,
 # so a column would save nothing.  phi-iso reads its word on the unit column
 # of phi(id): its claim is the support of the image, which is exact there.
-# l-restriction keeps the orbit columns of its terms: its per-point work
-# is already a weighted sum of images built once per process, and reads no
-# product.
+# l-restriction proves that its residual kills every orbit column: its
+# per-point work is one fixed sum of the orbit columns of its terms, built
+# once per process (`hecke_module.restriction_images`), and reads no product.
 #
 # A row declares the scalars its points draw as (name, count, nonzero), in
 # draw order (`_draw`).  The model suites draw c, k, alpha, beta, then x

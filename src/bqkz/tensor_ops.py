@@ -10,8 +10,8 @@ Operators are stored column-major as {col_index: {row_index: entry}}, keyed
 by linear state index, with no explicitly stored zeros.  A vector is one
 such column, {index: value}, and `apply` maps columns to columns.  The
 package writes index keys only; operators come from `LinOp.of`, `lincomb`,
-`compose`, `restricted`, `site_tensor` and `Placed.embedded`.  `entry`
-reads by state, and the constructor converts state keys once, for
+`FixedSum`, `compose`, `restricted`, `site_tensor` and `Placed.embedded`.
+`entry` reads by state, and the constructor converts state keys once, for
 operators written by hand.
 
 Every exchange and reflection factor is a `Factor`: one flat tuple of
@@ -39,15 +39,21 @@ sparse product of two whole operators.  Only `apply` calls it: no other
 module composes, and an operator read on some columns only, such as a
 left-action image on the orbit, keeps them by `restricted`.
 
+An operator that weights fixed operators, ones that read no point, is
+summed by a `FixedSum` compiled once from its term list (`fixed_sum`,
+cached per key and space, optionally on some columns only): the positions
+where the same terms meet with the same entries form a class, a point
+computes one value per class, and each column reads its rows' classes.
+It equals `lincomb` of the same terms, which sums every fresh operator.
+
 Every operator is exact over F_p (`scalar_field.P`): it holds canonical
 ints in [0, P) with no stored zero, and no operation takes a float or
-complex entry.  Equality of operators and of blocks is therefore
-structural equality of their entries, and a two-sided identity is
-decided by comparing its sides with `==`.  A linear combination
-(`lincomb`, and `+`, `-` and `scale` through it), `compose` and each
-application to a block sum int products and reduce each entry once with
-`%`.  The contour solver writes its few complex matrices in numpy
-instead, each factor's from its shape's table, and reads a fixed integer
+complex entry, so two operators or blocks are equal exactly when their
+entries are, and a two-sided identity is decided by `==`.  A linear
+combination (`lincomb`, `+`, `-`, `scale`, a fixed sum's class), `compose`
+and each application to a block sum int products and reduce each entry
+once with `%`.  The contour solver writes its few complex matrices in
+numpy, each factor's from its shape's table, and reads a fixed integer
 operator by the balanced lift of its entries (`scalar_field.lift`).
 """
 
@@ -258,6 +264,56 @@ def lincomb(space: Space, terms) -> LinOp:
     return _built(space, out)
 
 
+class FixedSum:
+    """sum(coef * op) over fixed operators, by class (module docstring):
+    equal to `lincomb`, or to its `restricted(columns)`.  Each column keeps
+    its rows and the class each reads; zero classes and empty columns are
+    dropped, so the sum is canonical."""
+
+    __slots__ = ("space", "ops", "classes", "writers")
+
+    def __init__(self, space: Space, ops, columns=None):
+        self.space, self.ops = space, tuple(ops)
+        if any(op.space != space for op in self.ops):
+            raise ValueError("space mismatch in lincomb")
+        keep = None if columns is None else set(columns)
+        sigs, classes, layout = {}, {}, {}
+        for t, op in enumerate(self.ops):
+            for c, col in op.cols.items():
+                for r, v in col.items() if keep is None or c in keep else ():
+                    sigs.setdefault((c, r), []).append((t, v))
+        for (c, r), sig in sigs.items():
+            layout.setdefault(c, []).append((r, classes.setdefault(tuple(sig), len(classes))))
+        self.classes = tuple(classes)
+        self.writers = tuple((c, tuple(r for r, _ in rs), tuple(k for _, k in rs))
+                             for c, rs in layout.items())
+
+    def __call__(self, coefs) -> LinOp:
+        f = [residue(a) for a in coefs]
+        values = [sum([f[t] * v for t, v in sig]) % P for sig in self.classes]
+        get = values.__getitem__
+        if all(values):
+            return LinOp.of(self.space, {c: dict(zip(rows, map(get, ks)))
+                                         for c, rows, ks in self.writers})
+        cols = ((c, {r: v for r, v in zip(rows, map(get, ks)) if v})
+                for c, rows, ks in self.writers)
+        return LinOp.of(self.space, {c: col for c, col in cols if col})
+
+
+_SUMS = {}
+
+
+def fixed_sum(key, space: Space, terms, columns=None) -> LinOp:
+    """sum(coef * op) over terms whose operators read no point, by the
+    FixedSum cached under (key, space, columns), compiled again when handed
+    an operator that is not, by identity, one it was compiled from."""
+    coefs, ops = zip(*terms)
+    found = _SUMS.get((key, space, columns))
+    if found is None or tuple(map(id, found.ops)) != tuple(map(id, ops)):
+        found = _SUMS[key, space, columns] = FixedSum(space, ops, columns)
+    return found(coefs)
+
+
 def product(ops):
     """ops[0] o ops[1] o ... o ops[-2] applied to the start ops[-1], a
     `Block`: the last operator first, each by its `on_block`.  Any other
@@ -294,6 +350,7 @@ def _strides(sites: tuple, space: Space) -> tuple:
     return tuple(map(space.stride, sites))
 
 
+@cache
 def _whole(space: Space) -> tuple:
     """The strides of every site: an operator on the whole space placed on it."""
     return tuple(map(space.stride, range(1, space.n + 1)))

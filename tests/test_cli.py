@@ -581,6 +581,50 @@ def test_residuals_recheck_compares_the_stored_coefficients_exactly(tmp_path, ca
         assert line.endswith(", coefficients differ DIFFERS"), line
 
 
+@pytest.fixture(scope="module")
+def one_lambda_report(tmp_path_factory):
+    """The JSON text of a solve report at the default config, lambda 0.25
+    only."""
+    tmp = tmp_path_factory.mktemp("one_lambda")
+    json_path = tmp / "solve.json"
+    assert cli.main(["solve", "--config", write_json(tmp / "cfg.json",
+                                                     {"solve": {"lambda_grid": [0.25]}}),
+                     "--out-csv", str(tmp / "c.csv"), "--out-json", str(json_path)]) == 0
+    return json_path.read_text()
+
+
+@pytest.mark.parametrize("record,key,tamper", [
+    ("quadrature", "panels", lambda v: v + 7), ("contour", "min_gap_above", lambda v: 99.0)])
+def test_residuals_recheck_compares_the_stored_records(tmp_path, capsys, one_lambda_report,
+                                                       record, key, tamper):
+    """A solve report whose stored contour or quadrature record was changed
+    keeps its residuals and coefficients, and `residuals --in` reports it
+    as DIFFERS, naming the lambda and the record, and exits 1: a rerun
+    reproduces both records exactly."""
+    report = json.loads(one_lambda_report)
+    entry = report["body"]["solutions"][0]
+    entry[record][key] = tamper(entry[record][key])
+    path = write_json(tmp_path / "solve.json", report)
+    capsys.readouterr()
+    assert cli.main(["residuals", "--in", path]) == 1
+    assert capsys.readouterr().out == (
+        "lambda=0.25+0i recompute drift 0.000e+00, %s differs DIFFERS\n" % record)
+
+
+@pytest.mark.parametrize("record", ["contour", "quadrature"])
+def test_residuals_names_a_missing_stored_record(tmp_path, capsys, monkeypatch,
+                                                 one_lambda_report, record):
+    """A stored solution without its contour or quadrature record is an
+    exit-2 message that names it, given before anything is recomputed."""
+    monkeypatch.setattr(integral_solver, "grid_solutions", None)
+    report = json.loads(one_lambda_report)
+    del report["body"]["solutions"][0][record]
+    path = write_json(tmp_path / "solve.json", report)
+    capsys.readouterr()
+    assert cli.main(["residuals", "--in", path]) == 2
+    assert capsys.readouterr().err == "error: stored solution lacks %s\n" % record
+
+
 def test_a_stored_report_holding_the_removed_mode_key_still_rechecks(tmp_path, capsys):
     """Reports written before the config lost its `mode` key record it in
     body.config; `residuals --in` reads only the model and solve sections
@@ -751,7 +795,7 @@ def test_residuals_names_a_malformed_stored_value(tmp_path, capsys, monkeypatch)
     message that names the key, given before anything is recomputed."""
     monkeypatch.setattr(integral_solver, "residual_report", None)
     good = {"lambda": [0.25, 0.0], "cycle": [[1, [1.0, 0.0]]], "coefficients": [[1.0, 0.0]],
-            "qkz_residuals": {"1": 0.0}, "ode_residual": 0.0}
+            "qkz_residuals": {"1": 0.0}, "ode_residual": 0.0, "contour": {}, "quadrature": {}}
     for key, bad in (("lambda", "ab"), ("lambda", [1.0]), ("cycle", "ab"),
                      ("coefficients", "ab"), ("coefficients", [[1.0]]),
                      ("coefficients", [1.0, 0.0]), ("coefficients", [["x", 0.0]]),

@@ -418,14 +418,16 @@ def test_compat_forms_are_independent_routes(monkeypatch):
 
 
 def test_each_operator_is_one_linear_combination(monkeypatch):
-    """Every builder of the family sums its terms in one `lincomb`: with
-    the label-only caches warm, one call reduces exactly once.  The block
-    route builds each of its n one-site blocks and its one pair block once
-    (one reduction each), applies each to the identity block where it acts
-    (one each) and sums the images once, so it reduces 2n + 3 times.  The
-    restriction residual's terms are composed with its
-    start once per space, so at a point it only sums them, once.  Matrix
-    units are built once and shared."""
+    """Every builder of the family sums its terms once, by its cached
+    fixed sum (`tensor_ops.FixedSum`), which counts as one reduction, or
+    by one `lincomb` (op_B here): with the label-only caches and the fixed
+    sums warm, one call reduces exactly once.  The block route builds each
+    of its n one-site blocks and its one pair block once (one reduction
+    each), applies each to the identity block where it acts (one each) and
+    sums the images once, so it reduces 2n + 3 times.  The restriction
+    residual's terms are kept on the orbit columns once per space, so at a
+    point it only sums them, once.  Matrix units are built once and
+    shared."""
     import bqkz.tensor_ops as to
     from bqkz.hecke_module import check_L_restriction, restriction_images
 
@@ -451,10 +453,11 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
     for call in calls.values():
         call()
     built = []
-    # An operator is reduced by _built and a block by _reduced.
-    for name in ("_built", "_reduced"):
-        real = getattr(to, name)
-        monkeypatch.setattr(to, name, lambda *args, real=real: built.append(1) or real(*args))
+    # An operator is reduced by _built or by a fixed sum's evaluation, and
+    # a block by _reduced.
+    for owner, name in ((to, "_built"), (to, "_reduced"), (to.FixedSum, "__call__")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real: built.append(1) or real(*args))
     for name, call in calls.items():
         built.clear()
         call()

@@ -172,15 +172,41 @@ def test_aha_relations_on_orbit():
                 sample_point(rng, body)
 
 
+def test_aha_relations_apply_orbit_columns_only(monkeypatch):
+    """Every operator check_AHA_relations applies holds orbit columns only:
+    op_A's sum on the orbit columns, equal to the whole op_A restricted to
+    them, and the orbit images of the generators."""
+    applied, real = [], LinOp.on_block
+    monkeypatch.setattr(LinOp, "on_block", lambda op, block: applied.append(op) or real(op, block))
+    for n in (2, 3):
+        space = Space(n, n)
+        states = orbit_states(space)
+        start = Block.of(space, rand_column(rng, states))
+        params, y = rand_params(rng, space), rand_tuple(rng, n)
+        applied.clear()
+        for name, defect in check_AHA_relations(y, params, start):
+            assert (not defect) if isinstance(defect, bool) else defect.is_zero(), name
+        assert len(applied) >= 2 * n
+        assert all(op.cols and set(op.cols) <= set(states) for op in applied)
+        for a in range(1, n + 1):
+            assert op_A(a, y, params, states) == op_A(a, y, params).restricted(states)
+
+
 def test_aha_needs_orbit_restriction():
-    """Off the orbit the first lower relation acts as -k on the repeated
-    state, so restricting is necessary, not cosmetic."""
+    """Off the orbit the first lower relation, A_1 s_1 - s_1 A_2 - k, built
+    from the whole op_A and rhoL, acts as -k on the repeated state, so
+    restricting is necessary, not cosmetic; check_AHA_relations refuses a
+    start off the orbit, such as the identity on the whole space."""
     space = Space(2, 2)
     params = ModelParams(rat(1), rat(2, 3), rat(5, 7), rat(3, 4), space)
     y = (rat(1, 2), rat(-2, 5))
-    defects = dict(check_AHA_relations(y, params, Block.identity(space)))
+    s_1 = rhoL(SignedPerm.generator(2, 1), space)
+    a_1, a_2 = op_A(1, y, params), op_A(2, y, params)
+    lower = a_1 @ s_1 - s_1 @ a_2 - LinOp.identity(space).scale(params.k)
     repeated = space.index((0, 0))
-    assert defects["lower-1"].linop().apply({repeated: 1}) == {repeated: -params.k}
+    assert lower.apply({repeated: 1}) == {repeated: -params.k}
+    with pytest.raises(ValueError, match="orbit only"):
+        list(check_AHA_relations(y, params, Block.identity(space)))
 
 
 def eta_L_push(a, word, y, params):

@@ -536,7 +536,8 @@ def fresh_caches():
     """Clear the point-free caches of `hecke_module` before a test and
     after it, so that a test that patches what they are built from neither
     reads a stale entry nor leaves a wrong one."""
-    caches = (hecke_module.rhoL, hecke_module.orbit_states, hecke_module.restriction_images)
+    caches = (hecke_module.rhoL, hecke_module.orbit_states, hecke_module.restriction_images,
+              hecke_module.orbit_generators)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -740,15 +741,16 @@ def test_a_perturbed_degenerate_factor_fails_both_cbar_checks(monkeypatch):
 
 def test_size_level_operators_are_built_once_per_run(fresh_caches):
     """The left-action images and the orbit states are cached: with the
-    caches cleared first, the builds of one run do not grow with the
-    sample count."""
+    caches cleared first, those of the orbit images among them, the builds
+    of one run do not grow with the sample count."""
     builders = (hecke_module.rhoL, hecke_module.orbit_states)
     # Per run over n = 2 and 3: distinct images (4 + 9 for the pair sums,
     # 2 + 3 generators) and one orbit per n.
     expected = {"l-restriction": 13, "aha-relations": 5, "cbar-qinv": 0}
     for name, images in expected.items():
         for samples in (1, 4):
-            for builder in builders + (hecke_module.restriction_images,):
+            for builder in builders + (hecke_module.restriction_images,
+                                       hecke_module.orbit_generators):
                 builder.cache_clear()
             assert suites.run_suite(name, samples=samples, seed=0).exact_zero
             misses = [builder.cache_info().misses for builder in builders]

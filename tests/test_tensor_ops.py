@@ -10,18 +10,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from _oracles import mod_p
 from bqkz.hecke_module import orbit_states
-from bqkz.scalar_field import P, lift, rat
+import bqkz.tensor_ops as tensor_ops
+from bqkz.scalar_field import P, Residue, lift, rat
 from bqkz.tensor_ops import (
     Block,
     Factor,
+    FixedSum,
     LinOp,
     Placed,
     PoleSingular,
     Space,
+    fixed_sum,
     invert,
     lincomb,
     product,
@@ -29,6 +32,11 @@ from bqkz.tensor_ops import (
 )
 
 rng = random.Random(20260818)
+
+# The property tests below are derandomized and run without shrinking: a
+# broken kernel fails every example at once, so shrinking one placement
+# after another would only delay the report.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def reduced(dense):
@@ -252,7 +260,8 @@ def _random_op(data, space):
 
 @pytest.mark.parametrize("n,half,sites", PLACEMENTS, ids=[
     "n%d-half%d-at%s" % (n, half, "".join(map(str, sites))) for n, half, sites in PLACEMENTS])
-@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@settings(max_examples=6, derandomize=True, database=None, deadline=None,
+          phases=NO_SHRINK)
 @given(data=st.data())
 def test_a_block_gets_what_the_embedded_operator_gives(n, half, sites, data):
     """An exchange- or reflection-shaped factor applied to a block by its
@@ -395,7 +404,8 @@ RESIDUES = st.sampled_from([1, 2, P - 1, P - 2, P // 2]) | st.integers(0, P - 1)
 
 
 @pytest.mark.parametrize("n,half", [(1, 2), (2, 1), (2, 2)])
-@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@settings(max_examples=10, derandomize=True, database=None, deadline=None,
+          phases=NO_SHRINK)
 @given(data=st.data())
 def test_every_operation_leaves_canonical_residues(n, half, data):
     """Every Block and LinOp that the gather, the entry-by-entry
@@ -444,7 +454,8 @@ def _equal_exactly_when_the_difference_vanishes(items):
 
 
 @pytest.mark.parametrize("n,half", [(1, 1), (1, 2), (2, 1)])
-@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@settings(max_examples=10, derandomize=True, database=None, deadline=None,
+          phases=NO_SHRINK)
 @given(data=st.data())
 def test_equal_exactly_when_the_difference_vanishes(n, half, data):
     """Exact operators and blocks are canonical whatever builds them, so
@@ -595,6 +606,47 @@ def test_lincomb_leaves_shared_units_unchanged():
     assert unit + pair - pair == unit
     assert snapshot([unit, pair]) == before
     assert site_unit(2, 0, 1) is unit and unit.to_dense()[0][1] == 1
+
+
+COEFFICIENTS = st.integers(-9, 9) | ENTRIES | RESIDUES.map(Residue) | st.just(0)
+
+
+@pytest.mark.parametrize("n,half", [(1, 2), (2, 1), (2, 2)])
+@settings(max_examples=10, derandomize=True, database=None, deadline=None,
+          phases=NO_SHRINK)
+@given(data=st.data())
+def test_a_fixed_sum_is_lincomb(n, half, data):
+    """A FixedSum of random operators, with int, negative, Fraction and
+    Residue coefficients, some of them zero, and copies of the first
+    operator whose coefficients cancel it on some columns or on all, equals
+    lincomb of the same terms in canonical form, and with columns= its
+    restriction to them; a float coefficient is refused.  The sum cached
+    under one key compiles again when handed an operator it was not
+    compiled from, and still equals lincomb."""
+    space = Space(n, half)
+    dim = space.dim
+    ops = [_random_op(data, space) for _ in range(data.draw(st.integers(1, 3)))]
+    coefs = [data.draw(COEFFICIENTS) for _ in ops]
+    cut = data.draw(st.lists(st.integers(0, dim - 1), max_size=dim))
+    ops += [ops[0].restricted(cut), ops[0].scale(2)]
+    c0 = coefs[0]
+    coefs += data.draw(st.sampled_from([(-c0, 0), (0, Fraction(-1, 2) * c0), (c0, 1)]))
+    terms = list(zip(coefs, ops))
+    want = lincomb(space, terms)
+    got = FixedSum(space, ops)(coefs)
+    assert_canonical(got)
+    assert got == want
+    columns = tuple(data.draw(st.lists(st.integers(0, dim - 1), max_size=dim)))
+    kept = FixedSum(space, ops, columns)(coefs)
+    assert_canonical(kept)
+    assert kept == want.restricted(columns)
+    for bad in (0.5, 0.0):
+        with pytest.raises(TypeError):
+            FixedSum(space, ops)([bad] + coefs[1:])
+    assert fixed_sum("test", space, terms) == want
+    swapped = [(coefs[0], _random_op(data, space))] + terms[1:]
+    assert fixed_sum("test", space, swapped) == lincomb(space, swapped)
+    assert tensor_ops._SUMS["test", space, None].ops[0] is swapped[0][1]
 
 
 def test_lincomb_space_mismatch():
