@@ -15,11 +15,11 @@ two-site block M_a summed over sites and site pairs.  Keeping both routes
 alive (no shared code paths beyond the matrix units) is deliberate: each
 certification below compares structurally different computations.
 Every builder whose terms are fixed operators (op_A, op_L, op_I, op_M,
-op_M_swapped, op_dB_dx, op_dK_term's closed form) keeps its own term list
-and sums it by its own `tensor_ops.fixed_sum`, as it would by `lincomb`;
-the block route applies each block where it acts to a start (a
-`tensor_ops.Placed` block; nothing is embedded) and sums the images in
-one `lincomb`.
+op_M_swapped, op_dK_term's closed form, and the cross-derivative residual
+over the terms of both its derivatives, `op_dB_dx`) keeps its own term
+list and sums it by its own `tensor_ops.fixed_sum`; the block route
+applies each block where it acts to a start (a `tensor_ops.Placed`
+block; nothing is embedded) and sums the images in one `lincomb`.
 
 Every check here that forms a product reads it on a start: a
 `tensor_ops.Block` holding one seeded random column over F_p in the suite
@@ -30,21 +30,20 @@ A_b (A_a v), and the block assembly check compares L_a v with the block
 sum on v.  comm-IM's two identities apply the exchange factors and the
 swap by their gather (`rqkz.r_factor`, `rqkz.p_factor`) and the blocks
 where they act; its two block sums share the one-site blocks.  The
-cross-derivative residual forms no product: it is one `lincomb` of whole
+cross-derivative residual forms no product: it is one fixed sum of whole
 operators.  Each compatibility form takes a site m, builds its own
 transport factors once, and returns every label's residual side by side
 in label order, each chain carrying every label's columns in one block
 (`Block.join`): factors by their gather, L_a and the derivative terms
 entry by entry, each residual one `lincomb`.  Both forms take L_a
-(`op_L`, once per label) and L_a at y
-with y_m shifted (`op_L_shifted`, three terms added to L_a), and share
-nothing else: the split form takes each label's site-m derivative term
-from `op_dK_term`, which also says whether its two routes to the term
-differ (the suite's dk-route-<m> check), and the direct form takes every
-L_a applied to the start, and its `op_dQ_dx` applies the head factors
-once to every label's middle derivative.  The block assembly check
-likewise takes L_a applied to the start, which the lemma-LL suite also
-reads for the commutators of the family.
+(`op_L`, once per label) and read it with y_m shifted (`l_shifted_on`),
+and share nothing else: the split form takes each label's site-m
+derivative term from `op_dK_term`, which also says whether its two
+routes to the term differ (the suite's dk-route-<m> check), and the
+direct form takes every L_a applied to the start, and its `op_dQ_dx`
+applies the head factors once to every label's middle derivative.  The
+block assembly check likewise takes L_a applied to the start, which the
+lemma-LL suite also reads for the commutators of the family.
 Every two-sided check here compares its sides, canonical exact blocks or
 operators, and returns True when they differ.
 """
@@ -251,11 +250,21 @@ def op_L(a: int, x: Sequence, y: Sequence, params: ModelParams) -> LinOp:
                      op_A_terms(a, y, params) + op_B_terms(a, x, params))
 
 
-def op_L_shifted(a: int, m: int, l_a: LinOp, params: ModelParams) -> LinOp:
-    """L_a at shift_y(y, m, c) from l_a, L_a at y: y_m enters op_A only as
-    y_m (e_aa - e_abar,abar) at site m."""
-    e_aa, e_bb, _, _ = site_units(a, m, params.space)
-    return lincomb(params.space, [(1, l_a), (-params.c, e_aa), (params.c, e_bb)])
+@cache
+def _site_diagonal(a: int, m: int, space: Space) -> Placed:
+    """e_(a,a) - e_(abar,abar) placed at site m."""
+    e_aa, e_bb, _, _ = _units(space.half_dim, a)
+    return Placed(e_aa - e_bb, (m,), space)
+
+
+def l_shifted_on(m: int, ls: Sequence, params: ModelParams, start: Block) -> Block:
+    """Every L_a at shift_y(y, m, c) applied to start, side by side, from
+    ls[a - 1], L_a at y: y_m enters L_a only as y_m (e_aa - e_abar,abar)
+    at site m, so each image is L_a's minus c times that diagonal's."""
+    space = params.space
+    return Block.join([lincomb(space, [(1, l_a.on_block(start)),
+                                       (-params.c, _site_diagonal(a, m, space).on_block(start))])
+                       for a, l_a in enumerate(ls, start=1)])
 
 
 def op_I(a: int, lam, gamma, params: ModelParams) -> LinOp:
@@ -381,9 +390,10 @@ def block_assembly_defect(a: int, x, y, params: ModelParams, l_start, start) -> 
     return l_start != op_L_from_blocks(a, x, y, params, start)
 
 
-def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
-    """Closed-form derivative of the sum of op_B_terms(b) in a coordinate
-    a != b, the only one check_cross_derivative reads.
+def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> list:
+    """The two (coefficient, operator) terms of the closed-form derivative
+    of the sum of op_B_terms(b) in a coordinate a != b, the only one
+    check_cross_derivative reads.
 
     Coefficient derivatives are hand-coded; no finite differences.
     """
@@ -393,16 +403,17 @@ def op_dB_dx(b: int, a: int, x: Sequence, params: ModelParams) -> LinOp:
     x = tuple(x)
     _check_x_generic(b, x)
     xb, xa, k = x[b - 1], x[a - 1], params.k
-    return fixed_sum(("op_dB_dx", b, a), space,
-                     [(k * div(xb, (xb - xa) ** 2), coll_X_swap(b, a, space)),
-                      (k * div(-xb, (xb * xa - 1) ** 2), coll_YZ(b, a, space))])
+    return [(k * div(xb, (xb - xa) ** 2), coll_X_swap(b, a, space)),
+            (k * div(-xb, (xb * xa - 1) ** 2), coll_YZ(b, a, space))]
 
 
 def check_cross_derivative(a: int, b: int, x, y, params: ModelParams) -> LinOp:
-    """x_a dB_b/dx_a - x_b dB_a/dx_b; zero iff the family commutes."""
+    """x_a dB_b/dx_a - x_b dB_a/dx_b, one fixed sum over the terms of both
+    derivatives; zero iff the family commutes."""
     x = tuple(x)
-    return lincomb(params.space, [(x[a - 1], op_dB_dx(b, a, x, params)),
-                                  (-x[b - 1], op_dB_dx(a, b, x, params))])
+    terms = [(x[a - 1] * w, op) for w, op in op_dB_dx(b, a, x, params)]
+    terms += [(-x[b - 1] * w, op) for w, op in op_dB_dx(a, b, x, params)]
+    return fixed_sum(("check_cross_derivative", a, b), params.space, terms)
 
 
 def check_comm_IM(a: int, x, y1, y2, params: ModelParams, m_a: LinOp, start) -> bool:
@@ -444,11 +455,11 @@ def op_dK_term(m: int, x, y, params: ModelParams) -> tuple:
     return terms, differs
 
 
-def compat_three_term(m: int, x, y, params: ModelParams, ls: Sequence,
-                      shifted: Sequence, dk: Sequence, start: Block) -> Block:
+def compat_three_term(m: int, x, y, params: ModelParams, ls: Sequence, dk: Sequence,
+                      start: Block) -> Block:
     """Split-form compatibility residual of site m on a start, every label's
-    side by side, given ls[a - 1], L_a at y, shifted[a - 1], L_a at y
-    with its m-th argument shifted, and dk, the terms of
+    side by side, given ls[a - 1], L_a at y, which `l_shifted_on` also
+    reads at y with its m-th argument shifted, and dk, the terms of
     `op_dK_term(m, x, y, params)`.
 
     piece one: the middle-reflection derivative term; piece two: the
@@ -462,25 +473,25 @@ def compat_three_term(m: int, x, y, params: ModelParams, ls: Sequence,
     mid_tail_start = product(factor_ops(invert_descs(mid_tail), x, y, params) + [start])
     piece1 = Block.join([term.on_block(start) for term in dk])
     piece2 = product(factor_ops(invert_descs(head), x, y, params)
-                     + [Block.join([op.on_block(head_start) for op in shifted])])
+                     + [l_shifted_on(m, ls, params, head_start)])
     piece3 = product(factor_ops(mid_tail, x, y, params)
                      + [Block.join([op.on_block(mid_tail_start) for op in ls])])
     return lincomb(params.space, [(1, piece1), (1, piece2), (-1, piece3)])
 
 
-def compat_direct(m: int, x, y, params: ModelParams, l_start: Block, shifted: Sequence,
+def compat_direct(m: int, x, y, params: ModelParams, ls: Sequence, l_start: Block,
                   start: Block) -> Block:
     """Commutator-form compatibility residual of site m on a start, every
-    label's side by side, built only from the transport factors, l_start
-    (every L_a applied to start, side by side), shifted as in
-    `compat_three_term`, and the analytic transport derivative."""
+    label's side by side, built only from the transport factors, ls as in
+    `compat_three_term`, l_start (every L_a applied to start, side by
+    side), and the analytic transport derivative."""
     n = params.space.n
     ops = factor_ops(q_factor_list(m, n), x, y, params)
     lead = len(q_split_descs(m, n)[0]) + 1
     tail = product(ops[lead:] + [start])
     q_start = product(ops[:lead] + [tail])
     return lincomb(params.space, [
-        (1, Block.join([op.on_block(q_start) for op in shifted])),
+        (1, l_shifted_on(m, ls, params, q_start)),
         (-1, product(ops + [l_start])),
         (1, op_dQ_dx(m, x, y, params, tail, [params.c * xa for xa in x])),
     ])

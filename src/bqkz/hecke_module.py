@@ -25,7 +25,8 @@ states (Freivalds' check), and refuse a start off the orbit; a test may
 pass the identity's orbit columns to prove them on the whole orbit.  The
 restriction check weights the orbit columns of its terms
 (`restriction_images`) by one fixed sum per point, and the point-free
-pair-sum identities (`pair_sum_identities`) read the same images.
+pair-sum identities (`pair_sum_identities`) read the same images, their
+reflection sum by one fixed sum compiled once per label and space.
 
 The degenerate product Cbar_m has two independent constructions: `op_Cbar`
 from normalized factors and `cbar_grouped` with the denominators pulled
@@ -384,7 +385,8 @@ def pair_sum_identities(a: int, space: Space) -> list:
     ebar = images[2 * n - 1:3 * n - 1]
     colls = iter(images[3 * n - 1:])
     swap_yz = {b: (None if b == a else next(colls), next(colls)) for b in range(1, n + 1)}
-    out = [("reflection-sum", lincomb(space, [(1, op) for op in ebar] + [(-1, r_a)])),
+    out = [("reflection-sum", fixed_sum(("reflection-sum", a), space,
+                                        [(1, op) for op in ebar] + [(-1, r_a)])),
            ("self-pair", swap_yz[a][1])]
     others = [b for b in range(1, n + 1) if b != a]
     for b, s, s_tilde in zip(others, pairs[::2], pairs[1::2], strict=True):
@@ -415,7 +417,7 @@ def check_L_restriction(a: int, x, params: ModelParams, images: list) -> LinOp:
     Both sides of the identity hold the argument part op_A(a, y); exact
     addition cancels it, so the residual is the group part minus the
     coordinate part B_a(x), the terms of op_B_terms(a, x), and reads no
-    y: one `lincomb` of the images weighted at x.
+    y: one fixed sum of the images weighted at x.
     """
     n = params.space.n
     k = params.k

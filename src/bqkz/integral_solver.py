@@ -224,6 +224,8 @@ class CycleW:
             raise ValueError("duplicate monomial degree")
         if not self.terms:
             raise ValueError("empty cycle")
+        if not any(cf for _, cf in self.terms):
+            raise ValueError("every coefficient of the cycle is 0")
 
     @classmethod
     def monomial(cls, degree: int) -> "CycleW":

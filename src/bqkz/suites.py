@@ -218,11 +218,10 @@ def _compatibility(point, space, _, vr):
     l_v = Block.join([l_a.on_block(v) for l_a in ls])
     forms = []
     for m in range(1, space.n + 1):
-        shifted = [compat_ops.op_L_shifted(a, m, l_a, params) for a, l_a in zip(labels, ls)]
         dk, differs = compat_ops.op_dK_term(m, x, y, params)
         yield "dk-route-%d" % m, differs
-        forms.append((compat_ops.compat_three_term(m, x, y, params, ls, shifted, dk, v),
-                      compat_ops.compat_direct(m, x, y, params, l_v, shifted, v)))
+        forms.append((compat_ops.compat_three_term(m, x, y, params, ls, dk, v),
+                      compat_ops.compat_direct(m, x, y, params, ls, l_v, v)))
     for a in labels:
         for m, (split, direct) in enumerate(forms, start=1):
             yield "split-%d-%d" % (a, m), any(split.cols[a - 1])
@@ -300,7 +299,7 @@ class _Suite(NamedTuple):
 
 
 # Every suite but three reads its identities on a random column.
-# cross-derivative stays whole: its defect is one lincomb with no product,
+# cross-derivative stays whole: its defect is one fixed sum with no product,
 # so a column would save nothing.  phi-iso reads its word on the unit column
 # of phi(id): its claim is the support of the image, which is exact there.
 # l-restriction proves that its residual kills every orbit column: its

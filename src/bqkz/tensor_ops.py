@@ -39,12 +39,13 @@ sparse product of two whole operators.  Only `apply` calls it: no other
 module composes, and an operator read on some columns only, such as a
 left-action image on the orbit, keeps them by `restricted`.
 
-An operator that weights fixed operators, ones that read no point, is
-summed by a `FixedSum` compiled once from its term list (`fixed_sum`,
-cached per key and space, optionally on some columns only): the positions
-where the same terms meet with the same entries form a class, a point
-computes one value per class, and each column reads its rows' classes.
-It equals `lincomb` of the same terms, which sums every fresh operator.
+Every sum of weighted operators is a `FixedSum` compiled from its term
+list: the positions where the same terms meet with the same entries form
+a class, a point computes one value per class, and each column reads its
+rows' classes.  A sum whose operators read no point is compiled once
+(`fixed_sum`, cached per key and space, optionally on some columns only);
+`lincomb` (and `+`, `-`, `scale`) compiles one for the call, so only code
+that builds a cached operator, and the tests, call it on operators.
 
 Every operator is exact over F_p (`scalar_field.P`): it holds canonical
 ints in [0, P) with no stored zero, and no operation takes a float or
@@ -235,40 +236,21 @@ def _built(space: Space, cols) -> LinOp:
 
 
 def lincomb(space: Space, terms) -> LinOp:
-    """sum(coef * op) over (coef, op) pairs on `space`, in one pass, each
-    entry of the sum reduced once.  No term's columns are modified or
-    shared by the result.  Terms that are blocks are summed column by
-    column (`_block_lincomb`)."""
+    """sum(coef * op) over (coef, op) pairs on `space`: operators by one
+    `FixedSum` compiled for the call, blocks column by column
+    (`_block_lincomb`).  No term's columns are modified or shared by the
+    result."""
     terms = list(terms)
     if terms and isinstance(terms[0][1], Block):
         return _block_lincomb(space, terms)
-    if any(op.space != space for _, op in terms):
-        raise ValueError("space mismatch in lincomb")
-    # A zero term adds nothing, but its coefficient is read all the same,
-    # so a float or complex zero is refused like any other.
-    live = [(f, op.cols) for f, op in ((residue(a), op) for a, op in terms) if f]
-    out = {}
-    for f, cols in live:
-        for c, col in cols.items():
-            dst = out.get(c)
-            if dst is None:
-                out[c] = dict(col) if f == 1 else {r: f * v for r, v in col.items()}
-            elif f == 1:
-                for r, v in col.items():
-                    w = dst.get(r)
-                    dst[r] = v if w is None else w + v
-            else:
-                for r, v in col.items():
-                    w = dst.get(r)
-                    dst[r] = f * v if w is None else w + f * v
-    return _built(space, out)
+    return FixedSum(space, [op for _, op in terms])([a for a, _ in terms])
 
 
 class FixedSum:
-    """sum(coef * op) over fixed operators, by class (module docstring):
-    equal to `lincomb`, or to its `restricted(columns)`.  Each column keeps
-    its rows and the class each reads; zero classes and empty columns are
-    dropped, so the sum is canonical."""
+    """sum(coef * op) over fixed operators, by class (module docstring),
+    or its `restricted(columns)`.  Each column keeps its rows and the class
+    each reads; every coefficient is read as a residue, a zero one too, and
+    zero classes and empty columns are dropped, so the sum is canonical."""
 
     __slots__ = ("space", "ops", "classes", "writers")
 
@@ -277,16 +259,17 @@ class FixedSum:
         if any(op.space != space for op in self.ops):
             raise ValueError("space mismatch in lincomb")
         keep = None if columns is None else set(columns)
-        sigs, classes, layout = {}, {}, {}
+        sigs, classes = {}, {}
         for t, op in enumerate(self.ops):
             for c, col in op.cols.items():
-                for r, v in col.items() if keep is None or c in keep else ():
-                    sigs.setdefault((c, r), []).append((t, v))
-        for (c, r), sig in sigs.items():
-            layout.setdefault(c, []).append((r, classes.setdefault(tuple(sig), len(classes))))
+                if keep is None or c in keep:
+                    sig = sigs.setdefault(c, {})
+                    for r, v in col.items():
+                        sig[r] = sig.get(r, ()) + ((t, v),)
+        self.writers = tuple((c, tuple(rows), tuple(classes.setdefault(s, len(classes))
+                                                    for s in rows.values()))
+                             for c, rows in sigs.items())
         self.classes = tuple(classes)
-        self.writers = tuple((c, tuple(r for r, _ in rs), tuple(k for _, k in rs))
-                             for c, rs in layout.items())
 
     def __call__(self, coefs) -> LinOp:
         f = [residue(a) for a in coefs]

@@ -10,11 +10,12 @@ and `log1m_exp`, where the package evaluates the integrand only over
 arrays of nodes.  It also owns the whole-operator route of the residual
 pass (`residuals_oracle`), which writes each transport factor state by
 state from the layout oracles of the two factor shapes (`_exchange_cols`,
-`_reflection_cols`, which the index-convention tests read too) and reads
-nothing of the package's layout, and the full pole ratio
-`prod_ratio_full`, which the kernel's shift relation and the weight
-functions' telescoping are compared with.  The exact tests' Fraction
-oracles reduce their results mod P by `mod_p`, their own map.
+`_reflection_cols`, which the index-convention tests read too, and the
+gather test through `_factor_cols`) and reads nothing of the package's
+layout, and the full pole ratio `prod_ratio_full`, which the kernel's
+shift relation and the weight functions' telescoping are compared with.
+The exact tests' Fraction oracles reduce their results mod P by `mod_p`,
+their own map.
 """
 
 import cmath
@@ -194,16 +195,22 @@ def _reflection_cols(diag, flips):
     return space, cols
 
 
+def _factor_cols(factor, half):
+    """(space, {col state: {row state: value}}) of a transport factor on
+    its own one or two sites: its scalars over its divisor laid out by the
+    oracle of its shape, exchange on two sites, reflection on one."""
+    scalars = [v / factor.over for v in factor.scalars]
+    if len(factor.strides) == 2:
+        return _exchange_cols(half, *scalars)
+    return _reflection_cols(scalars[0], list(zip(scalars[1::2], scalars[2::2])))
+
+
 def _whole_factor(factor, sites, space):
     """A transport factor as one dense whole-space complex matrix, written
-    state by state: its scalars over its divisor laid out on its own sites
-    by the oracle of its shape, and each whole state's digits at `sites`
-    read as the local state, every other digit kept."""
-    scalars = [v / factor.over for v in factor.scalars]
-    if len(sites) == 2:
-        _, local = _exchange_cols(space.half_dim, *scalars)
-    else:
-        _, local = _reflection_cols(scalars[0], list(zip(scalars[1::2], scalars[2::2])))
+    state by state: its local matrix from the oracle of its shape
+    (`_factor_cols`), and each whole state's digits at `sites` read as
+    the local state, every other digit kept."""
+    _, local = _factor_cols(factor, space.half_dim)
     at = [site - 1 for site in sites]
     position = {s: i for i, s in enumerate(space.states())}
     out = np.zeros((space.dim, space.dim), dtype=complex)

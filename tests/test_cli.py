@@ -875,6 +875,32 @@ def test_a_cycle_refusal_names_its_input(tmp_path, capsys, monkeypatch, solve, m
     assert captured.out == "" and rules == []
 
 
+@pytest.mark.parametrize("command", ["solve", "residuals --config", "residuals --in"])
+def test_a_cycle_whose_every_coefficient_is_zero_exits_two_before_any_quadrature(
+        tmp_path, capsys, monkeypatch, one_lambda_report, command):
+    """A cycle whose every coefficient is 0 integrates to the zero solution,
+    against which no residual exists: `solve` and `residuals --config`
+    refuse it naming solve.degrees, and `residuals --in` naming the stored
+    solution cycle, each in one line, before any rule runs."""
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"solve": {"lambda_grid": [0.25], "degrees": [[1, 0], [2, [0, 0]]]}})
+    report = json.loads(one_lambda_report)
+    report["body"]["solutions"][0]["cycle"] = [[1, [0.0, 0.0]]]
+    argv, where = {
+        "solve": (["solve", "--config", cfg, "--out-csv", str(tmp_path / "c.csv"),
+                   "--out-json", str(tmp_path / "s.json")], "solve.degrees"),
+        "residuals --config": (["residuals", "--config", cfg], "solve.degrees"),
+        "residuals --in": (["residuals", "--in", write_json(tmp_path / "solve.json", report)],
+                           "stored solution cycle"),
+    }[command]
+    rules = _count_rules(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s: every coefficient of the cycle is 0\n" % where
+    assert captured.out == "" and rules == []
+
+
 @pytest.mark.parametrize("raw,words", [
     ({"model": {"c": [1e6, 0.2]}}, ("budget of 131072",)),
     ({"model": {"k": [1e8, 1.0]}}, ("lambda=",)),

@@ -20,13 +20,13 @@ from bqkz.compat_ops import (
     comm_AA_defect,
     compat_direct,
     compat_three_term,
+    l_shifted_on,
     m_conjugation_defect,
     op_A,
     op_B_terms,
     op_I,
     op_L,
     op_L_from_blocks,
-    op_L_shifted,
     op_M,
     op_M_swapped,
     op_dB_dx,
@@ -259,7 +259,7 @@ def test_db_dx_interpolation_oracle_cross_coordinate():
 
         want = derivative_by_interpolation(at, q, ts, t_hold, space.dim)
         x_hold = tuple(t_hold if i == a - 1 else v for i, v in enumerate(x))
-        got = op_dB_dx(b, a, x_hold, params).to_dense()
+        got = lincomb(space, op_dB_dx(b, a, x_hold, params)).to_dense()
         assert got == want
         return True
 
@@ -337,26 +337,28 @@ def _forms(m, x, y, params, start):
     """Both compatibility residuals of site m on a start, each operator
     built as the suite builds it."""
     ls = [op_L(a, x, y, params) for a in range(1, len(x) + 1)]
-    shifted = [op_L_shifted(a, m, l_a, params) for a, l_a in enumerate(ls, start=1)]
     l_start = Block.join([l_a.on_block(start) for l_a in ls])
     dk, _ = co.op_dK_term(m, x, y, params)
-    return (compat_three_term(m, x, y, params, ls, shifted, dk, start),
-            compat_direct(m, x, y, params, l_start, shifted, start))
+    return (compat_three_term(m, x, y, params, ls, dk, start),
+            compat_direct(m, x, y, params, ls, l_start, start))
 
 
 def test_the_shifted_matrix_part_is_the_matrix_part_at_the_shifted_point():
+    """The shifted read of every L_a on the identity block, from L_a at y,
+    is op_L at shift_y(y, m, c) on it, label by label."""
     for n, half in ((1, 1), (2, 2), (3, 2)):
         space = Space(n, half)
+        ident = Block.identity(space)
 
         def body(r):
             params = rand_params(r, space)
             x = generic_x(r, half)
             y = rand_tuple(r, n)
-            for a in range(1, half + 1):
-                l_a = op_L(a, x, y, params)
-                for m in range(1, n + 1):
-                    assert op_L_shifted(a, m, l_a, params) == op_L(
-                        a, x, shift_y(y, m, params.c), params)
+            ls = [op_L(a, x, y, params) for a in range(1, half + 1)]
+            for m in range(1, n + 1):
+                want = [op_L(a, x, shift_y(y, m, params.c), params).on_block(ident)
+                        for a in range(1, half + 1)]
+                assert l_shifted_on(m, ls, params, ident) == Block.join(want)
             return True
 
         sample_point(rng, body)
@@ -420,8 +422,10 @@ def test_compat_forms_are_independent_routes(monkeypatch):
 def test_each_operator_is_one_linear_combination(monkeypatch):
     """Every builder of the family sums its terms once, by its cached
     fixed sum (`tensor_ops.FixedSum`), which counts as one reduction, or
-    by one `lincomb` (op_B here): with the label-only caches and the fixed
-    sums warm, one call reduces exactly once.  The block route builds each
+    by one `lincomb` (op_B here), which evaluates the one FixedSum it
+    compiles: with the label-only caches and the fixed sums warm, one call
+    reduces exactly once.  The cross-derivative residual is one fixed sum
+    over the terms of both derivatives.  The block route builds each
     of its n one-site blocks and its one pair block once (one reduction
     each), applies each to the identity block where it acts (one each) and
     sums the images once, so it reduces 2n + 3 times.  The restriction
@@ -445,7 +449,7 @@ def test_each_operator_is_one_linear_combination(monkeypatch):
         "op_M": lambda: op_M(1, x, params),
         "op_M_swapped": lambda: op_M_swapped(2, x, params),
         "op_L_from_blocks": lambda: op_L_from_blocks(1, x, y, params, Block.identity(space)),
-        "op_dB_dx": lambda: op_dB_dx(1, 2, x, params),
+        "check_cross_derivative": lambda: check_cross_derivative(1, 2, x, y, params),
         "check_L_restriction": lambda: check_L_restriction(2, x, params, images),
     }
     reductions = {name: 1 for name in calls}

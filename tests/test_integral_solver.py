@@ -163,7 +163,8 @@ def test_half_integer_spectral_point_is_allowed_for_pairing(monkeypatch):
 
 def test_cycle_degree_window():
     """A degree outside the window is refused naming its lambda first, as
-    every lambda-level refusal is."""
+    every lambda-level refusal is; a repeated degree, no term, and terms
+    whose every coefficient is 0 are refused."""
     p = mkparams(1, 0.25, (0.3,))
     with pytest.raises(DegreeError) as err:
         CycleW.monomial(4).validate(p)
@@ -173,6 +174,8 @@ def test_cycle_degree_window():
         CycleW(((0, 1.0), (0, 2.0)))
     with pytest.raises(ValueError):
         CycleW(())
+    with pytest.raises(ValueError, match="every coefficient"):
+        CycleW(((0, 0.0), (1, 0j)))
 
 
 # ---------------------------------------------------------------- vectors

@@ -348,12 +348,12 @@ def test_compatibility_builds_each_operator_once(monkeypatch):
     label at once: the direct form the transport factors and the head of
     the derivatives; the split form the head, the middle and tail, and
     their inverses.  L_a is built once per label, at y only, from op_A's
-    and op_B's terms, and L_a at each shifted y once per label and site,
-    from L_a."""
+    and op_B's terms; each form reads every L_a at the shifted y of its
+    site once, from L_a, for every label at once."""
     points = _calls_at_each_point(
         monkeypatch, "compatibility",
         [(rqkz, "_factor_op"), (compat_ops, "op_A_terms"), (compat_ops, "op_B_terms"),
-         (compat_ops, "op_L_shifted")],
+         (compat_ops, "l_shifted_on")],
     )
     assert len(points) == 4
     for calls in points:
@@ -371,8 +371,8 @@ def test_compatibility_builds_each_operator_once(monkeypatch):
         assert all(tuple(xx) == tuple(x) for _, xx, _ in calls["op_B_terms"])
         assert sorted((a, tuple(yy)) for a, yy, _ in calls["op_A_terms"]) == [
             (a, tuple(y)) for a in labels]
-        assert sorted((a, m) for a, m, _, _ in calls["op_L_shifted"]) == [
-            (a, m) for a in labels for m in range(1, n + 1)]
+        assert sorted(m for m, _, _, _ in calls["l_shifted_on"]) == [
+            m for m in range(1, n + 1) for _ in range(2)]
 
 
 def test_lemma_ll_builds_each_matrix_part_once(monkeypatch):
@@ -461,6 +461,32 @@ def test_the_light_chains_embed_write_and_compose_nothing(monkeypatch):
     light = [name for name in suites.suite_names() if name not in TRANSPORT_SUITES]
     assert len(light) == 10
     assert _composes_and_embeddings(monkeypatch, light) == {True: [], False: []}
+
+
+def test_a_warm_run_compiles_no_sum_and_hands_lincomb_no_operator(monkeypatch):
+    """Every sum of operators at a point is a fixed sum compiled once per
+    process: once every suite has run, a second run of all 13 suites, at
+    another seed and 3 samples each, compiles no `FixedSum`, and `lincomb`
+    is handed blocks only, never an operator."""
+    for name in suites.suite_names():
+        suites.run_suite(name, samples=1, seed=0)
+    compiled, handed = [], []
+    real_init = tensor_ops.FixedSum.__init__
+    monkeypatch.setattr(tensor_ops.FixedSum, "__init__",
+                        lambda self, *args: compiled.append(args) or real_init(self, *args))
+
+    def recording(real):
+        def counted(space, terms):
+            terms = list(terms)
+            handed.extend(op for _, op in terms if isinstance(op, LinOp))
+            return real(space, terms)
+
+        return counted
+
+    _patch_everywhere(monkeypatch, tensor_ops, "lincomb", recording)
+    for name in suites.suite_names():
+        assert suites.run_suite(name, samples=3, seed=7).exact_zero, name
+    assert compiled == [] and handed == []
 
 
 def test_the_orbit_suites_compose_nothing_wider_than_the_orbit(fresh_caches, monkeypatch):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from _oracles import mod_p
+from _oracles import _factor_cols, mod_p
 from bqkz.hecke_module import orbit_states
 import bqkz.tensor_ops as tensor_ops
 from bqkz.scalar_field import P, Residue, lift, rat
@@ -248,14 +248,27 @@ PLACEMENTS = [
 ENTRIES = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
+def _random_entries(data, space) -> dict:
+    """Drawn {(col, row): Fraction} entries on a space, zeros among them."""
+    return data.draw(st.dictionaries(
+        st.tuples(st.integers(0, space.dim - 1), st.integers(0, space.dim - 1)),
+        ENTRIES, max_size=12))
+
+
 def _random_op(data, space):
     """A sparse exact operator with drawn entries, zeros among them."""
     cols = {}
-    for (c, r), v in data.draw(st.dictionaries(
-            st.tuples(st.integers(0, space.dim - 1), st.integers(0, space.dim - 1)),
-            ENTRIES, max_size=12)).items():
+    for (c, r), v in _random_entries(data, space).items():
         cols.setdefault(c, {})[r] = v
     return LinOp(space, cols)
+
+
+def _random_dense(data, space):
+    """A dense Fraction matrix with drawn entries, zeros among them."""
+    dense = [[Fraction(0)] * space.dim for _ in range(space.dim)]
+    for (c, r), v in _random_entries(data, space).items():
+        dense[r][c] = v
+    return dense
 
 
 @pytest.mark.parametrize("n,half,sites", PLACEMENTS, ids=[
@@ -268,7 +281,10 @@ def test_a_block_gets_what_the_embedded_operator_gives(n, half, sites, data):
     gather, and a general placed or whole operator applied to it entry by
     entry, equal the embedded operator composed with the block's columns,
     in canonical form: for zero and negative scalars, and for columns with
-    zeros, an orbit-supported one among them where the orbit exists."""
+    zeros, an orbit-supported one among them where the orbit exists.  The
+    factor's local matrix is written from its shape's definition by the
+    oracle (`_oracles._factor_cols`), which reads neither the shape's table
+    nor the gather."""
     space = Space(n, half)
     columns = [data.draw(st.dictionaries(st.integers(0, space.dim - 1), ENTRIES,
                                          max_size=space.dim))
@@ -283,11 +299,9 @@ def test_a_block_gets_what_the_embedded_operator_gives(n, half, sites, data):
     else:
         flips = data.draw(st.lists(st.tuples(ENTRIES, ENTRIES), min_size=half, max_size=half))
         factor = Factor.reflection(data.draw(ENTRIES), flips, sites[0], space, over=over)
-    own = Space(len(sites), half)
-    written = Factor(factor.scalars, factor.over, range(1, len(sites) + 1), own)
-    local = _random_op(data, own)
-    for op, whole in ((factor, Placed(written.on_block(Block.identity(own)).linop(), sites,
-                                      space).embedded()),
+    written = LinOp(*_factor_cols(factor, half))
+    local = _random_op(data, written.space)
+    for op, whole in ((factor, Placed(written, sites, space).embedded()),
                       (Placed(local, sites, space), Placed(local, sites, space).embedded()),
                       (_random_op(data, space),) * 2):
         got = product([op, block])
@@ -618,34 +632,45 @@ COEFFICIENTS = st.integers(-9, 9) | ENTRIES | RESIDUES.map(Residue) | st.just(0)
 def test_a_fixed_sum_is_lincomb(n, half, data):
     """A FixedSum of random operators, with int, negative, Fraction and
     Residue coefficients, some of them zero, and copies of the first
-    operator whose coefficients cancel it on some columns or on all, equals
-    lincomb of the same terms in canonical form, and with columns= its
-    restriction to them; a float coefficient is refused.  The sum cached
-    under one key compiles again when handed an operator it was not
-    compiled from, and still equals lincomb."""
+    operator whose coefficients cancel it on some columns or on all, is
+    the Fraction oracle's sum of the same terms reduced mod P, in
+    canonical form, and with columns= the oracle's columns there and no
+    other; `lincomb`, which compiles one for the call, is too, and a float
+    coefficient is refused.  The sum cached under one key compiles again
+    when handed an operator it was not compiled from, and still matches
+    the oracle."""
     space = Space(n, half)
     dim = space.dim
-    ops = [_random_op(data, space) for _ in range(data.draw(st.integers(1, 3)))]
-    coefs = [data.draw(COEFFICIENTS) for _ in ops]
-    cut = data.draw(st.lists(st.integers(0, dim - 1), max_size=dim))
-    ops += [ops[0].restricted(cut), ops[0].scale(2)]
+    dense = [_random_dense(data, space) for _ in range(data.draw(st.integers(1, 3)))]
+    coefs = [data.draw(COEFFICIENTS) for _ in dense]
+    cut = set(data.draw(st.lists(st.integers(0, dim - 1), max_size=dim)))
+    dense += [[[v if j in cut else 0 for j, v in enumerate(row)] for row in dense[0]],
+              [[2 * v for v in row] for row in dense[0]]]
     c0 = coefs[0]
     coefs += data.draw(st.sampled_from([(-c0, 0), (0, Fraction(-1, 2) * c0), (c0, 1)]))
+    ops = [LinOp.from_dense(space, d) for d in dense]
     terms = list(zip(coefs, ops))
-    want = lincomb(space, terms)
-    got = FixedSum(space, ops)(coefs)
-    assert_canonical(got)
-    assert got == want
+
+    def oracle(coefs, dense):
+        exact = [Fraction(int(a)) if isinstance(a, Residue) else a for a in coefs]
+        return reduced(dense_lincomb(space, zip(exact, dense)))
+
+    want = oracle(coefs, dense)
+    for got in (FixedSum(space, ops)(coefs), lincomb(space, terms),
+                fixed_sum("test", space, terms)):
+        assert_canonical(got)
+        assert got.to_dense() == want
     columns = tuple(data.draw(st.lists(st.integers(0, dim - 1), max_size=dim)))
     kept = FixedSum(space, ops, columns)(coefs)
     assert_canonical(kept)
-    assert kept == want.restricted(columns)
+    assert kept.to_dense() == [[v if j in columns else 0 for j, v in enumerate(row)]
+                               for row in want]
     for bad in (0.5, 0.0):
         with pytest.raises(TypeError):
             FixedSum(space, ops)([bad] + coefs[1:])
-    assert fixed_sum("test", space, terms) == want
-    swapped = [(coefs[0], _random_op(data, space))] + terms[1:]
-    assert fixed_sum("test", space, swapped) == lincomb(space, swapped)
+    other = _random_dense(data, space)
+    swapped = [(coefs[0], LinOp.from_dense(space, other))] + terms[1:]
+    assert fixed_sum("test", space, swapped).to_dense() == oracle(coefs, [other] + dense[1:])
     assert tensor_ops._SUMS["test", space, None].ops[0] is swapped[0][1]
 
 
